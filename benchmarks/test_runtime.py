@@ -13,10 +13,6 @@ same quantities for the pure-Python engine on the synthetic core:
   reference, with verdict equality enforced,
 * since PR 4 — the sharded full-fault-grading engine at ``jobs=4``
   against the serial grader, with detected-set equality enforced,
-* and — since the kernel PR — the same full grading on the vectorized
-  numpy kernel, serial and composed with ``--jobs 4``, with detected-set
-  equality against the int kernel enforced
-  (``full_fault_grading_numpy``; skipped when numpy is not installed),
 * since the portfolio PR — serial reference PODEM against the
   ``podem-restart`` backend fanned over process shards at ``--jobs 4``
   on a cone-bounded fault sample (``atpg_portfolio``), with verdict
@@ -61,7 +57,6 @@ from repro.sbst.grading import FaultGrader
 from repro.sbst.monitor import ToggleMonitor
 from repro.sbst.program_gen import generate_sbst_suite
 from repro.simulation.fault_sim import FaultSimulator
-from repro.simulation.kernels import kernel_info, numpy_available
 from repro.simulation.legacy import LegacyFaultSimulator
 
 _GOLDEN_TABLE1 = Path(__file__).with_name("golden_table1_date13.txt")
@@ -102,9 +97,6 @@ def _record_parallel_speedup(field: str, serial_seconds: float,
 @pytest.fixture(scope="module", autouse=True)
 def _write_bench_json():
     yield
-    # Attribute the capture: which kernel "auto" resolved to on this
-    # machine (and the numpy version when the vectorized one is active).
-    _BENCH.update(kernel_info())
     out = Path(os.environ.get("REPRO_BENCH_OUT", "BENCH_latest.json"))
     out.write_text(json.dumps(_BENCH, indent=2, sort_keys=True) + "\n",
                    encoding="utf-8")
@@ -262,38 +254,31 @@ def test_runtime_scan_tracing(runtime_soc, benchmark):
 
 
 def test_runtime_full_fault_grading_sharded(runtime_soc):
-    """Full-population mission-mode fault grading, per kernel and jobs.
+    """Full-population mission-mode fault grading, serial and sharded.
 
-    Four configurations grade the complete stuck-at population against the
-    captured SBST patterns — int and numpy kernel, each serial and sharded
-    at ``jobs=4`` on the process backend — with detected-set equality
-    enforced across all of them.  Each kernel records its serial and
-    parallel wall clock as explicit sub-entries of its own stage
-    (``full_fault_grading`` / ``full_fault_grading_numpy``), so the CI
-    regression gate watches them independently instead of re-deriving one
-    from the other.
+    Grades the complete stuck-at population against the captured SBST
+    patterns serially and sharded at ``jobs=4`` on the process backend,
+    with detected-set equality enforced, and records both wall clocks in
+    the ``full_fault_grading`` stage.
 
     The historical acceptance pin (sharded >= 2x serial) is gone on
-    purpose: serial grading now routes through the same event-driven cone
+    purpose: serial grading routes through the same event-driven cone
     walk the shards use, which made *serial* ~12x faster and left jobs=4
-    with only process overhead to amortise on a small core.  The kernel
-    PR's pin replaces it: on date13 the numpy serial grade must land >= 5x
-    under the 46.2s recorded by the pre-kernel full-cone implementation.
+    with only process overhead to amortise on a small core.
     """
     programs = generate_sbst_suite(runtime_soc.config.cpu)
     patterns = ToggleMonitor(runtime_soc.cpu).run_suite(programs)
     faults = generate_fault_list(runtime_soc.cpu).faults()
 
-    def graded(kernel: str, jobs: int):
-        grader = (FaultGrader(runtime_soc.cpu, jobs=jobs, backend="process",
-                              kernel=kernel)
-                  if jobs > 1 else FaultGrader(runtime_soc.cpu, kernel=kernel))
+    def graded(jobs: int):
+        grader = (FaultGrader(runtime_soc.cpu, jobs=jobs, backend="process")
+                  if jobs > 1 else FaultGrader(runtime_soc.cpu))
         start = time.perf_counter()
         detected = grader.grade(patterns, faults)
         return detected, time.perf_counter() - start
 
-    serial_detected, serial_seconds = graded("int", 1)
-    sharded_detected, sharded_seconds = graded("int", 4)
+    serial_detected, serial_seconds = graded(1)
+    sharded_detected, sharded_seconds = graded(4)
     assert sharded_detected == serial_detected
     assert serial_detected  # a grading run that detects nothing is broken
 
@@ -301,37 +286,16 @@ def test_runtime_full_fault_grading_sharded(runtime_soc):
                if sharded_seconds else float("inf"))
     print()
     print(f"Full fault grading of {len(faults):,} faults x {len(patterns)} "
-          f"patterns [int]: serial {serial_seconds:.2f}s, "
+          f"patterns: serial {serial_seconds:.2f}s, "
           f"sharded --jobs 4 {sharded_seconds:.2f}s ({speedup:.1f}x)")
     from repro.simulation.sharded import resolve_jobs
     _record("full_fault_grading", sharded_seconds,
             serial_seconds=round(serial_seconds, 4), jobs=4,
             jobs_resolved=resolve_jobs(4), cpus=os.cpu_count() or 1,
-            kernel="int", faults=len(faults), patterns=len(patterns),
+            faults=len(faults), patterns=len(patterns),
             detected=len(sharded_detected))
     _record_parallel_speedup("full_fault_grading_speedup",
                              serial_seconds, sharded_seconds, 4)
-
-    if not numpy_available():
-        pytest.skip("numpy not installed: int-kernel stages recorded, "
-                    "full_fault_grading_numpy skipped")
-
-    np_detected, np_seconds = graded("numpy", 1)
-    np4_detected, np4_seconds = graded("numpy", 4)
-    assert np_detected == serial_detected
-    assert np4_detected == serial_detected
-
-    print(f"Full fault grading of {len(faults):,} faults x {len(patterns)} "
-          f"patterns [numpy]: serial {np_seconds:.2f}s, "
-          f"sharded --jobs 4 {np4_seconds:.2f}s")
-    _record("full_fault_grading_numpy", np_seconds,
-            jobs4_seconds=round(np4_seconds, 4),
-            faults=len(faults), patterns=len(patterns),
-            detected=len(np_detected), **kernel_info("numpy"))
-    if RUNTIME_BENCH_CONFIG == "date13":
-        # Kernel-PR acceptance pin: >= 5x under the recorded 46.2s
-        # pre-kernel serial grade (locally ~4.7s, i.e. ~10x margin).
-        assert np_seconds < 46.2 / 5.0
 
 
 def test_runtime_pool_warm_grading(runtime_soc):

@@ -7,7 +7,7 @@ long they live.  This example builds one :class:`repro.Session` whose
 two-axis scenario sweep through it:
 
 * the **first** simulating scenario pays the cold start — workers
-  spawn, the compiled netlist and kernel plans are installed
+  spawn, the compiled netlist and job state are installed
   (content-addressed, once per netlist signature);
 * **every later** scenario against the same netlist lands on warm
   workers — its setup is a worker-side cache hit measured in

@@ -36,11 +36,7 @@ Three subcommands mirror the Session/Design API:
 
 ``analyze``, ``sweep`` and ``corpus`` accept ``--jobs N`` (plus
 ``--backend serial|thread|process``) to shard the fault-population
-engines across workers — results are identical to the serial run.  The
-same three subcommands accept ``--kernel auto|int|numpy`` to pick the
-simulation kernel (:mod:`repro.simulation.kernels`; also available as a
-scenario axis: ``--axis kernel=int,numpy``) — kernels are byte-identical
-too, only speed changes.
+engines across workers — results are identical to the serial run.
 
 ``analyze`` and ``sweep`` accept ``--fault-model stuck_at|transition`` to
 select the fault universe (``sweep`` also takes it as a scenario axis:
@@ -92,7 +88,7 @@ from repro.core.report import render_source_details
 from repro.faults.categories import source_label
 from repro.faults.models import fault_model_names
 from repro.pipeline import DEFAULT_REGISTRY
-from repro.simulation.kernels import KERNEL_CHOICES, kernel_info
+from repro.simulation.kernels import kernel_info
 from repro.simulation.sharded import SHARD_BACKENDS
 from repro.soc.config import SoCConfig
 
@@ -157,13 +153,6 @@ def _add_sharding_arguments(parser: argparse.ArgumentParser) -> None:
               "persistent pool (identical results; default: auto)"))
 
 
-def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--kernel", default=None, choices=list(KERNEL_CHOICES),
-        help=("simulation kernel (identical results; default: auto = "
-              "numpy when installed, else int)"))
-
-
 def _add_atpg_arguments(parser: argparse.ArgumentParser) -> None:
     """The ATPG portfolio knobs shared by analyze/sweep/corpus."""
     parser.add_argument(
@@ -223,7 +212,6 @@ def _build_parser() -> argparse.ArgumentParser:
         analyze, "fault model to enumerate and classify (default: stuck_at)")
     _add_static_prune_argument(analyze)
     _add_sharding_arguments(analyze)
-    _add_kernel_argument(analyze)
     _add_atpg_arguments(analyze)
     _add_store_argument(analyze)
 
@@ -264,7 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 "a scenario axis: --axis fault_model=stuck_at,transition)"))
     _add_static_prune_argument(sweep)
     _add_sharding_arguments(sweep)
-    _add_kernel_argument(sweep)
     _add_atpg_arguments(sweep)
     _add_store_argument(sweep)
 
@@ -308,14 +295,13 @@ def _build_parser() -> argparse.ArgumentParser:
                  "model (a filter, never an override)"))
     _add_static_prune_argument(corpus)
     _add_sharding_arguments(corpus)
-    _add_kernel_argument(corpus)
     _add_atpg_arguments(corpus)
     _add_store_argument(corpus)
 
     backends = sub.add_parser(
         "backends",
-        help=("list every registered backend: fault models, simulation "
-              "kernels, store backends and ATPG backends"))
+        help=("list every registered backend: fault models, store "
+              "backends and ATPG backends"))
     backends.add_argument(
         "--json", action="store_true",
         help="emit the registry listing as JSON")
@@ -441,22 +427,14 @@ def _split_passes(spec: Optional[str]) -> Optional[List[str]]:
     return [name.strip() for name in spec.split(",") if name.strip()]
 
 
-def _kernel_label(spec) -> str:
-    """Human-readable resolved-kernel blurb, e.g. ``numpy 2.4.6``."""
-    info = kernel_info(spec)
-    version = info.get("numpy_version")
-    return f"{info['kernel']} {version}" if version else info["kernel"]
-
-
-def _report_as_json(report, config_name: str, elapsed: float,
-                    kernel=None) -> str:
+def _report_as_json(report, config_name: str, elapsed: float) -> str:
     # Keep the original CLI summary contract (counts, not fault lists);
     # the full fault populations are available via report.to_json() /
     # the sweep subcommand's persisted documents.
     return json.dumps({
         "config": config_name,
         "netlist": report.netlist_name,
-        **kernel_info(kernel),
+        **kernel_info(),
         "fault_model": report.fault_model,
         "total_faults": report.total_faults,
         "baseline_untestable": len(report.baseline_untestable),
@@ -487,7 +465,7 @@ def _cmd_analyze(args) -> int:
     session = Session(parallel_passes=args.parallel,
                       options=RunOptions(
                           effort=args.effort, jobs=args.jobs,
-                          shard_backend=args.backend, kernel=args.kernel,
+                          shard_backend=args.backend,
                           fault_model=args.fault_model,
                           static_prune=args.static_prune,
                           store=args.store,
@@ -503,8 +481,7 @@ def _cmd_analyze(args) -> int:
     elapsed = time.perf_counter() - started
 
     if args.json:
-        print(_report_as_json(report, args.config, elapsed,
-                              kernel=args.kernel))
+        print(_report_as_json(report, args.config, elapsed))
         return 0
 
     print(report.to_table())
@@ -513,7 +490,7 @@ def _cmd_analyze(args) -> int:
         print(render_source_details(report))
     print()
     summary = (f"({args.config}: {report.total_faults:,} faults analysed "
-               f"in {elapsed:.2f}s; kernel: {_kernel_label(args.kernel)}")
+               f"in {elapsed:.2f}s")
     if args.store:
         stats = session.cache_stats
         summary += (f"; store: {stats.get('store_hits', 0)} hits, "
@@ -561,7 +538,6 @@ def _cmd_sweep(args) -> int:
     session = Session(executor=args.executor, max_workers=args.workers,
                       options=RunOptions(
                           jobs=args.jobs, shard_backend=args.backend,
-                          kernel=args.kernel,
                           fault_model=args.fault_model,
                           static_prune=args.static_prune,
                           store=args.store,
@@ -607,7 +583,6 @@ def _cmd_corpus(args) -> int:
     try:
         outcomes = run_corpus(args.dir, jobs=args.jobs,
                               shard_backend=args.backend,
-                              kernel=args.kernel,
                               update=args.update, only=args.only or None,
                               fault_model=args.fault_model,
                               static_prune=args.static_prune,
@@ -887,8 +862,7 @@ def _cmd_cache(args) -> int:
             }, indent=2))
             return 0
         if not entries:
-            print(f"store {args.store}: empty "
-                  f"(kernel: {_kernel_label(None)})")
+            print(f"store {args.store}: empty")
             return 0
         now = time.time()
         print(f"{'pass':<18} {'signature':<14} {'size':>10}  {'idle':>8}")
@@ -896,8 +870,7 @@ def _cmd_cache(args) -> int:
             idle = max(0.0, now - entry.last_used)
             print(f"{entry.pass_name:<18} {entry.signature[:12] + '..':<14} "
                   f"{entry.size_bytes:>10,}  {idle:>7.0f}s")
-        print(f"({len(entries)} artifacts, {total:,} bytes; "
-              f"kernel: {_kernel_label(None)})")
+        print(f"({len(entries)} artifacts, {total:,} bytes)")
         return 0
 
     # gc / prune
@@ -934,20 +907,12 @@ def _cmd_cache(args) -> int:
 def _cmd_backends(args) -> int:
     from repro.atpg.portfolio import ATPG_BACKENDS
     from repro.faults.models import resolve_fault_model
-    from repro.simulation.kernels import numpy_available
     from repro.store.base import STORE_BACKENDS
 
-    numpy_note = ("numpy available" if numpy_available()
-                  else "numpy NOT installed — falls back to int")
     registries = {
         "fault_models": [
             {"name": name, "note": resolve_fault_model(name).label}
             for name in fault_model_names()],
-        "kernels": [
-            {"name": "auto", "note": f"pick the best available ({numpy_note})"},
-            {"name": "int", "note": "pure-Python bit-plane kernel, always available"},
-            {"name": "numpy", "note": numpy_note},
-        ],
         "store_backends": [
             {"name": name, "note": "resolves 'name:location' store specs"}
             for name in sorted(STORE_BACKENDS.names())],
@@ -960,7 +925,6 @@ def _cmd_backends(args) -> int:
         print(json.dumps(registries, indent=2))
         return 0
     titles = {"fault_models": "fault models (--fault-model)",
-              "kernels": "simulation kernels (--kernel)",
               "store_backends": "store backends (--store)",
               "atpg_backends": "ATPG backends (--atpg-backend)"}
     for key, entries in registries.items():

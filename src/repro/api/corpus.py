@@ -57,11 +57,6 @@ class CorpusEntry:
     fault_model: str
     description: str
     path: Path
-    #: Simulation kernel pinned by the spec ("auto"/"int"/"numpy"); None
-    #: defers to the run's session default.  Kernels are byte-identical by
-    #: contract, so this never changes a capture — it only pins which
-    #: engine a CI leg exercises.
-    kernel: Optional[str] = None
     #: Worker-pool mode pinned by the spec ("persistent"/"ephemeral");
     #: None defers to the run's session default.  Pool lifecycle never
     #: changes a capture — it only pins which runtime a CI leg exercises.
@@ -84,8 +79,6 @@ class CorpusEntry:
         parts.append(f"effort={self.effort}")
         if self.fault_model != resolve_fault_model(None).name:
             parts.append(f"fault_model={self.fault_model}")
-        if self.kernel is not None:
-            parts.append(f"kernel={self.kernel}")
         if self.pool is not None:
             parts.append(f"pool={self.pool}")
         return ",".join(parts)
@@ -126,13 +119,6 @@ def _parse_entry(path: Path) -> CorpusEntry:
         fault_model = resolve_fault_model(data.get("fault_model")).name
     except ValueError as exc:
         raise CorpusError(f"corpus spec {path}: {exc}") from exc
-    kernel = data.get("kernel")
-    if kernel is not None:
-        from repro.simulation.kernels import normalize_kernel
-        try:
-            kernel = normalize_kernel(kernel)
-        except ValueError as exc:
-            raise CorpusError(f"corpus spec {path}: {exc}") from exc
     pool = data.get("pool")
     if pool is not None:
         from repro.runtime.pool import resolve_pool_mode
@@ -148,7 +134,6 @@ def _parse_entry(path: Path) -> CorpusEntry:
         fault_model=fault_model,
         description=str(data.get("description", "")),
         path=path,
-        kernel=kernel,
         pool=pool,
     )
 
@@ -175,7 +160,6 @@ def render_entry(entry: CorpusEntry, session=None) -> str:
     report = session.analyze(entry.build_config(),
                              options=RunOptions(effort=entry.effort,
                                                 fault_model=entry.fault_model,
-                                                kernel=entry.kernel,
                                                 pool=entry.pool))
     return report.to_table() + "\n"
 
@@ -184,7 +168,6 @@ def run_corpus(directory: Union[str, Path] = DEFAULT_CORPUS_DIR, *,
                session=None,
                jobs: Optional[int] = None,
                shard_backend: Optional[str] = None,
-               kernel: Optional[str] = None,
                update: bool = False,
                only: Optional[Sequence[str]] = None,
                fault_model: Optional[str] = None,
@@ -196,12 +179,10 @@ def run_corpus(directory: Union[str, Path] = DEFAULT_CORPUS_DIR, *,
                chunk: Optional[int] = None) -> List[CorpusOutcome]:
     """Run (or refresh) the corpus; one outcome per entry, sorted by name.
 
-    ``jobs``/``shard_backend``/``kernel`` configure fault-population
-    sharding and the simulation kernel for the underlying analyses — the
-    whole point of the corpus is that they must not move a single byte of
-    any capture (an entry pinning its own ``"kernel"`` overrides the
-    run-level spec for that entry).  ``fault_model`` restricts the
-    run to the entries pinned under that model (a filter, never an
+    ``jobs``/``shard_backend`` configure fault-population sharding for
+    the underlying analyses — the whole point of the corpus is that they
+    must not move a single byte of any capture.  ``fault_model`` restricts
+    the run to the entries pinned under that model (a filter, never an
     override: each entry's golden capture belongs to its declared model).
     ``static_prune`` toggles the static pre-filter for every entry — the
     goldens are pinned at tie effort, where the static layer never runs,
@@ -241,7 +222,7 @@ def run_corpus(directory: Union[str, Path] = DEFAULT_CORPUS_DIR, *,
 
     if session is None:
         session = Session(options=RunOptions(
-            jobs=jobs, shard_backend=shard_backend, kernel=kernel,
+            jobs=jobs, shard_backend=shard_backend,
             static_prune=static_prune, static_learning=static_prune,
             store=store, atpg_backend=atpg_backend, atpg_seed=atpg_seed,
             pool=pool, chunk=chunk))

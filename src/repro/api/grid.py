@@ -25,6 +25,7 @@ generalisation of ``Session.analyze``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 
@@ -33,11 +34,10 @@ from repro.faults.models import resolve_fault_model
 from repro.soc.config import SoCConfig, axis_value_label, expand_axes
 
 #: The axes expanded at run level rather than into the SoC configuration:
-#: the ATPG effort, the fault model, the static-prune knob, the simulation
-#: kernel and the ATPG portfolio backend select *how* a scenario is
-#: analyzed without changing the generated SoC.
-RUN_AXES = ("effort", "fault_model", "static_prune", "kernel",
-            "atpg_backend", "pool")
+#: the ATPG effort, the fault model, the static-prune knob, the ATPG
+#: portfolio backend and the pool mode select *how* a scenario is analyzed
+#: without changing the generated SoC.
+RUN_AXES = ("effort", "fault_model", "static_prune", "atpg_backend", "pool")
 
 
 def _resolve_flag(name: str, value: object) -> bool:
@@ -81,9 +81,6 @@ class Scenario:
     #: Static pre-PODEM pruning (FULL effort only); None keeps the
     #: session/flow default (on).  Appended last for the same reason.
     static_prune: Optional[bool] = None
-    #: Simulation kernel ("auto"/"int"/"numpy"); None keeps the
-    #: session/flow default.  Appended last for the same reason.
-    kernel: Optional[str] = None
     #: ATPG portfolio backend registry name ("podem", "podem-restart",
     #: "dalg"); None keeps the session/flow default.  Appended last for
     #: the same reason.
@@ -132,9 +129,6 @@ class ScenarioGrid:
             values = [resolve_fault_model(v).name for v in values]
         elif name == "static_prune":
             values = [_resolve_flag(name, v) for v in values]
-        elif name == "kernel":
-            from repro.simulation.kernels import normalize_kernel
-            values = [normalize_kernel(v) for v in values]
         elif name == "atpg_backend":
             from repro.atpg.portfolio import resolve_atpg_backend
             values = [resolve_atpg_backend(v).name for v in values]
@@ -169,61 +163,31 @@ class ScenarioGrid:
         """Expand to the full labelled scenario list (deterministic order)."""
         config_axes = {name: values for name, values in self._axes.items()
                        if name not in RUN_AXES}
-        efforts: Sequence[Optional[AtpgEffort]] = (
-            self._axes.get("effort") or [None])
-        fault_models: Sequence[Optional[str]] = (
-            self._axes.get("fault_model") or [None])
-        static_prunes: Sequence[Optional[bool]] = (
-            self._axes.get("static_prune") or [None])
-        kernels: Sequence[Optional[str]] = (
-            self._axes.get("kernel") or [None])
-        atpg_backends: Sequence[Optional[str]] = (
-            self._axes.get("atpg_backend") or [None])
-        pools: Sequence[Optional[str]] = (
-            self._axes.get("pool") or [None])
+        run_axes = [self._axes.get(name) or [None] for name in RUN_AXES]
 
         points: List[Scenario] = []
         for config_label, config in expand_axes(self.base, config_axes):
-            for effort in efforts:
-                for fault_model in fault_models:
-                    for static_prune in static_prunes:
-                        for kernel in kernels:
-                            for atpg_backend in atpg_backends:
-                                for pool in pools:
-                                    parts = [part
-                                             for part in (config_label,)
-                                             if part]
-                                    if effort is not None:
-                                        parts.append(
-                                            "effort="
-                                            f"{axis_value_label(effort)}")
-                                    if fault_model is not None:
-                                        parts.append(
-                                            f"fault_model={fault_model}")
-                                    if static_prune is not None:
-                                        parts.append(
-                                            "static_prune="
-                                            f"{int(static_prune)}")
-                                    if kernel is not None:
-                                        parts.append(f"kernel={kernel}")
-                                    if atpg_backend is not None:
-                                        parts.append(
-                                            f"atpg_backend={atpg_backend}")
-                                    if pool is not None:
-                                        parts.append(f"pool={pool}")
-                                    label = (f"{self.base_name}"
-                                             if not parts
-                                             else f"{self.base_name}"
-                                                  f"[{','.join(parts)}]")
-                                    points.append(
-                                        Scenario(label=label, config=config,
-                                                 effort=effort,
-                                                 fault_model=fault_model,
-                                                 static_prune=static_prune,
-                                                 kernel=kernel,
-                                                 atpg_backend=atpg_backend,
-                                                 pool=pool,
-                                                 index=len(points)))
+            for (effort, fault_model, static_prune, atpg_backend,
+                 pool) in itertools.product(*run_axes):
+                parts = [config_label] if config_label else []
+                if effort is not None:
+                    parts.append(f"effort={axis_value_label(effort)}")
+                if fault_model is not None:
+                    parts.append(f"fault_model={fault_model}")
+                if static_prune is not None:
+                    parts.append(f"static_prune={int(static_prune)}")
+                if atpg_backend is not None:
+                    parts.append(f"atpg_backend={atpg_backend}")
+                if pool is not None:
+                    parts.append(f"pool={pool}")
+                label = (f"{self.base_name}[{','.join(parts)}]" if parts
+                         else self.base_name)
+                points.append(
+                    Scenario(label=label, config=config, effort=effort,
+                             fault_model=fault_model,
+                             static_prune=static_prune,
+                             atpg_backend=atpg_backend, pool=pool,
+                             index=len(points)))
         return points
 
     def __repr__(self) -> str:

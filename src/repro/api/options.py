@@ -1,10 +1,10 @@
 """One frozen bundle for every per-run knob: :class:`RunOptions`.
 
-Six PRs of plumbing grew seven scattered keywords (``jobs``,
-``shard_backend``, ``kernel``, ``fault_model``, ``static_prune``,
-``store``, ``effort``) across ``Session(...)``, ``Session.analyze(...)``
-and the process-executor boundary; the ATPG portfolio adds two more
-(``atpg_backend``, ``atpg_seed``).  :class:`RunOptions` consolidates them:
+Six PRs of plumbing grew scattered keywords (``jobs``, ``shard_backend``,
+``fault_model``, ``static_prune``, ``store``, ``effort``) across
+``Session(...)``, ``Session.analyze(...)`` and the process-executor
+boundary; the ATPG portfolio adds two more (``atpg_backend``,
+``atpg_seed``).  :class:`RunOptions` consolidates them:
 
 * ``Session(options=RunOptions(...))`` and ``analyze(options=...)`` accept
   the bundle directly;
@@ -60,16 +60,15 @@ class RunOptions:
     """Every per-run knob, normalized, in one frozen picklable value.
 
     Construction validates each field eagerly (unknown efforts, fault
-    models, kernels, shard backends and ATPG backends raise the same
-    errors as the keywords they replace), so a bad bundle fails at the
-    call site, not deep inside a worker process.
+    models, shard backends and ATPG backends raise the same errors as the
+    keywords they replace), so a bad bundle fails at the call site, not
+    deep inside a worker process.
     """
 
     effort: Union[AtpgEffort, str, None] = None
     fault_model: Optional[str] = None
     jobs: Optional[int] = None
     shard_backend: Optional[str] = None
-    kernel: Optional[str] = None
     static_prune: Optional[bool] = None
     static_learning: Optional[bool] = None
     store: Any = None
@@ -95,10 +94,6 @@ class RunOptions:
             object.__setattr__(
                 self, "shard_backend",
                 resolve_backend(self.shard_backend, 1))
-        if self.kernel is not None:
-            from repro.simulation.kernels import normalize_kernel
-
-            object.__setattr__(self, "kernel", normalize_kernel(self.kernel))
         if self.static_prune is not None:
             object.__setattr__(self, "static_prune", bool(self.static_prune))
         if self.static_learning is not None:

@@ -49,11 +49,10 @@ class _ProcessJob:
     effort: Optional[AtpgEffort]
     parallel_passes: Union[bool, int]
     #: The parent session's run options reduced to one picklable bundle
-    #: (:meth:`RunOptions.with_store_spec`): the kernel spec crosses as a
-    #: plain string the worker resolves locally, and the durable store
-    #: crosses as its location — workers cannot share the parent's
-    #: in-memory LRU, but they *can* share the on-disk store, so a
-    #: process-backend sweep still reuses warm artifacts.
+    #: (:meth:`RunOptions.with_store_spec`): the durable store crosses as
+    #: its location — workers cannot share the parent's in-memory LRU, but
+    #: they *can* share the on-disk store, so a process-backend sweep still
+    #: reuses warm artifacts.
     options: Optional[RunOptions] = None
 
 
@@ -79,7 +78,6 @@ def _run_process_job(job: _ProcessJob) -> Dict[str, object]:
                                  effort=job.scenario.effort or job.effort,
                                  fault_model=job.scenario.fault_model,
                                  static_prune=job.scenario.static_prune,
-                                 kernel=job.scenario.kernel or opts.kernel,
                                  atpg_backend=(job.scenario.atpg_backend
                                                or opts.atpg_backend),
                                  atpg_seed=opts.atpg_seed,
@@ -112,7 +110,6 @@ class Session:
                  parallel_passes: Union[bool, int] = False,
                  jobs: Optional[int] = None,
                  shard_backend: Optional[str] = None,
-                 kernel: Optional[str] = None,
                  fault_model: Union[str, FaultModel, None] = None,
                  static_prune: Optional[bool] = None,
                  static_learning: Optional[bool] = None) -> None:
@@ -124,7 +121,7 @@ class Session:
         self.options = fold_legacy_kwargs(
             "Session", options,
             store=store, effort=effort, jobs=jobs,
-            shard_backend=shard_backend, kernel=kernel,
+            shard_backend=shard_backend,
             fault_model=fault_model, static_prune=static_prune,
             static_learning=static_learning)
         # A persistent pool mode keeps the sweep executor's process pool
@@ -167,10 +164,6 @@ class Session:
     @property
     def shard_backend(self) -> Optional[str]:
         return self.options.shard_backend
-
-    @property
-    def kernel(self) -> Optional[str]:
-        return self.options.kernel
 
     @property
     def pool(self) -> Optional[str]:
@@ -217,7 +210,6 @@ class Session:
                 faults: Optional[Iterable] = None,
                 options: Optional[RunOptions] = None,
                 jobs: Optional[int] = None,
-                kernel: Optional[str] = None,
                 fault_model: Union[str, FaultModel, None] = None,
                 static_prune: Optional[bool] = None,
                 static_learning: Optional[bool] = None
@@ -236,7 +228,7 @@ class Session:
         """
         call = fold_legacy_kwargs(
             "Session.analyze", options,
-            effort=effort, jobs=jobs, kernel=kernel,
+            effort=effort, jobs=jobs,
             fault_model=fault_model, static_prune=static_prune,
             static_learning=static_learning)
         if call.store is not None:
@@ -394,7 +386,7 @@ class Session:
             flow_config = _replace(flow_config, jobs=call.jobs)
         elif self.jobs is not None and flow_config.jobs == 1:
             flow_config = _replace(flow_config, jobs=self.jobs)
-        # Shard backend / simulation kernel: explicit per-call wins, the
+        # Shard backend / pool / chunk: explicit per-call wins, the
         # session default fills in only when the config carries none
         # (runtime knobs, never cache facets).
         if call.shard_backend is not None:
@@ -404,11 +396,6 @@ class Session:
                 and flow_config.shard_backend is None):
             flow_config = _replace(flow_config,
                                    shard_backend=self.shard_backend)
-        if call.kernel is not None:
-            flow_config = _replace(flow_config, kernel=call.kernel)
-        elif (self.kernel is not None
-                and getattr(flow_config, "kernel", None) is None):
-            flow_config = _replace(flow_config, kernel=self.kernel)
         if call.pool is not None:
             flow_config = _replace(flow_config, pool=call.pool)
         elif (self.pool is not None
@@ -480,7 +467,6 @@ class Session:
                                   effort=scenario.effort or effort_default,
                                   fault_model=scenario.fault_model,
                                   static_prune=scenario.static_prune,
-                                  kernel=scenario.kernel,
                                   atpg_backend=scenario.atpg_backend,
                                   pool=scenario.pool))
         return SweepResult(
@@ -517,7 +503,7 @@ class Session:
         # process boundary (worker sessions are built bare).
         defaults_set = any(
             getattr(self.options, name) is not None
-            for name in ("jobs", "shard_backend", "kernel", "fault_model",
+            for name in ("jobs", "shard_backend", "fault_model",
                          "static_prune", "static_learning", "atpg_backend",
                          "atpg_seed", "pool", "chunk"))
         flow_config = (self._effective_flow_config(config)

@@ -99,7 +99,6 @@ def run_detection_phases(netlist: Netlist, faults: List[Fault],
                          seed: int = 2013,
                          static_prune: bool = True,
                          static_learning: bool = True,
-                         kernel: Optional[str] = None,
                          atpg_backend: Optional[str] = None,
                          atpg_seed: Optional[int] = None):
     """Phases 2-3 of the engine: random-pattern detection, then ATPG.
@@ -135,8 +134,7 @@ def run_detection_phases(netlist: Netlist, faults: List[Fault],
     if effort in (AtpgEffort.RANDOM, AtpgEffort.FULL) and remaining:
         phase_start = time.perf_counter()
         detected = random_pattern_detection(
-            netlist, remaining, n_patterns=random_patterns, seed=seed,
-            kernel=kernel)
+            netlist, remaining, n_patterns=random_patterns, seed=seed)
         for fault in detected:
             classifications[fault] = FaultClass.DT
         remaining = [f for f in remaining if f not in detected]
@@ -272,7 +270,6 @@ class StructuralUntestabilityEngine:
                  shards: Optional[int] = None,
                  static_prune: bool = True,
                  static_learning: bool = True,
-                 kernel: Optional[str] = None,
                  atpg_backend: Optional[str] = None,
                  atpg_seed: Optional[int] = None,
                  pool=None,
@@ -287,7 +284,6 @@ class StructuralUntestabilityEngine:
         self.shards = shards
         self.static_prune = static_prune
         self.static_learning = static_learning
-        self.kernel = kernel
         self.atpg_backend = atpg_backend
         self.atpg_seed = atpg_seed
         self.pool = pool
@@ -308,7 +304,6 @@ class StructuralUntestabilityEngine:
                 backtrack_limit=self.backtrack_limit, seed=self.seed,
                 static_prune=self.static_prune,
                 static_learning=self.static_learning,
-                kernel=self.kernel,
                 atpg_backend=self.atpg_backend, atpg_seed=self.atpg_seed,
                 pool=self.pool, chunk=self.chunk)
         report = UntestabilityReport(effort=self.effort)
@@ -328,7 +323,6 @@ class StructuralUntestabilityEngine:
             backtrack_limit=self.backtrack_limit, seed=self.seed,
             static_prune=self.static_prune,
             static_learning=self.static_learning,
-            kernel=self.kernel,
             atpg_backend=self.atpg_backend, atpg_seed=self.atpg_seed)
         report.classifications.update(classifications)
         report.phase_runtimes.update(phase_runtimes)
@@ -357,7 +351,7 @@ class StructuralUntestabilityEngine:
             order = {fault: i for i, fault in enumerate(remaining)}
             patterns.sort(key=lambda entry: order[entry[0]])
             report.patterns, report.compaction = compact_patterns(
-                self.netlist, patterns, kernel=self.kernel)
+                self.netlist, patterns)
             report.phase_runtimes["compaction"] = (time.perf_counter()
                                                    - phase_start)
 

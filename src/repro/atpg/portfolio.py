@@ -35,7 +35,7 @@ invariant that keeps serial, thread- and process-sharded classification
 byte-identical.
 
 :func:`compact_patterns` is the portfolio's second half: the patterns the
-search emits are fault-simulated through the kernel layer as they are
+search emits are fault-simulated (event-driven word walks) as they are
 produced, merged where compatible cubes provably keep their union of
 detections, dropped when covered, and re-ordered steepest-coverage-first —
 so pattern counts drop as coverage rises.  The compaction trace lands in
@@ -394,15 +394,14 @@ def _cubes_compatible(a: Dict[str, int], b: Dict[str, int]) -> bool:
 
 def compact_patterns(netlist: Netlist,
                      entries: Sequence[Tuple[Fault, Dict[str, int],
-                                             Dict[str, int]]],
-                     *, kernel: Optional[str] = None
+                                             Dict[str, int]]]
                      ) -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
     """Dynamically compact the patterns an ATPG run produced.
 
     ``entries`` is the canonical-order stream of ``(fault, pattern,
     init_pattern)`` triples the search emitted.  Each pattern is
-    fault-simulated through the kernel layer as it arrives (0-filled at the
-    unassigned controllable points):
+    fault-simulated as it arrives (0-filled at the unassigned controllable
+    points):
 
     * a pattern detecting nothing still uncovered is **dropped**;
     * a single-frame pattern whose cube is compatible with a recently kept
@@ -428,7 +427,7 @@ def compact_patterns(netlist: Netlist,
     if not entries:
         return [], trace
 
-    sim = ParallelPatternSimulator(netlist, kernel=kernel)
+    sim = ParallelPatternSimulator(netlist)
     controllable = _controllable_nets(netlist)
     uncovered: Set[Fault] = {fault for fault, _, _ in entries}
     order_index = {fault: i for i, (fault, _, _) in enumerate(entries)}

@@ -24,7 +24,6 @@ def random_pattern_detection(netlist: Netlist,
                              word_size: int = 64,
                              seed: int = 2013,
                              simulator: Optional[ParallelPatternSimulator] = None,
-                             kernel: Optional[str] = None,
                              ) -> Set[Fault]:
     """Return the subset of ``faults`` detected by random patterns.
 
@@ -33,7 +32,7 @@ def random_pattern_detection(netlist: Netlist,
     their tie value.
     """
     rng = random.Random(seed)
-    sim = simulator or ParallelPatternSimulator(netlist, kernel=kernel)
+    sim = simulator or ParallelPatternSimulator(netlist)
 
     controllable = []
     for port in netlist.input_ports():

@@ -16,8 +16,8 @@ The flow mirrors §3 of the paper:
    style summary.
 
 Exports are resolved lazily (PEP 562): :mod:`repro.core.registry` is the
-dependency-free substrate every pluggable layer (fault models, simulation
-kernels, store backends, ATPG backends) imports at definition time, so this
+dependency-free substrate every pluggable layer (fault models, store
+backends, ATPG backends) imports at definition time, so this
 package must be importable without dragging in the flow modules — which
 themselves import those layers.
 """

@@ -57,7 +57,6 @@ def compute_baseline_untestable(netlist: Netlist,
                                 backend: Optional[str] = None,
                                 static_prune: bool = True,
                                 static_learning: bool = True,
-                                kernel: Optional[str] = None,
                                 atpg_backend: Optional[str] = None,
                                 atpg_seed: Optional[int] = None,
                                 pool=None,
@@ -69,7 +68,6 @@ def compute_baseline_untestable(netlist: Netlist,
                                            backend=backend,
                                            static_prune=static_prune,
                                            static_learning=static_learning,
-                                           kernel=kernel,
                                            atpg_backend=atpg_backend,
                                            atpg_seed=atpg_seed,
                                            pool=pool, chunk=chunk)
@@ -86,7 +84,6 @@ def identify_debug_control_untestable(netlist: Netlist,
                                       backend: Optional[str] = None,
                                       static_prune: bool = True,
                                       static_learning: bool = True,
-                                      kernel: Optional[str] = None,
                                       atpg_backend: Optional[str] = None,
                                       atpg_seed: Optional[int] = None,
                                       pool=None,
@@ -103,7 +100,7 @@ def identify_debug_control_untestable(netlist: Netlist,
         baseline_untestable = compute_baseline_untestable(
             netlist, fault_universe, effort, jobs=jobs, backend=backend,
             static_prune=static_prune, static_learning=static_learning,
-            kernel=kernel, atpg_backend=atpg_backend, atpg_seed=atpg_seed,
+            atpg_backend=atpg_backend, atpg_seed=atpg_seed,
             pool=pool, chunk=chunk)
 
     manipulated = netlist.clone(f"{netlist.name}_debug_tied")
@@ -117,7 +114,6 @@ def identify_debug_control_untestable(netlist: Netlist,
                                            jobs=jobs, backend=backend,
                                            static_prune=static_prune,
                                            static_learning=static_learning,
-                                           kernel=kernel,
                                            atpg_backend=atpg_backend,
                                            atpg_seed=atpg_seed,
                                            pool=pool, chunk=chunk)

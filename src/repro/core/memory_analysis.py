@@ -67,7 +67,6 @@ def identify_memory_map_untestable(netlist: Netlist,
                                    backend: Optional[str] = None,
                                    static_prune: bool = True,
                                    static_learning: bool = True,
-                                   kernel: Optional[str] = None,
                                    atpg_backend: Optional[str] = None,
                                    atpg_seed: Optional[int] = None,
                                    pool=None,
@@ -92,7 +91,7 @@ def identify_memory_map_untestable(netlist: Netlist,
         baseline_untestable = compute_baseline_untestable(
             netlist, fault_universe, effort, jobs=jobs, backend=backend,
             static_prune=static_prune, static_learning=static_learning,
-            kernel=kernel, atpg_backend=atpg_backend, atpg_seed=atpg_seed,
+            atpg_backend=atpg_backend, atpg_seed=atpg_seed,
             pool=pool, chunk=chunk)
 
     constants = constant_address_bits(memory_map)
@@ -135,7 +134,6 @@ def identify_memory_map_untestable(netlist: Netlist,
                                            jobs=jobs, backend=backend,
                                            static_prune=static_prune,
                                            static_learning=static_learning,
-                                           kernel=kernel,
                                            atpg_backend=atpg_backend,
                                            atpg_seed=atpg_seed,
                                            pool=pool, chunk=chunk)

@@ -1,11 +1,10 @@
 """One process-global registry helper behind every pluggable layer.
 
-Four subsystems grew the same shape independently — a module-level dict
+Three subsystems grew the same shape independently — a module-level dict
 mapping a short name to an implementation, a ``register_*`` helper, and a
 ``resolve_*`` lookup whose :class:`ValueError` lists the valid names:
 
 - :mod:`repro.faults.models` (fault models),
-- :mod:`repro.simulation.kernels` (simulation kernels),
 - :mod:`repro.store.base` (artifact-store backends),
 - :mod:`repro.atpg.portfolio` (ATPG backends).
 
@@ -28,7 +27,7 @@ class Registry(MutableMapping, Generic[T]):
     """An ordered name -> implementation mapping with uniform errors.
 
     ``kind`` is the human-readable noun used in error messages ("fault
-    model", "simulation kernel", "store backend", "ATPG backend").
+    model", "store backend", "ATPG backend").
     """
 
     def __init__(self, kind: str) -> None:

@@ -47,10 +47,6 @@ class FlowConfig:
     # verdict, so jobs is deliberately *not* a cache facet.
     jobs: int = 1
     shard_backend: Optional[str] = None
-    # Simulation kernel (repro.simulation.kernels): "auto" (None), "int"
-    # or "numpy".  Kernels are byte-identical by contract, so like ``jobs``
-    # this is a runtime knob, deliberately not a cache facet.
-    kernel: Optional[str] = None
     # Durable artifact store spec (repro.store.resolve_store vocabulary:
     # a directory path or "backend:location").  Like ``jobs`` this is a
     # *runtime* knob, deliberately not a cache facet: where artifacts are
@@ -76,7 +72,7 @@ class FlowConfig:
     # Parallel runtime (repro.runtime): pool lifecycle for the sharded
     # engines ("persistent" reuses one warm worker pool across calls,
     # None/"ephemeral" keeps the per-call runner) and the work-stealing
-    # chunk granularity (None = auto).  Like ``jobs``/``kernel`` these are
+    # chunk granularity (None = auto).  Like ``jobs`` these are
     # runtime knobs, deliberately *not* cache facets: they can never
     # change what an analysis computes, only how fast.
     pool: Optional[str] = None

@@ -469,9 +469,9 @@ def get_compiled(netlist: Netlist) -> CompiledNetlist:
 def compile_stats() -> Dict[str, object]:
     """Build/hit counters of the compile cache (for tests and reports).
 
-    Besides the counters, the record names the active simulation kernel
-    (and the numpy version when that backend is live) so numbers derived
-    from it are attributable to a backend.
+    Besides the counters, the record names the simulation kernel
+    (:func:`repro.simulation.kernels.kernel_info`) so numbers derived from
+    it stay attributable.
     """
     # Imported here: repro.simulation.kernels imports this module.
     from repro.simulation.kernels import kernel_info

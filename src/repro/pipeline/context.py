@@ -118,11 +118,6 @@ class PipelineContext:
         return getattr(self.config, "shard_backend", None)
 
     @property
-    def kernel(self):
-        """Simulation-kernel spec (``None``/"auto" = numpy when available)."""
-        return getattr(self.config, "kernel", None)
-
-    @property
     def fault_model(self):
         """The resolved :class:`~repro.faults.models.FaultModel` of this run."""
         from repro.faults.models import resolve_fault_model

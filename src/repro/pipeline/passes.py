@@ -125,7 +125,6 @@ def baseline_pass(ctx: PipelineContext) -> PassResult:
         ctx.netlist, ctx.fault_universe, ctx.effort,
         jobs=ctx.jobs, backend=ctx.shard_backend,
         static_prune=ctx.static_prune, static_learning=ctx.static_learning,
-        kernel=ctx.kernel,
         atpg_backend=ctx.atpg_backend, atpg_seed=ctx.atpg_seed,
         pool=ctx.pool, chunk=ctx.chunk)
     return PassResult(artifacts={"baseline_untestable": baseline})
@@ -165,7 +164,6 @@ def debug_control_pass(ctx: PipelineContext) -> PassResult:
         baseline_untestable=ctx.baseline_untestable, effort=ctx.effort,
         jobs=ctx.jobs, backend=ctx.shard_backend,
         static_prune=ctx.static_prune, static_learning=ctx.static_learning,
-        kernel=ctx.kernel,
         atpg_backend=ctx.atpg_backend, atpg_seed=ctx.atpg_seed,
         pool=ctx.pool, chunk=ctx.chunk)
     return PassResult(artifacts={"debug_control_result": ctrl},
@@ -183,7 +181,6 @@ def debug_observe_pass(ctx: PipelineContext) -> PassResult:
         baseline_untestable=ctx.baseline_untestable, effort=ctx.effort,
         jobs=ctx.jobs, backend=ctx.shard_backend,
         static_prune=ctx.static_prune, static_learning=ctx.static_learning,
-        kernel=ctx.kernel,
         atpg_backend=ctx.atpg_backend, atpg_seed=ctx.atpg_seed,
         pool=ctx.pool, chunk=ctx.chunk)
     return PassResult(artifacts={"debug_observe_result": observe},
@@ -205,7 +202,6 @@ def memory_analysis_pass(ctx: PipelineContext) -> PassResult:
         tie_flop_inputs=ctx.config.tie_flop_inputs,
         jobs=ctx.jobs, backend=ctx.shard_backend,
         static_prune=ctx.static_prune, static_learning=ctx.static_learning,
-        kernel=ctx.kernel,
         atpg_backend=ctx.atpg_backend, atpg_seed=ctx.atpg_seed,
         pool=ctx.pool, chunk=ctx.chunk)
     return PassResult(artifacts={"memory_result": memory},

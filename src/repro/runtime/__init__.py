@@ -1,9 +1,8 @@
-"""Persistent parallel runtime: warm worker pools, shared-memory payloads
-and the work-stealing chunk scheduler behind the ``pool=persistent`` knob.
+"""Persistent parallel runtime: warm worker pools and the work-stealing
+chunk scheduler behind the ``pool=persistent`` knob.
 
-See :mod:`repro.runtime.pool` for the pool itself,
-:mod:`repro.runtime.scheduler` for chunk construction and
-:mod:`repro.runtime.shm` for the zero-copy pattern transport.
+See :mod:`repro.runtime.pool` for the pool itself and
+:mod:`repro.runtime.scheduler` for chunk construction.
 """
 
 from repro.runtime.pool import (DEFAULT_JOB_CACHE, DEFAULT_NETLIST_CACHE,
@@ -13,8 +12,6 @@ from repro.runtime.pool import (DEFAULT_JOB_CACHE, DEFAULT_NETLIST_CACHE,
                                 shutdown_pools)
 from repro.runtime.scheduler import (MONSTER_RATIO, build_chunks,
                                      default_chunk_size)
-from repro.runtime.shm import (ShmPatterns, ShmWindows, share_patterns,
-                               share_windows, shared_memory_available)
 
 __all__ = [
     "DEFAULT_JOB_CACHE",
@@ -22,8 +19,6 @@ __all__ = [
     "MONSTER_RATIO",
     "POOL_MODES",
     "PoolClosedError",
-    "ShmPatterns",
-    "ShmWindows",
     "WorkerPool",
     "WorkerTaskError",
     "build_chunks",
@@ -32,8 +27,5 @@ __all__ = [
     "get_pool",
     "pool_stats",
     "resolve_pool_mode",
-    "share_patterns",
-    "share_windows",
-    "shared_memory_available",
     "shutdown_pools",
 ]

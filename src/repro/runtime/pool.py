@@ -18,9 +18,8 @@ content-addressed installs
     configuration).  The netlist itself is installed under its own
     ``net:<signature>`` key and jobs cross the pipe with a
     :class:`_NetlistRef` in its place, so ten jobs against one design ship
-    the design once.  Bulk pattern data rides zero-copy shared-memory
-    segments (:mod:`repro.runtime.shm`) when numpy is available; plain
-    pickle otherwise.
+    the design once.  Pattern data crosses the pipe pickled inside the
+    job, once per install.
 
 parent-side work stealing
     Tasks are dispatched dynamically: the parent keeps a shared deque of
@@ -437,15 +436,9 @@ class WorkerPool:
 
     def _release_objects(self, keys: List[str]) -> None:
         for key in keys:
-            obj = self._objects.pop(key, None)
+            self._objects.pop(key, None)
             self._payloads.pop(key, None)
             self._job_netlist.pop(key, None)
-            release = getattr(obj, "release_shared", None)
-            if callable(release):
-                try:
-                    release()
-                except Exception:  # noqa: BLE001 - cleanup only
-                    pass
 
     def _broadcast(self, message) -> None:
         for wid in range(self.workers):

@@ -72,7 +72,6 @@ class FaultGrader:
                  jobs: int = 1, backend: Optional[str] = None,
                  shards: Optional[int] = None,
                  fault_model: "Union[str, FaultModel, None]" = None,
-                 kernel: Optional[str] = None,
                  pool=None,
                  chunk: Optional[int] = None) -> None:
         # Mission-mode observation: the system-bus outputs plus the values
@@ -106,8 +105,7 @@ class FaultGrader:
         self.simulator = ParallelPatternSimulator(
             netlist, observe_state_inputs=observe_state_inputs,
             exclude_output_ports=exclude,
-            state_input_roles=MISSION_CAPTURE_ROLES,
-            kernel=kernel)
+            state_input_roles=MISSION_CAPTURE_ROLES)
 
     # ------------------------------------------------------------------ #
     def grade(self, patterns: CapturedPatterns,
@@ -129,7 +127,6 @@ class FaultGrader:
                 observation_nets=self.simulator.observation_nets,
                 word_size=self.word_size, drop_detected=self.drop_detected,
                 jobs=self.jobs, backend=self.backend, shards=self.shards,
-                kernel=self.simulator.kernel.name,
                 pool=self.pool, chunk=self.chunk)
         windows = pattern_windows(patterns, self.word_size)
         return self.simulator.run_windows(fault_universe, windows,

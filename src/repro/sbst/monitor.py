@@ -66,10 +66,9 @@ class ToggleMonitor:
     """Runs instruction streams on the gate-level core and records activity."""
 
     def __init__(self, netlist: Netlist,
-                 mission_inputs: Optional[Mapping[str, int]] = None,
-                 kernel: Optional[str] = None) -> None:
+                 mission_inputs: Optional[Mapping[str, int]] = None) -> None:
         self.netlist = netlist
-        self.sim = SequentialSimulator(netlist, kernel=kernel)
+        self.sim = SequentialSimulator(netlist)
         #: Default value of every input port in mission mode (debug/scan
         #: inputs pulled to constants, reset deasserted).
         self.mission_inputs: Dict[str, int] = {p: 0 for p in netlist.input_ports()}

@@ -3,10 +3,7 @@
 from repro.simulation.simulator import CombinationalSimulator
 from repro.simulation.sequential import SequentialSimulator
 from repro.simulation.fault_sim import FaultSimulator, FaultSimResult
-from repro.simulation.kernels import (KERNEL_CHOICES, IntKernel, NumpyKernel,
-                                      get_kernel, kernel_info,
-                                      normalize_kernel, numpy_available,
-                                      reset_kernel_state)
+from repro.simulation.kernels import kernel_info
 from repro.simulation.parallel import ParallelPatternSimulator
 from repro.simulation.sharded import (DetectionFrontier, FaultShard,
                                       ShardedFaultSimulator, partition_faults,
@@ -24,12 +21,5 @@ __all__ = [
     "partition_faults",
     "sharded_classify",
     "sharded_mission_grade",
-    "KERNEL_CHOICES",
-    "IntKernel",
-    "NumpyKernel",
-    "get_kernel",
     "kernel_info",
-    "normalize_kernel",
-    "numpy_available",
-    "reset_kernel_state",
 ]

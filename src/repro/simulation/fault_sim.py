@@ -42,6 +42,7 @@ from repro.faults.models import Fault, InjectionSpec, resolve_injection
 from repro.netlist.cells import LOGIC_0, LOGIC_1, LOGIC_X
 from repro.netlist.compiled import NO_NET, CompiledNetlist
 from repro.netlist.module import Netlist
+from repro.simulation.kernels import detect_mask_planes
 from repro.simulation.simulator import (CombinationalSimulator,
                                         observed_state_input_nets,
                                         plane_program, run_plane_ops)
@@ -137,13 +138,11 @@ def pair_allowed_mask(compiled: CompiledNetlist, site: Tuple,
 
 
 def good_planes(compiled: CompiledNetlist, program,
-                window: Sequence[Mapping[str, int]], kernel=None):
+                window: Sequence[Mapping[str, int]]):
     """Pattern-parallel good-machine simulation of a pattern window.
 
     Returns ``(g1, g0, frozen, mask)`` — the two value planes per net, the
-    per-net frozen flags (ties) and the all-ones window mask.  ``kernel``
-    (a resolved kernel object) routes the levelized pass through that
-    backend; None runs the classic int loop with ``program`` directly.
+    per-net frozen flags (ties) and the all-ones window mask.
     """
     n = compiled.n_nets
     g1 = [0] * n
@@ -170,10 +169,7 @@ def good_planes(compiled: CompiledNetlist, program,
                 g1[nid] |= bit
             elif value == LOGIC_0:
                 g0[nid] |= bit
-    if kernel is None:
-        run_plane_ops(compiled, program, g1, g0, mask, frozen)
-    else:
-        kernel.run_plane_ops(compiled, g1, g0, mask, frozen)
+    run_plane_ops(compiled, program, g1, g0, mask, frozen)
     return g1, g0, frozen, mask
 
 
@@ -204,11 +200,9 @@ class FaultSimulator:
     def __init__(self, netlist: Netlist, observe_state_inputs: bool = True,
                  state_input_roles: Optional[Sequence[str]] = None,
                  drop_detected: bool = True,
-                 word_size: int = 64,
-                 kernel: Optional[str] = None) -> None:
+                 word_size: int = 64) -> None:
         self.netlist = netlist
-        self.sim = CombinationalSimulator(netlist, kernel=kernel)
-        self.kernel = self.sim.kernel
+        self.sim = CombinationalSimulator(netlist)
         self.observe_state_inputs = observe_state_inputs
         self.state_input_roles = (tuple(state_input_roles)
                                   if state_input_roles is not None else None)
@@ -241,11 +235,6 @@ class FaultSimulator:
     # ------------------------------------------------------------------ #
     # plane seeding
     # ------------------------------------------------------------------ #
-    def _good_planes(self, compiled: CompiledNetlist, program,
-                     window: Sequence[Mapping[str, int]]):
-        """Pattern-parallel good-machine simulation of a pattern window."""
-        return good_planes(compiled, program, window, kernel=self.kernel)
-
     def _planes_from_values(self, compiled: CompiledNetlist,
                             values: Mapping[str, int]):
         """Lift a full name→value map (e.g. a cached good simulation) back
@@ -374,19 +363,18 @@ class FaultSimulator:
         compiled = self.sim._refresh()
         program, _ = plane_program(compiled)
         if good is None:
-            g1, g0, frozen, mask = self._good_planes(compiled, program, [pattern])
+            g1, g0, frozen, mask = good_planes(compiled, program, [pattern])
         else:
             g1, g0, frozen, mask = self._planes_from_values(compiled, good)
         spec = resolve_injection(fault)
         site = self._resolve(compiled, fault)
         obs_flags = self._observation_flags(compiled)
-        det = self.kernel.detect_planes(compiled, [(site, spec.stuck_value)],
-                                        g1, g0, frozen, mask, obs_flags)[0]
+        det = detect_mask_planes(compiled, program, site, spec.stuck_value,
+                                 g1, g0, frozen, mask, obs_flags)
         if det and spec.frames > 1:
             if prev_pattern is None:
                 return False
-            p1, p0, _, _ = self._good_planes(compiled, program,
-                                             [prev_pattern])
+            p1, p0, _, _ = good_planes(compiled, program, [prev_pattern])
             det &= pair_allowed_mask(compiled, site, spec, g1, g0, mask,
                                      prev=(p1, p0, 1))
         return bool(det)
@@ -421,14 +409,13 @@ class FaultSimulator:
         prev_planes: Optional[Tuple] = None
         while start < n_patterns and remaining:
             window = patterns[start:start + self.word_size]
-            g1, g0, frozen, mask = self._good_planes(compiled, program, window)
-            items = [(sites[fault], specs[fault].stuck_value)
-                     for fault in remaining]
-            dets = self.kernel.detect_planes(compiled, items, g1, g0, frozen,
-                                             mask, obs_flags)
+            g1, g0, frozen, mask = good_planes(compiled, program, window)
             still_undetected: List[Fault] = []
-            for fault, det in zip(remaining, dets):
+            for fault in remaining:
                 spec = specs[fault]
+                det = detect_mask_planes(compiled, program, sites[fault],
+                                         spec.stuck_value, g1, g0, frozen,
+                                         mask, obs_flags)
                 if det and spec.frames > 1:
                     det &= pair_allowed_mask(compiled, sites[fault], spec,
                                              g1, g0, mask, prev=prev_planes)

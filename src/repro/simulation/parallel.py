@@ -25,6 +25,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 from repro.faults.models import Fault, InjectionSpec, resolve_injection
 from repro.netlist.compiled import NO_NET, CompiledNetlist
 from repro.netlist.module import Netlist
+from repro.simulation.kernels import detects_words
 from repro.simulation.simulator import CombinationalSimulator, observed_state_input_nets
 from repro.utils.bitvec import mask
 
@@ -181,11 +182,9 @@ class ParallelPatternSimulator:
 
     def __init__(self, netlist: Netlist, observe_state_inputs: bool = True,
                  exclude_output_ports: Optional[Set[str]] = None,
-                 state_input_roles: Optional[Sequence[str]] = None,
-                 kernel: Optional[str] = None) -> None:
+                 state_input_roles: Optional[Sequence[str]] = None) -> None:
         self.netlist = netlist
-        self.sim = CombinationalSimulator(netlist, kernel=kernel)
-        self.kernel = self.sim.kernel
+        self.sim = CombinationalSimulator(netlist)
         self.observe_state_inputs = observe_state_inputs
         self.exclude_output_ports = set(exclude_output_ports or ())
         self.state_input_roles = (tuple(state_input_roles)
@@ -281,9 +280,9 @@ class ParallelPatternSimulator:
                 if nid is not None:
                     good_words[nid] = word
         obs_flags = self._observation_flags(compiled)
+        program = word_program(compiled)
 
-        keys: List[Fault] = []
-        items: List[Tuple[Tuple, int, Optional[int]]] = []
+        detected: Set[Fault] = set()
         for fault in faults:
             site = self._resolve(compiled, fault)
             spec = resolve_injection(fault)
@@ -293,11 +292,10 @@ class ParallelPatternSimulator:
                                              good_words, word_mask)
                 if not allowed:
                     continue
-            keys.append(fault)
-            items.append((site, spec.stuck_value, allowed))
-        verdicts = self.kernel.detect_words(compiled, items, good_words,
-                                            word_mask, obs_flags)
-        return {fault for fault, hit in zip(keys, verdicts) if hit}
+            if detects_words(compiled, program, site, spec.stuck_value,
+                             good_words, word_mask, obs_flags, allowed):
+                detected.add(fault)
+        return detected
 
     def run_windows(self, faults: Iterable[Fault],
                     windows: Sequence[Tuple[Mapping[str, int], int]],
@@ -314,6 +312,7 @@ class ParallelPatternSimulator:
         """
         compiled = self.sim._refresh()
         obs_flags = self._observation_flags(compiled)
+        program = word_program(compiled)
         remaining: List[Fault] = list(faults)
         sites = {f: self._resolve(compiled, f) for f in remaining}
         specs = {f: resolve_injection(f) for f in remaining}
@@ -323,7 +322,7 @@ class ParallelPatternSimulator:
             if not remaining:
                 break
             good, word_mask = compute_good_words(compiled, words, n_patterns)
-            items: List[Tuple[Tuple, int, Optional[int]]] = []
+            still: List[Fault] = []
             for fault in remaining:
                 spec = specs[fault]
                 allowed = None
@@ -331,11 +330,9 @@ class ParallelPatternSimulator:
                     allowed = pair_allowed_words(compiled, sites[fault],
                                                  spec, good, word_mask,
                                                  prev=prev)
-                items.append((sites[fault], spec.stuck_value, allowed))
-            verdicts = self.kernel.detect_words(compiled, items, good,
-                                                word_mask, obs_flags)
-            still: List[Fault] = []
-            for fault, hit in zip(remaining, verdicts):
+                hit = detects_words(compiled, program, sites[fault],
+                                    spec.stuck_value, good, word_mask,
+                                    obs_flags, allowed)
                 if hit:
                     detected.add(fault)
                 if not (hit and drop_detected):

@@ -20,7 +20,8 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from repro.netlist.cells import LOGIC_0, LOGIC_1, LOGIC_X
 from repro.netlist.module import Netlist
 from repro.simulation.simulator import (PLANE_ENCODING,
-                                        CombinationalSimulator, plane_program)
+                                        CombinationalSimulator, plane_program,
+                                        run_plane_ops)
 
 #: Width-1 plane pair per logic value (the simulator's shared encoding).
 _ENCODE = PLANE_ENCODING
@@ -38,11 +39,9 @@ class SequentialSimulator:
     module outputs and then updates every flip-flop with its next-state value.
     """
 
-    def __init__(self, netlist: Netlist, x_init: bool = False,
-                 kernel: Optional[str] = None) -> None:
+    def __init__(self, netlist: Netlist, x_init: bool = False) -> None:
         self.netlist = netlist
-        self.sim = CombinationalSimulator(netlist, kernel=kernel)
-        self.kernel = self.sim.kernel
+        self.sim = CombinationalSimulator(netlist)
         self._compiled = self.sim.compiled
         #: Flip-flop state as net ID -> width-1 plane pair (p1, p0).
         self._state: Dict[int, Tuple[int, int]] = {}
@@ -108,7 +107,7 @@ class SequentialSimulator:
     def step(self, inputs: Optional[Mapping[str, int]] = None) -> Dict[str, int]:
         """Advance one clock cycle; returns the full net-value map of the cycle."""
         compiled = self._refresh()
-        _, seq_program = plane_program(compiled)
+        comb_program, seq_program = plane_program(compiled)
         inputs = inputs or {}
         n = compiled.n_nets
         p1 = [0] * n
@@ -135,7 +134,7 @@ class SequentialSimulator:
                 p1[nid] = b1
                 p0[nid] = b0
 
-        self.kernel.run_plane_ops(compiled, p1, p0, 1, frozen)
+        run_plane_ops(compiled, comb_program, p1, p0, 1, frozen)
 
         # Next state straight from the result planes (no name round-trip).
         nxt: Dict[int, Tuple[int, int]] = {}

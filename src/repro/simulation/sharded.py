@@ -31,13 +31,9 @@ detection frontier (:class:`DetectionFrontier`)
     re-simulated in round *k+1*, a drained shard stops being dispatched,
     and the whole run stops as soon as every fault is detected.
 
-simulation kernels
-    Workers dispatch fault detection through the pluggable kernel layer
-    (:mod:`repro.simulation.kernels`): the int oracle's event-driven cone
-    walk, or the numpy backend's batched multi-fault matrix sweep.  Jobs
-    carry the *resolved* kernel name (the scheduler freezes ``auto`` to a
-    concrete backend before shipping), and every kernel is
-    verdict-identical by contract, so detection results — and the
+detection
+    Workers run the same event-driven cone walks as the serial engines
+    (:mod:`repro.simulation.kernels`), so detection results — and the
     recorded detecting patterns — stay **byte-identical** to the serial
     :class:`~repro.simulation.fault_sim.FaultSimulator` and
     :class:`~repro.sbst.grading.FaultGrader` paths, which the golden
@@ -64,7 +60,7 @@ from repro.netlist.module import Netlist
 from repro.simulation.fault_sim import (FaultSimResult, good_planes,
                                         observation_net_names,
                                         pair_allowed_mask, resolve_site)
-from repro.simulation.kernels import get_kernel
+from repro.simulation.kernels import detect_mask_planes, detects_words
 from repro.simulation.parallel import (compute_good_words,
                                        pair_allowed_words, word_program)
 from repro.simulation.simulator import plane_program
@@ -285,18 +281,14 @@ class _ShardJob:
     """
 
     _RUNTIME_ATTRS = ("_prepared", "_compiled", "_program", "_obs_flags",
-                      "_sites", "_specs", "_window_memo", "_kernel")
+                      "_sites", "_specs", "_window_memo")
 
     def __init__(self, netlist: Netlist,
                  shards: Tuple[Tuple[Fault, ...], ...],
-                 observation_nets: frozenset,
-                 kernel: Optional[str] = None) -> None:
+                 observation_nets: frozenset) -> None:
         self.netlist = netlist
         self.shards = shards
         self.observation_nets = observation_nets
-        # A picklable kernel *name* (the scheduler resolves "auto" before
-        # shipping); the kernel object itself is runtime state.
-        self.kernel = kernel
         self._prepared = False
 
     def __getstate__(self):
@@ -305,12 +297,6 @@ class _ShardJob:
             state.pop(attr, None)
         state["_prepared"] = False
         return state
-
-    def release_shared(self) -> None:
-        """Release an attached shared-memory payload (pool eviction hook)."""
-        shared = self.__dict__.get("shared_payload")
-        if shared is not None:
-            shared.release()
 
     def prepare(self) -> None:
         if self._prepared:
@@ -324,7 +310,6 @@ class _ShardJob:
                 obs_flags[nid] = 1
         self._compiled = compiled
         self._obs_flags = obs_flags
-        self._kernel = get_kernel(self.kernel)
         self._program = self._build_program(compiled)
         self._sites = {
             fault: resolve_site(compiled, fault)
@@ -346,8 +331,8 @@ class _PlaneSimJob(_ShardJob):
 
     def __init__(self, netlist: Netlist, shards, observation_nets,
                  patterns: Sequence[Mapping[str, int]],
-                 word_size: int, kernel: Optional[str] = None) -> None:
-        super().__init__(netlist, shards, observation_nets, kernel)
+                 word_size: int) -> None:
+        super().__init__(netlist, shards, observation_nets)
         self.patterns = list(patterns)
         self.word_size = word_size
 
@@ -359,8 +344,7 @@ class _PlaneSimJob(_ShardJob):
         memo = self._window_memo.get(start)
         if memo is None:
             window = self.patterns[start:start + self.word_size]
-            memo = good_planes(self._compiled, self._program, window,
-                               kernel=self._kernel)
+            memo = good_planes(self._compiled, self._program, window)
             self._window_memo[start] = memo
         return memo
 
@@ -373,15 +357,14 @@ class _PlaneSimJob(_ShardJob):
         shard = self.shards[shard_id]
         sites = self._sites
         specs = self._specs
-        items = [(sites[shard[position]], specs[shard[position]].stuck_value)
-                 for position in positions]
-        dets = self._kernel.detect_planes(self._compiled, items, g1, g0,
-                                          frozen, mask, self._obs_flags)
         prev_planes = None  # previous window's (g1, g0, width), lazily built
         hits = []
-        for position, det in zip(positions, dets):
+        for position in positions:
             fault = shard[position]
             spec = specs[fault]
+            det = detect_mask_planes(self._compiled, self._program,
+                                     sites[fault], spec.stuck_value, g1, g0,
+                                     frozen, mask, self._obs_flags)
             if det and spec.frames > 1:
                 if prev_planes is None and start > 0:
                     p1, p0, _, _ = self._window_planes(
@@ -398,9 +381,8 @@ class _WordGradeJob(_ShardJob):
     """Sharded counterpart of ``FaultGrader.grade`` (two-valued words)."""
 
     def __init__(self, netlist: Netlist, shards, observation_nets,
-                 windows: Sequence[Tuple[Mapping[str, int], int]],
-                 kernel: Optional[str] = None) -> None:
-        super().__init__(netlist, shards, observation_nets, kernel)
+                 windows: Sequence[Tuple[Mapping[str, int], int]]) -> None:
+        super().__init__(netlist, shards, observation_nets)
         self.windows = list(windows)
 
     def _build_program(self, compiled: CompiledNetlist):
@@ -425,7 +407,7 @@ class _WordGradeJob(_ShardJob):
         sites = self._sites
         specs = self._specs
         prev = None  # previous window's (good words, width), lazily built
-        items = []
+        hits = []
         for position in positions:
             fault = shard[position]
             spec = specs[fault]
@@ -437,11 +419,10 @@ class _WordGradeJob(_ShardJob):
                 allowed = pair_allowed_words(self._compiled, sites[fault],
                                              spec, good, word_mask,
                                              prev=prev)
-            items.append((sites[fault], spec.stuck_value, allowed))
-        verdicts = self._kernel.detect_words(self._compiled, items, good,
-                                             word_mask, self._obs_flags)
-        hits = [position for position, hit in zip(positions, verdicts)
-                if hit]
+            if detects_words(self._compiled, self._program, sites[fault],
+                             spec.stuck_value, good, word_mask,
+                             self._obs_flags, allowed):
+                hits.append(position)
         return shard_id, hits
 
 
@@ -458,7 +439,6 @@ class _DetectClassifyJob:
                  effort, random_patterns: int, backtrack_limit: int,
                  seed: int, static_prune: bool = True,
                  static_learning: bool = True,
-                 kernel: Optional[str] = None,
                  atpg_backend: Optional[str] = None,
                  atpg_seed: Optional[int] = None) -> None:
         self.netlist = netlist
@@ -469,7 +449,6 @@ class _DetectClassifyJob:
         self.seed = seed
         self.static_prune = static_prune
         self.static_learning = static_learning
-        self.kernel = kernel
         self.atpg_backend = atpg_backend
         self.atpg_seed = atpg_seed
 
@@ -494,7 +473,6 @@ class _DetectClassifyJob:
                 backtrack_limit=self.backtrack_limit, seed=self.seed,
                 static_prune=self.static_prune,
                 static_learning=self.static_learning,
-                kernel=self.kernel,
                 atpg_backend=self.atpg_backend, atpg_seed=self.atpg_seed)
         return shard_id, classifications, phase_runtimes, stats, patterns
 
@@ -516,7 +494,6 @@ class _DetectClassifyJob:
                 backtrack_limit=self.backtrack_limit, seed=self.seed,
                 static_prune=self.static_prune,
                 static_learning=self.static_learning,
-                kernel=self.kernel,
                 atpg_backend=self.atpg_backend, atpg_seed=self.atpg_seed)
         return chunk_id, classifications, phase_runtimes, stats, patterns
 
@@ -642,7 +619,6 @@ class ShardedFaultSimulator:
                  jobs: Optional[int] = None,
                  backend: Optional[str] = None,
                  shards: Optional[int] = None,
-                 kernel: Optional[str] = None,
                  pool=None,
                  chunk: Optional[int] = None) -> None:
         self.netlist = netlist
@@ -654,7 +630,6 @@ class ShardedFaultSimulator:
         self.jobs = resolve_jobs(jobs)
         self.backend = resolve_backend(backend, self.jobs)
         self.shards = shards
-        self.kernel = kernel
         self.pool = pool
         self.chunk = chunk
         self.last_frontier: Optional[DetectionFrontier] = None
@@ -667,19 +642,17 @@ class ShardedFaultSimulator:
         compiled = get_compiled(self.netlist)
         observation_nets = frozenset(observation_net_names(
             self.netlist, self.observe_state_inputs, self.state_input_roles))
-        kernel_name = get_kernel(self.kernel).name
         pool_obj = _resolve_pool(self.pool, self.jobs)
         if pool_obj is not None:
             return self._run_pooled(pool_obj, fault_list, patterns, drop,
-                                    compiled, observation_nets, kernel_name)
+                                    compiled, observation_nets)
         n_shards = (self.shards if self.shards is not None
                     else default_shard_count(self.jobs, len(fault_list)))
         shards = partition_faults(self.netlist, fault_list, n_shards,
                                   compiled=compiled)
         job = _PlaneSimJob(self.netlist,
                            tuple(shard.faults for shard in shards),
-                           observation_nets, patterns, self.word_size,
-                           kernel=kernel_name)
+                           observation_nets, patterns, self.word_size)
 
         frontier = DetectionFrontier()
         self.last_frontier = frontier
@@ -727,7 +700,7 @@ class ShardedFaultSimulator:
         return result
 
     def _run_pooled(self, pool, fault_list, patterns, drop, compiled,
-                    observation_nets, kernel_name) -> FaultSimResult:
+                    observation_nets) -> FaultSimResult:
         """Work-stealing run over a persistent pool.
 
         One job (the full fault tuple as a single shard) is installed once
@@ -739,30 +712,19 @@ class ShardedFaultSimulator:
         verdicts and detecting-pattern indices are byte-identical to
         serial whatever order workers steal chunks in.
         """
-        from repro.runtime import (build_chunks, content_key,
-                                   default_chunk_size, share_patterns)
+        from repro.runtime import build_chunks, content_key, default_chunk_size
 
         fault_tuple = tuple(fault_list)
         chunk_size = (self.chunk if self.chunk is not None
                       else default_chunk_size(pool.workers, len(fault_tuple)))
         chunks = build_chunks(self.netlist, fault_list, chunk_size,
                               compiled=compiled)
-        key = content_key("planesim", self.netlist, kernel_name,
-                          self.word_size, tuple(sorted(observation_nets)),
-                          fault_tuple, list(patterns))
-
-        def build():
-            job = _PlaneSimJob(self.netlist, (fault_tuple,),
-                               observation_nets, patterns, self.word_size,
-                               kernel=kernel_name)
-            if kernel_name == "numpy":
-                shared = share_patterns(job.patterns)
-                if shared is not None:
-                    job.patterns = shared
-                    job.shared_payload = shared
-            return job
-
-        pool.ensure_job(key, build)
+        key = content_key("planesim", self.netlist, self.word_size,
+                          tuple(sorted(observation_nets)), fault_tuple,
+                          list(patterns))
+        pool.ensure_job(key, lambda: _PlaneSimJob(
+            self.netlist, (fault_tuple,), observation_nets, patterns,
+            self.word_size))
         frontier = DetectionFrontier()
         self.last_frontier = frontier
         result = FaultSimResult()
@@ -815,7 +777,6 @@ def sharded_mission_grade(netlist: Netlist, faults: Iterable[Fault],
                           backend: Optional[str] = None,
                           shards: Optional[int] = None,
                           frontier: Optional[DetectionFrontier] = None,
-                          kernel: Optional[str] = None,
                           pool=None,
                           chunk: Optional[int] = None) -> Set[Fault]:
     """Sharded counterpart of :meth:`repro.sbst.grading.FaultGrader.grade`.
@@ -833,7 +794,6 @@ def sharded_mission_grade(netlist: Netlist, faults: Iterable[Fault],
     from repro.sbst.monitor import pattern_windows
 
     windows = pattern_windows(patterns, word_size)
-    kernel_name = get_kernel(kernel).name
 
     pool_obj = _resolve_pool(pool, jobs)
     if pool_obj is not None:
@@ -841,7 +801,7 @@ def sharded_mission_grade(netlist: Netlist, faults: Iterable[Fault],
             netlist, fault_list, windows,
             observation_nets=frozenset(observation_nets),
             word_size=word_size, drop_detected=drop_detected,
-            frontier=frontier, kernel_name=kernel_name, pool=pool_obj,
+            frontier=frontier, pool=pool_obj,
             chunk=chunk, compiled=compiled)
 
     n_shards = (shards if shards is not None
@@ -850,8 +810,7 @@ def sharded_mission_grade(netlist: Netlist, faults: Iterable[Fault],
                                     compiled=compiled)
 
     job = _WordGradeJob(netlist, tuple(shard.faults for shard in fault_shards),
-                        frozenset(observation_nets), windows,
-                        kernel=kernel_name)
+                        frozenset(observation_nets), windows)
     frontier = frontier if frontier is not None else DetectionFrontier()
     detected: Set[Fault] = set()
     remaining: List[List[int]] = [list(range(len(shard.faults)))
@@ -897,7 +856,7 @@ def _pooled_mission_grade(netlist: Netlist, fault_list: List[Fault],
                           windows, *, observation_nets: frozenset,
                           word_size: int, drop_detected: bool,
                           frontier: Optional[DetectionFrontier],
-                          kernel_name: str, pool, chunk: Optional[int],
+                          pool, chunk: Optional[int],
                           compiled: CompiledNetlist) -> Set[Fault]:
     """Work-stealing mission grading over a persistent pool.
 
@@ -906,28 +865,16 @@ def _pooled_mission_grade(netlist: Netlist, fault_list: List[Fault],
     sharded path, and a caller-seeded frontier prunes before the first
     window, so verdicts match the serial grader byte for byte.
     """
-    from repro.runtime import (build_chunks, content_key,
-                               default_chunk_size, share_windows)
+    from repro.runtime import build_chunks, content_key, default_chunk_size
 
     fault_tuple = tuple(fault_list)
     chunk_size = (chunk if chunk is not None
                   else default_chunk_size(pool.workers, len(fault_tuple)))
     chunks = build_chunks(netlist, fault_list, chunk_size, compiled=compiled)
-    key = content_key("wordgrade", netlist, kernel_name,
-                      tuple(sorted(observation_nets)), fault_tuple,
-                      list(windows))
-
-    def build():
-        job = _WordGradeJob(netlist, (fault_tuple,), observation_nets,
-                            windows, kernel=kernel_name)
-        if kernel_name == "numpy":
-            shared = share_windows(job.windows)
-            if shared is not None:
-                job.windows = shared
-                job.shared_payload = shared
-        return job
-
-    pool.ensure_job(key, build)
+    key = content_key("wordgrade", netlist, tuple(sorted(observation_nets)),
+                      fault_tuple, list(windows))
+    pool.ensure_job(key, lambda: _WordGradeJob(
+        netlist, (fault_tuple,), observation_nets, windows))
     frontier = frontier if frontier is not None else DetectionFrontier()
     detected: Set[Fault] = set()
     n_windows = len(windows)
@@ -973,7 +920,6 @@ def sharded_classify(netlist: Netlist, faults: Iterable[Fault], *,
                      seed: int = 2013,
                      static_prune: bool = True,
                      static_learning: bool = True,
-                     kernel: Optional[str] = None,
                      atpg_backend: Optional[str] = None,
                      atpg_seed: Optional[int] = None,
                      pool=None,
@@ -1029,16 +975,15 @@ def sharded_classify(netlist: Netlist, faults: Iterable[Fault], *,
             random_patterns=random_patterns,
             backtrack_limit=backtrack_limit, seed=seed,
             static_prune=static_prune, static_learning=static_learning,
-            kernel_name=get_kernel(kernel).name,
             atpg_backend=atpg_backend, atpg_seed=atpg_seed,
             pool=pool_obj, chunk=chunk)
-        report.stats["jobs_resolved"] = jobs
+        report.stats["jobs_resolved"] = pool_obj.workers
         if effort is AtpgEffort.FULL and patterns:
             phase_start = time.perf_counter()
             order = {fault: i for i, fault in enumerate(remaining)}
             patterns.sort(key=lambda entry: order[entry[0]])
             report.patterns, report.compaction = compact_patterns(
-                netlist, patterns, kernel=kernel)
+                netlist, patterns)
             report.phase_runtimes["compaction"] = (time.perf_counter()
                                                    - phase_start)
         report.runtime_seconds = time.perf_counter() - start
@@ -1051,7 +996,6 @@ def sharded_classify(netlist: Netlist, faults: Iterable[Fault], *,
                              tuple(shard.faults for shard in fault_shards),
                              effort, random_patterns, backtrack_limit, seed,
                              static_prune, static_learning,
-                             kernel=get_kernel(kernel).name,
                              atpg_backend=atpg_backend, atpg_seed=atpg_seed)
     patterns: List[tuple] = []
     with _ShardRunner(backend, jobs).start(job) as runner:
@@ -1099,7 +1043,7 @@ def sharded_classify(netlist: Netlist, faults: Iterable[Fault], *,
         order = {fault: i for i, fault in enumerate(remaining)}
         patterns.sort(key=lambda entry: order[entry[0]])
         report.patterns, report.compaction = compact_patterns(
-            netlist, patterns, kernel=kernel)
+            netlist, patterns)
         report.phase_runtimes["compaction"] = (time.perf_counter()
                                                - phase_start)
     report.runtime_seconds = time.perf_counter() - start
@@ -1110,7 +1054,6 @@ def _pooled_classify_rounds(netlist: Netlist, remaining: List[Fault],
                             report, *, effort, random_patterns: int,
                             backtrack_limit: int, seed: int,
                             static_prune: bool, static_learning: bool,
-                            kernel_name: str,
                             atpg_backend: Optional[str],
                             atpg_seed: Optional[int],
                             pool, chunk: Optional[int]) -> List[tuple]:
@@ -1131,15 +1074,11 @@ def _pooled_classify_rounds(netlist: Netlist, remaining: List[Fault],
 
     key = content_key("classify", netlist, effort.name, random_patterns,
                       backtrack_limit, seed, static_prune, static_learning,
-                      kernel_name, atpg_backend, atpg_seed)
-
-    def build():
-        return _DetectClassifyJob(
-            netlist, (), effort, random_patterns, backtrack_limit, seed,
-            static_prune, static_learning, kernel=kernel_name,
-            atpg_backend=atpg_backend, atpg_seed=atpg_seed)
-
-    pool.ensure_job(key, build)
+                      atpg_backend, atpg_seed)
+    pool.ensure_job(key, lambda: _DetectClassifyJob(
+        netlist, (), effort, random_patterns, backtrack_limit, seed,
+        static_prune, static_learning, atpg_backend=atpg_backend,
+        atpg_seed=atpg_seed))
     restarts_before = pool.stats["worker_restarts"]
 
     def fan_out(method: str, faults: List[Fault]) -> List[tuple]:

@@ -295,12 +295,9 @@ class CombinationalSimulator:
     other simulator and ATPG engine targeting the same netlist.
     """
 
-    def __init__(self, netlist: Netlist,
-                 kernel: Optional[str] = None) -> None:
-        from repro.simulation.kernels import get_kernel
+    def __init__(self, netlist: Netlist) -> None:
         self.netlist = netlist
         self._compiled = get_compiled(netlist)
-        self.kernel = get_kernel(kernel)
 
     def _refresh(self) -> CompiledNetlist:
         compiled = get_compiled(self.netlist)
@@ -381,7 +378,8 @@ class CombinationalSimulator:
                 p0[nid] = 1 if value == LOGIC_0 else 0
                 frozen[nid] = 1
 
-        self.kernel.run_plane_ops(compiled, p1, p0, 1, frozen)
+        program, _ = plane_program(compiled)
+        run_plane_ops(compiled, program, p1, p0, 1, frozen)
 
         values = {
             name: (LOGIC_1 if p1[nid] else (LOGIC_0 if p0[nid] else LOGIC_X))

@@ -91,6 +91,7 @@ class TestCompileCache:
         stats = compile_stats()
         assert stats["builds"] == 1
         assert stats["object_hits"] >= 1
+        assert stats["kernel"] == "int"
 
     def test_structural_clone_shares_one_build(self, small_circuit):
         reset_compile_stats(clear_cache=True)

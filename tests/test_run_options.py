@@ -51,7 +51,7 @@ class TestNormalization:
     def test_unset_fields_stay_none(self):
         options = RunOptions()
         for name in ("effort", "fault_model", "jobs", "shard_backend",
-                     "kernel", "static_prune", "static_learning", "store",
+                     "static_prune", "static_learning", "store",
                      "atpg_backend", "atpg_seed"):
             assert getattr(options, name) is None
 
@@ -147,12 +147,11 @@ class TestSessionSurface:
     def test_every_legacy_session_keyword_still_works(self):
         with pytest.warns(DeprecationWarning):
             session = Session(effort="tie", jobs=2, shard_backend="thread",
-                              kernel="int", fault_model="stuck_at",
+                              fault_model="stuck_at",
                               static_prune=True, static_learning=True)
         assert session.effort is AtpgEffort.TIE
         assert session.jobs == 2
         assert session.shard_backend == "thread"
-        assert session.kernel == "int"
         assert session.fault_model == "stuck_at"
         assert session.static_prune is True
         assert session.static_learning is True

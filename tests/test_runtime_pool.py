@@ -7,7 +7,7 @@ Three contracts under test:
   recorded detecting-pattern indices and classification dicts — no matter
   which worker steals which chunk.  Hypothesis sweeps the deterministic
   jitter seed (per-task delays that permute completion order) and the
-  chunk granularity, across both fault models and both kernels.
+  chunk granularity, across both fault models.
 * **Warm re-use.**  Installing job state twice under one content key must
   hit the worker-side cache, and the warm setup path must be dramatically
   cheaper than the cold install.
@@ -21,6 +21,8 @@ from __future__ import annotations
 import os
 import random
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -34,11 +36,8 @@ from repro.runtime import (MONSTER_RATIO, PoolClosedError, WorkerPool,
                            get_pool, pool_stats, resolve_pool_mode,
                            shutdown_pools)
 from repro.simulation.fault_sim import FaultSimulator, resolve_site
-from repro.simulation.kernels import numpy_available
 from repro.simulation.sharded import (ShardedFaultSimulator,
                                       cone_representative, sharded_classify)
-
-KERNELS = ("int",) + (("numpy",) if numpy_available() else ())
 
 # These tests pin jobs=2 to exercise two genuine workers even on boxes
 # whose cpu_count would cap the request; the cap warning is expected.
@@ -78,16 +77,16 @@ def tiny_patterns(tiny_cpu):
 # --------------------------------------------------------------------- #
 class TestContentKey:
     def test_stable_and_tagged(self, tiny_cpu):
-        first = content_key("job", tiny_cpu, "int", 64)
-        second = content_key("job", tiny_cpu, "int", 64)
+        first = content_key("job", tiny_cpu, "planes", 64)
+        second = content_key("job", tiny_cpu, "planes", 64)
         assert first == second
         assert first.startswith("job:")
 
     def test_sensitive_to_every_part(self, tiny_cpu):
-        base = content_key("job", tiny_cpu, "int", 64)
-        assert content_key("job", tiny_cpu, "numpy", 64) != base
-        assert content_key("job", tiny_cpu, "int", 32) != base
-        assert content_key("grade", tiny_cpu, "int", 64) != base
+        base = content_key("job", tiny_cpu, "planes", 64)
+        assert content_key("job", tiny_cpu, "words", 64) != base
+        assert content_key("job", tiny_cpu, "planes", 32) != base
+        assert content_key("grade", tiny_cpu, "planes", 64) != base
 
     def test_sensitive_to_the_netlist(self, tiny_cpu):
         # A structurally identical clone shares the signature, so a warm
@@ -255,14 +254,14 @@ class _EchoJob:
 # --------------------------------------------------------------------- #
 # byte-identity under randomized steal interleavings
 # --------------------------------------------------------------------- #
-def _identity_case(netlist, faults, patterns, kernel, jitter_seed, chunk,
+def _identity_case(netlist, faults, patterns, jitter_seed, chunk,
                    drop_detected=True):
     serial = FaultSimulator(netlist).run(faults, patterns,
                                          drop_detected=drop_detected)
     pool = WorkerPool(2, jitter_seed=jitter_seed)
     try:
-        sharded = ShardedFaultSimulator(netlist, jobs=2, kernel=kernel,
-                                        pool=pool, chunk=chunk,
+        sharded = ShardedFaultSimulator(netlist, jobs=2, pool=pool,
+                                        chunk=chunk,
                                         drop_detected=drop_detected)
         pooled = sharded.run(faults, patterns)
     finally:
@@ -277,30 +276,24 @@ class TestStealOrderIdentity:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(jitter_seed=st.integers(min_value=0, max_value=2**31),
            chunk=st.integers(min_value=1, max_value=9))
-    @pytest.mark.parametrize("kernel", KERNELS)
     def test_stuck_at_identity(self, tiny_cpu, tiny_faults, tiny_patterns,
-                               kernel, jitter_seed, chunk):
+                               jitter_seed, chunk):
         sample = tiny_faults[::5][:60]
-        _identity_case(tiny_cpu, sample, tiny_patterns, kernel,
-                       jitter_seed, chunk)
+        _identity_case(tiny_cpu, sample, tiny_patterns, jitter_seed, chunk)
 
     @settings(max_examples=4, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(jitter_seed=st.integers(min_value=0, max_value=2**31),
            chunk=st.integers(min_value=1, max_value=9))
-    @pytest.mark.parametrize("kernel", KERNELS)
     def test_transition_identity(self, tiny_cpu, transition_faults,
-                                 tiny_patterns, kernel, jitter_seed, chunk):
+                                 tiny_patterns, jitter_seed, chunk):
         sample = transition_faults[::5][:60]
-        _identity_case(tiny_cpu, sample, tiny_patterns, kernel,
-                       jitter_seed, chunk)
+        _identity_case(tiny_cpu, sample, tiny_patterns, jitter_seed, chunk)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_no_drop_identity(self, tiny_cpu, tiny_faults, tiny_patterns,
-                              kernel):
+    def test_no_drop_identity(self, tiny_cpu, tiny_faults, tiny_patterns):
         sample = tiny_faults[::11][:40]
-        _identity_case(tiny_cpu, sample, tiny_patterns, kernel,
-                       jitter_seed=7, chunk=3, drop_detected=False)
+        _identity_case(tiny_cpu, sample, tiny_patterns, jitter_seed=7,
+                       chunk=3, drop_detected=False)
 
     def test_classify_identity_across_jitter(self, tiny_cpu, tiny_faults):
         from repro.atpg.engine import AtpgEffort
@@ -319,6 +312,19 @@ class TestStealOrderIdentity:
             finally:
                 pool.close()
             assert pooled.classifications == reference.classifications
+
+    def test_injected_pool_reports_its_worker_count(self, tiny_cpu,
+                                                    tiny_faults):
+        from repro.atpg.engine import StructuralUntestabilityEngine
+
+        pool = WorkerPool(2)
+        try:
+            engine = StructuralUntestabilityEngine(
+                tiny_cpu, effort="random", random_patterns=32, pool=pool)
+            report = engine.classify(tiny_faults[::13][:40])
+        finally:
+            pool.close()
+        assert report.stats["jobs_resolved"] == 2
 
     def test_spawn_start_method_identity(self, tiny_cpu, tiny_faults,
                                          tiny_patterns):
@@ -385,3 +391,33 @@ class TestWorkerDeath:
         assert pooled.undetected == serial.undetected
         assert pooled.detecting_pattern == serial.detecting_pattern
         assert pool.stats["worker_restarts"] >= 1
+
+
+# --------------------------------------------------------------------- #
+# import footprint
+# --------------------------------------------------------------------- #
+def test_analyze_and_pooled_grading_never_import_numpy():
+    """The simulation engines are pure Python: neither an analysis nor a
+    pooled grading run may pull numpy (and its per-process RSS) in."""
+    script = (
+        "import sys\n"
+        "from repro.api import RunOptions, Session\n"
+        "from repro.faults.faultlist import generate_fault_list\n"
+        "from repro.runtime import WorkerPool\n"
+        "from repro.sbst import FaultGrader, ToggleMonitor, "
+        "generate_sbst_suite\n"
+        "from repro.soc.config import SoCConfig\n"
+        "from repro.soc.soc_builder import build_soc\n"
+        "Session().analyze('tiny', options=RunOptions(effort='random'))\n"
+        "soc = build_soc(SoCConfig.from_name('tiny'))\n"
+        "captured = ToggleMonitor(soc.cpu).run_suite(\n"
+        "    generate_sbst_suite(soc.config.cpu))\n"
+        "faults = generate_fault_list(soc.cpu).faults()[::10]\n"
+        "with WorkerPool(2) as pool:\n"
+        "    FaultGrader(soc.cpu, jobs=2, pool=pool).grade(captured, faults)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, check=True,
+                          env={"PYTHONPATH": "src"})
+    assert proc.stdout.strip() == "False"
