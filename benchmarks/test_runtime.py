@@ -11,16 +11,17 @@ same quantities for the pure-Python engine on the synthetic core:
 * the scan-chain tracing step alone,
 * the compiled integer-ID fault simulator against the legacy object-graph
   reference, with verdict equality enforced,
-* since PR 4 — the sharded full-fault-grading engine at ``jobs=4``
-  against the serial grader, with detected-set equality enforced,
+* since PR 4 — full-fault grading at ``jobs=4`` on the worker pool
+  (one task per cone-affine chunk) against the serial grader, with
+  detected-set equality enforced,
 * since the portfolio PR — serial reference PODEM against the
-  ``podem-restart`` backend fanned over process shards at ``--jobs 4``
+  ``podem-restart`` backend fanned over pool workers at ``--jobs 4``
   on a cone-bounded fault sample (``atpg_portfolio``), with verdict
   agreement outside the abort boundary enforced,
 * since the runtime PR — cold-spawn vs warm-pool round-trip latency of
-  the persistent worker runtime (``pool_warm_grading``), with detected
-  sets pinned identical and the warm setup path pinned >= 10x under the
-  cold spin-up.
+  the worker runtime (``pool_warm_grading``), with detected sets pinned
+  identical and the warm setup path pinned >= 10x under the cold
+  spin-up.
 
 Parallel ``*_speedup`` summary fields are attributed with the machine's
 ``cpus`` and recorded only when ``os.cpu_count() >= jobs`` — a jobs=4
@@ -230,7 +231,7 @@ def test_runtime_transition_fault_sim(runtime_soc):
     serial_result = sim.run(faults, patterns)
     serial_seconds = time.perf_counter() - start
 
-    sharded = ShardedFaultSimulator(manipulated, jobs=2, backend="process")
+    sharded = ShardedFaultSimulator(manipulated, jobs=2)
     sharded_result = sharded.run(faults, patterns)
     assert sharded_result.detected == serial_result.detected
     assert sharded_result.undetected == serial_result.undetected
@@ -254,12 +255,13 @@ def test_runtime_scan_tracing(runtime_soc, benchmark):
 
 
 def test_runtime_full_fault_grading_sharded(runtime_soc):
-    """Full-population mission-mode fault grading, serial and sharded.
+    """Full-population mission-mode fault grading, serial and pooled.
 
     Grades the complete stuck-at population against the captured SBST
-    patterns serially and sharded at ``jobs=4`` on the process backend,
-    with detected-set equality enforced, and records both wall clocks in
-    the ``full_fault_grading`` stage.
+    patterns serially and at ``jobs=4`` on the registry worker pool (one
+    task per chunk, cold pool start included), with detected-set equality
+    enforced, and records both wall clocks in the ``full_fault_grading``
+    stage.
 
     The historical acceptance pin (sharded >= 2x serial) is gone on
     purpose: serial grading routes through the same event-driven cone
@@ -271,8 +273,7 @@ def test_runtime_full_fault_grading_sharded(runtime_soc):
     faults = generate_fault_list(runtime_soc.cpu).faults()
 
     def graded(jobs: int):
-        grader = (FaultGrader(runtime_soc.cpu, jobs=jobs, backend="process")
-                  if jobs > 1 else FaultGrader(runtime_soc.cpu))
+        grader = FaultGrader(runtime_soc.cpu, jobs=jobs)
         start = time.perf_counter()
         detected = grader.grade(patterns, faults)
         return detected, time.perf_counter() - start
@@ -302,11 +303,11 @@ def test_runtime_pool_warm_grading(runtime_soc):
     """Cold-spawn vs warm-pool round-trip latency of the persistent runtime.
 
     Grades the full stuck-at population three times: serial reference,
-    then twice through one persistent :class:`~repro.runtime.WorkerPool` —
-    the first round pays worker spawn + netlist/job install (the cold
-    path every ephemeral ``--jobs`` call pays on *each* invocation), the
-    second finds everything warm and its setup cost collapses to a cache
-    hit.  Detected sets must be identical across all three.
+    then twice through one :class:`~repro.runtime.WorkerPool` — the
+    first round pays worker spawn + netlist/job install (the cold path a
+    fresh process pays once), the second finds everything warm and its
+    setup cost collapses to a cache hit.  Detected sets must be
+    identical across all three.
 
     Two pins: the warm-path setup overhead must land at least 10x under
     the cold spin-up on any machine (the tentpole's amortisation claim),
@@ -484,7 +485,7 @@ def test_runtime_static_prune(runtime_soc):
 
 def test_runtime_atpg_portfolio(runtime_soc):
     """The ATPG portfolio: serial reference PODEM vs ``podem-restart``
-    fanned over process shards at ``--jobs 4``.
+    fanned over pool workers at ``--jobs 4``.
 
     ATPG cost on date13 is dominated by a tail of huge-fanout-cone faults
     (a single search can run ~150s regardless of the backtrack budget —
@@ -499,15 +500,16 @@ def test_runtime_atpg_portfolio(runtime_soc):
     the classic search, so a DT <-> UU contradiction would be a real
     bug), and the parallel run must detect/abort exactly what its
     verdicts say.  The >= 2x speedup pin arms on date13 when the machine
-    has at least 4 cores — process sharding cannot beat a GIL-free
+    has at least 4 cores — pool workers cannot beat a GIL-free
     serial walk on a single-core CI box, which still records honest
     numbers (and the core count) into ``BENCH_latest.json``.
     """
     from repro.atpg.engine import AtpgEffort
     from repro.faults.categories import FaultClass
     from repro.netlist.compiled import get_compiled
-    from repro.simulation.sharded import (cone_representative, resolve_site,
-                                          sharded_classify)
+    from repro.runtime import cone_representative
+    from repro.simulation.fault_sim import resolve_site
+    from repro.simulation.sharded import sharded_classify
 
     netlist = runtime_soc.cpu
     population = generate_fault_list(netlist).faults()
@@ -530,14 +532,14 @@ def test_runtime_atpg_portfolio(runtime_soc):
     kw = dict(effort=AtpgEffort.FULL, random_patterns=0, backtrack_limit=24)
 
     start = time.perf_counter()
-    serial_report = sharded_classify(netlist, sample, jobs=1,
-                                     backend="serial", **kw)
+    serial_report = StructuralUntestabilityEngine(netlist, **kw).classify(
+        sample)
     serial_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
     parallel_report = sharded_classify(
-        netlist, sample, jobs=4, backend="process",
-        atpg_backend="podem-restart", atpg_seed=2013, **kw)
+        netlist, sample, jobs=4, atpg_backend="podem-restart",
+        atpg_seed=2013, **kw)
     parallel_seconds = time.perf_counter() - start
 
     # Soundness across the portfolio: verdicts may only differ where one

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""One warm worker pool, many runs: the persistent parallel runtime.
+"""One warm worker pool, many runs: the parallel runtime.
 
-``--jobs N`` forks worker processes; ``pool="persistent"`` decides how
-long they live.  This example builds one :class:`repro.Session` whose
-:class:`~repro.api.RunOptions` pin the persistent pool, then pushes a
-two-axis scenario sweep through it:
+``jobs=2`` is the only knob.  This example builds one
+:class:`repro.Session` with ``RunOptions(jobs=2)`` and pushes a two-axis
+scenario sweep through it; every fault-population engine then runs on the
+process-wide warm worker pool for two workers:
 
 * the **first** simulating scenario pays the cold start — workers
   spawn, the compiled netlist and job state are installed
@@ -12,18 +12,18 @@ two-axis scenario sweep through it:
 * **every later** scenario against the same netlist lands on warm
   workers — its setup is a worker-side cache hit measured in
   microseconds (watch ``install_hits`` climb), and the work-stealing
-  scheduler hands out small cone-affine fault chunks instead of
-  static shards.
+  scheduler hands each worker one cone-affine fault chunk per task.
 
 Verdicts and Table I are byte-identical to the serial engine either
-way — the pool is a runtime knob, not a cache facet.
+way — ``jobs`` is a runtime knob, not a cache facet.
+``REPRO_POOL_START_METHOD=spawn`` starts the workers by spawn instead of
+fork, with identical results.
 
 The identical flow runs from the command line::
 
     python -m repro sweep --base tiny --axis effort=tie,random \\
-        --axis fault_model=stuck_at,transition \\
-        --jobs 2 --pool persistent
-    python -m repro analyze tiny --jobs 2 --pool persistent
+        --axis fault_model=stuck_at,transition --jobs 2
+    python -m repro analyze tiny --jobs 2
 
 Run with:  python examples/warm_pool_sweep.py
 """
@@ -33,7 +33,7 @@ from repro.api import RunOptions
 
 
 def main() -> None:
-    options = RunOptions(jobs=2, pool="persistent")
+    options = RunOptions(jobs=2)
     with repro.Session(options=options) as session:
         # Two fault models over two efforts: four scenarios, one
         # netlist.  The first scenario that simulates provisions the
@@ -59,8 +59,7 @@ def main() -> None:
                   f"cold start {stats['cold_start_seconds']:.3f}s, "
                   f"last setup {stats['last_setup_seconds']:.6f}s, "
                   f"{stats['worker_restarts']} restarts")
-    # Leaving the ``with`` block released the executor; the process-wide
-    # pool registry itself is reaped atexit (or explicitly via
+    # The process-wide pool registry is reaped atexit (or explicitly via
     # session.close(shutdown_pools=True)).
 
 

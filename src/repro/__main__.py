@@ -31,12 +31,13 @@ Three subcommands mirror the Session/Design API:
     intentionally)::
 
         python -m repro corpus
-        python -m repro corpus --jobs 2 --backend process
+        python -m repro corpus --jobs 2
         python -m repro corpus --update --only tiny_full
 
-``analyze``, ``sweep`` and ``corpus`` accept ``--jobs N`` (plus
-``--backend serial|thread|process``) to shard the fault-population
-engines across workers — results are identical to the serial run.
+``analyze``, ``sweep`` and ``corpus`` accept ``--jobs N`` to run the
+fault-population engines on N warm pool workers (:mod:`repro.runtime`;
+``REPRO_POOL_START_METHOD=fork|spawn`` picks how they start) — results
+are identical to the serial run.
 
 ``analyze`` and ``sweep`` accept ``--fault-model stuck_at|transition`` to
 select the fault universe (``sweep`` also takes it as a scenario axis:
@@ -89,7 +90,7 @@ from repro.faults.categories import source_label
 from repro.faults.models import fault_model_names
 from repro.pipeline import DEFAULT_REGISTRY
 from repro.simulation.kernels import kernel_info
-from repro.simulation.sharded import SHARD_BACKENDS
+from repro.simulation.sharded import resolve_jobs
 from repro.soc.config import SoCConfig
 
 COMMANDS = ("analyze", "sweep", "report", "corpus", "static",
@@ -131,26 +132,19 @@ def _add_endpoint_arguments(parser: argparse.ArgumentParser,
         help=f"service port (default: {default_port})")
 
 
-def _add_sharding_arguments(parser: argparse.ArgumentParser) -> None:
-    """The fault-population sharding knobs shared by several subcommands."""
+def _jobs_argument(text: str) -> int:
+    try:
+        return resolve_jobs(int(text), cap=False)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
+    """The worker-count knob shared by analyze/sweep/corpus."""
     parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help=("shard the fault-population engines over N workers "
+        "--jobs", type=_jobs_argument, default=None, metavar="N",
+        help=("run the fault-population engines on N warm pool workers "
               "(identical results; default: serial)"))
-    parser.add_argument(
-        "--backend", default=None, choices=list(SHARD_BACKENDS),
-        help=("worker backend for --jobs (default: process where fork is "
-              "available, else thread)"))
-    parser.add_argument(
-        "--pool", default=None, choices=["persistent", "ephemeral"],
-        help=("worker-pool lifecycle for --jobs: 'persistent' keeps one "
-              "warm pool (with installed netlists and job state) across "
-              "calls, 'ephemeral' spins workers per call (identical "
-              "results; default: ephemeral)"))
-    parser.add_argument(
-        "--chunk", type=int, default=None, metavar="N",
-        help=("work-stealing chunk size (faults per stolen task) for the "
-              "persistent pool (identical results; default: auto)"))
 
 
 def _add_atpg_arguments(parser: argparse.ArgumentParser) -> None:
@@ -211,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_fault_model_argument(
         analyze, "fault model to enumerate and classify (default: stuck_at)")
     _add_static_prune_argument(analyze)
-    _add_sharding_arguments(analyze)
+    _add_jobs_argument(analyze)
     _add_atpg_arguments(analyze)
     _add_store_argument(analyze)
 
@@ -251,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sweep, ("default fault model for every scenario (also available as "
                 "a scenario axis: --axis fault_model=stuck_at,transition)"))
     _add_static_prune_argument(sweep)
-    _add_sharding_arguments(sweep)
+    _add_jobs_argument(sweep)
     _add_atpg_arguments(sweep)
     _add_store_argument(sweep)
 
@@ -294,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
         corpus, ("restrict the run to entries pinned under this fault "
                  "model (a filter, never an override)"))
     _add_static_prune_argument(corpus)
-    _add_sharding_arguments(corpus)
+    _add_jobs_argument(corpus)
     _add_atpg_arguments(corpus)
     _add_store_argument(corpus)
 
@@ -465,13 +459,11 @@ def _cmd_analyze(args) -> int:
     session = Session(parallel_passes=args.parallel,
                       options=RunOptions(
                           effort=args.effort, jobs=args.jobs,
-                          shard_backend=args.backend,
                           fault_model=args.fault_model,
                           static_prune=args.static_prune,
                           store=args.store,
                           atpg_backend=args.atpg_backend,
-                          atpg_seed=args.atpg_seed,
-                          pool=args.pool, chunk=args.chunk))
+                          atpg_seed=args.atpg_seed))
     try:
         report = session.analyze(args.config, passes=passes)
     except KeyError as exc:
@@ -537,13 +529,11 @@ def _cmd_sweep(args) -> int:
 
     session = Session(executor=args.executor, max_workers=args.workers,
                       options=RunOptions(
-                          jobs=args.jobs, shard_backend=args.backend,
-                          fault_model=args.fault_model,
+                          jobs=args.jobs, fault_model=args.fault_model,
                           static_prune=args.static_prune,
                           store=args.store,
                           atpg_backend=args.atpg_backend,
-                          atpg_seed=args.atpg_seed,
-                          pool=args.pool, chunk=args.chunk))
+                          atpg_seed=args.atpg_seed))
     passes = _split_passes(args.passes)
 
     if not args.quiet:
@@ -582,14 +572,12 @@ def _cmd_sweep(args) -> int:
 def _cmd_corpus(args) -> int:
     try:
         outcomes = run_corpus(args.dir, jobs=args.jobs,
-                              shard_backend=args.backend,
                               update=args.update, only=args.only or None,
                               fault_model=args.fault_model,
                               static_prune=args.static_prune,
                               store=args.store,
                               atpg_backend=args.atpg_backend,
-                              atpg_seed=args.atpg_seed,
-                              pool=args.pool, chunk=args.chunk)
+                              atpg_seed=args.atpg_seed)
     except CorpusError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

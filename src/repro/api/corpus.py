@@ -18,10 +18,10 @@ builds every scenario, runs the full identification flow and byte-compares
 the rendered Table I against the golden capture; with ``update=True`` it
 rewrites the captures instead (the intentional-refresh workflow).
 
-Because sharded execution is verdict-identical by design, the corpus is the
+Because pooled execution is verdict-identical by design, the corpus is the
 end-to-end regression net for :mod:`repro.simulation.sharded`: CI runs it
-serially *and* with ``--jobs 2`` on the process backend and fails on any
-diff.  ``python -m repro corpus`` is the command-line entry point.
+serially *and* with ``--jobs 2`` under both pool start methods and fails
+on any diff.  ``python -m repro corpus`` is the command-line entry point.
 """
 
 from __future__ import annotations
@@ -57,10 +57,6 @@ class CorpusEntry:
     fault_model: str
     description: str
     path: Path
-    #: Worker-pool mode pinned by the spec ("persistent"/"ephemeral");
-    #: None defers to the run's session default.  Pool lifecycle never
-    #: changes a capture — it only pins which runtime a CI leg exercises.
-    pool: Optional[str] = None
 
     @property
     def golden_path(self) -> Path:
@@ -79,8 +75,6 @@ class CorpusEntry:
         parts.append(f"effort={self.effort}")
         if self.fault_model != resolve_fault_model(None).name:
             parts.append(f"fault_model={self.fault_model}")
-        if self.pool is not None:
-            parts.append(f"pool={self.pool}")
         return ",".join(parts)
 
 
@@ -119,13 +113,6 @@ def _parse_entry(path: Path) -> CorpusEntry:
         fault_model = resolve_fault_model(data.get("fault_model")).name
     except ValueError as exc:
         raise CorpusError(f"corpus spec {path}: {exc}") from exc
-    pool = data.get("pool")
-    if pool is not None:
-        from repro.runtime.pool import resolve_pool_mode
-        try:
-            pool = resolve_pool_mode(pool)
-        except ValueError as exc:
-            raise CorpusError(f"corpus spec {path}: {exc}") from exc
     return CorpusEntry(
         name=path.stem,
         base=base,
@@ -134,7 +121,6 @@ def _parse_entry(path: Path) -> CorpusEntry:
         fault_model=fault_model,
         description=str(data.get("description", "")),
         path=path,
-        pool=pool,
     )
 
 
@@ -159,31 +145,27 @@ def render_entry(entry: CorpusEntry, session=None) -> str:
     session = session if session is not None else Session()
     report = session.analyze(entry.build_config(),
                              options=RunOptions(effort=entry.effort,
-                                                fault_model=entry.fault_model,
-                                                pool=entry.pool))
+                                                fault_model=entry.fault_model))
     return report.to_table() + "\n"
 
 
 def run_corpus(directory: Union[str, Path] = DEFAULT_CORPUS_DIR, *,
                session=None,
                jobs: Optional[int] = None,
-               shard_backend: Optional[str] = None,
                update: bool = False,
                only: Optional[Sequence[str]] = None,
                fault_model: Optional[str] = None,
                static_prune: Optional[bool] = None,
                store=None,
                atpg_backend: Optional[str] = None,
-               atpg_seed: Optional[int] = None,
-               pool: Optional[str] = None,
-               chunk: Optional[int] = None) -> List[CorpusOutcome]:
+               atpg_seed: Optional[int] = None) -> List[CorpusOutcome]:
     """Run (or refresh) the corpus; one outcome per entry, sorted by name.
 
-    ``jobs``/``shard_backend`` configure fault-population sharding for
-    the underlying analyses — the whole point of the corpus is that they
-    must not move a single byte of any capture.  ``fault_model`` restricts
-    the run to the entries pinned under that model (a filter, never an
-    override: each entry's golden capture belongs to its declared model).
+    ``jobs`` runs the underlying analyses on the worker pool — the
+    whole point of the corpus is that it must not move a single byte of
+    any capture.  ``fault_model`` restricts the run to the entries pinned
+    under that model (a filter, never an override: each entry's golden
+    capture belongs to its declared model).
     ``static_prune`` toggles the static pre-filter for every entry — the
     goldens are pinned at tie effort, where the static layer never runs,
     so both settings must reproduce every capture byte-for-byte.
@@ -222,10 +204,9 @@ def run_corpus(directory: Union[str, Path] = DEFAULT_CORPUS_DIR, *,
 
     if session is None:
         session = Session(options=RunOptions(
-            jobs=jobs, shard_backend=shard_backend,
-            static_prune=static_prune, static_learning=static_prune,
-            store=store, atpg_backend=atpg_backend, atpg_seed=atpg_seed,
-            pool=pool, chunk=chunk))
+            jobs=jobs, static_prune=static_prune,
+            static_learning=static_prune, store=store,
+            atpg_backend=atpg_backend, atpg_seed=atpg_seed))
 
     outcomes: List[CorpusOutcome] = []
     for entry in entries:

@@ -99,53 +99,15 @@ class ThreadExecutor(_PoolExecutor):
                                   thread_name_prefix="repro-sweep")
 
 
-class _BorrowedPool:
-    """Context manager lending a long-lived pool without closing it."""
-
-    def __init__(self, pool) -> None:
-        self._pool = pool
-
-    def __enter__(self):
-        return self._pool
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
 class ProcessExecutor(_PoolExecutor):
-    """Run jobs on a process pool, streaming completions.
-
-    With ``persistent=True`` the underlying :class:`ProcessPoolExecutor`
-    is created once and reused across ``imap_unordered`` calls — repeated
-    sweeps through one :class:`~repro.api.Session` then skip the
-    interpreter spin-up (and re-import) cost of a cold pool each time.
-    Call :meth:`close` (or let the owning session do it) to release the
-    workers; a closed executor transparently re-creates the pool on the
-    next use.
-    """
+    """Run jobs on a process pool, streaming completions."""
 
     name = "process"
     requires_pickling = True
 
-    def __init__(self, max_workers: Optional[int] = None,
-                 persistent: bool = False) -> None:
-        super().__init__(max_workers)
-        self.persistent = persistent
-        self._pool: Optional[ProcessPoolExecutor] = None
-
     def _make_pool(self, n_jobs: int):
         workers = self.max_workers or min(4, max(2, n_jobs))
-        if not self.persistent:
-            return ProcessPoolExecutor(max_workers=workers)
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=workers)
-        return _BorrowedPool(self._pool)
-
-    def close(self) -> None:
-        """Shut down the persistent pool (no-op for the ephemeral mode)."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown()
+        return ProcessPoolExecutor(max_workers=workers)
 
 
 #: Backend name -> factory, the vocabulary accepted by ``Session`` and the
@@ -158,14 +120,8 @@ EXECUTORS = {
 
 
 def resolve_executor(spec: Union[str, Executor, None],
-                     max_workers: Optional[int] = None, *,
-                     persistent: bool = False) -> Executor:
-    """Coerce an executor spec (name, instance or None) to a backend.
-
-    ``persistent=True`` makes a process backend keep its worker pool warm
-    across sweeps (see :class:`ProcessExecutor`); the other backends have
-    no spin-up cost and ignore it.
-    """
+                     max_workers: Optional[int] = None) -> Executor:
+    """Coerce an executor spec (name, instance or None) to a backend."""
     if spec is None:
         return SerialExecutor()
     if isinstance(spec, str):
@@ -178,8 +134,6 @@ def resolve_executor(spec: Union[str, Executor, None],
             ) from None
         if factory is SerialExecutor:
             return factory()
-        if factory is ProcessExecutor:
-            return factory(max_workers=max_workers, persistent=persistent)
         return factory(max_workers=max_workers)
     if isinstance(spec, Executor):
         return spec

@@ -34,10 +34,10 @@ from repro.faults.models import resolve_fault_model
 from repro.soc.config import SoCConfig, axis_value_label, expand_axes
 
 #: The axes expanded at run level rather than into the SoC configuration:
-#: the ATPG effort, the fault model, the static-prune knob, the ATPG
-#: portfolio backend and the pool mode select *how* a scenario is analyzed
-#: without changing the generated SoC.
-RUN_AXES = ("effort", "fault_model", "static_prune", "atpg_backend", "pool")
+#: the ATPG effort, the fault model, the static-prune knob and the ATPG
+#: portfolio backend select *how* a scenario is analyzed without changing
+#: the generated SoC.
+RUN_AXES = ("effort", "fault_model", "static_prune", "atpg_backend")
 
 
 def _resolve_flag(name: str, value: object) -> bool:
@@ -85,9 +85,6 @@ class Scenario:
     #: "dalg"); None keeps the session/flow default.  Appended last for
     #: the same reason.
     atpg_backend: Optional[str] = None
-    #: Worker-pool mode ("persistent"/"ephemeral"); None keeps the
-    #: session/flow default.  Appended last for the same reason.
-    pool: Optional[str] = None
 
     def build_design(self):
         from repro.api.design import Design
@@ -132,9 +129,6 @@ class ScenarioGrid:
         elif name == "atpg_backend":
             from repro.atpg.portfolio import resolve_atpg_backend
             values = [resolve_atpg_backend(v).name for v in values]
-        elif name == "pool":
-            from repro.runtime.pool import resolve_pool_mode
-            values = [resolve_pool_mode(v) for v in values]
         else:
             # Validate config axes eagerly — a typo should fail at grid
             # construction, not halfway through a long sweep.
@@ -167,8 +161,8 @@ class ScenarioGrid:
 
         points: List[Scenario] = []
         for config_label, config in expand_axes(self.base, config_axes):
-            for (effort, fault_model, static_prune, atpg_backend,
-                 pool) in itertools.product(*run_axes):
+            for (effort, fault_model, static_prune,
+                 atpg_backend) in itertools.product(*run_axes):
                 parts = [config_label] if config_label else []
                 if effort is not None:
                     parts.append(f"effort={axis_value_label(effort)}")
@@ -178,15 +172,13 @@ class ScenarioGrid:
                     parts.append(f"static_prune={int(static_prune)}")
                 if atpg_backend is not None:
                     parts.append(f"atpg_backend={atpg_backend}")
-                if pool is not None:
-                    parts.append(f"pool={pool}")
                 label = (f"{self.base_name}[{','.join(parts)}]" if parts
                          else self.base_name)
                 points.append(
                     Scenario(label=label, config=config, effort=effort,
                              fault_model=fault_model,
                              static_prune=static_prune,
-                             atpg_backend=atpg_backend, pool=pool,
+                             atpg_backend=atpg_backend,
                              index=len(points)))
         return points
 

@@ -1,7 +1,7 @@
 """One frozen bundle for every per-run knob: :class:`RunOptions`.
 
-Six PRs of plumbing grew scattered keywords (``jobs``, ``shard_backend``,
-``fault_model``, ``static_prune``, ``store``, ``effort``) across
+Six PRs of plumbing grew scattered keywords (``jobs``, ``fault_model``,
+``static_prune``, ``store``, ``effort``) across
 ``Session(...)``, ``Session.analyze(...)`` and the process-executor
 boundary; the ATPG portfolio adds two more (``atpg_backend``,
 ``atpg_seed``).  :class:`RunOptions` consolidates them:
@@ -60,22 +60,22 @@ class RunOptions:
     """Every per-run knob, normalized, in one frozen picklable value.
 
     Construction validates each field eagerly (unknown efforts, fault
-    models, shard backends and ATPG backends raise the same errors as the
-    keywords they replace), so a bad bundle fails at the call site, not
-    deep inside a worker process.
+    models and ATPG backends, and ``jobs`` below 1, raise the same errors
+    as the keywords they replace), so a bad bundle fails at the call
+    site, not deep inside a worker process.
     """
 
     effort: Union[AtpgEffort, str, None] = None
     fault_model: Optional[str] = None
+    #: Worker count of the fault-population engines: 1 is the serial
+    #: reference, more runs cone-affine chunks on the warm worker pool
+    #: (:mod:`repro.runtime`) with identical results.
     jobs: Optional[int] = None
-    shard_backend: Optional[str] = None
     static_prune: Optional[bool] = None
     static_learning: Optional[bool] = None
     store: Any = None
     atpg_backend: Optional[str] = None
     atpg_seed: Optional[int] = None
-    pool: Optional[str] = None
-    chunk: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.effort is not None:
@@ -87,13 +87,10 @@ class RunOptions:
                 self, "fault_model",
                 resolve_fault_model(self.fault_model).name)
         if self.jobs is not None:
-            object.__setattr__(self, "jobs", int(self.jobs))
-        if self.shard_backend is not None:
-            from repro.simulation.sharded import resolve_backend
+            from repro.simulation.sharded import resolve_jobs
 
-            object.__setattr__(
-                self, "shard_backend",
-                resolve_backend(self.shard_backend, 1))
+            object.__setattr__(self, "jobs",
+                               resolve_jobs(int(self.jobs), cap=False))
         if self.static_prune is not None:
             object.__setattr__(self, "static_prune", bool(self.static_prune))
         if self.static_learning is not None:
@@ -107,15 +104,6 @@ class RunOptions:
                 resolve_atpg_backend(self.atpg_backend).name)
         if self.atpg_seed is not None:
             object.__setattr__(self, "atpg_seed", int(self.atpg_seed))
-        if self.pool is not None:
-            from repro.runtime.pool import resolve_pool_mode
-
-            object.__setattr__(self, "pool", resolve_pool_mode(self.pool))
-        if self.chunk is not None:
-            chunk = int(self.chunk)
-            if chunk < 1:
-                raise ValueError(f"chunk must be >= 1, got {chunk}")
-            object.__setattr__(self, "chunk", chunk)
 
     # ------------------------------------------------------------------ #
     def merged_with(self, other: Optional["RunOptions"]) -> "RunOptions":

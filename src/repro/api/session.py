@@ -80,9 +80,7 @@ def _run_process_job(job: _ProcessJob) -> Dict[str, object]:
                                  static_prune=job.scenario.static_prune,
                                  atpg_backend=(job.scenario.atpg_backend
                                                or opts.atpg_backend),
-                                 atpg_seed=opts.atpg_seed,
-                                 pool=job.scenario.pool or opts.pool,
-                                 chunk=opts.chunk))
+                                 atpg_seed=opts.atpg_seed))
     return {
         "label": job.scenario.label,
         "signature": design.signature,
@@ -109,7 +107,6 @@ class Session:
                  flow_config: Optional[FlowConfig] = None,
                  parallel_passes: Union[bool, int] = False,
                  jobs: Optional[int] = None,
-                 shard_backend: Optional[str] = None,
                  fault_model: Union[str, FaultModel, None] = None,
                  static_prune: Optional[bool] = None,
                  static_learning: Optional[bool] = None) -> None:
@@ -121,15 +118,9 @@ class Session:
         self.options = fold_legacy_kwargs(
             "Session", options,
             store=store, effort=effort, jobs=jobs,
-            shard_backend=shard_backend,
             fault_model=fault_model, static_prune=static_prune,
             static_learning=static_learning)
-        # A persistent pool mode keeps the sweep executor's process pool
-        # warm too: one Session then owns one long-lived set of workers
-        # for both the sharded engines and the scenario sweeps.
-        self.executor = resolve_executor(
-            executor, max_workers,
-            persistent=(self.options.pool == "persistent"))
+        self.executor = resolve_executor(executor, max_workers)
         self.max_workers = max_workers
         if cache is not None:
             if self.options.store is not None and (
@@ -160,18 +151,6 @@ class Session:
     @property
     def jobs(self) -> Optional[int]:
         return self.options.jobs
-
-    @property
-    def shard_backend(self) -> Optional[str]:
-        return self.options.shard_backend
-
-    @property
-    def pool(self) -> Optional[str]:
-        return self.options.pool
-
-    @property
-    def chunk(self) -> Optional[int]:
-        return self.options.chunk
 
     @property
     def fault_model(self) -> Optional[str]:
@@ -222,8 +201,8 @@ class Session:
         and fold into it.  Results are memoised per pass in the session
         cache, so re-analyzing the same design (or a structural clone, or
         a variant that only changes facets a pass does not read) replays
-        instead of recomputing.  ``jobs`` > 1 shards the fault population
-        across workers (identical results, see
+        instead of recomputing.  ``jobs`` > 1 runs the fault population on
+        the warm worker pool (identical results, see
         :mod:`repro.simulation.sharded`).
         """
         call = fold_legacy_kwargs(
@@ -386,26 +365,6 @@ class Session:
             flow_config = _replace(flow_config, jobs=call.jobs)
         elif self.jobs is not None and flow_config.jobs == 1:
             flow_config = _replace(flow_config, jobs=self.jobs)
-        # Shard backend / pool / chunk: explicit per-call wins, the
-        # session default fills in only when the config carries none
-        # (runtime knobs, never cache facets).
-        if call.shard_backend is not None:
-            flow_config = _replace(flow_config,
-                                   shard_backend=call.shard_backend)
-        elif (self.shard_backend is not None
-                and flow_config.shard_backend is None):
-            flow_config = _replace(flow_config,
-                                   shard_backend=self.shard_backend)
-        if call.pool is not None:
-            flow_config = _replace(flow_config, pool=call.pool)
-        elif (self.pool is not None
-                and getattr(flow_config, "pool", None) is None):
-            flow_config = _replace(flow_config, pool=self.pool)
-        if call.chunk is not None:
-            flow_config = _replace(flow_config, chunk=call.chunk)
-        elif (self.chunk is not None
-                and getattr(flow_config, "chunk", None) is None):
-            flow_config = _replace(flow_config, chunk=self.chunk)
         if call.fault_model is not None:
             # Explicit per-call model wins over the session default and the
             # flow config.
@@ -467,8 +426,7 @@ class Session:
                                   effort=scenario.effort or effort_default,
                                   fault_model=scenario.fault_model,
                                   static_prune=scenario.static_prune,
-                                  atpg_backend=scenario.atpg_backend,
-                                  pool=scenario.pool))
+                                  atpg_backend=scenario.atpg_backend))
         return SweepResult(
             index=scenario.index, label=scenario.label,
             design_signature=design.signature,
@@ -499,13 +457,12 @@ class Session:
         else:
             names = None
         # Ship the *effective* flow config so session-level defaults —
-        # including the fault-population sharding knobs — survive the
-        # process boundary (worker sessions are built bare).
+        # including the worker count — survive the process boundary
+        # (worker sessions are built bare).
         defaults_set = any(
             getattr(self.options, name) is not None
-            for name in ("jobs", "shard_backend", "fault_model",
-                         "static_prune", "static_learning", "atpg_backend",
-                         "atpg_seed", "pool", "chunk"))
+            for name in ("jobs", "fault_model", "static_prune",
+                         "static_learning", "atpg_backend", "atpg_seed"))
         flow_config = (self._effective_flow_config(config)
                        if (defaults_set
                            or config is not None
@@ -528,16 +485,14 @@ class Session:
         configured worker count, so every analysis the session runs — and
         every other session configured identically — shares one set of
         warm workers with their installed netlists and job state.  Returns
-        ``None`` unless the session was built with ``pool="persistent"``.
+        ``None`` for a serial session (``jobs`` unset or 1).
         """
-        if self.options.pool != "persistent":
+        if self.options.jobs is None or self.options.jobs <= 1:
             return None
         from repro.runtime import get_pool
         from repro.simulation.sharded import resolve_jobs
 
-        import os
-        return get_pool(resolve_jobs(self.options.jobs),
-                        os.environ.get("REPRO_POOL_START_METHOD") or None)
+        return get_pool(resolve_jobs(self.options.jobs))
 
     def pool_stats(self) -> List[Dict[str, object]]:
         """Stats snapshots of every live warm worker pool (may be empty)."""
@@ -547,14 +502,10 @@ class Session:
     def close(self, *, shutdown_pools: bool = False) -> None:
         """Release session-held parallel resources.
 
-        Closes a persistent sweep-executor process pool if one exists.
-        The sharded engines' warm worker pools are process-global (shared
-        across sessions) and survive by default; ``shutdown_pools=True``
-        tears them down too — what the analysis service does on drain.
+        The engines' warm worker pools are process-global (shared across
+        sessions) and survive by default; ``shutdown_pools=True`` tears
+        them down — what the analysis service does on drain.
         """
-        closer = getattr(self.executor, "close", None)
-        if callable(closer):
-            closer()
         if shutdown_pools:
             from repro.runtime import shutdown_pools as _shutdown
             _shutdown()

@@ -252,12 +252,12 @@ def run_escalation_phase(netlist: Netlist, faults: List[Fault], *,
 class StructuralUntestabilityEngine:
     """Classifies stuck-at faults of a netlist (TetraMax-style).
 
-    ``jobs`` > 1 shards the fault population across worker processes or
-    threads (:func:`repro.simulation.sharded.sharded_classify`): each shard
-    runs the same phase stack on its cone-aware slice and the merged report
-    carries exactly the serial classifications.  ``backend``/``shards``
-    tune the sharded run; with the default ``jobs=1`` the engine is the
-    serial reference.
+    ``jobs`` > 1 (or an injected :class:`~repro.runtime.WorkerPool` as
+    ``pool``) runs the per-fault phases on the worker pool
+    (:func:`repro.simulation.sharded.sharded_classify`): each cone-affine
+    chunk runs the same phase stack and the merged report carries exactly
+    the serial classifications.  With the default ``jobs=1`` the engine
+    is the serial reference.
     """
 
     def __init__(self, netlist: Netlist,
@@ -266,28 +266,24 @@ class StructuralUntestabilityEngine:
                  backtrack_limit: int = 200,
                  seed: int = 2013,
                  jobs: int = 1,
-                 backend: Optional[str] = None,
-                 shards: Optional[int] = None,
                  static_prune: bool = True,
                  static_learning: bool = True,
                  atpg_backend: Optional[str] = None,
                  atpg_seed: Optional[int] = None,
-                 pool=None,
-                 chunk: Optional[int] = None) -> None:
+                 pool=None) -> None:
+        from repro.simulation.sharded import resolve_jobs
+
         self.netlist = netlist
         self.effort = effort
         self.random_patterns = random_patterns
         self.backtrack_limit = backtrack_limit
         self.seed = seed
-        self.jobs = max(1, jobs if jobs is not None else 1)
-        self.backend = backend
-        self.shards = shards
+        self.jobs = resolve_jobs(1 if jobs is None else jobs, cap=False)
         self.static_prune = static_prune
         self.static_learning = static_learning
         self.atpg_backend = atpg_backend
         self.atpg_seed = atpg_seed
         self.pool = pool
-        self.chunk = chunk
         self.implication = ImplicationEngine(netlist)
 
     def classify(self, faults: Iterable[Fault]) -> UntestabilityReport:
@@ -299,13 +295,12 @@ class StructuralUntestabilityEngine:
 
             return sharded_classify(
                 self.netlist, fault_list, effort=self.effort,
-                jobs=self.jobs, backend=self.backend, shards=self.shards,
-                random_patterns=self.random_patterns,
+                jobs=self.jobs, random_patterns=self.random_patterns,
                 backtrack_limit=self.backtrack_limit, seed=self.seed,
                 static_prune=self.static_prune,
                 static_learning=self.static_learning,
                 atpg_backend=self.atpg_backend, atpg_seed=self.atpg_seed,
-                pool=self.pool, chunk=self.chunk)
+                pool=self.pool)
         report = UntestabilityReport(effort=self.effort)
         start = time.perf_counter()
 

@@ -31,8 +31,7 @@ packages those strategies behind one seam:
 
 Every backend is *per-fault deterministic*: the verdict for a fault
 depends only on (netlist, fault, seed), never on batch order — the
-invariant that keeps serial, thread- and process-sharded classification
-byte-identical.
+invariant that keeps serial and pooled classification byte-identical.
 
 :func:`compact_patterns` is the portfolio's second half: the patterns the
 search emits are fault-simulated (event-driven word walks) as they are

@@ -54,23 +54,18 @@ def compute_baseline_untestable(netlist: Netlist,
                                 faults: Optional[Iterable[StuckAtFault]] = None,
                                 effort: AtpgEffort = AtpgEffort.TIE,
                                 jobs: int = 1,
-                                backend: Optional[str] = None,
                                 static_prune: bool = True,
                                 static_learning: bool = True,
                                 atpg_backend: Optional[str] = None,
-                                atpg_seed: Optional[int] = None,
-                                pool=None,
-                                chunk: Optional[int] = None
+                                atpg_seed: Optional[int] = None
                                 ) -> Set[StuckAtFault]:
     """Faults untestable in the unmanipulated netlist (structural baseline)."""
     fault_universe = list(faults) if faults is not None else generate_fault_list(netlist).faults()
     engine = StructuralUntestabilityEngine(netlist, effort=effort, jobs=jobs,
-                                           backend=backend,
                                            static_prune=static_prune,
                                            static_learning=static_learning,
                                            atpg_backend=atpg_backend,
-                                           atpg_seed=atpg_seed,
-                                           pool=pool, chunk=chunk)
+                                           atpg_seed=atpg_seed)
     report = engine.classify(fault_universe)
     return set(report.untestable)
 
@@ -81,13 +76,10 @@ def identify_debug_control_untestable(netlist: Netlist,
                                       baseline_untestable: Optional[Set[StuckAtFault]] = None,
                                       effort: AtpgEffort = AtpgEffort.TIE,
                                       jobs: int = 1,
-                                      backend: Optional[str] = None,
                                       static_prune: bool = True,
                                       static_learning: bool = True,
                                       atpg_backend: Optional[str] = None,
-                                      atpg_seed: Optional[int] = None,
-                                      pool=None,
-                                      chunk: Optional[int] = None
+                                      atpg_seed: Optional[int] = None
                                       ) -> DebugControlResult:
     """Identify the on-line untestable faults caused by mission-constant
     debug control inputs."""
@@ -98,10 +90,9 @@ def identify_debug_control_untestable(netlist: Netlist,
     fault_universe = list(faults) if faults is not None else generate_fault_list(netlist).faults()
     if baseline_untestable is None:
         baseline_untestable = compute_baseline_untestable(
-            netlist, fault_universe, effort, jobs=jobs, backend=backend,
+            netlist, fault_universe, effort, jobs=jobs,
             static_prune=static_prune, static_learning=static_learning,
-            atpg_backend=atpg_backend, atpg_seed=atpg_seed,
-            pool=pool, chunk=chunk)
+            atpg_backend=atpg_backend, atpg_seed=atpg_seed)
 
     manipulated = netlist.clone(f"{netlist.name}_debug_tied")
     tied: Dict[str, int] = {}
@@ -111,12 +102,11 @@ def identify_debug_control_untestable(netlist: Netlist,
             tied[port] = value
 
     engine = StructuralUntestabilityEngine(manipulated, effort=effort,
-                                           jobs=jobs, backend=backend,
+                                           jobs=jobs,
                                            static_prune=static_prune,
                                            static_learning=static_learning,
                                            atpg_backend=atpg_backend,
-                                           atpg_seed=atpg_seed,
-                                           pool=pool, chunk=chunk)
+                                           atpg_seed=atpg_seed)
     report = engine.classify(fault_universe)
 
     return DebugControlResult(

@@ -50,13 +50,10 @@ def identify_debug_observe_untestable(netlist: Netlist,
                                       baseline_untestable: Optional[Set[StuckAtFault]] = None,
                                       effort: AtpgEffort = AtpgEffort.TIE,
                                       jobs: int = 1,
-                                      backend: Optional[str] = None,
                                       static_prune: bool = True,
                                       static_learning: bool = True,
                                       atpg_backend: Optional[str] = None,
-                                      atpg_seed: Optional[int] = None,
-                                      pool=None,
-                                      chunk: Optional[int] = None
+                                      atpg_seed: Optional[int] = None
                                       ) -> DebugObserveResult:
     """Identify the on-line untestable faults caused by floating debug outputs."""
     interface = interface or discover_debug_interface(netlist)
@@ -67,10 +64,9 @@ def identify_debug_observe_untestable(netlist: Netlist,
     if baseline_untestable is None:
         from repro.core.debug_control import compute_baseline_untestable
         baseline_untestable = compute_baseline_untestable(
-            netlist, fault_universe, effort, jobs=jobs, backend=backend,
+            netlist, fault_universe, effort, jobs=jobs,
             static_prune=static_prune, static_learning=static_learning,
-            atpg_backend=atpg_backend, atpg_seed=atpg_seed,
-            pool=pool, chunk=chunk)
+            atpg_backend=atpg_backend, atpg_seed=atpg_seed)
 
     manipulated = netlist.clone(f"{netlist.name}_debug_floated")
     floated: List[str] = []
@@ -81,12 +77,11 @@ def identify_debug_observe_untestable(netlist: Netlist,
             floated.append(port)
 
     engine = StructuralUntestabilityEngine(manipulated, effort=effort,
-                                           jobs=jobs, backend=backend,
+                                           jobs=jobs,
                                            static_prune=static_prune,
                                            static_learning=static_learning,
                                            atpg_backend=atpg_backend,
-                                           atpg_seed=atpg_seed,
-                                           pool=pool, chunk=chunk)
+                                           atpg_seed=atpg_seed)
     report = engine.classify(fault_universe)
 
     return DebugObserveResult(

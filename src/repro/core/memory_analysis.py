@@ -64,13 +64,10 @@ def identify_memory_map_untestable(netlist: Netlist,
                                    tie_flop_outputs: bool = True,
                                    tie_flop_inputs: bool = True,
                                    jobs: int = 1,
-                                   backend: Optional[str] = None,
                                    static_prune: bool = True,
                                    static_learning: bool = True,
                                    atpg_backend: Optional[str] = None,
-                                   atpg_seed: Optional[int] = None,
-                                   pool=None,
-                                   chunk: Optional[int] = None
+                                   atpg_seed: Optional[int] = None
                                    ) -> MemoryMapResult:
     """Identify on-line untestable faults caused by frozen address bits.
 
@@ -89,10 +86,9 @@ def identify_memory_map_untestable(netlist: Netlist,
     if baseline_untestable is None:
         from repro.core.debug_control import compute_baseline_untestable
         baseline_untestable = compute_baseline_untestable(
-            netlist, fault_universe, effort, jobs=jobs, backend=backend,
+            netlist, fault_universe, effort, jobs=jobs,
             static_prune=static_prune, static_learning=static_learning,
-            atpg_backend=atpg_backend, atpg_seed=atpg_seed,
-            pool=pool, chunk=chunk)
+            atpg_backend=atpg_backend, atpg_seed=atpg_seed)
 
     constants = constant_address_bits(memory_map)
     result = MemoryMapResult(constant_bits=dict(constants),
@@ -131,12 +127,11 @@ def identify_memory_map_untestable(netlist: Netlist,
                         result.tied_nets[data_pin.net.name] = value
 
     engine = StructuralUntestabilityEngine(manipulated, effort=effort,
-                                           jobs=jobs, backend=backend,
+                                           jobs=jobs,
                                            static_prune=static_prune,
                                            static_learning=static_learning,
                                            atpg_backend=atpg_backend,
-                                           atpg_seed=atpg_seed,
-                                           pool=pool, chunk=chunk)
+                                           atpg_seed=atpg_seed)
     report = engine.classify(fault_universe)
 
     result.untestable = set(report.untestable)

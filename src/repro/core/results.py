@@ -41,12 +41,11 @@ class FlowConfig:
     run_memory_map: bool = True
     tie_flop_outputs: bool = True   # §3.3 / Fig. 6 ablation knob
     tie_flop_inputs: bool = True
-    # Fault-population sharding (repro.simulation.sharded): worker count
-    # and backend for the classification engines.  jobs=1 is the serial
-    # reference; higher values shard the fault list without changing any
-    # verdict, so jobs is deliberately *not* a cache facet.
+    # Worker count of the classification engines (repro.simulation.sharded):
+    # jobs=1 is the serial reference; higher values run the fault list in
+    # cone-affine chunks on the warm worker pool (repro.runtime) without
+    # changing any verdict, so jobs is deliberately *not* a cache facet.
     jobs: int = 1
-    shard_backend: Optional[str] = None
     # Durable artifact store spec (repro.store.resolve_store vocabulary:
     # a directory path or "backend:location").  Like ``jobs`` this is a
     # *runtime* knob, deliberately not a cache facet: where artifacts are
@@ -69,14 +68,6 @@ class FlowConfig:
     # boundary cases (AU vs a definite verdict) may legitimately differ.
     atpg_backend: Optional[str] = None
     atpg_seed: Optional[int] = None
-    # Parallel runtime (repro.runtime): pool lifecycle for the sharded
-    # engines ("persistent" reuses one warm worker pool across calls,
-    # None/"ephemeral" keeps the per-call runner) and the work-stealing
-    # chunk granularity (None = auto).  Like ``jobs`` these are
-    # runtime knobs, deliberately *not* cache facets: they can never
-    # change what an analysis computes, only how fast.
-    pool: Optional[str] = None
-    chunk: Optional[int] = None
 
 
 @dataclass

@@ -345,8 +345,8 @@ class CompiledNetlist:
 
         Equal to ``len(self.fanout_ops(nid))`` for every net, but computed
         for *all* nets in one reverse-topological bitset pass instead of
-        one BFS per net — the cone-aware fault partitioner
-        (:mod:`repro.simulation.sharded`) uses it to balance shards without
+        one BFS per net — the cone-affine chunk scheduler
+        (:mod:`repro.runtime.scheduler`) uses it to cost chunks without
         paying a per-net cone walk.  Memoised per compiled netlist.
         """
         def build(compiled: "CompiledNetlist") -> List[int]:

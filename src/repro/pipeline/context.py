@@ -109,13 +109,10 @@ class PipelineContext:
 
     @property
     def jobs(self) -> int:
-        """Shard-worker count for the fault-population engines (>= 1)."""
-        return max(1, getattr(self.config, "jobs", 1) or 1)
-
-    @property
-    def shard_backend(self):
-        """Shard backend name (``None`` = pick the best available)."""
-        return getattr(self.config, "shard_backend", None)
+        """Worker count for the fault-population engines (1 = serial;
+        the engines reject values below 1)."""
+        jobs = getattr(self.config, "jobs", None)
+        return 1 if jobs is None else jobs
 
     @property
     def fault_model(self):
@@ -143,16 +140,6 @@ class PipelineContext:
     def atpg_seed(self):
         """Seed override for randomized ATPG backends (``None`` = engine seed)."""
         return getattr(self.config, "atpg_seed", None)
-
-    @property
-    def pool(self):
-        """Worker-pool mode for the sharded engines (``None`` = ephemeral)."""
-        return getattr(self.config, "pool", None)
-
-    @property
-    def chunk(self):
-        """Work-stealing chunk granularity (``None`` = auto)."""
-        return getattr(self.config, "chunk", None)
 
     @property
     def fault_universe(self) -> List[Fault]:

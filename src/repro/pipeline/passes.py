@@ -123,10 +123,9 @@ def baseline_pass(ctx: PipelineContext) -> PassResult:
     """Faults untestable before manipulation — Table I's "Original" row."""
     baseline = compute_baseline_untestable(
         ctx.netlist, ctx.fault_universe, ctx.effort,
-        jobs=ctx.jobs, backend=ctx.shard_backend,
+        jobs=ctx.jobs,
         static_prune=ctx.static_prune, static_learning=ctx.static_learning,
-        atpg_backend=ctx.atpg_backend, atpg_seed=ctx.atpg_seed,
-        pool=ctx.pool, chunk=ctx.chunk)
+        atpg_backend=ctx.atpg_backend, atpg_seed=ctx.atpg_seed)
     return PassResult(artifacts={"baseline_untestable": baseline})
 
 
@@ -162,10 +161,9 @@ def debug_control_pass(ctx: PipelineContext) -> PassResult:
     ctrl = identify_debug_control_untestable(
         ctx.netlist, faults=ctx.fault_universe,
         baseline_untestable=ctx.baseline_untestable, effort=ctx.effort,
-        jobs=ctx.jobs, backend=ctx.shard_backend,
+        jobs=ctx.jobs,
         static_prune=ctx.static_prune, static_learning=ctx.static_learning,
-        atpg_backend=ctx.atpg_backend, atpg_seed=ctx.atpg_seed,
-        pool=ctx.pool, chunk=ctx.chunk)
+        atpg_backend=ctx.atpg_backend, atpg_seed=ctx.atpg_seed)
     return PassResult(artifacts={"debug_control_result": ctrl},
                       identified=ctrl.newly_untestable, details=ctrl)
 
@@ -179,10 +177,9 @@ def debug_observe_pass(ctx: PipelineContext) -> PassResult:
     observe = identify_debug_observe_untestable(
         ctx.netlist, faults=ctx.fault_universe,
         baseline_untestable=ctx.baseline_untestable, effort=ctx.effort,
-        jobs=ctx.jobs, backend=ctx.shard_backend,
+        jobs=ctx.jobs,
         static_prune=ctx.static_prune, static_learning=ctx.static_learning,
-        atpg_backend=ctx.atpg_backend, atpg_seed=ctx.atpg_seed,
-        pool=ctx.pool, chunk=ctx.chunk)
+        atpg_backend=ctx.atpg_backend, atpg_seed=ctx.atpg_seed)
     return PassResult(artifacts={"debug_observe_result": observe},
                       identified=observe.newly_untestable, details=observe)
 
@@ -200,9 +197,8 @@ def memory_analysis_pass(ctx: PipelineContext) -> PassResult:
         baseline_untestable=ctx.baseline_untestable, effort=ctx.effort,
         tie_flop_outputs=ctx.config.tie_flop_outputs,
         tie_flop_inputs=ctx.config.tie_flop_inputs,
-        jobs=ctx.jobs, backend=ctx.shard_backend,
+        jobs=ctx.jobs,
         static_prune=ctx.static_prune, static_learning=ctx.static_learning,
-        atpg_backend=ctx.atpg_backend, atpg_seed=ctx.atpg_seed,
-        pool=ctx.pool, chunk=ctx.chunk)
+        atpg_backend=ctx.atpg_backend, atpg_seed=ctx.atpg_seed)
     return PassResult(artifacts={"memory_result": memory},
                       identified=memory.newly_untestable, details=memory)

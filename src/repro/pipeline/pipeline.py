@@ -91,18 +91,16 @@ class Pipeline:
                  max_workers: Optional[int] = None,
                  cache: Optional[ArtifactCache] = None,
                  registry: Optional[PassRegistry] = None,
-                 jobs: Optional[int] = None,
-                 shard_backend: Optional[str] = None) -> None:
+                 jobs: Optional[int] = None) -> None:
         self.registry = registry if registry is not None else DEFAULT_REGISTRY
         requested = passes if passes is not None else default_pass_names()
         self.passes = self._resolve(requested)
         self.parallel = parallel
         self.max_workers = max_workers
         self.cache = cache
-        #: Default fault-population shard worker count / backend, applied
-        #: to runs whose FlowConfig leaves sharding at the serial default.
+        #: Default fault-population worker count, applied to runs whose
+        #: FlowConfig leaves it at the serial default.
         self.jobs = jobs
-        self.shard_backend = shard_backend
         self._pass_index = {p.name: i for i, p in enumerate(self.passes)}
 
     @staticmethod
@@ -206,22 +204,17 @@ class Pipeline:
 
     def _apply_shard_defaults(self,
                               config: Optional[FlowConfig]) -> Optional[FlowConfig]:
-        """Fold the pipeline's jobs/backend defaults into a run's config.
+        """Fold the pipeline's jobs default into a run's config.
 
-        A config that explicitly requests sharding (``jobs != 1``) wins
+        A config that explicitly requests workers (``jobs != 1``) wins
         over the pipeline default.
         """
-        if self.jobs is None and self.shard_backend is None:
+        if self.jobs is None:
             return config
         from dataclasses import replace
 
         config = config if config is not None else FlowConfig()
-        updates = {}
-        if self.jobs is not None and config.jobs == 1:
-            updates["jobs"] = self.jobs
-        if self.shard_backend is not None and config.shard_backend is None:
-            updates["shard_backend"] = self.shard_backend
-        return replace(config, **updates) if updates else config
+        return replace(config, jobs=self.jobs) if config.jobs == 1 else config
 
     def _run_serial(self, ctx: PipelineContext, result: PipelineResult) -> None:
         for pass_ in self.passes:

@@ -1,9 +1,9 @@
-"""The persistent warm worker pool behind the sharded engines.
+"""The persistent warm worker pool every parallel engine runs on.
 
-Every ``sharded_*`` call used to spin up a fresh ``ProcessPoolExecutor``,
-re-pickle the netlist + job state into every worker and tear the pool down
-again — fatal once a Session (or the analysis service) runs many rounds
-against the same design.  :class:`WorkerPool` amortizes all of it:
+Spinning up fresh workers per call, re-pickling the netlist + job state
+into every worker and tearing them down again is fatal once a Session (or
+the analysis service) runs many rounds against the same design.
+:class:`WorkerPool` amortizes all of it:
 
 workers start once
     A pool owns N long-lived worker processes (``fork`` where available,
@@ -11,15 +11,13 @@ workers start once
     daemonic and die with the parent.
 
 content-addressed installs
-    Job state is installed into workers once per *content key* — the
-    promotion of the old ``_install_job`` run-token mechanism in
-    :mod:`repro.simulation.sharded` into a durable cache keyed like
-    :mod:`repro.store` (sha256 over the netlist signature plus the job
-    configuration).  The netlist itself is installed under its own
-    ``net:<signature>`` key and jobs cross the pipe with a
-    :class:`_NetlistRef` in its place, so ten jobs against one design ship
-    the design once.  Pattern data crosses the pipe pickled inside the
-    job, once per install.
+    Job state is installed into workers once per *content key* — a
+    durable cache keyed like :mod:`repro.store` (sha256 over the netlist
+    signature plus the job configuration).  The netlist itself is
+    installed under its own ``net:<signature>`` key and jobs cross the
+    pipe with a :class:`_NetlistRef` in its place, so ten jobs against
+    one design ship the design once.  Pattern data crosses the pipe
+    pickled inside the job, once per install.
 
 parent-side work stealing
     Tasks are dispatched dynamically: the parent keeps a shared deque of
@@ -35,11 +33,12 @@ graceful degradation
     event instead of the round hanging.
 
 Determinism note: the pool never reorders *verdict-relevant* work — the
-schedulers built on top (:mod:`repro.runtime.scheduler` and the pooled
-paths of :mod:`repro.simulation.sharded`) keep each fault in exactly one
-chunk and walk that chunk's pattern windows in order, which is what keeps
-results byte-identical to serial under any steal order.  ``jitter_seed``
-injects deterministic per-task delays to let tests sweep interleavings.
+schedulers built on top (:mod:`repro.runtime.scheduler` and the engines
+of :mod:`repro.simulation.sharded`) keep each fault in exactly one chunk
+and walk that chunk's pattern windows in order inside one task, which is
+what keeps results byte-identical to serial under any steal order.
+``jitter_seed`` injects deterministic per-task delays to let tests sweep
+interleavings.
 """
 
 from __future__ import annotations
@@ -58,9 +57,6 @@ from multiprocessing import connection as mp_connection
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Set,
                     Tuple)
 
-#: Pool lifecycle modes accepted by the ``pool=`` knob everywhere.
-POOL_MODES = ("ephemeral", "persistent")
-
 #: Worker-side job-state cache bound (content keys, LRU).
 DEFAULT_JOB_CACHE = 8
 
@@ -78,18 +74,6 @@ class WorkerTaskError(RuntimeError):
 
 class PoolClosedError(RuntimeError):
     """The pool was shut down; build a fresh one (see :func:`get_pool`)."""
-
-
-def resolve_pool_mode(pool: object) -> Optional[str]:
-    """Validate a pool spec string; ``None`` stays None (ephemeral path)."""
-    if pool is None or isinstance(pool, WorkerPool):
-        return pool  # type: ignore[return-value]
-    name = str(pool).strip().lower()
-    if name not in POOL_MODES:
-        known = ", ".join(POOL_MODES)
-        raise ValueError(
-            f"unknown pool mode {pool!r}; expected one of: {known}")
-    return name
 
 
 class _NetlistRef:
@@ -192,10 +176,8 @@ class _RunHandle:
     """One scheduling session over an installed job key.
 
     ``submit`` enqueues ``(method, task)`` chunks; :meth:`results` yields
-    ``(tag, task, result)`` as workers complete them — and keeps yielding
-    for tasks submitted *from inside* the loop, which is how the pooled
-    window drivers pipeline a chunk's next round as soon as its current
-    one merges.
+    ``(tag, task, result)`` as workers complete them, including tasks
+    submitted *from inside* the loop.
     """
 
     def __init__(self, pool: "WorkerPool", key: str) -> None:
@@ -598,10 +580,22 @@ class _PoolSession:
 
 
 # --------------------------------------------------------------------- #
-# the process-global pool registry (what ``pool="persistent"`` resolves to)
+# the process-global pool registry (what ``jobs > 1`` resolves to)
 # --------------------------------------------------------------------- #
 _POOLS: Dict[Tuple[str, int], WorkerPool] = {}
 _POOLS_LOCK = threading.Lock()
+
+
+def _forget_inherited_pools() -> None:
+    """After a fork, the child must never drive the parent's pools: their
+    pipes and workers belong to the parent."""
+    global _POOLS_LOCK
+    _POOLS.clear()
+    _POOLS_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_inherited_pools)
 
 
 def get_pool(workers: Optional[int] = None,
@@ -609,12 +603,16 @@ def get_pool(workers: Optional[int] = None,
     """The shared persistent pool for ``(start_method, workers)``.
 
     Owned by the process (one registry per interpreter, shut down at
-    exit): every Session and every service job asking for the same shape
-    re-uses the same warm workers and their installed state.
+    exit, emptied in a forked child): every Session and every service job
+    asking for the same shape re-uses the same warm workers and their
+    installed state.  ``start_method`` defaults to
+    ``REPRO_POOL_START_METHOD``, else ``fork`` where available.
     """
     if workers is None:
         workers = max(1, os.cpu_count() or 1)
     workers = max(1, int(workers))
+    if start_method is None:
+        start_method = os.environ.get("REPRO_POOL_START_METHOD") or None
     if start_method is None:
         methods = multiprocessing.get_all_start_methods()
         start_method = "fork" if "fork" in methods else "spawn"

@@ -1,11 +1,9 @@
 """Cone-affine chunk construction for the work-stealing fault scheduler.
 
-The static partitioner (:func:`repro.simulation.sharded.partition_faults`)
-cuts the population into one slice per worker before the run starts; a
-worker that draws a monster cone then strands the rest of the pool behind
-it.  The pooled paths instead cut the population into many *small* chunks
-pulled dynamically from the parent's deque (:mod:`repro.runtime.pool`), so
-load balance emerges at runtime:
+Every parallel engine (:mod:`repro.simulation.sharded`) cuts the fault
+population into many *small* chunks, runs each chunk as one task and lets
+idle workers pull the next chunk from the parent's deque
+(:mod:`repro.runtime.pool`), so load balance emerges at runtime:
 
 - faults sharing a fanout cone stay in one chunk (cone affinity — the
   workers' per-window good-machine memo and cone walks stay hot);
@@ -18,7 +16,7 @@ load balance emerges at runtime:
   matter which worker steals which chunk.
 
 Chunks are tuples of *positions* into the caller's fault list, ascending
-within each chunk (matching the shard convention).
+within each chunk.
 """
 
 from __future__ import annotations
@@ -34,6 +32,22 @@ from repro.simulation.fault_sim import resolve_site
 #: A fault whose estimated per-fault cost is this many times the population
 #: mean is scheduled as its own singleton chunk, ahead of everything else.
 MONSTER_RATIO = 8
+
+
+def cone_representative(compiled: CompiledNetlist, site: Tuple) -> int:
+    """The stem net whose fanout cone a resolved fault site perturbs.
+
+    ``-1`` for inert/phantom sites (no cone at all).  Faults with the same
+    representative share their simulation cone, which is why
+    :func:`build_chunks` keeps them in one chunk.
+    """
+    if site[0] == "net":
+        return site[1]
+    if site[0] == "branch":
+        for out in compiled.op_fanout[site[1]]:
+            if out >= 0:
+                return out
+    return -1
 
 
 def default_chunk_size(workers: int, n_items: int) -> int:
@@ -58,8 +72,6 @@ def build_chunks(netlist: Netlist, faults: Iterable[Fault],
     descending estimated cost).  Every position appears in exactly one
     chunk.
     """
-    from repro.simulation.sharded import cone_representative
-
     fault_list = list(faults)
     if not fault_list:
         return []

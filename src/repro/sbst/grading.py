@@ -19,6 +19,7 @@ from repro.faults.faultlist import FaultList, generate_fault_list
 from repro.netlist.module import Netlist
 from repro.sbst.monitor import CapturedPatterns, pattern_windows
 from repro.simulation.parallel import ParallelPatternSimulator
+from repro.simulation.sharded import resolve_jobs, sharded_mission_grade
 from repro.simulation.simulator import MISSION_CAPTURE_ROLES
 
 
@@ -58,22 +59,18 @@ class FaultGrader:
     simulation for all subsequent windows — the same speed-up the serial
     :class:`~repro.simulation.fault_sim.FaultSimulator` applies per pattern.
 
-    ``jobs`` > 1 switches :meth:`grade` to the cone-aware sharded engine
-    (:mod:`repro.simulation.sharded`): the fault population is partitioned
-    into cone-aware shards graded across worker processes/threads, with
-    per-window verdicts merged through a shared detection frontier.  The
-    detected-fault set is identical to the serial path; ``backend`` and
-    ``shards`` tune how the shards run (defaults: best available backend,
-    four shards per worker).
+    ``jobs`` > 1 (or an injected :class:`~repro.runtime.WorkerPool` as
+    ``pool``) switches :meth:`grade` to the pooled engine
+    (:mod:`repro.simulation.sharded`): the fault population is cut into
+    cone-affine chunks, each graded over every pattern window by one
+    worker task.  The detected-fault set is identical to the serial path.
     """
 
     def __init__(self, netlist: Netlist, observe_state_inputs: bool = True,
                  word_size: int = 64, drop_detected: bool = True,
-                 jobs: int = 1, backend: Optional[str] = None,
-                 shards: Optional[int] = None,
+                 jobs: int = 1,
                  fault_model: "Union[str, FaultModel, None]" = None,
-                 pool=None,
-                 chunk: Optional[int] = None) -> None:
+                 pool=None) -> None:
         # Mission-mode observation: the system-bus outputs plus the values
         # captured into the architectural state (a captured error eventually
         # propagates to memory over the following cycles of the self-test
@@ -83,11 +80,8 @@ class FaultGrader:
         self.netlist = netlist
         self.word_size = word_size
         self.drop_detected = drop_detected
-        self.jobs = max(1, jobs if jobs is not None else 1)
-        self.backend = backend
-        self.shards = shards
+        self.jobs = resolve_jobs(1 if jobs is None else jobs, cap=False)
         self.pool = pool
-        self.chunk = chunk
         #: Model used to enumerate the default fault universe when a grade
         #: call does not bring its own fault list.
         self.fault_model = resolve_fault_model(fault_model)
@@ -120,14 +114,11 @@ class FaultGrader:
                           else generate_fault_list(
                               self.netlist, model=self.fault_model).faults())
         if self.jobs > 1 or self.pool is not None:
-            from repro.simulation.sharded import sharded_mission_grade
-
             return sharded_mission_grade(
                 self.netlist, fault_universe, patterns,
                 observation_nets=self.simulator.observation_nets,
                 word_size=self.word_size, drop_detected=self.drop_detected,
-                jobs=self.jobs, backend=self.backend, shards=self.shards,
-                pool=self.pool, chunk=self.chunk)
+                jobs=self.jobs, pool=self.pool)
         windows = pattern_windows(patterns, self.word_size)
         return self.simulator.run_windows(fault_universe, windows,
                                           drop_detected=self.drop_detected)

@@ -178,8 +178,7 @@ class JobManager:
             # Land every write-behind store publication before the process
             # that asked us to shut down inspects the store.
             await self._loop.run_in_executor(None, self.session.cache.flush)
-            # Release the parallel runtime: the session's persistent sweep
-            # executor and every warm sharded-engine worker pool.  Jobs
+            # Release the parallel runtime: every warm worker pool.  Jobs
             # re-warm lazily if the service is ever restarted in-process.
             closer = getattr(self.session, "close", None)
             if callable(closer):

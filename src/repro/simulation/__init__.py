@@ -5,8 +5,7 @@ from repro.simulation.sequential import SequentialSimulator
 from repro.simulation.fault_sim import FaultSimulator, FaultSimResult
 from repro.simulation.kernels import kernel_info
 from repro.simulation.parallel import ParallelPatternSimulator
-from repro.simulation.sharded import (DetectionFrontier, FaultShard,
-                                      ShardedFaultSimulator, partition_faults,
+from repro.simulation.sharded import (ShardedFaultSimulator,
                                       sharded_classify, sharded_mission_grade)
 
 __all__ = [
@@ -16,9 +15,6 @@ __all__ = [
     "FaultSimResult",
     "ParallelPatternSimulator",
     "ShardedFaultSimulator",
-    "DetectionFrontier",
-    "FaultShard",
-    "partition_faults",
     "sharded_classify",
     "sharded_mission_grade",
     "kernel_info",

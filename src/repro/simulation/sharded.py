@@ -1,56 +1,44 @@
-"""Cone-aware sharded execution over the collapsed fault population.
+"""Cone-aware parallel execution over the collapsed fault population.
 
 The paper's core loop — classify every stuck-at fault of an embedded core
 as on-line functionally untestable or not — is embarrassingly parallel over
-the fault list.  This module partitions a fault population into *shards*
-that respect the circuit structure and runs fault simulation, mission-mode
-fault grading and untestability classification across worker backends:
+the fault list.  This module runs fault simulation, mission-mode fault
+grading and untestability classification on the warm worker pool of
+:mod:`repro.runtime`:
 
-partitioning (:func:`partition_faults`)
-    Faults are grouped by the *cone representative* of their injection
-    site (the stem net whose transitive fanout cone the fault perturbs),
-    so faults sharing a cone always land in the same shard, and the groups
-    are balanced over shards by estimated simulation cost — the memoised
-    fanout-cone size of the representative net
-    (:meth:`~repro.netlist.compiled.CompiledNetlist.fanout_cone_sizes`)
-    times the group population.  Shard assignment is deterministic:
-    identical inputs produce identical shards in identical order.
+chunks
+    The population is cut into small cone-affine chunks
+    (:func:`repro.runtime.build_chunks`): faults sharing a fanout cone stay
+    together, monster cones go first as singletons, and idle workers steal
+    whatever is left.
 
-backends
-    ``serial`` (in-process, the reference), ``thread`` (a thread pool —
-    API parity and overlap, the analyses are pure Python so raw speed-up
-    is limited by the GIL) and ``process`` (a process pool; on platforms
-    with ``fork`` the workers inherit the prepared job state — netlist,
-    compiled IR, resolved fault sites — for free, elsewhere the job is
-    pickled once per worker).
+one task per chunk
+    A chunk is one pool task.  Simulation and grading tasks walk every
+    pattern window of their chunk in order and drop detected faults as
+    they go; dropping never needs to cross a chunk, because each fault
+    lives in exactly one.
 
-detection frontier (:class:`DetectionFrontier`)
-    Per-shard detection verdicts merge through a shared frontier after
-    every pattern-window round.  Fault dropping therefore keeps pruning
-    work across shards and rounds: a fault detected in round *k* is never
-    re-simulated in round *k+1*, a drained shard stops being dispatched,
-    and the whole run stops as soon as every fault is detected.
+pools
+    ``jobs > 1`` runs on the injected :class:`~repro.runtime.WorkerPool`,
+    or else on the process-global registry pool ``get_pool(jobs)``.  Fork
+    (copy-on-write) versus spawn start is the pool's start method
+    (``REPRO_POOL_START_METHOD``), not a separate code path.
 
 detection
     Workers run the same event-driven cone walks as the serial engines
     (:mod:`repro.simulation.kernels`), so detection results — and the
     recorded detecting patterns — stay **byte-identical** to the serial
     :class:`~repro.simulation.fault_sim.FaultSimulator` and
-    :class:`~repro.sbst.grading.FaultGrader` paths, which the golden
-    scenario corpus enforces end-to-end in CI.
+    :class:`~repro.sbst.grading.FaultGrader` paths whatever order workers
+    steal chunks in, which the golden scenario corpus enforces end-to-end
+    in CI.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import time
-import multiprocessing
 import os
-import threading
+import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Set,
                     Tuple)
 
@@ -65,9 +53,6 @@ from repro.simulation.parallel import (compute_good_words,
                                        pair_allowed_words, word_program)
 from repro.simulation.simulator import plane_program
 from repro.utils.bitvec import mask as bitmask
-
-#: Backend names accepted by every sharded entry point.
-SHARD_BACKENDS = ("serial", "thread", "process")
 
 _oversubscribe_warned = False
 
@@ -106,164 +91,25 @@ def _reset_oversubscription_warning() -> None:
     _oversubscribe_warned = False
 
 
-def resolve_backend(backend: Optional[str], jobs: int) -> str:
-    """Pick/validate a shard backend; ``None`` selects the best available."""
-    if backend is None:
-        if jobs <= 1:
-            return "serial"
-        return ("process"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else "thread")
-    name = str(backend).strip().lower()
-    if name not in SHARD_BACKENDS:
-        known = ", ".join(SHARD_BACKENDS)
-        raise ValueError(
-            f"unknown shard backend {backend!r}; expected one of: {known}")
-    return name
-
-
-def _resolve_pool(pool, jobs: int):
-    """Map the ``pool`` knob onto a live worker pool, or ``None``.
-
-    ``None``/``"ephemeral"`` select the legacy per-call :class:`_ShardRunner`;
-    ``"persistent"`` resolves to the process-global registry pool for this
-    worker count (honouring ``REPRO_POOL_START_METHOD`` so CI can force
-    ``spawn``); a :class:`~repro.runtime.pool.WorkerPool` instance is used
-    as-is.  When a pool is selected it *is* the execution backend — the
-    ``backend`` knob only governs the ephemeral path.
-    """
-    from repro.runtime.pool import WorkerPool, get_pool, resolve_pool_mode
-
-    if isinstance(pool, WorkerPool):
+def _pool_for(pool, jobs: Optional[int]):
+    """The injected pool, else the registry pool for ``jobs`` workers."""
+    if pool is not None:
         return pool
-    mode = resolve_pool_mode(pool)
-    if mode == "persistent":
-        return get_pool(jobs,
-                        os.environ.get("REPRO_POOL_START_METHOD") or None)
-    return None
+    from repro.runtime import get_pool
+
+    return get_pool(resolve_jobs(jobs))
 
 
-# --------------------------------------------------------------------- #
-# cone-aware partitioning
-# --------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class FaultShard:
-    """One deterministic slice of the fault population."""
-
-    index: int
-    faults: Tuple[Fault, ...]
-    cost: int
-
-
-def cone_representative(compiled: CompiledNetlist, site: Tuple) -> int:
-    """The stem net whose fanout cone a resolved fault site perturbs.
-
-    ``-1`` for inert/phantom sites (no cone at all).  Faults with the same
-    representative share their simulation cone, which is why the
-    partitioner keeps them in one shard.
-    """
-    if site[0] == "net":
-        return site[1]
-    if site[0] == "branch":
-        for out in compiled.op_fanout[site[1]]:
-            if out >= 0:
-                return out
-    return -1
-
-
-def partition_faults(netlist: Netlist, faults: Iterable[Fault],
-                     n_shards: int,
-                     compiled: Optional[CompiledNetlist] = None
-                     ) -> List[FaultShard]:
-    """Split ``faults`` into at most ``n_shards`` cone-aware shards.
-
-    Faults are grouped by cone representative, the groups are balanced
-    over shards greedily by descending estimated cost (cone size x group
-    population, longest-processing-time first), and every shard lists its
-    faults in the original population order.  The result is deterministic
-    for a given (netlist, fault order, shard count).
-    """
-    fault_list = list(faults)
-    if compiled is None:
-        compiled = get_compiled(netlist)
-    n_shards = max(1, int(n_shards))
-    if n_shards == 1 or len(fault_list) <= 1:
-        return [FaultShard(0, tuple(fault_list), len(fault_list))]
-
-    sizes = compiled.fanout_cone_sizes()
-    groups: Dict[int, List[int]] = {}
-    for position, fault in enumerate(fault_list):
-        rep = cone_representative(compiled, resolve_site(compiled, fault))
-        groups.setdefault(rep, []).append(position)
-
-    def group_cost(rep: int, members: List[int]) -> int:
-        per_fault = sizes[rep] + 1 if rep >= 0 else 1
-        return per_fault * len(members)
-
-    ordered = sorted(groups.items(),
-                     key=lambda item: (-group_cost(*item), item[0]))
-    n_shards = min(n_shards, len(ordered))
-    loads = [(0, index) for index in range(n_shards)]
-    heapq.heapify(loads)
-    bins: List[List[int]] = [[] for _ in range(n_shards)]
-    bin_costs = [0] * n_shards
-    for rep, members in ordered:
-        load, index = heapq.heappop(loads)
-        bins[index].extend(members)
-        cost = group_cost(rep, members)
-        bin_costs[index] += cost
-        heapq.heappush(loads, (load + cost, index))
-
-    shards = []
-    for index, members in enumerate(bins):
-        if not members:
-            continue
-        members.sort()
-        shards.append(FaultShard(len(shards),
-                                 tuple(fault_list[p] for p in members),
-                                 bin_costs[index]))
-    return shards
-
-
-# --------------------------------------------------------------------- #
-# the shared detection frontier
-# --------------------------------------------------------------------- #
-class DetectionFrontier:
-    """Merge point for per-shard detection verdicts.
-
-    Shards publish ``fault -> detecting pattern index`` entries after each
-    round; the scheduler prunes every later round against the published
-    set — fault dropping survives shard boundaries because the drop
-    decision is taken here, not inside a worker — and stops dispatching
-    drained shards.  Thread-safe, so a live thread backend and the merging
-    scheduler can share one instance.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._detected: Dict[Fault, int] = {}
-
-    def publish(self, fault: Fault, pattern_index: int) -> None:
-        with self._lock:
-            self._detected[fault] = pattern_index
-
-    def publish_many(self,
-                     items: Iterable[Tuple[Fault, int]]) -> None:
-        with self._lock:
-            self._detected.update(items)
-
-    def __contains__(self, fault: Fault) -> bool:
-        with self._lock:
-            return fault in self._detected
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._detected)
-
-    def detected(self) -> Dict[Fault, int]:
-        """Snapshot of every published verdict."""
-        with self._lock:
-            return dict(self._detected)
+def _fan_out(pool, key: str, method: str, tasks: Sequence) -> List:
+    """Run ``job.method(task)`` once per task on the pool; results come
+    back in task order, whichever worker finished first."""
+    outcomes: List = [None] * len(tasks)
+    with pool.session(key) as run:
+        for index, task in enumerate(tasks):
+            run.submit(method, task, tag=index)
+        for index, _task, outcome in run.results():
+            outcomes[index] = outcome
+    return outcomes
 
 
 # --------------------------------------------------------------------- #
@@ -272,22 +118,21 @@ class DetectionFrontier:
 class _ShardJob:
     """Base class for worker-side job state.
 
-    A job carries everything a worker needs (netlist, shard fault tuples,
-    patterns, observation config).  Heavy derived state — the compiled IR,
-    evaluator programs, resolved fault sites, per-window good machines —
-    is built by :meth:`prepare` and **excluded from pickling**: workers on
-    a fork backend inherit it from the parent for free, spawn/pickle
-    workers rebuild it lazily on first use.
+    A job carries everything a worker needs (netlist, the fault tuple,
+    patterns, observation config); tasks address faults by position.
+    Heavy derived state — the compiled IR, evaluator programs, resolved
+    fault sites, per-window good machines — is built by :meth:`prepare`
+    and **excluded from pickling**: workers rebuild it lazily on first
+    use.
     """
 
     _RUNTIME_ATTRS = ("_prepared", "_compiled", "_program", "_obs_flags",
                       "_sites", "_specs", "_window_memo")
 
-    def __init__(self, netlist: Netlist,
-                 shards: Tuple[Tuple[Fault, ...], ...],
+    def __init__(self, netlist: Netlist, faults: Tuple[Fault, ...],
                  observation_nets: frozenset) -> None:
         self.netlist = netlist
-        self.shards = shards
+        self.faults = faults
         self.observation_nets = observation_nets
         self._prepared = False
 
@@ -311,14 +156,10 @@ class _ShardJob:
         self._compiled = compiled
         self._obs_flags = obs_flags
         self._program = self._build_program(compiled)
-        self._sites = {
-            fault: resolve_site(compiled, fault)
-            for shard in self.shards for fault in shard
-        }
-        self._specs = {
-            fault: resolve_injection(fault)
-            for shard in self.shards for fault in shard
-        }
+        self._sites = {fault: resolve_site(compiled, fault)
+                       for fault in self.faults}
+        self._specs = {fault: resolve_injection(fault)
+                       for fault in self.faults}
         self._window_memo: Dict[int, tuple] = {}
         self._prepared = True
 
@@ -327,12 +168,12 @@ class _ShardJob:
 
 
 class _PlaneSimJob(_ShardJob):
-    """Sharded counterpart of ``FaultSimulator.run`` (three-valued planes)."""
+    """Pooled counterpart of ``FaultSimulator.run`` (three-valued planes)."""
 
-    def __init__(self, netlist: Netlist, shards, observation_nets,
+    def __init__(self, netlist: Netlist, faults, observation_nets,
                  patterns: Sequence[Mapping[str, int]],
                  word_size: int) -> None:
-        super().__init__(netlist, shards, observation_nets)
+        super().__init__(netlist, faults, observation_nets)
         self.patterns = list(patterns)
         self.word_size = word_size
 
@@ -348,41 +189,53 @@ class _PlaneSimJob(_ShardJob):
             self._window_memo[start] = memo
         return memo
 
-    def run_window(self, task):
-        """task = (shard id, fault positions, window start) ->
-        (shard id, [(fault position, detection mask), ...])."""
-        shard_id, positions, start = task
+    def run_chunk(self, task):
+        """task = (fault positions, drop) -> [(position, pattern index)].
+
+        Walks every pattern window in order.  With ``drop`` a fault leaves
+        the chunk at its first detecting pattern; without it the fault
+        keeps simulating and its *last* detecting pattern wins, like the
+        serial engine.
+        """
+        positions, drop = task
         self.prepare()
-        g1, g0, frozen, mask = self._window_planes(start)
-        shard = self.shards[shard_id]
-        sites = self._sites
-        specs = self._specs
-        prev_planes = None  # previous window's (g1, g0, width), lazily built
-        hits = []
-        for position in positions:
-            fault = shard[position]
-            spec = specs[fault]
-            det = detect_mask_planes(self._compiled, self._program,
-                                     sites[fault], spec.stuck_value, g1, g0,
-                                     frozen, mask, self._obs_flags)
-            if det and spec.frames > 1:
-                if prev_planes is None and start > 0:
-                    p1, p0, _, _ = self._window_planes(
-                        start - self.word_size)
-                    prev_planes = (p1, p0, self.word_size)
-                det &= pair_allowed_mask(self._compiled, sites[fault], spec,
-                                         g1, g0, mask, prev=prev_planes)
-            if det:
-                hits.append((position, det))
-        return shard_id, hits
+        faults, sites, specs = self.faults, self._sites, self._specs
+        found: Dict[int, int] = {}
+        remaining = list(positions)
+        prev_planes = None  # previous window's (g1, g0, width)
+        for start in range(0, len(self.patterns), self.word_size):
+            if not remaining:
+                break
+            g1, g0, frozen, mask = self._window_planes(start)
+            survivors = []
+            for position in remaining:
+                fault = faults[position]
+                spec = specs[fault]
+                det = detect_mask_planes(self._compiled, self._program,
+                                         sites[fault], spec.stuck_value, g1,
+                                         g0, frozen, mask, self._obs_flags)
+                if det and spec.frames > 1:
+                    det &= pair_allowed_mask(self._compiled, sites[fault],
+                                             spec, g1, g0, mask,
+                                             prev=prev_planes)
+                if not det:
+                    survivors.append(position)
+                elif drop:
+                    found[position] = start + (det & -det).bit_length() - 1
+                else:
+                    found[position] = start + det.bit_length() - 1
+                    survivors.append(position)
+            remaining = survivors
+            prev_planes = (g1, g0, self.word_size)
+        return list(found.items())
 
 
 class _WordGradeJob(_ShardJob):
-    """Sharded counterpart of ``FaultGrader.grade`` (two-valued words)."""
+    """Pooled counterpart of ``FaultGrader.grade`` (two-valued words)."""
 
-    def __init__(self, netlist: Netlist, shards, observation_nets,
+    def __init__(self, netlist: Netlist, faults, observation_nets,
                  windows: Sequence[Tuple[Mapping[str, int], int]]) -> None:
-        super().__init__(netlist, shards, observation_nets)
+        super().__init__(netlist, faults, observation_nets)
         self.windows = list(windows)
 
     def _build_program(self, compiled: CompiledNetlist):
@@ -397,52 +250,59 @@ class _WordGradeJob(_ShardJob):
             self._window_memo[window_index] = memo
         return memo
 
-    def run_window(self, task):
-        """task = (shard id, fault positions, window index) ->
-        (shard id, [fault position, ...])."""
-        shard_id, positions, window_index = task
+    def run_chunk(self, task):
+        """task = (fault positions, drop) -> detected positions.
+
+        Walks every pattern window in order; with ``drop`` a detected
+        fault leaves the chunk for all later windows.
+        """
+        positions, drop = task
         self.prepare()
-        good, word_mask = self._window_words(window_index)
-        shard = self.shards[shard_id]
-        sites = self._sites
-        specs = self._specs
-        prev = None  # previous window's (good words, width), lazily built
-        hits = []
-        for position in positions:
-            fault = shard[position]
-            spec = specs[fault]
-            allowed = None
-            if spec.frames > 1:
-                if prev is None and window_index > 0:
-                    prev_good, _ = self._window_words(window_index - 1)
-                    prev = (prev_good, self.windows[window_index - 1][1])
-                allowed = pair_allowed_words(self._compiled, sites[fault],
-                                             spec, good, word_mask,
-                                             prev=prev)
-            if detects_words(self._compiled, self._program, sites[fault],
-                             spec.stuck_value, good, word_mask,
-                             self._obs_flags, allowed):
-                hits.append(position)
-        return shard_id, hits
+        faults, sites, specs = self.faults, self._sites, self._specs
+        detected: Set[int] = set()
+        remaining = list(positions)
+        prev = None  # previous window's (good words, width)
+        for window_index in range(len(self.windows)):
+            if not remaining:
+                break
+            good, word_mask = self._window_words(window_index)
+            survivors = []
+            for position in remaining:
+                fault = faults[position]
+                spec = specs[fault]
+                allowed = None
+                if spec.frames > 1:
+                    allowed = pair_allowed_words(self._compiled,
+                                                 sites[fault], spec, good,
+                                                 word_mask, prev=prev)
+                if detects_words(self._compiled, self._program, sites[fault],
+                                 spec.stuck_value, good, word_mask,
+                                 self._obs_flags, allowed):
+                    detected.add(position)
+                    if drop:
+                        continue
+                survivors.append(position)
+            remaining = survivors
+            prev = (good, self.windows[window_index][1])
+        return sorted(detected)
 
 
 class _DetectClassifyJob:
-    """Sharded detection phases (random patterns + PODEM) of the engine.
+    """Pooled detection phases (random patterns + PODEM) of the engine.
 
-    The netlist-global tied-value fixpoint runs *once* in the scheduler;
+    The netlist-global tied-value fixpoint runs *once* in the driver;
     workers only see the faults it left unclassified and run the strictly
-    per-fault detection phases on their shard.
+    per-fault detection phases on their chunk.  Fault chunks ride inside
+    each task, so one installed job (keyed by configuration only) serves
+    every fault subset of the same netlist — warm re-use across calls.
     """
 
-    def __init__(self, netlist: Netlist,
-                 shards: Tuple[Tuple[Fault, ...], ...],
-                 effort, random_patterns: int, backtrack_limit: int,
-                 seed: int, static_prune: bool = True,
+    def __init__(self, netlist: Netlist, effort, random_patterns: int,
+                 backtrack_limit: int, seed: int, static_prune: bool = True,
                  static_learning: bool = True,
                  atpg_backend: Optional[str] = None,
                  atpg_seed: Optional[int] = None) -> None:
         self.netlist = netlist
-        self.shards = shards
         self.effort = effort
         self.random_patterns = random_patterns
         self.backtrack_limit = backtrack_limit
@@ -452,151 +312,29 @@ class _DetectClassifyJob:
         self.atpg_backend = atpg_backend
         self.atpg_seed = atpg_seed
 
-    def prepare(self) -> None:
-        # The phases build their own derived state; compiling the netlist
-        # here lets fork workers inherit the shared IR.
-        get_compiled(self.netlist)
-
-    def __getstate__(self):
-        return self.__dict__.copy()
-
-    def run_shard(self, task):
-        """task = (shard id,) -> (shard id, classifications, phase
-        runtimes, stats, patterns)."""
+    def run_faults(self, chunk_faults):
+        """A fault tuple -> (classifications, phase runtimes, stats,
+        patterns)."""
         from repro.atpg.engine import run_detection_phases
 
-        (shard_id,) = task
-        classifications, phase_runtimes, stats, patterns = \
-            run_detection_phases(
-                self.netlist, list(self.shards[shard_id]), self.effort,
-                random_patterns=self.random_patterns,
-                backtrack_limit=self.backtrack_limit, seed=self.seed,
-                static_prune=self.static_prune,
-                static_learning=self.static_learning,
-                atpg_backend=self.atpg_backend, atpg_seed=self.atpg_seed)
-        return shard_id, classifications, phase_runtimes, stats, patterns
+        return run_detection_phases(
+            self.netlist, list(chunk_faults), self.effort,
+            random_patterns=self.random_patterns,
+            backtrack_limit=self.backtrack_limit, seed=self.seed,
+            static_prune=self.static_prune,
+            static_learning=self.static_learning,
+            atpg_backend=self.atpg_backend, atpg_seed=self.atpg_seed)
 
-    def run_faults(self, task):
-        """task = (chunk id, fault tuple) -> same shape as :meth:`run_shard`.
-
-        The work-stealing pool ships fault chunks inside the task instead
-        of baking shard slices into the installed job, so one installed
-        job (keyed by configuration only) serves every fault subset of the
-        same netlist — warm re-use across calls.
-        """
-        from repro.atpg.engine import run_detection_phases
-
-        chunk_id, chunk_faults = task
-        classifications, phase_runtimes, stats, patterns = \
-            run_detection_phases(
-                self.netlist, list(chunk_faults), self.effort,
-                random_patterns=self.random_patterns,
-                backtrack_limit=self.backtrack_limit, seed=self.seed,
-                static_prune=self.static_prune,
-                static_learning=self.static_learning,
-                atpg_backend=self.atpg_backend, atpg_seed=self.atpg_seed)
-        return chunk_id, classifications, phase_runtimes, stats, patterns
-
-    def run_escalation(self, task):
-        """task = (shard id, fault tuple) — one slice of the merged abort
-        frontier -> (shard id, improvements, patterns, runtimes, stats)."""
+    def run_escalation(self, chunk_faults):
+        """One slice of the merged abort frontier -> (improvements,
+        patterns, phase runtimes, stats)."""
         from repro.atpg.engine import run_escalation_phase
 
-        shard_id, shard_faults = task
-        improvements, patterns, phase_runtimes, stats = run_escalation_phase(
-            self.netlist, list(shard_faults),
+        return run_escalation_phase(
+            self.netlist, list(chunk_faults),
             backtrack_limit=self.backtrack_limit, seed=self.seed,
             static_learning=self.static_learning,
             atpg_backend=self.atpg_backend, atpg_seed=self.atpg_seed)
-        return shard_id, improvements, patterns, phase_runtimes, stats
-
-
-# --------------------------------------------------------------------- #
-# backend plumbing
-# --------------------------------------------------------------------- #
-#: Worker-side registry of installed jobs, keyed by a run token.  On a
-#: fork backend the parent installs the job *before* the pool exists, so
-#: children inherit it; on spawn backends the pool initializer installs a
-#: pickled copy once per worker.
-_WORKER_JOBS: Dict[int, object] = {}
-_JOB_TOKENS = itertools.count(1)
-
-
-def _install_job(token: int, job: object) -> None:
-    _WORKER_JOBS[token] = job
-
-
-def _invoke_worker(token: int, method: str, task) -> object:
-    return getattr(_WORKER_JOBS[token], method)(task)
-
-
-class _ShardRunner:
-    """Maps job methods over task batches on the configured backend."""
-
-    def __init__(self, backend: str, jobs: int) -> None:
-        self.backend = backend
-        self.jobs = max(1, jobs)
-        self._pool = None
-        self._token: Optional[int] = None
-        self._job = None
-
-    def start(self, job) -> "_ShardRunner":
-        job.prepare()
-        self._job = job
-        if self.backend == "process":
-            self._token = next(_JOB_TOKENS)
-            methods = multiprocessing.get_all_start_methods()
-            if "fork" in methods:
-                # Install before the pool forks: children inherit the
-                # prepared job (netlist, compiled IR, sites) copy-on-write.
-                _install_job(self._token, job)
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.jobs,
-                    mp_context=multiprocessing.get_context("fork"))
-            else:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.jobs,
-                    initializer=_install_job,
-                    initargs=(self._token, job))
-        elif self.backend == "thread":
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.jobs, thread_name_prefix="repro-shard")
-        return self
-
-    def map(self, method: str, tasks: Sequence) -> List:
-        """Run ``job.method(task)`` for every task; unordered results."""
-        if not tasks:
-            return []
-        if self._pool is None:  # serial
-            bound = getattr(self._job, method)
-            return [bound(task) for task in tasks]
-        if self.backend == "thread":
-            bound = getattr(self._job, method)
-            return list(self._pool.map(bound, tasks))
-        futures = [self._pool.submit(_invoke_worker, self._token, method,
-                                     task)
-                   for task in tasks]
-        return [future.result() for future in futures]
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-        if self._token is not None:
-            _WORKER_JOBS.pop(self._token, None)
-            self._token = None
-        self._job = None
-
-    def __enter__(self) -> "_ShardRunner":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def default_shard_count(jobs: int, n_faults: int) -> int:
-    """Shards per run: a few per worker for balance, never more than faults."""
-    return max(1, min(jobs * 4, n_faults))
 
 
 # --------------------------------------------------------------------- #
@@ -605,22 +343,16 @@ def default_shard_count(jobs: int, n_faults: int) -> int:
 class ShardedFaultSimulator:
     """Drop-in parallel counterpart of :class:`FaultSimulator.run`.
 
-    Partitions the fault population into cone-aware shards and runs the
-    pattern windows as rounds over an executor backend, merging per-shard
-    verdicts through a :class:`DetectionFrontier` after every round.
-    Results — detected/undetected sets *and* the recorded detecting
-    pattern indices, under both fault-dropping modes — are byte-identical
-    to the serial compiled engine.
+    Runs one pool task per cone-affine fault chunk.  Results —
+    detected/undetected sets *and* the recorded detecting pattern
+    indices, under both fault-dropping modes — are byte-identical to the
+    serial compiled engine.
     """
 
     def __init__(self, netlist: Netlist, observe_state_inputs: bool = True,
                  state_input_roles: Optional[Sequence[str]] = None,
                  drop_detected: bool = True, word_size: int = 64, *,
-                 jobs: Optional[int] = None,
-                 backend: Optional[str] = None,
-                 shards: Optional[int] = None,
-                 pool=None,
-                 chunk: Optional[int] = None) -> None:
+                 jobs: Optional[int] = None, pool=None) -> None:
         self.netlist = netlist
         self.observe_state_inputs = observe_state_inputs
         self.state_input_roles = (tuple(state_input_roles)
@@ -628,143 +360,41 @@ class ShardedFaultSimulator:
         self.drop_detected = drop_detected
         self.word_size = word_size
         self.jobs = resolve_jobs(jobs)
-        self.backend = resolve_backend(backend, self.jobs)
-        self.shards = shards
         self.pool = pool
-        self.chunk = chunk
-        self.last_frontier: Optional[DetectionFrontier] = None
 
     def run(self, faults: Iterable[Fault],
             patterns: Sequence[Mapping[str, int]],
             drop_detected: Optional[bool] = None) -> FaultSimResult:
-        drop = self.drop_detected if drop_detected is None else drop_detected
-        fault_list = list(faults)
-        compiled = get_compiled(self.netlist)
-        observation_nets = frozenset(observation_net_names(
-            self.netlist, self.observe_state_inputs, self.state_input_roles))
-        pool_obj = _resolve_pool(self.pool, self.jobs)
-        if pool_obj is not None:
-            return self._run_pooled(pool_obj, fault_list, patterns, drop,
-                                    compiled, observation_nets)
-        n_shards = (self.shards if self.shards is not None
-                    else default_shard_count(self.jobs, len(fault_list)))
-        shards = partition_faults(self.netlist, fault_list, n_shards,
-                                  compiled=compiled)
-        job = _PlaneSimJob(self.netlist,
-                           tuple(shard.faults for shard in shards),
-                           observation_nets, patterns, self.word_size)
-
-        frontier = DetectionFrontier()
-        self.last_frontier = frontier
-        result = FaultSimResult()
-        remaining: List[List[int]] = [list(range(len(shard.faults)))
-                                      for shard in shards]
-
-        with _ShardRunner(self.backend, self.jobs).start(job) as runner:
-            n_patterns = len(patterns)
-            for start in range(0, n_patterns, self.word_size):
-                tasks = [(shard.index, tuple(remaining[shard.index]), start)
-                         for shard in shards if remaining[shard.index]]
-                if not tasks:
-                    break
-                outcomes = sorted(runner.map("run_window", tasks),
-                                  key=lambda item: item[0])
-                for shard_id, hits in outcomes:
-                    shard_faults = shards[shard_id].faults
-                    for position, det in hits:
-                        fault = shard_faults[position]
-                        result.detected.add(fault)
-                        if drop:
-                            # First detecting pattern of the window.
-                            pattern_index = (
-                                start + (det & -det).bit_length() - 1)
-                        else:
-                            # Match the serial reference: keep simulating,
-                            # record the *last* detecting pattern.
-                            pattern_index = start + det.bit_length() - 1
-                        result.detecting_pattern[fault] = pattern_index
-                        frontier.publish(fault, pattern_index)
-                if drop:
-                    # Fault dropping through the frontier: every verdict
-                    # published this round prunes all later rounds.
-                    published = frontier.detected()
-                    for shard in shards:
-                        todo = remaining[shard.index]
-                        if todo:
-                            remaining[shard.index] = [
-                                position for position in todo
-                                if shard.faults[position] not in published]
-        for shard in shards:
-            result.undetected.update(shard.faults[position]
-                                     for position in remaining[shard.index])
-        return result
-
-    def _run_pooled(self, pool, fault_list, patterns, drop, compiled,
-                    observation_nets) -> FaultSimResult:
-        """Work-stealing run over a persistent pool.
-
-        One job (the full fault tuple as a single shard) is installed once
-        per content key; cone-affine chunks pull pattern windows through
-        the pool's deque, and each chunk advances to its next window as
-        soon as its current one merges — fault dropping propagates
-        mid-round instead of at a round barrier.  Each fault lives in
-        exactly one chunk and every chunk walks the windows in order, so
-        verdicts and detecting-pattern indices are byte-identical to
-        serial whatever order workers steal chunks in.
-        """
         from repro.runtime import build_chunks, content_key, default_chunk_size
 
-        fault_tuple = tuple(fault_list)
-        chunk_size = (self.chunk if self.chunk is not None
-                      else default_chunk_size(pool.workers, len(fault_tuple)))
-        chunks = build_chunks(self.netlist, fault_list, chunk_size,
-                              compiled=compiled)
+        drop = self.drop_detected if drop_detected is None else drop_detected
+        fault_tuple = tuple(faults)
+        observation_nets = frozenset(observation_net_names(
+            self.netlist, self.observe_state_inputs, self.state_input_roles))
+        result = FaultSimResult()
+        if not patterns:
+            result.undetected.update(fault_tuple)
+            return result
+        pool = _pool_for(self.pool, self.jobs)
+        chunks = build_chunks(
+            self.netlist, fault_tuple,
+            default_chunk_size(pool.workers, len(fault_tuple)))
         key = content_key("planesim", self.netlist, self.word_size,
                           tuple(sorted(observation_nets)), fault_tuple,
                           list(patterns))
         pool.ensure_job(key, lambda: _PlaneSimJob(
-            self.netlist, (fault_tuple,), observation_nets, patterns,
+            self.netlist, fault_tuple, observation_nets, patterns,
             self.word_size))
-        frontier = DetectionFrontier()
-        self.last_frontier = frontier
-        result = FaultSimResult()
-        n_patterns = len(patterns)
-        remaining = {cid: list(positions)
-                     for cid, positions in enumerate(chunks)}
-        with pool.session(key) as run:
-            for cid, positions in enumerate(chunks):
-                if positions and n_patterns:
-                    run.submit("run_window", (0, tuple(positions), 0),
-                               tag=cid)
-            for cid, task, outcome in run.results():
-                start = task[2]
-                _shard_id, hits = outcome
-                dropped = set()
-                for position, det in hits:
-                    fault = fault_tuple[position]
-                    result.detected.add(fault)
-                    if drop:
-                        # First detecting pattern of the window.
-                        pattern_index = start + (det & -det).bit_length() - 1
-                        dropped.add(position)
-                    else:
-                        # Keep simulating; later windows overwrite with the
-                        # *last* detecting pattern, like the serial engine.
-                        pattern_index = start + det.bit_length() - 1
-                    result.detecting_pattern[fault] = pattern_index
-                    frontier.publish(fault, pattern_index)
-                todo = remaining[cid]
-                if dropped:
-                    todo = [position for position in todo
-                            if position not in dropped]
-                    remaining[cid] = todo
-                next_start = start + self.word_size
-                if todo and next_start < n_patterns:
-                    run.submit("run_window", (0, tuple(todo), next_start),
-                               tag=cid)
-        for todo in remaining.values():
-            result.undetected.update(fault_tuple[position]
-                                     for position in todo)
+        for hits in _fan_out(pool, key, "run_chunk",
+                             [(positions, drop) for positions in chunks]):
+            for position, pattern_index in hits:
+                result.detecting_pattern[fault_tuple[position]] = \
+                    pattern_index
+        result.detected.update(result.detecting_pattern)
+        # Like the serial engine, a no-drop run never retires a fault, so
+        # its undetected set is the whole population.
+        result.undetected.update(fault for fault in fault_tuple
+                                 if not drop or fault not in result.detected)
         return result
 
 
@@ -774,147 +404,38 @@ def sharded_mission_grade(netlist: Netlist, faults: Iterable[Fault],
                           word_size: int = 64,
                           drop_detected: bool = True,
                           jobs: Optional[int] = None,
-                          backend: Optional[str] = None,
-                          shards: Optional[int] = None,
-                          frontier: Optional[DetectionFrontier] = None,
-                          pool=None,
-                          chunk: Optional[int] = None) -> Set[Fault]:
-    """Sharded counterpart of :meth:`repro.sbst.grading.FaultGrader.grade`.
+                          pool=None) -> Set[Fault]:
+    """Pooled counterpart of :meth:`repro.sbst.grading.FaultGrader.grade`.
 
     ``patterns`` is a :class:`~repro.sbst.monitor.CapturedPatterns`-shaped
     object (``cycles`` + ``controllable_nets``); ``observation_nets`` is
     the exact observation-point set of the serial grader, so verdicts are
     identical by construction.  Returns the detected-fault set.
     """
-    fault_list = list(faults)
-    jobs = resolve_jobs(jobs)
-    backend = resolve_backend(backend, jobs)
-    compiled = get_compiled(netlist)
-
+    from repro.runtime import build_chunks, content_key, default_chunk_size
     from repro.sbst.monitor import pattern_windows
 
+    fault_tuple = tuple(faults)
     windows = pattern_windows(patterns, word_size)
-
-    pool_obj = _resolve_pool(pool, jobs)
-    if pool_obj is not None:
-        return _pooled_mission_grade(
-            netlist, fault_list, windows,
-            observation_nets=frozenset(observation_nets),
-            word_size=word_size, drop_detected=drop_detected,
-            frontier=frontier, pool=pool_obj,
-            chunk=chunk, compiled=compiled)
-
-    n_shards = (shards if shards is not None
-                else default_shard_count(jobs, len(fault_list)))
-    fault_shards = partition_faults(netlist, fault_list, n_shards,
-                                    compiled=compiled)
-
-    job = _WordGradeJob(netlist, tuple(shard.faults for shard in fault_shards),
-                        frozenset(observation_nets), windows)
-    frontier = frontier if frontier is not None else DetectionFrontier()
-    detected: Set[Fault] = set()
-    remaining: List[List[int]] = [list(range(len(shard.faults)))
-                                  for shard in fault_shards]
-
-    with _ShardRunner(backend, jobs).start(job) as runner:
-        if drop_detected and len(frontier):
-            # A caller-seeded frontier prunes before the first round too.
-            published = frontier.detected()
-            for shard in fault_shards:
-                remaining[shard.index] = [
-                    position for position in remaining[shard.index]
-                    if shard.faults[position] not in published]
-        for window_index in range(len(windows)):
-            tasks = [(shard.index, tuple(remaining[shard.index]),
-                      window_index)
-                     for shard in fault_shards if remaining[shard.index]]
-            if not tasks:
-                break
-            start = window_index * word_size
-            for shard_id, hits in sorted(runner.map("run_window", tasks),
-                                         key=lambda item: item[0]):
-                if not hits:
-                    continue
-                shard_faults = fault_shards[shard_id].faults
-                detected.update(shard_faults[position] for position in hits)
-                frontier.publish_many(
-                    (shard_faults[position], start) for position in hits)
-            if drop_detected:
-                # Fault dropping through the frontier — including entries a
-                # caller pre-seeded to skip already-detected faults.
-                published = frontier.detected()
-                for shard in fault_shards:
-                    todo = remaining[shard.index]
-                    if todo:
-                        remaining[shard.index] = [
-                            position for position in todo
-                            if shard.faults[position] not in published]
-    return detected
-
-
-def _pooled_mission_grade(netlist: Netlist, fault_list: List[Fault],
-                          windows, *, observation_nets: frozenset,
-                          word_size: int, drop_detected: bool,
-                          frontier: Optional[DetectionFrontier],
-                          pool, chunk: Optional[int],
-                          compiled: CompiledNetlist) -> Set[Fault]:
-    """Work-stealing mission grading over a persistent pool.
-
-    Same chunked-window pipeline as the pooled fault simulator; detections
-    publish ``(fault, window start)`` into the frontier exactly like the
-    sharded path, and a caller-seeded frontier prunes before the first
-    window, so verdicts match the serial grader byte for byte.
-    """
-    from repro.runtime import build_chunks, content_key, default_chunk_size
-
-    fault_tuple = tuple(fault_list)
-    chunk_size = (chunk if chunk is not None
-                  else default_chunk_size(pool.workers, len(fault_tuple)))
-    chunks = build_chunks(netlist, fault_list, chunk_size, compiled=compiled)
+    if not windows:
+        return set()
+    observation_nets = frozenset(observation_nets)
+    pool = _pool_for(pool, jobs)
+    chunks = build_chunks(netlist, fault_tuple,
+                          default_chunk_size(pool.workers, len(fault_tuple)))
     key = content_key("wordgrade", netlist, tuple(sorted(observation_nets)),
                       fault_tuple, list(windows))
     pool.ensure_job(key, lambda: _WordGradeJob(
-        netlist, (fault_tuple,), observation_nets, windows))
-    frontier = frontier if frontier is not None else DetectionFrontier()
+        netlist, fault_tuple, observation_nets, windows))
     detected: Set[Fault] = set()
-    n_windows = len(windows)
-    published = (frontier.detected()
-                 if drop_detected and len(frontier) else {})
-    remaining: Dict[int, List[int]] = {}
-    with pool.session(key) as run:
-        for cid, positions in enumerate(chunks):
-            todo = [position for position in positions
-                    if fault_tuple[position] not in published] \
-                if published else list(positions)
-            remaining[cid] = todo
-            if todo and n_windows:
-                run.submit("run_window", (0, tuple(todo), 0), tag=cid)
-        for cid, task, outcome in run.results():
-            window_index = task[2]
-            _shard_id, hits = outcome
-            todo = remaining[cid]
-            if hits:
-                start = window_index * word_size
-                hit_faults = [fault_tuple[position] for position in hits]
-                detected.update(hit_faults)
-                frontier.publish_many((fault, start)
-                                      for fault in hit_faults)
-                if drop_detected:
-                    hit_set = set(hits)
-                    todo = [position for position in todo
-                            if position not in hit_set]
-                    remaining[cid] = todo
-            next_window = window_index + 1
-            if todo and next_window < n_windows:
-                run.submit("run_window", (0, tuple(todo), next_window),
-                           tag=cid)
+    for hits in _fan_out(pool, key, "run_chunk",
+                         [(positions, drop_detected) for positions in chunks]):
+        detected.update(fault_tuple[position] for position in hits)
     return detected
 
 
 def sharded_classify(netlist: Netlist, faults: Iterable[Fault], *,
                      effort, jobs: Optional[int] = None,
-                     backend: Optional[str] = None,
-                     shards: Optional[int] = None,
                      random_patterns: int = 256,
                      backtrack_limit: int = 200,
                      seed: int = 2013,
@@ -922,26 +443,25 @@ def sharded_classify(netlist: Netlist, faults: Iterable[Fault], *,
                      static_learning: bool = True,
                      atpg_backend: Optional[str] = None,
                      atpg_seed: Optional[int] = None,
-                     pool=None,
-                     chunk: Optional[int] = None):
-    """Classify a fault population across shard workers.
+                     pool=None):
+    """Classify a fault population across pool workers.
 
     The netlist-global tied-value fixpoint runs exactly once, in the
-    calling process (sharding it would repeat the global propagation per
-    shard for no benefit — at TIE effort this function therefore costs
-    the same as the serial engine and spawns no workers at all).  The
+    calling process (parallelising it would repeat the global propagation
+    per chunk for no benefit — at TIE effort this function therefore costs
+    the same as the serial engine and starts no workers at all).  The
     faults it leaves unclassified go through the per-fault detection
     phases (seeded random patterns, the selected ATPG portfolio backend)
-    on cone-aware shards across the worker backend.  Every verdict is
-    batch-independent, so the merged report carries exactly the serial
-    engine's classifications.  ``runtime_seconds`` is wall clock;
-    per-phase runtimes are summed across shards (CPU seconds).
+    in cone-affine chunks on the pool.  Every verdict is batch-independent
+    and results merge in chunk order, so the report carries exactly the
+    serial engine's classifications.  ``runtime_seconds`` is wall clock;
+    per-phase runtimes are summed across chunks (CPU seconds).
 
-    For a backend with an escalation tier (``dalg``) the scheduler merges
-    the per-shard abort frontiers after the primary round, re-partitions
-    the merged frontier and fans out a second escalation round over the
-    same installed job — so a fault aborted in one shard is escalated
-    exactly once, no matter how the primary faults were sliced.
+    For a backend with an escalation tier (``dalg``) the driver merges
+    the per-chunk aborts after the primary round, re-chunks the merged
+    abort frontier and fans it out over the same installed job — so a
+    fault aborted in one chunk is escalated exactly once, no matter how
+    the primary faults were sliced.
     """
     from repro.atpg.engine import (AtpgEffort, UntestabilityReport,
                                    resolve_effort)
@@ -949,10 +469,9 @@ def sharded_classify(netlist: Netlist, faults: Iterable[Fault], *,
     from repro.atpg.portfolio import compact_patterns, resolve_atpg_backend
     from repro.atpg.tie_analysis import TieAnalysis
     from repro.faults.categories import FaultClass
+    from repro.runtime import build_chunks, content_key, default_chunk_size
 
     fault_list = list(faults)
-    jobs = resolve_jobs(jobs)
-    backend = resolve_backend(backend, jobs)
     effort = resolve_effort(effort)
 
     report = UntestabilityReport(effort=effort)
@@ -968,76 +487,57 @@ def sharded_classify(netlist: Netlist, faults: Iterable[Fault], *,
         report.runtime_seconds = time.perf_counter() - start
         return report
 
-    pool_obj = _resolve_pool(pool, jobs)
-    if pool_obj is not None:
-        patterns = _pooled_classify_rounds(
-            netlist, remaining, report, effort=effort,
-            random_patterns=random_patterns,
-            backtrack_limit=backtrack_limit, seed=seed,
-            static_prune=static_prune, static_learning=static_learning,
-            atpg_backend=atpg_backend, atpg_seed=atpg_seed,
-            pool=pool_obj, chunk=chunk)
-        report.stats["jobs_resolved"] = pool_obj.workers
-        if effort is AtpgEffort.FULL and patterns:
-            phase_start = time.perf_counter()
-            order = {fault: i for i, fault in enumerate(remaining)}
-            patterns.sort(key=lambda entry: order[entry[0]])
-            report.patterns, report.compaction = compact_patterns(
-                netlist, patterns)
-            report.phase_runtimes["compaction"] = (time.perf_counter()
-                                                   - phase_start)
-        report.runtime_seconds = time.perf_counter() - start
-        return report
+    pool = _pool_for(pool, jobs)
+    key = content_key("classify", netlist, effort.name, random_patterns,
+                      backtrack_limit, seed, static_prune, static_learning,
+                      atpg_backend, atpg_seed)
+    pool.ensure_job(key, lambda: _DetectClassifyJob(
+        netlist, effort, random_patterns, backtrack_limit, seed,
+        static_prune, static_learning, atpg_backend=atpg_backend,
+        atpg_seed=atpg_seed))
+    restarts_before = pool.stats["worker_restarts"]
 
-    n_shards = (shards if shards is not None
-                else default_shard_count(jobs, len(remaining)))
-    fault_shards = partition_faults(netlist, remaining, n_shards)
-    job = _DetectClassifyJob(netlist,
-                             tuple(shard.faults for shard in fault_shards),
-                             effort, random_patterns, backtrack_limit, seed,
-                             static_prune, static_learning,
-                             atpg_backend=atpg_backend, atpg_seed=atpg_seed)
+    def fan_out(method: str, chunk_faults: List[Fault]) -> List[tuple]:
+        chunks = build_chunks(
+            netlist, chunk_faults,
+            default_chunk_size(pool.workers, len(chunk_faults)))
+        return _fan_out(pool, key, method,
+                        [tuple(chunk_faults[position]
+                               for position in positions)
+                         for positions in chunks])
+
+    def merge(runtimes: Dict[str, float], stats: Dict[str, int]) -> None:
+        for phase, seconds in runtimes.items():
+            report.phase_runtimes[phase] = (
+                report.phase_runtimes.get(phase, 0.0) + seconds)
+        for stat, count in stats.items():
+            report.stats[stat] = report.stats.get(stat, 0) + count
+
     patterns: List[tuple] = []
-    with _ShardRunner(backend, jobs).start(job) as runner:
-        tasks = [(shard.index,) for shard in fault_shards]
-        for (_shard_id, classifications, phase_runtimes, stats,
-             shard_patterns) in sorted(runner.map("run_shard", tasks),
-                                       key=lambda item: item[0]):
-            report.classifications.update(classifications)
-            patterns.extend(shard_patterns)
-            for phase, seconds in phase_runtimes.items():
-                report.phase_runtimes[phase] = (
-                    report.phase_runtimes.get(phase, 0.0) + seconds)
-            for key, count in stats.items():
-                report.stats[key] = report.stats.get(key, 0) + count
+    for (classifications, phase_runtimes, stats,
+         chunk_patterns) in fan_out("run_faults", remaining):
+        report.classifications.update(classifications)
+        patterns.extend(chunk_patterns)
+        merge(phase_runtimes, stats)
 
-        # Second round: merged abort frontier -> escalation tier.  The
-        # frontier is collected in canonical (input) fault order and
-        # re-partitioned, so the load balance adapts to where the aborts
-        # actually landed.
-        if (effort is AtpgEffort.FULL
-                and resolve_atpg_backend(atpg_backend).escalates):
-            frontier = [f for f in remaining
-                        if report.classifications.get(f) is FaultClass.AU]
-            if frontier:
-                esc_shards = partition_faults(
-                    netlist, frontier,
-                    default_shard_count(jobs, len(frontier)))
-                esc_tasks = [(shard.index, shard.faults)
-                             for shard in esc_shards]
-                for (_shard_id, improvements, esc_patterns, esc_runtimes,
-                     esc_stats) in sorted(
-                        runner.map("run_escalation", esc_tasks),
-                        key=lambda item: item[0]):
-                    report.classifications.update(improvements)
-                    patterns.extend(esc_patterns)
-                    for phase, seconds in esc_runtimes.items():
-                        report.phase_runtimes[phase] = (
-                            report.phase_runtimes.get(phase, 0.0) + seconds)
-                    for key, count in esc_stats.items():
-                        report.stats[key] = report.stats.get(key, 0) + count
+    # Escalation round: the merged abort frontier, in canonical fault
+    # order, re-fanned over the same warm job.
+    if (effort is AtpgEffort.FULL
+            and resolve_atpg_backend(atpg_backend).escalates):
+        frontier = [f for f in remaining
+                    if report.classifications.get(f) is FaultClass.AU]
+        if frontier:
+            for (improvements, esc_patterns, esc_runtimes,
+                 esc_stats) in fan_out("run_escalation", frontier):
+                report.classifications.update(improvements)
+                patterns.extend(esc_patterns)
+                merge(esc_runtimes, esc_stats)
 
-    report.stats["jobs_resolved"] = jobs
+    restarts = pool.stats["worker_restarts"] - restarts_before
+    if restarts:
+        report.stats["worker_restarts"] = (
+            report.stats.get("worker_restarts", 0) + restarts)
+    report.stats["jobs_resolved"] = pool.workers
     if effort is AtpgEffort.FULL and patterns:
         phase_start = time.perf_counter()
         order = {fault: i for i, fault in enumerate(remaining)}
@@ -1048,85 +548,3 @@ def sharded_classify(netlist: Netlist, faults: Iterable[Fault], *,
                                                - phase_start)
     report.runtime_seconds = time.perf_counter() - start
     return report
-
-
-def _pooled_classify_rounds(netlist: Netlist, remaining: List[Fault],
-                            report, *, effort, random_patterns: int,
-                            backtrack_limit: int, seed: int,
-                            static_prune: bool, static_learning: bool,
-                            atpg_backend: Optional[str],
-                            atpg_seed: Optional[int],
-                            pool, chunk: Optional[int]) -> List[tuple]:
-    """Primary + escalation classification rounds over a persistent pool.
-
-    The installed job is keyed by *configuration only* — fault chunks ride
-    inside each task (:meth:`_DetectClassifyJob.run_faults`), so a warm
-    pool re-uses the installed netlist and job across any fault subset.
-    Results are collected completely and merged in chunk order, which
-    keeps the report byte-identical to the static sharded path no matter
-    which worker finished first.  Escalation re-fans the merged abort
-    frontier out over the same installed job.
-    """
-    from repro.atpg.engine import AtpgEffort
-    from repro.atpg.portfolio import resolve_atpg_backend
-    from repro.faults.categories import FaultClass
-    from repro.runtime import build_chunks, content_key, default_chunk_size
-
-    key = content_key("classify", netlist, effort.name, random_patterns,
-                      backtrack_limit, seed, static_prune, static_learning,
-                      atpg_backend, atpg_seed)
-    pool.ensure_job(key, lambda: _DetectClassifyJob(
-        netlist, (), effort, random_patterns, backtrack_limit, seed,
-        static_prune, static_learning, atpg_backend=atpg_backend,
-        atpg_seed=atpg_seed))
-    restarts_before = pool.stats["worker_restarts"]
-
-    def fan_out(method: str, faults: List[Fault]) -> List[tuple]:
-        chunk_size = (chunk if chunk is not None
-                      else default_chunk_size(pool.workers, len(faults)))
-        chunks = build_chunks(netlist, faults, chunk_size)
-        outcomes = []
-        with pool.session(key) as run:
-            for cid, positions in enumerate(chunks):
-                run.submit(method,
-                           (cid, tuple(faults[position]
-                                       for position in positions)),
-                           tag=cid)
-            for _tag, _task, outcome in run.results():
-                outcomes.append(outcome)
-        outcomes.sort(key=lambda item: item[0])
-        return outcomes
-
-    patterns: List[tuple] = []
-    for (_cid, classifications, phase_runtimes, stats,
-         chunk_patterns) in fan_out("run_faults", remaining):
-        report.classifications.update(classifications)
-        patterns.extend(chunk_patterns)
-        for phase, seconds in phase_runtimes.items():
-            report.phase_runtimes[phase] = (
-                report.phase_runtimes.get(phase, 0.0) + seconds)
-        for stat, count in stats.items():
-            report.stats[stat] = report.stats.get(stat, 0) + count
-
-    # Escalation round: the merged abort frontier, in canonical fault
-    # order, re-fanned over the same warm job.
-    if (effort is AtpgEffort.FULL
-            and resolve_atpg_backend(atpg_backend).escalates):
-        frontier = [f for f in remaining
-                    if report.classifications.get(f) is FaultClass.AU]
-        if frontier:
-            for (_cid, improvements, esc_patterns, esc_runtimes,
-                 esc_stats) in fan_out("run_escalation", frontier):
-                report.classifications.update(improvements)
-                patterns.extend(esc_patterns)
-                for phase, seconds in esc_runtimes.items():
-                    report.phase_runtimes[phase] = (
-                        report.phase_runtimes.get(phase, 0.0) + seconds)
-                for stat, count in esc_stats.items():
-                    report.stats[stat] = report.stats.get(stat, 0) + count
-
-    restarts = pool.stats["worker_restarts"] - restarts_before
-    if restarts:
-        report.stats["worker_restarts"] = (
-            report.stats.get("worker_restarts", 0) + restarts)
-    return patterns

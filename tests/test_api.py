@@ -319,8 +319,7 @@ class TestProcessSweep:
         identical."""
         grid = ScenarioGrid("tiny").axis("debug", [True, False])
         reference = Session().sweep(grid)
-        sharded = Session(executor="process", jobs=2,
-                          shard_backend="thread").sweep(grid)
+        sharded = Session(executor="process", jobs=2).sweep(grid)
         assert all(result.ok for result in sharded), [
             result.error for result in sharded]
         assert [report_essence(r.report) for r in sharded] == \
@@ -332,7 +331,7 @@ class TestPerCallJobsPrecedence:
         from repro.api import RunOptions
         from repro.core.results import FlowConfig
 
-        session = Session(options=RunOptions(jobs=4, shard_backend="thread"))
+        session = Session(options=RunOptions(jobs=4))
         # per-call jobs beats the session default
         config = session._effective_flow_config(None, RunOptions(jobs=2))
         assert config.jobs == 2

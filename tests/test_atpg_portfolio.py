@@ -25,6 +25,7 @@ from repro.atpg.portfolio import (ATPG_BACKENDS, DEFAULT_ATPG_BACKEND,
 from repro.faults.categories import FaultClass
 from repro.faults.faultlist import generate_fault_list
 from repro.simulation.parallel import ParallelPatternSimulator
+from repro.runtime import get_pool
 from repro.simulation.sharded import sharded_classify
 
 #: The four reference circuits the static-analysis layer is pinned on.
@@ -106,18 +107,19 @@ class TestRestartSeedDeterminism:
             self.result_stream(netlist, list(reversed(faults)), seed=3)))
         assert full == reversed_run
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_same_seed_identical_across_shard_backends(self, backend):
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_same_seed_identical_across_shard_backends(self, start_method):
+        """One worker vs two, under both pool start methods."""
         netlist = build_small_adder_circuit()
         faults = generate_fault_list(netlist).faults()
         reference = sharded_classify(
             netlist, faults, effort=AtpgEffort.FULL, jobs=1,
-            backend="serial", random_patterns=16, backtrack_limit=24,
+            random_patterns=16, backtrack_limit=24,
             atpg_backend="podem-restart", atpg_seed=29)
         sharded = sharded_classify(
             netlist, faults, effort=AtpgEffort.FULL, jobs=2,
-            backend=backend, random_patterns=16, backtrack_limit=24,
-            atpg_backend="podem-restart", atpg_seed=29)
+            pool=get_pool(2, start_method), random_patterns=16,
+            backtrack_limit=24, atpg_backend="podem-restart", atpg_seed=29)
         assert classify_essence(sharded) == classify_essence(reference)
         assert sharded.patterns == reference.patterns
         assert sharded.compaction == reference.compaction
@@ -185,10 +187,8 @@ class TestEscalation:
         kwargs = dict(effort=AtpgEffort.FULL, random_patterns=0,
                       backtrack_limit=1, static_prune=False,
                       static_learning=False, atpg_backend="dalg")
-        serial = sharded_classify(netlist, faults, jobs=1, backend="serial",
-                                  **kwargs)
-        sharded = sharded_classify(netlist, faults, jobs=2, backend="thread",
-                                   **kwargs)
+        serial = sharded_classify(netlist, faults, jobs=1, **kwargs)
+        sharded = sharded_classify(netlist, faults, jobs=2, **kwargs)
         assert classify_essence(sharded) == classify_essence(serial)
         assert sharded.patterns == serial.patterns
         assert sharded.compaction == serial.compaction

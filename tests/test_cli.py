@@ -74,7 +74,7 @@ class TestShardingFlags:
         code, serial_out = run(capsys, "analyze", "tiny", "--json")
         assert code == 0
         code, sharded_out = run(capsys, "analyze", "tiny", "--jobs", "2",
-                                "--backend", "thread", "--json")
+                                "--json")
         assert code == 0
         serial = json.loads(serial_out)
         sharded = json.loads(sharded_out)
@@ -83,8 +83,13 @@ class TestShardingFlags:
             serial["total_online_untestable"]
 
     def test_bad_backend_rejected(self, capsys):
+        # --jobs is the only parallel knob: the retired --backend flag and
+        # a worker count below 1 both fail at argument parsing.
         with pytest.raises(SystemExit):
-            main(["analyze", "tiny", "--jobs", "2", "--backend", "cluster"])
+            main(["analyze", "tiny", "--jobs", "2", "--backend", "process"])
+        with pytest.raises(SystemExit):
+            main(["analyze", "tiny", "--jobs", "0"])
+        assert "jobs must be >= 1" in capsys.readouterr().err
 
 
 class TestCorpusCommand:
@@ -123,7 +128,7 @@ class TestCorpusCommand:
                      "--quiet"]) == 0
         capsys.readouterr()  # drain the update run's summary line
         code, out = run(capsys, "corpus", "--dir", str(tiny_corpus),
-                        "--jobs", "2", "--backend", "thread", "--quiet",
+                        "--jobs", "2", "--quiet",
                         "--json")
         assert code == 0
         document = json.loads(out)

@@ -90,7 +90,7 @@ class TestRunAndDiff:
         """The corpus acceptance property in miniature: a --jobs 2 sharded
         run must byte-match a capture produced by the serial path."""
         run_corpus(tiny_corpus, update=True, session=Session())
-        outcomes = run_corpus(tiny_corpus, jobs=2, shard_backend="process")
+        outcomes = run_corpus(tiny_corpus, jobs=2)
         assert [outcome.status for outcome in outcomes] == ["match"]
 
     def test_repo_tiny_entries_match_their_goldens(self):

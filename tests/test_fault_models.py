@@ -35,6 +35,7 @@ from repro.faults.models import (SLOW_TO_FALL, SLOW_TO_RISE, STUCK_AT,
 from repro.manipulation.tie import tie_port
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.cells import LOGIC_0, LOGIC_1
+from repro.runtime import get_pool
 from repro.simulation.fault_sim import FaultSimulator
 from repro.simulation.sharded import ShardedFaultSimulator
 
@@ -285,17 +286,21 @@ class TestTwoPatternDetection:
         assert wide.detected == narrow.detected
         assert wide.detecting_pattern == narrow.detecting_pattern
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("pool", [(1, None), (2, None), (2, "spawn")],
+                             ids=["serial", "process", "spawn"])
     @pytest.mark.parametrize("drop", [True, False])
-    def test_sharded_transition_byte_identical(self, backend, drop):
+    def test_sharded_transition_byte_identical(self, pool, drop):
+        """On one worker, on the default two-worker process pool (fork
+        where available) and on a spawn-started pool."""
+        jobs, start_method = pool
         netlist = build_and_or_circuit()
         faults = generate_fault_list(netlist, model="transition").faults()
         patterns = _random_patterns(netlist, 40, seed=5)
         serial = FaultSimulator(netlist, word_size=8,
                                 drop_detected=drop).run(faults, patterns)
         sharded = ShardedFaultSimulator(
-            netlist, word_size=8, drop_detected=drop, jobs=2,
-            backend=backend).run(faults, patterns)
+            netlist, word_size=8, drop_detected=drop, jobs=jobs,
+            pool=get_pool(jobs, start_method)).run(faults, patterns)
         assert sharded.detected == serial.detected
         assert sharded.undetected == serial.undetected
         assert sharded.detecting_pattern == serial.detecting_pattern
@@ -305,9 +310,8 @@ class TestTwoPatternDetection:
         sample = faults[:: max(1, len(faults) // 120)][:120]
         patterns = _random_patterns(tiny_soc.cpu, 12, seed=2013)
         serial = FaultSimulator(tiny_soc.cpu).run(sample, patterns)
-        sharded = ShardedFaultSimulator(tiny_soc.cpu, jobs=3,
-                                        backend="process").run(sample,
-                                                               patterns)
+        sharded = ShardedFaultSimulator(tiny_soc.cpu, jobs=3).run(sample,
+                                                                  patterns)
         assert sharded.detected == serial.detected
         assert sharded.detecting_pattern == serial.detecting_pattern
 
@@ -327,8 +331,8 @@ class TestTransitionGrading:
         faults = generate_fault_list(tiny_soc.cpu, model="transition").faults()
         sample = faults[:: max(1, len(faults) // 150)][:150]
         serial = FaultGrader(tiny_soc.cpu).grade(tiny_captured, sample)
-        sharded = FaultGrader(tiny_soc.cpu, jobs=2, backend="process").grade(
-            tiny_captured, sample)
+        sharded = FaultGrader(tiny_soc.cpu, jobs=2).grade(tiny_captured,
+                                                          sample)
         assert sharded == serial
 
     def test_grade_word_size_invariant(self, tiny_soc, tiny_captured):
@@ -409,8 +413,7 @@ class TestTwoFramePodem:
         serial = StructuralUntestabilityEngine(
             tiny_soc.cpu, effort=effort).classify(sample)
         sharded = StructuralUntestabilityEngine(
-            tiny_soc.cpu, effort=effort, jobs=2,
-            backend="process").classify(sample)
+            tiny_soc.cpu, effort=effort, jobs=2).classify(sample)
         assert sharded.classifications == serial.classifications
 
 

@@ -35,24 +35,27 @@ def rearm_warnings():
 class TestNormalization:
     def test_fields_normalize_eagerly(self):
         options = RunOptions(effort="FULL", fault_model="transition",
-                             jobs="4", shard_backend="thread",
-                             static_prune=1, static_learning=0,
+                             jobs="4", static_prune=1, static_learning=0,
                              atpg_backend=ATPG_BACKENDS["dalg"],
                              atpg_seed="7")
         assert options.effort is AtpgEffort.FULL
         assert options.fault_model == "transition"
         assert options.jobs == 4
-        assert options.shard_backend == "thread"
         assert options.static_prune is True
         assert options.static_learning is False
         assert options.atpg_backend == "dalg"
         assert options.atpg_seed == 7
+        # jobs goes through the engines' own check, so a bad worker count
+        # fails here instead of quietly running serial later.
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="jobs must be >= 1"):
+                RunOptions(jobs=bad)
 
     def test_unset_fields_stay_none(self):
         options = RunOptions()
-        for name in ("effort", "fault_model", "jobs", "shard_backend",
-                     "static_prune", "static_learning", "store",
-                     "atpg_backend", "atpg_seed"):
+        for name in ("effort", "fault_model", "jobs", "static_prune",
+                     "static_learning", "store", "atpg_backend",
+                     "atpg_seed"):
             assert getattr(options, name) is None
 
     def test_unknown_effort_spells_accepted_values(self):
@@ -146,12 +149,11 @@ class TestLegacyKeywordShim:
 class TestSessionSurface:
     def test_every_legacy_session_keyword_still_works(self):
         with pytest.warns(DeprecationWarning):
-            session = Session(effort="tie", jobs=2, shard_backend="thread",
+            session = Session(effort="tie", jobs=2,
                               fault_model="stuck_at",
                               static_prune=True, static_learning=True)
         assert session.effort is AtpgEffort.TIE
         assert session.jobs == 2
-        assert session.shard_backend == "thread"
         assert session.fault_model == "stuck_at"
         assert session.static_prune is True
         assert session.static_learning is True

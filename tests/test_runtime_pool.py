@@ -24,6 +24,7 @@ import signal
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -32,12 +33,11 @@ from repro.faults.faultlist import generate_fault_list
 from repro.netlist.cells import LOGIC_0, LOGIC_1
 from repro.netlist.compiled import get_compiled
 from repro.runtime import (MONSTER_RATIO, PoolClosedError, WorkerPool,
-                           build_chunks, content_key, default_chunk_size,
-                           get_pool, pool_stats, resolve_pool_mode,
+                           build_chunks, cone_representative, content_key,
+                           default_chunk_size, get_pool, pool_stats,
                            shutdown_pools)
 from repro.simulation.fault_sim import FaultSimulator, resolve_site
-from repro.simulation.sharded import (ShardedFaultSimulator,
-                                      cone_representative, sharded_classify)
+from repro.simulation.sharded import ShardedFaultSimulator, sharded_classify
 
 # These tests pin jobs=2 to exercise two genuine workers even on boxes
 # whose cpu_count would cap the request; the cap warning is expected.
@@ -97,18 +97,6 @@ class TestContentKey:
         renamed = tiny_cpu.clone("renamed")
         assert (content_key("job", renamed, 1)
                 != content_key("job", tiny_cpu, 1))
-
-    def test_resolve_pool_mode(self):
-        assert resolve_pool_mode(None) is None
-        assert resolve_pool_mode("persistent") == "persistent"
-        assert resolve_pool_mode(" Ephemeral ") == "ephemeral"
-        pool = WorkerPool(1)
-        try:
-            assert resolve_pool_mode(pool) is pool
-        finally:
-            pool.close()
-        with pytest.raises(ValueError, match="unknown pool mode"):
-            resolve_pool_mode("forever")
 
 
 # --------------------------------------------------------------------- #
@@ -215,6 +203,38 @@ class TestPoolLifecycle:
         assert second is not first
         shutdown_pools()
 
+    def test_forked_child_gets_a_fresh_registry_pool(self, tiny_cpu):
+        """A child forked after the parent started a registry pool must
+        never drive the parent's workers through inherited pipe ends."""
+        import multiprocessing
+
+        shutdown_pools()
+        parent = get_pool(1, "fork")
+        key = parent.ensure_job("probe:fork", lambda: _EchoJob(tiny_cpu))
+        with parent.session(key) as run:
+            run.submit("run", (0, 1), tag=0)
+            assert [outcome[1] for _, _, outcome in run.results()] == [2]
+        assert parent.stats["tasks"] == 1
+
+        def child(conn):
+            pool = get_pool(1, "fork")
+            conn.send((pool._started, pool.stats["tasks"]))
+            conn.close()
+
+        ctx = multiprocessing.get_context("fork")
+        receiver, sender = ctx.Pipe(duplex=False)
+        process = ctx.Process(target=child, args=(sender,))
+        process.start()
+        sender.close()
+        try:
+            assert receiver.poll(30), "forked child never answered"
+            started, tasks = receiver.recv()
+        finally:
+            process.join(10)
+            shutdown_pools()
+        assert not process.is_alive()
+        assert (started, tasks) == (False, 0)
+
     def test_exception_inside_session_clears_run_state(self, tiny_cpu,
                                                        tiny_faults,
                                                        tiny_patterns):
@@ -252,8 +272,41 @@ class _EchoJob:
 
 
 # --------------------------------------------------------------------- #
+# one pool task per chunk
+# --------------------------------------------------------------------- #
+class TestOneTaskPerChunk:
+    def test_grading_and_simulation_submit_one_task_per_chunk(
+            self, tiny_soc, tiny_cpu, tiny_faults, tiny_patterns):
+        """Each chunk walks all of its pattern windows inside one task, so
+        a run costs exactly one pool round trip per chunk."""
+        from repro.sbst import (FaultGrader, ToggleMonitor,
+                                generate_sbst_suite)
+
+        captured = ToggleMonitor(tiny_cpu).run_suite(
+            generate_sbst_suite(tiny_soc.config.cpu))
+        with WorkerPool(2) as pool:
+            n_chunks = len(build_chunks(
+                tiny_cpu, tiny_faults,
+                default_chunk_size(pool.workers, len(tiny_faults))))
+            before = pool.stats["tasks"]
+            FaultGrader(tiny_cpu, jobs=2, pool=pool).grade(captured,
+                                                           tiny_faults)
+            assert pool.stats["tasks"] - before == n_chunks
+            before = pool.stats["tasks"]
+            ShardedFaultSimulator(tiny_cpu, jobs=2, pool=pool).run(
+                tiny_faults, tiny_patterns)
+            assert pool.stats["tasks"] - before == n_chunks
+
+
+# --------------------------------------------------------------------- #
 # byte-identity under randomized steal interleavings
 # --------------------------------------------------------------------- #
+def _chunk_size(chunk):
+    """Pin the scheduler's chunk granularity for the duration of a run."""
+    return mock.patch("repro.runtime.default_chunk_size",
+                      return_value=chunk)
+
+
 def _identity_case(netlist, faults, patterns, jitter_seed, chunk,
                    drop_detected=True):
     serial = FaultSimulator(netlist).run(faults, patterns,
@@ -261,9 +314,9 @@ def _identity_case(netlist, faults, patterns, jitter_seed, chunk,
     pool = WorkerPool(2, jitter_seed=jitter_seed)
     try:
         sharded = ShardedFaultSimulator(netlist, jobs=2, pool=pool,
-                                        chunk=chunk,
                                         drop_detected=drop_detected)
-        pooled = sharded.run(faults, patterns)
+        with _chunk_size(chunk):
+            pooled = sharded.run(faults, patterns)
     finally:
         pool.close()
     assert pooled.detected == serial.detected
@@ -296,19 +349,21 @@ class TestStealOrderIdentity:
                        chunk=3, drop_detected=False)
 
     def test_classify_identity_across_jitter(self, tiny_cpu, tiny_faults):
-        from repro.atpg.engine import AtpgEffort
+        from repro.atpg.engine import (AtpgEffort,
+                                       StructuralUntestabilityEngine)
 
         sample = tiny_faults[::13][:40]
-        reference = sharded_classify(tiny_cpu, sample,
-                                     effort=AtpgEffort.RANDOM, jobs=1,
-                                     backend="serial", random_patterns=32)
+        reference = StructuralUntestabilityEngine(
+            tiny_cpu, effort=AtpgEffort.RANDOM,
+            random_patterns=32).classify(sample)
         for jitter_seed in (1, 23):
             pool = WorkerPool(2, jitter_seed=jitter_seed)
             try:
-                pooled = sharded_classify(tiny_cpu, sample,
-                                          effort=AtpgEffort.RANDOM,
-                                          jobs=2, pool=pool, chunk=4,
-                                          random_patterns=32)
+                with _chunk_size(4):
+                    pooled = sharded_classify(tiny_cpu, sample,
+                                              effort=AtpgEffort.RANDOM,
+                                              jobs=2, pool=pool,
+                                              random_patterns=32)
             finally:
                 pool.close()
             assert pooled.classifications == reference.classifications
@@ -377,14 +432,14 @@ class TestWorkerDeath:
         serial = FaultSimulator(tiny_cpu).run(sample, tiny_patterns)
         pool = WorkerPool(2, start_method="fork", jitter_seed=3)
         try:
-            sharded = ShardedFaultSimulator(tiny_cpu, jobs=2, pool=pool,
-                                            chunk=2)
+            sharded = ShardedFaultSimulator(tiny_cpu, jobs=2, pool=pool)
             # Prime the pool, then murder a worker between rounds: the
             # replacement must be re-provisioned from the payload cache.
             pids = pool.worker_pids()
             os.kill(pids[-1], signal.SIGKILL)
             time.sleep(0.05)
-            pooled = sharded.run(sample, tiny_patterns)
+            with _chunk_size(2):
+                pooled = sharded.run(sample, tiny_patterns)
         finally:
             pool.close()
         assert pooled.detected == serial.detected

@@ -1,10 +1,10 @@
-"""The sharded fault-population engine: partitioning, frontier, identity.
+"""The pooled fault-population engines: knobs, pickling, identity.
 
-The contract under test is strict: for every backend and every fault-
-dropping mode, the sharded engines must reproduce the serial reference
-*exactly* — detected/undetected sets, recorded detecting patterns,
-classification dicts and graded coverage are compared for equality, not
-similarity.
+The contract under test is strict: on one worker or two, under both pool
+start methods and every fault-dropping mode, the pooled engines must
+reproduce the serial reference *exactly* — detected/undetected sets,
+recorded detecting patterns, classification dicts and graded coverage
+are compared for equality, not similarity.
 """
 
 from __future__ import annotations
@@ -18,16 +18,25 @@ from repro.atpg.engine import StructuralUntestabilityEngine
 from repro.faults.faultlist import generate_fault_list
 from repro.netlist.cells import LOGIC_0, LOGIC_1
 from repro.netlist.compiled import get_compiled, netlist_signature
+from repro.runtime import (MONSTER_RATIO, build_chunks, cone_representative,
+                           get_pool)
 from repro.sbst.grading import FaultGrader
 from repro.sbst.monitor import ToggleMonitor
 from repro.sbst.program_gen import generate_sbst_suite
 from repro.simulation.fault_sim import FaultSimulator, resolve_site
-from repro.simulation.sharded import (DetectionFrontier, ShardedFaultSimulator,
-                                      cone_representative, partition_faults,
-                                      resolve_backend, resolve_jobs,
+from repro.simulation.sharded import (ShardedFaultSimulator, resolve_jobs,
                                       sharded_classify)
 
-BACKENDS = ("serial", "thread", "process")
+#: The pools every identity test runs on, as (jobs, start method):
+#: one worker, the default process pool for two workers (fork where
+#: available), and a spawn-started pool that re-installs every job over
+#: the pipe.
+POOLS = {"serial": (1, None), "process": (2, None), "spawn": (2, "spawn")}
+
+
+def _pool(mode):
+    jobs, start_method = POOLS[mode]
+    return jobs, get_pool(jobs, start_method)
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +66,7 @@ def tiny_patterns(tiny_cpu):
 # knob resolution
 # --------------------------------------------------------------------- #
 class TestKnobs:
-    def test_resolve_jobs(self):
+    def test_resolve_jobs(self, tiny_cpu):
         import os
         cpus = os.cpu_count() or 1
         assert resolve_jobs(1) == 1
@@ -67,8 +76,17 @@ class TestKnobs:
         assert resolve_jobs(4, cap=False) == 4
         assert resolve_jobs(4) == min(4, cpus)
         assert resolve_jobs(cpus + 1) == cpus
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="jobs must be >= 1"):
+                resolve_jobs(bad)
+        # Every engine entry point runs the same check: a bad worker
+        # count fails loudly instead of quietly running serial.
         with pytest.raises(ValueError, match="jobs must be >= 1"):
-            resolve_jobs(0)
+            FaultGrader(tiny_cpu, jobs=-3)
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            StructuralUntestabilityEngine(tiny_cpu, jobs=0)
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            ShardedFaultSimulator(tiny_cpu, jobs=0)
 
     def test_resolve_jobs_warns_once_on_oversubscription(self):
         import os
@@ -87,49 +105,34 @@ class TestKnobs:
         assert len(oversub) == 1
         _reset_oversubscription_warning()
 
-    def test_resolve_backend(self):
-        assert resolve_backend(None, 1) == "serial"
-        assert resolve_backend(None, 4) in ("process", "thread")
-        assert resolve_backend("THREAD", 2) == "thread"
-        with pytest.raises(ValueError, match="unknown shard backend"):
-            resolve_backend("cluster", 2)
-
 
 # --------------------------------------------------------------------- #
-# cone-aware partitioning
+# cone-affine chunking
 # --------------------------------------------------------------------- #
 class TestPartitioning:
-    def test_partition_is_exact_and_deterministic(self, tiny_cpu,
-                                                  tiny_faults):
-        first = partition_faults(tiny_cpu, tiny_faults, 8)
-        second = partition_faults(tiny_cpu, tiny_faults, 8)
-        assert [s.faults for s in first] == [s.faults for s in second]
-        assert [s.index for s in first] == list(range(len(first)))
-        scattered = [f for shard in first for f in shard.faults]
-        assert sorted(map(str, scattered)) == sorted(map(str, tiny_faults))
-        assert len(scattered) == len(tiny_faults)
-
     def test_faults_sharing_a_cone_share_a_shard(self, tiny_cpu,
                                                  tiny_faults):
+        """A cone group that fits one chunk is never split; only monster
+        cones (run as singletons) and oversized groups span chunks."""
         compiled = get_compiled(tiny_cpu)
-        shards = partition_faults(tiny_cpu, tiny_faults, 8)
-        rep_to_shard = {}
-        for shard in shards:
-            for fault in shard.faults:
-                rep = cone_representative(
-                    compiled, resolve_site(compiled, fault))
-                assert rep_to_shard.setdefault(rep, shard.index) == shard.index
-
-    def test_single_shard_and_shard_cap(self, tiny_cpu, tiny_faults):
-        assert len(partition_faults(tiny_cpu, tiny_faults, 1)) == 1
-        assert len(partition_faults(tiny_cpu, tiny_faults, 8)) <= 8
-
-    def test_shards_are_roughly_balanced(self, tiny_cpu, tiny_faults):
-        shards = partition_faults(tiny_cpu, tiny_faults, 4)
-        costs = [shard.cost for shard in shards]
-        assert min(costs) > 0
-        # LPT bin packing: no bin more than ~2x the mean.
-        assert max(costs) <= 2.5 * (sum(costs) / len(costs))
+        sizes = compiled.fanout_cone_sizes()
+        groups = {}
+        for position, fault in enumerate(tiny_faults):
+            rep = cone_representative(compiled,
+                                      resolve_site(compiled, fault))
+            groups.setdefault(rep, []).append(position)
+        cost = {rep: (sizes[rep] + 1 if rep >= 0 else 1) for rep in groups}
+        mean = sum(cost[rep] * len(members)
+                   for rep, members in groups.items()) / len(tiny_faults)
+        chunks = build_chunks(tiny_cpu, tiny_faults, 16)
+        home = {p: index for index, chunk in enumerate(chunks) for p in chunk}
+        whole = 0
+        for rep, members in groups.items():
+            if len(members) > 16 or cost[rep] >= MONSTER_RATIO * mean:
+                continue
+            assert len({home[p] for p in members}) == 1
+            whole += 1
+        assert whole
 
     def test_cone_size_table_matches_memoised_cones(self, tiny_cpu):
         compiled = get_compiled(tiny_cpu)
@@ -139,53 +142,21 @@ class TestPartitioning:
 
 
 # --------------------------------------------------------------------- #
-# the detection frontier
-# --------------------------------------------------------------------- #
-class TestDetectionFrontier:
-    def test_publish_and_snapshot(self, tiny_faults):
-        frontier = DetectionFrontier()
-        frontier.publish(tiny_faults[0], 3)
-        frontier.publish_many([(tiny_faults[1], 5), (tiny_faults[2], 7)])
-        assert tiny_faults[0] in frontier
-        assert tiny_faults[3] not in frontier
-        assert len(frontier) == 3
-        assert frontier.detected()[tiny_faults[1]] == 5
-
-
-# --------------------------------------------------------------------- #
-# sharded fault simulation: byte-identical to the serial engine
+# pooled fault simulation: byte-identical to the serial engine
 # --------------------------------------------------------------------- #
 class TestShardedFaultSimulator:
     @pytest.mark.parametrize("drop", [True, False])
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("mode", POOLS)
     def test_identical_to_serial(self, tiny_cpu, tiny_faults, tiny_patterns,
-                                 backend, drop):
+                                 mode, drop):
         sample = tiny_faults[::7]
         reference = FaultSimulator(tiny_cpu).run(sample, tiny_patterns,
                                                  drop_detected=drop)
-        sharded = ShardedFaultSimulator(tiny_cpu, jobs=2, backend=backend)
+        jobs, pool = _pool(mode)
+        sharded = ShardedFaultSimulator(tiny_cpu, jobs=jobs, pool=pool)
         result = sharded.run(sample, tiny_patterns, drop_detected=drop)
         assert result.detected == reference.detected
         assert result.undetected == reference.undetected
-        assert result.detecting_pattern == reference.detecting_pattern
-
-    def test_frontier_records_every_detection(self, tiny_cpu, tiny_faults,
-                                              tiny_patterns):
-        sample = tiny_faults[::11]
-        sharded = ShardedFaultSimulator(tiny_cpu, jobs=2, backend="serial")
-        result = sharded.run(sample, tiny_patterns)
-        frontier = sharded.last_frontier
-        assert frontier is not None
-        assert set(frontier.detected()) == result.detected
-        assert frontier.detected() == result.detecting_pattern
-
-    def test_explicit_shard_count(self, tiny_cpu, tiny_faults,
-                                  tiny_patterns):
-        sample = tiny_faults[:200]
-        reference = FaultSimulator(tiny_cpu).run(sample, tiny_patterns)
-        result = ShardedFaultSimulator(tiny_cpu, jobs=2, backend="serial",
-                                       shards=3).run(sample, tiny_patterns)
-        assert result.detected == reference.detected
         assert result.detecting_pattern == reference.detecting_pattern
 
 
@@ -198,15 +169,14 @@ class TestShardedClassify:
         reference = StructuralUntestabilityEngine(
             tiny_cpu, effort=effort).classify(tiny_faults)
         sharded = sharded_classify(tiny_cpu, tiny_faults, effort=effort,
-                                   jobs=2, backend="process")
+                                   jobs=2)
         assert sharded.classifications == reference.classifications
         assert sharded.effort == reference.effort
 
     def test_engine_jobs_knob_delegates(self, tiny_cpu, tiny_faults):
         reference = StructuralUntestabilityEngine(tiny_cpu).classify(
             tiny_faults)
-        engine = StructuralUntestabilityEngine(tiny_cpu, jobs=2,
-                                               backend="thread")
+        engine = StructuralUntestabilityEngine(tiny_cpu, jobs=2)
         assert engine.classify(tiny_faults).classifications == \
             reference.classifications
 
@@ -220,12 +190,12 @@ class TestShardedFaultGrading:
         programs = generate_sbst_suite(tiny_soc.config.cpu)
         return ToggleMonitor(tiny_soc.cpu).run_suite(programs)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_grade_identical_to_serial(self, tiny_cpu, tiny_captured,
-                                       backend):
+    @pytest.mark.parametrize("mode", POOLS)
+    def test_grade_identical_to_serial(self, tiny_cpu, tiny_captured, mode):
         serial = FaultGrader(tiny_cpu).grade(tiny_captured)
-        sharded = FaultGrader(tiny_cpu, jobs=2,
-                              backend=backend).grade(tiny_captured)
+        jobs, pool = _pool(mode)
+        sharded = FaultGrader(tiny_cpu, jobs=jobs,
+                              pool=pool).grade(tiny_captured)
         assert sharded == serial
 
     def test_compare_with_pruning_identical(self, tiny_cpu, tiny_captured,
@@ -233,8 +203,7 @@ class TestShardedFaultGrading:
         pruned = tiny_flow_report.online_untestable
         serial = FaultGrader(tiny_cpu).compare_with_pruning(
             tiny_captured, pruned)
-        sharded = FaultGrader(tiny_cpu, jobs=2,
-                              backend="process").compare_with_pruning(
+        sharded = FaultGrader(tiny_cpu, jobs=2).compare_with_pruning(
             tiny_captured, pruned)
         assert (serial.total_faults, serial.detected, serial.pruned,
                 serial.detected_after_pruning) == \
@@ -243,7 +212,7 @@ class TestShardedFaultGrading:
 
 
 # --------------------------------------------------------------------- #
-# the pickle path the spawn-based process backend depends on
+# the pickle path spawn-started pool workers depend on
 # --------------------------------------------------------------------- #
 class TestNetlistPickling:
     def test_round_trip_preserves_structure(self, tiny_cpu):
@@ -263,56 +232,54 @@ class TestNetlistPickling:
 
 
 # --------------------------------------------------------------------- #
-# the spawn-backend contract: jobs must survive pickling
+# the install contract: jobs must survive pickling
 # --------------------------------------------------------------------- #
 class TestJobPickling:
-    """On platforms without ``fork`` the pool initializer ships the job by
-    pickle; a pickled-and-rebuilt job must compute identical verdicts."""
+    """The pool installs every job by pickle; a pickled-and-rebuilt job
+    must compute identical verdicts."""
 
     def test_plane_sim_job_round_trip(self, tiny_cpu, tiny_faults,
                                       tiny_patterns):
         from repro.simulation.fault_sim import observation_net_names
-        from repro.simulation.sharded import _PlaneSimJob, partition_faults
+        from repro.simulation.sharded import _PlaneSimJob
 
-        shards = partition_faults(tiny_cpu, tiny_faults[:300], 3)
+        faults = tuple(tiny_faults[:300])
         job = _PlaneSimJob(
-            tiny_cpu, tuple(shard.faults for shard in shards),
-            frozenset(observation_net_names(tiny_cpu)), tiny_patterns, 64)
+            tiny_cpu, faults, frozenset(observation_net_names(tiny_cpu)),
+            tiny_patterns, 64)
         job.prepare()
         clone = pickle.loads(pickle.dumps(job))
-        for shard in shards:
-            task = (shard.index, tuple(range(len(shard.faults))), 0)
-            assert clone.run_window(task) == job.run_window(task)
+        for positions in build_chunks(tiny_cpu, faults, 100):
+            task = (positions, True)
+            assert clone.run_chunk(task) == job.run_chunk(task)
 
     def test_classify_job_round_trip(self, tiny_cpu, tiny_faults):
-        from repro.simulation.sharded import (_DetectClassifyJob,
-                                              partition_faults)
+        from repro.simulation.sharded import _DetectClassifyJob
         from repro.atpg.engine import AtpgEffort
 
-        shards = partition_faults(tiny_cpu, tiny_faults[:400], 2)
-        job = _DetectClassifyJob(tiny_cpu, tuple(s.faults for s in shards),
-                                 AtpgEffort.RANDOM, 64, 200, 2013)
+        job = _DetectClassifyJob(tiny_cpu, AtpgEffort.RANDOM, 64, 200, 2013)
         clone = pickle.loads(pickle.dumps(job))
-        for shard in shards:
-            ours = job.run_shard((shard.index,))
-            theirs = clone.run_shard((shard.index,))
-            assert ours[1] == theirs[1]  # identical classifications
-            assert ours[1]  # the random phase really classified faults
+        for chunk in (tuple(tiny_faults[:200]), tuple(tiny_faults[200:400])):
+            ours = job.run_faults(chunk)
+            theirs = clone.run_faults(chunk)
+            assert ours[0] == theirs[0]  # identical classifications
+            assert ours[0]  # the random phase really classified faults
 
 
 class TestShardedClassifySchedulesTieOnce:
     def test_tie_effort_spawns_no_workers(self, tiny_cpu, tiny_faults,
                                           monkeypatch):
         """At TIE effort the global fixpoint runs once in the caller and
-        nothing is farmed out — sharded classify must cost serial time."""
-        import repro.simulation.sharded as sharded_mod
+        nothing is farmed out — pooled classify must cost serial time."""
+        from repro.runtime import WorkerPool
 
-        def boom(self, job):
+        def boom(*args, **kwargs):
             raise AssertionError("no worker pool expected at TIE effort")
 
-        monkeypatch.setattr(sharded_mod._ShardRunner, "start", boom)
+        monkeypatch.setattr("repro.runtime.get_pool", boom)
+        monkeypatch.setattr(WorkerPool, "_ensure_started", boom)
         reference = StructuralUntestabilityEngine(tiny_cpu).classify(
             tiny_faults)
         report = sharded_classify(tiny_cpu, tiny_faults, effort="tie",
-                                  jobs=4, backend="process")
+                                  jobs=4)
         assert report.classifications == reference.classifications

@@ -334,6 +334,5 @@ class TestEnginePruning:
         serial = StructuralUntestabilityEngine(
             and_or_circuit, effort=AtpgEffort.FULL).classify(faults)
         sharded = StructuralUntestabilityEngine(
-            and_or_circuit, effort=AtpgEffort.FULL, jobs=2,
-            backend="thread").classify(faults)
+            and_or_circuit, effort=AtpgEffort.FULL, jobs=2).classify(faults)
         assert set(serial.untestable) == set(sharded.untestable)
