@@ -12,7 +12,8 @@
 """
 
 from repro.atpg.engine import AtpgEffort, StructuralUntestabilityEngine
-from repro.core.flow import FlowConfig, OnlineUntestableFlow
+from repro.api import Session
+from repro.core.results import FlowConfig
 from repro.core.scan_analysis import identify_scan_untestable
 from repro.faults.categories import OnlineUntestableSource
 from repro.faults.collapse import collapse_fault_list
@@ -50,14 +51,15 @@ def test_scan_path_buffer_contribution(small_soc, benchmark):
 
 def test_fig6_knob_on_full_core(small_soc, benchmark):
     full = benchmark.pedantic(
-        lambda: OnlineUntestableFlow(
-            small_soc, FlowConfig(run_scan=False, run_debug_control=False,
-                                  run_debug_observe=False)).run(),
+        lambda: Session().analyze(
+            small_soc, config=FlowConfig(run_scan=False,
+                                         run_debug_control=False,
+                                         run_debug_observe=False)),
         rounds=1, iterations=1, warmup_rounds=0)
-    stop_at_ff = OnlineUntestableFlow(
-        small_soc, FlowConfig(run_scan=False, run_debug_control=False,
-                              run_debug_observe=False,
-                              tie_flop_outputs=False)).run()
+    stop_at_ff = Session().analyze(
+        small_soc, config=FlowConfig(run_scan=False, run_debug_control=False,
+                                     run_debug_observe=False,
+                                     tie_flop_outputs=False))
     full_count = full.source_count(OnlineUntestableSource.MEMORY_MAP)
     stop_count = stop_at_ff.source_count(OnlineUntestableSource.MEMORY_MAP)
     print()

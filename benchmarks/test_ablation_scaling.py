@@ -9,7 +9,8 @@ fraction shrinks as more of the address space becomes legal.
 
 import pytest
 
-from repro.core.flow import FlowConfig, OnlineUntestableFlow
+from repro.api import Session
+from repro.core.results import FlowConfig
 from repro.faults.categories import OnlineUntestableSource
 from repro.memory.memory_map import MemoryMap, MemoryRegion
 from repro.soc.config import SoCConfig
@@ -54,8 +55,9 @@ def test_memory_map_size_sweep(mapped_kib, expect_free_bits, benchmark):
     soc = build_soc(SoCConfig(cpu=cpu, memory_map=memory_map))
     flow_config = FlowConfig(run_scan=False, run_debug_control=False,
                              run_debug_observe=False)
-    report = benchmark.pedantic(lambda: OnlineUntestableFlow(soc, flow_config).run(),
-                                rounds=1, iterations=1, warmup_rounds=0)
+    report = benchmark.pedantic(
+        lambda: Session().analyze(soc, config=flow_config),
+        rounds=1, iterations=1, warmup_rounds=0)
     memory = report.source_count(OnlineUntestableSource.MEMORY_MAP)
     from repro.memory.analysis import free_address_bits
 
@@ -76,6 +78,6 @@ def test_memory_contribution_decreases_with_mapped_size():
         soc = build_soc(SoCConfig(cpu=cpu, memory_map=memory_map))
         config = FlowConfig(run_scan=False, run_debug_control=False,
                             run_debug_observe=False)
-        report = OnlineUntestableFlow(soc, config).run()
+        report = Session().analyze(soc, config=config)
         results.append(report.source_count(OnlineUntestableSource.MEMORY_MAP))
     assert results[0] >= results[1] >= results[2]

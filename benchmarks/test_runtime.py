@@ -49,7 +49,7 @@ from pathlib import Path
 import pytest
 
 from repro.atpg.engine import StructuralUntestabilityEngine
-from repro.core.flow import OnlineUntestableFlow
+from repro.api import Session
 from repro.core.scan_analysis import identify_scan_untestable
 from repro.faults.faultlist import generate_fault_list
 from repro.manipulation.tie import tie_port
@@ -130,7 +130,7 @@ def test_runtime_engine_on_manipulated_circuit(runtime_soc, benchmark):
 
 
 def test_runtime_full_flow(runtime_soc, benchmark):
-    report = benchmark.pedantic(lambda: OnlineUntestableFlow(runtime_soc).run(),
+    report = benchmark.pedantic(lambda: Session().analyze(runtime_soc),
                                 rounds=3, iterations=1, warmup_rounds=0)
     total = sum(report.runtimes.values())
     print()
@@ -148,7 +148,7 @@ def test_runtime_table1_byte_identical(runtime_soc):
     relative to the legacy implementation's golden capture."""
     if RUNTIME_BENCH_CONFIG != "date13":
         pytest.skip("golden Table I is captured for the date13 configuration")
-    report = OnlineUntestableFlow(runtime_soc).run()
+    report = Session().analyze(runtime_soc)
     golden = _GOLDEN_TABLE1.read_text(encoding="utf-8").rstrip("\n")
     rendered = report.to_table()
     _BENCH["table1_byte_identical"] = rendered == golden

@@ -18,7 +18,7 @@ observation (control > observation), the memory map contributes a smaller
 share, and the total lands in the low teens.
 """
 
-from repro.core.flow import OnlineUntestableFlow
+from repro.api import Session
 from repro.faults.categories import OnlineUntestableSource
 
 
@@ -28,7 +28,7 @@ def _percent(report, count):
 
 def test_table1_shape(date13_soc, date13_report, benchmark):
     report = benchmark.pedantic(
-        lambda: OnlineUntestableFlow(date13_soc).run(),
+        lambda: Session().analyze(date13_soc),
         rounds=3, iterations=1, warmup_rounds=0)
 
     print()

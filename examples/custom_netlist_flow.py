@@ -10,7 +10,7 @@ mission configuration (debug pins, memory map, scan) and runs the flow.
 Run with:  python examples/custom_netlist_flow.py
 """
 
-from repro.core import OnlineUntestableFlow
+from repro.api import Session
 from repro.memory.memory_map import MemoryMap, MemoryRegion
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.verilog import parse_verilog, write_verilog
@@ -66,7 +66,7 @@ def main() -> None:
     netlist.annotations["address_registers"] = []  # no address registers here
     memory_map = MemoryMap(8, [MemoryRegion("regs", 0x10, 0x08)])
 
-    report = OnlineUntestableFlow(netlist, memory_map=memory_map).run()
+    report = Session().analyze(netlist, memory_map=memory_map)
     print(report.to_table())
     print()
     print("Example pruned faults:")

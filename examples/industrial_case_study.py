@@ -18,7 +18,7 @@ Run with:  python examples/industrial_case_study.py
 
 import time
 
-from repro.core import OnlineUntestableFlow
+from repro.api import Session
 from repro.core.report import render_source_details
 from repro.faults.categories import OnlineUntestableSource
 from repro.soc import SoCConfig, build_soc
@@ -49,7 +49,7 @@ def main() -> None:
     print()
 
     start = time.perf_counter()
-    report = OnlineUntestableFlow(soc).run()
+    report = Session().analyze(soc)
     flow_time = time.perf_counter() - start
 
     print(report.to_table())

@@ -17,7 +17,7 @@ Reproduces the §4 workflow around the identification flow:
 Run with:  python examples/sbst_coverage_gain.py
 """
 
-from repro.core import OnlineUntestableFlow
+from repro.api import Session
 from repro.debug.interface import find_quiescent_inputs
 from repro.sbst import FaultGrader, ToggleMonitor, generate_sbst_suite
 from repro.soc import SoCConfig, build_soc
@@ -49,7 +49,7 @@ def main() -> None:
           f"by activity analysis alone")
     print()
 
-    report = OnlineUntestableFlow(soc).run()
+    report = Session().analyze(soc)
     print(report.to_table())
     print()
 

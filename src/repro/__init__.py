@@ -28,10 +28,21 @@ executor backend with cross-scenario artifact reuse::
     print(sweep.to_table())                  # per-scenario Table I + deltas
     open("sweep.json", "w").write(sweep.to_json())
 
-Artifacts can outlive the process: ``Session(store=DIR)`` layers a
-durable content-addressed store (:mod:`repro.store`) under the session
-cache, and :mod:`repro.service` serves the same sessions as a long-lived
-asyncio job service (``python -m repro serve`` / ``submit`` / ``jobs``).
+Every run knob (ATPG effort, fault model, worker count, static pruning,
+durable store, ATPG backend and seed) is a field of one frozen
+:class:`repro.api.RunOptions` bundle; :class:`FlowConfig` keeps only the
+paper's switches (which untestability sources run, the Fig. 6 tie-flop
+ablation)::
+
+    from repro.api import RunOptions
+
+    session = repro.Session(options=RunOptions(jobs=2, store="~/.cache/repro"))
+    report = session.analyze("tiny", options=RunOptions(effort="random"))
+
+``options.store`` layers a durable content-addressed store
+(:mod:`repro.store`) under the session cache, and :mod:`repro.service`
+serves the same sessions as a long-lived asyncio job service
+(``python -m repro serve`` / ``submit`` / ``jobs``).
 
 The same flows run from the command line (``python -m repro analyze small``,
 ``python -m repro sweep --base tiny --axis effort=tie,random``,
@@ -39,22 +50,14 @@ The same flows run from the command line (``python -m repro analyze small``,
 the :func:`repro.pipeline.analysis_pass` decorator (see
 ``examples/custom_pass.py``); custom sweep backends implement the
 :class:`repro.api.Executor` protocol.
-
-The legacy one-shot entry points are kept for compatibility:
-:func:`repro.analyze` (deprecated — a thin shim over ``Session``) and the
-original :class:`repro.core.OnlineUntestableFlow` driver.
 """
 
-import warnings
-from typing import Iterable, Optional, Sequence, Union
-
 from repro._version import __version__
-from repro.api import (Design, Executor, ProcessExecutor, Scenario,
-                       ScenarioGrid, SerialExecutor, Session, SweepReport,
-                       SweepResult, ThreadExecutor)
+from repro.api import (Design, Executor, ProcessExecutor, RunOptions,
+                       Scenario, ScenarioGrid, SerialExecutor, Session,
+                       SweepReport, SweepResult, ThreadExecutor)
 from repro.atpg.engine import AtpgEffort, resolve_effort
-from repro.core.flow import (FlowConfig, OnlineUntestableFlow,
-                             OnlineUntestableReport)
+from repro.core.results import FlowConfig, OnlineUntestableReport
 from repro.faults.models import (FaultModel, StuckAtFault, TransitionFault,
                                  fault_model_names, register_fault_model,
                                  resolve_fault_model)
@@ -66,6 +69,7 @@ from repro.store import ArtifactStore, LocalDirStore, resolve_store
 __all__ = [
     # primary API
     "Session",
+    "RunOptions",
     "Design",
     "ScenarioGrid",
     "Scenario",
@@ -75,6 +79,7 @@ __all__ = [
     "SerialExecutor",
     "ThreadExecutor",
     "ProcessExecutor",
+    "FlowConfig",
     # pipeline layer
     "Pipeline",
     "AnalysisPass",
@@ -92,47 +97,5 @@ __all__ = [
     "fault_model_names",
     "register_fault_model",
     "resolve_fault_model",
-    # legacy surface
-    "analyze",
-    "OnlineUntestableFlow",
-    "FlowConfig",
     "__version__",
 ]
-
-
-def analyze(target,
-            *,
-            passes: Optional[Sequence] = None,
-            effort: Union[AtpgEffort, str, None] = None,
-            parallel: Union[bool, int] = False,
-            config: Optional[FlowConfig] = None,
-            memory_map=None,
-            faults: Optional[Iterable] = None,
-            cache: Optional[ArtifactCache] = None) -> OnlineUntestableReport:
-    """Identify the on-line functionally untestable faults of ``target``.
-
-    .. deprecated::
-        ``repro.analyze`` is a thin shim kept for existing callers; new code
-        should create a :class:`repro.Session` (which adds a shared artifact
-        cache, executor backends and scenario sweeps) and call
-        :meth:`~repro.api.Session.analyze`.
-
-    Parameters mirror the original one-shot entry point: ``passes`` selects
-    analysis passes (dependencies resolved automatically), ``effort`` the
-    ATPG effort, ``parallel`` runs independent passes concurrently (int for
-    an explicit worker count), ``config`` supplies a full
-    :class:`FlowConfig`, and ``memory_map`` / ``faults`` / ``cache`` give an
-    explicit mission map, a restricted fault universe and a reusable
-    :class:`ArtifactCache`.
-    """
-    warnings.warn(
-        "repro.analyze() is deprecated; use repro.Session().analyze(...) "
-        "(sessions add artifact-cache reuse, executor backends and "
-        "scenario sweeps)", DeprecationWarning, stacklevel=2)
-    from repro.api import RunOptions
-
-    session = Session(cache=cache, cache_entries=None)
-    return session.analyze(target, passes=passes, parallel=parallel,
-                           config=config, memory_map=memory_map,
-                           faults=faults,
-                           options=RunOptions(effort=effort))

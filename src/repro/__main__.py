@@ -1,15 +1,14 @@
 """Command-line entry point: ``python -m repro``.
 
-Three subcommands mirror the Session/Design API:
+The subcommands mirror the Session/Design API:
 
 ``analyze``
     Build one named SoC configuration, run the analysis-pass pipeline and
-    print the Table-I style summary (or JSON).  For compatibility with the
-    original CLI, the subcommand may be omitted::
+    print the Table-I style summary (or JSON)::
 
         python -m repro analyze small
-        python -m repro tiny --passes scan_analysis,memory_analysis --json
-        python -m repro date13 --effort tie --parallel --details
+        python -m repro analyze tiny --passes scan_analysis,memory_analysis --json
+        python -m repro analyze date13 --parallel --details
 
 ``sweep``
     Expand a scenario grid (base config + axes) and run it through an
@@ -31,44 +30,33 @@ Three subcommands mirror the Session/Design API:
     intentionally)::
 
         python -m repro corpus
-        python -m repro corpus --jobs 2
         python -m repro corpus --update --only tiny_full
 
-``analyze``, ``sweep`` and ``corpus`` accept ``--jobs N`` to run the
-fault-population engines on N warm pool workers (:mod:`repro.runtime`;
-``REPRO_POOL_START_METHOD=fork|spawn`` picks how they start) — results
-are identical to the serial run.
+``static``
+    Dump the per-net SCOAP testability numbers behind the static
+    pre-PODEM untestability pruning::
 
-``analyze`` and ``sweep`` accept ``--fault-model stuck_at|transition`` to
-select the fault universe (``sweep`` also takes it as a scenario axis:
-``--axis fault_model=stuck_at,transition``); for ``corpus`` the flag
-restricts the run to the entries pinned under that model.
+        python -m repro static tiny --limit 10
+        python -m repro static small --nets alu_out,pc_q --json
 
-``analyze`` and ``sweep`` also accept ``--static-prune`` /
-``--no-static-prune`` to control the static pre-PODEM untestability
-pruning (FULL effort only; default on), and the ``static`` subcommand
-dumps the underlying per-net SCOAP testability numbers::
+``serve`` / ``submit`` / ``jobs``
+    Run the asyncio analysis service (:mod:`repro.service`) and talk to
+    it::
 
-    python -m repro static tiny --limit 10
-    python -m repro static small --nets alu_out,pc_q --json
+        python -m repro submit analyze --port 7321 --design tiny
+        python -m repro submit sweep --port 7321 --base tiny \\
+            --axis effort=tie,random --stream
+        python -m repro jobs --port 7321
 
-``analyze``, ``sweep`` and ``corpus`` accept ``--store DIR`` to attach a
-durable artifact store (:mod:`repro.store`): pass results persist under
-DIR and replay across runs and processes.  ``cache`` inspects and prunes
-such a store::
+``cache``
+    Inspect and prune a durable artifact store (:mod:`repro.store`).
 
-    python -m repro analyze tiny --store ~/.cache/repro
-    python -m repro cache ls --store ~/.cache/repro
-    python -m repro cache gc --store ~/.cache/repro --max-bytes 500000000
-
-``serve`` starts the asyncio analysis service (:mod:`repro.service`);
-``submit`` and ``jobs`` talk to it::
-
-    python -m repro serve --port 7321 --store ~/.cache/repro
-    python -m repro submit analyze --port 7321 --design tiny
-    python -m repro submit sweep --port 7321 --base tiny \\
-        --axis effort=tie,random --stream
-    python -m repro jobs --port 7321
+The run flags are not declared here: every :class:`repro.api.RunOptions`
+knob with a flag becomes ``--<knob>`` (underscores as dashes) through
+:func:`repro.api.options.add_run_flags`, and each subcommand selects the
+knobs it takes (``python -m repro <command> --help`` lists them).  For
+``corpus`` the fault-model flag filters the entries pinned under that
+model instead of overriding them.
 """
 
 from __future__ import annotations
@@ -77,49 +65,32 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from typing import List, Optional
 
 from repro.api import EXECUTORS, RunOptions, ScenarioGrid, Session
+from repro.api.options import add_run_flags, flag_of, knobs
 from repro.api.corpus import (DEFAULT_CORPUS_DIR, CorpusError, diff_text,
                               run_corpus)
 from repro.api.sweep import SweepReport
-from repro.atpg.engine import AtpgEffort
-from repro.atpg.portfolio import atpg_backend_names
 from repro.core.report import render_source_details
 from repro.faults.categories import source_label
 from repro.faults.models import fault_model_names
 from repro.pipeline import DEFAULT_REGISTRY
 from repro.simulation.kernels import kernel_info
-from repro.simulation.sharded import resolve_jobs
 from repro.soc.config import SoCConfig
-
-COMMANDS = ("analyze", "sweep", "report", "corpus", "static",
-            "serve", "submit", "jobs", "cache", "backends")
 
 #: Default TCP port of the analysis service (``repro serve``).
 DEFAULT_SERVICE_PORT = 7321
 
+#: The run knobs with a CLI flag; ``sweep`` and ``corpus`` take every one
+#: but the effort, which a sweep sets as a scenario axis and a corpus entry
+#: in its spec.
+RUN_FLAGS = tuple(name for name, knob in knobs().items() if knob.flag)
+SWEEP_RUN_FLAGS = tuple(name for name in RUN_FLAGS if name != "effort")
+#: The per-call run flags the service client forwards in a job spec.
+SUBMIT_RUN_FLAGS = ("effort", "fault_model", "static_prune")
 
-def _add_fault_model_argument(parser: argparse.ArgumentParser,
-                              help_text: str) -> None:
-    parser.add_argument(
-        "--fault-model", default=None, dest="fault_model",
-        choices=list(fault_model_names()), help=help_text)
-
-
-def _add_static_prune_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--static-prune", dest="static_prune", default=None,
-        action=argparse.BooleanOptionalAction,
-        help=("pre-classify statically proven untestable faults before "
-              "PODEM (FULL effort only; default: on)"))
-
-
-def _add_store_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--store", default=None, metavar="DIR",
-        help=("durable artifact store directory (or 'backend:location' "
-              "spec); pass results persist there and replay across runs"))
 
 
 def _add_endpoint_arguments(parser: argparse.ArgumentParser,
@@ -130,36 +101,6 @@ def _add_endpoint_arguments(parser: argparse.ArgumentParser,
     parser.add_argument(
         "--port", type=int, default=default_port, metavar="PORT",
         help=f"service port (default: {default_port})")
-
-
-def _jobs_argument(text: str) -> int:
-    try:
-        return resolve_jobs(int(text), cap=False)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
-    """The worker-count knob shared by analyze/sweep/corpus."""
-    parser.add_argument(
-        "--jobs", type=_jobs_argument, default=None, metavar="N",
-        help=("run the fault-population engines on N warm pool workers "
-              "(identical results; default: serial)"))
-
-
-def _add_atpg_arguments(parser: argparse.ArgumentParser) -> None:
-    """The ATPG portfolio knobs shared by analyze/sweep/corpus."""
-    parser.add_argument(
-        "--atpg-backend", dest="atpg_backend", default=None,
-        choices=list(atpg_backend_names()),
-        help=("ATPG portfolio backend for the FULL-effort search phase "
-              "(identical verdicts; default: podem)"))
-    parser.add_argument(
-        "--atpg-seed", dest="atpg_seed", type=int, default=None,
-        metavar="N",
-        help=("seed for randomized ATPG backends such as podem-restart "
-              "(identical verdicts under every seed; default: the "
-              "engine seed)"))
 
 
 # --------------------------------------------------------------------- #
@@ -185,10 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
               "resolved automatically); default: the full paper flow. "
               "Use --list-passes to see what is registered"))
     analyze.add_argument(
-        "--effort", default="tie",
-        choices=[e.value for e in AtpgEffort],
-        help="ATPG effort of the structural engine (default: tie)")
-    analyze.add_argument(
         "--parallel", nargs="?", const=True, default=False, type=int,
         metavar="WORKERS",
         help=("run independent passes concurrently (optionally with an "
@@ -202,12 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--list-passes", action="store_true",
         help="list the registered analysis passes and exit")
-    _add_fault_model_argument(
-        analyze, "fault model to enumerate and classify (default: stuck_at)")
-    _add_static_prune_argument(analyze)
-    _add_jobs_argument(analyze)
-    _add_atpg_arguments(analyze)
-    _add_store_argument(analyze)
+    add_run_flags(analyze, RUN_FLAGS)
 
     sweep = sub.add_parser(
         "sweep", help="run a scenario grid through an executor backend")
@@ -241,13 +173,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--quiet", action="store_true",
         help="suppress per-scenario progress lines on stderr")
-    _add_fault_model_argument(
-        sweep, ("default fault model for every scenario (also available as "
-                "a scenario axis: --axis fault_model=stuck_at,transition)"))
-    _add_static_prune_argument(sweep)
-    _add_jobs_argument(sweep)
-    _add_atpg_arguments(sweep)
-    _add_store_argument(sweep)
+    add_run_flags(sweep, SWEEP_RUN_FLAGS, help={
+        "fault_model": ("default fault model for every scenario (also "
+                        "available as a scenario axis: "
+                        "--axis fault_model=stuck_at,transition)")})
 
     static = sub.add_parser(
         "static",
@@ -284,13 +213,9 @@ def _build_parser() -> argparse.ArgumentParser:
     corpus.add_argument(
         "--quiet", action="store_true",
         help="suppress per-entry progress lines on stderr")
-    _add_fault_model_argument(
-        corpus, ("restrict the run to entries pinned under this fault "
-                 "model (a filter, never an override)"))
-    _add_static_prune_argument(corpus)
-    _add_jobs_argument(corpus)
-    _add_atpg_arguments(corpus)
-    _add_store_argument(corpus)
+    add_run_flags(corpus, SWEEP_RUN_FLAGS, help={
+        "fault_model": ("restrict the run to entries pinned under this "
+                        "fault model (a filter, never an override)")})
 
     backends = sub.add_parser(
         "backends",
@@ -320,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="concurrent job workers (default: 1)")
-    _add_store_argument(serve)
+    add_run_flags(serve, ["store"])
 
     submit = sub.add_parser(
         "submit", help="submit a job to a running analysis service")
@@ -338,9 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
     submit.add_argument(
         "--axis", action="append", default=[], metavar="NAME=V1,V2[,...]",
         help="scenario axis for sweep jobs (repeatable)")
-    submit.add_argument(
-        "--effort", default=None, choices=[e.value for e in AtpgEffort],
-        help="ATPG effort (default: the service session's default)")
     submit.add_argument(
         "--client", default="cli", metavar="ID",
         help="client identity for quota accounting (default: cli)")
@@ -360,9 +282,9 @@ def _build_parser() -> argparse.ArgumentParser:
     submit.add_argument(
         "--timeout", type=float, default=600.0, metavar="SECONDS",
         help="give up waiting for the job after this long (default: 600)")
-    _add_fault_model_argument(
-        submit, "fault model for analyze jobs (default: stuck_at)")
-    _add_static_prune_argument(submit)
+    add_run_flags(submit, SUBMIT_RUN_FLAGS, help={
+        "effort": "ATPG effort (default: the service session's default)",
+        "fault_model": "fault model of the job (default: stuck_at)"})
 
     jobs = sub.add_parser(
         "jobs", help="list the jobs of a running analysis service")
@@ -377,9 +299,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "action", choices=("ls", "gc", "prune"),
         help=("ls: list stored artifacts; gc: drop debris + apply the "
               "retention policy; prune: apply only the size/age bounds"))
-    cache.add_argument(
-        "--store", required=True, metavar="DIR",
-        help="artifact store directory (or 'backend:location' spec)")
+    add_run_flags(cache, ["store"], required=["store"], help={
+        "store": "artifact store directory (or 'backend:location' spec)"})
     cache.add_argument(
         "--max-bytes", type=int, default=None, metavar="N",
         help="retention: total artifact bytes to keep (LRU beyond that)")
@@ -391,15 +312,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="emit the listing / prune outcome as JSON")
 
     return parser
-
-
-def _normalize_argv(argv: List[str]) -> List[str]:
-    """Keep the pre-subcommand CLI working: default to ``analyze``."""
-    if argv and argv[0] in COMMANDS:
-        return argv
-    if argv and argv[0] in ("-h", "--help"):
-        return argv
-    return ["analyze", *argv]
 
 
 # --------------------------------------------------------------------- #
@@ -457,13 +369,7 @@ def _cmd_analyze(args) -> int:
 
     started = time.perf_counter()
     session = Session(parallel_passes=args.parallel,
-                      options=RunOptions(
-                          effort=args.effort, jobs=args.jobs,
-                          fault_model=args.fault_model,
-                          static_prune=args.static_prune,
-                          store=args.store,
-                          atpg_backend=args.atpg_backend,
-                          atpg_seed=args.atpg_seed))
+                      options=RunOptions.from_namespace(args))
     try:
         report = session.analyze(args.config, passes=passes)
     except KeyError as exc:
@@ -528,12 +434,7 @@ def _cmd_sweep(args) -> int:
         return 2
 
     session = Session(executor=args.executor, max_workers=args.workers,
-                      options=RunOptions(
-                          jobs=args.jobs, fault_model=args.fault_model,
-                          static_prune=args.static_prune,
-                          store=args.store,
-                          atpg_backend=args.atpg_backend,
-                          atpg_seed=args.atpg_seed))
+                      options=RunOptions.from_namespace(args))
     passes = _split_passes(args.passes)
 
     if not args.quiet:
@@ -571,13 +472,13 @@ def _cmd_sweep(args) -> int:
 # --------------------------------------------------------------------- #
 def _cmd_corpus(args) -> int:
     try:
-        outcomes = run_corpus(args.dir, jobs=args.jobs,
+        # The fault model filters the entries; the other knobs are the run
+        # options of every entry.
+        options = RunOptions.from_namespace(args)
+        outcomes = run_corpus(args.dir,
+                              options=replace(options, fault_model=None),
                               update=args.update, only=args.only or None,
-                              fault_model=args.fault_model,
-                              static_prune=args.static_prune,
-                              store=args.store,
-                              atpg_backend=args.atpg_backend,
-                              atpg_seed=args.atpg_seed)
+                              fault_model=options.fault_model)
     except CorpusError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -711,12 +612,8 @@ def _build_submit_spec(args) -> dict:
             axes[name.strip()] = [_parse_axis_value(v)
                                   for v in values.split(",") if v.strip()]
         spec = {"base": args.base, "axes": axes}
-    if args.effort is not None:
-        spec["effort"] = args.effort
-    if args.fault_model is not None and args.kind == "analyze":
-        spec["fault_model"] = args.fault_model
-    if args.static_prune is not None and args.kind == "analyze":
-        spec["static_prune"] = args.static_prune
+    spec.update({name: getattr(args, name) for name in SUBMIT_RUN_FLAGS
+                 if getattr(args, name) is not None})
     return spec
 
 
@@ -912,9 +809,9 @@ def _cmd_backends(args) -> int:
     if args.json:
         print(json.dumps(registries, indent=2))
         return 0
-    titles = {"fault_models": "fault models (--fault-model)",
-              "store_backends": "store backends (--store)",
-              "atpg_backends": "ATPG backends (--atpg-backend)"}
+    titles = {"fault_models": f"fault models ({flag_of('fault_model')})",
+              "store_backends": f"store backends ({flag_of('store')})",
+              "atpg_backends": f"ATPG backends ({flag_of('atpg_backend')})"}
     for key, entries in registries.items():
         print(f"{titles[key]}:")
         for entry in entries:
@@ -945,7 +842,7 @@ def _cmd_report(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = _build_parser().parse_args(_normalize_argv(argv))
+    args = _build_parser().parse_args(argv)
     handler = {"analyze": _cmd_analyze,
                "sweep": _cmd_sweep,
                "report": _cmd_report,

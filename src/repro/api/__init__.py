@@ -17,10 +17,13 @@ The pieces compose:
 
 * :class:`Design` — immutable target handle with a stable content
   signature (netlist structure + memory map);
-* :class:`Session` — owns the artifact cache, the executor backend and
-  pass-selection defaults; ``analyze`` / ``sweep`` / ``iter_sweep``;
+* :class:`Session` — owns the artifact cache, the executor backend,
+  pass-selection defaults and the session's :class:`RunOptions`;
+  ``analyze`` / ``sweep`` / ``iter_sweep``;
+* :class:`RunOptions` — every run knob, declared once (the CLI flags,
+  grid run axes and corpus/service spec keys derive from it);
 * :class:`ScenarioGrid` / :class:`Scenario` — declarative cartesian sweeps
-  over SoC-variant axes plus the ATPG-effort axis;
+  over SoC-variant axes plus the run-knob axes;
 * :class:`SerialExecutor` / :class:`ThreadExecutor` /
   :class:`ProcessExecutor` — interchangeable sweep backends;
 * :class:`SweepResult` / :class:`SweepReport` — streamed per-scenario
@@ -34,17 +37,16 @@ from repro.api.executors import (EXECUTORS, Executor, ProcessExecutor,
                                  SerialExecutor, ThreadExecutor,
                                  resolve_executor)
 from repro.api.grid import Scenario, ScenarioGrid
-from repro.api.options import (RunOptions, fold_legacy_kwargs,
-                               reset_legacy_keyword_warnings, resolve_effort)
+from repro.api.options import DEFAULT_RUN_OPTIONS, RunOptions
+from repro.atpg.engine import resolve_effort
 from repro.api.session import DEFAULT_CACHE_ENTRIES, Session
 from repro.api.sweep import SweepReport, SweepResult
 
 __all__ = [
     "Design",
     "RunOptions",
+    "DEFAULT_RUN_OPTIONS",
     "resolve_effort",
-    "fold_legacy_kwargs",
-    "reset_legacy_keyword_warnings",
     "Session",
     "Scenario",
     "ScenarioGrid",

@@ -11,9 +11,11 @@ subdirectory of committed Table I captures::
 
 Each spec names a base configuration preset, an ordered mapping of scenario
 axes (the :meth:`repro.soc.config.SoCConfig.with_axis` vocabulary — size,
-scan, debug, ``cpu.<field>``, ...), an ATPG effort and optionally a fault
-model (``"fault_model": "transition"`` — default stuck-at), so the corpus
-pins Table I per model.  :func:`run_corpus`
+scan, debug, ``cpu.<field>``, ...), an optional description, and any
+per-call run knob of :class:`~repro.api.RunOptions` — typically the ATPG
+effort (default tie) and the fault model (``"fault_model": "transition"``
+— default stuck-at), so the corpus pins Table I per model.  Any other key
+is rejected.  :func:`run_corpus`
 builds every scenario, runs the full identification flow and byte-compares
 the rendered Table I against the golden capture; with ``update=True`` it
 rewrites the captures instead (the intentional-refresh workflow).
@@ -28,10 +30,12 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
+from repro.api.options import (DEFAULT_RUN_OPTIONS, RunOptions,
+                               options_from_spec)
 from repro.faults.models import resolve_fault_model
 from repro.soc.config import SoCConfig
 
@@ -40,6 +44,9 @@ DEFAULT_CORPUS_DIR = Path("benchmarks") / "corpus"
 
 #: Suffix of a golden capture file inside ``<corpus>/golden/``.
 GOLDEN_SUFFIX = ".table.txt"
+
+#: The spec keys that are not run knobs.
+ENTRY_KEYS = ("base", "axes", "description")
 
 
 class CorpusError(ValueError):
@@ -53,10 +60,19 @@ class CorpusEntry:
     name: str
     base: str
     axes: Tuple[Tuple[str, object], ...]
-    effort: str
-    fault_model: str
+    #: The entry's run knobs over the defaults (effort and fault model
+    #: always set).
+    options: RunOptions
     description: str
     path: Path
+
+    @property
+    def effort(self) -> str:
+        return self.options.effort.value
+
+    @property
+    def fault_model(self) -> str:
+        return self.options.fault_model
 
     @property
     def golden_path(self) -> Path:
@@ -108,17 +124,18 @@ def _parse_entry(path: Path) -> CorpusEntry:
     axes = data.get("axes", {})
     if not isinstance(axes, dict):
         raise CorpusError(f"corpus spec {path}: 'axes' must be an object")
-    effort = data.get("effort", "tie")
     try:
-        fault_model = resolve_fault_model(data.get("fault_model")).name
+        options = options_from_spec(data, extra_keys=ENTRY_KEYS,
+                                    what=f"corpus spec {path}")
     except ValueError as exc:
-        raise CorpusError(f"corpus spec {path}: {exc}") from exc
+        raise CorpusError(str(exc)) from None
+    defaults = RunOptions(effort=DEFAULT_RUN_OPTIONS.effort,
+                          fault_model=DEFAULT_RUN_OPTIONS.fault_model)
     return CorpusEntry(
         name=path.stem,
         base=base,
         axes=tuple(axes.items()),
-        effort=str(effort),
-        fault_model=fault_model,
+        options=defaults.merged_with(options),
         description=str(data.get("description", "")),
         path=path,
     )
@@ -139,45 +156,35 @@ def load_corpus(directory: Union[str, Path] = DEFAULT_CORPUS_DIR
 
 def render_entry(entry: CorpusEntry, session=None) -> str:
     """Run the identification flow for one entry; rendered Table I + '\\n'."""
-    from repro.api.options import RunOptions
     from repro.api.session import Session
 
     session = session if session is not None else Session()
-    report = session.analyze(entry.build_config(),
-                             options=RunOptions(effort=entry.effort,
-                                                fault_model=entry.fault_model))
+    report = session.analyze(entry.build_config(), options=entry.options)
     return report.to_table() + "\n"
 
 
 def run_corpus(directory: Union[str, Path] = DEFAULT_CORPUS_DIR, *,
                session=None,
-               jobs: Optional[int] = None,
+               options: Optional[RunOptions] = None,
                update: bool = False,
                only: Optional[Sequence[str]] = None,
-               fault_model: Optional[str] = None,
-               static_prune: Optional[bool] = None,
-               store=None,
-               atpg_backend: Optional[str] = None,
-               atpg_seed: Optional[int] = None) -> List[CorpusOutcome]:
+               fault_model: Optional[str] = None) -> List[CorpusOutcome]:
     """Run (or refresh) the corpus; one outcome per entry, sorted by name.
 
-    ``jobs`` runs the underlying analyses on the worker pool — the
-    whole point of the corpus is that it must not move a single byte of
-    any capture.  ``fault_model`` restricts the run to the entries pinned
-    under that model (a filter, never an override: each entry's golden
-    capture belongs to its declared model).
-    ``static_prune`` toggles the static pre-filter for every entry — the
-    goldens are pinned at tie effort, where the static layer never runs,
-    so both settings must reproduce every capture byte-for-byte.
-    ``store`` attaches a durable artifact store (:mod:`repro.store`) to
-    the run's session — warm artifacts replay across corpus runs, and
-    the captures must still not move a byte.  ``atpg_backend`` /
-    ``atpg_seed`` select the ATPG portfolio backend
-    (:mod:`repro.atpg.portfolio`) — classification verdicts are
-    backend- and seed-independent by contract, so these must not move a
-    byte either.
+    ``options`` are the session's run knobs for every entry (ignored when
+    an explicit ``session`` is given); each entry's own spec keys win over
+    them.  None of them may move a single byte of any capture: ``jobs``
+    runs the analyses on the worker pool; ``static_prune`` toggles the
+    static pre-filter (and, unless set itself, ``static_learning`` with
+    it) — the goldens are pinned at tie effort, where the static layer
+    never runs; ``store`` attaches a durable artifact store
+    (:mod:`repro.store`) whose warm artifacts replay across corpus runs;
+    ``atpg_backend`` / ``atpg_seed`` select the ATPG portfolio backend,
+    whose verdicts are backend- and seed-independent by contract.
+    ``fault_model`` restricts the run to the entries pinned under that
+    model (a filter, never an override: each entry's golden capture
+    belongs to its declared model).
     """
-    from repro.api.options import RunOptions
     from repro.api.session import Session
 
     entries = load_corpus(directory)
@@ -203,10 +210,10 @@ def run_corpus(directory: Union[str, Path] = DEFAULT_CORPUS_DIR, *,
                 f"no corpus entries use fault model {wanted_model!r}{detail}")
 
     if session is None:
-        session = Session(options=RunOptions(
-            jobs=jobs, static_prune=static_prune,
-            static_learning=static_prune, store=store,
-            atpg_backend=atpg_backend, atpg_seed=atpg_seed))
+        options = options if options is not None else RunOptions()
+        if options.static_learning is None:
+            options = replace(options, static_learning=options.static_prune)
+        session = Session(options=options)
 
     outcomes: List[CorpusOutcome] = []
     for entry in entries:

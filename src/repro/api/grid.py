@@ -7,8 +7,9 @@ in deterministic order and yields labelled :class:`Scenario` points:
 * config-level axes (``size``, ``scan``, ``debug``, ``memory_map``,
   ``cpu.<field>``, ...) are applied through
   :meth:`repro.soc.config.SoCConfig.with_axis`;
-* the run-level ``effort`` axis selects the ATPG effort of the structural
-  engine per scenario.
+* the run-level axes (:data:`~repro.api.options.RUN_AXES`: ``effort``,
+  ``fault_model``, ``static_prune``, ``atpg_backend``) set the scenario's
+  :class:`~repro.api.RunOptions`, normalised by each knob's declaration.
 
 ::
 
@@ -26,44 +27,23 @@ generalisation of ``Session.analyze``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 
-from repro.atpg.engine import AtpgEffort, resolve_effort
-from repro.faults.models import resolve_fault_model
-from repro.soc.config import SoCConfig, axis_value_label, expand_axes
-
-#: The axes expanded at run level rather than into the SoC configuration:
-#: the ATPG effort, the fault model, the static-prune knob and the ATPG
-#: portfolio backend select *how* a scenario is analyzed without changing
-#: the generated SoC.
-RUN_AXES = ("effort", "fault_model", "static_prune", "atpg_backend")
+from repro.api.options import RUN_AXES, RunOptions, normalise_knob
+from repro.soc.config import SoCConfig, expand_axes
 
 
-def _resolve_flag(name: str, value: object) -> bool:
-    """Coerce a boolean axis value, accepting the CLI spellings.
-
-    ``bool("off")`` is ``True`` — accepting raw strings here would turn a
-    programmatic ``axis("static_prune", ["on", "off"])`` into two
-    identical scenarios, so strings are resolved like the CLI resolves
-    them and anything unrecognised is rejected.
-    """
+def _run_label(value: object) -> str:
+    """The stable spelling of a run-axis value in scenario labels."""
     if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
-        return bool(value)
-    if isinstance(value, str):
-        lowered = value.strip().lower()
-        if lowered in ("true", "on", "yes", "1"):
-            return True
-        if lowered in ("false", "off", "no", "0"):
-            return False
-    raise ValueError(f"bad value {value!r} for boolean axis {name!r}")
+        return str(int(value))
+    return str(getattr(value, "value", value))
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One expanded grid point: a labelled config plus run-level knobs.
+    """One expanded grid point: a labelled config plus its run-level knobs.
 
     Scenarios are plain picklable values — a
     :class:`~repro.api.ProcessExecutor` ships them to worker processes,
@@ -72,22 +52,14 @@ class Scenario:
 
     label: str
     config: SoCConfig
-    effort: Optional[AtpgEffort] = None
+    #: The scenario's run-axis values; unset fields keep the sweep's and
+    #: the session's options.
+    options: RunOptions = field(default_factory=RunOptions)
     index: int = 0
-    #: Fault-model registry name ("stuck_at", "transition", ...); None
-    #: keeps the session/flow default.  Declared after ``index`` so the
-    #: pre-existing positional construction order is preserved.
-    fault_model: Optional[str] = None
-    #: Static pre-PODEM pruning (FULL effort only); None keeps the
-    #: session/flow default (on).  Appended last for the same reason.
-    static_prune: Optional[bool] = None
-    #: ATPG portfolio backend registry name ("podem", "podem-restart",
-    #: "dalg"); None keeps the session/flow default.  Appended last for
-    #: the same reason.
-    atpg_backend: Optional[str] = None
 
     def build_design(self):
         from repro.api.design import Design
+
         return Design.from_config(self.config, label=self.label)
 
 
@@ -120,15 +92,12 @@ class ScenarioGrid:
         values = list(values)
         if not values:
             raise ValueError(f"scenario axis {name!r} has no values")
-        if name == "effort":
-            values = [resolve_effort(v) for v in values]
-        elif name == "fault_model":
-            values = [resolve_fault_model(v).name for v in values]
-        elif name == "static_prune":
-            values = [_resolve_flag(name, v) for v in values]
-        elif name == "atpg_backend":
-            from repro.atpg.portfolio import resolve_atpg_backend
-            values = [resolve_atpg_backend(v).name for v in values]
+        if name in RUN_AXES:
+            try:
+                values = [normalise_knob(name, v) for v in values]
+            except ValueError as exc:
+                raise ValueError(
+                    f"bad value for axis {name!r}: {exc}") from None
         else:
             # Validate config axes eagerly — a typo should fail at grid
             # construction, not halfway through a long sweep.
@@ -161,25 +130,17 @@ class ScenarioGrid:
 
         points: List[Scenario] = []
         for config_label, config in expand_axes(self.base, config_axes):
-            for (effort, fault_model, static_prune,
-                 atpg_backend) in itertools.product(*run_axes):
+            for run_values in itertools.product(*run_axes):
+                knobs = {name: value for name, value
+                         in zip(RUN_AXES, run_values) if value is not None}
                 parts = [config_label] if config_label else []
-                if effort is not None:
-                    parts.append(f"effort={axis_value_label(effort)}")
-                if fault_model is not None:
-                    parts.append(f"fault_model={fault_model}")
-                if static_prune is not None:
-                    parts.append(f"static_prune={int(static_prune)}")
-                if atpg_backend is not None:
-                    parts.append(f"atpg_backend={atpg_backend}")
+                parts.extend(f"{name}={_run_label(value)}"
+                             for name, value in knobs.items())
                 label = (f"{self.base_name}[{','.join(parts)}]" if parts
                          else self.base_name)
-                points.append(
-                    Scenario(label=label, config=config, effort=effort,
-                             fault_model=fault_model,
-                             static_prune=static_prune,
-                             atpg_backend=atpg_backend,
-                             index=len(points)))
+                points.append(Scenario(label=label, config=config,
+                                       options=RunOptions(**knobs),
+                                       index=len(points)))
         return points
 
     def __repr__(self) -> str:

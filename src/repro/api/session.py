@@ -7,8 +7,9 @@ A session owns the three things that should outlive a single analysis:
   replay each other's effort-independent artifacts;
 * an executor backend (:mod:`repro.api.executors`) deciding *how* sweep
   scenarios run — serially, on threads, or on worker processes;
-* the default pass selection / ATPG effort / flow configuration applied
-  when a call does not override them.
+* the default pass selection, flow switches (:class:`FlowConfig`) and run
+  knobs (:class:`~repro.api.RunOptions`) applied when a call does not
+  override them.
 
 ``Session.analyze`` is the one-design entry point; ``Session.sweep``
 expands a :class:`~repro.api.ScenarioGrid` and streams per-scenario
@@ -23,14 +24,11 @@ from dataclasses import dataclass, replace as _replace
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple, Union)
 
-from repro.atpg.engine import AtpgEffort
 from repro.core.results import FlowConfig, OnlineUntestableReport
-from repro.faults.models import FaultModel
 from repro.api.design import Design
 from repro.api.executors import Executor, resolve_executor
 from repro.api.grid import Scenario, ScenarioGrid
-from repro.api.options import (RunOptions, fold_legacy_kwargs,
-                               resolve_effort)
+from repro.api.options import DEFAULT_RUN_OPTIONS, RunOptions
 from repro.api.sweep import SweepReport, SweepResult
 from repro.pipeline import (ArtifactCache, Pipeline, default_pass_names)
 
@@ -46,14 +44,13 @@ class _ProcessJob:
     scenario: Scenario
     passes: Optional[Tuple[str, ...]]
     flow_config: Optional[FlowConfig]
-    effort: Optional[AtpgEffort]
     parallel_passes: Union[bool, int]
-    #: The parent session's run options reduced to one picklable bundle
-    #: (:meth:`RunOptions.with_store_spec`): the durable store crosses as
-    #: its location — workers cannot share the parent's in-memory LRU, but
-    #: they *can* share the on-disk store, so a process-backend sweep still
-    #: reuses warm artifacts.
-    options: Optional[RunOptions] = None
+    #: The session's and the sweep call's run options, merged, with the
+    #: durable store reduced to its location (:meth:`RunOptions.
+    #: with_store_spec`): workers cannot share the parent's in-memory LRU,
+    #: but they *can* share the on-disk store, so a process-backend sweep
+    #: still reuses warm artifacts.
+    options: RunOptions
 
 
 def _run_process_job(job: _ProcessJob) -> Dict[str, object]:
@@ -64,32 +61,29 @@ def _run_process_job(job: _ProcessJob) -> Dict[str, object]:
     travels back as its serializable core (detail objects stay behind).
     """
     started = time.perf_counter()
-    opts = job.options or RunOptions()
     # Fresh, unshared worker session — but attached to the shared durable
     # store when the parent session has one.
     session = Session(cache_entries=None,
-                      options=RunOptions(store=opts.store))
+                      options=RunOptions(store=job.options.store))
     design = job.scenario.build_design()
+    options = _replace(job.options, store=None).merged_with(
+        job.scenario.options)
     report = session.analyze(design,
                              passes=list(job.passes) if job.passes else None,
                              parallel=job.parallel_passes,
                              config=job.flow_config,
-                             options=RunOptions(
-                                 effort=job.scenario.effort or job.effort,
-                                 fault_model=job.scenario.fault_model,
-                                 static_prune=job.scenario.static_prune,
-                                 atpg_backend=(job.scenario.atpg_backend
-                                               or opts.atpg_backend),
-                                 atpg_seed=opts.atpg_seed))
+                             options=options)
     return {
         "label": job.scenario.label,
         "signature": design.signature,
-        "effort": (job.scenario.effort or job.effort or
-                   (job.flow_config.effort if job.flow_config
-                    else FlowConfig().effort)).value,
+        "effort": _effort_label(options),
         "elapsed_seconds": time.perf_counter() - started,
         "report": report.to_json_dict(),
     }
+
+
+def _effort_label(options: RunOptions) -> str:
+    return DEFAULT_RUN_OPTIONS.merged_with(options).effort.value
 
 
 class Session:
@@ -101,25 +95,11 @@ class Session:
                  cache: Optional[ArtifactCache] = None,
                  cache_entries: Optional[int] = DEFAULT_CACHE_ENTRIES,
                  options: Optional[RunOptions] = None,
-                 store=None,
                  passes: Optional[Sequence] = None,
-                 effort: Union[AtpgEffort, str, None] = None,
                  flow_config: Optional[FlowConfig] = None,
-                 parallel_passes: Union[bool, int] = False,
-                 jobs: Optional[int] = None,
-                 fault_model: Union[str, FaultModel, None] = None,
-                 static_prune: Optional[bool] = None,
-                 static_learning: Optional[bool] = None) -> None:
-        #: The session-default run knobs as one normalized bundle.  The
-        #: scattered keywords (``store``, ``effort``, ``jobs``, ...) are a
-        #: deprecated spelling of the same thing: they warn once per
-        #: process and fold into ``options`` (an explicit ``options=``
-        #: field wins over its legacy twin).
-        self.options = fold_legacy_kwargs(
-            "Session", options,
-            store=store, effort=effort, jobs=jobs,
-            fault_model=fault_model, static_prune=static_prune,
-            static_learning=static_learning)
+                 parallel_passes: Union[bool, int] = False) -> None:
+        #: The session-default run knobs; per-call options win over them.
+        self.options = options if options is not None else RunOptions()
         self.executor = resolve_executor(executor, max_workers)
         self.max_workers = max_workers
         if cache is not None:
@@ -141,37 +121,6 @@ class Session:
         self.flow_config = flow_config
         self.parallel_passes = parallel_passes
 
-    # Back-compat views of the options bundle: pre-redesign code read the
-    # knobs as plain session attributes (``session.jobs`` etc.), so each
-    # stays readable — they are one bundle field now.
-    @property
-    def effort(self) -> Optional[AtpgEffort]:
-        return self.options.effort
-
-    @property
-    def jobs(self) -> Optional[int]:
-        return self.options.jobs
-
-    @property
-    def fault_model(self) -> Optional[str]:
-        return self.options.fault_model
-
-    @property
-    def static_prune(self) -> Optional[bool]:
-        return self.options.static_prune
-
-    @property
-    def static_learning(self) -> Optional[bool]:
-        return self.options.static_learning
-
-    @property
-    def atpg_backend(self) -> Optional[str]:
-        return self.options.atpg_backend
-
-    @property
-    def atpg_seed(self) -> Optional[int]:
-        return self.options.atpg_seed
-
     # ------------------------------------------------------------------ #
     # single-design analysis
     # ------------------------------------------------------------------ #
@@ -182,44 +131,37 @@ class Session:
 
     def analyze(self, target, *,
                 passes: Optional[Sequence] = None,
-                effort: Union[AtpgEffort, str, None] = None,
                 parallel: Union[bool, int, None] = None,
                 config: Optional[FlowConfig] = None,
                 memory_map=None,
                 faults: Optional[Iterable] = None,
-                options: Optional[RunOptions] = None,
-                jobs: Optional[int] = None,
-                fault_model: Union[str, FaultModel, None] = None,
-                static_prune: Optional[bool] = None,
-                static_learning: Optional[bool] = None
+                options: Optional[RunOptions] = None
                 ) -> OnlineUntestableReport:
         """Analyze one design, applying session defaults where not overridden.
 
-        ``target`` is anything :meth:`design` accepts.  Per-call knobs
-        travel in ``options`` (a :class:`RunOptions`); the scattered
-        keywords (``effort``, ``jobs``, ...) are the deprecated spelling
-        and fold into it.  Results are memoised per pass in the session
-        cache, so re-analyzing the same design (or a structural clone, or
-        a variant that only changes facets a pass does not read) replays
-        instead of recomputing.  ``jobs`` > 1 runs the fault population on
-        the warm worker pool (identical results, see
+        ``target`` is anything :meth:`design` accepts.  ``options`` (a
+        :class:`RunOptions`) carries the per-call knobs; its set fields win
+        over the session's.  ``config`` picks the paper's switches (default:
+        the session's, else all on).  Results are memoised per pass in the
+        session cache, so re-analyzing the same design (or a structural
+        clone, or a variant that only changes facets a pass does not read)
+        replays instead of recomputing.  ``jobs`` > 1 runs the fault
+        population on the warm worker pool (identical results, see
         :mod:`repro.simulation.sharded`).
         """
-        call = fold_legacy_kwargs(
-            "Session.analyze", options,
-            effort=effort, jobs=jobs,
-            fault_model=fault_model, static_prune=static_prune,
-            static_learning=static_learning)
-        if call.store is not None:
+        if options is not None and options.store is not None:
             raise ValueError(
                 "store is a session-level knob: build the session with "
                 "Session(options=RunOptions(store=...)) instead of "
                 "passing it per analyze() call")
         design = self.design(target, memory_map=memory_map)
-        flow_config = self._effective_flow_config(config, call)
-        pipeline = self._pipeline(passes, flow_config, parallel)
+        run = DEFAULT_RUN_OPTIONS.merged_with(self.options).merged_with(
+            options)
+        flow_config = config if config is not None else self.flow_config
+        pipeline = self._pipeline(passes, flow_config, run, parallel)
         result = pipeline.run(design.netlist, config=flow_config,
-                              memory_map=design.memory_map, faults=faults)
+                              options=run, memory_map=design.memory_map,
+                              faults=faults)
         return result.report
 
     # ------------------------------------------------------------------ #
@@ -228,12 +170,13 @@ class Session:
     def iter_sweep(self, grid: Union[ScenarioGrid, Sequence[Scenario]], *,
                    executor: Union[str, Executor, None] = None,
                    passes: Optional[Sequence] = None,
-                   effort: Union[AtpgEffort, str, None] = None,
+                   options: Optional[RunOptions] = None,
                    config: Optional[FlowConfig] = None
                    ) -> Iterator[SweepResult]:
         """Run every grid scenario, yielding results *as they complete*.
 
-        Completion order depends on the backend; each
+        ``options`` applies to every scenario; each scenario's own run-axis
+        values win over it.  Completion order depends on the backend; each
         :class:`~repro.api.SweepResult` carries its scenario index, so
         callers needing grid order can sort afterwards (``sweep`` does).
         A failing scenario yields an error-carrying result rather than
@@ -242,24 +185,24 @@ class Session:
         scenarios = self._expand(grid)
         backend = (self.executor if executor is None
                    else resolve_executor(executor, self.max_workers))
-        effort_default = resolve_effort(effort, self.effort)
+        options = options if options is not None else RunOptions()
 
         if backend.requires_pickling:
-            jobs = [self._process_job(s, passes, config, effort_default)
+            jobs = [self._process_job(s, passes, config, options)
                     for s in scenarios]
             worker = _run_process_job
         else:
             jobs = scenarios
             worker = lambda scenario: self._run_scenario(  # noqa: E731
-                scenario, passes, config, effort_default)
+                scenario, passes, config, options)
 
         for index, outcome in backend.imap_unordered(worker, jobs):
             scenario = scenarios[index]
             if isinstance(outcome, BaseException):
                 yield SweepResult(
                     index=scenario.index, label=scenario.label,
-                    effort=self._effort_label(scenario, effort_default,
-                                              config),
+                    effort=_effort_label(self.options.merged_with(
+                        options).merged_with(scenario.options)),
                     error=f"{type(outcome).__name__}: {outcome}")
             elif isinstance(outcome, SweepResult):
                 yield outcome
@@ -275,7 +218,7 @@ class Session:
     def sweep(self, grid: Union[ScenarioGrid, Sequence[Scenario]], *,
               executor: Union[str, Executor, None] = None,
               passes: Optional[Sequence] = None,
-              effort: Union[AtpgEffort, str, None] = None,
+              options: Optional[RunOptions] = None,
               config: Optional[FlowConfig] = None,
               on_result: Optional[Callable[[SweepResult], None]] = None
               ) -> SweepReport:
@@ -290,7 +233,7 @@ class Session:
         started = time.perf_counter()
         results = []
         for result in self.iter_sweep(grid, executor=backend, passes=passes,
-                                      effort=effort, config=config):
+                                      options=options, config=config):
             results.append(result)
             if on_result is not None:
                 on_result(result)
@@ -319,19 +262,6 @@ class Session:
         """The durable artifact store behind the cache (None = memory only)."""
         return self.cache.store
 
-    def _store_spec(self) -> Optional[str]:
-        """A picklable respawn spec of the session's store, if one exists.
-
-        Local directory stores reduce to their root path; an exotic custom
-        backend instance has no string spelling, so process-backend workers
-        then run store-less (the sweep still succeeds, just cold).
-        """
-        store = self.cache.store
-        if store is None:
-            return None
-        root = getattr(store, "root", None)
-        return str(root) if root is not None else None
-
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
@@ -348,66 +278,13 @@ class Session:
         return [(_replace(s, index=i) if s.index != i else s)
                 for i, s in enumerate(scenarios)]
 
-    def _effective_flow_config(self, config: Optional[FlowConfig],
-                               call: Optional[RunOptions] = None
-                               ) -> FlowConfig:
-        call = call if call is not None else RunOptions()
-        flow_config = config if config is not None else self.flow_config
-        flow_config = flow_config if flow_config is not None else FlowConfig()
-        resolved = resolve_effort(call.effort, self.effort if config is None
-                                  else None)
-        if resolved is not None:
-            flow_config = _replace(flow_config, effort=resolved)
-        if call.jobs is not None:
-            # Explicit per-call jobs wins over both the session default
-            # and whatever the flow config carries (so jobs=1 can force a
-            # serial run of a sharded config).
-            flow_config = _replace(flow_config, jobs=call.jobs)
-        elif self.jobs is not None and flow_config.jobs == 1:
-            flow_config = _replace(flow_config, jobs=self.jobs)
-        if call.fault_model is not None:
-            # Explicit per-call model wins over the session default and the
-            # flow config.
-            flow_config = _replace(flow_config,
-                                   fault_model=call.fault_model)
-        elif self.fault_model is not None and config is None:
-            # Like the effort default: the session model applies only when
-            # no explicit config was handed in — FlowConfig(fault_model=
-            # "stuck_at") passed by the caller must stay stuck-at.
-            flow_config = _replace(flow_config, fault_model=self.fault_model)
-        # Static-analysis and ATPG-portfolio knobs: explicit per-call wins;
-        # the session default applies only when no explicit config was
-        # handed in (same rule as the fault model above).
-        if call.static_prune is not None:
-            flow_config = _replace(flow_config,
-                                   static_prune=call.static_prune)
-        elif self.static_prune is not None and config is None:
-            flow_config = _replace(flow_config,
-                                   static_prune=self.static_prune)
-        if call.static_learning is not None:
-            flow_config = _replace(flow_config,
-                                   static_learning=call.static_learning)
-        elif self.static_learning is not None and config is None:
-            flow_config = _replace(flow_config,
-                                   static_learning=self.static_learning)
-        if call.atpg_backend is not None:
-            flow_config = _replace(flow_config,
-                                   atpg_backend=call.atpg_backend)
-        elif self.atpg_backend is not None and config is None:
-            flow_config = _replace(flow_config,
-                                   atpg_backend=self.atpg_backend)
-        if call.atpg_seed is not None:
-            flow_config = _replace(flow_config, atpg_seed=call.atpg_seed)
-        elif self.atpg_seed is not None and config is None:
-            flow_config = _replace(flow_config, atpg_seed=self.atpg_seed)
-        return flow_config
-
     def _pipeline(self, passes: Optional[Sequence],
-                  flow_config: FlowConfig,
+                  flow_config: Optional[FlowConfig],
+                  options: RunOptions,
                   parallel: Union[bool, int, None]) -> Pipeline:
         selection = passes if passes is not None else self.passes
         if selection is None:
-            selection = default_pass_names(flow_config)
+            selection = default_pass_names(flow_config, options)
         parallel = self.parallel_passes if parallel is None else parallel
         max_workers = (parallel
                        if isinstance(parallel, int)
@@ -418,34 +295,22 @@ class Session:
     def _run_scenario(self, scenario: Scenario,
                       passes: Optional[Sequence],
                       config: Optional[FlowConfig],
-                      effort_default: Optional[AtpgEffort]) -> SweepResult:
+                      options: RunOptions) -> SweepResult:
         started = time.perf_counter()
         design = scenario.build_design()
+        options = options.merged_with(scenario.options)
         report = self.analyze(design, passes=passes, config=config,
-                              options=RunOptions(
-                                  effort=scenario.effort or effort_default,
-                                  fault_model=scenario.fault_model,
-                                  static_prune=scenario.static_prune,
-                                  atpg_backend=scenario.atpg_backend))
+                              options=options)
         return SweepResult(
             index=scenario.index, label=scenario.label,
             design_signature=design.signature,
-            effort=self._effort_label(scenario, effort_default, config),
+            effort=_effort_label(self.options.merged_with(options)),
             elapsed_seconds=time.perf_counter() - started,
             report=report)
 
-    def _effort_label(self, scenario: Scenario,
-                      effort_default: Optional[AtpgEffort],
-                      config: Optional[FlowConfig] = None) -> str:
-        effort = (scenario.effort or effort_default
-                  or (config.effort if config is not None
-                      else (self.flow_config.effort if self.flow_config
-                            else FlowConfig().effort)))
-        return effort.value
-
     def _process_job(self, scenario: Scenario, passes: Optional[Sequence],
                      config: Optional[FlowConfig],
-                     effort_default: Optional[AtpgEffort]) -> _ProcessJob:
+                     options: RunOptions) -> _ProcessJob:
         selection = passes if passes is not None else self.passes
         if selection is not None:
             names = tuple(p for p in selection if isinstance(p, str))
@@ -456,24 +321,16 @@ class Session:
                     "use the serial/thread executor")
         else:
             names = None
-        # Ship the *effective* flow config so session-level defaults —
-        # including the worker count — survive the process boundary
-        # (worker sessions are built bare).
-        defaults_set = any(
-            getattr(self.options, name) is not None
-            for name in ("jobs", "fault_model", "static_prune",
-                         "static_learning", "atpg_backend", "atpg_seed"))
-        flow_config = (self._effective_flow_config(config)
-                       if (defaults_set
-                           or config is not None
-                           or self.flow_config is not None)
-                       else None)
-        options = _replace(self.options, store=self._store_spec())
+        # Worker sessions are built bare, so the session's defaults travel
+        # in the job: its run options (store reduced to its location) and
+        # its flow switches.
+        merged = _replace(self.options.merged_with(options),
+                          store=self.cache.store).with_store_spec()
         return _ProcessJob(scenario=scenario, passes=names,
-                           flow_config=flow_config,
-                           effort=effort_default,
+                           flow_config=(config if config is not None
+                                        else self.flow_config),
                            parallel_passes=self.parallel_passes,
-                           options=options)
+                           options=merged)
 
     # ------------------------------------------------------------------ #
     # parallel-runtime lifecycle
@@ -520,4 +377,4 @@ class Session:
     def __repr__(self) -> str:
         return (f"Session(executor={self.executor.name!r}, "
                 f"cache={self.cache.stats}, "
-                f"effort={self.effort.value if self.effort else None!r})")
+                f"options={self.options!r})")

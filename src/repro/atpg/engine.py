@@ -39,18 +39,23 @@ class AtpgEffort(str, Enum):
 
 def resolve_effort(effort: object,
                    default: Optional[AtpgEffort] = None) -> Optional[AtpgEffort]:
-    """Coerce an effort spec to an enum member.
+    """Coerce an effort spec (enum member, string or None) to an enum member.
 
-    .. deprecated::
-        The implementation moved to :func:`repro.api.options.resolve_effort`
-        (the parser is consumed by the API layer, not by the engine); this
-        delegating re-export keeps every ``from repro.atpg.engine import
-        resolve_effort`` caller working.  The import is deferred because
-        ``repro.api`` initializes through this module.
+    ``None`` resolves to ``default``; strings are matched case-insensitively
+    against the enum values.  Unknown efforts raise a :class:`ValueError`
+    spelling the accepted values.
     """
-    from repro.api.options import resolve_effort as _resolve_effort
-
-    return _resolve_effort(effort, default)
+    if effort is None:
+        return default
+    if isinstance(effort, AtpgEffort):
+        return effort
+    try:
+        return AtpgEffort(str(effort).strip().lower())
+    except ValueError:
+        names = ", ".join(e.value for e in AtpgEffort)
+        raise ValueError(
+            f"unknown ATPG effort {effort!r}; expected one of: {names}"
+        ) from None
 
 
 @dataclass

@@ -12,8 +12,8 @@ The flow mirrors §3 of the paper:
 4. :mod:`repro.core.memory_analysis` — freeze the address bits the mission
    memory map can never toggle and collect the resulting untestable faults
    (§3.3);
-5. :mod:`repro.core.flow` — orchestrate the above and produce the Table-I
-   style summary.
+5. :mod:`repro.core.results` — the Table-I style report the pass
+   pipeline (:mod:`repro.pipeline`) assembles from the above.
 
 Exports are resolved lazily (PEP 562): :mod:`repro.core.registry` is the
 dependency-free substrate every pluggable layer (fault models, store
@@ -36,9 +36,8 @@ _EXPORTS = {
     "identify_debug_observe_untestable": "repro.core.debug_observe",
     "MemoryMapResult": "repro.core.memory_analysis",
     "identify_memory_map_untestable": "repro.core.memory_analysis",
-    "FlowConfig": "repro.core.flow",
-    "OnlineUntestableFlow": "repro.core.flow",
-    "OnlineUntestableReport": "repro.core.flow",
+    "FlowConfig": "repro.core.results",
+    "OnlineUntestableReport": "repro.core.results",
     "SourceSummary": "repro.core.results",
     "render_summary_table": "repro.core.report",
     "render_source_details": "repro.core.report",

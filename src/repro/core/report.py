@@ -8,7 +8,7 @@ from repro.faults.categories import source_label
 from repro.utils.tables import Table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from repro.core.flow import OnlineUntestableReport
+    from repro.core.results import OnlineUntestableReport
 
 
 def _model_label(report: "OnlineUntestableReport") -> str:

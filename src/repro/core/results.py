@@ -1,11 +1,8 @@
 """Result objects of the on-line untestable identification flow.
 
-These dataclasses are shared between the legacy single-shot driver
-(:class:`repro.core.flow.OnlineUntestableFlow`) and the composable pass
-pipeline (:mod:`repro.pipeline`): both produce the same
-:class:`OnlineUntestableReport`, so everything downstream (Table-I
-rendering, fault-list pruning, the benchmarks) is agnostic about which
-driver ran the analyses.
+The pass pipeline (:mod:`repro.pipeline`) assembles an
+:class:`OnlineUntestableReport`; everything downstream (Table-I
+rendering, fault-list pruning, the benchmarks) consumes it.
 """
 
 from __future__ import annotations
@@ -14,7 +11,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from repro.atpg.engine import AtpgEffort
 from repro.core.debug_control import DebugControlResult
 from repro.core.debug_observe import DebugObserveResult
 from repro.core.memory_analysis import MemoryMapResult
@@ -27,47 +23,16 @@ from repro.faults.faultlist import FaultList
 
 @dataclass
 class FlowConfig:
-    """What the flow runs and how hard the ATPG engine works."""
+    """The paper's switches: which untestability sources run (§3) and the
+    Fig. 6 tie-flop ablation.  Every runtime knob (effort, fault model,
+    workers, store, ...) is a :class:`repro.api.RunOptions` field."""
 
-    effort: AtpgEffort = AtpgEffort.TIE
-    # Fault model the flow enumerates and classifies (a registry name from
-    # repro.faults.models — "stuck_at" is the paper's universe,
-    # "transition" the launch-on-capture transition-delay model).  A cache
-    # facet: passes keyed on the fault universe re-run per model.
-    fault_model: str = DEFAULT_FAULT_MODEL
     run_scan: bool = True
     run_debug_control: bool = True
     run_debug_observe: bool = True
     run_memory_map: bool = True
     tie_flop_outputs: bool = True   # §3.3 / Fig. 6 ablation knob
     tie_flop_inputs: bool = True
-    # Worker count of the classification engines (repro.simulation.sharded):
-    # jobs=1 is the serial reference; higher values run the fault list in
-    # cone-affine chunks on the warm worker pool (repro.runtime) without
-    # changing any verdict, so jobs is deliberately *not* a cache facet.
-    jobs: int = 1
-    # Durable artifact store spec (repro.store.resolve_store vocabulary:
-    # a directory path or "backend:location").  Like ``jobs`` this is a
-    # *runtime* knob, deliberately not a cache facet: where artifacts are
-    # persisted can never change what an analysis computes.  None (the
-    # default) keeps the flow purely in-memory.
-    store: Optional[str] = None
-    # Static netlist analysis (repro.analysis), FULL effort only:
-    # ``static_prune`` classifies statically proven faults UU before any
-    # PODEM call; ``static_learning`` lets the remaining searches consult
-    # the learned implications and SCOAP guidance.  Both default on; both
-    # off is the plain-search oracle path.  Unlike ``jobs`` these *are*
-    # cache facets ("static"): pruning shifts abort-limit boundary cases,
-    # so results may legitimately differ across settings.
-    static_prune: bool = True
-    static_learning: bool = True
-    # ATPG portfolio backend (repro.atpg.portfolio) used by the FULL-effort
-    # search phase, and the seed its randomized members derive per-fault
-    # streams from (None reuses the engine seed).  A cache facet ("atpg"):
-    # backends agree wherever their searches complete, but abort-limit
-    # boundary cases (AU vs a definite verdict) may legitimately differ.
-    atpg_backend: Optional[str] = None
-    atpg_seed: Optional[int] = None
 
 
 @dataclass

@@ -21,8 +21,9 @@ the collapse rules all dispatch through the model, so adding a fault model
 never touches the kernels.
 
 Every model registers itself in a process-global registry; configuration
-surfaces (``FlowConfig.fault_model``, the ``--fault-model`` CLI flag, the
-``fault_model`` scenario axis) name models by their registry key.
+surfaces (the ``fault_model`` knob of :class:`repro.api.RunOptions` and
+the CLI flag, grid axis and spec key derived from it) name models by
+their registry key.
 """
 
 from __future__ import annotations
@@ -367,8 +368,9 @@ def resolve_fault_model(spec: Union[str, FaultModel, None],
                         default: Optional[FaultModel] = None) -> FaultModel:
     """Coerce a model spec (instance, registry name or None) to a model.
 
-    The single parser shared by :class:`repro.core.results.FlowConfig`,
-    the Session defaults, the scenario-grid axis and the CLI.  ``None``
+    The single parser behind the ``fault_model`` knob of
+    :class:`repro.api.RunOptions` (and so every surface derived from it)
+    and the fault-list builders.  ``None``
     resolves to ``default`` (or the stuck-at model).
     """
     if spec is None:

@@ -1,10 +1,11 @@
 """The typed artifact store passes read from and publish into.
 
 A :class:`PipelineContext` is created per pipeline run.  It seeds the run
-inputs (netlist, memory map, flow configuration, an optional restricted
-fault universe), collects every artifact passes publish, and — when the
-pipeline owns an :class:`repro.pipeline.cache.ArtifactCache` — computes
-the cache key under which each pass's result is memoised.
+inputs (netlist, memory map, the paper's flow switches, the resolved run
+options, an optional restricted fault universe), collects every artifact
+passes publish, and — when the pipeline owns an
+:class:`repro.pipeline.cache.ArtifactCache` — computes the cache key
+under which each pass's result is memoised.
 
 Artifact access is thread-safe: independent passes run concurrently in
 the parallel pipeline and publish their artifacts from worker threads.
@@ -13,7 +14,7 @@ the parallel pipeline and publish their artifacts from worker threads.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Union
 
 from repro.core.results import FlowConfig
 from repro.faults.models import Fault
@@ -22,6 +23,9 @@ from repro.netlist.module import Netlist
 from repro.pipeline.cache import (ArtifactCache, CacheKey,
                                   fault_restriction_key, memory_map_key,
                                   netlist_signature)
+
+if TYPE_CHECKING:  # pragma: no cover - repro.api imports this package
+    from repro.api.options import RunOptions
 
 
 class MissingArtifactError(KeyError):
@@ -56,9 +60,14 @@ class PipelineContext:
                  config: Optional[FlowConfig] = None,
                  memory_map: Optional[MemoryMap] = None,
                  initial_faults: Optional[Iterable[Fault]] = None,
-                 cache: Optional[ArtifactCache] = None) -> None:
+                 cache: Optional[ArtifactCache] = None,
+                 options: Optional[RunOptions] = None) -> None:
         self.netlist = netlist
         self.config = config or FlowConfig()
+        from repro.api.options import DEFAULT_RUN_OPTIONS
+
+        #: The run knobs, every unset field filled from the defaults.
+        self.options = DEFAULT_RUN_OPTIONS.merged_with(options)
         self.memory_map = memory_map
         self.initial_faults: Optional[List[Fault]] = (
             list(initial_faults) if initial_faults is not None else None)
@@ -105,41 +114,24 @@ class PipelineContext:
     # typed conveniences for the common artifacts ----------------------- #
     @property
     def effort(self):
-        return self.config.effort
-
-    @property
-    def jobs(self) -> int:
-        """Worker count for the fault-population engines (1 = serial;
-        the engines reject values below 1)."""
-        jobs = getattr(self.config, "jobs", None)
-        return 1 if jobs is None else jobs
+        return self.options.effort
 
     @property
     def fault_model(self):
         """The resolved :class:`~repro.faults.models.FaultModel` of this run."""
         from repro.faults.models import resolve_fault_model
 
-        return resolve_fault_model(getattr(self.config, "fault_model", None))
+        return resolve_fault_model(self.options.fault_model)
 
     @property
-    def static_prune(self) -> bool:
-        """Pre-classify statically proven faults before PODEM (FULL effort)."""
-        return bool(getattr(self.config, "static_prune", True))
-
-    @property
-    def static_learning(self) -> bool:
-        """Let PODEM consult the learned implications and SCOAP guidance."""
-        return bool(getattr(self.config, "static_learning", True))
-
-    @property
-    def atpg_backend(self):
-        """ATPG portfolio backend name (``None`` = the classic ``podem``)."""
-        return getattr(self.config, "atpg_backend", None)
-
-    @property
-    def atpg_seed(self):
-        """Seed override for randomized ATPG backends (``None`` = engine seed)."""
-        return getattr(self.config, "atpg_seed", None)
+    def engine_options(self) -> Dict[str, Any]:
+        """The run knobs the classification engines take as keywords."""
+        opts = self.options
+        return {"effort": opts.effort, "jobs": opts.jobs,
+                "static_prune": opts.static_prune,
+                "static_learning": opts.static_learning,
+                "atpg_backend": opts.atpg_backend,
+                "atpg_seed": opts.atpg_seed}
 
     @property
     def fault_universe(self) -> List[Fault]:
@@ -178,18 +170,18 @@ class PipelineContext:
 
     def _fragments(self) -> Dict[str, str]:
         if self._facet_fragments is None:
-            cfg = self.config
+            cfg, opts = self.config, self.options
             self._facet_fragments = {
                 "model": f"model={self.fault_model.name}",
-                "effort": f"effort={cfg.effort.name}",
+                "effort": f"effort={opts.effort.name}",
                 "ties": (f"tie_out={int(cfg.tie_flop_outputs)};"
                          f"tie_in={int(cfg.tie_flop_inputs)}"),
                 "memmap": f"memmap={memory_map_key(self.memory_map)}",
                 "faults": f"faults={fault_restriction_key(self.initial_faults)}",
-                "static": (f"static=prune{int(self.static_prune)}:"
-                           f"learn{int(self.static_learning)}"),
-                "atpg": (f"atpg={self.atpg_backend or 'podem'}:"
-                         f"{self.atpg_seed if self.atpg_seed is not None else 'engine'}"),
+                "static": (f"static=prune{int(opts.static_prune)}:"
+                           f"learn{int(opts.static_learning)}"),
+                "atpg": (f"atpg={opts.atpg_backend or 'podem'}:"
+                         f"{opts.atpg_seed if opts.atpg_seed is not None else 'engine'}"),
             }
         return self._facet_fragments
 

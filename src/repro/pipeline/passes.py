@@ -24,7 +24,7 @@ what lets the parallel pipeline run them concurrently.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.atpg.engine import AtpgEffort
 from repro.core.debug_control import (compute_baseline_untestable,
@@ -38,6 +38,9 @@ from repro.faults.faultlist import generate_fault_list
 from repro.pipeline.base import PassResult
 from repro.pipeline.context import PipelineContext
 from repro.pipeline.registry import analysis_pass
+
+if TYPE_CHECKING:  # pragma: no cover - repro.api imports this package
+    from repro.api.options import RunOptions
 
 #: Pass name -> key used in ``OnlineUntestableReport.runtimes`` (kept for
 #: backward compatibility with the legacy flow's phase names).
@@ -59,11 +62,19 @@ REPORT_DETAIL_FIELDS: Dict[str, str] = {
 }
 
 
-def default_pass_names(config: Optional[FlowConfig] = None) -> list:
-    """The pass selection matching a legacy :class:`FlowConfig`."""
+def default_pass_names(config: Optional[FlowConfig] = None,
+                       options: Optional["RunOptions"] = None) -> list:
+    """The paper's pass selection for a :class:`FlowConfig`'s switches.
+
+    The static-analysis pass joins at FULL effort with ``static_prune``
+    on (unset ``options`` fields take their defaults).
+    """
+    from repro.api.options import DEFAULT_RUN_OPTIONS
+
     cfg = config or FlowConfig()
+    run = DEFAULT_RUN_OPTIONS.merged_with(options)
     names = ["fault_list"]
-    if cfg.effort is AtpgEffort.FULL and getattr(cfg, "static_prune", True):
+    if run.effort is AtpgEffort.FULL and run.static_prune:
         names.append("static_analysis")
     names.append("baseline")
     if cfg.run_scan:
@@ -122,10 +133,7 @@ def static_analysis_pass(ctx: PipelineContext) -> PassResult:
 def baseline_pass(ctx: PipelineContext) -> PassResult:
     """Faults untestable before manipulation — Table I's "Original" row."""
     baseline = compute_baseline_untestable(
-        ctx.netlist, ctx.fault_universe, ctx.effort,
-        jobs=ctx.jobs,
-        static_prune=ctx.static_prune, static_learning=ctx.static_learning,
-        atpg_backend=ctx.atpg_backend, atpg_seed=ctx.atpg_seed)
+        ctx.netlist, ctx.fault_universe, **ctx.engine_options)
     return PassResult(artifacts={"baseline_untestable": baseline})
 
 
@@ -160,10 +168,7 @@ def debug_control_pass(ctx: PipelineContext) -> PassResult:
     """§3.2.1 — tie the debug control inputs to their mission constants."""
     ctrl = identify_debug_control_untestable(
         ctx.netlist, faults=ctx.fault_universe,
-        baseline_untestable=ctx.baseline_untestable, effort=ctx.effort,
-        jobs=ctx.jobs,
-        static_prune=ctx.static_prune, static_learning=ctx.static_learning,
-        atpg_backend=ctx.atpg_backend, atpg_seed=ctx.atpg_seed)
+        baseline_untestable=ctx.baseline_untestable, **ctx.engine_options)
     return PassResult(artifacts={"debug_control_result": ctrl},
                       identified=ctrl.newly_untestable, details=ctrl)
 
@@ -176,10 +181,7 @@ def debug_observe_pass(ctx: PipelineContext) -> PassResult:
     """§3.2.2 — float the debug-only observation buses."""
     observe = identify_debug_observe_untestable(
         ctx.netlist, faults=ctx.fault_universe,
-        baseline_untestable=ctx.baseline_untestable, effort=ctx.effort,
-        jobs=ctx.jobs,
-        static_prune=ctx.static_prune, static_learning=ctx.static_learning,
-        atpg_backend=ctx.atpg_backend, atpg_seed=ctx.atpg_seed)
+        baseline_untestable=ctx.baseline_untestable, **ctx.engine_options)
     return PassResult(artifacts={"debug_observe_result": observe},
                       identified=observe.newly_untestable, details=observe)
 
@@ -194,11 +196,8 @@ def memory_analysis_pass(ctx: PipelineContext) -> PassResult:
     """§3.3 — freeze the address bits the mission memory map never toggles."""
     memory = identify_memory_map_untestable(
         ctx.netlist, memory_map=ctx.memory_map, faults=ctx.fault_universe,
-        baseline_untestable=ctx.baseline_untestable, effort=ctx.effort,
+        baseline_untestable=ctx.baseline_untestable,
         tie_flop_outputs=ctx.config.tie_flop_outputs,
-        tie_flop_inputs=ctx.config.tie_flop_inputs,
-        jobs=ctx.jobs,
-        static_prune=ctx.static_prune, static_learning=ctx.static_learning,
-        atpg_backend=ctx.atpg_backend, atpg_seed=ctx.atpg_seed)
+        tie_flop_inputs=ctx.config.tie_flop_inputs, **ctx.engine_options)
     return PassResult(artifacts={"memory_result": memory},
                       identified=memory.newly_untestable, details=memory)

@@ -11,8 +11,7 @@ A :class:`Pipeline` owns an ordered set of analysis passes.  At run time it
 4. attributes every identified fault to its *first* source in the paper's
    fixed order (scan → debug control → debug observe → memory map), so the
    Table I counts are identical no matter how the passes were scheduled;
-5. assembles the same :class:`~repro.core.results.OnlineUntestableReport`
-   the legacy :class:`~repro.core.flow.OnlineUntestableFlow` produced.
+5. assembles the :class:`~repro.core.results.OnlineUntestableReport`.
 
 Pass selection is composable: hand :class:`Pipeline` pass names (resolved
 through the registry, with transitive dependencies pulled in automatically)
@@ -24,7 +23,8 @@ from __future__ import annotations
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
+from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence,
+                    Set, Union)
 
 from repro.core.results import (FlowConfig, OnlineUntestableReport,
                                 SourceSummary)
@@ -38,6 +38,9 @@ from repro.pipeline.context import SEED_ARTIFACTS, PipelineContext
 from repro.pipeline.passes import (LEGACY_RUNTIME_KEYS, REPORT_DETAIL_FIELDS,
                                    default_pass_names)
 from repro.pipeline.registry import DEFAULT_REGISTRY, PassRegistry
+
+if TYPE_CHECKING:  # pragma: no cover - repro.api imports this package
+    from repro.api.options import RunOptions
 
 
 class PipelineError(RuntimeError):
@@ -90,17 +93,13 @@ class Pipeline:
                  parallel: bool = False,
                  max_workers: Optional[int] = None,
                  cache: Optional[ArtifactCache] = None,
-                 registry: Optional[PassRegistry] = None,
-                 jobs: Optional[int] = None) -> None:
+                 registry: Optional[PassRegistry] = None) -> None:
         self.registry = registry if registry is not None else DEFAULT_REGISTRY
         requested = passes if passes is not None else default_pass_names()
         self.passes = self._resolve(requested)
         self.parallel = parallel
         self.max_workers = max_workers
         self.cache = cache
-        #: Default fault-population worker count, applied to runs whose
-        #: FlowConfig leaves it at the serial default.
-        self.jobs = jobs
         self._pass_index = {p.name: i for i, p in enumerate(self.passes)}
 
     @staticmethod
@@ -182,16 +181,22 @@ class Pipeline:
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
-    def run(self, target: Union["SoC", Netlist],  # noqa: F821
+    def run(self, target: Union["SoC", Netlist],
             *,
             config: Optional[FlowConfig] = None,
+            options: Optional["RunOptions"] = None,
             memory_map: Optional[MemoryMap] = None,
             faults: Optional[Iterable[StuckAtFault]] = None) -> PipelineResult:
-        """Run the passes on a SoC or bare netlist and build the report."""
+        """Run the passes on a SoC or bare netlist and build the report.
+
+        ``config`` picks the paper's switches; ``options`` carries the run
+        knobs (unset fields fall back to
+        :data:`~repro.api.options.DEFAULT_RUN_OPTIONS`).
+        """
         netlist, memory_map = _split_target(target, memory_map)
-        config = self._apply_shard_defaults(config)
         ctx = PipelineContext(netlist, config=config, memory_map=memory_map,
-                              initial_faults=faults, cache=self.cache)
+                              initial_faults=faults, cache=self.cache,
+                              options=options)
         result = PipelineResult(context=ctx, order=self.pass_names)
 
         if self.parallel:
@@ -201,20 +206,6 @@ class Pipeline:
 
         result.report = self._build_report(ctx, result)
         return result
-
-    def _apply_shard_defaults(self,
-                              config: Optional[FlowConfig]) -> Optional[FlowConfig]:
-        """Fold the pipeline's jobs default into a run's config.
-
-        A config that explicitly requests workers (``jobs != 1``) wins
-        over the pipeline default.
-        """
-        if self.jobs is None:
-            return config
-        from dataclasses import replace
-
-        config = config if config is not None else FlowConfig()
-        return replace(config, jobs=self.jobs) if config.jobs == 1 else config
 
     def _run_serial(self, ctx: PipelineContext, result: PipelineResult) -> None:
         for pass_ in self.passes:
@@ -422,10 +413,11 @@ class PipelineBuilder:
         return self
 
     def with_default_passes(self,
-                            config: Optional[FlowConfig] = None
+                            config: Optional[FlowConfig] = None,
+                            options: Optional["RunOptions"] = None,
                             ) -> "PipelineBuilder":
         """The paper's §4 flow (honouring a FlowConfig's run_* switches)."""
-        self._passes.extend(default_pass_names(config))
+        self._passes.extend(default_pass_names(config, options))
         return self
 
     def parallel(self, max_workers: Optional[int] = None) -> "PipelineBuilder":
@@ -455,7 +447,7 @@ def _applicable(pass_: AnalysisPass, ctx: PipelineContext) -> bool:
 
 
 def _split_target(target, memory_map: Optional[MemoryMap]):
-    """Mirror the legacy flow's SoC/Netlist target handling."""
+    """Split a SoC or Netlist target into (netlist, memory map)."""
     from repro.soc.soc_builder import SoC
 
     if isinstance(target, SoC):

@@ -15,7 +15,7 @@ adds passes the same way::
 
 A registered pass can then be selected by name when building a
 :class:`repro.pipeline.pipeline.Pipeline` (or via
-``repro.analyze(..., passes=[...])``).
+``Session().analyze(..., passes=[...])``).
 """
 
 from __future__ import annotations

@@ -86,9 +86,17 @@ class ServiceClient:
         payload = {"op": op}
         payload.update(fields)
         with self._connection() as sock:
-            sock.sendall(protocol.encode(payload))
-            with sock.makefile("rb") as stream:
-                return self._check(self._read_line(stream))
+            try:
+                sock.sendall(protocol.encode(payload))
+                with sock.makefile("rb") as stream:
+                    line = self._read_line(stream)
+            except ConnectionError as exc:
+                # A listener closing mid-handshake (shutdown) resets the
+                # connections still in its accept backlog.
+                raise ServiceUnavailable(
+                    f"connection to {self.host}:{self.port} reset "
+                    f"({exc})") from exc
+        return self._check(line)
 
     # ------------------------------------------------------------------ #
     # operations

@@ -48,8 +48,11 @@ class JobState(str, Enum):
         return self in (JobState.DONE, JobState.FAILED, JobState.CANCELLED)
 
 
-#: The job kinds the default runner understands.
-JOB_KINDS = ("analyze", "sweep")
+#: The job kinds the default runner understands, each with the non-knob
+#: keys of its spec (every other key is a :class:`repro.api.RunOptions`
+#: knob).
+JOB_SPEC_KEYS = {"analyze": ("design",), "sweep": ("base", "axes", "name")}
+JOB_KINDS = tuple(JOB_SPEC_KEYS)
 
 #: Terminal jobs kept for ``result``/``status`` queries before the oldest
 #: are forgotten.
@@ -135,6 +138,9 @@ class JobManager:
         self.workers = max(1, workers)
         self.keep_results = keep_results
         self._runner = runner or self._default_runner
+        #: The default runner's specs are checked at submit; an injected
+        #: runner keeps free-form specs.
+        self._validate_specs = runner is None
         self._jobs: "Dict[str, Job]" = {}
         self._order: List[str] = []
         self._ids = itertools.count(1)
@@ -200,6 +206,12 @@ class JobManager:
         if not isinstance(spec, dict):
             raise SubmitRejected(protocol.ERR_BAD_REQUEST,
                                  "job spec must be a JSON object")
+        if self._validate_specs:
+            try:
+                self._parse_spec(kind, spec)
+            except (TypeError, ValueError) as exc:
+                raise SubmitRejected(protocol.ERR_BAD_REQUEST,
+                                     str(exc)) from None
         live = sum(1 for job in self._jobs.values()
                    if job.client == client and not job.state.terminal)
         if live >= self.max_jobs_per_client:
@@ -372,29 +384,36 @@ class JobManager:
             return self._run_analyze(job)
         return self._run_sweep(job, emit)
 
-    def _run_analyze(self, job: Job) -> Dict[str, Any]:
-        from repro.api import RunOptions
+    @staticmethod
+    def _parse_spec(kind: str, spec: Dict[str, Any]):
+        """The run options of a spec, plus its ScenarioGrid for sweeps.
 
-        spec = job.spec
-        report = self.session.analyze(
-            spec.get("design", "date13"),
-            options=RunOptions(
-                effort=spec.get("effort"),
-                fault_model=spec.get("fault_model"),
-                static_prune=spec.get("static_prune"),
-                jobs=spec.get("jobs"),
-                atpg_backend=spec.get("atpg_backend"),
-                atpg_seed=spec.get("atpg_seed")))
+        Raises ValueError (TypeError for a non-preset base) on an unknown
+        key or a bad value.
+        """
+        from repro.api import ScenarioGrid
+        from repro.api.options import options_from_spec
+
+        options = options_from_spec(spec, extra_keys=JOB_SPEC_KEYS[kind],
+                                    what=f"{kind} spec")
+        if kind == "analyze":
+            return options, None
+        axes = spec.get("axes") or {}
+        if not isinstance(axes, dict):
+            raise ValueError("sweep spec: 'axes' must be an object")
+        grid = ScenarioGrid(spec.get("base", "date13"), axes=axes,
+                            name=spec.get("name"))
+        return options, grid
+
+    def _run_analyze(self, job: Job) -> Dict[str, Any]:
+        options, _ = self._parse_spec(job.kind, job.spec)
+        report = self.session.analyze(job.spec.get("design", "date13"),
+                                      options=options)
         return {"table": report.to_table(), "report": report.to_json_dict()}
 
     def _run_sweep(self, job: Job,
                    emit: Callable[[Dict], None]) -> Dict[str, Any]:
-        from repro.api import ScenarioGrid
-
-        spec = job.spec
-        grid = ScenarioGrid(spec.get("base", "date13"),
-                            axes=spec.get("axes") or {},
-                            name=spec.get("name"))
+        options, grid = self._parse_spec(job.kind, job.spec)
 
         def on_result(result) -> None:
             emit({
@@ -412,6 +431,6 @@ class JobManager:
             if job.cancel_event.is_set():
                 raise JobCancelled(job.id)
 
-        sweep = self.session.sweep(grid, effort=spec.get("effort"),
+        sweep = self.session.sweep(grid, options=options,
                                    on_result=on_result)
         return {"table": sweep.to_table(), "report": sweep.to_json_dict()}

@@ -9,12 +9,13 @@ stamping, cross-process single-flight locking and a size/age retention
 policy — so a repeated design hits warm artifacts across processes and
 machines::
 
-    from repro.api import Session
+    from repro.api import RunOptions, Session
 
-    session = Session(store="~/.cache/repro-artifacts")
+    options = RunOptions(store="~/.cache/repro-artifacts")
+    session = Session(options=options)
     session.analyze("date13")      # cold: computes and persists
     # ... any later process ...
-    session = Session(store="~/.cache/repro-artifacts")
+    session = Session(options=options)
     session.analyze("date13")      # warm: every pass replays from disk
 
 The :class:`ArtifactStore` protocol keeps the backend pluggable

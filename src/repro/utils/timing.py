@@ -9,9 +9,9 @@ from typing import Dict, Optional
 class Stopwatch:
     """Accumulates named wall-clock intervals.
 
-    Used by :class:`repro.core.flow.OnlineUntestableFlow` to report the
-    per-phase analysis time (the paper highlights that the manipulated
-    circuit is analysed in under a second).
+    Times named phases, e.g. the per-phase analysis time (the paper
+    highlights that the manipulated circuit is analysed in under a
+    second).
     """
 
     def __init__(self) -> None:

@@ -134,9 +134,9 @@ def small_soc():
 
 @pytest.fixture(scope="session")
 def tiny_flow_report(tiny_soc):
-    from repro.core.flow import OnlineUntestableFlow
+    from repro.api import Session
 
-    return OnlineUntestableFlow(tiny_soc).run()
+    return Session().analyze(tiny_soc)
 
 
 def all_input_patterns(port_names):

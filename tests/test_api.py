@@ -1,15 +1,13 @@
-"""Tests of the Session/Design API: defaults, grids, executors, the shim."""
+"""Tests of the Session/Design API: defaults, grids, executors, options."""
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
 import repro
-from repro.api import (Design, ProcessExecutor, Scenario, ScenarioGrid,
-                       SerialExecutor, Session, SweepReport, ThreadExecutor,
-                       resolve_executor)
+from repro.api import (Design, ProcessExecutor, RunOptions, Scenario,
+                       ScenarioGrid, SerialExecutor, Session, SweepReport,
+                       ThreadExecutor, resolve_executor)
 from repro.atpg.engine import AtpgEffort, resolve_effort
 from repro.memory.memory_map import MemoryMap, MemoryRegion
 from repro.soc.config import SoCConfig
@@ -39,7 +37,7 @@ class TestSessionDefaults:
         assert isinstance(session.executor, SerialExecutor)
         assert session.cache.max_entries is not None  # bounded by default
         assert session.passes is None
-        assert session.effort is None
+        assert session.options == RunOptions()
 
     def test_executor_by_name(self):
         assert isinstance(Session(executor="thread").executor, ThreadExecutor)
@@ -73,8 +71,8 @@ class TestSessionDefaults:
         assert again.online_untestable == reference.online_untestable
 
     def test_session_effort_default_applies(self, tiny_session_report):
-        session = Session(effort="tie")
-        assert session.effort is AtpgEffort.TIE
+        session = Session(options=RunOptions(effort="tie"))
+        assert session.options.effort is AtpgEffort.TIE
         report = session.analyze("tiny")
         assert report.table_rows() == tiny_session_report[1].table_rows()
 
@@ -104,7 +102,7 @@ class TestScenarioGrid:
         (scenario,) = grid.scenarios()
         assert scenario.label == "tiny"
         assert scenario.config == SoCConfig.tiny()
-        assert scenario.effort is None
+        assert scenario.options == RunOptions()
         assert scenario.index == 0
 
     def test_cartesian_expansion_order_and_labels(self):
@@ -119,7 +117,7 @@ class TestScenarioGrid:
             "tiny[debug=off,effort=random]",
         ]
         assert [s.index for s in grid] == [0, 1, 2, 3]
-        assert grid.scenarios()[1].effort is AtpgEffort.RANDOM
+        assert grid.scenarios()[1].options.effort is AtpgEffort.RANDOM
         assert not grid.scenarios()[2].config.cpu.has_debug
 
     def test_config_axes(self):
@@ -180,11 +178,10 @@ class TestSweep:
         assert [r.label for r in sweep] == [s.label for s in grid]
         assert all(r.ok for r in sweep), [r.error for r in sweep]
 
-        # Identical to the deprecated one-shot entry point run serially.
+        # Identical to a fresh one-shot session analysis run serially.
         for scenario, result in zip(grid.scenarios(), sweep.results):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                reference = repro.analyze(build_soc(scenario.config))
+            reference = Session().analyze(build_soc(scenario.config),
+                                          options=scenario.options)
             assert report_essence(result.report) == report_essence(reference)
 
         # The shared cache replayed at least one cross-scenario artifact.
@@ -247,27 +244,14 @@ class TestSweep:
 
 
 # --------------------------------------------------------------------- #
-# the deprecated shim & shared effort parsing
+# shared effort parsing
 # --------------------------------------------------------------------- #
-class TestLegacyShim:
-    def test_analyze_warns_and_matches_session(self, tiny_soc,
-                                               tiny_session_report):
-        with pytest.warns(DeprecationWarning, match="Session"):
-            report = repro.analyze(tiny_soc)
-        assert report_essence(report) == report_essence(
-            tiny_session_report[1])
-
-    def test_shim_still_honours_kwargs(self, tiny_soc):
-        with pytest.warns(DeprecationWarning):
-            report = repro.analyze(tiny_soc, passes=["scan_analysis"],
-                                   effort="tie", parallel=2)
-        assert report.source_count(
-            repro.faults.categories.OnlineUntestableSource.SCAN) > 0
-        assert report.total_faults > 0
-
-
 class TestResolveEffort:
     def test_shared_parser(self):
+        # One parser, defined next to AtpgEffort and re-exported by the
+        # API layer and the package root.
+        assert repro.api.resolve_effort is resolve_effort
+        assert repro.resolve_effort is resolve_effort
         assert resolve_effort(None) is None
         assert resolve_effort(None, AtpgEffort.FULL) is AtpgEffort.FULL
         assert resolve_effort("TIE") is AtpgEffort.TIE
@@ -315,11 +299,12 @@ class TestProcessSweep:
 
     def test_process_sweep_carries_session_sharding_defaults(self):
         """Session-level --jobs defaults must survive the process boundary
-        (the effective flow config ships with each job) and leave results
+        (the session's run options ship with each job) and leave results
         identical."""
         grid = ScenarioGrid("tiny").axis("debug", [True, False])
         reference = Session().sweep(grid)
-        sharded = Session(executor="process", jobs=2).sweep(grid)
+        sharded = Session(executor="process",
+                          options=RunOptions(jobs=2)).sweep(grid)
         assert all(result.ok for result in sharded), [
             result.error for result in sharded]
         assert [report_essence(r.report) for r in sharded] == \
@@ -328,18 +313,28 @@ class TestProcessSweep:
 
 class TestPerCallJobsPrecedence:
     def test_call_jobs_overrides_session_and_config(self):
-        from repro.api import RunOptions
-        from repro.core.results import FlowConfig
+        from repro.pipeline import FunctionPass, PassResult
+        from tests.conftest import build_and_or_circuit
+
+        seen = []
+
+        def probe(ctx):
+            seen.append(ctx.options.jobs)
+            return PassResult()
+
+        probe_pass = FunctionPass(probe, name="jobs_probe", cacheable=False)
+        netlist = build_and_or_circuit()
+
+        def jobs_of(session, options=None):
+            session.analyze(netlist, passes=[probe_pass], options=options)
+            return seen[-1]
 
         session = Session(options=RunOptions(jobs=4))
-        # per-call jobs beats the session default
-        config = session._effective_flow_config(None, RunOptions(jobs=2))
-        assert config.jobs == 2
-        # per-call jobs=1 forces a serial run of a sharded flow config
-        config = session._effective_flow_config(FlowConfig(jobs=8),
-                                                RunOptions(jobs=1))
-        assert config.jobs == 1
-        # no per-call value: session default fills the serial default only
-        assert session._effective_flow_config(None, None).jobs == 4
-        assert session._effective_flow_config(FlowConfig(jobs=8),
-                                              None).jobs == 8
+        # per-call jobs beats the session default, jobs=1 included
+        assert jobs_of(session, RunOptions(jobs=2)) == 2
+        assert jobs_of(session, RunOptions(jobs=1)) == 1
+        # no per-call value: the session default applies ...
+        assert jobs_of(session) == 4
+        assert jobs_of(session, RunOptions(effort="tie")) == 4
+        # ... and without one either, the serial default
+        assert jobs_of(Session()) == 1

@@ -1,4 +1,4 @@
-"""CLI subcommands (analyze / sweep / report) and the pre-subcommand form."""
+"""CLI subcommands (analyze / sweep / report / corpus)."""
 
 from __future__ import annotations
 
@@ -26,13 +26,8 @@ class TestAnalyzeCommand:
         assert [row["source"] for row in document["table"]] == [
             "Original", "Scan", "Debug", "Memory", "TOTAL"]
 
-    def test_legacy_form_defaults_to_analyze(self, capsys):
-        code, out = run(capsys, "tiny")
-        assert code == 0
-        assert "TOTAL" in out
-
     def test_list_passes(self, capsys):
-        code, out = run(capsys, "--list-passes")
+        code, out = run(capsys, "analyze", "--list-passes")
         assert code == 0
         assert "scan_analysis" in out
 
@@ -136,3 +131,14 @@ class TestCorpusCommand:
 
     def test_bad_directory_reported(self, capsys):
         assert main(["corpus", "--dir", "/nonexistent/corpus"]) == 2
+
+    @pytest.mark.parametrize("spec", [{"effort": "fulll"},
+                                      {"fault-model": "transition"}])
+    def test_bad_spec_exits_2_naming_the_file(self, capsys, tmp_path, spec):
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps({"base": "tiny", **spec}),
+                        encoding="utf-8")
+        assert main(["corpus", "--dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert "Traceback" not in err

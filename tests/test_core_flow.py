@@ -5,7 +5,8 @@ import pytest
 
 from repro.atpg.engine import AtpgEffort
 from repro.core.classification import build_fault_universe
-from repro.core.flow import FlowConfig, OnlineUntestableFlow
+from repro.api import Session
+from repro.core.results import FlowConfig
 from repro.core.report import render_source_details, render_summary_table
 from repro.faults.categories import FaultClass, OnlineUntestableSource
 from repro.faults.faultlist import generate_fault_list
@@ -80,7 +81,7 @@ class TestFlowOnTinyCore:
         assert len(classified) == tiny_flow_report.source_count(OnlineUntestableSource.SCAN)
 
     def test_flow_is_deterministic(self, tiny_soc, tiny_flow_report):
-        second = OnlineUntestableFlow(tiny_soc).run()
+        second = Session().analyze(tiny_soc)
         assert second.online_untestable == tiny_flow_report.online_untestable
         assert [s.count for s in second.sources] == [
             s.count for s in tiny_flow_report.sources]
@@ -89,32 +90,35 @@ class TestFlowOnTinyCore:
 class TestFlowConfiguration:
     def test_disable_individual_sources(self, tiny_soc):
         config = FlowConfig(run_scan=False, run_memory_map=False)
-        report = OnlineUntestableFlow(tiny_soc, config).run()
+        report = Session().analyze(tiny_soc, config=config)
         sources = {s.source for s in report.sources}
         assert OnlineUntestableSource.SCAN not in sources
         assert OnlineUntestableSource.MEMORY_MAP not in sources
         assert OnlineUntestableSource.DEBUG_CONTROL in sources
 
     def test_netlist_target_with_explicit_memory_map(self, tiny_soc):
-        report = OnlineUntestableFlow(tiny_soc.cpu,
-                                      memory_map=tiny_soc.memory_map).run()
+        report = Session().analyze(tiny_soc.cpu,
+                                   memory_map=tiny_soc.memory_map)
         assert report.source_count(OnlineUntestableSource.MEMORY_MAP) > 0
 
     def test_restricted_fault_universe(self, tiny_soc):
         universe = [f for f in generate_fault_list(tiny_soc.cpu).faults()
                     if not f.is_port_fault][:2000]
-        report = OnlineUntestableFlow(tiny_soc).run(faults=universe)
+        report = Session().analyze(tiny_soc, faults=universe)
         assert report.total_faults == len(universe)
         assert report.online_untestable <= set(universe)
 
     def test_fig6_ablation_knob(self, tiny_soc):
-        full = OnlineUntestableFlow(
-            tiny_soc, FlowConfig(run_scan=False, run_debug_control=False,
-                                 run_debug_observe=False)).run()
-        stop_at_ff = OnlineUntestableFlow(
-            tiny_soc, FlowConfig(run_scan=False, run_debug_control=False,
-                                 run_debug_observe=False,
-                                 tie_flop_outputs=False)).run()
+        session = Session()
+        full = session.analyze(
+            tiny_soc, config=FlowConfig(run_scan=False,
+                                        run_debug_control=False,
+                                        run_debug_observe=False))
+        stop_at_ff = session.analyze(
+            tiny_soc, config=FlowConfig(run_scan=False,
+                                        run_debug_control=False,
+                                        run_debug_observe=False,
+                                        tie_flop_outputs=False))
         assert (stop_at_ff.source_count(OnlineUntestableSource.MEMORY_MAP)
                 <= full.source_count(OnlineUntestableSource.MEMORY_MAP))
 

@@ -9,6 +9,7 @@ import pytest
 
 from repro.api.corpus import (CorpusError, diff_text, load_corpus,
                               run_corpus)
+from repro.api.options import RunOptions
 from repro.api.session import Session
 
 REPO_CORPUS = Path(__file__).resolve().parent.parent / "benchmarks" / "corpus"
@@ -56,6 +57,26 @@ class TestLoading:
         with pytest.raises(CorpusError, match="'base' must be one of"):
             load_corpus(tmp_path)
 
+    def test_run_keys_are_parsed_and_typos_rejected(self, tmp_path):
+        """A spec's run keys go through RunOptions: a bad value and an
+        unknown key (here a misspelled fault model) both fail at load
+        time, naming the file."""
+        path = write_spec(tmp_path, "typo", base="tiny", effort="fulll")
+        with pytest.raises(CorpusError, match="unknown ATPG effort") as exc:
+            load_corpus(tmp_path)
+        assert str(path) in str(exc.value)
+        path = write_spec(tmp_path, "typo", base="tiny",
+                          **{"fault-model": "transition"})
+        with pytest.raises(CorpusError, match="unknown key") as exc:
+            load_corpus(tmp_path)
+        assert str(path) in str(exc.value)
+        write_spec(tmp_path, "typo", base="tiny", fault_model="transition",
+                   static_prune=False)
+        (entry,) = load_corpus(tmp_path)
+        assert entry.fault_model == "transition"
+        assert entry.effort == "tie"
+        assert entry.options.static_prune is False
+
 
 class TestRunAndDiff:
     def test_update_then_match_then_diff(self, tiny_corpus):
@@ -90,7 +111,7 @@ class TestRunAndDiff:
         """The corpus acceptance property in miniature: a --jobs 2 sharded
         run must byte-match a capture produced by the serial path."""
         run_corpus(tiny_corpus, update=True, session=Session())
-        outcomes = run_corpus(tiny_corpus, jobs=2)
+        outcomes = run_corpus(tiny_corpus, options=RunOptions(jobs=2))
         assert [outcome.status for outcome in outcomes] == ["match"]
 
     def test_repo_tiny_entries_match_their_goldens(self):

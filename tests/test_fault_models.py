@@ -448,10 +448,6 @@ class TestModelAwareScanAnalysis:
 # end-to-end plumbing
 # --------------------------------------------------------------------- #
 class TestFaultModelPlumbing:
-    def test_flow_config_carries_model(self):
-        assert FlowConfig().fault_model == "stuck_at"
-        assert FlowConfig(fault_model="transition").fault_model == "transition"
-
     def test_session_sweep_over_model_axis(self):
         from repro.api import ScenarioGrid, Session
 
@@ -490,21 +486,20 @@ class TestFaultModelPlumbing:
         assert restored.fault_model == "stuck_at"
 
     def test_explicit_config_wins_over_session_default(self, tiny_soc):
-        """FlowConfig(fault_model="stuck_at") passed explicitly must not be
-        overridden by Session(fault_model="transition")."""
-        from repro.api import Session
+        """A per-call RunOptions(fault_model="stuck_at") must not be
+        overridden by the session's RunOptions(fault_model="transition")."""
+        from repro.api import RunOptions, Session
 
-        session = Session(fault_model="transition")
+        session = Session(options=RunOptions(fault_model="transition"))
         pinned = session.analyze(tiny_soc.cpu,
-                                 config=FlowConfig(fault_model="stuck_at"))
+                                 options=RunOptions(fault_model="stuck_at"))
         assert pinned.fault_model == "stuck_at"
         defaulted = session.analyze(tiny_soc.cpu)
         assert defaulted.fault_model == "transition"
-        # And an explicit per-call model beats both.
-        explicit = session.analyze(
-            tiny_soc.cpu, config=FlowConfig(fault_model="stuck_at"),
-            fault_model="transition")
-        assert explicit.fault_model == "transition"
+        # Flow switches in an explicit config leave the model alone.
+        switched = session.analyze(tiny_soc.cpu,
+                                   config=FlowConfig(run_scan=False))
+        assert switched.fault_model == "transition"
 
     def test_grader_fault_model_default_universe(self, tiny_soc):
         from repro.sbst.grading import FaultGrader
@@ -525,17 +520,19 @@ class TestFaultModelPlumbing:
                        fault_model="transition")
 
     def test_cache_keys_split_by_model(self, tiny_soc):
-        from repro.api import Session
+        from repro.api import RunOptions, Session
 
         session = Session()
         stuck = session.analyze(tiny_soc.cpu)
-        transition = session.analyze(tiny_soc.cpu, fault_model="transition")
+        transition = session.analyze(
+            tiny_soc.cpu, options=RunOptions(fault_model="transition"))
         assert stuck.total_faults == transition.total_faults
         assert (stuck.total_online_untestable
                 != transition.total_online_untestable)
         # Re-analysis under either model replays from cache.
         before = session.cache_stats["misses"]
-        session.analyze(tiny_soc.cpu, fault_model="transition")
+        session.analyze(tiny_soc.cpu,
+                        options=RunOptions(fault_model="transition"))
         assert session.cache_stats["misses"] == before
 
 

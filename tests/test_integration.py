@@ -4,7 +4,7 @@ consistency, and soundness of the identified on-line untestable faults."""
 import pytest
 
 from repro.atpg.podem import Podem, PodemStatus
-from repro.core.flow import FlowConfig, OnlineUntestableFlow
+from repro.api import Session
 from repro.faults.categories import OnlineUntestableSource
 from repro.faults.faultlist import generate_fault_list
 from repro.manipulation.disconnect import disconnect_output_port
@@ -18,7 +18,7 @@ from repro.soc.soc_builder import build_soc
 class TestSmallCoreFlow:
     @pytest.fixture(scope="class")
     def small_report(self, small_soc):
-        return OnlineUntestableFlow(small_soc).run()
+        return Session().analyze(small_soc)
 
     def test_small_core_proportions(self, small_soc, small_report):
         """On the mid-size core the Table-I shape emerges: scan is the largest
@@ -108,7 +108,7 @@ class TestCrossModuleConsistency:
         re-attached to the parsed netlist)."""
         parsed = parse_verilog(write_verilog(tiny_soc.cpu))
         parsed.annotations = dict(tiny_soc.cpu.annotations)
-        report = OnlineUntestableFlow(parsed, memory_map=tiny_soc.memory_map).run()
+        report = Session().analyze(parsed, memory_map=tiny_soc.memory_map)
         for source in OnlineUntestableSource:
             if source is OnlineUntestableSource.STRUCTURAL:
                 continue

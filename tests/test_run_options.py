@@ -1,32 +1,24 @@
-"""RunOptions bundle tests: eager normalization, merging, the legacy-keyword
-deprecation shim and the Session surface that consumes it.
+"""RunOptions tests: eager normalization, merging, the Session surface
+that consumes the bundle, and the single knob schema every other surface
+(CLI flags, grid run axes, corpus and service specs, cache keys) derives
+from.
 
-The acceptance bar for the options redesign: every pre-RunOptions keyword
-spelling keeps working (with a once-per-process DeprecationWarning, never
-breakage), an explicit ``options=`` bundle wins over legacy spellings, and
-bad values fail at the call site with errors that spell the accepted
+Bad values fail at the call site with errors that spell the accepted
 values.
 """
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import warnings
 
 import pytest
 
 from tests.conftest import build_and_or_circuit
-from repro.api import (RunOptions, Session, fold_legacy_kwargs,
-                       reset_legacy_keyword_warnings, resolve_effort)
+from repro.api import RunOptions, Session, resolve_effort
 from repro.atpg.engine import AtpgEffort
 from repro.atpg.portfolio import ATPG_BACKENDS
-
-
-@pytest.fixture(autouse=True)
-def rearm_warnings():
-    """Each test sees the once-per-process warnings fresh."""
-    reset_legacy_keyword_warnings()
-    yield
-    reset_legacy_keyword_warnings()
 
 
 # --------------------------------------------------------------------- #
@@ -114,72 +106,123 @@ class TestMerging:
 
 
 # --------------------------------------------------------------------- #
-# the deprecation shim
-# --------------------------------------------------------------------- #
-class TestLegacyKeywordShim:
-    def test_legacy_keyword_warns_once_per_process(self):
-        with pytest.warns(DeprecationWarning, match="'jobs' is deprecated"):
-            fold_legacy_kwargs("Session", jobs=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            options = fold_legacy_kwargs("Session", jobs=4)
-        assert options.jobs == 4
-
-    def test_none_values_do_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            options = fold_legacy_kwargs("Session", jobs=None, effort=None)
-        assert options == RunOptions()
-
-    def test_explicit_options_bundle_wins(self):
-        options = fold_legacy_kwargs(
-            "Session", RunOptions(jobs=8), warn=False, jobs=2, effort="tie")
-        assert options.jobs == 8
-        assert options.effort is AtpgEffort.TIE
-
-    def test_internal_callers_can_silence(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            fold_legacy_kwargs("Session", warn=False, jobs=2)
-
-
-# --------------------------------------------------------------------- #
 # the Session surface
 # --------------------------------------------------------------------- #
 class TestSessionSurface:
-    def test_every_legacy_session_keyword_still_works(self):
-        with pytest.warns(DeprecationWarning):
-            session = Session(effort="tie", jobs=2,
-                              fault_model="stuck_at",
-                              static_prune=True, static_learning=True)
-        assert session.effort is AtpgEffort.TIE
-        assert session.jobs == 2
-        assert session.fault_model == "stuck_at"
-        assert session.static_prune is True
-        assert session.static_learning is True
-
     def test_options_bundle_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             session = Session(options=RunOptions(
                 jobs=3, atpg_backend="dalg", atpg_seed=7))
-        assert session.jobs == 3
-        assert session.atpg_backend == "dalg"
-        assert session.atpg_seed == 7
-
-    def test_session_attributes_are_read_only_views(self):
-        session = Session(options=RunOptions(jobs=2))
-        with pytest.raises(AttributeError):
-            session.jobs = 4
-
-    def test_legacy_analyze_keyword_still_works(self):
-        session = Session()
-        with pytest.warns(DeprecationWarning, match="Session.analyze"):
-            report = session.analyze(build_and_or_circuit(), effort="tie")
-        assert report is not None
+        assert session.options.jobs == 3
+        assert session.options.atpg_backend == "dalg"
+        assert session.options.atpg_seed == 7
 
     def test_analyze_rejects_per_call_store(self, tmp_path):
         session = Session()
         with pytest.raises(ValueError, match="session-level"):
             session.analyze(build_and_or_circuit(),
                             options=RunOptions(store=str(tmp_path)))
+
+
+# --------------------------------------------------------------------- #
+# the single knob schema
+# --------------------------------------------------------------------- #
+#: Each subcommand's run flags, pinned literally: deriving the parsers from
+#: the RunOptions declarations must not add or drop a single flag.
+EXPECTED_RUN_FLAGS = {
+    "analyze": {"--effort", "--fault-model", "--jobs", "--static-prune",
+                "--store", "--atpg-backend", "--atpg-seed"},
+    "sweep": {"--fault-model", "--jobs", "--static-prune", "--store",
+              "--atpg-backend", "--atpg-seed"},
+    "corpus": {"--fault-model", "--jobs", "--static-prune", "--store",
+               "--atpg-backend", "--atpg-seed"},
+    "submit": {"--effort", "--fault-model", "--static-prune"},
+}
+
+#: One valid, non-default value per knob.
+SAMPLE_VALUES = {
+    "effort": "random",
+    "fault_model": "transition",
+    "jobs": 2,
+    "static_prune": False,
+    "static_learning": False,
+    "store": "artifact-store",
+    "atpg_backend": "dalg",
+    "atpg_seed": 7,
+}
+
+GRID_AXES = {"effort", "fault_model", "static_prune", "atpg_backend"}
+
+
+def _subcommand_flags():
+    from repro.__main__ import _build_parser
+
+    parser = _build_parser()
+    (subparsers,) = [action for action in parser._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    return {name: set(sub._option_string_actions)
+            for name, sub in subparsers.choices.items()}
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(
+    RunOptions)])
+def test_every_surface_derives_from_the_field(field):
+    from repro.api import ScenarioGrid
+    from repro.service.jobs import JobManager
+
+    assert set(SAMPLE_VALUES) == {f.name for f in dataclasses.fields(
+        RunOptions)}
+    flag = "--" + field.replace("_", "-")
+
+    # CLI: exactly today's flag set per subcommand.
+    flags = _subcommand_flags()
+    for command, expected in EXPECTED_RUN_FLAGS.items():
+        assert (flag in flags[command]) == (flag in expected), command
+
+    # Service: an analyze spec accepts every per-call knob; the store is
+    # session-level and is rejected like any unknown key.
+    spec = {"design": "tiny", field: SAMPLE_VALUES[field]}
+    if field == "store":
+        with pytest.raises(ValueError, match="unknown key"):
+            JobManager._parse_spec("analyze", spec)
+    else:
+        options, _ = JobManager._parse_spec("analyze", spec)
+        expected = RunOptions(**{field: SAMPLE_VALUES[field]})
+        assert getattr(options, field) == getattr(expected, field)
+
+    # Grid: an axis iff declared one.
+    grid = ScenarioGrid("tiny")
+    if field in GRID_AXES:
+        grid.axis(field, [SAMPLE_VALUES[field]])
+        (scenario,) = grid.scenarios()
+        assert getattr(scenario.options, field) is not None
+    else:
+        with pytest.raises(ValueError, match="unknown scenario axis"):
+            grid.axis(field, [SAMPLE_VALUES[field]])
+
+
+def test_config_key_is_pinned():
+    """Cache keys are built from the resolved options byte-for-byte as the
+    FlowConfig-carried knobs built them, so existing on-disk stores stay
+    warm."""
+    from repro.api import Session
+    from repro.pipeline.context import PipelineContext
+
+    design = Session().design("tiny")
+
+    def key(**knobs):
+        return PipelineContext(design.netlist, memory_map=design.memory_map,
+                               options=RunOptions(**knobs)).config_key
+
+    memmap = "memmap=w8[flash:0:32;sram:128:16];faults="
+    assert key() == (
+        "model=stuck_at;effort=TIE;tie_out=1;tie_in=1;" + memmap
+        + ";static=prune1:learn1;atpg=podem:engine")
+    assert key(effort="full", static_prune=False) == (
+        "model=stuck_at;effort=FULL;tie_out=1;tie_in=1;" + memmap
+        + ";static=prune0:learn1;atpg=podem:engine")
+    assert key(fault_model="transition", atpg_backend="podem-restart",
+               atpg_seed=7) == (
+        "model=transition;effort=TIE;tie_out=1;tie_in=1;" + memmap
+        + ";static=prune1:learn1;atpg=podem-restart:7")

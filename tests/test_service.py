@@ -365,3 +365,46 @@ class TestEndToEnd:
             # The aggregated sweep report is the terminal result.
             outcome = client.result(job["id"])
             assert "Scenario sweep" in outcome["result"]["table"]
+
+
+# --------------------------------------------------------------------- #
+# default-runner specs are checked at submit against the RunOptions schema
+# --------------------------------------------------------------------- #
+class TestSpecValidation:
+    @pytest.mark.parametrize("kind,spec,detail", [
+        ("analyze", {"design": "tiny", "fault-model": "transition"},
+         "unknown key"),
+        ("sweep", {"base": "tiny", "efort": "tie"}, "unknown key"),
+        ("analyze", {"design": "tiny", "effort": "fulll"},
+         "unknown ATPG effort"),
+        ("sweep", {"base": "tiny", "effort": "fulll"},
+         "unknown ATPG effort"),
+    ])
+    def test_bad_spec_is_rejected_at_submit(self, kind, spec, detail):
+        with ServiceHarness() as harness:
+            with pytest.raises(ServiceError) as excinfo:
+                harness.client().submit(kind, spec)
+            assert excinfo.value.code == protocol.ERR_BAD_REQUEST
+            assert detail in str(excinfo.value)
+            assert harness.client().jobs() == []
+
+    def test_injected_runner_keeps_free_form_specs(self):
+        with ServiceHarness(runner=echo_runner) as harness:
+            client = harness.client()
+            job = client.submit("analyze", {"anything": "goes"})
+            assert client.wait(job["id"], timeout=10)["state"] == "done"
+
+    def test_static_learning_is_honoured(self, tmp_path):
+        from repro.store import resolve_store
+
+        store = tmp_path / "store"
+        with ServiceHarness(store=str(store)) as harness:
+            client = harness.client(timeout=120.0)
+            job = client.submit("analyze", {"design": "tiny",
+                                            "static_learning": False})
+            assert client.wait(job["id"], timeout=120)["state"] == "done"
+        assert harness.join()
+        config_keys = {entry.key[1]
+                       for entry in resolve_store(str(store)).entries()}
+        assert any("learn0" in key for key in config_keys)
+        assert not any("learn1" in key for key in config_keys)

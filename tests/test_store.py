@@ -321,11 +321,11 @@ class TestCrossProcessSingleFlight:
 # --------------------------------------------------------------------- #
 _ANALYZE_SNIPPET = """\
 import json, sys
-from repro.api import Session
+from repro.api import RunOptions, Session
 
 store_dir, effort = sys.argv[1], sys.argv[2]
-session = Session(store=store_dir)
-report = session.analyze("tiny", effort=effort)
+session = Session(options=RunOptions(store=store_dir))
+report = session.analyze("tiny", options=RunOptions(effort=effort))
 session.cache.flush()
 print(json.dumps({"stats": session.cache_stats,
                   "total": report.total_online_untestable}))
