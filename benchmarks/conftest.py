@@ -23,8 +23,8 @@ RUNTIME_BENCH_CONFIG = os.environ.get("REPRO_BENCH_CONFIG", "date13")
 
 @pytest.fixture(scope="session")
 def bench_session():
-    """One Session for the whole benchmark run (passes run concurrently)."""
-    return repro.Session(parallel_passes=True)
+    """One Session for the whole benchmark run (serial, shared cache)."""
+    return repro.Session()
 
 
 @pytest.fixture(scope="session")
@@ -45,7 +45,7 @@ def runtime_soc(request):
 
 @pytest.fixture(scope="session")
 def date13_report(bench_session, date13_soc):
-    # The parallel pipeline reproduces the legacy flow's report exactly
+    # The pipeline reproduces the legacy flow's report exactly
     # (first-source attribution is deterministic in the paper's order).
     return bench_session.analyze(date13_soc)
 

@@ -58,7 +58,7 @@ from repro.sbst.grading import FaultGrader
 from repro.sbst.monitor import ToggleMonitor
 from repro.sbst.program_gen import generate_sbst_suite
 from repro.simulation.fault_sim import FaultSimulator
-from repro.simulation.legacy import LegacyFaultSimulator
+from tests.legacy_sim import LegacyFaultSimulator
 
 _GOLDEN_TABLE1 = Path(__file__).with_name("golden_table1_date13.txt")
 

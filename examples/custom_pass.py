@@ -52,8 +52,8 @@ def main() -> None:
     soc = build_soc(SoCConfig.tiny())
 
     # The default flow, plus our pass.  Dependencies (fault_list, baseline)
-    # are pulled in automatically; parallel_passes=True would schedule
-    # reset_tree concurrently with the paper's sources.
+    # are pulled in automatically, and attribution keeps the paper's
+    # sources first, so reset_tree only claims faults they left over.
     report = repro.Session().analyze(soc, passes=[
         "scan_analysis", "debug_control", "debug_observe",
         "memory_analysis", "reset_tree",

@@ -18,6 +18,8 @@ untestable populations:
 Scenarios that share a netlist (here: the two models of each size) reuse
 the compiled IR through the global compile cache; per-pass artifacts are
 keyed on the fault model, so classifications never leak across models.
+``--jobs 2`` (``RunOptions(jobs=2)``) would run the four scenarios one per
+task on two warm pool workers instead, with identical rows.
 
 The identical sweep runs from the command line::
 
@@ -32,7 +34,7 @@ import repro
 
 
 def main() -> None:
-    session = repro.Session(executor="thread")
+    session = repro.Session()
 
     grid = (repro.ScenarioGrid("tiny")
             .axis("size", ["tiny", "small"])

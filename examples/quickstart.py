@@ -2,7 +2,7 @@
 """Quickstart: identify on-line functionally untestable faults in a generated core.
 
 Creates a :class:`repro.Session` — the stateful front door that owns the
-artifact cache and execution defaults — wraps the "small" synthetic
+artifact cache and the run defaults — wraps the "small" synthetic
 processor core (register file, ALU, AGU, BTB, debug logic, full scan) in a
 :class:`repro.Design`, and runs the complete identification flow from the
 paper (scan -> debug control -> debug observation -> memory map).  Prints
@@ -17,10 +17,11 @@ from repro.core.report import render_source_details
 
 
 def main() -> None:
-    # A Session bundles the artifact cache, the executor backend used by
-    # sweeps, and the default pass selection / ATPG effort.  Independent
-    # analysis passes run concurrently with parallel_passes=True.
-    session = repro.Session(parallel_passes=True)
+    # A Session bundles the artifact cache and the default pass selection
+    # and run options (ATPG effort, ...).  Session(options=RunOptions(
+    # jobs=2)) would run the fault populations on two warm pool workers —
+    # jobs is the only concurrency knob.
+    session = repro.Session()
 
     # Targets coerce automatically: a preset name, a SoCConfig, a built
     # SoC, a bare Netlist, or an explicit Design all work.

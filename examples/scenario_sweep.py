@@ -4,7 +4,7 @@
 The paper's Table I is one design point.  This example expands a
 :class:`repro.ScenarioGrid` — the cartesian product of scenario axes over a
 base SoC configuration — and pushes it through
-:meth:`repro.Session.sweep` on the thread backend:
+:meth:`repro.Session.sweep` in-process:
 
 * ``debug`` axis: with and without the Nexus/JTAG-style debug logic;
 * ``effort`` axis: the `tie` and `random` ATPG efforts.
@@ -14,12 +14,15 @@ variant) replay each other's effort-independent artifacts from the
 session's shared cache, so the sweep does strictly less work than four
 independent runs.  Results stream in completion order; the aggregated
 report renders per-scenario Table-I rows with deltas against the first
-scenario and serializes to JSON/CSV for diffing across runs.
+scenario and serializes to JSON/CSV for diffing across runs.  With
+``RunOptions(jobs=2)`` (``--jobs 2``) the scenarios would instead run one
+per task on two warm pool workers — identical rows, but each worker keeps
+its own cache, so the replay shown here happens worker-side.
 
 The identical sweep runs from the command line::
 
     python -m repro sweep --base tiny --axis debug=on,off \\
-        --axis effort=tie,random --executor thread --out sweep.json
+        --axis effort=tie,random --out sweep.json
     python -m repro report sweep.json
 
 Run with:  python examples/scenario_sweep.py
@@ -29,7 +32,7 @@ import repro
 
 
 def main() -> None:
-    session = repro.Session(executor="thread")
+    session = repro.Session()
 
     grid = (repro.ScenarioGrid("tiny")
             .axis("debug", [True, False])
@@ -37,7 +40,7 @@ def main() -> None:
     print(f"expanding {grid!r}")
     print()
 
-    # Stream results as the backend completes them (a failing scenario
+    # Stream results as the scenarios complete (a failing scenario
     # yields an error-carrying result instead of aborting the sweep) ...
     for result in session.iter_sweep(grid):
         if result.ok:

@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
 """One warm worker pool, many runs: the parallel runtime.
 
-``jobs=2`` is the only knob.  This example builds one
-:class:`repro.Session` with ``RunOptions(jobs=2)`` and pushes a two-axis
-scenario sweep through it; every fault-population engine then runs on the
-process-wide warm worker pool for two workers:
+``jobs=2`` is the only concurrency knob.  This example builds one
+:class:`repro.Session` with ``RunOptions(jobs=2)`` and drives both things
+that knob parallelises through the process-wide warm worker pool for two
+workers:
 
-* the **first** simulating scenario pays the cold start — workers
-  spawn, the compiled netlist and job state are installed
-  (content-addressed, once per netlist signature);
-* **every later** scenario against the same netlist lands on warm
-  workers — its setup is a worker-side cache hit measured in
-  microseconds (watch ``install_hits`` climb), and the work-stealing
-  scheduler hands each worker one cone-affine fault chunk per task.
+* a **sweep** of at least as many scenarios as workers runs one scenario
+  per pool task — the first task pays the cold start (workers spawn, the
+  sweep's job is installed once), every later scenario lands on a warm
+  worker, and the two workers each take a scenario before either takes a
+  second one;
+* a single **analysis** shards its fault population into cone-affine
+  chunks, one chunk per task, with the netlist installed once per
+  signature and each engine's job state once per content key (a later
+  run with the same inputs counts ``install_hits`` instead).
 
 Verdicts and Table I are byte-identical to the serial engine either
 way — ``jobs`` is a runtime knob, not a cache facet.
@@ -35,9 +37,8 @@ from repro.api import RunOptions
 def main() -> None:
     options = RunOptions(jobs=2)
     with repro.Session(options=options) as session:
-        # Two fault models over two efforts: four scenarios, one
-        # netlist.  The first scenario that simulates provisions the
-        # pool; the other three find everything already installed.
+        # Two fault models over two efforts: four scenarios, one per
+        # pool task on two workers.
         grid = (repro.ScenarioGrid("tiny")
                 .axis("effort", ["tie", "random"])
                 .axis("fault_model", ["stuck_at", "transition"]))
@@ -45,10 +46,11 @@ def main() -> None:
         print(report.to_table())
         print()
 
-        # A repeat analysis of the same design doesn't even reach the
-        # pool: the session's artifact cache replays it outright, and
-        # the warm workers keep waiting for the next real job.
-        session.analyze("tiny", options=RunOptions(effort="random"))
+        # One analysis: its random-pattern fault population is sharded
+        # over the same warm workers; the repeat replays from the
+        # session's artifact cache and never reaches the pool.
+        for _ in range(2):
+            session.analyze("tiny", options=RunOptions(effort="random"))
 
         for stats in session.pool_stats():
             print(f"pool[{stats['workers']} workers, "

@@ -18,20 +18,22 @@ Quickstart::
     print(report.to_table())                 # SoC, Netlist or Design
 
 Scenario sweeps expand a grid of SoC variants (core size, scan style,
-debug interface, memory map, ATPG effort) and run them through a pluggable
-executor backend with cross-scenario artifact reuse::
+debug interface, memory map, ATPG effort) and run them in-process with
+cross-scenario artifact reuse, or one scenario per task on the warm worker
+pool when ``RunOptions.jobs`` is above 1::
 
     grid = (repro.ScenarioGrid("tiny")
             .axis("debug", [True, False])
             .axis("effort", ["tie", "random"]))
-    sweep = session.sweep(grid, executor="thread")
+    sweep = session.sweep(grid)
     print(sweep.to_table())                  # per-scenario Table I + deltas
     open("sweep.json", "w").write(sweep.to_json())
 
 Every run knob (ATPG effort, fault model, worker count, static pruning,
 durable store, ATPG backend and seed) is a field of one frozen
-:class:`repro.api.RunOptions` bundle; :class:`FlowConfig` keeps only the
-paper's switches (which untestability sources run, the Fig. 6 tie-flop
+:class:`repro.api.RunOptions` bundle — the worker count ``jobs`` is the
+only concurrency knob — and :class:`FlowConfig` keeps only the paper's
+switches (which untestability sources run, the Fig. 6 tie-flop
 ablation)::
 
     from repro.api import RunOptions
@@ -48,14 +50,12 @@ The same flows run from the command line (``python -m repro analyze small``,
 ``python -m repro sweep --base tiny --axis effort=tie,random``,
 ``python -m repro report sweep.json``).  Custom analyses plug in through
 the :func:`repro.pipeline.analysis_pass` decorator (see
-``examples/custom_pass.py``); custom sweep backends implement the
-:class:`repro.api.Executor` protocol.
+``examples/custom_pass.py``).
 """
 
 from repro._version import __version__
-from repro.api import (Design, Executor, ProcessExecutor, RunOptions,
-                       Scenario, ScenarioGrid, SerialExecutor, Session,
-                       SweepReport, SweepResult, ThreadExecutor)
+from repro.api import (Design, RunOptions, Scenario, ScenarioGrid, Session,
+                       SweepReport, SweepResult)
 from repro.atpg.engine import AtpgEffort, resolve_effort
 from repro.core.results import FlowConfig, OnlineUntestableReport
 from repro.faults.models import (FaultModel, StuckAtFault, TransitionFault,
@@ -75,10 +75,6 @@ __all__ = [
     "Scenario",
     "SweepResult",
     "SweepReport",
-    "Executor",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
     "FlowConfig",
     # pipeline layer
     "Pipeline",

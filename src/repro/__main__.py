@@ -8,16 +8,17 @@ The subcommands mirror the Session/Design API:
 
         python -m repro analyze small
         python -m repro analyze tiny --passes scan_analysis,memory_analysis --json
-        python -m repro analyze date13 --parallel --details
+        python -m repro analyze date13 --jobs 2 --details
 
 ``sweep``
-    Expand a scenario grid (base config + axes) and run it through an
-    executor backend, streaming per-scenario progress and printing the
-    aggregated multi-scenario comparison::
+    Expand a scenario grid (base config + axes) and run it — in-process,
+    or one scenario per task on the warm worker pool with ``--jobs N`` —
+    streaming per-scenario progress and printing the aggregated
+    multi-scenario comparison::
 
         python -m repro sweep --base tiny --axis effort=tie,random
         python -m repro sweep --base small --axis debug=on,off \\
-            --executor thread --out sweep.json
+            --jobs 2 --out sweep.json
 
 ``report``
     Re-render a persisted sweep (table, JSON or CSV)::
@@ -54,9 +55,10 @@ The subcommands mirror the Session/Design API:
 The run flags are not declared here: every :class:`repro.api.RunOptions`
 knob with a flag becomes ``--<knob>`` (underscores as dashes) through
 :func:`repro.api.options.add_run_flags`, and each subcommand selects the
-knobs it takes (``python -m repro <command> --help`` lists them).  For
-``corpus`` the fault-model flag filters the entries pinned under that
-model instead of overriding them.
+knobs it takes (``python -m repro <command> --help`` lists them).
+``--jobs N`` is the only concurrency flag.  For ``corpus`` the fault-model
+flag filters the entries pinned under that model instead of overriding
+them.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ import time
 from dataclasses import replace
 from typing import List, Optional
 
-from repro.api import EXECUTORS, RunOptions, ScenarioGrid, Session
+from repro.api import RunOptions, ScenarioGrid, Session
 from repro.api.options import add_run_flags, flag_of, knobs
 from repro.api.corpus import (DEFAULT_CORPUS_DIR, CorpusError, diff_text,
                               run_corpus)
@@ -126,11 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
               "resolved automatically); default: the full paper flow. "
               "Use --list-passes to see what is registered"))
     analyze.add_argument(
-        "--parallel", nargs="?", const=True, default=False, type=int,
-        metavar="WORKERS",
-        help=("run independent passes concurrently (optionally with an "
-              "explicit worker count)"))
-    analyze.add_argument(
         "--json", action="store_true",
         help="emit a JSON document instead of the rendered table")
     analyze.add_argument(
@@ -142,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_run_flags(analyze, RUN_FLAGS)
 
     sweep = sub.add_parser(
-        "sweep", help="run a scenario grid through an executor backend")
+        "sweep", help="run a scenario grid and compare the scenarios")
     sweep.add_argument(
         "--base", default="tiny",
         choices=sorted(SoCConfig.named_configs()),
@@ -151,13 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--axis", action="append", default=[], metavar="NAME=V1,V2[,...]",
         help=("a scenario axis, e.g. effort=tie,random / debug=on,off / "
               "scan=on,off / size=tiny,small / cpu.mult_width=0,8 "
-              "(repeatable; cartesian product)"))
-    sweep.add_argument(
-        "--executor", default="serial", choices=sorted(EXECUTORS),
-        help="execution backend for the scenarios (default: serial)")
-    sweep.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker count for the thread/process backends")
+              "(repeatable, one flag per axis name; cartesian product)"))
     sweep.add_argument(
         "--passes", default=None, metavar="NAME[,NAME...]",
         help="analysis passes to run per scenario (default: full flow)")
@@ -368,8 +359,7 @@ def _cmd_analyze(args) -> int:
         return 2
 
     started = time.perf_counter()
-    session = Session(parallel_passes=args.parallel,
-                      options=RunOptions.from_namespace(args))
+    session = Session(options=RunOptions.from_namespace(args))
     try:
         report = session.analyze(args.config, passes=passes)
     except KeyError as exc:
@@ -421,7 +411,12 @@ def _build_grid(args) -> ScenarioGrid:
         if not sep or not values.strip():
             raise ValueError(
                 f"bad --axis {spec!r}; expected NAME=VALUE[,VALUE...]")
-        grid.axis(name.strip(),
+        name = name.strip()
+        if name in grid.axes:
+            raise ValueError(
+                f"--axis {name!r} given twice; list every value in one "
+                f"flag ({name}=V1,V2,...)")
+        grid.axis(name,
                   [_parse_axis_value(v) for v in values.split(",") if v.strip()])
     return grid
 
@@ -433,13 +428,12 @@ def _cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    session = Session(executor=args.executor, max_workers=args.workers,
-                      options=RunOptions.from_namespace(args))
+    session = Session(options=RunOptions.from_namespace(args))
     passes = _split_passes(args.passes)
 
     if not args.quiet:
-        print(f"sweeping {len(grid)} scenarios of '{args.base}' "
-              f"on the {args.executor} backend ...", file=sys.stderr)
+        print(f"sweeping {len(grid)} scenarios of '{args.base}' ...",
+              file=sys.stderr)
 
     done = []
 

@@ -56,9 +56,8 @@ class Design:
         """Generate the SoC for ``config`` and wrap it.
 
         Designs built this way carry their :attr:`config` as a *rebuild
-        spec*, which is what lets a :class:`~repro.api.ProcessExecutor`
-        regenerate them inside worker processes instead of pickling whole
-        netlists.
+        spec*, which is what lets a ``jobs > 1`` sweep regenerate them
+        inside pool workers instead of pickling whole netlists.
         """
         return cls.from_soc(build_soc(config), label=label)
 

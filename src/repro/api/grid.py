@@ -45,9 +45,9 @@ def _run_label(value: object) -> str:
 class Scenario:
     """One expanded grid point: a labelled config plus its run-level knobs.
 
-    Scenarios are plain picklable values — a
-    :class:`~repro.api.ProcessExecutor` ships them to worker processes,
-    which regenerate the SoC from :attr:`config` there.
+    Scenarios are plain picklable values — a ``jobs > 1`` sweep ships
+    them to pool workers, which regenerate the SoC from :attr:`config`
+    there.
     """
 
     label: str

@@ -109,8 +109,11 @@ class RunOptions:
         "fault model to enumerate and classify (default: stuck_at)",
         axis=True, choices=_fault_model_names)
     jobs: Optional[int] = _knob(
-        _jobs, "run the fault-population engines on N warm pool workers "
-               "(identical results; default: serial)", metavar="N")
+        _jobs, "run on N warm pool workers: an analysis shards its fault "
+               "population, a sweep of at least N scenarios runs one "
+               "scenario per worker task (identical results; default: "
+               "serial)",
+        metavar="N")
     static_prune: Optional[bool] = _knob(
         parse_flag, "pre-classify statically proven untestable faults "
                     "before PODEM (FULL effort only; default: on)",

@@ -1,32 +1,35 @@
 """The :class:`Session` — the stateful front door of the package.
 
-A session owns the three things that should outlive a single analysis:
+A session owns what should outlive a single analysis:
 
 * an :class:`~repro.pipeline.ArtifactCache` (bounded, thread-safe) shared
-  by every analysis and sweep the session runs, so scenario variants
-  replay each other's effort-independent artifacts;
-* an executor backend (:mod:`repro.api.executors`) deciding *how* sweep
-  scenarios run — serially, on threads, or on worker processes;
+  by every analysis and in-process sweep scenario the session runs, so
+  scenario variants replay each other's effort-independent artifacts;
 * the default pass selection, flow switches (:class:`FlowConfig`) and run
   knobs (:class:`~repro.api.RunOptions`) applied when a call does not
   override them.
 
-``Session.analyze`` is the one-design entry point; ``Session.sweep``
-expands a :class:`~repro.api.ScenarioGrid` and streams per-scenario
-results as the backend completes them, aggregating into a
+``jobs`` is the one concurrency knob.  Above 1, ``Session.analyze`` runs
+the fault population on the warm :class:`~repro.runtime.WorkerPool`, and
+``Session.sweep`` over at least as many scenarios as the pool has workers
+runs one scenario per task on that same pool; every other sweep runs its
+scenarios in-process, one after another (each analysis still sharding on
+the pool when ``jobs`` > 1).  ``Session.sweep`` expands a :class:`~repro.api.ScenarioGrid`,
+streams per-scenario results as they complete and aggregates them into a
 :class:`~repro.api.SweepReport`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace as _replace
+import uuid
+from contextlib import closing
+from dataclasses import replace as _replace
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple, Union)
 
 from repro.core.results import FlowConfig, OnlineUntestableReport
 from repro.api.design import Design
-from repro.api.executors import Executor, resolve_executor
 from repro.api.grid import Scenario, ScenarioGrid
 from repro.api.options import DEFAULT_RUN_OPTIONS, RunOptions
 from repro.api.sweep import SweepReport, SweepResult
@@ -37,71 +40,58 @@ from repro.pipeline import (ArtifactCache, Pipeline, default_pass_names)
 DEFAULT_CACHE_ENTRIES = 512
 
 
-@dataclass(frozen=True)
-class _ProcessJob:
-    """The picklable payload shipped to process-pool workers."""
+class _SweepJob:
+    """Pool-installed state of a ``jobs > 1`` sweep: one worker session.
 
-    scenario: Scenario
-    passes: Optional[Tuple[str, ...]]
-    flow_config: Optional[FlowConfig]
-    parallel_passes: Union[bool, int]
-    #: The session's and the sweep call's run options, merged, with the
-    #: durable store reduced to its location (:meth:`RunOptions.
-    #: with_store_spec`): workers cannot share the parent's in-memory LRU,
-    #: but they *can* share the on-disk store, so a process-backend sweep
-    #: still reuses warm artifacts.
-    options: RunOptions
-
-
-def _run_process_job(job: _ProcessJob) -> Dict[str, object]:
-    """Worker-side scenario run: rebuild, analyze, return a JSON payload.
-
-    Runs in a worker process, so nothing in-memory is shared with the
-    parent: the design is regenerated from its config and the report
-    travels back as its serializable core (detail objects stay behind).
+    Installed for one sweep and forgotten when it ends, so every scenario
+    a worker runs for that sweep shares the worker's session cache, and
+    the cache goes with the sweep.  The worker session leaves ``jobs``
+    unset, so a daemonic pool worker never starts a pool of its own, and
+    it opens the parent's durable store from its location: workers cannot
+    share the parent's in-memory LRU, but they share the on-disk store.
     """
-    started = time.perf_counter()
-    # Fresh, unshared worker session — but attached to the shared durable
-    # store when the parent session has one.
-    session = Session(cache_entries=None,
-                      options=RunOptions(store=job.options.store))
-    design = job.scenario.build_design()
-    options = _replace(job.options, store=None).merged_with(
-        job.scenario.options)
-    report = session.analyze(design,
-                             passes=list(job.passes) if job.passes else None,
-                             parallel=job.parallel_passes,
-                             config=job.flow_config,
-                             options=options)
-    return {
-        "label": job.scenario.label,
-        "signature": design.signature,
-        "effort": _effort_label(options),
-        "elapsed_seconds": time.perf_counter() - started,
-        "report": report.to_json_dict(),
-    }
 
+    def __init__(self, passes: Optional[Tuple[str, ...]],
+                 flow_config: Optional[FlowConfig],
+                 options: RunOptions) -> None:
+        self.passes = passes
+        self.flow_config = flow_config
+        #: Session and call options merged, ``jobs`` unset, the store
+        #: reduced to its location (:meth:`RunOptions.with_store_spec`).
+        self.options = options
+        self._session: Optional["Session"] = None
 
-def _effort_label(options: RunOptions) -> str:
-    return DEFAULT_RUN_OPTIONS.merged_with(options).effort.value
+    def run_scenario(self, scenario: Scenario) -> Dict[str, object]:
+        """Worker-side: run one scenario, return its result as JSON.
+
+        A failing scenario comes back as its ``error`` text, so a
+        :class:`~repro.runtime.WorkerTaskError` only ever means the pool
+        itself broke.
+        """
+        if self._session is None:
+            self._session = Session(options=RunOptions(
+                store=self.options.store))
+        try:
+            return self._session._run_scenario(
+                scenario, self.passes, self.flow_config,
+                _replace(self.options, store=None)).to_json_dict()
+        finally:
+            # Durable before the result leaves the worker: whoever reads
+            # the store next sees every artifact of this scenario.
+            self._session.cache.flush()
 
 
 class Session:
-    """Reusable analysis context: cache + executor + pass defaults."""
+    """Reusable analysis context: cache + pass defaults + run options."""
 
     def __init__(self, *,
-                 executor: Union[str, Executor, None] = None,
-                 max_workers: Optional[int] = None,
                  cache: Optional[ArtifactCache] = None,
                  cache_entries: Optional[int] = DEFAULT_CACHE_ENTRIES,
                  options: Optional[RunOptions] = None,
                  passes: Optional[Sequence] = None,
-                 flow_config: Optional[FlowConfig] = None,
-                 parallel_passes: Union[bool, int] = False) -> None:
+                 flow_config: Optional[FlowConfig] = None) -> None:
         #: The session-default run knobs; per-call options win over them.
         self.options = options if options is not None else RunOptions()
-        self.executor = resolve_executor(executor, max_workers)
-        self.max_workers = max_workers
         if cache is not None:
             if self.options.store is not None and (
                     cache.store is not self.options.store):
@@ -119,7 +109,6 @@ class Session:
                                        store=self.options.store)
         self.passes = list(passes) if passes is not None else None
         self.flow_config = flow_config
-        self.parallel_passes = parallel_passes
 
     # ------------------------------------------------------------------ #
     # single-design analysis
@@ -131,7 +120,6 @@ class Session:
 
     def analyze(self, target, *,
                 passes: Optional[Sequence] = None,
-                parallel: Union[bool, int, None] = None,
                 config: Optional[FlowConfig] = None,
                 memory_map=None,
                 faults: Optional[Iterable] = None,
@@ -158,7 +146,10 @@ class Session:
         run = DEFAULT_RUN_OPTIONS.merged_with(self.options).merged_with(
             options)
         flow_config = config if config is not None else self.flow_config
-        pipeline = self._pipeline(passes, flow_config, run, parallel)
+        selection = passes if passes is not None else self.passes
+        if selection is None:
+            selection = default_pass_names(flow_config, run)
+        pipeline = Pipeline(list(selection), cache=self.cache)
         result = pipeline.run(design.netlist, config=flow_config,
                               options=run, memory_map=design.memory_map,
                               faults=faults)
@@ -168,7 +159,6 @@ class Session:
     # sweeps
     # ------------------------------------------------------------------ #
     def iter_sweep(self, grid: Union[ScenarioGrid, Sequence[Scenario]], *,
-                   executor: Union[str, Executor, None] = None,
                    passes: Optional[Sequence] = None,
                    options: Optional[RunOptions] = None,
                    config: Optional[FlowConfig] = None
@@ -176,47 +166,42 @@ class Session:
         """Run every grid scenario, yielding results *as they complete*.
 
         ``options`` applies to every scenario; each scenario's own run-axis
-        values win over it.  Completion order depends on the backend; each
-        :class:`~repro.api.SweepResult` carries its scenario index, so
-        callers needing grid order can sort afterwards (``sweep`` does).
-        A failing scenario yields an error-carrying result rather than
-        aborting the rest of the sweep.
+        values win over it.  With ``jobs`` > 1 (the session's or the
+        call's) and at least as many scenarios as the pool has workers,
+        each scenario is one task on the warm worker pool — pass
+        selections must then be registered pass *names*, and restored
+        reports carry no detail objects — and results arrive in completion
+        order; otherwise scenarios run in-process in grid order, each
+        analysis sharding its faults over the pool as ``analyze`` does.
+        Each :class:`~repro.api.SweepResult` carries its scenario index, so
+        callers needing grid order can sort afterwards (``sweep`` does).  A
+        failing scenario yields an error-carrying result rather than
+        aborting the rest of the sweep.  A pooled sweep holds no lock
+        between results: other ``jobs > 1`` work — from this loop or from
+        another thread — shares the workers meanwhile.
         """
         scenarios = self._expand(grid)
-        backend = (self.executor if executor is None
-                   else resolve_executor(executor, self.max_workers))
         options = options if options is not None else RunOptions()
+        pool = self.worker_pool(options)
+        if pool is None or len(scenarios) < pool.workers:
+            for scenario in scenarios:
+                yield self._run_scenario(scenario, passes, config, options)
+            return
 
-        if backend.requires_pickling:
-            jobs = [self._process_job(s, passes, config, options)
-                    for s in scenarios]
-            worker = _run_process_job
-        else:
-            jobs = scenarios
-            worker = lambda scenario: self._run_scenario(  # noqa: E731
-                scenario, passes, config, options)
-
-        for index, outcome in backend.imap_unordered(worker, jobs):
-            scenario = scenarios[index]
-            if isinstance(outcome, BaseException):
-                yield SweepResult(
-                    index=scenario.index, label=scenario.label,
-                    effort=_effort_label(self.options.merged_with(
-                        options).merged_with(scenario.options)),
-                    error=f"{type(outcome).__name__}: {outcome}")
-            elif isinstance(outcome, SweepResult):
-                yield outcome
-            else:  # process-backend JSON payload
-                yield SweepResult(
-                    index=scenario.index, label=outcome["label"],
-                    design_signature=outcome["signature"],
-                    effort=outcome["effort"],
-                    elapsed_seconds=outcome["elapsed_seconds"],
-                    report=OnlineUntestableReport.from_json_dict(
-                        outcome["report"]))
+        job = self._sweep_job(passes, config, options)
+        key = pool.ensure_job(f"sweep:{uuid.uuid4().hex}", lambda: job)
+        try:
+            with pool.session(key) as run:
+                for scenario in scenarios:
+                    run.submit("run_scenario", scenario)
+                for _tag, _scenario, outcome in run.results():
+                    yield SweepResult.from_json_dict(outcome)
+        finally:
+            # The worker sessions and their caches live as long as the
+            # sweep; the durable store is what outlives it.
+            pool.forget(key)
 
     def sweep(self, grid: Union[ScenarioGrid, Sequence[Scenario]], *,
-              executor: Union[str, Executor, None] = None,
               passes: Optional[Sequence] = None,
               options: Optional[RunOptions] = None,
               config: Optional[FlowConfig] = None,
@@ -226,17 +211,18 @@ class Session:
 
         ``on_result`` is invoked once per scenario in completion order (for
         progress reporting) before the results are sorted into grid order.
+        An exception it raises aborts the sweep and releases the worker
+        pool at once — the analysis service's cancel path.
         """
-        backend = (self.executor if executor is None
-                   else resolve_executor(executor, self.max_workers))
         before = self.cache.stats
         started = time.perf_counter()
         results = []
-        for result in self.iter_sweep(grid, executor=backend, passes=passes,
-                                      options=options, config=config):
-            results.append(result)
-            if on_result is not None:
-                on_result(result)
+        with closing(self.iter_sweep(grid, passes=passes, options=options,
+                                     config=config)) as stream:
+            for result in stream:
+                results.append(result)
+                if on_result is not None:
+                    on_result(result)
         results.sort(key=lambda r: r.index)
         # Make the sweep's artifacts durable before reporting: anything
         # still in the write-behind lane lands now, so the store counters
@@ -246,7 +232,6 @@ class Session:
         return SweepReport(
             results=results,
             grid_name=getattr(grid, "name", "") or "",
-            executor=backend.name,
             elapsed_seconds=time.perf_counter() - started,
             cache_stats={key: value - before.get(key, 0)
                          for key, value in after.items()
@@ -278,78 +263,65 @@ class Session:
         return [(_replace(s, index=i) if s.index != i else s)
                 for i, s in enumerate(scenarios)]
 
-    def _pipeline(self, passes: Optional[Sequence],
-                  flow_config: Optional[FlowConfig],
-                  options: RunOptions,
-                  parallel: Union[bool, int, None]) -> Pipeline:
-        selection = passes if passes is not None else self.passes
-        if selection is None:
-            selection = default_pass_names(flow_config, options)
-        parallel = self.parallel_passes if parallel is None else parallel
-        max_workers = (parallel
-                       if isinstance(parallel, int)
-                       and not isinstance(parallel, bool) else None)
-        return Pipeline(list(selection), parallel=bool(parallel),
-                        max_workers=max_workers, cache=self.cache)
-
     def _run_scenario(self, scenario: Scenario,
                       passes: Optional[Sequence],
                       config: Optional[FlowConfig],
                       options: RunOptions) -> SweepResult:
         started = time.perf_counter()
-        design = scenario.build_design()
         options = options.merged_with(scenario.options)
-        report = self.analyze(design, passes=passes, config=config,
-                              options=options)
-        return SweepResult(
-            index=scenario.index, label=scenario.label,
-            design_signature=design.signature,
-            effort=_effort_label(self.options.merged_with(options)),
-            elapsed_seconds=time.perf_counter() - started,
-            report=report)
+        result = SweepResult(index=scenario.index, label=scenario.label,
+                             effort=DEFAULT_RUN_OPTIONS.merged_with(
+                                 self.options).merged_with(
+                                     options).effort.value)
+        try:
+            design = scenario.build_design()
+            result.report = self.analyze(design, passes=passes,
+                                         config=config, options=options)
+            result.design_signature = design.signature
+        except Exception as exc:  # noqa: BLE001 - the scenario's error
+            result.error = f"{type(exc).__name__}: {exc}"
+        result.elapsed_seconds = time.perf_counter() - started
+        return result
 
-    def _process_job(self, scenario: Scenario, passes: Optional[Sequence],
-                     config: Optional[FlowConfig],
-                     options: RunOptions) -> _ProcessJob:
+    def _sweep_job(self, passes: Optional[Sequence],
+                   config: Optional[FlowConfig],
+                   options: RunOptions) -> _SweepJob:
         selection = passes if passes is not None else self.passes
+        names = None
         if selection is not None:
             names = tuple(p for p in selection if isinstance(p, str))
             if len(names) != len(selection):
                 raise ValueError(
-                    "ProcessExecutor sweeps require pass *names* (picklable); "
-                    "got pass objects — register them and select by name, or "
-                    "use the serial/thread executor")
-        else:
-            names = None
-        # Worker sessions are built bare, so the session's defaults travel
-        # in the job: its run options (store reduced to its location) and
-        # its flow switches.
-        merged = _replace(self.options.merged_with(options),
+                    "a jobs > 1 sweep runs its scenarios in pool workers, "
+                    "which select passes by registered *name*; got pass "
+                    "objects — register them and select by name, or sweep "
+                    "with jobs=1")
+        merged = _replace(self.options.merged_with(options), jobs=None,
                           store=self.cache.store).with_store_spec()
-        return _ProcessJob(scenario=scenario, passes=names,
-                           flow_config=(config if config is not None
-                                        else self.flow_config),
-                           parallel_passes=self.parallel_passes,
-                           options=merged)
+        return _SweepJob(names,
+                         config if config is not None else self.flow_config,
+                         merged)
 
     # ------------------------------------------------------------------ #
     # parallel-runtime lifecycle
     # ------------------------------------------------------------------ #
-    def worker_pool(self):
+    def worker_pool(self, options: Optional[RunOptions] = None):
         """The warm :class:`~repro.runtime.WorkerPool` of this session.
 
-        Resolved from the process-global pool registry for the session's
-        configured worker count, so every analysis the session runs — and
+        Resolved from the process-global pool registry for the configured
+        worker count (the session's ``jobs``, or ``options.jobs`` when a
+        call sets it), so every analysis and sweep the session runs — and
         every other session configured identically — shares one set of
         warm workers with their installed netlists and job state.  Returns
-        ``None`` for a serial session (``jobs`` unset or 1).
+        ``None`` when that count is unset or 1 (serial).
         """
-        if self.options.jobs is None or self.options.jobs <= 1:
+        jobs = self.options.merged_with(options).jobs
+        if jobs is None or jobs <= 1:
             return None
         from repro.runtime import get_pool
         from repro.simulation.sharded import resolve_jobs
 
-        return get_pool(resolve_jobs(self.options.jobs))
+        return get_pool(resolve_jobs(jobs))
 
     def pool_stats(self) -> List[Dict[str, object]]:
         """Stats snapshots of every live warm worker pool (may be empty)."""
@@ -359,9 +331,9 @@ class Session:
     def close(self, *, shutdown_pools: bool = False) -> None:
         """Release session-held parallel resources.
 
-        The engines' warm worker pools are process-global (shared across
-        sessions) and survive by default; ``shutdown_pools=True`` tears
-        them down — what the analysis service does on drain.
+        The warm worker pools are process-global (shared across sessions)
+        and survive by default; ``shutdown_pools=True`` tears them down —
+        what the analysis service does on drain.
         """
         if shutdown_pools:
             from repro.runtime import shutdown_pools as _shutdown
@@ -375,6 +347,4 @@ class Session:
         return False
 
     def __repr__(self) -> str:
-        return (f"Session(executor={self.executor.name!r}, "
-                f"cache={self.cache.stats}, "
-                f"options={self.options!r})")
+        return f"Session(cache={self.cache.stats}, options={self.options!r})"

@@ -1,7 +1,7 @@
 """Sweep results and their multi-scenario aggregation.
 
 A sweep produces one :class:`SweepResult` per scenario — streamed as the
-backend completes them — and a :class:`SweepReport` aggregating the full
+scenarios complete — and a :class:`SweepReport` aggregating the full
 grid: per-scenario Table-I rows, deltas against the first (baseline)
 scenario, cache-reuse accounting, and JSON/CSV serialization so sweeps can
 be persisted, diffed across runs and rendered later (``python -m repro
@@ -76,7 +76,6 @@ class SweepReport:
 
     results: List[SweepResult] = field(default_factory=list)
     grid_name: str = ""
-    executor: str = "serial"
     elapsed_seconds: float = 0.0
     #: Artifact-cache activity *during this sweep* (deltas, not lifetime
     #: totals).  ``hits`` > 0 means at least one scenario replayed an
@@ -177,7 +176,7 @@ class SweepReport:
         out = io.StringIO()
         title = self.grid_name or "sweep"
         out.write(f"Scenario sweep '{title}' "
-                  f"({len(self.results)} scenarios, executor={self.executor}, "
+                  f"({len(self.results)} scenarios, "
                   f"{self.elapsed_seconds:.2f}s")
         hits = self.cache_stats.get("hits", 0)
         if hits:
@@ -195,7 +194,6 @@ class SweepReport:
         return {
             "schema": 1,
             "grid": self.grid_name,
-            "executor": self.executor,
             "elapsed_seconds": self.elapsed_seconds,
             "cache_stats": dict(self.cache_stats),
             "comparison": self.comparison_rows(),
@@ -207,11 +205,12 @@ class SweepReport:
 
     @classmethod
     def from_json_dict(cls, data: Dict[str, object]) -> "SweepReport":
+        # A schema-1 document may carry an "executor" key naming how the
+        # sweep ran; it does not affect the results and is ignored.
         return cls(
             results=[SweepResult.from_json_dict(entry)
                      for entry in data.get("scenarios", ())],
             grid_name=data.get("grid", ""),
-            executor=data.get("executor", "serial"),
             elapsed_seconds=float(data.get("elapsed_seconds", 0.0)),
             cache_stats={k: int(v)
                          for k, v in (data.get("cache_stats") or {}).items()},

@@ -3,16 +3,18 @@
 The paper's §4 flow — scan → debug control → debug observe → memory map —
 is expressed as registered :class:`AnalysisPass` objects over a shared
 :class:`PipelineContext` artifact store.  A :class:`Pipeline` resolves pass
-dependencies from their ``requires``/``provides`` declarations, executes
-independent passes concurrently when asked, memoises per-pass results in an
+dependencies from their ``requires``/``provides`` declarations, runs the
+passes in dependency order, memoises per-pass results in an
 :class:`ArtifactCache` keyed on the netlist signature plus configuration,
 and attributes identified faults to their first source in the paper's fixed
-order so Table I is reproduced exactly regardless of scheduling.
+order so Table I is reproduced exactly whatever the pass selection.  The
+fault populations inside the passes run on the warm worker pool when
+``RunOptions.jobs`` asks for it.
 
 Quickstart::
 
     import repro
-    report = repro.Session(parallel_passes=True).analyze(soc)
+    report = repro.Session().analyze(soc)
 
 or, with explicit control::
 
@@ -20,7 +22,6 @@ or, with explicit control::
 
     pipeline = (Pipeline.builder()
                 .with_passes("scan_analysis", "memory_analysis")
-                .parallel()
                 .cached()
                 .build())
     report = pipeline.run(soc).report

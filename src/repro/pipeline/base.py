@@ -8,7 +8,7 @@ faults that the pipeline later attributes in the paper's fixed order.
 
 Passes declare their inputs and outputs (``requires`` / ``provides``
 artifact keys) so the pipeline can resolve dependencies, order the passes
-and run independent ones concurrently.
+and skip the ones whose inputs never appeared.
 """
 
 from __future__ import annotations

@@ -106,10 +106,12 @@ class _StoreWriter:
 class ArtifactCache:
     """Thread-safe LRU pass-result cache with hit/miss accounting.
 
-    One cache may be shared by many concurrent pipeline runs — a
-    :class:`repro.api.Session` hands the same instance to every scenario of
-    a sweep, so a ``ThreadExecutor`` sweep replays artifacts a sibling
-    scenario computed moments earlier.  The store is guarded by a lock and
+    One cache may be shared by many pipeline runs — a
+    :class:`repro.api.Session` hands the same instance to every analysis
+    and every in-process sweep scenario, so a variant replays artifacts a
+    sibling scenario computed moments earlier, and the analysis service
+    runs concurrent jobs on threads over one session's cache.  The store
+    is guarded by a lock and
     bounded: when ``max_entries`` is set, the least-recently-used entry is
     evicted on insert, so long sweeps cannot grow memory without bound.
 
@@ -165,9 +167,9 @@ class ArtifactCache:
 
         Concurrent callers of the same key are *single-flighted*: one
         computes, the rest block and then replay the stored value (counted
-        as hits).  That keeps a thread-pool sweep from duplicating an
-        expensive pass when two scenario variants sharing a netlist reach
-        it simultaneously.  If the computing caller fails, one waiter takes
+        as hits).  That keeps two service jobs on one session from
+        duplicating an expensive pass when they reach it simultaneously on
+        the same netlist.  If the computing caller fails, one waiter takes
         over; the failure propagates to the caller that raised it.
 
         With a store attached the same discipline extends across

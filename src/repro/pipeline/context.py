@@ -7,8 +7,9 @@ passes publish, and — when the pipeline owns an
 :class:`repro.pipeline.cache.ArtifactCache` — computes the cache key
 under which each pass's result is memoised.
 
-Artifact access is thread-safe: independent passes run concurrently in
-the parallel pipeline and publish their artifacts from worker threads.
+Artifact access is guarded by a lock: the analysis service runs its jobs
+on threads, so the context assumes nothing about which thread a pass
+reads or publishes from.
 """
 
 from __future__ import annotations

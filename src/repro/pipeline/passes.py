@@ -18,8 +18,8 @@ scheduled:
 * ``debug_observe`` (§3.2.2) — debug observation buses left floating;
 * ``memory_analysis`` (§3.3) — address bits frozen by the mission memory map.
 
-After ``baseline`` the four sources only share read-only inputs, which is
-what lets the parallel pipeline run them concurrently.
+After ``baseline`` the four sources only share read-only inputs; each one
+attributes independently and the pipeline orders the attribution.
 """
 
 from __future__ import annotations

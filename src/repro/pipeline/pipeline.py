@@ -1,17 +1,20 @@
-"""Dependency-resolving, optionally concurrent analysis-pass pipeline.
+"""Dependency-resolving analysis-pass pipeline.
 
 A :class:`Pipeline` owns an ordered set of analysis passes.  At run time it
 
 1. seeds a :class:`~repro.pipeline.context.PipelineContext` with the target
    netlist, memory map, configuration and optional restricted fault universe;
-2. executes the passes — serially in topological order, or concurrently on a
-   thread pool, submitting each pass the moment its required artifacts exist
-   (after ``baseline`` the four paper sources only share read-only inputs);
+2. executes the passes in topological order, skipping a pass whose required
+   artifacts no earlier pass produced (or that declares itself not
+   applicable), and replaying a pass from the cache when it can;
 3. records a per-pass runtime and a :class:`PassEvent` trail;
 4. attributes every identified fault to its *first* source in the paper's
    fixed order (scan → debug control → debug observe → memory map), so the
-   Table I counts are identical no matter how the passes were scheduled;
+   Table I counts do not depend on the pass order;
 5. assembles the :class:`~repro.core.results.OnlineUntestableReport`.
+
+Parallelism lives below the passes: ``RunOptions.jobs`` puts each pass's
+fault population on the warm worker pool (:mod:`repro.runtime`).
 
 Pass selection is composable: hand :class:`Pipeline` pass names (resolved
 through the registry, with transitive dependencies pulled in automatically)
@@ -21,7 +24,6 @@ or pass objects, or use the fluent :class:`PipelineBuilder`.
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence,
                     Set, Union)
@@ -90,15 +92,11 @@ class Pipeline:
 
     def __init__(self, passes: Optional[Sequence[Union[str, AnalysisPass]]] = None,
                  *,
-                 parallel: bool = False,
-                 max_workers: Optional[int] = None,
                  cache: Optional[ArtifactCache] = None,
                  registry: Optional[PassRegistry] = None) -> None:
         self.registry = registry if registry is not None else DEFAULT_REGISTRY
         requested = passes if passes is not None else default_pass_names()
         self.passes = self._resolve(requested)
-        self.parallel = parallel
-        self.max_workers = max_workers
         self.cache = cache
         self._pass_index = {p.name: i for i, p in enumerate(self.passes)}
 
@@ -198,16 +196,6 @@ class Pipeline:
                               initial_faults=faults, cache=self.cache,
                               options=options)
         result = PipelineResult(context=ctx, order=self.pass_names)
-
-        if self.parallel:
-            self._run_parallel(ctx, result)
-        else:
-            self._run_serial(ctx, result)
-
-        result.report = self._build_report(ctx, result)
-        return result
-
-    def _run_serial(self, ctx: PipelineContext, result: PipelineResult) -> None:
         for pass_ in self.passes:
             missing = [a for a in pass_.requires
                        if a not in SEED_ARTIFACTS and not ctx.has(a)]
@@ -215,82 +203,17 @@ class Pipeline:
                 result.events.append(PassEvent(
                     pass_.name, "skipped",
                     reason=f"missing artifacts: {', '.join(missing)}"))
-                continue
-            self._execute(pass_, ctx, result)
+            elif not _applicable(pass_, ctx):
+                result.events.append(PassEvent(pass_.name, "skipped",
+                                               reason="not applicable"))
+            else:
+                self._execute(pass_, ctx, result)
+        result.report = self._build_report(ctx, result)
+        return result
 
-    def _run_parallel(self, ctx: PipelineContext, result: PipelineResult) -> None:
-        pending: Dict[str, AnalysisPass] = {p.name: p for p in self.passes}
-        finished: Set[str] = set()
-        workers = self.max_workers or min(8, max(2, len(self.passes)))
-        failure: List[BaseException] = []
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {}
-            while pending or futures:
-                # Submit every pass whose inputs exist; skip the doomed ones
-                # (their providers finished without producing the artifact).
-                progressed = True
-                while progressed:
-                    progressed = False
-                    for name in list(pending):
-                        pass_ = pending[name]
-                        missing = [a for a in pass_.requires
-                                   if a not in SEED_ARTIFACTS and not ctx.has(a)]
-                        if not missing:
-                            if not _applicable(pass_, ctx):
-                                del pending[name]
-                                finished.add(name)
-                                result.events.append(PassEvent(
-                                    name, "skipped", reason="not applicable"))
-                                progressed = True
-                                continue
-                            del pending[name]
-                            futures[pool.submit(
-                                self._execute_body, pass_, ctx)] = pass_
-                            progressed = True
-                        elif all(self._provider_finished(a, finished)
-                                 for a in missing):
-                            del pending[name]
-                            finished.add(name)
-                            result.events.append(PassEvent(
-                                name, "skipped",
-                                reason=f"missing artifacts: {', '.join(missing)}"))
-                            progressed = True
-                if not futures:
-                    break
-                done, _ = wait(list(futures), return_when=FIRST_COMPLETED)
-                for future in done:
-                    pass_ = futures.pop(future)
-                    try:
-                        status, pass_result, runtime = future.result()
-                    except BaseException as exc:  # surface after drain
-                        failure.append(exc)
-                        finished.add(pass_.name)
-                        continue
-                    self._record(pass_, status, pass_result, runtime,
-                                 ctx, result)
-                    finished.add(pass_.name)
-        if failure:
-            raise failure[0]
-
-    def _provider_finished(self, artifact: str, finished: Set[str]) -> bool:
-        for pass_ in self.passes:
-            if artifact in pass_.provides:
-                return pass_.name in finished
-        return True
-
-    # ------------------------------------------------------------------ #
     def _execute(self, pass_: AnalysisPass, ctx: PipelineContext,
                  result: PipelineResult) -> None:
-        if not _applicable(pass_, ctx):
-            result.events.append(PassEvent(pass_.name, "skipped",
-                                           reason="not applicable"))
-            return
-        status, pass_result, runtime = self._execute_body(pass_, ctx)
-        self._record(pass_, status, pass_result, runtime, ctx, result)
-
-    def _execute_body(self, pass_: AnalysisPass, ctx: PipelineContext):
-        """Run (or replay from cache) one pass; returns (status, result, s)."""
+        """Run (or replay from cache) one pass and record its artifacts."""
         started = time.perf_counter()
 
         def compute() -> PassResult:
@@ -309,20 +232,16 @@ class Pipeline:
 
         if self.cache is not None and getattr(pass_, "cacheable", True):
             # Single-flighted: concurrent runs of the same (signature,
-            # facets, pass) — e.g. two sweep scenarios sharing a netlist —
-            # coalesce into one computation; the others replay it.
+            # facets, pass) — e.g. two service jobs on one session sharing
+            # a netlist — coalesce into one computation; the others replay
+            # it.
             pass_result, hit = self.cache.get_or_compute(
                 ctx.cache_key(pass_), compute,
                 persist=getattr(pass_, "persist", True))
             status = "cached" if hit else "completed"
         else:
             pass_result, status = compute(), "completed"
-        return status, pass_result, time.perf_counter() - started
-
-    @staticmethod
-    def _record(pass_: AnalysisPass, status: str, pass_result: PassResult,
-                runtime: float, ctx: PipelineContext,
-                result: PipelineResult) -> None:
+        runtime = time.perf_counter() - started
         for key, value in pass_result.artifacts.items():
             ctx.set(key, value)
         result.results[pass_.name] = pass_result
@@ -392,7 +311,6 @@ class PipelineBuilder:
 
         pipeline = (Pipeline.builder()
                     .with_default_passes()
-                    .parallel(4)
                     .cached()
                     .build())
     """
@@ -400,8 +318,6 @@ class PipelineBuilder:
     def __init__(self, registry: Optional[PassRegistry] = None) -> None:
         self._registry = registry
         self._passes: List[Union[str, AnalysisPass]] = []
-        self._parallel = False
-        self._max_workers: Optional[int] = None
         self._cache: Optional[ArtifactCache] = None
 
     def with_pass(self, pass_: Union[str, AnalysisPass]) -> "PipelineBuilder":
@@ -420,25 +336,13 @@ class PipelineBuilder:
         self._passes.extend(default_pass_names(config, options))
         return self
 
-    def parallel(self, max_workers: Optional[int] = None) -> "PipelineBuilder":
-        self._parallel = True
-        self._max_workers = max_workers
-        return self
-
-    def serial(self) -> "PipelineBuilder":
-        self._parallel = False
-        self._max_workers = None
-        return self
-
     def cached(self, cache: Optional[ArtifactCache] = None) -> "PipelineBuilder":
         self._cache = cache if cache is not None else ArtifactCache()
         return self
 
     def build(self) -> Pipeline:
         passes = self._passes or None
-        return Pipeline(passes, parallel=self._parallel,
-                        max_workers=self._max_workers, cache=self._cache,
-                        registry=self._registry)
+        return Pipeline(passes, cache=self._cache, registry=self._registry)
 
 
 def _applicable(pass_: AnalysisPass, ctx: PipelineContext) -> bool:

@@ -25,6 +25,14 @@ parent-side work stealing
     worker that finishes early immediately pulls the next chunk — LPT at
     chunk granularity without static partitioning.
 
+interleaved runs
+    Every :meth:`WorkerPool.session` is its own scheduling run: results
+    are routed back to the run that submitted the task, and no lock is
+    held between two results.  So a caller may open a second run while
+    iterating a first (a ``jobs > 1`` analyze between the results of a
+    pooled sweep), and runs on different threads (the analysis service's
+    jobs) share the workers instead of queueing behind each other.
+
 graceful degradation
     A worker that dies mid-round (OOM-killed, ``kill -9``) is detected by
     pipe EOF / liveness checks; its in-flight chunks are requeued onto the
@@ -66,6 +74,11 @@ DEFAULT_NETLIST_CACHE = 4
 #: Tasks kept in flight per worker: one executing, one queued behind it so
 #: the worker never idles between a result and the next dispatch.
 PREFETCH = 2
+
+#: Longest a run waits on the worker pipes before re-checking its own
+#: result queue (another run may have absorbed its result) and worker
+#: liveness.
+_WAIT_SECONDS = 0.05
 
 
 class WorkerTaskError(RuntimeError):
@@ -173,23 +186,24 @@ def _worker_main(conn, worker_id: int, jitter_seed: Optional[int]) -> None:
 # parent side
 # --------------------------------------------------------------------- #
 class _RunHandle:
-    """One scheduling session over an installed job key.
+    """One scheduling run over an installed job key.
 
     ``submit`` enqueues ``(method, task)`` chunks; :meth:`results` yields
     ``(tag, task, result)`` as workers complete them, including tasks
-    submitted *from inside* the loop.
+    submitted *from inside* the loop.  Only this run's tasks come back.
     """
 
-    def __init__(self, pool: "WorkerPool", key: str) -> None:
+    def __init__(self, pool: "WorkerPool", key: str, run: int) -> None:
         self._pool = pool
         self.key = key
+        self._run = run
 
     def submit(self, method: str, task: Any, tag: Any = None) -> int:
-        return self._pool._submit(self.key, method, task, tag)
+        return self._pool._submit(self._run, self.key, method, task, tag)
 
     def results(self) -> Iterator[Tuple[Any, Any, Any]]:
         while True:
-            item = self._pool._next_result()
+            item = self._pool._next_result(self._run)
             if item is None:
                 return
             yield item
@@ -224,12 +238,16 @@ class WorkerPool:
         self._payloads: Dict[str, Optional[bytes]] = {}
         self._job_netlist: Dict[str, str] = {}
 
-        # Run-scoped scheduling state.
+        # Scheduling state, shared by every open run: a task's info names
+        # its run, and each run has its own queue of finished results
+        # (``("ok" | "err", tag, task, payload)``) and count of open tasks.
         self._seq = itertools.count(1)
+        self._runs = itertools.count(1)
         self._pending: deque = deque()
-        self._task_info: Dict[int, Tuple[str, str, Any, Any]] = {}
+        self._task_info: Dict[int, Tuple[int, str, str, Any, Any]] = {}
         self._inflight: List[Set[int]] = [set() for _ in range(self.workers)]
-        self._ready: deque = deque()
+        self._ready: Dict[int, deque] = {}
+        self._open: Dict[int, int] = {}
 
         self.stats: Dict[str, Any] = {
             "workers": self.workers,
@@ -309,6 +327,7 @@ class WorkerPool:
             self._pending.clear()
             self._task_info.clear()
             self._ready.clear()
+            self._open.clear()
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -346,12 +365,13 @@ class WorkerPool:
     def ensure_job(self, key: str, build: Callable[[], Any]) -> str:
         """Install (or re-use) job state under a content key.
 
-        ``build()`` runs only on a cache miss and must return an object
-        whose ``netlist`` attribute is the target netlist; the pool strips
-        the netlist into a shared ``net:`` install automatically.  The
-        elapsed setup cost lands in ``stats["last_setup_seconds"]`` — ~0
-        on a warm hit, which is what the ``pool_warm_grading`` bench stage
-        pins.
+        ``build()`` runs only on a cache miss.  When the object it returns
+        has a ``netlist`` (a sharded engine's job), the pool strips the
+        netlist into a shared ``net:`` install automatically; a job whose
+        ``netlist`` is ``None`` or absent (a sweep job, which builds its
+        designs worker-side) ships whole.  The elapsed setup cost lands in
+        ``stats["last_setup_seconds"]`` — ~0 on a warm hit, which is what
+        the ``pool_warm_grading`` bench stage pins.
         """
         started = time.perf_counter()
         with self._lock:
@@ -366,10 +386,11 @@ class WorkerPool:
                 self.stats["setup_seconds"] += elapsed
                 return key
             job = build()
-            netlist_key = self.ensure_netlist(job.netlist)
+            netlist = getattr(job, "netlist", None)
+            if netlist is not None:
+                self._job_netlist[key] = self.ensure_netlist(netlist)
             self._objects[key] = job
             self._payloads[key] = None
-            self._job_netlist[key] = netlist_key
             self.stats["installs"] += 1
             self._broadcast(("install", key, self._payload(key)))
             self._evict()
@@ -397,11 +418,16 @@ class WorkerPool:
         return payload
 
     def _evict(self) -> None:
+        # A key an open run still has tasks for stays installed.
+        busy = {info[1] for info in self._task_info.values()}
+        busy |= {self._job_netlist[key] for key in busy
+                 if key in self._job_netlist}
         job_keys = [key for key in self._objects
-                    if not key.startswith("net:")]
+                    if not key.startswith("net:") and key not in busy]
         while len(job_keys) > DEFAULT_JOB_CACHE:
             self._forget(job_keys.pop(0))
-        net_keys = [key for key in self._objects if key.startswith("net:")]
+        net_keys = [key for key in self._objects
+                    if key.startswith("net:") and key not in busy]
         while len(net_keys) > DEFAULT_NETLIST_CACHE:
             victim = net_keys.pop(0)
             # Evicting a netlist orphans every job installed against it —
@@ -431,47 +457,96 @@ class WorkerPool:
     # scheduling
     # ------------------------------------------------------------------ #
     def session(self, key: str) -> "_PoolSession":
-        """Serialize a scheduling run over one installed key."""
+        """Open one scheduling run over an installed key."""
         return _PoolSession(self, key)
 
-    def _submit(self, key: str, method: str, task: Any, tag: Any) -> int:
-        seq = next(self._seq)
-        self._task_info[seq] = (key, method, task, tag)
-        self._pending.append(seq)
-        self.stats["tasks"] += 1
-        self._dispatch()
-        return seq
+    def forget(self, key: str) -> None:
+        """Drop an installed job from the parent and every worker."""
+        with self._lock:
+            if key in self._objects:
+                self._forget(key)
+
+    def _begin_run(self) -> int:
+        with self._lock:
+            self._check_open()
+            self._ensure_started()
+            run = next(self._runs)
+            self._ready[run] = deque()
+            self._open[run] = 0
+            return run
+
+    def _end_run(self, run: int) -> None:
+        """Drop a run's state; its queued tasks are skipped at dispatch and
+        late results of its in-flight tasks are discarded on arrival."""
+        with self._lock:
+            if self._open.pop(run, 0):
+                for seq in [seq for seq, info in self._task_info.items()
+                            if info[0] == run]:
+                    del self._task_info[seq]
+            self._ready.pop(run, None)
+
+    def _submit(self, run: int, key: str, method: str, task: Any,
+                tag: Any) -> int:
+        with self._lock:
+            self._check_open()
+            seq = next(self._seq)
+            self._task_info[seq] = (run, key, method, task, tag)
+            self._open[run] += 1
+            self._pending.append(seq)
+            self.stats["tasks"] += 1
+            self._dispatch()
+            return seq
 
     def _dispatch(self) -> None:
-        for wid in range(self.workers):
-            if self._conns[wid] is None:
-                continue
-            while self._pending and len(self._inflight[wid]) < PREFETCH:
-                seq = self._pending.popleft()
-                if seq not in self._task_info:
-                    continue
-                key, method, task, _tag = self._task_info[seq]
-                self._inflight[wid].add(seq)
-                if not self._send(wid, ("task", seq, key, method, task)):
-                    # _send handled the death and requeued the task.
-                    break
+        # Breadth-first: every worker's first slot fills before any second
+        # slot, so a round of fewer tasks than slots (a 4-scenario sweep on
+        # two workers) starts one task per worker instead of queueing two
+        # behind the first worker.
+        for depth in range(1, PREFETCH + 1):
+            for wid in range(self.workers):
+                while (self._pending and self._conns[wid] is not None
+                       and len(self._inflight[wid]) < depth):
+                    seq = self._pending.popleft()
+                    if seq not in self._task_info:
+                        continue
+                    _run, key, method, task, _tag = self._task_info[seq]
+                    self._inflight[wid].add(seq)
+                    if not self._send(wid, ("task", seq, key, method, task)):
+                        # _send handled the death and requeued the task.
+                        break
 
-    def _next_result(self) -> Optional[Tuple[Any, Any, Any]]:
+    def _next_result(self, run: int) -> Optional[Tuple[Any, Any, Any]]:
         while True:
-            if self._ready:
-                return self._ready.popleft()
-            if not self._task_info:
-                return None
-            self._dispatch()
-            watched = {conn: wid for wid, conn in enumerate(self._conns)
-                       if conn is not None}
-            if not watched:
-                # Every worker died at once; respawn and redispatch.
+            with self._lock:
+                self._check_open()
+                ready = self._ready[run]
+                if ready:
+                    kind, tag, task, payload = ready.popleft()
+                    if kind == "err":
+                        raise WorkerTaskError(
+                            f"pool worker task failed:\n{payload}")
+                    return tag, task, payload
+                if not self._open[run]:
+                    return None
+                self._dispatch()
+                conns = [conn for conn in self._conns if conn is not None]
+                if not conns:
+                    # Every worker died at once; respawn and redispatch.
+                    self._check_health()
+                    continue
+            # Wait without the lock, so other runs can submit and absorb
+            # meanwhile; only the locked drain below ever reads a pipe.
+            try:
+                readable = mp_connection.wait(conns, timeout=_WAIT_SECONDS)
+            except (OSError, ValueError):
+                readable = []  # a pipe closed under us: a worker died
+            with self._lock:
+                for wid, conn in enumerate(self._conns):
+                    while (conn is not None and conn in readable
+                           and conn.poll(0)):
+                        self._absorb(wid)
+                        conn = self._conns[wid]
                 self._check_health()
-                continue
-            for conn in mp_connection.wait(list(watched), timeout=0.2):
-                self._absorb(watched[conn])
-            self._check_health()
 
     def _absorb(self, wid: int) -> None:
         conn = self._conns[wid]
@@ -486,12 +561,12 @@ class WorkerPool:
         self._inflight[wid].discard(seq)
         info = self._task_info.pop(seq, None)
         if info is None:
-            return  # duplicate of a requeued task — first completion won
-        _key, _method, task, tag = info
-        if kind == "err":
-            raise WorkerTaskError(
-                f"pool worker task failed:\n{message[2]}")
-        self._ready.append((tag, task, message[2]))
+            # A duplicate of a requeued task (the first completion won) or
+            # a late result of a finished run.
+            return
+        run, _key, _method, task, tag = info
+        self._open[run] -= 1
+        self._ready[run].append((kind, tag, task, message[2]))
 
     def _check_health(self) -> None:
         for wid, process in enumerate(self._procs):
@@ -549,34 +624,21 @@ class WorkerPool:
 
 
 class _PoolSession:
-    """Context manager pairing the pool's run lock with a clean abort."""
+    """Context manager around one scheduling run: opens it, and on exit
+    (normal or not) drops whatever of it is still queued."""
 
     def __init__(self, pool: WorkerPool, key: str) -> None:
         self._pool = pool
         self._key = key
-        self._handle: Optional[_RunHandle] = None
+        self._run: Optional[int] = None
 
     def __enter__(self) -> _RunHandle:
-        self._pool._lock.acquire()
-        self._pool._check_open()
-        self._pool._ensure_started()
-        self._handle = _RunHandle(self._pool, self._key)
-        return self._handle
+        self._run = self._pool._begin_run()
+        return _RunHandle(self._pool, self._key, self._run)
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        pool = self._pool
-        try:
-            if exc_type is not None:
-                # Abort: drop run state so a later session never sees a
-                # stale task; in-flight workers finish and their late
-                # results are discarded as unknown sequence numbers.
-                pool._pending.clear()
-                pool._task_info.clear()
-                pool._ready.clear()
-                for inflight in pool._inflight:
-                    inflight.clear()
-        finally:
-            pool._lock.release()
+        if self._run is not None:
+            self._pool._end_run(self._run)
 
 
 # --------------------------------------------------------------------- #

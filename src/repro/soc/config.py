@@ -12,7 +12,7 @@ builds on these helpers and adds the run-level axes (ATPG effort).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.memory.memory_map import MemoryMap
@@ -207,7 +207,26 @@ class SoCConfig:
             return SoCConfig(cpu=self.cpu, memory_map=self.memory_map,
                              insert_scan=bool(value))
         if axis.startswith("cpu."):
-            return self.with_cpu(**{axis[len("cpu."):]: value})
+            name = axis[len("cpu."):]
+            if name not in {f.name for f in fields(CpuConfig)}:
+                raise ValueError(
+                    f"unknown scenario axis {axis!r}: CpuConfig has no "
+                    f"field {name!r}")
+            # Every CpuConfig field defaults to a str, int or bool value;
+            # a bool field also takes 0 and 1 (``--axis cpu.has_debug=0,1``).
+            expected = type(getattr(self.cpu, name))
+            if expected is bool and type(value) is int and value in (0, 1):
+                value = bool(value)
+            if not isinstance(value, expected) or (
+                    expected is int and isinstance(value, bool)):
+                raise ValueError(
+                    f"axis {axis!r} expects a value of type {expected.__name__}, "
+                    f"got {value!r}")
+            try:
+                return self.with_cpu(**{name: value})
+            except ValueError as exc:
+                raise ValueError(
+                    f"bad value for axis {axis!r}: {exc}") from None
         raise ValueError(
             f"unknown scenario axis {axis!r}; expected size, scan, debug, "
             f"memory_map, insert_scan or cpu.<field>")

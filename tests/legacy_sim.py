@@ -11,8 +11,9 @@ dicts and evaluate cells via their ``eval_fn``.  They are kept as the
 * ``benchmarks/test_runtime.py`` measures the compiled engines' speedup over
   them and asserts verdict equality.
 
-They are not exported from :mod:`repro.simulation`; production code uses the
-compiled-IR :class:`~repro.simulation.simulator.CombinationalSimulator` and
+They live with the tests as an independent oracle, not in the package;
+production code uses the compiled-IR
+:class:`~repro.simulation.simulator.CombinationalSimulator` and
 :class:`~repro.simulation.fault_sim.FaultSimulator`.
 """
 

@@ -1,14 +1,20 @@
-"""Tests of the Session/Design API: defaults, grids, executors, options."""
+"""Tests of the Session/Design API: defaults, grids, sweeps, options."""
 
 from __future__ import annotations
+
+import json
+import os
+import signal
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 import repro
-from repro.api import (Design, ProcessExecutor, RunOptions, Scenario,
-                       ScenarioGrid, SerialExecutor, Session, SweepReport,
-                       ThreadExecutor, resolve_executor)
+from repro.api import (Design, RunOptions, Scenario, ScenarioGrid, Session,
+                       SweepReport)
 from repro.atpg.engine import AtpgEffort, resolve_effort
+from repro.core.results import FlowConfig
 from repro.memory.memory_map import MemoryMap, MemoryRegion
 from repro.soc.config import SoCConfig
 from repro.soc.soc_builder import build_soc
@@ -34,21 +40,19 @@ def tiny_session_report():
 class TestSessionDefaults:
     def test_defaults(self):
         session = Session()
-        assert isinstance(session.executor, SerialExecutor)
         assert session.cache.max_entries is not None  # bounded by default
         assert session.passes is None
         assert session.options == RunOptions()
 
-    def test_executor_by_name(self):
-        assert isinstance(Session(executor="thread").executor, ThreadExecutor)
-        assert isinstance(Session(executor="process").executor,
-                          ProcessExecutor)
-        with pytest.raises(ValueError, match="unknown executor"):
-            Session(executor="cluster")
-
-    def test_executor_instance_passthrough(self):
-        backend = ThreadExecutor(max_workers=3)
-        assert resolve_executor(backend) is backend
+    def test_no_second_concurrency_knob(self):
+        # jobs (a RunOptions field) is the only one.
+        for knob in ("executor", "max_workers", "parallel_passes"):
+            with pytest.raises(TypeError):
+                Session(**{knob: 2})
+        with pytest.raises(TypeError):
+            Session().analyze("tiny", parallel=2)
+        with pytest.raises(TypeError):
+            Session().sweep(ScenarioGrid("tiny"), executor="thread")
 
     def test_analyze_accepts_many_target_spellings(self, tiny_soc,
                                                    tiny_session_report):
@@ -148,7 +152,7 @@ class TestScenarioGrid:
 
 
 # --------------------------------------------------------------------- #
-# sweeps & executors
+# sweeps
 # --------------------------------------------------------------------- #
 def four_variant_grid() -> ScenarioGrid:
     """4 SoC variants of the tiny core; two pairs share a netlist.
@@ -167,13 +171,23 @@ def report_essence(report):
             sorted(str(f) for f in report.online_untestable))
 
 
+def comparison(sweep):
+    """The comparison rows minus the wall-clock column."""
+    return [{k: v for k, v in row.items() if k != "elapsed_seconds"}
+            for row in sweep.comparison_rows()]
+
+
+#: A session whose sweeps run one scenario per task on two pool workers.
+POOLED = RunOptions(jobs=2)
+
+
 class TestSweep:
-    def test_thread_sweep_matches_serial_analyze_with_reuse(self):
-        """The acceptance scenario: ≥4 variants, thread backend, reuse."""
+    def test_sweep_matches_serial_analyze_with_reuse(self):
+        """The acceptance scenario: ≥4 variants in-process, with reuse."""
         grid = four_variant_grid()
         assert len(grid) == 4
 
-        session = Session(executor="thread")
+        session = Session()
         sweep = session.sweep(grid)
         assert [r.label for r in sweep] == [s.label for s in grid]
         assert all(r.ok for r in sweep), [r.error for r in sweep]
@@ -186,18 +200,18 @@ class TestSweep:
 
         # The shared cache replayed at least one cross-scenario artifact.
         assert sweep.cache_stats["hits"] >= 1
-        assert sweep.executor == "thread"
 
     def test_executor_equivalence(self):
+        """In-process and pooled execution of one grid agree exactly,
+        whether jobs comes from the session or from the call."""
         grid = four_variant_grid()
-        essences = {}
-        for backend in ("serial", "thread", "process"):
-            sweep = Session().sweep(grid, executor=backend)
-            assert all(r.ok for r in sweep), (backend,
-                                              [r.error for r in sweep])
-            essences[backend] = [report_essence(r.report) for r in sweep]
-        assert essences["serial"] == essences["thread"]
-        assert essences["serial"] == essences["process"]
+        serial = Session().sweep(grid)
+        for pooled in (Session(options=POOLED).sweep(grid),
+                       Session().sweep(grid, options=POOLED)):
+            assert all(r.ok for r in pooled), [r.error for r in pooled]
+            assert [report_essence(r.report) for r in pooled] == \
+                [report_essence(r.report) for r in serial]
+            assert comparison(pooled) == comparison(serial)
 
     def test_iter_sweep_streams_all_scenarios(self):
         grid = ScenarioGrid("tiny").axis(
@@ -262,13 +276,14 @@ class TestResolveEffort:
 
 
 # --------------------------------------------------------------------- #
-# process-backend sweeps (the picklable scenario path)
+# pooled sweeps: one scenario per task in the worker processes of the
+# warm pool (the picklable scenario path)
 # --------------------------------------------------------------------- #
 class TestProcessSweep:
     def test_four_scenario_grid_matches_serial_with_cache_sanity(self):
-        """A 4-scenario grid on the process backend must reproduce the
-        serial backend exactly; cache accounting must reflect that worker
-        processes never touch the parent session's artifact cache."""
+        """A 4-scenario grid on the worker pool must reproduce the serial
+        sweep exactly; cache accounting must reflect that worker processes
+        never touch the parent session's artifact cache."""
         grid = four_variant_grid()
         assert len(grid) == 4
 
@@ -279,9 +294,8 @@ class TestProcessSweep:
         # The serial sweep computes (and caches) in-process.
         assert serial.cache_stats["misses"] > 0
 
-        process_session = Session(executor="process", max_workers=2)
+        process_session = Session(options=POOLED)
         process = process_session.sweep(grid)
-        assert process.executor == "process"
         assert all(result.ok for result in process), [
             result.error for result in process]
 
@@ -298,17 +312,179 @@ class TestProcessSweep:
         assert all(result.elapsed_seconds > 0 for result in process)
 
     def test_process_sweep_carries_session_sharding_defaults(self):
-        """Session-level --jobs defaults must survive the process boundary
-        (the session's run options ship with each job) and leave results
-        identical."""
+        """Session-level defaults — run options, flow switches, pass
+        selection — must survive the process boundary (they ship in the
+        installed sweep job) and leave results identical."""
         grid = ScenarioGrid("tiny").axis("debug", [True, False])
-        reference = Session().sweep(grid)
-        sharded = Session(executor="process",
-                          options=RunOptions(jobs=2)).sweep(grid)
+        defaults = dict(flow_config=FlowConfig(run_memory_map=False),
+                        passes=["scan_analysis", "debug_control"])
+        reference = Session(options=RunOptions(fault_model="transition"),
+                            **defaults).sweep(grid)
+        sharded = Session(options=RunOptions(jobs=2,
+                                             fault_model="transition"),
+                          **defaults).sweep(grid)
         assert all(result.ok for result in sharded), [
             result.error for result in sharded]
+        assert [r.report.fault_model for r in sharded] == [
+            "transition", "transition"]
         assert [report_essence(r.report) for r in sharded] == \
             [report_essence(r.report) for r in reference]
+        assert comparison(sharded) == comparison(reference)
+
+    def test_pass_objects_need_names_on_the_pool(self):
+        from repro.pipeline import DEFAULT_REGISTRY
+
+        grid = ScenarioGrid("tiny").axis("debug", [True, False])
+        with pytest.raises(ValueError, match="by registered \\*name\\*"):
+            Session(options=POOLED).sweep(
+                grid, passes=[DEFAULT_REGISTRY.get("scan_analysis")])
+
+
+@pytest.fixture(scope="class")
+def release_pools():
+    """Close the registry pools these tests start (spawn ones included)."""
+    from repro.runtime import shutdown_pools
+
+    yield
+    shutdown_pools()
+
+
+def _broken_scenario(label: str) -> Scenario:
+    """A scenario whose design fails to build (an empty debug register)."""
+    cpu = replace(SoCConfig.tiny().cpu, debug_shift_length=0)
+    return Scenario(label=label, config=SoCConfig(cpu=cpu))
+
+
+@pytest.mark.usefixtures("release_pools")
+class TestPoolSweep:
+    """Pooled sweeps against an in-process reference, fault paths too."""
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_start_methods_match_serial(self, method, monkeypatch):
+        monkeypatch.setenv("REPRO_POOL_START_METHOD", method)
+        grid = four_variant_grid()
+        serial = Session().sweep(grid)
+        session = Session(options=POOLED)
+        pooled = session.sweep(grid)
+        assert session.worker_pool().start_method == method
+        assert comparison(pooled) == comparison(serial)
+        assert [report_essence(r.report) for r in pooled] == \
+            [report_essence(r.report) for r in serial]
+
+    def test_failing_scenario_is_an_error_result(self):
+        scenarios = [Scenario(label="a", config=SoCConfig.tiny()),
+                     _broken_scenario("broken"),
+                     Scenario(label="c",
+                              config=SoCConfig.tiny().with_axis("debug",
+                                                                False))]
+        serial = Session().sweep(scenarios)
+        pooled = Session(options=POOLED).sweep(scenarios)
+        assert [r.ok for r in pooled] == [True, False, True]
+        assert pooled.results[1].error == serial.results[1].error
+        assert "AND tree" in pooled.results[1].error
+        assert comparison(pooled) == comparison(serial)
+
+    def test_on_result_abort_then_next_sweep_succeeds(self):
+        grid = four_variant_grid()
+        session = Session(options=POOLED)
+
+        def cancel(result):
+            raise RuntimeError("cancelled by the caller")
+
+        with pytest.raises(RuntimeError, match="cancelled"):
+            session.sweep(grid, on_result=cancel)
+        again = session.sweep(grid)
+        assert comparison(again) == comparison(Session().sweep(grid))
+
+    def test_kill_9_mid_sweep_keeps_rows(self):
+        from repro.runtime import shutdown_pools
+
+        # Fresh workers with cold session caches: when the first result
+        # arrives, worker 0 still has a scenario in flight.
+        shutdown_pools()
+        grid = four_variant_grid()
+        session = Session(options=POOLED)
+        pool = session.worker_pool()
+        restarts = pool.stats["worker_restarts"]
+        killed = []
+
+        def kill_a_worker(result):
+            if not killed:
+                killed.append(pool.worker_pids()[0])
+                os.kill(killed[0], signal.SIGKILL)
+
+        pooled = session.sweep(grid, on_result=kill_a_worker)
+        assert killed and pool.stats["worker_restarts"] > restarts
+        assert comparison(pooled) == comparison(Session().sweep(grid))
+
+    def test_jobs_analyze_between_pooled_sweep_results(self):
+        """A jobs > 1 analyze run from inside a pooled sweep's loop shares
+        the workers with it: the sweep still yields every scenario and
+        both match their serial references."""
+        from repro.faults.faultlist import generate_fault_list
+
+        grid = four_variant_grid()
+        design = Design.coerce("tiny")
+        faults = list(generate_fault_list(design.netlist))[::40]
+        random = RunOptions(effort="random")
+        session = Session(options=POOLED)
+        pool = session.worker_pool()
+        tasks = pool.stats["tasks"]
+        results, nested = [], []
+        for result in session.iter_sweep(grid):
+            results.append(result)
+            if not nested:
+                nested.append(Session(options=POOLED).analyze(
+                    design, faults=faults, options=random))
+        # The nested analysis sharded its faults on the same pool.
+        assert pool.stats["tasks"] - tasks > len(grid)
+        results.sort(key=lambda r: r.index)
+        serial = Session().sweep(grid)
+        assert [r.label for r in results] == [r.label for r in serial]
+        assert [report_essence(r.report) for r in results] == \
+            [report_essence(r.report) for r in serial]
+        reference = Session().analyze(design, faults=faults, options=random)
+        assert report_essence(nested[0]) == report_essence(reference)
+
+    def test_sweep_job_lives_as_long_as_the_sweep(self):
+        session = Session(options=POOLED)
+        pool = session.worker_pool()
+
+        def sweep_jobs():
+            return [key for key in pool._objects if key.startswith("sweep:")]
+
+        during = []
+        session.sweep(four_variant_grid(),
+                      on_result=lambda result: during.append(sweep_jobs()))
+        assert len(during[0]) == 1 and sweep_jobs() == []
+        # Fewer scenarios than workers: in-process, the pool unused.
+        tasks = pool.stats["tasks"]
+        single = session.sweep(ScenarioGrid("tiny"))
+        assert single.results[0].ok and single.cache_stats["misses"] > 0
+        assert pool.stats["tasks"] == tasks
+
+    def test_store_is_warm_after_a_pooled_sweep(self, tmp_path):
+        grid = four_variant_grid()
+        store = tmp_path / "store"
+        Session(options=RunOptions(store=str(store), jobs=2)).sweep(grid)
+        warm = Session(options=RunOptions(store=str(store))).sweep(grid)
+        assert warm.cache_stats["store_misses"] == 0
+        assert warm.cache_stats["store_hits"] > 0
+
+
+def test_schema_1_document_with_executor_still_loads():
+    """A sweep document written while sweeps still had an executor knob
+    (captured before it went) loads and re-renders unchanged."""
+    path = Path(__file__).parent / "data" / "sweep_schema1_executor.json"
+    document = json.loads(path.read_text(encoding="utf-8"))
+    assert document["executor"] == "thread"
+    report = SweepReport.from_json_dict(document)
+    assert report.grid_name == "schema1_pin"
+    assert [r.label for r in report] == ["pin_core[memory_map=default]"]
+    assert report.results[0].ok
+    assert report.comparison_rows() == document["comparison"]
+    assert "pin_core[memory_map=default]" in report.to_table()
+    assert "executor" not in report.to_json_dict()
 
 
 class TestPerCallJobsPrecedence:

@@ -39,13 +39,24 @@ class TestSweepCommand:
     def test_sweep_json_and_report_round_trip(self, capsys, tmp_path):
         out_file = tmp_path / "sweep.json"
         code, out = run(capsys, "sweep", "--base", "tiny",
-                        "--axis", "debug=on,off", "--executor", "thread",
+                        "--axis", "debug=on,off", "--jobs", "2",
                         "--quiet", "--json", "--out", str(out_file))
         assert code == 0
         document = json.loads(out)
         assert len(document["scenarios"]) == 2
-        assert document["executor"] == "thread"
+        assert "executor" not in document
         assert json.loads(out_file.read_text()) == document
+
+        # The pooled sweep's rows are the in-process sweep's rows.
+        code, serial_out = run(capsys, "sweep", "--base", "tiny",
+                               "--axis", "debug=on,off", "--quiet", "--json")
+        assert code == 0
+
+        def rows(doc):
+            return [{k: v for k, v in row.items() if k != "elapsed_seconds"}
+                    for row in doc["comparison"]]
+
+        assert rows(document) == rows(json.loads(serial_out))
 
         code, rendered = run(capsys, "report", str(out_file))
         assert code == 0
@@ -59,6 +70,51 @@ class TestSweepCommand:
 
     def test_bad_axis_spec(self, capsys):
         assert main(["sweep", "--axis", "debug"]) == 2
+
+    @pytest.mark.parametrize("axis,message", [
+        ("cpu.nope=1", "CpuConfig has no field 'nope'"),
+        ("cpu.mult_width=abc", "axis 'cpu.mult_width' expects a value of "
+                               "type int, got 'abc'"),
+        ("cpu.mult_width=64", "bad value for axis 'cpu.mult_width'"),
+    ], ids=["unknown-field", "ill-typed", "invalid"])
+    def test_bad_cpu_axis_exits_2_naming_the_axis(self, capsys, axis,
+                                                  message):
+        assert main(["sweep", "--base", "tiny", "--axis", axis]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_bool_cpu_axis_takes_0_and_1(self, capsys):
+        code, out = run(capsys, "sweep", "--base", "tiny", "--axis",
+                        "cpu.has_debug=0,1", "--json")
+        assert code == 0
+        code, named = run(capsys, "sweep", "--base", "tiny", "--axis",
+                          "cpu.has_debug=off,on", "--json")
+
+        def rows(text):
+            return [{k: v for k, v in row.items()
+                     if k not in ("scenario", "elapsed_seconds")}
+                    for row in json.loads(text)["comparison"]]
+
+        assert all(row["ok"] for row in rows(out))
+        assert rows(out) == rows(named)
+        assert main(["sweep", "--base", "tiny", "--axis",
+                     "cpu.has_debug=2"]) == 2
+        assert "expects a value of type bool" in capsys.readouterr().err
+
+    def test_repeated_axis_name_exits_2(self, capsys):
+        # Two flags for one axis would silently keep only the last values.
+        assert main(["sweep", "--base", "tiny", "--axis", "debug=on",
+                     "--axis", "debug=off"]) == 2
+        assert "--axis 'debug' given twice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "tiny", "--parallel"],
+        ["sweep", "--base", "tiny", "--executor", "thread"],
+        ["sweep", "--base", "tiny", "--workers", "2"],
+    ], ids=["analyze-parallel", "sweep-executor", "sweep-workers"])
+    def test_retired_concurrency_flags_are_rejected(self, capsys, argv):
+        # --jobs is the only concurrency flag.
+        with pytest.raises(SystemExit):
+            main(argv)
 
     def test_report_missing_file(self, capsys):
         assert main(["report", "/nonexistent/sweep.json"]) == 2

@@ -184,7 +184,7 @@ class TestPlaneAlgebra:
 
 class TestCompiledSemantics:
     def test_evaluate_matches_legacy_reference(self, small_circuit):
-        from repro.simulation.legacy import LegacyCombinationalSimulator
+        from tests.legacy_sim import LegacyCombinationalSimulator
 
         sim = CombinationalSimulator(small_circuit)
         legacy = LegacyCombinationalSimulator(small_circuit)

@@ -3,7 +3,7 @@
 Covers the registry (registration, lookup, duplicates), dependency
 resolution (transitive providers, missing providers, cycle detection),
 pass skipping, caching, and fault-for-fault equivalence of the pipeline
-(serial and parallel) with the one-shot ``Session.analyze`` report.
+with the one-shot ``Session.analyze`` report.
 """
 
 from __future__ import annotations
@@ -239,15 +239,18 @@ class TestLegacyEquivalence:
         result = Pipeline().run(small_soc)
         _assert_reports_equivalent(result.report, small_legacy_report)
 
-    def test_parallel_pipeline_matches_legacy(self, small_soc,
-                                              small_legacy_report):
-        result = Pipeline(parallel=True).run(small_soc)
-        _assert_reports_equivalent(result.report, small_legacy_report)
-
     def test_analyze_entry_point_matches_legacy(self, small_soc,
                                                 small_legacy_report):
-        report = Session().analyze(small_soc, parallel=2)
+        report = Session().analyze(small_soc)
         _assert_reports_equivalent(report, small_legacy_report)
+
+    def test_passes_run_serially_with_no_scheduler_knob(self):
+        # Parallelism lives below the passes (RunOptions.jobs); the
+        # pipeline has no thread scheduler to configure.
+        for knob in ("parallel", "max_workers"):
+            with pytest.raises(TypeError):
+                Pipeline(**{knob: 2})
+        assert not hasattr(Pipeline.builder(), "parallel")
 
     def test_public_api_exports(self):
         assert set(repro.__all__) >= {

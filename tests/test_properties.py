@@ -181,7 +181,7 @@ def test_bit_parallel_matches_three_valued_on_specified_patterns(netlist):
 def test_compiled_simulator_matches_legacy_including_x(netlist):
     """The compiled two-bit-plane evaluator must agree with the legacy
     object-graph simulator on every net, X inputs included."""
-    from repro.simulation.legacy import LegacyCombinationalSimulator
+    from tests.legacy_sim import LegacyCombinationalSimulator
 
     compiled_sim = CombinationalSimulator(netlist)
     legacy_sim = LegacyCombinationalSimulator(netlist)
@@ -204,7 +204,7 @@ def test_compiled_and_legacy_fault_simulation_verdicts_agree(netlist):
     """The compiled (batched, cone-limited) fault simulator must reproduce
     the legacy serial simulator's verdicts exactly — detected set, first
     detecting pattern, and per-pattern detects()."""
-    from repro.simulation.legacy import LegacyFaultSimulator
+    from tests.legacy_sim import LegacyFaultSimulator
 
     faults = generate_fault_list(netlist, include_ports=False).faults()
     patterns = list(all_input_patterns(_input_names()))

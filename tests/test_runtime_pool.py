@@ -32,7 +32,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.faults.faultlist import generate_fault_list
 from repro.netlist.cells import LOGIC_0, LOGIC_1
 from repro.netlist.compiled import get_compiled
-from repro.runtime import (MONSTER_RATIO, PoolClosedError, WorkerPool,
+from repro.runtime import (DEFAULT_JOB_CACHE, MONSTER_RATIO,
+                           PoolClosedError, WorkerPool, WorkerTaskError,
                            build_chunks, cone_representative, content_key,
                            default_chunk_size, get_pool, pool_stats,
                            shutdown_pools)
@@ -258,7 +259,8 @@ class TestPoolLifecycle:
 
 
 class _EchoJob:
-    """Trivial installable job (used by the abort + death tests)."""
+    """Trivial installable job (used by the abort, dispatch and death
+    tests); ``netlist`` may be ``None``, like a sweep job's."""
 
     def __init__(self, netlist, delay: float = 0.0) -> None:
         self.netlist = netlist
@@ -269,6 +271,113 @@ class _EchoJob:
         if self.delay:
             time.sleep(self.delay)
         return chunk_id, value * 2, os.getpid()
+
+    def fail(self, task):
+        raise ValueError(f"task {task} failed on purpose")
+
+
+class TestDispatch:
+    def test_first_slots_fill_breadth_first(self):
+        """4 tasks on 2 workers: tasks 0 and 1 start on different workers
+        (every first slot fills before any second one), and a job without
+        a netlist installs whole."""
+        with WorkerPool(2) as pool:
+            key = pool.ensure_job("probe:breadth",
+                                  lambda: _EchoJob(None, delay=0.05))
+            pids = {}
+            with pool.session(key) as run:
+                for i in range(4):
+                    run.submit("run", (i, i), tag=i)
+                for tag, _task, (_cid, doubled, pid) in run.results():
+                    assert doubled == 2 * tag
+                    pids[tag] = pid
+            assert pids[0] != pids[1]
+            assert pids[2] != pids[3]
+            assert not any(k.startswith("net:") for k in pool._objects)
+
+
+class TestInterleavedRuns:
+    """Runs on one pool share the workers; each gets only its results."""
+
+    @staticmethod
+    def _collect(pool, key, tags, *, during=None):
+        seen = {}
+        with pool.session(key) as run:
+            for tag in tags:
+                run.submit("run", (tag, tag), tag=tag)
+            for tag, _task, (_cid, doubled, _pid) in run.results():
+                seen[tag] = doubled
+                if during is not None:
+                    during()
+                    during = None
+        return seen
+
+    def test_nested_run_between_results(self):
+        with WorkerPool(2) as pool:
+            outer = pool.ensure_job("probe:outer",
+                                    lambda: _EchoJob(None, delay=0.05))
+            inner = pool.ensure_job("probe:inner", lambda: _EchoJob(None))
+            nested = {}
+
+            def run_inner():
+                nested.update(self._collect(pool, inner, [10, 11, 12]))
+
+            seen = self._collect(pool, outer, range(6), during=run_inner)
+            assert seen == {tag: 2 * tag for tag in range(6)}
+            assert nested == {tag: 2 * tag for tag in (10, 11, 12)}
+
+    def test_runs_on_two_threads(self):
+        import threading
+
+        with WorkerPool(2) as pool:
+            keys = [pool.ensure_job(f"probe:thread{i}",
+                                    lambda: _EchoJob(None, delay=0.01))
+                    for i in range(2)]
+            outcomes = [None, None]
+
+            def drive(i):
+                tags = range(100 * i, 100 * i + 8)
+                outcomes[i] = self._collect(pool, keys[i], tags)
+
+            threads = [threading.Thread(target=drive, args=(i,))
+                       for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            for i in range(2):
+                assert outcomes[i] == {tag: 2 * tag
+                                       for tag in range(100 * i, 100 * i + 8)}
+
+    def test_a_task_error_reaches_only_its_own_run(self):
+        with WorkerPool(2) as pool:
+            outer = pool.ensure_job("probe:ok",
+                                    lambda: _EchoJob(None, delay=0.05))
+            failing = pool.ensure_job("probe:fail", lambda: _EchoJob(None))
+
+            def run_failing():
+                with pytest.raises(WorkerTaskError, match="on purpose"):
+                    with pool.session(failing) as run:
+                        run.submit("fail", 7)
+                        list(run.results())
+
+            seen = self._collect(pool, outer, range(4), during=run_failing)
+            assert seen == {tag: 2 * tag for tag in range(4)}
+
+    def test_busy_job_survives_eviction(self):
+        with WorkerPool(2) as pool:
+            outer = pool.ensure_job("probe:busy",
+                                    lambda: _EchoJob(None, delay=0.05))
+
+            def install_many():
+                for i in range(DEFAULT_JOB_CACHE + 2):
+                    pool.ensure_job(f"probe:filler{i}",
+                                    lambda: _EchoJob(None))
+
+            seen = self._collect(pool, outer, range(6), during=install_many)
+            assert seen == {tag: 2 * tag for tag in range(6)}
+            pool.forget(outer)
+            assert outer not in pool._objects
 
 
 # --------------------------------------------------------------------- #
