@@ -27,9 +27,9 @@ Parallel ``*_speedup`` summary fields are attributed with the machine's
 ``cpus`` and recorded only when ``os.cpu_count() >= jobs`` — a jobs=4
 speedup measured on one core is noise, not a regression signal.
 
-Every stage's wall clock is recorded into ``BENCH_latest.json`` (path
-overridable via ``REPRO_BENCH_OUT``) — a PR-agnostic name so CI can diff
-it against the committed baseline
+Every stage's wall clock is recorded into the file ``REPRO_BENCH_OUT``
+names (CI uses ``BENCH_latest.json``, a PR-agnostic name; nothing is
+written when it is unset) so CI can diff it against the committed baseline
 (``benchmarks/BENCH_baseline_small.json``) with
 ``benchmarks/check_bench_regression.py`` and fail on a stage regression.
 
@@ -65,7 +65,7 @@ _GOLDEN_TABLE1 = Path(__file__).with_name("golden_table1_date13.txt")
 #: Config preset under test — must match the conftest fixture's selection.
 RUNTIME_BENCH_CONFIG = os.environ.get("REPRO_BENCH_CONFIG", "date13")
 
-#: Wall-clock per stage, flushed to BENCH_latest.json when the module finishes.
+#: Wall-clock per stage, flushed to ``REPRO_BENCH_OUT`` when the module finishes.
 _BENCH: dict = {"config": RUNTIME_BENCH_CONFIG, "stages": {}}
 
 
@@ -98,9 +98,11 @@ def _record_parallel_speedup(field: str, serial_seconds: float,
 @pytest.fixture(scope="module", autouse=True)
 def _write_bench_json():
     yield
-    out = Path(os.environ.get("REPRO_BENCH_OUT", "BENCH_latest.json"))
-    out.write_text(json.dumps(_BENCH, indent=2, sort_keys=True) + "\n",
-                   encoding="utf-8")
+    # Recording is opt-in: a plain test run must not rewrite a tracked file.
+    out = os.environ.get("REPRO_BENCH_OUT")
+    if out:
+        Path(out).write_text(json.dumps(_BENCH, indent=2, sort_keys=True) + "\n",
+                             encoding="utf-8")
 
 
 def _debug_tied(soc):

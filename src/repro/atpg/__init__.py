@@ -8,7 +8,6 @@ abandoned classes.  The on-line untestability identification in
 calls this engine, exactly as the paper does with TetraMax.
 """
 
-from repro.atpg.d_algebra import DValue, FIVE_D, FIVE_DBAR, FIVE_ONE, FIVE_X, FIVE_ZERO
 from repro.atpg.implication import (
     ImplicationEngine,
     implied_constants,
@@ -31,12 +30,6 @@ from repro.atpg.portfolio import (
 )
 
 __all__ = [
-    "DValue",
-    "FIVE_ZERO",
-    "FIVE_ONE",
-    "FIVE_X",
-    "FIVE_D",
-    "FIVE_DBAR",
     "ImplicationEngine",
     "implied_constants",
     "sequential_implied_constants",

@@ -39,8 +39,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.atpg.podem import (_FAMILY_PROPS, _family, Podem, PodemResult,
-                              PodemStatus)
+from repro.atpg.podem import Podem, PodemResult, PodemStatus
 from repro.faults.models import Fault
 from repro.netlist.cells import LOGIC_0, LOGIC_1, LOGIC_X
 from repro.netlist.module import Netlist
@@ -191,8 +190,7 @@ class DAlg(Podem):
                          if fid >= 0 and good[fid] == LOGIC_X})
         if not x_nids:
             return []
-        family = _family(compiled.op_cell[op].name)
-        controlling, _ = _FAMILY_PROPS.get(family, (None, False))
+        controlling, _ = compiled.op_cell[op].control or (None, False)
         order = ((controlling, LOGIC_1 - controlling)
                  if controlling is not None else (LOGIC_0, LOGIC_1))
         fn = self._scalar_program[op]
@@ -221,8 +219,7 @@ class DAlg(Podem):
                          if fid >= 0 and good[fid] == LOGIC_X})
         if not x_nids:
             return []
-        family = _family(compiled.op_cell[op].name)
-        controlling, _ = _FAMILY_PROPS.get(family, (None, False))
+        controlling, _ = compiled.op_cell[op].control or (None, False)
         first = (LOGIC_1 - controlling) if controlling is not None else LOGIC_1
         order = (first, LOGIC_1 - first)
         return [dict(zip(x_nids, combo))

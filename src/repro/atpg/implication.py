@@ -162,13 +162,6 @@ class ImplicationEngine:
       because a side input is held at a controlling constant.
     """
 
-    # Controlling values per cell family: an input at this value forces the
-    # output regardless of the other inputs.
-    _CONTROLLING = {
-        "AND": LOGIC_0, "NAND": LOGIC_0,
-        "OR": LOGIC_1, "NOR": LOGIC_1,
-    }
-
     def __init__(self, netlist: Netlist,
                  extra_constants: Optional[Mapping[str, int]] = None,
                  through_sequential: bool = True) -> None:
@@ -194,10 +187,6 @@ class ImplicationEngine:
             return True
         return constant == value
 
-    @staticmethod
-    def _cell_family(cell_name: str) -> str:
-        return cell_name.rstrip("0123456789")
-
     def propagation_blocked(self, through_instance, from_pin_port: str,
                             untrusted_nets: Optional[Set[str]] = None) -> bool:
         """True if a fault effect entering ``through_instance`` at pin
@@ -213,7 +202,6 @@ class ImplicationEngine:
         gate whose both inputs branch from the faulty net).
         """
         cell = through_instance.cell
-        family = self._cell_family(cell.name)
 
         def side_constant(net) -> Optional[int]:
             if net is None:
@@ -228,9 +216,11 @@ class ImplicationEngine:
                 continue
             side_values[pin.port] = side_constant(pin.net)
 
-        if family in self._CONTROLLING:
-            controlling = self._CONTROLLING[family]
-            return any(v == controlling for v in side_values.values())
+        # A side input at an AND/NAND/OR/NOR gate's controlling value forces
+        # the output whatever the fault effect does.
+        control = cell.control
+        if control and control[0] is not None:
+            return any(v == control[0] for v in side_values.values())
 
         if cell.name == "MUX2":
             sel = side_values.get("S")

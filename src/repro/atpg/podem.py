@@ -37,12 +37,10 @@ from repro.faults.models import Fault, InjectionSpec, resolve_injection
 if TYPE_CHECKING:
     from repro.analysis.prover import StaticAnalysis
     from repro.atpg.implication import ImplicationEngine
-from repro.netlist.cells import LOGIC_0, LOGIC_1, LOGIC_X
+from repro.netlist.cells import LOGIC_0, LOGIC_1, LOGIC_X, PLANE_ENCODING
 from repro.netlist.compiled import NO_NET, get_compiled
 from repro.netlist.module import Netlist
-from repro.simulation.simulator import (PLANE_ENCODING,
-                                        plane_program,
-                                        scalar3_program)
+from repro.simulation.simulator import plane_program, scalar3_program
 
 
 class PodemStatus(Enum):
@@ -62,21 +60,6 @@ class PodemResult:
     init_pattern: Dict[str, int] = field(default_factory=dict)
     backtracks: int = 0
     decisions: int = 0
-
-
-# Gate families used by the backtrace heuristic: (controlling value, inversion).
-_FAMILY_PROPS = {
-    "AND": (LOGIC_0, False),
-    "NAND": (LOGIC_0, True),
-    "OR": (LOGIC_1, False),
-    "NOR": (LOGIC_1, True),
-    "BUF": (None, False),
-    "INV": (None, True),
-}
-
-
-def _family(cell_name: str) -> str:
-    return cell_name.rstrip("0123456789")
 
 
 class Podem:
@@ -318,8 +301,7 @@ class Podem:
             return None  # cannot excite under current assignments
         # Fault excited: advance the D-frontier.
         for op in frontier:
-            family = _family(compiled.op_cell[op].name)
-            controlling, _ = _FAMILY_PROPS.get(family, (None, False))
+            controlling, _ = compiled.op_cell[op].control or (None, False)
             non_controlling = (LOGIC_1 - controlling
                                if controlling is not None else LOGIC_1)
             for nid in compiled.op_fanin[op]:
@@ -344,8 +326,8 @@ class Podem:
             op = compiled.net_driver_op[current]
             if op < 0:
                 return None  # undriven, or driven by a sequential cell
-            family = _family(compiled.op_cell[op].name)
-            controlling, inversion = _FAMILY_PROPS.get(family, (None, False))
+            controlling, inversion = (compiled.op_cell[op].control
+                                      or (None, False))
             target = (LOGIC_1 - current_value) if inversion else current_value
 
             chosen = -1

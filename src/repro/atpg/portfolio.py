@@ -49,8 +49,7 @@ from typing import (Any, Dict, Iterable, List, Optional, Protocol, Sequence,
                     Set, Tuple, runtime_checkable)
 
 from repro.atpg.dalg import DAlg
-from repro.atpg.podem import (_FAMILY_PROPS, _family, Podem, PodemResult,
-                              PodemStatus)
+from repro.atpg.podem import Podem, PodemResult, PodemStatus
 from repro.core.registry import Registry
 from repro.faults.models import Fault
 from repro.netlist.cells import LOGIC_1, LOGIC_X
@@ -191,8 +190,7 @@ class RestartPodem(Podem):
             return None
         candidates: List[Tuple[int, int]] = []
         for op in frontier:
-            family = _family(compiled.op_cell[op].name)
-            controlling, _ = _FAMILY_PROPS.get(family, (None, False))
+            controlling, _ = compiled.op_cell[op].control or (None, False)
             non_controlling = (LOGIC_1 - controlling
                                if controlling is not None else LOGIC_1)
             for nid in compiled.op_fanin[op]:
@@ -219,8 +217,8 @@ class RestartPodem(Podem):
             op = compiled.net_driver_op[current]
             if op < 0:
                 return None
-            family = _family(compiled.op_cell[op].name)
-            controlling, inversion = _FAMILY_PROPS.get(family, (None, False))
+            controlling, inversion = (compiled.op_cell[op].control
+                                      or (None, False))
             target = (LOGIC_1 - current_value) if inversion else current_value
             candidates = [fanin_nid for fanin_nid in compiled.op_fanin[op]
                           if fanin_nid >= 0 and good[fanin_nid] == LOGIC_X]

@@ -183,28 +183,13 @@ class FaultModel:
         return f"<FaultModel {self.name}>"
 
 
-def _base_cell(cell_name: str) -> str:
-    return cell_name.rstrip("0123456789")
-
-
-# (cell family, input fault value, output fault value) equivalences.
-_GATE_RULES: Dict[str, Tuple[int, int]] = {
-    "AND": (SA0, SA0),
-    "NAND": (SA0, SA1),
-    "OR": (SA1, SA1),
-    "NOR": (SA1, SA0),
-}
-
-
-def _single_output_gates(netlist: Netlist):
-    """Combinational single-output instances, with their cell family."""
+def _simple_gates(netlist: Netlist):
+    """Gates with derived control facts (:attr:`Cell.control`): BUF/INV and
+    the AND/NAND/OR/NOR families, as (instance, facts, output pin)."""
     for inst in netlist.instances.values():
-        if inst.is_sequential:
-            continue
-        out_pins = inst.output_pins()
-        if len(out_pins) != 1:
-            continue
-        yield inst, _base_cell(inst.cell.name), out_pins[0]
+        control = inst.cell.control
+        if control is not None:
+            yield inst, control, inst.output_pins()[0]
 
 
 def _fanout_free_nets(netlist: Netlist):
@@ -242,20 +227,16 @@ class StuckAtModel(FaultModel):
         return constant == fault.value
 
     def equivalence_pairs(self, netlist: Netlist):
-        for inst, base, out in _single_output_gates(netlist):
-            if base == "BUF":
+        for inst, (controlling, inversion), out in _simple_gates(netlist):
+            if controlling is None:
+                source = inst.input_pins()[0].name
                 for value in (SA0, SA1):
                     yield (StuckAtFault(out.name, value),
-                           StuckAtFault(inst.pin("A").name, value))
-            elif base == "INV":
-                for value in (SA0, SA1):
-                    yield (StuckAtFault(out.name, value),
-                           StuckAtFault(inst.pin("A").name, 1 - value))
-            elif base in _GATE_RULES:
-                in_value, out_value = _GATE_RULES[base]
-                for pin in inst.input_pins():
-                    yield (StuckAtFault(out.name, out_value),
-                           StuckAtFault(pin.name, in_value))
+                           StuckAtFault(source, value ^ inversion))
+                continue
+            for pin in inst.input_pins():
+                yield (StuckAtFault(out.name, controlling ^ inversion),
+                       StuckAtFault(pin.name, controlling))
         for driver, load in _fanout_free_nets(netlist):
             for value in (SA0, SA1):
                 yield (StuckAtFault(driver.name, value),
@@ -311,16 +292,14 @@ class TransitionDelayModel(FaultModel):
         return True
 
     def equivalence_pairs(self, netlist: Netlist):
-        for inst, base, out in _single_output_gates(netlist):
-            if base == "BUF":
+        flipped = {SLOW_TO_RISE: SLOW_TO_FALL, SLOW_TO_FALL: SLOW_TO_RISE}
+        for inst, (controlling, inversion), out in _simple_gates(netlist):
+            if controlling is None:
+                source = inst.input_pins()[0].name
                 for polarity in (SLOW_TO_RISE, SLOW_TO_FALL):
                     yield (TransitionFault(out.name, polarity),
-                           TransitionFault(inst.pin("A").name, polarity))
-            elif base == "INV":
-                yield (TransitionFault(out.name, SLOW_TO_RISE),
-                       TransitionFault(inst.pin("A").name, SLOW_TO_FALL))
-                yield (TransitionFault(out.name, SLOW_TO_FALL),
-                       TransitionFault(inst.pin("A").name, SLOW_TO_RISE))
+                           TransitionFault(source, flipped[polarity]
+                                           if inversion else polarity))
         for driver, load in _fanout_free_nets(netlist):
             for polarity in (SLOW_TO_RISE, SLOW_TO_FALL):
                 yield (TransitionFault(driver.name, polarity),

@@ -8,11 +8,11 @@ untestability engine and the SBST fault-grading flow use to knock out the
 bulk of detectable faults cheaply.
 
 The simulator runs on the compiled netlist IR: net words live in a flat list
-indexed by net ID, gates are evaluated through the word-level cell function
-table — built **once at module import** (:data:`_WORD_OPS`) and resolved to a
-per-op array once per *compiled netlist* (not per simulator construction) —
-and each faulty machine only re-evaluates the precomputed fanout cone of its
-fault site.
+indexed by net ID, gates are evaluated through each cell's word form —
+generated from its declaration (:attr:`repro.netlist.cells.Cell.word`) and
+resolved to a per-op array once per *compiled netlist* (not per simulator
+construction) — and each faulty machine only re-evaluates the precomputed
+fanout cone of its fault site.
 
 X values are not representable here; callers must supply fully-specified
 patterns (the ATPG/implication machinery handles the three-valued cases).
@@ -30,79 +30,9 @@ from repro.simulation.simulator import CombinationalSimulator, observed_state_in
 from repro.utils.bitvec import mask
 
 
-def _make_word_ops() -> Dict[str, Callable]:
-    """Word-level evaluation functions per cell.
-
-    Each function takes the all-ones mask of the pattern word followed by
-    one bit-vector word per input pin (in cell order) and returns one word
-    per output pin.  Built a single time when this module is imported.
-    """
-    def and_n(m, *args):
-        acc = m
-        for a in args:
-            acc &= a
-        return (acc,)
-
-    def nand_n(m, *args):
-        acc = m
-        for a in args:
-            acc &= a
-        return (~acc & m,)
-
-    def or_n(m, *args):
-        acc = 0
-        for a in args:
-            acc |= a
-        return (acc,)
-
-    def nor_n(m, *args):
-        acc = 0
-        for a in args:
-            acc |= a
-        return (~acc & m,)
-
-    fns: Dict[str, Callable] = {
-        "TIE0": lambda m: (0,),
-        "TIE1": lambda m: (m,),
-        "BUF": lambda m, a: (a,),
-        "INV": lambda m, a: (~a & m,),
-        "XOR2": lambda m, a, b: ((a ^ b) & m,),
-        "XNOR2": lambda m, a, b: (~(a ^ b) & m,),
-        "MUX2": lambda m, d0, d1, s: ((d0 & ~s | d1 & s) & m,),
-        "AO21": lambda m, a, b, c: ((a & b | c) & m,),
-        "OA21": lambda m, a, b, c: ((a | b) & c & m,),
-        "AOI21": lambda m, a, b, c: (~(a & b | c) & m,),
-        "OAI21": lambda m, a, b, c: (~((a | b) & c) & m,),
-        "HA": lambda m, a, b: ((a ^ b) & m, a & b),
-        "FA": lambda m, a, b, ci: (
-            (a ^ b ^ ci) & m,
-            (a & b | a & ci | b & ci) & m,
-        ),
-    }
-    for arity in (2, 3, 4):
-        fns[f"AND{arity}"] = and_n
-        fns[f"NAND{arity}"] = nand_n
-        fns[f"OR{arity}"] = or_n
-        fns[f"NOR{arity}"] = nor_n
-    # Sequential cells appear in the combinational view only through their
-    # outputs (state) and inputs (observation); they are never evaluated here.
-    return fns
-
-
-#: The word-level cell function table, built once at import time.
-_WORD_OPS = _make_word_ops()
-
-
 def _build_word_program(compiled: CompiledNetlist) -> List[Callable]:
     """Resolve the per-op word functions for a compiled netlist (memoised)."""
-    program: List[Callable] = []
-    for cell in compiled.op_cell:
-        fn = _WORD_OPS.get(cell.name)
-        if fn is None:
-            raise NotImplementedError(
-                f"no word-level model for cell {cell.name!r}")
-        program.append(fn)
-    return program
+    return [cell.word for cell in compiled.op_cell]
 
 
 def word_program(compiled: CompiledNetlist) -> List[Callable]:

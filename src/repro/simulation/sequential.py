@@ -17,13 +17,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.netlist.cells import LOGIC_0, LOGIC_1, LOGIC_X
+from repro.netlist.cells import LOGIC_0, LOGIC_1, LOGIC_X, PLANE_ENCODING, encode
 from repro.netlist.module import Netlist
-from repro.simulation.simulator import (PLANE_ENCODING,
-                                        CombinationalSimulator, plane_program,
+from repro.simulation.simulator import (CombinationalSimulator, plane_program,
                                         run_plane_ops)
 
-#: Width-1 plane pair per logic value (the simulator's shared encoding).
+#: Width-1 plane pair per logic value (the library's shared encoding).
 _ENCODE = PLANE_ENCODING
 
 
@@ -99,7 +98,7 @@ class SequentialSimulator:
         if nid is None or nid not in self._state:
             raise KeyError(f"{net_name!r} is not a state net of "
                            f"{self.netlist.name!r}")
-        self._state[nid] = _ENCODE[value]
+        self._state[nid] = encode(value, "net", net_name, self.netlist.name)
 
     # ------------------------------------------------------------------ #
     # clocking
@@ -126,7 +125,8 @@ class SequentialSimulator:
                 frozen[nid] = 1
         for nid in compiled.input_port_ids:
             if tied[nid] is None:
-                b1, b0 = _ENCODE[inputs.get(names[nid], LOGIC_X)]
+                b1, b0 = encode(inputs.get(names[nid], LOGIC_X), "net",
+                                names[nid], self.netlist.name)
                 p1[nid] = b1
                 p0[nid] = b0
         for nid, (b1, b0) in self._state.items():

@@ -1,61 +1,15 @@
-"""Unit tests for the D-algebra and the PODEM test generator."""
-
-import itertools
+"""Unit tests for the PODEM test generator."""
 
 import pytest
 
-from repro.atpg.d_algebra import (
-    FIVE_D,
-    FIVE_DBAR,
-    FIVE_ONE,
-    FIVE_X,
-    FIVE_ZERO,
-    evaluate_cell,
-    from_logic,
-    is_definite,
-    is_faulted,
-    label,
-)
 from repro.atpg.podem import Podem, PodemStatus
 from repro.faults.fault import SA0, SA1, StuckAtFault
 from repro.faults.faultlist import generate_fault_list
 from repro.netlist.builder import NetlistBuilder
-from repro.netlist.cells import LOGIC_0, LOGIC_1, standard_library
+from repro.netlist.cells import LOGIC_1
 from repro.simulation.fault_sim import FaultSimulator
 
 from tests.conftest import all_input_patterns, build_and_or_circuit
-
-
-class TestDAlgebra:
-    def test_predicates(self):
-        assert is_faulted(FIVE_D) and is_faulted(FIVE_DBAR)
-        assert not is_faulted(FIVE_ONE) and not is_faulted(FIVE_X)
-        assert is_definite(FIVE_ZERO) and not is_definite(FIVE_X)
-
-    def test_labels(self):
-        assert label(FIVE_D) == "D"
-        assert label(FIVE_DBAR) == "D'"
-        assert label(FIVE_ONE) == "1"
-        assert label(FIVE_X) == "X"
-        assert label((LOGIC_0, 2)) == "0/X"
-
-    def test_from_logic(self):
-        assert from_logic(LOGIC_1) == FIVE_ONE
-
-    def test_d_propagation_through_and(self):
-        cell = standard_library().get("AND2")
-        out = evaluate_cell(cell, {"A": FIVE_D, "B": FIVE_ONE})["Y"]
-        assert out == FIVE_D
-        out = evaluate_cell(cell, {"A": FIVE_D, "B": FIVE_ZERO})["Y"]
-        assert out == FIVE_ZERO
-
-    def test_d_inversion_through_inv(self):
-        cell = standard_library().get("INV")
-        assert evaluate_cell(cell, {"A": FIVE_D})["Y"] == FIVE_DBAR
-
-    def test_d_collision_in_xor(self):
-        cell = standard_library().get("XOR2")
-        assert evaluate_cell(cell, {"A": FIVE_D, "B": FIVE_D})["Y"] == FIVE_ZERO
 
 
 def redundant_circuit():

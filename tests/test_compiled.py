@@ -145,43 +145,6 @@ class TestCompileCache:
         assert compile_stats()["builds"] == before
 
 
-class TestPlaneAlgebra:
-    def test_plane_ops_match_cell_models_exhaustively(self):
-        """Every hand-written plane function — combinational and sequential —
-        must agree with the library cell's 3-valued model on all 3^k input
-        combinations, including every X case and the positional pin order."""
-        import itertools
-
-        from repro.netlist.cells import standard_library
-        from repro.simulation.simulator import (_DECODE, _PLANE_OPS,
-                                                _SEQ_PLANE_OPS)
-
-        covered = set()
-        for cell in standard_library():
-            if cell.sequential:
-                fn = _SEQ_PLANE_OPS[cell.name]
-                outputs = ("__next__",)
-            else:
-                fn = _PLANE_OPS[cell.name]
-                outputs = cell.outputs
-            covered.add(cell.name)
-            for combo in itertools.product(
-                    (LOGIC_0, LOGIC_1, LOGIC_X), repeat=len(cell.inputs)):
-                expected = cell.evaluate(dict(zip(cell.inputs, combo)))
-                flat = []
-                for value in combo:
-                    p1, p0 = _DECODE[value]
-                    flat.extend((p1, p0))
-                out = fn(1, *flat)
-                for pos, port in enumerate(outputs):
-                    got = (LOGIC_1 if out[2 * pos] else
-                           (LOGIC_0 if out[2 * pos + 1] else LOGIC_X))
-                    assert got == expected.get(port, LOGIC_X), (
-                        f"{cell.name} mismatch on {combo} pin {port}")
-        # Every hand-written table entry corresponds to a library cell.
-        assert set(_PLANE_OPS) | set(_SEQ_PLANE_OPS) <= covered
-
-
 class TestCompiledSemantics:
     def test_evaluate_matches_legacy_reference(self, small_circuit):
         from tests.legacy_sim import LegacyCombinationalSimulator

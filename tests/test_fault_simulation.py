@@ -1,7 +1,5 @@
 """Unit tests for serial and pattern-parallel stuck-at fault simulation."""
 
-import itertools
-
 import pytest
 
 from repro.faults.fault import SA0, SA1, StuckAtFault
@@ -120,17 +118,3 @@ class TestParallelPatternSimulator:
         patterns = list(all_input_patterns(["a", "b", "c"]))
         words = self._pack(patterns, ["a", "b", "c"])
         assert parallel.detected_faults(faults, words, len(patterns)) == set()
-
-    def test_word_models_match_cell_semantics(self, library):
-        """Every word-level model agrees with the 2-valued cell evaluation."""
-        from repro.simulation.parallel import _WORD_OPS
-
-        for cell_name, word_fn in _WORD_OPS.items():
-            cell = library.get(cell_name)
-            inputs = cell.inputs
-            for values in itertools.product((0, 1), repeat=len(inputs)):
-                scalar = cell.evaluate(dict(zip(inputs, values)))
-                words = word_fn(1, *values)
-                for pos, out_pin in enumerate(cell.outputs):
-                    assert (words[pos] & 1) == scalar[out_pin], (
-                        f"{cell_name} mismatch on {values} pin {out_pin}")

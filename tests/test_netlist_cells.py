@@ -1,63 +1,168 @@
 """Unit tests for the standard-cell library and its three-valued semantics."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.netlist.builder import NetlistBuilder
 from repro.netlist.cells import (
     LOGIC_0,
     LOGIC_1,
     LOGIC_X,
+    PLANE_ENCODING,
     standard_library,
-    v_and,
-    v_buf,
-    v_mux,
-    v_not,
-    v_or,
-    v_xor,
 )
+from repro.netlist.compiled import get_compiled
+from repro.simulation.simulator import scalar3_program
 
 LOGIC = (LOGIC_0, LOGIC_1, LOGIC_X)
+CELL_NAMES = standard_library().cell_names()
+
+#: Two-valued reference of every standard cell, written independently of
+#: the declarations: input values in pin order -> one value per output
+#: (the next state for a sequential cell).  A new cell needs an entry here.
+REFERENCE = {
+    "TIE0": lambda: (0,),
+    "TIE1": lambda: (1,),
+    "BUF": lambda a: (a,),
+    "INV": lambda a: (1 - a,),
+    "AND": lambda *v: (int(all(v)),),
+    "NAND": lambda *v: (int(not all(v)),),
+    "OR": lambda *v: (int(any(v)),),
+    "NOR": lambda *v: (int(not any(v)),),
+    "XOR2": lambda a, b: (a ^ b,),
+    "XNOR2": lambda a, b: (1 - (a ^ b),),
+    "MUX2": lambda d0, d1, s: (d1 if s else d0,),
+    "AO21": lambda a, b, c: ((a & b) | c,),
+    "OA21": lambda a, b, c: ((a | b) & c,),
+    "AOI21": lambda a, b, c: (1 - ((a & b) | c),),
+    "OAI21": lambda a, b, c: (1 - ((a | b) & c),),
+    "HA": lambda a, b: ((a + b) % 2, (a + b) // 2),
+    "FA": lambda a, b, ci: ((a + b + ci) % 2, (a + b + ci) // 2),
+    "DFF": lambda d, ck: (d,),
+    "DFFR": lambda d, ck, rn: (d if rn else 0,),
+    "SDFF": lambda d, si, se, ck: (si if se else d,),
+    "SDFFR": lambda d, si, se, ck, rn: ((si if se else d) if rn else 0,),
+    "DBGFF": lambda d, di, de, ck: (di if de else d,),
+}
 
 
-class TestPrimitives:
-    def test_not_truth_table(self):
-        assert v_not(LOGIC_0) == LOGIC_1
-        assert v_not(LOGIC_1) == LOGIC_0
-        assert v_not(LOGIC_X) == LOGIC_X
+def oracle(cell):
+    """Every {0,1,X}^k input of ``cell`` -> its expected outputs.
 
-    def test_and_controlling_zero_dominates_x(self):
-        assert v_and(LOGIC_0, LOGIC_X) == LOGIC_0
-        assert v_and(LOGIC_X, LOGIC_1) == LOGIC_X
-        assert v_and(LOGIC_1, LOGIC_1, LOGIC_1) == LOGIC_1
+    The reference completed exactly over X: an output is definite only when
+    every 0/1 completion of the X inputs agrees.  The one exception is the
+    active-low reset of DFFR/SDFFR, where an X reset gives X.
+    """
+    reference = REFERENCE.get(cell.name) or REFERENCE[cell.name.rstrip("234")]
+    reset = cell.inputs.index(cell.role_pin("reset")) if cell.role_pin("reset") else None
+    table = {}
+    for combo in itertools.product(LOGIC, repeat=len(cell.inputs)):
+        if reset is not None and combo[reset] == LOGIC_X:
+            table[combo] = (LOGIC_X,) * len(cell.outputs)
+            continue
+        xs = [i for i, v in enumerate(combo) if v == LOGIC_X]
+        results = set()
+        for fill in itertools.product((0, 1), repeat=len(xs)):
+            values = list(combo)
+            for i, v in zip(xs, fill):
+                values[i] = v
+            results.add(reference(*values))
+        table[combo] = tuple(column[0] if len(set(column)) == 1 else LOGIC_X
+                             for column in zip(*results))
+    return table
 
-    def test_or_controlling_one_dominates_x(self):
-        assert v_or(LOGIC_1, LOGIC_X) == LOGIC_1
-        assert v_or(LOGIC_X, LOGIC_0) == LOGIC_X
-        assert v_or(LOGIC_0, LOGIC_0) == LOGIC_0
 
-    def test_xor_with_x_is_x(self):
-        assert v_xor(LOGIC_X, LOGIC_0) == LOGIC_X
-        assert v_xor(LOGIC_1, LOGIC_1) == LOGIC_0
-        assert v_xor(LOGIC_1, LOGIC_0, LOGIC_1) == LOGIC_0
+def decode(b1, b0):
+    return LOGIC_1 if b1 else (LOGIC_0 if b0 else LOGIC_X)
 
-    def test_mux_select_known(self):
-        assert v_mux(LOGIC_0, LOGIC_1, LOGIC_0) == LOGIC_1
-        assert v_mux(LOGIC_1, LOGIC_1, LOGIC_0) == LOGIC_0
 
-    def test_mux_select_x_agreeing_inputs(self):
-        assert v_mux(LOGIC_X, LOGIC_1, LOGIC_1) == LOGIC_1
-        assert v_mux(LOGIC_X, LOGIC_1, LOGIC_0) == LOGIC_X
+def planes(combo):
+    return [bit for value in combo for bit in PLANE_ENCODING[value]]
 
-    def test_buf_identity(self):
-        for value in LOGIC:
-            assert v_buf(value) == value
 
-    @given(st.lists(st.sampled_from(LOGIC), min_size=1, max_size=6))
-    def test_and_or_duality(self, values):
-        """De Morgan: NOT(AND(x)) == OR(NOT(x))."""
-        assert v_not(v_and(*values)) == v_or(*[v_not(v) for v in values])
+@pytest.fixture(scope="module")
+def one_of_each():
+    """A netlist with one instance of every combinational standard cell."""
+    b = NetlistBuilder("one_of_each")
+    for cell in standard_library():
+        if not cell.sequential:
+            pins = {pin: b.add_input(f"{cell.name}_{pin}") for pin in cell.inputs}
+            pins.update({pin: b.add_output(f"{cell.name}_{pin}_out")
+                         for pin in cell.outputs})
+            b.cell(cell.name, pins, name=f"u_{cell.name}")
+    return get_compiled(b.build())
+
+
+class TestCellForms:
+    """Every generated form of every cell against the independent oracle."""
+
+    @pytest.mark.parametrize("name", CELL_NAMES)
+    def test_forms_match_oracle(self, name, one_of_each):
+        cell = standard_library().get(name)
+        table = oracle(cell)
+        n_in, n_out = len(cell.inputs), len(cell.outputs)
+        names = ("__next__",) if cell.sequential else cell.outputs
+        scalar = None
+        if not cell.sequential:
+            scalar = scalar3_program(one_of_each)[
+                [c.name for c in one_of_each.op_cell].index(name)]
+        for combo, want in table.items():
+            out = cell.plane(1, *planes(combo))
+            assert tuple(decode(out[2 * j], out[2 * j + 1])
+                         for j in range(n_out)) == want, (name, combo)
+            got = cell.evaluate(dict(zip(cell.inputs, combo)))
+            assert tuple(got[port] for port in names) == want, (name, combo)
+            if scalar is not None:
+                assert scalar(*combo) == want, (name, combo)
+            if LOGIC_X not in combo:
+                assert cell.word(1, *combo) == want, (name, combo)
+
+        rng = random.Random(name)
+        mask = (1 << 64) - 1
+        for _ in range(20):
+            lanes = [tuple(rng.choice(LOGIC) for _ in range(n_in))
+                     for _ in range(64)]
+            flat = [0] * (2 * n_in)
+            words = [0] * n_in
+            for bit, combo in enumerate(lanes):
+                for k, value in enumerate(combo):
+                    b1, b0 = PLANE_ENCODING[value]
+                    flat[2 * k] |= b1 << bit
+                    flat[2 * k + 1] |= b0 << bit
+                    words[k] |= (value & 1) << bit
+            out = cell.plane(mask, *flat)
+            word_out = cell.word(mask, *words)
+            for bit, combo in enumerate(lanes):
+                got = tuple(decode(out[2 * j] >> bit & 1, out[2 * j + 1] >> bit & 1)
+                            for j in range(n_out))
+                assert got == table[combo], (name, combo)
+                two_valued = tuple(v & 1 for v in combo)
+                assert tuple(w >> bit & 1 for w in word_out) == table[two_valued]
+            assert all(0 <= w <= mask for w in word_out)
+
+
+#: The gate-family facts PODEM, the D-algorithm, the portfolio, the
+#: implication engine and stuck-at collapsing once hard-coded per family.
+FAMILY_FACTS = {
+    "AND": (LOGIC_0, False),
+    "NAND": (LOGIC_0, True),
+    "OR": (LOGIC_1, False),
+    "NOR": (LOGIC_1, True),
+    "BUF": (None, False),
+    "INV": (None, True),
+}
+
+
+class TestGateFacts:
+    @pytest.mark.parametrize("name", CELL_NAMES)
+    def test_derived_facts_match_family_table(self, name):
+        """Derived facts equal the old literals, so PODEM/dalg decision
+        order and the collapse classes cannot move."""
+        cell = standard_library().get(name)
+        assert cell.control == FAMILY_FACTS.get(name.rstrip("0123456789"))
 
 
 class TestLibrary:
@@ -78,7 +183,7 @@ class TestLibrary:
         from repro.netlist.cells import Cell, Library
 
         lib = Library("dup")
-        cell = Cell("X1", ("A",), ("Y",), lambda v: {"Y": v["A"]})
+        cell = Cell("X1", ("A",), ("Y",), "Y = A")
         lib.add(cell)
         with pytest.raises(ValueError):
             lib.add(cell)

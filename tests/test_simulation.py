@@ -145,3 +145,32 @@ class TestSequentialSimulator:
             values = sim.step({})
             seen.append((values["o1"] << 1) | values["o0"])
         assert seen == [0, 1, 2, 3, 0]
+
+
+class TestInvalidLogicValues:
+    """A value outside 0/1/X raises the library's one ValueError wherever it
+    is applied, instead of being simulated as X (or a bare KeyError)."""
+
+    def test_combinational_inputs_state_and_overrides(self, and_or_circuit):
+        sim = CombinationalSimulator(and_or_circuit)
+        for kwargs in ({"inputs": {"a": 7}},
+                       {"inputs": {}, "state": {"a": 7}},
+                       {"inputs": {}, "overrides": {"a": 7}}):
+            with pytest.raises(ValueError,
+                               match="invalid logic value 7 on net 'a' of and_or"):
+                sim.evaluate(**kwargs)
+
+    def test_sequential_step_and_poke(self):
+        b = NetlistBuilder("sr")
+        clk = b.add_input("clk")
+        d = b.add_input("d")
+        q = b.dff(d, clk, name="ff0")
+        sim = SequentialSimulator(b.build())
+        with pytest.raises(ValueError, match="invalid logic value 7 on net 'd' of sr"):
+            sim.step({"d": 7})
+        with pytest.raises(ValueError, match=f"invalid logic value 7 on net '{q}' of sr"):
+            sim.poke(q, 7)
+
+    def test_cell_evaluate(self, library):
+        with pytest.raises(ValueError, match="invalid logic value 7 on pin 'A' of INV"):
+            library.get("INV").evaluate({"A": 7})
