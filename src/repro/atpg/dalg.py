@@ -29,9 +29,13 @@ into proven UU — or DT, in which case the extracted primary-input cube is
 re-verified by five-valued simulation before the verdict is returned.
 
 The machine model (controllable points, observation points, constant-aware
-view, five-valued simulation, launch justification for two-pattern faults)
-is inherited from :class:`~repro.atpg.podem.Podem`, so verdicts from both
-engines are directly comparable.
+view, launch justification for two-pattern faults) is inherited from
+:class:`~repro.atpg.podem.Podem`, so verdicts from both engines are directly
+comparable; an extracted cube is re-verified on PODEM's
+:class:`~repro.atpg.podem.LiveMachine`.  The D-algorithm's own
+requirement-driven pass (:meth:`DAlg._propagate`) still rebuilds both
+machines per decision, and the detection test and D-frontier scan its
+arrays.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.atpg.podem import Podem, PodemResult, PodemStatus
+from repro.atpg.podem import LiveMachine, Podem, PodemResult, PodemStatus
 from repro.faults.models import Fault
 from repro.netlist.cells import LOGIC_0, LOGIC_1, LOGIC_X
 from repro.netlist.module import Netlist
@@ -159,6 +163,38 @@ class DAlg(Podem):
                 if fid in cone:
                     faulty[fid] = fv
         return good, faulty, j_frontier
+
+    def _detected(self, good: List[int], faulty: List[int]) -> bool:
+        for nid in self._observation_ids:
+            g, f = good[nid], faulty[nid]
+            if g != LOGIC_X and f != LOGIC_X and g != f:
+                return True
+        return False
+
+    def _d_frontier(self, good: List[int], faulty: List[int],
+                    branch_op: int, branch_pos: int,
+                    fault_value: int) -> List[int]:
+        compiled = self.compiled
+        frontier: List[int] = []
+        for i in range(compiled.n_ops):
+            out_ok = False
+            for nid in compiled.op_fanout[i]:
+                if nid < 0:
+                    continue
+                if good[nid] == LOGIC_X or faulty[nid] == LOGIC_X:
+                    out_ok = True  # output still undetermined in five values
+            if not out_ok:
+                continue
+            for pos, nid in enumerate(compiled.op_fanin[i]):
+                if nid < 0:
+                    continue
+                g = good[nid]
+                f = (fault_value if (i == branch_op and pos == branch_pos)
+                     else faulty[nid])
+                if g != LOGIC_X and f != LOGIC_X and g != f:
+                    frontier.append(i)
+                    break
+        return frontier
 
     # ------------------------------------------------------------------ #
     # choice-point alternatives
@@ -296,10 +332,9 @@ class DAlg(Podem):
                     pattern_ids = {nid: value
                                    for nid, value in forced.items()
                                    if nid in self._controllable_ids}
-                    vgood, vfaulty = self._simulate(pattern_ids, stem,
-                                                    branch_op, branch_pos,
-                                                    fault_value)
-                    if self._detected(vgood, vfaulty):
+                    replay = LiveMachine(self, stem, branch_op, branch_pos,
+                                         fault_value, pattern_ids.items())
+                    if replay.detected():
                         pattern = {names[nid]: value for nid, value
                                    in sorted(pattern_ids.items())}
                         return PodemResult(PodemStatus.DETECTED, fault,

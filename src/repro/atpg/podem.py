@@ -1,11 +1,17 @@
 """PODEM test generation / redundancy proof for any registered fault model.
 
 The generator works on the combinational (full-DFT) view of a netlist,
-executed over the compiled integer-ID IR (:mod:`repro.netlist.compiled`):
-the five-valued machine is a pair of dense three-valued arrays (good /
-faulty) indexed by net ID, evaluated op-by-op through the shared levelized
-program, and the backtrace / D-frontier / X-path machinery walks the
-precomputed ID-indexed connectivity tables instead of the object graph.
+executed over the compiled integer-ID IR (:mod:`repro.netlist.compiled`).
+Each search keeps one :class:`LiveMachine`: the good and faulty machines as
+two dual-rail plane arrays indexed by net ID (bit 0 good, bit 1 faulty),
+so one call of an op's generated plane function evaluates both.  The
+machine is swept once when the search starts; after that every decision,
+flip on backtrack and pop only pushes an event, and only the loads of nets
+whose value changed are re-evaluated, in topological order — selective
+trace (Ulrich 1969), the event-driven implication of FAN (Fujiwara and
+Shimono 1983).  The D-frontier is derived from a live set of D nets, and
+the backtrace / X-path machinery walks the precomputed ID-indexed
+connectivity tables instead of the object graph.
 
 * controllable points — primary-input nets and sequential-cell output nets
   that are not tied by circuit manipulation;
@@ -19,7 +25,8 @@ one-frame search against the spec's stuck value, and the *launch* frame is
 then justified — the excitation net must hold the initialization value, and
 every flip-flop output the capture cube assigned must be the next-state the
 launch frame produces (the launch-on-capture consistency constraint;
-primary inputs are free to change between frames).
+primary inputs are free to change between frames).  The launch frame is
+searched on a fault-free live machine of its own.
 
 A fault for which the decision space is exhausted without finding a test is
 *structurally untestable* (class ``UU``); exceeding the backtrack limit gives
@@ -30,17 +37,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from heapq import heappop, heappush
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.faults.models import Fault, InjectionSpec, resolve_injection
 
 if TYPE_CHECKING:
     from repro.analysis.prover import StaticAnalysis
     from repro.atpg.implication import ImplicationEngine
-from repro.netlist.cells import LOGIC_0, LOGIC_1, LOGIC_X, PLANE_ENCODING
+from repro.netlist.cells import LOGIC_0, LOGIC_1, LOGIC_X
 from repro.netlist.compiled import NO_NET, get_compiled
 from repro.netlist.module import Netlist
-from repro.simulation.simulator import plane_program, scalar3_program
+from repro.simulation.simulator import plane_program
 
 
 class PodemStatus(Enum):
@@ -60,6 +68,188 @@ class PodemResult:
     init_pattern: Dict[str, int] = field(default_factory=dict)
     backtracks: int = 0
     decisions: int = 0
+
+
+def _lane(p1: int, p0: int, bit: int) -> int:
+    return LOGIC_1 if p1 & bit else (LOGIC_0 if p0 & bit else LOGIC_X)
+
+
+# A net's two-lane plane pair as one code ``p1 | p0 << 2`` (lane bit 0 is the
+# good machine, bit 1 the faulty one) -> good value, faulty value, and
+# whether the net carries a fault effect (both definite and different).
+_GOOD = tuple(_lane(code & 3, code >> 2, 1) for code in range(16))
+_FAULTY = tuple(_lane(code & 3, code >> 2, 2) for code in range(16))
+_IS_D = tuple(g != LOGIC_X and f != LOGIC_X and g != f
+              for g, f in zip(_GOOD, _FAULTY))
+#: Logic value -> plane pair holding it in both lanes.
+_BOTH = {LOGIC_0: (0, 3), LOGIC_1: (3, 0), LOGIC_X: (0, 0)}
+
+
+class LiveMachine:
+    """The good and faulty machines of one search, kept live.
+
+    Two plane arrays indexed by net ID hold both machines: bit 0 is the
+    good machine, bit 1 the faulty one, so each op is one call of its
+    generated plane function at mask ``0b11``.  Construction runs one full
+    levelized sweep; after that :meth:`assign` changes a source (the value
+    of a controllable point, or back to X) and :meth:`settle` re-evaluates
+    only the loads of nets whose value changed, in op-index (topological)
+    order.  Every net value is a pure function of the sources — ties, fixed
+    state, assignments and the injected fault — so a settled machine equals
+    a full sweep under the same sources and backtracking needs no undo
+    trail.
+
+    The fault is injected as the search defines it: a stem fault forces
+    bit 1 of its net (a tied net included), a branch fault replaces the
+    faulty lane of one input pin of ``branch_op`` when that op is
+    evaluated.  ``good`` / ``faulty`` are three-valued views of the lanes
+    and ``d_nets`` is the live set of nets carrying a fault effect.
+    """
+
+    def __init__(self, podem: "Podem", stem: Optional[int], branch_op: int,
+                 branch_pos: int, fault_value: int,
+                 assignments: Iterable[Tuple[int, int]] = ()) -> None:
+        compiled = podem.compiled
+        self.podem = podem
+        self._compiled = compiled
+        self._program = plane_program(compiled)[0]
+        self.stem = stem
+        self.branch_op = branch_op
+        self.branch_pos = branch_pos
+        self.fault_value = fault_value
+        # Bit-1 (faulty lane) planes of the stuck value.
+        self._f1 = 2 if fault_value == LOGIC_1 else 0
+        self._f0 = 2 if fault_value == LOGIC_0 else 0
+        #: Controllable net -> assigned value, in decision order.
+        self.assignments: Dict[int, int] = {}
+
+        n = compiled.n_nets
+        self.p1 = [0] * n
+        self.p0 = [0] * n
+        for nid, t in enumerate(compiled.tied):
+            if t is not None:
+                self.p1[nid], self.p0[nid] = _BOTH[t]
+        for nid, value in podem._fixed_ids.items():
+            self.p1[nid], self.p0[nid] = _BOTH[value]
+        for nid, value in assignments:
+            self.assignments[nid] = value
+            self.p1[nid], self.p0[nid] = _BOTH[value]
+        if stem is not None:
+            self.p1[stem] = (self.p1[stem] & 1) | self._f1
+            self.p0[stem] = (self.p0[stem] & 1) | self._f0
+        codes = [a | (b << 2) for a, b in zip(self.p1, self.p0)]
+        self.good = [_GOOD[code] for code in codes]
+        self.faulty = [_FAULTY[code] for code in codes]
+        self.d_nets: Set[int] = {nid for nid, code in enumerate(codes)
+                                 if _IS_D[code]}
+
+        # The initial sweep: every op queued, settled in index order.
+        self._heap = list(range(compiled.n_ops))
+        self._queued = bytearray(b"\x01") * compiled.n_ops
+        self.settle()
+
+    def _set(self, nid: int, p1: int, p0: int) -> None:
+        """Store a net's new planes and queue its loads."""
+        self.p1[nid] = p1
+        self.p0[nid] = p0
+        code = p1 | (p0 << 2)
+        self.good[nid] = _GOOD[code]
+        self.faulty[nid] = _FAULTY[code]
+        if _IS_D[code]:
+            self.d_nets.add(nid)
+        else:
+            self.d_nets.discard(nid)
+        queued = self._queued
+        for op, _ in self._compiled.net_load_ops[nid]:
+            if not queued[op]:
+                queued[op] = 1
+                heappush(self._heap, op)
+
+    def assign(self, nid: int, value: int) -> None:
+        """Set a controllable net to ``value`` (``LOGIC_X`` clears it);
+        takes effect at the next :meth:`settle`."""
+        if value == LOGIC_X:
+            self.assignments.pop(nid, None)
+        else:
+            self.assignments[nid] = value
+        p1, p0 = _BOTH[value]
+        if nid == self.stem:
+            p1 = (p1 & 1) | self._f1
+            p0 = (p0 & 1) | self._f0
+        if p1 != self.p1[nid] or p0 != self.p0[nid]:
+            self._set(nid, p1, p0)
+
+    def settle(self) -> None:
+        """Re-evaluate the queued ops in index order until nothing changes."""
+        heap = self._heap
+        queued = self._queued
+        p1, p0 = self.p1, self.p0
+        program = self._program
+        op_fanin = self._compiled.op_fanin
+        op_fanout = self._compiled.op_fanout
+        tied = self._compiled.tied
+        stem, branch_op = self.stem, self.branch_op
+        f1, f0 = self._f1, self._f0
+        while heap:
+            op = heappop(heap)
+            queued[op] = 0
+            args = []
+            for nid in op_fanin[op]:
+                if nid >= 0:
+                    args.append(p1[nid])
+                    args.append(p0[nid])
+                else:
+                    args.append(0)
+                    args.append(0)
+            if op == branch_op:
+                k = 2 * self.branch_pos
+                args[k] = (args[k] & 1) | f1
+                args[k + 1] = (args[k + 1] & 1) | f0
+            out = program[op](3, *args)
+            for pos, nid in enumerate(op_fanout[op]):
+                if nid < 0 or tied[nid] is not None:
+                    continue
+                o1 = out[2 * pos]
+                o0 = out[2 * pos + 1]
+                if nid == stem:
+                    o1 = (o1 & 1) | f1
+                    o0 = (o0 & 1) | f0
+                if o1 != p1[nid] or o0 != p0[nid]:
+                    self._set(nid, o1, o0)
+
+    def detected(self) -> bool:
+        """Does a fault effect reach an observation point?"""
+        return not self.d_nets.isdisjoint(self.podem._observation_ids)
+
+    def d_frontier(self) -> List[int]:
+        """Ops with a fault effect on an input and an output still X in
+        either machine, in op-index order: the loads of the D nets, plus
+        the branch op, whose faulted pin carries a fault effect whenever
+        its good value opposes the stuck value."""
+        compiled = self._compiled
+        good, faulty, d_nets = self.good, self.faulty, self.d_nets
+        candidates: Set[int] = set()
+        for nid in d_nets:
+            candidates.update(op for op, _ in compiled.net_load_ops[nid])
+        if self.branch_op >= 0:
+            candidates.add(self.branch_op)
+        frontier: List[int] = []
+        for op in sorted(candidates):
+            if not any(nid >= 0 and (good[nid] == LOGIC_X
+                                     or faulty[nid] == LOGIC_X)
+                       for nid in compiled.op_fanout[op]):
+                continue
+            for pos, nid in enumerate(compiled.op_fanin[op]):
+                if nid < 0:
+                    continue
+                if op == self.branch_op and pos == self.branch_pos:
+                    effect = good[nid] not in (LOGIC_X, self.fault_value)
+                else:
+                    effect = nid in d_nets
+                if effect:
+                    frontier.append(op)
+                    break
+        return frontier
 
 
 class Podem:
@@ -181,88 +371,8 @@ class Podem:
         return nid if nid != NO_NET else None
 
     # ------------------------------------------------------------------ #
-    # five-valued simulation with fault injection (good/faulty ID arrays)
-    # ------------------------------------------------------------------ #
-    def _simulate(self, assignments: Dict[int, int], stem: Optional[int],
-                  branch_op: int, branch_pos: int, fault_value: int
-                  ) -> Tuple[List[int], List[int]]:
-        compiled = self.compiled
-        n = compiled.n_nets
-        good = [LOGIC_X] * n
-        faulty = [LOGIC_X] * n
-        for nid, t in enumerate(compiled.tied):
-            if t is not None:
-                good[nid] = t
-                faulty[nid] = t
-        for nid, value in self._fixed_ids.items():
-            good[nid] = value
-            faulty[nid] = value
-        for nid, value in assignments.items():
-            good[nid] = value
-            faulty[nid] = value
-        if stem is not None:
-            faulty[stem] = fault_value
-
-        program = scalar3_program(compiled)
-        op_fanin = compiled.op_fanin
-        op_fanout = compiled.op_fanout
-        tied = compiled.tied
-        for i, fn in enumerate(program):
-            good_args = []
-            faulty_args = []
-            for pos, nid in enumerate(op_fanin[i]):
-                if nid < 0:
-                    good_args.append(LOGIC_X)
-                    faulty_args.append(LOGIC_X)
-                    continue
-                good_args.append(good[nid])
-                faulty_args.append(fault_value
-                                   if (i == branch_op and pos == branch_pos)
-                                   else faulty[nid])
-            good_out = fn(*good_args)
-            faulty_out = fn(*faulty_args)
-            for pos, nid in enumerate(op_fanout[i]):
-                if nid < 0 or tied[nid] is not None:
-                    continue
-                good[nid] = good_out[pos]
-                faulty[nid] = (fault_value if nid == stem else faulty_out[pos])
-        return good, faulty
-
-    # ------------------------------------------------------------------ #
     # PODEM machinery
     # ------------------------------------------------------------------ #
-    def _detected(self, good: List[int], faulty: List[int]) -> bool:
-        for nid in self._observation_ids:
-            g, f = good[nid], faulty[nid]
-            if g != LOGIC_X and f != LOGIC_X and g != f:
-                return True
-        return False
-
-    def _d_frontier(self, good: List[int], faulty: List[int],
-                    branch_op: int, branch_pos: int,
-                    fault_value: int) -> List[int]:
-        compiled = self.compiled
-        frontier: List[int] = []
-        for i in range(compiled.n_ops):
-            out_ok = False
-            for nid in compiled.op_fanout[i]:
-                if nid < 0:
-                    continue
-                if good[nid] == LOGIC_X or faulty[nid] == LOGIC_X:
-                    out_ok = True  # output still undetermined in five values
-            if not out_ok:
-                continue
-            for pos, nid in enumerate(compiled.op_fanin[i]):
-                if nid < 0:
-                    continue
-                g = good[nid]
-                f = (fault_value if (i == branch_op and pos == branch_pos)
-                     else faulty[nid])
-                if g != LOGIC_X and f != LOGIC_X and g != f:
-                    frontier.append(i)
-                    break
-        return frontier
-
     def _x_path_exists(self, good: List[int], faulty: List[int],
                        frontier: List[int]) -> bool:
         """Is there a path of X-valued nets from the D-frontier to an
@@ -384,24 +494,23 @@ class Podem:
             if necessary is None:
                 return PodemResult(PodemStatus.UNTESTABLE, fault)
 
-        assignments: Dict[int, int] = {}
+        machine = LiveMachine(self, stem, branch_op, branch_pos, fault_value)
+        good, faulty = machine.good, machine.faulty
         # Decision stack entries: (net id, value, alternative_tried)
         stack: List[List] = []
         backtracks = 0
         decisions = 0
 
         while True:
-            good, faulty = self._simulate(assignments, stem,
-                                          branch_op, branch_pos, fault_value)
-            if self._detected(good, faulty):
+            machine.settle()
+            if machine.detected():
                 pattern = {names[nid]: value
-                           for nid, value in assignments.items()}
+                           for nid, value in machine.assignments.items()}
                 return PodemResult(PodemStatus.DETECTED, fault,
                                    pattern=pattern,
                                    backtracks=backtracks, decisions=decisions)
 
-            frontier = self._d_frontier(good, faulty, branch_op, branch_pos,
-                                        fault_value)
+            frontier = machine.d_frontier()
             excited = good[excite] == LOGIC_1 - fault_value
             dead_end = False
             objective = None
@@ -437,7 +546,7 @@ class Podem:
                             value = required
                             skipped = True
                             self.learned_skips += 1
-                    assignments[nid] = value
+                    machine.assign(nid, value)
                     stack.append([nid, value, skipped])
                     decisions += 1
                     continue
@@ -447,11 +556,11 @@ class Podem:
                 nid, value, tried = stack[-1]
                 if not tried:
                     stack[-1][2] = True
-                    assignments[nid] = LOGIC_1 - value
+                    machine.assign(nid, LOGIC_1 - value)
                     backtracks += 1
                     break
                 stack.pop()
-                assignments.pop(nid, None)
+                machine.assign(nid, LOGIC_X)
             else:
                 return PodemResult(PodemStatus.UNTESTABLE, fault,
                                    backtracks=backtracks, decisions=decisions)
@@ -525,16 +634,20 @@ class Podem:
                 constraints[seq_index] = value
         return constraints
 
-    def _seq_next_value(self, seq_index: int, good: List[int]) -> int:
+    def _seq_next_value(self, seq_index: int, machine: LiveMachine) -> int:
         """Next-state of one sequential cell under a launch-frame good
-        machine (three-valued, via the shared plane program)."""
+        machine (three-valued: its plane function on the good lane)."""
         compiled = self.compiled
         _, seq_program = plane_program(compiled)
+        p1, p0 = machine.p1, machine.p0
         flat: List[int] = []
         for nid in compiled.seq_fanin[seq_index]:
-            d = PLANE_ENCODING[good[nid] if nid >= 0 else LOGIC_X]
-            flat.append(d[0])
-            flat.append(d[1])
+            if nid >= 0:
+                flat.append(p1[nid] & 1)
+                flat.append(p0[nid] & 1)
+            else:
+                flat.append(0)
+                flat.append(0)
         out = seq_program[seq_index](1, *flat)
         return LOGIC_1 if out[0] else (LOGIC_0 if out[1] else LOGIC_X)
 
@@ -563,20 +676,21 @@ class Podem:
 
         Returns ``(pattern, status, backtracks, decisions)`` with status
         ``"found"``, ``"exhausted"`` (decision space empty) or
-        ``"aborted"`` (backtrack limit).  The search reuses PODEM's
-        good-machine five-valued simulation, backtrace and decision stack —
-        objectives are checked exactly (by simulation), the per-objective
-        backtrace is only a search heuristic.
+        ``"aborted"`` (backtrack limit).  The search reuses PODEM's live
+        machine (fault-free here), backtrace and decision stack — objectives
+        are checked exactly (by simulation), the per-objective backtrace is
+        only a search heuristic.
         """
         compiled = self.compiled
         names = compiled.net_names
-        assignments: Dict[int, int] = {}
+        machine = LiveMachine(self, None, -1, -1, LOGIC_0)
+        good = machine.good
         stack: List[List] = []
         backtracks = 0
         decisions = 0
 
         while True:
-            good, _ = self._simulate(assignments, None, -1, -1, 0)
+            machine.settle()
             conflict = False
             pending: Optional[Tuple[int, int]] = None
             satisfied = True
@@ -592,7 +706,7 @@ class Podem:
                     break
             if not conflict:
                 for seq_index, want in state_objs.items():
-                    nxt = self._seq_next_value(seq_index, good)
+                    nxt = self._seq_next_value(seq_index, machine)
                     if nxt == LOGIC_X:
                         satisfied = False
                         if pending is None:
@@ -607,7 +721,7 @@ class Podem:
 
             if not conflict and satisfied:
                 pattern = {names[nid]: value
-                           for nid, value in assignments.items()}
+                           for nid, value in machine.assignments.items()}
                 return pattern, "found", backtracks, decisions
 
             if not conflict:
@@ -619,7 +733,7 @@ class Podem:
                         conflict = True
                     else:
                         nid, value = pi
-                        assignments[nid] = value
+                        machine.assign(nid, value)
                         stack.append([nid, value, False])
                         decisions += 1
                         continue
@@ -629,11 +743,11 @@ class Podem:
                 nid, value, tried = stack[-1]
                 if not tried:
                     stack[-1][2] = True
-                    assignments[nid] = LOGIC_1 - value
+                    machine.assign(nid, LOGIC_1 - value)
                     backtracks += 1
                     break
                 stack.pop()
-                assignments.pop(nid, None)
+                machine.assign(nid, LOGIC_X)
             else:
                 return {}, "exhausted", backtracks, decisions
 

@@ -11,6 +11,11 @@ dicts and evaluate cells via their ``eval_fn``.  They are kept as the
 * ``benchmarks/test_runtime.py`` measures the compiled engines' speedup over
   them and asserts verdict equality.
 
+:func:`podem_full_evaluation` and its scans are PODEM's original machine:
+both five-valued machines rebuilt by one levelized pass of the cells'
+scalar forms, the oracle the event-driven
+:class:`~repro.atpg.podem.LiveMachine` is checked against.
+
 They live with the tests as an independent oracle, not in the package;
 production code uses the compiled-IR
 :class:`~repro.simulation.simulator.CombinationalSimulator` and
@@ -19,7 +24,7 @@ production code uses the compiled-IR
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.faults.fault import StuckAtFault
 from repro.netlist.cells import LOGIC_X
@@ -214,3 +219,86 @@ class LegacyFaultSimulator:
             remaining = still_undetected
         result.undetected.update(remaining)
         return result
+
+
+# --------------------------------------------------------------------- #
+# PODEM's full-sweep five-valued machine
+# --------------------------------------------------------------------- #
+def podem_full_evaluation(podem, assignments: Mapping[int, int],
+                          stem: Optional[int], branch_op: int,
+                          branch_pos: int, fault_value: int
+                          ) -> Tuple[List[int], List[int]]:
+    """Good and faulty values of every net of ``podem``'s combinational
+    view under ``assignments``, with the fault injected: a stem fault
+    forces the faulty value of its net, a branch fault the faulty value one
+    input pin of ``branch_op`` sees."""
+    compiled = podem.compiled
+    n = compiled.n_nets
+    good = [LOGIC_X] * n
+    faulty = [LOGIC_X] * n
+    for nid, t in enumerate(compiled.tied):
+        if t is not None:
+            good[nid] = t
+            faulty[nid] = t
+    for nid, value in podem._fixed_ids.items():
+        good[nid] = value
+        faulty[nid] = value
+    for nid, value in assignments.items():
+        good[nid] = value
+        faulty[nid] = value
+    if stem is not None:
+        faulty[stem] = fault_value
+
+    tied = compiled.tied
+    for i, cell in enumerate(compiled.op_cell):
+        good_args = []
+        faulty_args = []
+        for pos, nid in enumerate(compiled.op_fanin[i]):
+            if nid < 0:
+                good_args.append(LOGIC_X)
+                faulty_args.append(LOGIC_X)
+                continue
+            good_args.append(good[nid])
+            faulty_args.append(fault_value
+                               if (i == branch_op and pos == branch_pos)
+                               else faulty[nid])
+        good_out = cell.scalar(*good_args)
+        faulty_out = cell.scalar(*faulty_args)
+        for pos, nid in enumerate(compiled.op_fanout[i]):
+            if nid < 0 or tied[nid] is not None:
+                continue
+            good[nid] = good_out[pos]
+            faulty[nid] = fault_value if nid == stem else faulty_out[pos]
+    return good, faulty
+
+
+def _fault_effect(g: int, f: int) -> bool:
+    return g != LOGIC_X and f != LOGIC_X and g != f
+
+
+def podem_detected_scan(podem, good: List[int], faulty: List[int]) -> bool:
+    """Does any observation point carry a fault effect?"""
+    return any(_fault_effect(good[nid], faulty[nid])
+               for nid in podem._observation_ids)
+
+
+def podem_d_frontier_scan(podem, good: List[int], faulty: List[int],
+                          branch_op: int, branch_pos: int,
+                          fault_value: int) -> List[int]:
+    """Every op with a fault effect on an input pin and an output still X
+    in either machine, by a scan over all ops."""
+    compiled = podem.compiled
+    frontier: List[int] = []
+    for i in range(compiled.n_ops):
+        if not any(nid >= 0 and LOGIC_X in (good[nid], faulty[nid])
+                   for nid in compiled.op_fanout[i]):
+            continue
+        for pos, nid in enumerate(compiled.op_fanin[i]):
+            if nid < 0:
+                continue
+            f = (fault_value if (i == branch_op and pos == branch_pos)
+                 else faulty[nid])
+            if _fault_effect(good[nid], f):
+                frontier.append(i)
+                break
+    return frontier
