@@ -21,8 +21,9 @@ within each chunk.
 
 from __future__ import annotations
 
+import heapq
 import math
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.faults.models import Fault
 from repro.netlist.compiled import CompiledNetlist, get_compiled
@@ -104,29 +105,56 @@ def build_chunks(netlist: Netlist, faults: Iterable[Fault],
     chunks: List[Tuple[int, ...]] = [(position,)
                                      for _, _, position in monsters]
 
-    # Pack the remaining cone groups whole into <= chunk_size-fault chunks,
-    # heaviest group first into the lightest chunk with room (LPT); a group
-    # larger than a chunk splits into consecutive runs.
+    # Pack the remaining cone groups, heaviest first.
     rest.sort(key=lambda item: (-item[0], item[1]))
-    packed: List[List] = []  # [cost, positions]
-    for group_cost, rep, members in rest:
-        if len(members) > chunk_size:
-            for offset in range(0, len(members), chunk_size):
-                piece = members[offset:offset + chunk_size]
-                packed.append([per_fault_cost[rep] * len(piece), piece])
-            continue
-        best = None
-        for entry in packed:
-            if (len(entry[1]) + len(members) <= chunk_size
-                    and (best is None or entry[0] < best[0])):
-                best = entry
-        if best is None:
-            packed.append([group_cost, list(members)])
-        else:
-            best[0] += group_cost
-            best[1] = best[1] + members
-
+    packed = pack_groups([(per_fault_cost[rep], members)
+                          for _, rep, members in rest], chunk_size)
     packed.sort(key=lambda entry: (-entry[0], entry[1]))
     for _, positions in packed:
         chunks.append(tuple(sorted(positions)))
     return chunks
+
+
+def pack_groups(groups: Iterable[Tuple[int, Sequence[int]]],
+                chunk_size: int) -> List[Tuple[int, List[int]]]:
+    """LPT packing of ``(per-member cost, members)`` groups, in the given
+    order, into chunks of at most ``chunk_size`` members.
+
+    A group goes whole into the lightest chunk with room, the earliest
+    such chunk on a tie, or opens a new chunk; a group larger than a chunk
+    splits into consecutive runs, each its own chunk.  Returns
+    ``(cost, members)`` per chunk in the order the chunks were opened.
+
+    The chunks with room are found through one heap of ``(cost, index)``
+    per fill level, so a group looks at ``chunk_size`` heap tops instead
+    of every chunk packed so far.
+    """
+    costs: List[int] = []
+    members_of: List[List[int]] = []
+    by_fill: List[List[Tuple[int, int]]] = [[] for _ in range(chunk_size + 1)]
+
+    def open_chunk(cost: int, members: List[int]) -> None:
+        heapq.heappush(by_fill[len(members)], (cost, len(costs)))
+        costs.append(cost)
+        members_of.append(members)
+
+    for unit_cost, members in groups:
+        m = len(members)
+        if m > chunk_size:
+            for offset in range(0, m, chunk_size):
+                piece = list(members[offset:offset + chunk_size])
+                open_chunk(unit_cost * len(piece), piece)
+            continue
+        best = None
+        for fill in range(1, chunk_size - m + 1):
+            heap = by_fill[fill]
+            if heap and (best is None or heap[0] < by_fill[best][0]):
+                best = fill
+        if best is None:
+            open_chunk(unit_cost * m, list(members))
+            continue
+        cost, index = heapq.heappop(by_fill[best])
+        costs[index] = cost + unit_cost * m
+        members_of[index] = members_of[index] + list(members)
+        heapq.heappush(by_fill[best + m], (costs[index], index))
+    return list(zip(costs, members_of))

@@ -407,10 +407,10 @@ def sharded_mission_grade(netlist: Netlist, faults: Iterable[Fault],
                           pool=None) -> Set[Fault]:
     """Pooled counterpart of :meth:`repro.sbst.grading.FaultGrader.grade`.
 
-    ``patterns`` is a :class:`~repro.sbst.monitor.CapturedPatterns`-shaped
-    object (``cycles`` + ``controllable_nets``); ``observation_nets`` is
-    the exact observation-point set of the serial grader, so verdicts are
-    identical by construction.  Returns the detected-fault set.
+    ``patterns`` is a :class:`~repro.sbst.monitor.CapturedPatterns`;
+    ``observation_nets`` is the exact observation-point set of the serial
+    grader, so verdicts are identical by construction.  Returns the
+    detected-fault set.
     """
     from repro.runtime import build_chunks, content_key, default_chunk_size
     from repro.sbst.monitor import pattern_windows

@@ -11,6 +11,13 @@ dicts and evaluate cells via their ``eval_fn``.  They are kept as the
 * ``benchmarks/test_runtime.py`` measures the compiled engines' speedup over
   them and asserts verdict equality.
 
+:class:`LegacySequentialSimulator` and :class:`LegacyToggleMonitor` are the
+original cycle simulator (one full levelized sweep per clock cycle, from
+fresh plane arrays) and the name-keyed SBST monitor that captured one dict
+per cycle: the oracle the event-driven
+:class:`~repro.simulation.sequential.SequentialSimulator` and the packed
+capture of :class:`~repro.sbst.monitor.ToggleMonitor` are checked against.
+
 :func:`podem_full_evaluation` and its scans are PODEM's original machine:
 both five-valued machines rebuilt by one levelized pass of the cells'
 scalar forms, the oracle the event-driven
@@ -27,9 +34,12 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.faults.fault import StuckAtFault
-from repro.netlist.cells import LOGIC_X
+from repro.netlist.cells import (LOGIC_0, LOGIC_1, LOGIC_X, PLANE_ENCODING,
+                                 encode)
 from repro.netlist.module import Netlist, Pin
 from repro.netlist.traversal import topological_instances
+from repro.simulation.simulator import (CombinationalSimulator, plane_program,
+                                        run_plane_ops)
 
 
 class LegacyCombinationalSimulator:
@@ -302,3 +312,177 @@ def podem_d_frontier_scan(podem, good: List[int], faulty: List[int],
                 frontier.append(i)
                 break
     return frontier
+
+
+# --------------------------------------------------------------------- #
+# the full-sweep cycle simulator and the name-keyed SBST monitor
+# --------------------------------------------------------------------- #
+def _decode(b1: int, b0: int) -> int:
+    return LOGIC_1 if b1 else (LOGIC_0 if b0 else LOGIC_X)
+
+
+class LegacySequentialSimulator:
+    """One clock cycle per :meth:`step`: fresh plane arrays, one levelized
+    pass over every op, then every sequential cell's next state."""
+
+    def __init__(self, netlist: Netlist, x_init: bool = False) -> None:
+        self.netlist = netlist
+        self.sim = CombinationalSimulator(netlist)
+        self._compiled = self.sim.compiled
+        self._state: Dict[int, Tuple[int, int]] = {}
+        self._init_state(x_init)
+        self.cycle = 0
+
+    def _init_state(self, x_init: bool) -> None:
+        initial = PLANE_ENCODING[LOGIC_X if x_init else LOGIC_0]
+        self._state = {nid: initial for nid in self._compiled.state_net_ids}
+
+    def _refresh(self):
+        compiled = self.sim._refresh()
+        if compiled is not self._compiled:
+            old_names = self._compiled.net_names
+            by_name = {old_names[nid]: bits
+                       for nid, bits in self._state.items()}
+            default = PLANE_ENCODING[LOGIC_0]
+            self._state = {
+                nid: by_name.get(compiled.net_names[nid], default)
+                for nid in compiled.state_net_ids
+            }
+            self._compiled = compiled
+        return compiled
+
+    @property
+    def state(self) -> Dict[str, int]:
+        names = self._compiled.net_names
+        return {names[nid]: _decode(b1, b0)
+                for nid, (b1, b0) in self._state.items()}
+
+    def reset(self, x_init: bool = False) -> None:
+        self._refresh()
+        self._init_state(x_init)
+        self.cycle = 0
+
+    def poke(self, net_name: str, value: int) -> None:
+        nid = self._compiled.net_id[net_name]
+        assert nid in self._state
+        self._state[nid] = encode(value, "net", net_name, self.netlist.name)
+
+    def step(self, inputs: Optional[Mapping[str, int]] = None) -> Dict[str, int]:
+        compiled = self._refresh()
+        comb_program, seq_program = plane_program(compiled)
+        inputs = inputs or {}
+        n = compiled.n_nets
+        p1 = [0] * n
+        p0 = [0] * n
+        frozen = bytearray(n)
+        tied = compiled.tied
+        names = compiled.net_names
+
+        for nid in range(n):
+            t = tied[nid]
+            if t is not None:
+                if t:
+                    p1[nid] = 1
+                else:
+                    p0[nid] = 1
+                frozen[nid] = 1
+        for nid in compiled.input_port_ids:
+            if tied[nid] is None:
+                b1, b0 = encode(inputs.get(names[nid], LOGIC_X), "net",
+                                names[nid], self.netlist.name)
+                p1[nid] = b1
+                p0[nid] = b0
+        for nid, (b1, b0) in self._state.items():
+            if tied[nid] is None:
+                p1[nid] = b1
+                p0[nid] = b0
+
+        run_plane_ops(compiled, comb_program, p1, p0, 1, frozen)
+
+        nxt: Dict[int, Tuple[int, int]] = {}
+        for i, fn in enumerate(seq_program):
+            flat: List[int] = []
+            for nid in compiled.seq_fanin[i]:
+                if nid >= 0:
+                    flat.append(p1[nid])
+                    flat.append(p0[nid])
+                else:
+                    flat.append(0)
+                    flat.append(0)
+            out = fn(1, *flat)
+            for nid in compiled.seq_fanout[i]:
+                if nid >= 0:
+                    t = tied[nid]
+                    nxt[nid] = (PLANE_ENCODING[t] if t is not None
+                                else (out[0], out[1]))
+        self._state = nxt
+        self.cycle += 1
+        return {name: _decode(p1[nid], p0[nid])
+                for nid, name in enumerate(names)}
+
+
+class LegacyToggleMonitor:
+    """Name-keyed toggle counting and one captured dict per cycle."""
+
+    def __init__(self, netlist: Netlist,
+                 mission_inputs: Optional[Mapping[str, int]] = None) -> None:
+        self.netlist = netlist
+        self.sim = LegacySequentialSimulator(netlist)
+        self.mission_inputs: Dict[str, int] = {
+            p: 0 for p in netlist.input_ports()}
+        if "rst_n" in self.mission_inputs:
+            self.mission_inputs["rst_n"] = 1
+        self.mission_inputs.update(mission_inputs or {})
+        self.toggle_counts: Dict[str, int] = {n: 0 for n in netlist.nets}
+        self._previous_values: Optional[Dict[str, int]] = None
+        self.controllable_nets: List[str] = []
+        self.cycles: List[Dict[str, int]] = []
+
+    def _instruction_inputs(self, word: int, mem_rdata: int) -> Dict[str, int]:
+        inputs = dict(self.mission_inputs)
+        for port in self.netlist.input_ports():
+            index = port[port.index("[") + 1:-1] if "[" in port else ""
+            if port.startswith("instr_in["):
+                inputs[port] = (word >> int(index)) & 1
+            elif port.startswith("mem_rdata["):
+                inputs[port] = (mem_rdata >> int(index)) & 1
+        return inputs
+
+    def run_program(self, words: Sequence[int],
+                    cycles_per_instruction: int = 1,
+                    mem_rdata_stream: Optional[Sequence[int]] = None) -> None:
+        if not self.controllable_nets:
+            self.controllable_nets = (self.netlist.input_ports()
+                                      + self.sim.sim.state_nets)
+        for index, word in enumerate(words):
+            mem_rdata = (mem_rdata_stream[index % len(mem_rdata_stream)]
+                         if mem_rdata_stream
+                         else (index * 2654435761) & 0xFFFFFFFF)
+            inputs = self._instruction_inputs(word, mem_rdata)
+            for _ in range(cycles_per_instruction):
+                snapshot = dict(inputs)
+                snapshot.update({n: (v if v != LOGIC_X else 0)
+                                 for n, v in self.sim.state.items()})
+                self.cycles.append(snapshot)
+                values = self.sim.step(inputs)
+                if self._previous_values is not None:
+                    for net, value in values.items():
+                        previous = self._previous_values.get(net, LOGIC_X)
+                        if (value != previous
+                                and LOGIC_X not in (value, previous)):
+                            self.toggle_counts[net] = \
+                                self.toggle_counts.get(net, 0) + 1
+                self._previous_values = dict(values)
+
+    def windows(self, word_size: int) -> List[Tuple[Dict[str, int], int]]:
+        """The cycle dicts packed ``word_size`` cycles per window."""
+        windows = []
+        for start in range(0, len(self.cycles), word_size):
+            window = self.cycles[start:start + word_size]
+            words = {net: 0 for net in self.controllable_nets}
+            for index, cycle in enumerate(window):
+                for net, value in cycle.items():
+                    if value == 1 and net in words:
+                        words[net] |= 1 << index
+            windows.append((words, len(window)))
+        return windows

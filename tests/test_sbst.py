@@ -1,6 +1,8 @@
 """Tests for the SBST substrate: assembler, ISA model, program generation,
 toggle monitoring and fault grading."""
 
+import re
+
 import pytest
 
 from repro.isa.opcodes import Opcode, decode_fields
@@ -173,6 +175,30 @@ class TestProgramGeneration:
         a = generate_sbst_suite(CpuConfig.tiny(), seed=11)
         b = generate_sbst_suite(CpuConfig.tiny(), seed=11)
         assert [p.words for p in a] == [p.words for p in b]
+
+
+class TestMissionInputs:
+    """A mission-input name or value the netlist cannot take fails when the
+    monitor is built, naming the port and the netlist."""
+
+    def test_unknown_port_is_rejected(self, tiny_soc):
+        netlist = tiny_soc.cpu
+        with pytest.raises(ValueError, match=re.escape(
+                f"mission_inputs: 'dbg_enabel' is not an input port of "
+                f"netlist {netlist.name!r}")):
+            ToggleMonitor(netlist, mission_inputs={"dbg_enabel": 1})
+
+    def test_invalid_value_is_rejected(self, tiny_soc):
+        netlist = tiny_soc.cpu
+        with pytest.raises(ValueError, match=re.escape(
+                f"invalid logic value 7 on mission input 'dbg_enable' of "
+                f"{netlist.name}")):
+            ToggleMonitor(netlist, mission_inputs={"dbg_enable": 7})
+
+    def test_known_ports_are_applied(self, tiny_soc):
+        monitor = ToggleMonitor(tiny_soc.cpu, mission_inputs={"dbg_enable": 1})
+        assert monitor.mission_inputs["dbg_enable"] == 1
+        assert monitor.mission_inputs["rst_n"] == 1
 
 
 class TestToggleMonitorAndGrading:
