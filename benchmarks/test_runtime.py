@@ -15,9 +15,9 @@ same quantities for the pure-Python engine on the synthetic core:
   (one task per cone-affine chunk) against the serial grader, with
   detected-set equality enforced,
 * since the portfolio PR — serial reference PODEM against the
-  ``podem-restart`` backend fanned over pool workers at ``--jobs 4``
-  on a cone-bounded fault sample (``atpg_portfolio``), with verdict
-  agreement outside the abort boundary enforced,
+  ``dalg`` backend fanned over pool workers at ``--jobs 4`` on a
+  cone-bounded fault sample (``atpg_portfolio``), with verdict agreement
+  outside the abort boundary enforced,
 * since the runtime PR — cold-spawn vs warm-pool round-trip latency of
   the worker runtime (``pool_warm_grading``), with detected sets pinned
   identical and the warm setup path pinned >= 10x under the cold
@@ -486,8 +486,8 @@ def test_runtime_static_prune(runtime_soc):
 
 
 def test_runtime_atpg_portfolio(runtime_soc):
-    """The ATPG portfolio: serial reference PODEM vs ``podem-restart``
-    fanned over pool workers at ``--jobs 4``.
+    """The ATPG portfolio: serial reference PODEM vs ``dalg`` fanned over
+    pool workers at ``--jobs 4``.
 
     ATPG cost on date13 is dominated by a tail of huge-fanout-cone faults
     (a single search can run ~150s regardless of the backtrack budget —
@@ -497,11 +497,11 @@ def test_runtime_atpg_portfolio(runtime_soc):
     inside a benchmark budget, and the sample is deterministic so runs
     stay comparable.
 
-    Two pins always run: the restart backend must agree with the
-    reference on every verdict outside the abort boundary (attempt 0 *is*
-    the classic search, so a DT <-> UU contradiction would be a real
-    bug), and the parallel run must detect/abort exactly what its
-    verdicts say.  The >= 2x speedup pin arms on date13 when the machine
+    Two pins always run: the dalg backend must agree with the reference
+    on every verdict outside the abort boundary (its primary search *is*
+    the classic search and its escalation only re-attacks aborts, so a
+    DT <-> UU contradiction would be a real bug), and the parallel run
+    must detect/abort exactly what its verdicts say.  The >= 2x speedup pin arms on date13 when the machine
     has at least 4 cores — pool workers cannot beat a GIL-free
     serial walk on a single-core CI box, which still records honest
     numbers (and the core count) into ``BENCH_latest.json``.
@@ -540,18 +540,17 @@ def test_runtime_atpg_portfolio(runtime_soc):
 
     start = time.perf_counter()
     parallel_report = sharded_classify(
-        netlist, sample, jobs=4, atpg_backend="podem-restart",
-        atpg_seed=2013, **kw)
+        netlist, sample, jobs=4, atpg_backend="dalg", **kw)
     parallel_seconds = time.perf_counter() - start
 
     # Soundness across the portfolio: verdicts may only differ where one
-    # side aborted (restart retries can rescue an AU into DT/UU; they can
-    # never flip a completed verdict).
+    # side aborted (escalation can rescue an AU into DT/UU; it can never
+    # flip a completed verdict).
     for fault, ref_class in serial_report.classifications.items():
-        restart_class = parallel_report.classifications[fault]
-        if ref_class != restart_class:
-            assert FaultClass.AU in (ref_class, restart_class), (
-                f"{fault}: {ref_class.name} -> {restart_class.name}")
+        dalg_class = parallel_report.classifications[fault]
+        if ref_class != dalg_class:
+            assert FaultClass.AU in (ref_class, dalg_class), (
+                f"{fault}: {ref_class.name} -> {dalg_class.name}")
 
     def counts(report):
         tally: dict = {}
@@ -565,19 +564,19 @@ def test_runtime_atpg_portfolio(runtime_soc):
     print()
     print(f"ATPG portfolio on {len(sample)} small-cone faults "
           f"(backtrack limit 24): serial podem {serial_seconds:.2f}s "
-          f"{counts(serial_report)}, podem-restart --jobs 4 "
+          f"{counts(serial_report)}, dalg --jobs 4 "
           f"{parallel_seconds:.2f}s {counts(parallel_report)} "
           f"({speedup:.2f}x on {cpus} cpu(s))")
     from repro.simulation.sharded import resolve_jobs
     _record("atpg_portfolio", parallel_seconds,
             serial_seconds=round(serial_seconds, 4),
-            jobs=4, jobs_resolved=resolve_jobs(4), backend="podem-restart",
+            jobs=4, jobs_resolved=resolve_jobs(4), backend="dalg",
             cpus=cpus, sample=len(sample), backtrack_limit=24,
             serial_counts=counts(serial_report),
             parallel_counts=counts(parallel_report))
     _record_parallel_speedup("atpg_portfolio_speedup",
                              serial_seconds, parallel_seconds, 4)
     if RUNTIME_BENCH_CONFIG == "date13" and cpus >= 4:
-        # Portfolio-PR acceptance pin: the restart fan-out must at least
+        # Portfolio-PR acceptance pin: the dalg fan-out must at least
         # halve the serial reference wall clock when the cores exist.
         assert parallel_seconds < serial_seconds / 2.0

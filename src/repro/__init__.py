@@ -30,7 +30,7 @@ pool when ``RunOptions.jobs`` is above 1::
     open("sweep.json", "w").write(sweep.to_json())
 
 Every run knob (ATPG effort, fault model, worker count, static pruning,
-durable store, ATPG backend and seed) is a field of one frozen
+durable store, ATPG backend) is a field of one frozen
 :class:`repro.api.RunOptions` bundle — the worker count ``jobs`` is the
 only concurrency knob — and :class:`FlowConfig` keeps only the paper's
 switches (which untestability sources run, the Fig. 6 tie-flop

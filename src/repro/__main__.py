@@ -210,8 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     backends = sub.add_parser(
         "backends",
-        help=("list every registered backend: fault models, store "
-              "backends and ATPG backends"))
+        help="list every registered backend: fault models and ATPG backends")
     backends.add_argument(
         "--json", action="store_true",
         help="emit the registry listing as JSON")
@@ -786,15 +785,11 @@ def _cmd_cache(args) -> int:
 def _cmd_backends(args) -> int:
     from repro.atpg.portfolio import ATPG_BACKENDS
     from repro.faults.models import resolve_fault_model
-    from repro.store.base import STORE_BACKENDS
 
     registries = {
         "fault_models": [
             {"name": name, "note": resolve_fault_model(name).label}
             for name in fault_model_names()],
-        "store_backends": [
-            {"name": name, "note": "resolves 'name:location' store specs"}
-            for name in sorted(STORE_BACKENDS.names())],
         "atpg_backends": [
             {"name": name, "note": ATPG_BACKENDS[name].description}
             for name in sorted(ATPG_BACKENDS.names())],
@@ -804,7 +799,6 @@ def _cmd_backends(args) -> int:
         print(json.dumps(registries, indent=2))
         return 0
     titles = {"fault_models": f"fault models ({flag_of('fault_model')})",
-              "store_backends": f"store backends ({flag_of('store')})",
               "atpg_backends": f"ATPG backends ({flag_of('atpg_backend')})"}
     for key, entries in registries.items():
         print(f"{titles[key]}:")

@@ -179,8 +179,8 @@ def run_corpus(directory: Union[str, Path] = DEFAULT_CORPUS_DIR, *,
     it) — the goldens are pinned at tie effort, where the static layer
     never runs; ``store`` attaches a durable artifact store
     (:mod:`repro.store`) whose warm artifacts replay across corpus runs;
-    ``atpg_backend`` / ``atpg_seed`` select the ATPG portfolio backend,
-    whose verdicts are backend- and seed-independent by contract.
+    ``atpg_backend`` selects the ATPG portfolio backend, which only
+    searches at FULL effort.
     ``fault_model`` restricts the run to the entries pinned under that
     model (a filter, never an override: each entry's golden capture
     belongs to its declared model).

@@ -123,17 +123,13 @@ class RunOptions:
                     "guidance (FULL effort only; default: on)", flag=False)
     store: Any = _knob(
         lambda value: value,
-        "durable artifact store directory (or 'backend:location' spec); "
-        "pass results persist there and replay across runs",
+        "durable artifact store directory; pass results persist there "
+        "and replay across runs",
         per_call=False, metavar="DIR")
     atpg_backend: Optional[str] = _knob(
         _atpg_backend, "ATPG portfolio backend for the FULL-effort search "
                        "phase (identical verdicts; default: podem)",
         axis=True, choices=_atpg_backend_names)
-    atpg_seed: Optional[int] = _knob(
-        int, "seed for randomized ATPG backends such as podem-restart "
-             "(identical verdicts under every seed; default: the engine "
-             "seed)", metavar="N")
 
     def __post_init__(self) -> None:
         for name, knob in knobs().items():
@@ -176,9 +172,8 @@ def knobs() -> Dict[str, Knob]:
     return {f.name: f.metadata["knob"] for f in fields(RunOptions)}
 
 
-#: The defaults every layer falls back to.  ``store``, ``atpg_backend``
-#: and ``atpg_seed`` stay unset: no store, the ``podem`` backend, the
-#: engine's own seed.
+#: The defaults every layer falls back to.  ``store`` and
+#: ``atpg_backend`` stay unset: no store, the ``podem`` backend.
 DEFAULT_RUN_OPTIONS = RunOptions(effort=AtpgEffort.TIE,
                                  fault_model="stuck_at", jobs=1,
                                  static_prune=True, static_learning=True)

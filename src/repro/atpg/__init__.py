@@ -22,7 +22,6 @@ from repro.atpg.portfolio import (
     ATPG_BACKENDS,
     AtpgBackend,
     DEFAULT_ATPG_BACKEND,
-    RestartPodem,
     atpg_backend_names,
     compact_patterns,
     register_atpg_backend,
@@ -37,7 +36,6 @@ __all__ = [
     "PodemResult",
     "PodemStatus",
     "DAlg",
-    "RestartPodem",
     "TieAnalysis",
     "TieAnalysisResult",
     "random_pattern_detection",

@@ -104,8 +104,7 @@ def run_detection_phases(netlist: Netlist, faults: List[Fault],
                          seed: int = 2013,
                          static_prune: bool = True,
                          static_learning: bool = True,
-                         atpg_backend: Optional[str] = None,
-                         atpg_seed: Optional[int] = None):
+                         atpg_backend: Optional[str] = None):
     """Phases 2-3 of the engine: random-pattern detection, then ATPG.
 
     Operates on faults the tied-value analysis left unclassified.  Every
@@ -122,9 +121,7 @@ def run_detection_phases(netlist: Netlist, faults: List[Fault],
     off reproduces the plain search bit-for-bit (the oracle path).
 
     ``atpg_backend`` selects the portfolio strategy for the search phase
-    (:mod:`repro.atpg.portfolio`; ``None`` is the classic ``podem``) and
-    ``atpg_seed`` overrides the seed its randomized members derive their
-    per-fault streams from (``None`` reuses ``seed``).
+    (:mod:`repro.atpg.portfolio`; ``None`` is the classic ``podem``).
 
     Returns ``(classifications, phase_runtimes, stats, patterns)`` where
     ``patterns`` is the canonical-order list of ``(fault, pattern,
@@ -175,8 +172,7 @@ def run_detection_phases(netlist: Netlist, faults: List[Fault],
         backend = resolve_atpg_backend(atpg_backend)
         run = backend.start(
             netlist, backtrack_limit=backtrack_limit,
-            static=static if static_learning else None,
-            seed=seed if atpg_seed is None else atpg_seed)
+            static=static if static_learning else None)
         backtracks = 0
         for fault in remaining:
             result = run.generate(fault)
@@ -201,10 +197,8 @@ def run_detection_phases(netlist: Netlist, faults: List[Fault],
 
 def run_escalation_phase(netlist: Netlist, faults: List[Fault], *,
                          backtrack_limit: int = 200,
-                         seed: int = 2013,
                          static_learning: bool = True,
-                         atpg_backend: Optional[str] = None,
-                         atpg_seed: Optional[int] = None):
+                         atpg_backend: Optional[str] = None):
     """Re-attack aborted (AU) faults with the backend's escalation tier.
 
     A no-op for backends without one (``escalates`` false).  Like the
@@ -234,8 +228,7 @@ def run_escalation_phase(netlist: Netlist, faults: List[Fault], *,
 
         static = get_static_analysis(netlist)
     run = backend.start(netlist, backtrack_limit=backtrack_limit,
-                        static=static,
-                        seed=seed if atpg_seed is None else atpg_seed)
+                        static=static)
     for fault in faults:
         result = run.escalate(fault)
         if result is None:
@@ -274,7 +267,6 @@ class StructuralUntestabilityEngine:
                  static_prune: bool = True,
                  static_learning: bool = True,
                  atpg_backend: Optional[str] = None,
-                 atpg_seed: Optional[int] = None,
                  pool=None) -> None:
         from repro.simulation.sharded import resolve_jobs
 
@@ -287,7 +279,6 @@ class StructuralUntestabilityEngine:
         self.static_prune = static_prune
         self.static_learning = static_learning
         self.atpg_backend = atpg_backend
-        self.atpg_seed = atpg_seed
         self.pool = pool
         self.implication = ImplicationEngine(netlist)
 
@@ -304,8 +295,7 @@ class StructuralUntestabilityEngine:
                 backtrack_limit=self.backtrack_limit, seed=self.seed,
                 static_prune=self.static_prune,
                 static_learning=self.static_learning,
-                atpg_backend=self.atpg_backend, atpg_seed=self.atpg_seed,
-                pool=self.pool)
+                atpg_backend=self.atpg_backend, pool=self.pool)
         report = UntestabilityReport(effort=self.effort)
         start = time.perf_counter()
 
@@ -323,7 +313,7 @@ class StructuralUntestabilityEngine:
             backtrack_limit=self.backtrack_limit, seed=self.seed,
             static_prune=self.static_prune,
             static_learning=self.static_learning,
-            atpg_backend=self.atpg_backend, atpg_seed=self.atpg_seed)
+            atpg_backend=self.atpg_backend)
         report.classifications.update(classifications)
         report.phase_runtimes.update(phase_runtimes)
         report.stats.update(stats)
@@ -334,10 +324,9 @@ class StructuralUntestabilityEngine:
             improvements, esc_patterns, esc_runtimes, esc_stats = \
                 run_escalation_phase(
                     self.netlist, frontier,
-                    backtrack_limit=self.backtrack_limit, seed=self.seed,
+                    backtrack_limit=self.backtrack_limit,
                     static_learning=self.static_learning,
-                    atpg_backend=self.atpg_backend,
-                    atpg_seed=self.atpg_seed)
+                    atpg_backend=self.atpg_backend)
             report.classifications.update(improvements)
             report.phase_runtimes.update(esc_runtimes)
             for key, value in esc_stats.items():

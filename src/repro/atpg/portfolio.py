@@ -1,10 +1,8 @@
 """The ATPG portfolio: pluggable test-generation backends + compaction.
 
-One PODEM engine stopped being the right answer for every fault: easy
-faults want the cheap classic search, hard faults want randomized restarts
-that sidestep a bad early decision, and aborted faults want a complete
-(if slower) prover that can turn AU into a real verdict.  This module
-packages those strategies behind one seam:
+Easy faults want the cheap classic PODEM search; aborted faults want a
+complete (if slower) second tier that can turn AU into a real verdict.
+This module packages those strategies behind one seam:
 
 :class:`AtpgBackend`
     The protocol a strategy implements: ``start(netlist, ...)`` returns a
@@ -17,20 +15,14 @@ packages those strategies behind one seam:
 
     ``podem``
         the classic engine (:class:`~repro.atpg.podem.Podem`), unchanged:
-        the serial reference every other backend is checked against.
-    ``podem-restart``
-        :class:`RestartPodem` — staged backtrack budgets with a
-        deterministically re-seeded randomized decision ordering per
-        attempt.  Each fault's RNG stream derives from
-        ``(seed, fault, attempt)`` alone, so verdicts are identical no
-        matter how the fault list is sharded across workers.
+        the serial reference the other backend is checked against.
     ``dalg``
         PODEM primary plus a :class:`~repro.atpg.dalg.DAlg` escalation
         tier that re-attacks aborted faults with the five-valued
         D-algorithm, turning AU into proven UU (or DT) where possible.
 
 Every backend is *per-fault deterministic*: the verdict for a fault
-depends only on (netlist, fault, seed), never on batch order — the
+depends only on (netlist, fault), never on batch order — the
 invariant that keeps serial and pooled classification byte-identical.
 
 :func:`compact_patterns` is the portfolio's second half: the patterns the
@@ -43,8 +35,6 @@ the classification report.
 
 from __future__ import annotations
 
-import random
-import zlib
 from typing import (Any, Dict, Iterable, List, Optional, Protocol, Sequence,
                     Set, Tuple, runtime_checkable)
 
@@ -52,7 +42,6 @@ from repro.atpg.dalg import DAlg
 from repro.atpg.podem import Podem, PodemResult, PodemStatus
 from repro.core.registry import Registry
 from repro.faults.models import Fault
-from repro.netlist.cells import LOGIC_1, LOGIC_X
 from repro.netlist.module import Netlist
 from repro.simulation.parallel import ParallelPatternSimulator
 from repro.utils.bitvec import mask
@@ -60,20 +49,9 @@ from repro.utils.bitvec import mask
 #: Default backend name (the serial reference engine).
 DEFAULT_ATPG_BACKEND = "podem"
 
-#: Default seed for randomized backends, matching the engine's random-phase
-#: seed (the paper's year).
-DEFAULT_ATPG_SEED = 2013
-
 #: Escalation tier budget multiplier (the D-algorithm gets more rope than
 #: the primary search that already gave up).
 _ESCALATION_BUDGET_FACTOR = 4
-
-#: Restart schedule: backtrack-budget divisors per attempt.  Attempt 0 is
-#: the classic search on the full limit (so every fault the reference
-#: engine resolves costs exactly the same here); aborted faults then get
-#: randomized retries on half and quarter budgets — cheap lottery tickets
-#: against an unlucky early decision.
-_RESTART_BUDGET_DIVISORS = (1, 2, 4)
 
 
 class AtpgRun(Protocol):
@@ -108,125 +86,12 @@ class AtpgBackend(Protocol):
     escalates: bool
 
     def start(self, netlist: Netlist, *, backtrack_limit: int = 200,
-              static=None, seed: int = DEFAULT_ATPG_SEED) -> AtpgRun:
-        """Bind the backend to a netlist for one classification run."""
+              static=None, seed: Optional[int] = None) -> AtpgRun:
+        """Bind the backend to a netlist for one classification run.
+
+        ``seed`` is accepted for callers that still pass one; no built-in
+        backend draws random numbers, so it is ignored."""
         ...
-
-
-# --------------------------------------------------------------------- #
-# randomized-restart PODEM
-# --------------------------------------------------------------------- #
-def _attempt_seed(seed: int, fault: Fault, attempt: int) -> int:
-    """Derive the RNG seed of one restart attempt from the run seed and the
-    fault identity alone (CRC32 of a stable text form, so the stream is
-    identical across processes, platforms and shard assignments)."""
-    return zlib.crc32(f"{seed}:{fault!r}:{attempt}".encode("utf-8"))
-
-
-class RestartPodem(Podem):
-    """PODEM with staged backtrack budgets and randomized restarts.
-
-    The classic search wastes its whole budget refuting one unlucky early
-    decision.  This variant runs up to ``len(_RESTART_BUDGET_DIVISORS)``
-    attempts per fault.  Attempt 0 *is* the classic SCOAP-guided search on
-    the full backtrack limit — every fault the reference engine resolves
-    gets the identical verdict at the identical cost.  Only aborted faults
-    go further: each retry re-seeds a per-fault RNG and both the objective
-    selection and the backtrace walk pick uniformly among the
-    otherwise-equivalent candidates, so the retries explore the decision
-    tree from different corners on shrinking budgets (half, then a
-    quarter of the limit) — cheap second chances against an unlucky early
-    decision, which is where the classic search loses its budget.
-
-    Soundness is untouched: ``DETECTED`` is established by five-valued
-    simulation exactly as in the base class, and ``UNTESTABLE`` means the
-    decision space was *exhausted* — a verdict independent of the order in
-    which it was explored.
-    """
-
-    def __init__(self, netlist: Netlist, backtrack_limit: int = 200,
-                 implication=None, static=None,
-                 seed: int = DEFAULT_ATPG_SEED) -> None:
-        super().__init__(netlist, backtrack_limit, implication, static)
-        self.seed = seed
-        self._base_limit = backtrack_limit
-        self._rng = random.Random(seed)
-        self._randomized = False
-
-    def generate(self, fault: Fault) -> PodemResult:
-        backtracks = 0
-        decisions = 0
-        result: Optional[PodemResult] = None
-        for attempt, divisor in enumerate(_RESTART_BUDGET_DIVISORS):
-            self.backtrack_limit = max(1, self._base_limit // divisor)
-            self._randomized = attempt > 0
-            self._rng = random.Random(_attempt_seed(self.seed, fault,
-                                                    attempt))
-            try:
-                result = super().generate(fault)
-            finally:
-                self.backtrack_limit = self._base_limit
-                self._randomized = False
-            backtracks += result.backtracks
-            decisions += result.decisions
-            if result.status is not PodemStatus.ABORTED:
-                break
-        assert result is not None
-        return PodemResult(result.status, fault, pattern=result.pattern,
-                           init_pattern=result.init_pattern,
-                           backtracks=backtracks, decisions=decisions)
-
-    def _objective(self, fault_value: int, excite: int,
-                   good: List[int], frontier: List[int]
-                   ) -> Optional[Tuple[int, int]]:
-        if not self._randomized:
-            return super()._objective(fault_value, excite, good, frontier)
-        compiled = self.compiled
-        g = good[excite]
-        wanted = LOGIC_1 - fault_value
-        if g == LOGIC_X:
-            return (excite, wanted)
-        if g == fault_value:
-            return None
-        candidates: List[Tuple[int, int]] = []
-        for op in frontier:
-            controlling, _ = compiled.op_cell[op].control or (None, False)
-            non_controlling = (LOGIC_1 - controlling
-                               if controlling is not None else LOGIC_1)
-            for nid in compiled.op_fanin[op]:
-                if nid >= 0 and good[nid] == LOGIC_X:
-                    candidates.append((nid, non_controlling))
-        if not candidates:
-            return None
-        return candidates[self._rng.randrange(len(candidates))]
-
-    def _backtrace(self, nid: int, value: int,
-                   good: List[int]) -> Optional[Tuple[int, int]]:
-        if not self._randomized:
-            return super()._backtrace(nid, value, good)
-        compiled = self.compiled
-        current = nid
-        current_value = value
-        limit = (compiled.n_nets + compiled.n_ops
-                 + len(compiled.seq_instances) + 1)
-        for _ in range(limit):
-            if current in self._controllable_ids:
-                if good[current] == LOGIC_X:
-                    return (current, current_value)
-                return None
-            op = compiled.net_driver_op[current]
-            if op < 0:
-                return None
-            controlling, inversion = (compiled.op_cell[op].control
-                                      or (None, False))
-            target = (LOGIC_1 - current_value) if inversion else current_value
-            candidates = [fanin_nid for fanin_nid in compiled.op_fanin[op]
-                          if fanin_nid >= 0 and good[fanin_nid] == LOGIC_X]
-            if not candidates:
-                return None
-            current = candidates[self._rng.randrange(len(candidates))]
-            current_value = target
-        return None
 
 
 # --------------------------------------------------------------------- #
@@ -291,24 +156,9 @@ class PodemBackend:
     escalates = False
 
     def start(self, netlist: Netlist, *, backtrack_limit: int = 200,
-              static=None, seed: int = DEFAULT_ATPG_SEED) -> AtpgRun:
+              static=None, seed: Optional[int] = None) -> AtpgRun:
         return _GeneratorRun(Podem(netlist, backtrack_limit=backtrack_limit,
                                    static=static))
-
-
-class RestartPodemBackend:
-    """Randomized-restart PODEM with staged backtrack budgets."""
-
-    name = "podem-restart"
-    description = ("PODEM with staged backtrack budgets and seeded "
-                   "randomized-restart decision ordering")
-    escalates = False
-
-    def start(self, netlist: Netlist, *, backtrack_limit: int = 200,
-              static=None, seed: int = DEFAULT_ATPG_SEED) -> AtpgRun:
-        return _GeneratorRun(RestartPodem(
-            netlist, backtrack_limit=backtrack_limit, static=static,
-            seed=seed))
 
 
 class DalgBackend:
@@ -321,7 +171,7 @@ class DalgBackend:
     escalates = True
 
     def start(self, netlist: Netlist, *, backtrack_limit: int = 200,
-              static=None, seed: int = DEFAULT_ATPG_SEED) -> AtpgRun:
+              static=None, seed: Optional[int] = None) -> AtpgRun:
         return _DalgRun(netlist, backtrack_limit, static)
 
 
@@ -335,7 +185,6 @@ def register_atpg_backend(backend: AtpgBackend) -> AtpgBackend:
 
 
 register_atpg_backend(PodemBackend())
-register_atpg_backend(RestartPodemBackend())
 register_atpg_backend(DalgBackend())
 
 
@@ -508,11 +357,8 @@ __all__ = [
     "AtpgBackend",
     "AtpgRun",
     "DEFAULT_ATPG_BACKEND",
-    "DEFAULT_ATPG_SEED",
     "DalgBackend",
     "PodemBackend",
-    "RestartPodem",
-    "RestartPodemBackend",
     "atpg_backend_names",
     "compact_patterns",
     "register_atpg_backend",

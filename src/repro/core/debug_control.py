@@ -56,16 +56,14 @@ def compute_baseline_untestable(netlist: Netlist,
                                 jobs: int = 1,
                                 static_prune: bool = True,
                                 static_learning: bool = True,
-                                atpg_backend: Optional[str] = None,
-                                atpg_seed: Optional[int] = None
+                                atpg_backend: Optional[str] = None
                                 ) -> Set[StuckAtFault]:
     """Faults untestable in the unmanipulated netlist (structural baseline)."""
     fault_universe = list(faults) if faults is not None else generate_fault_list(netlist).faults()
     engine = StructuralUntestabilityEngine(netlist, effort=effort, jobs=jobs,
                                            static_prune=static_prune,
                                            static_learning=static_learning,
-                                           atpg_backend=atpg_backend,
-                                           atpg_seed=atpg_seed)
+                                           atpg_backend=atpg_backend)
     report = engine.classify(fault_universe)
     return set(report.untestable)
 
@@ -78,8 +76,7 @@ def identify_debug_control_untestable(netlist: Netlist,
                                       jobs: int = 1,
                                       static_prune: bool = True,
                                       static_learning: bool = True,
-                                      atpg_backend: Optional[str] = None,
-                                      atpg_seed: Optional[int] = None
+                                      atpg_backend: Optional[str] = None
                                       ) -> DebugControlResult:
     """Identify the on-line untestable faults caused by mission-constant
     debug control inputs."""
@@ -92,7 +89,7 @@ def identify_debug_control_untestable(netlist: Netlist,
         baseline_untestable = compute_baseline_untestable(
             netlist, fault_universe, effort, jobs=jobs,
             static_prune=static_prune, static_learning=static_learning,
-            atpg_backend=atpg_backend, atpg_seed=atpg_seed)
+            atpg_backend=atpg_backend)
 
     manipulated = netlist.clone(f"{netlist.name}_debug_tied")
     tied: Dict[str, int] = {}
@@ -105,8 +102,7 @@ def identify_debug_control_untestable(netlist: Netlist,
                                            jobs=jobs,
                                            static_prune=static_prune,
                                            static_learning=static_learning,
-                                           atpg_backend=atpg_backend,
-                                           atpg_seed=atpg_seed)
+                                           atpg_backend=atpg_backend)
     report = engine.classify(fault_universe)
 
     return DebugControlResult(

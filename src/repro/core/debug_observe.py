@@ -52,8 +52,7 @@ def identify_debug_observe_untestable(netlist: Netlist,
                                       jobs: int = 1,
                                       static_prune: bool = True,
                                       static_learning: bool = True,
-                                      atpg_backend: Optional[str] = None,
-                                      atpg_seed: Optional[int] = None
+                                      atpg_backend: Optional[str] = None
                                       ) -> DebugObserveResult:
     """Identify the on-line untestable faults caused by floating debug outputs."""
     interface = interface or discover_debug_interface(netlist)
@@ -66,7 +65,7 @@ def identify_debug_observe_untestable(netlist: Netlist,
         baseline_untestable = compute_baseline_untestable(
             netlist, fault_universe, effort, jobs=jobs,
             static_prune=static_prune, static_learning=static_learning,
-            atpg_backend=atpg_backend, atpg_seed=atpg_seed)
+            atpg_backend=atpg_backend)
 
     manipulated = netlist.clone(f"{netlist.name}_debug_floated")
     floated: List[str] = []
@@ -80,8 +79,7 @@ def identify_debug_observe_untestable(netlist: Netlist,
                                            jobs=jobs,
                                            static_prune=static_prune,
                                            static_learning=static_learning,
-                                           atpg_backend=atpg_backend,
-                                           atpg_seed=atpg_seed)
+                                           atpg_backend=atpg_backend)
     report = engine.classify(fault_universe)
 
     return DebugObserveResult(

@@ -66,8 +66,7 @@ def identify_memory_map_untestable(netlist: Netlist,
                                    jobs: int = 1,
                                    static_prune: bool = True,
                                    static_learning: bool = True,
-                                   atpg_backend: Optional[str] = None,
-                                   atpg_seed: Optional[int] = None
+                                   atpg_backend: Optional[str] = None
                                    ) -> MemoryMapResult:
     """Identify on-line untestable faults caused by frozen address bits.
 
@@ -88,7 +87,7 @@ def identify_memory_map_untestable(netlist: Netlist,
         baseline_untestable = compute_baseline_untestable(
             netlist, fault_universe, effort, jobs=jobs,
             static_prune=static_prune, static_learning=static_learning,
-            atpg_backend=atpg_backend, atpg_seed=atpg_seed)
+            atpg_backend=atpg_backend)
 
     constants = constant_address_bits(memory_map)
     result = MemoryMapResult(constant_bits=dict(constants),
@@ -130,8 +129,7 @@ def identify_memory_map_untestable(netlist: Netlist,
                                            jobs=jobs,
                                            static_prune=static_prune,
                                            static_learning=static_learning,
-                                           atpg_backend=atpg_backend,
-                                           atpg_seed=atpg_seed)
+                                           atpg_backend=atpg_backend)
     report = engine.classify(fault_universe)
 
     result.untestable = set(report.untestable)

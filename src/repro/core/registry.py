@@ -1,17 +1,15 @@
 """One process-global registry helper behind every pluggable layer.
 
-Three subsystems grew the same shape independently — a module-level dict
-mapping a short name to an implementation, a ``register_*`` helper, and a
-``resolve_*`` lookup whose :class:`ValueError` lists the valid names:
+Two subsystems share the same shape — a module-level mapping from a short
+name to an implementation, a ``register_*`` helper, and a ``resolve_*``
+lookup whose :class:`ValueError` lists the valid names:
 
 - :mod:`repro.faults.models` (fault models),
-- :mod:`repro.store.base` (artifact-store backends),
 - :mod:`repro.atpg.portfolio` (ATPG backends).
 
-:class:`Registry` is the extracted common core.  It is a
-:class:`~collections.abc.MutableMapping`, so existing idioms like
-``STORE_BACKENDS["http"] = HttpStore`` keep working unchanged, iteration
-preserves registration order (the dict contract), and the uniform
+:class:`Registry` is the common core.  It is a
+:class:`~collections.abc.MutableMapping`, iteration preserves
+registration order (the dict contract), and the uniform
 ``unknown <kind> <spec!r>; expected one of: <names>`` error message means
 every layer's typo diagnostics read the same.
 """
@@ -27,7 +25,7 @@ class Registry(MutableMapping, Generic[T]):
     """An ordered name -> implementation mapping with uniform errors.
 
     ``kind`` is the human-readable noun used in error messages ("fault
-    model", "store backend", "ATPG backend").
+    model", "ATPG backend").
     """
 
     def __init__(self, kind: str) -> None:

@@ -1,18 +1,15 @@
-"""Debug infrastructure: interface specification, JTAG TAP and Nexus-class
-debug-unit generators, and quiescent-signal discovery."""
+"""Debug infrastructure: interface specification and quiescent-signal
+discovery.  The SoC's debug logic itself is generated by
+:mod:`repro.soc.debug_logic`."""
 
 from repro.debug.interface import (
     DebugInterface,
     discover_debug_interface,
     find_quiescent_inputs,
 )
-from repro.debug.jtag import build_jtag_tap
-from repro.debug.nexus import build_nexus_unit
 
 __all__ = [
     "DebugInterface",
     "discover_debug_interface",
     "find_quiescent_inputs",
-    "build_jtag_tap",
-    "build_nexus_unit",
 ]

@@ -9,31 +9,13 @@ structural-untestability analysis:
   observer).
 """
 
-from repro.manipulation.tie import (
-    TieRecord,
-    tie_bus,
-    tie_net,
-    tie_port,
-    tied_nets,
-    untie_net,
-)
-from repro.manipulation.disconnect import (
-    disconnect_output_bus,
-    disconnect_output_port,
-    reconnect_output_port,
-)
-from repro.manipulation.constprop import ConstantPropagationResult, propagate_constants
+from repro.manipulation.tie import TieRecord, tie_net, tie_port, tied_nets
+from repro.manipulation.disconnect import disconnect_output_port
 
 __all__ = [
     "TieRecord",
-    "tie_bus",
     "tie_net",
     "tie_port",
     "tied_nets",
-    "untie_net",
-    "disconnect_output_bus",
     "disconnect_output_port",
-    "reconnect_output_port",
-    "ConstantPropagationResult",
-    "propagate_constants",
 ]

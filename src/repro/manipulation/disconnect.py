@@ -3,13 +3,12 @@
 When the external debugger is removed, the CPU outputs that only ever fed the
 debug equipment are left floating; faults whose effects can only reach those
 outputs become on-line functionally untestable.  We model this by marking
-the ports unobservable rather than ripping them out of the netlist, so the
-operation is reversible and the same netlist object can be reused.
+the ports unobservable rather than ripping them out of the netlist.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 from repro.netlist.module import Netlist
 
@@ -23,19 +22,3 @@ def disconnect_output_port(netlist: Netlist, port_name: str, reason: str = "") -
     netlist.unobservable_ports.add(port_name)
     records: List[dict] = netlist.annotations.setdefault("float_records", [])
     records.append({"port": port_name, "reason": reason})
-
-
-def disconnect_output_bus(netlist: Netlist, port_names: Sequence[str],
-                          reason: str = "") -> None:
-    """Float every port of an output bus."""
-    for port in port_names:
-        disconnect_output_port(netlist, port, reason)
-
-
-def reconnect_output_port(netlist: Netlist, port_name: str) -> None:
-    """Undo a disconnect (tests and what-if analyses)."""
-    netlist.unobservable_ports.discard(port_name)
-    records = netlist.annotations.get("float_records", [])
-    netlist.annotations["float_records"] = [
-        r for r in records if r.get("port") != port_name
-    ]

@@ -9,7 +9,7 @@ Simulation, implication and ATPG all honour ``net.tied``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.netlist.cells import LOGIC_0, LOGIC_1
 from repro.netlist.module import Netlist
@@ -44,24 +44,6 @@ def tie_port(netlist: Netlist, port_name: str, value: int, reason: str = "") -> 
     if port_name not in netlist.ports:
         raise KeyError(f"port {port_name!r} not found on module {netlist.name!r}")
     return tie_net(netlist, port_name, value, reason)
-
-
-def tie_bus(netlist: Netlist, net_names: Sequence[str], values: Iterable[int],
-            reason: str = "") -> List[TieRecord]:
-    """Tie a bus of nets to a vector of values (same length)."""
-    values = list(values)
-    if len(values) != len(net_names):
-        raise ValueError(
-            f"bus has {len(net_names)} nets but {len(values)} tie values were given")
-    return [tie_net(netlist, n, v, reason) for n, v in zip(net_names, values)]
-
-
-def untie_net(netlist: Netlist, net_name: str) -> None:
-    """Remove a tie (used by tests and what-if analyses)."""
-    net = netlist.net(net_name)
-    net.tied = None
-    records = _records(netlist)
-    netlist.annotations["tie_records"] = [r for r in records if r.net != net_name]
 
 
 def tied_nets(netlist: Netlist) -> Dict[str, int]:

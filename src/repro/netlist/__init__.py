@@ -4,8 +4,8 @@ This package provides the structural representation every other subsystem is
 built on: a technology-independent standard-cell library with three-valued
 semantics (:mod:`repro.netlist.cells`), the netlist graph itself
 (:mod:`repro.netlist.module`), a convenience builder used by the SoC
-generators (:mod:`repro.netlist.builder`), traversal / levelisation helpers
-(:mod:`repro.netlist.traversal`), the compiled integer-ID execution IR every
+generators (:mod:`repro.netlist.builder`), the combinational topological
+order (:mod:`repro.netlist.traversal`), the compiled integer-ID execution IR every
 engine runs on (:mod:`repro.netlist.compiled`) and a structural-Verilog
 reader/writer (:mod:`repro.netlist.verilog`).
 """
@@ -28,15 +28,7 @@ from repro.netlist.compiled import (
     netlist_signature,
     reset_compile_stats,
 )
-from repro.netlist.traversal import (
-    combinational_levels,
-    fanin_cone,
-    fanout_cone,
-    pseudo_primary_inputs,
-    pseudo_primary_outputs,
-    sequential_fanout_cone,
-    topological_instances,
-)
+from repro.netlist.traversal import topological_instances
 from repro.netlist.verilog import parse_verilog, write_verilog
 from repro.netlist.validate import NetlistValidationError, validate_netlist
 
@@ -58,12 +50,6 @@ __all__ = [
     "get_compiled",
     "netlist_signature",
     "reset_compile_stats",
-    "combinational_levels",
-    "fanin_cone",
-    "fanout_cone",
-    "pseudo_primary_inputs",
-    "pseudo_primary_outputs",
-    "sequential_fanout_cone",
     "topological_instances",
     "parse_verilog",
     "write_verilog",

@@ -1,62 +1,22 @@
-"""Netlist traversal: levelisation, cones, pseudo-primary I/O.
+"""Netlist traversal: the topological order of the combinational view.
 
 All structural analyses (ATPG, fault simulation, observability reachability)
 work on the *combinational view* of the netlist: sequential cell outputs act
-as pseudo-primary inputs (they are controllable via scan during manufacturing
-test, or simply hold state), and sequential cell inputs act as pseudo-primary
-outputs.  The helpers here compute that view.
+as pseudo-primary inputs and sequential cell inputs act as pseudo-primary
+outputs.  :func:`topological_instances` orders that view; the compiled IR
+(:mod:`repro.netlist.compiled`) is levelised from it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Set, Union
+from typing import Dict, List
 
-from repro.netlist.module import Instance, Net, Netlist, Pin
+from repro.netlist.module import Instance, Netlist
 
 
 class CombinationalLoopError(Exception):
     """Raised when the combinational portion of a netlist contains a cycle."""
-
-
-def pseudo_primary_inputs(netlist: Netlist) -> List[Net]:
-    """Nets acting as controllable sources in the combinational view.
-
-    These are the module input ports plus the outputs of sequential cells.
-    Tied nets are *not* excluded here — the untestability analysis decides
-    what a tie means for controllability.
-    """
-    sources: List[Net] = []
-    seen: Set[str] = set()
-    for port in netlist.input_ports():
-        net = netlist.net(port)
-        if net.name not in seen:
-            sources.append(net)
-            seen.add(net.name)
-    for inst in netlist.sequential_instances():
-        for pin in inst.output_pins():
-            if pin.net is not None and pin.net.name not in seen:
-                sources.append(pin.net)
-                seen.add(pin.net.name)
-    return sources
-
-
-def pseudo_primary_outputs(netlist: Netlist,
-                           include_unobservable: bool = False) -> List[Union[str, Pin]]:
-    """Observation points in the combinational view.
-
-    Returns a mixed list of output-port names and sequential-cell input
-    :class:`Pin` objects.  Ports listed in ``netlist.unobservable_ports`` are
-    skipped unless ``include_unobservable`` is set.
-    """
-    points: List[Union[str, Pin]] = []
-    for port in netlist.output_ports():
-        if include_unobservable or port not in netlist.unobservable_ports:
-            points.append(port)
-    for inst in netlist.sequential_instances():
-        for pin in inst.input_pins():
-            points.append(pin)
-    return points
 
 
 def topological_instances(netlist: Netlist) -> List[Instance]:
@@ -100,124 +60,3 @@ def topological_instances(netlist: Netlist) -> List[Instance]:
             f"e.g. {unresolved[:5]}"
         )
     return order
-
-
-def combinational_levels(netlist: Netlist) -> Dict[str, int]:
-    """Logic level (longest path from a pseudo-PI) of each combinational instance."""
-    levels: Dict[str, int] = {}
-    for inst in topological_instances(netlist):
-        level = 0
-        for pin in inst.input_pins():
-            net = pin.net
-            if net is None or net.driver is None:
-                continue
-            driver_inst = net.driver.instance
-            if not driver_inst.is_sequential:
-                level = max(level, levels.get(driver_inst.name, 0) + 1)
-        levels[inst.name] = level
-    return levels
-
-
-def _net_of(netlist: Netlist, net_or_name: Union[Net, str]) -> Net:
-    return net_or_name if isinstance(net_or_name, Net) else netlist.net(net_or_name)
-
-
-def fanin_cone(netlist: Netlist, net_or_name: Union[Net, str],
-               through_sequential: bool = False) -> Set[str]:
-    """Instance names in the transitive fan-in of a net.
-
-    By default the cone stops at sequential cells (their instance is included
-    but not traversed); with ``through_sequential`` the traversal continues
-    through flip-flop data inputs.
-    """
-    start = _net_of(netlist, net_or_name)
-    visited_nets: Set[str] = set()
-    cone: Set[str] = set()
-    work = deque([start])
-    while work:
-        net = work.popleft()
-        if net.name in visited_nets:
-            continue
-        visited_nets.add(net.name)
-        driver = net.driver
-        if driver is None:
-            continue
-        inst = driver.instance
-        cone.add(inst.name)
-        if inst.is_sequential and not through_sequential:
-            continue
-        for pin in inst.input_pins():
-            if pin.net is not None:
-                work.append(pin.net)
-    return cone
-
-
-def fanout_cone(netlist: Netlist, net_or_name: Union[Net, str],
-                through_sequential: bool = False) -> Set[str]:
-    """Instance names in the transitive fan-out of a net.
-
-    Stops at sequential cells unless ``through_sequential`` is set, in which
-    case the traversal continues from the flip-flop's outputs (multi-cycle
-    reachability, used by the observability analysis).
-    """
-    start = _net_of(netlist, net_or_name)
-    visited_nets: Set[str] = set()
-    cone: Set[str] = set()
-    work = deque([start])
-    while work:
-        net = work.popleft()
-        if net.name in visited_nets:
-            continue
-        visited_nets.add(net.name)
-        for pin in net.loads:
-            inst = pin.instance
-            cone.add(inst.name)
-            if inst.is_sequential and not through_sequential:
-                continue
-            for out_pin in inst.output_pins():
-                if out_pin.net is not None:
-                    work.append(out_pin.net)
-    return cone
-
-
-def sequential_fanout_cone(netlist: Netlist, net_or_name: Union[Net, str]) -> Set[str]:
-    """Fan-out cone traversing through flip-flops (multi-cycle reachability)."""
-    return fanout_cone(netlist, net_or_name, through_sequential=True)
-
-
-def reachable_output_ports(netlist: Netlist, net_or_name: Union[Net, str],
-                           through_sequential: bool = True) -> Set[str]:
-    """Module output ports reachable (structurally) from a net.
-
-    Used by the debug-observation analysis: a fault whose effects can only
-    reach unobservable (floating) outputs is on-line functionally untestable.
-    """
-    start = _net_of(netlist, net_or_name)
-    visited: Set[str] = set()
-    reached: Set[str] = set()
-    work = deque([start])
-    while work:
-        net = work.popleft()
-        if net.name in visited:
-            continue
-        visited.add(net.name)
-        if net.is_output_port:
-            reached.add(net.name)
-        for pin in net.loads:
-            inst = pin.instance
-            if inst.is_sequential and not through_sequential:
-                continue
-            for out_pin in inst.output_pins():
-                if out_pin.net is not None:
-                    work.append(out_pin.net)
-    return reached
-
-
-def driven_nets(instances: Iterable[Instance]) -> Set[str]:
-    """Names of all nets driven by the given instances."""
-    result: Set[str] = set()
-    for inst in instances:
-        for pin in inst.output_pins():
-            if pin.net is not None:
-                result.add(pin.net.name)
-    return result

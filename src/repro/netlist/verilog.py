@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.netlist.cells import Library, standard_library
 from repro.netlist.module import INPUT, OUTPUT, Netlist
+from repro.netlist.validate import NetlistValidationError, validate_netlist
 
 
 class VerilogParseError(Exception):
@@ -36,7 +37,14 @@ def _sanitize(name: str) -> str:
 
 
 def parse_verilog(text: str, library: Optional[Library] = None) -> Netlist:
-    """Parse a flat structural-Verilog module into a :class:`Netlist`."""
+    """Parse a flat structural-Verilog module into a :class:`Netlist`.
+
+    The parsed netlist must pass :func:`~repro.netlist.validate.
+    validate_netlist` (every input pin connected to a driven net, every
+    output port driven, no combinational loop); otherwise, and on an
+    unknown pin or a second driver of a net, :class:`VerilogParseError`
+    names the problems.
+    """
     library = library or standard_library()
     text = _COMMENT_RE.sub("", text)
 
@@ -88,8 +96,15 @@ def parse_verilog(text: str, library: Optional[Library] = None) -> Netlist:
             if net is None:
                 continue  # unconnected pin: .PIN()
             connections[pin] = _sanitize(net)
-        netlist.add_instance(inst_name, cell_name, connections)
+        try:
+            netlist.add_instance(inst_name, cell_name, connections)
+        except (KeyError, ValueError) as exc:
+            raise VerilogParseError(exc.args[0]) from None
 
+    try:
+        validate_netlist(netlist)
+    except NetlistValidationError as exc:
+        raise VerilogParseError(f"module {module_name!r}: {exc}") from None
     return netlist
 
 

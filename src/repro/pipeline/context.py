@@ -131,8 +131,7 @@ class PipelineContext:
         return {"effort": opts.effort, "jobs": opts.jobs,
                 "static_prune": opts.static_prune,
                 "static_learning": opts.static_learning,
-                "atpg_backend": opts.atpg_backend,
-                "atpg_seed": opts.atpg_seed}
+                "atpg_backend": opts.atpg_backend}
 
     @property
     def fault_universe(self) -> List[Fault]:
@@ -181,8 +180,9 @@ class PipelineContext:
                 "faults": f"faults={fault_restriction_key(self.initial_faults)}",
                 "static": (f"static=prune{int(opts.static_prune)}:"
                            f"learn{int(opts.static_learning)}"),
-                "atpg": (f"atpg={opts.atpg_backend or 'podem'}:"
-                         f"{opts.atpg_seed if opts.atpg_seed is not None else 'engine'}"),
+                # ":engine" once named the default ATPG seed; it stays so
+                # that keys and stored artifacts keep their bytes.
+                "atpg": f"atpg={opts.atpg_backend or 'podem'}:engine",
             }
         return self._facet_fragments
 

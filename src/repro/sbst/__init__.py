@@ -8,13 +8,11 @@ once the on-line functionally untestable faults are pruned from the
 denominator.
 
 This package provides the equivalent machinery for the synthetic core: an
-assembler for the miniature ISA, an instruction-level reference model, an
-SBST program generator, a toggle-activity monitor over the gate-level
+assembler for the miniature ISA, an SBST program generator, a toggle-activity monitor over the gate-level
 netlist, and a bus-observation fault-grading flow.
 """
 
 from repro.sbst.assembler import AssemblerError, assemble, disassemble
-from repro.sbst.cpu_model import CpuModel, ExecutionTrace
 from repro.sbst.program_gen import SbstProgram, generate_sbst_suite
 from repro.sbst.monitor import CapturedPatterns, ToggleMonitor
 from repro.sbst.grading import CoverageComparison, FaultGrader
@@ -23,8 +21,6 @@ __all__ = [
     "AssemblerError",
     "assemble",
     "disassemble",
-    "CpuModel",
-    "ExecutionTrace",
     "SbstProgram",
     "generate_sbst_suite",
     "CapturedPatterns",

@@ -5,7 +5,7 @@ the classic SBST literature the paper builds on: register-file march
 sequences, ALU operation sweeps with complementary operand patterns,
 branch/BTB exercising kernels and load/store address walks.  Each program is
 a list of instruction words (plus the assembly text for inspection) ready to
-be fed to the gate-level core's instruction port or to the ISA model.
+be fed to the gate-level core's instruction port.
 """
 
 from __future__ import annotations

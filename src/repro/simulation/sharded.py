@@ -300,8 +300,7 @@ class _DetectClassifyJob:
     def __init__(self, netlist: Netlist, effort, random_patterns: int,
                  backtrack_limit: int, seed: int, static_prune: bool = True,
                  static_learning: bool = True,
-                 atpg_backend: Optional[str] = None,
-                 atpg_seed: Optional[int] = None) -> None:
+                 atpg_backend: Optional[str] = None) -> None:
         self.netlist = netlist
         self.effort = effort
         self.random_patterns = random_patterns
@@ -310,7 +309,6 @@ class _DetectClassifyJob:
         self.static_prune = static_prune
         self.static_learning = static_learning
         self.atpg_backend = atpg_backend
-        self.atpg_seed = atpg_seed
 
     def run_faults(self, chunk_faults):
         """A fault tuple -> (classifications, phase runtimes, stats,
@@ -323,7 +321,7 @@ class _DetectClassifyJob:
             backtrack_limit=self.backtrack_limit, seed=self.seed,
             static_prune=self.static_prune,
             static_learning=self.static_learning,
-            atpg_backend=self.atpg_backend, atpg_seed=self.atpg_seed)
+            atpg_backend=self.atpg_backend)
 
     def run_escalation(self, chunk_faults):
         """One slice of the merged abort frontier -> (improvements,
@@ -332,9 +330,9 @@ class _DetectClassifyJob:
 
         return run_escalation_phase(
             self.netlist, list(chunk_faults),
-            backtrack_limit=self.backtrack_limit, seed=self.seed,
+            backtrack_limit=self.backtrack_limit,
             static_learning=self.static_learning,
-            atpg_backend=self.atpg_backend, atpg_seed=self.atpg_seed)
+            atpg_backend=self.atpg_backend)
 
 
 # --------------------------------------------------------------------- #
@@ -442,7 +440,6 @@ def sharded_classify(netlist: Netlist, faults: Iterable[Fault], *,
                      static_prune: bool = True,
                      static_learning: bool = True,
                      atpg_backend: Optional[str] = None,
-                     atpg_seed: Optional[int] = None,
                      pool=None):
     """Classify a fault population across pool workers.
 
@@ -490,11 +487,10 @@ def sharded_classify(netlist: Netlist, faults: Iterable[Fault], *,
     pool = _pool_for(pool, jobs)
     key = content_key("classify", netlist, effort.name, random_patterns,
                       backtrack_limit, seed, static_prune, static_learning,
-                      atpg_backend, atpg_seed)
+                      atpg_backend)
     pool.ensure_job(key, lambda: _DetectClassifyJob(
         netlist, effort, random_patterns, backtrack_limit, seed,
-        static_prune, static_learning, atpg_backend=atpg_backend,
-        atpg_seed=atpg_seed))
+        static_prune, static_learning, atpg_backend=atpg_backend))
     restarts_before = pool.stats["worker_restarts"]
 
     def fan_out(method: str, chunk_faults: List[Fault]) -> List[tuple]:

@@ -18,15 +18,15 @@ machines::
     session = Session(options=options)
     session.analyze("date13")      # warm: every pass replays from disk
 
-The :class:`ArtifactStore` protocol keeps the backend pluggable
-(:data:`STORE_BACKENDS` / :func:`register_store_backend`); ``repro cache
+:func:`resolve_store` opens a directory path as a :class:`LocalDirStore`
+(or passes an :class:`ArtifactStore` instance through); ``repro cache
 ls|gc|prune`` is the command-line face.
 """
 
-from repro.store.base import (STORE_BACKENDS, ArtifactStore, PruneResult,
-                              StoreEntry, StoreError, StoreKey,
-                              register_store_backend, resolve_store)
-from repro.store.local import STORE_SCHEMA, LocalDirStore, store_key_digest
+from repro.store.base import (ArtifactStore, PruneResult, StoreEntry,
+                              StoreError, StoreKey)
+from repro.store.local import (STORE_SCHEMA, LocalDirStore, resolve_store,
+                               store_key_digest)
 
 __all__ = [
     "ArtifactStore",
@@ -35,9 +35,7 @@ __all__ = [
     "StoreEntry",
     "StoreError",
     "StoreKey",
-    "STORE_BACKENDS",
     "STORE_SCHEMA",
-    "register_store_backend",
     "resolve_store",
     "store_key_digest",
 ]

@@ -6,9 +6,7 @@ under the same ``(netlist signature, config key, pass name)`` tuple so a
 repeated design hits warm artifacts **across processes and machines**,
 not just within one session.
 
-The contract is deliberately narrow — five methods — so a remote backend
-(an object store, a shared cache service) can slot in behind the same
-interface:
+The contract is deliberately narrow — five methods:
 
 * :meth:`~ArtifactStore.get` / :meth:`~ArtifactStore.put` move opaque
   Python values (pass results) in and out;
@@ -18,19 +16,18 @@ interface:
   cache ls``);
 * :meth:`~ArtifactStore.prune` applies a size/age retention policy.
 
-:func:`resolve_store` is the one spelling the rest of the package uses:
-it coerces ``None`` / a store instance / a path string / a
-``"backend:location"`` spec through the :data:`STORE_BACKENDS` registry.
+:class:`~repro.store.local.LocalDirStore` is the one implementation;
+:func:`~repro.store.local.resolve_store` is the one spelling the rest of
+the package uses to open it.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, Iterator, List, Optional, Protocol,
-                    Tuple, runtime_checkable)
+from typing import (Any, Dict, Iterator, List, Optional, Protocol, Tuple,
+                    runtime_checkable)
 
-from repro.core.registry import Registry
 
 #: The cache-key tuple shared with the in-memory tier:
 #: (netlist signature, facet-restricted config key, pass name).
@@ -115,39 +112,3 @@ class ArtifactStore(Protocol):
     def stats(self) -> Dict[str, int]:
         """Process-local operation counters (hits, misses, writes, ...)."""
         ...
-
-
-#: Backend name -> factory taking the location string.  ``resolve_store``
-#: looks up the part before the first ``:`` of a spec here, so a remote
-#: backend registers as e.g. ``STORE_BACKENDS["http"] = HttpStore`` and
-#: ``--store http://cache.example`` just works.
-STORE_BACKENDS: Registry = Registry("store backend")
-
-
-def register_store_backend(name: str,
-                           factory: Callable[[str], ArtifactStore]) -> None:
-    """Register a store backend under a spec prefix."""
-    STORE_BACKENDS[name] = factory
-
-
-def resolve_store(spec) -> Optional[ArtifactStore]:
-    """Coerce a store spec to a backend (``None`` stays ``None``).
-
-    Accepted spellings: an :class:`ArtifactStore` instance, a filesystem
-    path (the default ``local`` backend), or ``"backend:location"`` for a
-    registered backend.
-    """
-    if spec is None:
-        return None
-    if isinstance(spec, ArtifactStore):
-        return spec
-    if not isinstance(spec, str):
-        raise TypeError(
-            f"store must be an ArtifactStore, a path or a 'backend:path' "
-            f"spec, got {type(spec).__name__}")
-    prefix, sep, rest = spec.partition(":")
-    if sep and prefix in STORE_BACKENDS:
-        return STORE_BACKENDS[prefix](rest)
-    # No recognised prefix: the whole spec is a local directory path
-    # (which keeps Windows drive letters and bare relative paths working).
-    return STORE_BACKENDS["local"](spec)

@@ -40,8 +40,8 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro._version import __version__
-from repro.store.base import (PruneResult, StoreEntry, StoreError, StoreKey,
-                              register_store_backend)
+from repro.store.base import (ArtifactStore, PruneResult, StoreEntry,
+                              StoreError, StoreKey)
 
 try:  # POSIX — the fast, robust path
     import fcntl
@@ -357,4 +357,20 @@ class LocalDirStore:
                 path.unlink()
 
 
-register_store_backend("local", LocalDirStore)
+
+def resolve_store(spec) -> Optional[ArtifactStore]:
+    """Coerce a store spec to a store (``None`` stays ``None``).
+
+    An :class:`ArtifactStore` instance passes through; a string is a
+    directory path opened as a :class:`LocalDirStore` (a leading
+    ``local:`` is accepted and stripped).
+    """
+    if spec is None:
+        return None
+    if isinstance(spec, ArtifactStore):
+        return spec
+    if not isinstance(spec, str):
+        raise TypeError(
+            f"store must be an ArtifactStore or a directory path, "
+            f"got {type(spec).__name__}")
+    return LocalDirStore(spec.removeprefix("local:"))

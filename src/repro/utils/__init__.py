@@ -4,9 +4,7 @@ from repro.utils.bitvec import (
     bit,
     bits_of,
     count_ones,
-    from_bits,
     mask,
-    to_bits,
 )
 from repro.utils.tables import Table
 from repro.utils.timing import Stopwatch
@@ -15,9 +13,7 @@ __all__ = [
     "bit",
     "bits_of",
     "count_ones",
-    "from_bits",
     "mask",
-    "to_bits",
     "Table",
     "Stopwatch",
 ]

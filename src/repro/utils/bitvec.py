@@ -1,4 +1,4 @@
-"""Bit-vector helpers used throughout the netlist generators and the ISA model.
+"""Bit-vector helpers used throughout the netlist generators and simulators.
 
 All helpers operate on plain Python integers interpreted as unsigned
 bit-vectors of an explicit width.  Keeping these as free functions (rather
@@ -6,8 +6,6 @@ than a BitVector class) keeps hot loops in the simulators cheap.
 """
 
 from __future__ import annotations
-
-from typing import Iterable, List
 
 
 def mask(width: int) -> int:
@@ -22,21 +20,6 @@ def bit(value: int, index: int) -> int:
     if index < 0:
         raise ValueError(f"bit index must be non-negative, got {index}")
     return (value >> index) & 1
-
-
-def to_bits(value: int, width: int) -> List[int]:
-    """Expand ``value`` into a list of ``width`` bits, LSB first."""
-    return [(value >> i) & 1 for i in range(width)]
-
-
-def from_bits(bits: Iterable[int]) -> int:
-    """Pack an LSB-first iterable of 0/1 into an integer."""
-    result = 0
-    for i, b in enumerate(bits):
-        if b not in (0, 1):
-            raise ValueError(f"bit value must be 0 or 1, got {b!r}")
-        result |= b << i
-    return result
 
 
 def bits_of(value: int, width: int) -> str:
@@ -57,17 +40,3 @@ def sign_extend(value: int, width: int, target_width: int = 32) -> int:
     if value & (1 << (width - 1)):
         value |= mask(target_width) & ~mask(width)
     return value & mask(target_width)
-
-
-def rotate_left(value: int, amount: int, width: int = 32) -> int:
-    """Rotate ``value`` left by ``amount`` within ``width`` bits."""
-    amount %= width
-    value &= mask(width)
-    return ((value << amount) | (value >> (width - amount))) & mask(width)
-
-
-def rotate_right(value: int, amount: int, width: int = 32) -> int:
-    """Rotate ``value`` right by ``amount`` within ``width`` bits."""
-    amount %= width
-    value &= mask(width)
-    return ((value >> amount) | (value << (width - amount))) & mask(width)

@@ -1,10 +1,10 @@
-"""ATPG portfolio tests: backend registry, seed determinism, cross-backend
-byte-identity, escalation and dynamic pattern compaction.
+"""ATPG portfolio tests: backend registry, cross-backend byte-identity,
+escalation and dynamic pattern compaction.
 
 The portfolio's contract is brutal on purpose: classification verdicts are
-*backend- and seed-independent* wherever a search completes, and sharded
-execution (any backend, any job count) must reproduce the serial reference
-byte for byte.  These tests pin that contract on the four static-analysis
+*backend-independent* wherever a search completes, and sharded execution
+(any backend, any job count, either pool start method) must reproduce the
+serial reference byte for byte.  These tests pin that contract on the four static-analysis
 reference circuits for both fault models.
 """
 
@@ -18,10 +18,10 @@ from tests.conftest import (build_and_or_circuit, build_constant_dff_circuit,
                             build_small_adder_circuit)
 from repro.atpg.engine import (AtpgEffort, StructuralUntestabilityEngine,
                                run_detection_phases)
-from repro.atpg.podem import Podem, PodemStatus
+from repro.atpg.podem import Podem
 from repro.atpg.portfolio import (ATPG_BACKENDS, DEFAULT_ATPG_BACKEND,
-                                  RestartPodem, atpg_backend_names,
-                                  compact_patterns, resolve_atpg_backend)
+                                  atpg_backend_names, compact_patterns,
+                                  resolve_atpg_backend)
 from repro.faults.categories import FaultClass
 from repro.faults.faultlist import generate_fault_list
 from repro.simulation.parallel import ParallelPatternSimulator
@@ -54,8 +54,7 @@ def aborted(report):
 # --------------------------------------------------------------------- #
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert set(atpg_backend_names()) >= {"podem", "podem-restart",
-                                             "dalg"}
+        assert atpg_backend_names() == ("podem", "dalg")
 
     def test_resolve_default(self):
         assert resolve_atpg_backend(None).name == DEFAULT_ATPG_BACKEND
@@ -80,49 +79,29 @@ class TestRegistry:
 
 
 # --------------------------------------------------------------------- #
-# seed determinism (podem-restart)
+# per-fault determinism
 # --------------------------------------------------------------------- #
-class TestRestartSeedDeterminism:
-    def result_stream(self, netlist, faults, seed):
-        engine = RestartPodem(netlist, backtrack_limit=24, seed=seed)
-        return [engine.generate(f) for f in faults]
+class TestPerFaultDeterminism:
+    @staticmethod
+    def result_stream(backend, netlist, faults):
+        """Primary and escalated result per fault, on a budget starved
+        enough that the escalation tier runs."""
+        run = ATPG_BACKENDS[backend].start(netlist, backtrack_limit=1)
+        return [(run.generate(f), run.escalate(f)) for f in faults]
 
-    def test_same_seed_identical_podem_result_stream(self):
+    @pytest.mark.parametrize("backend", ["podem", "dalg"])
+    def test_stream_is_batch_order_independent(self, backend):
+        """A fault's result never depends on which other faults ran before
+        it — the property that makes sharded classification
+        byte-identical to serial."""
         netlist = build_small_adder_circuit()
         faults = generate_fault_list(netlist).faults()
-        first = self.result_stream(netlist, faults, seed=11)
-        second = self.result_stream(netlist, faults, seed=11)
-        assert first == second
-
-    def test_stream_is_batch_order_independent(self):
-        """Per-fault determinism: a fault's result never depends on which
-        other faults ran before it — the property that makes sharded
-        classification byte-identical to serial."""
-        netlist = build_small_adder_circuit()
-        faults = generate_fault_list(netlist).faults()
-        full = dict(zip(map(str, faults),
-                        self.result_stream(netlist, faults, seed=3)))
-        reversed_run = dict(zip(
+        forward = dict(zip(map(str, faults),
+                           self.result_stream(backend, netlist, faults)))
+        backward = dict(zip(
             map(str, reversed(faults)),
-            self.result_stream(netlist, list(reversed(faults)), seed=3)))
-        assert full == reversed_run
-
-    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_same_seed_identical_across_shard_backends(self, start_method):
-        """One worker vs two, under both pool start methods."""
-        netlist = build_small_adder_circuit()
-        faults = generate_fault_list(netlist).faults()
-        reference = sharded_classify(
-            netlist, faults, effort=AtpgEffort.FULL, jobs=1,
-            random_patterns=16, backtrack_limit=24,
-            atpg_backend="podem-restart", atpg_seed=29)
-        sharded = sharded_classify(
-            netlist, faults, effort=AtpgEffort.FULL, jobs=2,
-            pool=get_pool(2, start_method), random_patterns=16,
-            backtrack_limit=24, atpg_backend="podem-restart", atpg_seed=29)
-        assert classify_essence(sharded) == classify_essence(reference)
-        assert sharded.patterns == reference.patterns
-        assert sharded.compaction == reference.compaction
+            self.result_stream(backend, netlist, list(reversed(faults)))))
+        assert forward == backward
 
 
 # --------------------------------------------------------------------- #
@@ -136,17 +115,13 @@ class TestCrossBackendIdentity:
         netlist = builder()
         faults = generate_fault_list(netlist, model=model).faults()
 
-        def run(atpg_backend, seed=None):
+        def run(atpg_backend):
             engine = StructuralUntestabilityEngine(
                 netlist, effort=AtpgEffort.FULL, random_patterns=16,
-                backtrack_limit=64, atpg_backend=atpg_backend,
-                atpg_seed=seed)
+                backtrack_limit=64, atpg_backend=atpg_backend)
             return classify_essence(engine.classify(faults))
 
-        reference = run("podem")
-        assert run("podem-restart", seed=1) == reference
-        assert run("podem-restart", seed=2013) == reference
-        assert run("dalg") == reference
+        assert run("dalg") == run("podem")
 
     def test_dalg_verdicts_match_podem_per_fault(self):
         netlist = build_small_adder_circuit()
@@ -181,14 +156,19 @@ class TestEscalation:
         assert aborted(escalated) <= aborted(starved)
         assert set(starved.untestable) <= set(escalated.untestable)
 
-    def test_escalation_identical_serial_vs_sharded(self):
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_escalation_identical_serial_vs_sharded(self, start_method):
+        """One worker vs two, under both pool start methods, with the
+        merged abort frontier escalated in a second round."""
         netlist = build_small_adder_circuit()
         faults = generate_fault_list(netlist).faults()
         kwargs = dict(effort=AtpgEffort.FULL, random_patterns=0,
                       backtrack_limit=1, static_prune=False,
                       static_learning=False, atpg_backend="dalg")
         serial = sharded_classify(netlist, faults, jobs=1, **kwargs)
-        sharded = sharded_classify(netlist, faults, jobs=2, **kwargs)
+        sharded = sharded_classify(netlist, faults, jobs=2,
+                                   pool=get_pool(2, start_method), **kwargs)
+        assert serial.stats["escalated"]  # the second round had work
         assert classify_essence(sharded) == classify_essence(serial)
         assert sharded.patterns == serial.patterns
         assert sharded.compaction == serial.compaction
@@ -275,17 +255,3 @@ class TestCompaction:
         for entry in report.patterns:
             assert entry["faults"]
             assert entry["detects"] == len(entry["faults"])
-
-
-# --------------------------------------------------------------------- #
-# restart internals
-# --------------------------------------------------------------------- #
-class TestRestartInternals:
-    def test_budget_escalates_across_attempts(self):
-        netlist = build_small_adder_circuit()
-        engine = RestartPodem(netlist, backtrack_limit=2000, seed=5)
-        faults = generate_fault_list(netlist).faults()
-        results = [engine.generate(f) for f in faults]
-        assert all(r.status is not PodemStatus.ABORTED for r in results)
-        # The wrapper restores the configured budget after every fault.
-        assert engine.backtrack_limit == 2000

@@ -1,4 +1,4 @@
-"""CLI subcommands (analyze / sweep / report / corpus)."""
+"""CLI subcommands (analyze / sweep / report / corpus / backends)."""
 
 from __future__ import annotations
 
@@ -33,6 +33,20 @@ class TestAnalyzeCommand:
 
     def test_unknown_pass_is_reported(self, capsys):
         assert main(["analyze", "tiny", "--passes", "nope"]) == 2
+
+
+class TestBackendsCommand:
+    def test_json_lists_fault_models_and_atpg_backends(self, capsys):
+        code, out = run(capsys, "backends", "--json")
+        assert code == 0
+        document = json.loads(out)
+        assert set(document) == {"fault_models", "atpg_backends"}
+        assert {entry["name"] for entry in document["fault_models"]} == {
+            "stuck_at", "transition"}
+        assert sorted(entry["name"] for entry in document["atpg_backends"]
+                      ) == ["dalg", "podem"]
+        for entry in document["fault_models"] + document["atpg_backends"]:
+            assert entry["note"]
 
 
 class TestSweepCommand:

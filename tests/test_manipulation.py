@@ -1,14 +1,9 @@
-"""Unit tests for circuit manipulation: ties, floats, constant propagation."""
+"""Unit tests for circuit manipulation: ties and floats."""
 
 import pytest
 
-from repro.manipulation.constprop import propagate_constants
-from repro.manipulation.disconnect import (
-    disconnect_output_bus,
-    disconnect_output_port,
-    reconnect_output_port,
-)
-from repro.manipulation.tie import TieRecord, tie_bus, tie_net, tie_port, tied_nets, untie_net
+from repro.manipulation.disconnect import disconnect_output_port
+from repro.manipulation.tie import TieRecord, tie_net, tie_port, tied_nets
 from repro.netlist.cells import LOGIC_0, LOGIC_1
 
 from tests.conftest import build_and_or_circuit
@@ -35,20 +30,6 @@ class TestTie:
         with pytest.raises(KeyError):
             tie_port(and_or_circuit, "not_a_port", LOGIC_0)
 
-    def test_tie_bus_length_check(self, and_or_circuit):
-        tie_bus(and_or_circuit, ["a", "b"], [LOGIC_0, LOGIC_1])
-        assert and_or_circuit.net("a").tied == LOGIC_0
-        assert and_or_circuit.net("b").tied == LOGIC_1
-        with pytest.raises(ValueError):
-            tie_bus(and_or_circuit, ["a", "b"], [LOGIC_0])
-
-    def test_untie_restores_net(self, and_or_circuit):
-        tie_net(and_or_circuit, "c", LOGIC_1)
-        untie_net(and_or_circuit, "c")
-        assert and_or_circuit.net("c").tied is None
-        assert tied_nets(and_or_circuit) == {}
-        assert and_or_circuit.annotations["tie_records"] == []
-
 
 class TestDisconnect:
     def test_disconnect_marks_unobservable(self, and_or_circuit):
@@ -61,28 +42,3 @@ class TestDisconnect:
             disconnect_output_port(and_or_circuit, "a")
         with pytest.raises(KeyError):
             disconnect_output_port(and_or_circuit, "nope")
-
-    def test_disconnect_bus_and_reconnect(self, and_or_circuit):
-        disconnect_output_bus(and_or_circuit, ["y", "z"])
-        assert and_or_circuit.observable_output_ports() == []
-        reconnect_output_port(and_or_circuit, "y")
-        assert and_or_circuit.observable_output_ports() == ["y"]
-        assert all(r["port"] != "y"
-                   for r in and_or_circuit.annotations["float_records"])
-
-
-class TestConstantPropagation:
-    def test_inert_instances_reported(self, and_or_circuit):
-        tie_net(and_or_circuit, "c", LOGIC_1)
-        result = propagate_constants(and_or_circuit)
-        assert result.constants["y"] == LOGIC_1
-        assert result.constants["z"] == LOGIC_0
-        assert "or2_0" in result.inert_instances
-        assert "inv_0" in result.inert_instances
-        assert "and2_0" not in result.inert_instances
-        assert result.constant_net_count >= 3
-
-    def test_clean_circuit_has_no_constants(self, and_or_circuit):
-        result = propagate_constants(and_or_circuit)
-        assert result.constants == {}
-        assert result.inert_instances == []

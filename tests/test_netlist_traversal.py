@@ -1,4 +1,4 @@
-"""Unit tests for netlist traversal: levelisation, cones, reachability."""
+"""Unit tests for netlist traversal: the combinational topological order."""
 
 import pytest
 
@@ -6,12 +6,6 @@ from repro.netlist.builder import NetlistBuilder
 from repro.netlist.module import INPUT, OUTPUT, Netlist
 from repro.netlist.traversal import (
     CombinationalLoopError,
-    combinational_levels,
-    fanin_cone,
-    fanout_cone,
-    pseudo_primary_inputs,
-    pseudo_primary_outputs,
-    reachable_output_ports,
     topological_instances,
 )
 
@@ -37,12 +31,6 @@ class TestTopological:
         assert order.index("inv_0") < order.index("and2_0")
         assert "ff" not in order  # sequential cells excluded
 
-    def test_levels_monotonic(self):
-        netlist = chain_circuit()
-        levels = combinational_levels(netlist)
-        assert levels["inv_0"] == 0
-        assert levels["and2_0"] == 1
-
     def test_loop_detection(self):
         netlist = Netlist("loop")
         netlist.add_port("a", INPUT)
@@ -59,57 +47,3 @@ class TestTopological:
         netlist.add_instance("g1", "AND2", {"A": "a", "B": "q", "Y": "d"})
         netlist.add_instance("ff", "DFF", {"D": "d", "CK": "clk", "Q": "q"})
         assert len(topological_instances(netlist)) == 1
-
-
-class TestPseudoPrimary:
-    def test_pseudo_inputs_include_ports_and_ff_outputs(self):
-        netlist = chain_circuit()
-        names = {net.name for net in pseudo_primary_inputs(netlist)}
-        assert {"a", "b", "clk"} <= names
-        assert any(name.startswith("q") for name in names)
-
-    def test_pseudo_outputs_include_ports_and_ff_inputs(self):
-        netlist = chain_circuit()
-        points = pseudo_primary_outputs(netlist)
-        port_points = [p for p in points if isinstance(p, str)]
-        pin_points = [p for p in points if not isinstance(p, str)]
-        assert "y" in port_points
-        assert any(p.instance.name == "ff" for p in pin_points)
-
-    def test_unobservable_port_excluded(self):
-        netlist = chain_circuit()
-        netlist.unobservable_ports.add("y")
-        assert "y" not in pseudo_primary_outputs(netlist)
-        assert "y" in pseudo_primary_outputs(netlist, include_unobservable=True)
-
-
-class TestCones:
-    def test_fanin_cone_stops_at_ff(self):
-        netlist = chain_circuit()
-        cone = fanin_cone(netlist, "y")
-        assert "ff" in cone
-        assert "and2_0" not in cone  # behind the flip-flop
-
-    def test_fanin_cone_through_sequential(self):
-        netlist = chain_circuit()
-        cone = fanin_cone(netlist, "y", through_sequential=True)
-        assert "and2_0" in cone and "inv_0" in cone
-
-    def test_fanout_cone_stops_at_ff(self):
-        netlist = chain_circuit()
-        cone = fanout_cone(netlist, "a")
-        assert "inv_0" in cone and "and2_0" in cone and "ff" in cone
-        assert "inv_1" not in cone
-
-    def test_fanout_cone_through_sequential(self):
-        netlist = chain_circuit()
-        cone = fanout_cone(netlist, "a", through_sequential=True)
-        assert "inv_1" in cone
-
-    def test_reachable_output_ports(self):
-        netlist = chain_circuit()
-        assert reachable_output_ports(netlist, "a") == {"y"}
-        netlist.unobservable_ports.add("y")
-        # reachable_output_ports reports structural reachability to ports
-        # regardless of observability annotations.
-        assert reachable_output_ports(netlist, "a") == {"y"}

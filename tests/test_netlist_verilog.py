@@ -70,6 +70,44 @@ class TestParser:
             parse_verilog(text)
 
 
+def _module(*body):
+    return ("module m (a, y);\n  input a;\n  output y;\n"
+            + "\n".join(body) + "\nendmodule\n")
+
+
+class TestParserValidation:
+    """A malformed netlist fails at the parser, naming the problem."""
+
+    def test_combinational_loop_rejected(self):
+        text = _module("  AND2 g1 (.A(a), .B(n2), .Y(n1));",
+                       "  INV g2 (.A(n1), .Y(n2));",
+                       "  BUF g3 (.A(n1), .Y(y));")
+        with pytest.raises(VerilogParseError, match="loop"):
+            parse_verilog(text)
+
+    def test_undriven_output_port_rejected(self):
+        text = _module("  BUF g1 (.A(a), .Y(n1));")
+        with pytest.raises(VerilogParseError,
+                           match="output port 'y' has no driver"):
+            parse_verilog(text)
+
+    def test_load_on_undriven_net_rejected(self):
+        text = _module("  AND2 g1 (.A(a), .B(floating), .Y(y));")
+        with pytest.raises(VerilogParseError,
+                           match="net 'floating' .* has no driver"):
+            parse_verilog(text)
+
+    def test_unconnected_input_pin_rejected(self):
+        text = _module("  AND2 g1 (.A(a), .B(), .Y(y));")
+        with pytest.raises(VerilogParseError, match="unconnected"):
+            parse_verilog(text)
+
+    def test_unknown_pin_rejected(self):
+        text = _module("  BUF u1 (.A(a), .Q(y));")
+        with pytest.raises(VerilogParseError, match="no pin 'Q'"):
+            parse_verilog(text)
+
+
 class TestWriterRoundTrip:
     def test_round_trip_structure(self):
         original = build_and_or_circuit()

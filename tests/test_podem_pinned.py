@@ -16,9 +16,8 @@ Sections:
 * ``tied`` — stem faults on the nets a debug-control manipulation ties,
   with the stuck value opposing the tie (the fault site is a D from the
   start), and transition faults on the same nets;
-* ``dalg`` / ``restart`` — reference-AU faults through the ``dalg``
-  backend (PODEM, then the D-algorithm escalation) and the
-  ``podem-restart`` backend.
+* ``dalg`` — reference-AU faults through the ``dalg`` backend (PODEM,
+  then the D-algorithm escalation).
 
 Re-record (only when a change is *meant* to move search results)::
 
@@ -50,7 +49,7 @@ BACKTRACK_LIMIT = 24
 #: Reference-verdict quotas of the stuck-at sample (60 faults).
 STUCK_AT_QUOTAS = {"DT": 24, "UU": 12, "AU": 12, "UT": 6, "UB": 4, "UO": 2}
 TRANSITION_SAMPLE = 40
-ESCALATION_SAMPLE = {"dalg": 8, "restart": 6}
+DALG_SAMPLE = 8
 
 
 def build_netlists() -> Dict[str, Netlist]:
@@ -102,7 +101,7 @@ def _select(netlists: Dict[str, Netlist]) -> List[dict]:
         stuck_at += rng.sample(strata[fault_class], quota)
     transition = rng.sample(range(len(_universe(tiny, "transition"))),
                             TRANSITION_SAMPLE)
-    reference_au = rng.sample(strata["AU"], sum(ESCALATION_SAMPLE.values()))
+    reference_au = rng.sample(strata["AU"], DALG_SAMPLE)
 
     # Stem faults on tied nets, stuck at the value opposing the tie.
     tied_netlist = netlists["tiny_debug_tied"]
@@ -135,11 +134,8 @@ def _select(netlists: Dict[str, Netlist]) -> List[dict]:
         runs += [dict(section="tied", netlist="tiny_debug_tied",
                       model="transition", index=i, static=static)
                  for i in tied_transition[:4]]
-    n_dalg = ESCALATION_SAMPLE["dalg"]
     runs += [dict(section="dalg", netlist="tiny", model="stuck_at", index=i,
-                  static=True) for i in reference_au[:n_dalg]]
-    runs += [dict(section="restart", netlist="tiny", model="stuck_at",
-                  index=i, static=True) for i in reference_au[n_dalg:]]
+                  static=True) for i in reference_au]
     return runs
 
 
@@ -147,7 +143,7 @@ def _select(netlists: Dict[str, Netlist]) -> List[dict]:
 # replay
 # --------------------------------------------------------------------- #
 _BACKENDS = {"stuck_at": "podem", "transition": "podem", "tied": "podem",
-             "dalg": "dalg", "restart": "podem-restart"}
+             "dalg": "dalg"}
 
 
 def run_searches(runs: List[dict], netlists: Dict[str, Netlist]

@@ -28,15 +28,13 @@ class TestNormalization:
     def test_fields_normalize_eagerly(self):
         options = RunOptions(effort="FULL", fault_model="transition",
                              jobs="4", static_prune=1, static_learning=0,
-                             atpg_backend=ATPG_BACKENDS["dalg"],
-                             atpg_seed="7")
+                             atpg_backend=ATPG_BACKENDS["dalg"])
         assert options.effort is AtpgEffort.FULL
         assert options.fault_model == "transition"
         assert options.jobs == 4
         assert options.static_prune is True
         assert options.static_learning is False
         assert options.atpg_backend == "dalg"
-        assert options.atpg_seed == 7
         # jobs goes through the engines' own check, so a bad worker count
         # fails here instead of quietly running serial later.
         for bad in (0, -3):
@@ -46,8 +44,7 @@ class TestNormalization:
     def test_unset_fields_stay_none(self):
         options = RunOptions()
         for name in ("effort", "fault_model", "jobs", "static_prune",
-                     "static_learning", "store", "atpg_backend",
-                     "atpg_seed"):
+                     "static_learning", "store", "atpg_backend"):
             assert getattr(options, name) is None
 
     def test_unknown_effort_spells_accepted_values(self):
@@ -81,11 +78,11 @@ class TestNormalization:
 # --------------------------------------------------------------------- #
 class TestMerging:
     def test_other_set_fields_win(self):
-        base = RunOptions(effort="tie", jobs=2, atpg_seed=1)
+        base = RunOptions(effort="tie", jobs=2, static_prune=False)
         merged = base.merged_with(RunOptions(jobs=8, atpg_backend="dalg"))
         assert merged.effort is AtpgEffort.TIE
         assert merged.jobs == 8
-        assert merged.atpg_seed == 1
+        assert merged.static_prune is False
         assert merged.atpg_backend == "dalg"
 
     def test_merge_with_none_is_identity(self):
@@ -113,10 +110,9 @@ class TestSessionSurface:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             session = Session(options=RunOptions(
-                jobs=3, atpg_backend="dalg", atpg_seed=7))
+                jobs=3, atpg_backend="dalg"))
         assert session.options.jobs == 3
         assert session.options.atpg_backend == "dalg"
-        assert session.options.atpg_seed == 7
 
     def test_analyze_rejects_per_call_store(self, tmp_path):
         session = Session()
@@ -132,11 +128,11 @@ class TestSessionSurface:
 #: the RunOptions declarations must not add or drop a single flag.
 EXPECTED_RUN_FLAGS = {
     "analyze": {"--effort", "--fault-model", "--jobs", "--static-prune",
-                "--store", "--atpg-backend", "--atpg-seed"},
+                "--store", "--atpg-backend"},
     "sweep": {"--fault-model", "--jobs", "--static-prune", "--store",
-              "--atpg-backend", "--atpg-seed"},
+              "--atpg-backend"},
     "corpus": {"--fault-model", "--jobs", "--static-prune", "--store",
-               "--atpg-backend", "--atpg-seed"},
+               "--atpg-backend"},
     "submit": {"--effort", "--fault-model", "--static-prune"},
 }
 
@@ -149,7 +145,6 @@ SAMPLE_VALUES = {
     "static_learning": False,
     "store": "artifact-store",
     "atpg_backend": "dalg",
-    "atpg_seed": 7,
 }
 
 GRID_AXES = {"effort", "fault_model", "static_prune", "atpg_backend"}
@@ -222,7 +217,6 @@ def test_config_key_is_pinned():
     assert key(effort="full", static_prune=False) == (
         "model=stuck_at;effort=FULL;tie_out=1;tie_in=1;" + memmap
         + ";static=prune0:learn1;atpg=podem:engine")
-    assert key(fault_model="transition", atpg_backend="podem-restart",
-               atpg_seed=7) == (
+    assert key(fault_model="transition", atpg_backend="dalg") == (
         "model=transition;effort=TIE;tie_out=1;tie_in=1;" + memmap
-        + ";static=prune1:learn1;atpg=podem-restart:7")
+        + ";static=prune1:learn1;atpg=dalg:engine")

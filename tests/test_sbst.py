@@ -1,5 +1,5 @@
-"""Tests for the SBST substrate: assembler, ISA model, program generation,
-toggle monitoring and fault grading."""
+"""Tests for the SBST substrate: assembler, program generation, toggle
+monitoring and fault grading."""
 
 import re
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.isa.opcodes import Opcode, decode_fields
 from repro.sbst.assembler import AssemblerError, assemble, disassemble
-from repro.sbst.cpu_model import CpuModel
 from repro.sbst.grading import FaultGrader
 from repro.sbst.monitor import ToggleMonitor
 from repro.sbst.program_gen import generate_sbst_suite
@@ -70,85 +69,6 @@ class TestAssembler:
         assert all(w < (1 << 16) for w in words)
 
 
-class TestCpuModel:
-    def test_arithmetic_and_memory(self):
-        model = CpuModel(data_width=16, n_registers=8, instr_width=24,
-                         register_select_bits=3)
-        program = assemble("""
-            movi r1, 6
-            movi r2, 7
-            mul  r3, r1, r2
-            store r0, r3, 2
-            load r4, r0, 2
-            sub  r5, r4, r1
-            halt
-        """, instr_width=24, register_select_bits=3)
-        trace = model.run(program)
-        assert model.registers[3] == 42
-        assert model.memory[2] == 42
-        assert model.registers[5] == 36
-        assert model.halted
-        assert trace.cycles == len(program)
-
-    def test_branching_loop(self):
-        model = CpuModel()
-        program = assemble("""
-            movi r1, 0
-            movi r2, 5
-            movi r3, 1
-        loop: add r1, r1, r3
-            bne r1, r2, loop
-            halt
-        """)
-        model.run(program)
-        assert model.registers[1] == 5
-
-    def test_shift_and_logic(self):
-        model = CpuModel()
-        program = assemble("""
-            movi r1, 3
-            movi r2, 2
-            shl r3, r1, r2
-            xor r4, r3, r1
-            and r5, r4, r3
-            or  r6, r5, r2
-            halt
-        """)
-        model.run(program)
-        assert model.registers[3] == 12
-        assert model.registers[4] == 15
-        assert model.registers[5] == 12
-        assert model.registers[6] == 14
-
-    def test_wraparound_masking_and_signed_immediates(self):
-        model = CpuModel(data_width=8, n_registers=4, instr_width=16,
-                         register_select_bits=2)
-        program = assemble("""
-            movi r1, 31
-            movi r2, 31
-            mul r3, r1, r2
-            halt
-        """, instr_width=16, register_select_bits=2)
-        model.run(program)
-        # The 5-bit immediate 31 sign-extends to 0xFF on an 8-bit datapath,
-        # and the product wraps to the data width.
-        assert model.registers[1] == 0xFF
-        assert model.registers[3] == (0xFF * 0xFF) & 0xFF
-
-    def test_max_cycles_limit(self):
-        model = CpuModel()
-        program = assemble("loop: jump loop")
-        trace = model.run(program, max_cycles=25)
-        assert trace.cycles == 25
-        assert not model.halted
-
-    def test_reset(self):
-        model = CpuModel()
-        model.run(assemble("movi r1, 9\nhalt"))
-        model.reset()
-        assert model.registers[1] == 0 and model.pc == 0 and not model.halted
-
-
 class TestProgramGeneration:
     def test_suite_for_each_config(self):
         for config in (CpuConfig.tiny(), CpuConfig.small(), CpuConfig.date13()):
@@ -158,18 +78,6 @@ class TestProgramGeneration:
                              "memory_walk"}
             assert all(p.length > 0 for p in programs)
             assert all(max(p.words) < (1 << config.instr_width) for p in programs)
-
-    def test_programs_run_on_isa_model(self):
-        config = CpuConfig.small()
-        for program in generate_sbst_suite(config):
-            model = CpuModel(data_width=config.data_width,
-                             n_registers=config.n_registers,
-                             instr_width=config.instr_width,
-                             register_select_bits=config.register_select_bits)
-            trace = model.run(program.words, max_cycles=2000)
-            assert trace.cycles > 0
-            # Every program terminates via HALT within the cycle budget.
-            assert model.halted
 
     def test_generation_is_deterministic(self):
         a = generate_sbst_suite(CpuConfig.tiny(), seed=11)

@@ -24,7 +24,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.manipulation.tie import tie_net, tie_port, untie_net
+from repro.manipulation.tie import tie_net, tie_port
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.cells import LOGIC_0, LOGIC_1, LOGIC_X
 from repro.netlist.module import Netlist
@@ -378,7 +378,7 @@ def test_untied_floating_net_returns_to_x():
     tie_net(netlist, "spare", LOGIC_1)
     run = Lockstep(netlist)
     run.step(SEQUENCE[0])
-    untie_net(netlist, "spare")            # undriven again: X
+    netlist.net("spare").tied = None        # undriven again: X
     run.step(SEQUENCE[0])
     assert run.live.step(SEQUENCE[0])["spare"] == LOGIC_X
 

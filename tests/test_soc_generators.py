@@ -28,7 +28,7 @@ from repro.soc.generators import (
     synthesize_function,
     zero_detector,
 )
-from repro.utils.bitvec import mask, to_bits
+from repro.utils.bitvec import mask
 
 
 def _drive(width, name, value):

@@ -3,18 +3,13 @@
 import time
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.utils.bitvec import (
     bit,
     bits_of,
     count_ones,
-    from_bits,
     mask,
-    rotate_left,
-    rotate_right,
     sign_extend,
-    to_bits,
 )
 from repro.utils.tables import Table
 from repro.utils.timing import Stopwatch
@@ -40,20 +35,6 @@ class TestBitvec:
         with pytest.raises(ValueError):
             bit(1, -1)
 
-    def test_to_bits_lsb_first(self):
-        assert to_bits(0b1101, 4) == [1, 0, 1, 1]
-
-    def test_from_bits_roundtrip(self):
-        assert from_bits([1, 0, 1, 1]) == 0b1101
-
-    def test_from_bits_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            from_bits([0, 2, 1])
-
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    def test_to_from_bits_roundtrip_property(self, value):
-        assert from_bits(to_bits(value, 32)) == value
-
     def test_bits_of_width(self):
         assert bits_of(5, 8) == "00000101"
         assert bits_of(0x1FF, 8) == "11111111"  # truncated to width
@@ -71,15 +52,6 @@ class TestBitvec:
 
     def test_sign_extend_negative(self):
         assert sign_extend(0b1101, 4, 8) == 0b11111101
-
-    def test_rotate_left_and_right_are_inverse(self):
-        value = 0x12345678
-        assert rotate_right(rotate_left(value, 7, 32), 7, 32) == value
-
-    @given(st.integers(min_value=0, max_value=2**16 - 1),
-           st.integers(min_value=0, max_value=64))
-    def test_rotate_preserves_popcount(self, value, amount):
-        assert count_ones(rotate_left(value, amount, 16)) == count_ones(value)
 
 
 class TestTable:
