@@ -29,7 +29,7 @@ pool when ``RunOptions.jobs`` is above 1::
     print(sweep.to_table())                  # per-scenario Table I + deltas
     open("sweep.json", "w").write(sweep.to_json())
 
-Every run knob (ATPG effort, fault model, worker count, static pruning,
+Every run knob (ATPG effort, fault model, worker count, static learning,
 durable store, ATPG backend) is a field of one frozen
 :class:`repro.api.RunOptions` bundle — the worker count ``jobs`` is the
 only concurrency knob — and :class:`FlowConfig` keeps only the paper's

@@ -34,8 +34,8 @@ The subcommands mirror the Session/Design API:
         python -m repro corpus --update --only tiny_full
 
 ``static``
-    Dump the per-net SCOAP testability numbers behind the static
-    pre-PODEM untestability pruning::
+    Dump the per-net SCOAP testability numbers that guide the
+    FULL-effort PODEM search::
 
         python -m repro static tiny --limit 10
         python -m repro static small --nets alu_out,pc_q --json
@@ -91,7 +91,7 @@ DEFAULT_SERVICE_PORT = 7321
 RUN_FLAGS = tuple(name for name, knob in knobs().items() if knob.flag)
 SWEEP_RUN_FLAGS = tuple(name for name in RUN_FLAGS if name != "effort")
 #: The per-call run flags the service client forwards in a job spec.
-SUBMIT_RUN_FLAGS = ("effort", "fault_model", "static_prune")
+SUBMIT_RUN_FLAGS = ("effort", "fault_model")
 
 
 

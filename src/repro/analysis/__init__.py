@@ -13,8 +13,10 @@ simulated.  The :class:`~repro.analysis.prover.StaticAnalysis` handle bundles
 
 Proofs are sound with respect to the PODEM search in
 :mod:`repro.atpg.podem`: a :class:`~repro.analysis.prover.StaticProof` for a
-fault guarantees the exhaustive search would return UNTESTABLE, so the
-classifier may skip the search entirely.
+fault guarantees the exhaustive search would return UNTESTABLE, so at FULL
+effort the classifier skips the search for every proven fault.  Some of
+these faults would exhaust PODEM's backtrack limit, so the prover settles
+verdicts the bounded search cannot.
 """
 
 from repro.analysis.dominators import DominatorAnalysis

@@ -28,7 +28,7 @@ none of them relies on the heuristic CO numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.dominators import DominatorAnalysis
 from repro.analysis.implications import (ImplicationTable, learn_implications,
@@ -317,16 +317,6 @@ class StaticAnalysis:
             return False
 
         return expand(0, [LOGIC_X] * len(domains))
-
-    def prove_all(self, faults: Sequence[Fault]
-                  ) -> Dict[Fault, StaticProof]:
-        """Proofs for every provable fault in ``faults`` (order-preserving)."""
-        proofs: Dict[Fault, StaticProof] = {}
-        for fault in faults:
-            proof = self.prove(fault)
-            if proof is not None:
-                proofs[fault] = proof
-        return proofs
 
 
 def get_static_analysis(netlist: Netlist) -> StaticAnalysis:

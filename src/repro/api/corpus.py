@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -174,13 +174,10 @@ def run_corpus(directory: Union[str, Path] = DEFAULT_CORPUS_DIR, *,
     ``options`` are the session's run knobs for every entry (ignored when
     an explicit ``session`` is given); each entry's own spec keys win over
     them.  None of them may move a single byte of any capture: ``jobs``
-    runs the analyses on the worker pool; ``static_prune`` toggles the
-    static pre-filter (and, unless set itself, ``static_learning`` with
-    it) — the goldens are pinned at tie effort, where the static layer
-    never runs; ``store`` attaches a durable artifact store
-    (:mod:`repro.store`) whose warm artifacts replay across corpus runs;
-    ``atpg_backend`` selects the ATPG portfolio backend, which only
-    searches at FULL effort.
+    runs the analyses on the worker pool; ``store`` attaches a durable
+    artifact store (:mod:`repro.store`) whose warm artifacts replay across
+    corpus runs; ``atpg_backend`` selects the ATPG portfolio backend,
+    which only searches at FULL effort.
     ``fault_model`` restricts the run to the entries pinned under that
     model (a filter, never an override: each entry's golden capture
     belongs to its declared model).
@@ -210,9 +207,6 @@ def run_corpus(directory: Union[str, Path] = DEFAULT_CORPUS_DIR, *,
                 f"no corpus entries use fault model {wanted_model!r}{detail}")
 
     if session is None:
-        options = options if options is not None else RunOptions()
-        if options.static_learning is None:
-            options = replace(options, static_learning=options.static_prune)
         session = Session(options=options)
 
     outcomes: List[CorpusOutcome] = []

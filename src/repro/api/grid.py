@@ -8,7 +8,7 @@ in deterministic order and yields labelled :class:`Scenario` points:
   ``cpu.<field>``, ...) are applied through
   :meth:`repro.soc.config.SoCConfig.with_axis`;
 * the run-level axes (:data:`~repro.api.options.RUN_AXES`: ``effort``,
-  ``fault_model``, ``static_prune``, ``atpg_backend``) set the scenario's
+  ``fault_model``, ``atpg_backend``) set the scenario's
   :class:`~repro.api.RunOptions`, normalised by each knob's declaration.
 
 ::
@@ -36,8 +36,6 @@ from repro.soc.config import SoCConfig, expand_axes
 
 def _run_label(value: object) -> str:
     """The stable spelling of a run-axis value in scenario labels."""
-    if isinstance(value, bool):
-        return str(int(value))
     return str(getattr(value, "value", value))
 
 

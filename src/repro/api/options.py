@@ -114,10 +114,6 @@ class RunOptions:
                "scenario per worker task (identical results; default: "
                "serial)",
         metavar="N")
-    static_prune: Optional[bool] = _knob(
-        parse_flag, "pre-classify statically proven untestable faults "
-                    "before PODEM (FULL effort only; default: on)",
-        axis=True)
     static_learning: Optional[bool] = _knob(
         parse_flag, "let PODEM consult learned implications and SCOAP "
                     "guidance (FULL effort only; default: on)", flag=False)
@@ -176,7 +172,7 @@ def knobs() -> Dict[str, Knob]:
 #: ``atpg_backend`` stay unset: no store, the ``podem`` backend.
 DEFAULT_RUN_OPTIONS = RunOptions(effort=AtpgEffort.TIE,
                                  fault_model="stuck_at", jobs=1,
-                                 static_prune=True, static_learning=True)
+                                 static_learning=True)
 
 #: The knobs a :class:`~repro.api.ScenarioGrid` expands at run level.
 RUN_AXES: Tuple[str, ...] = tuple(
@@ -236,10 +232,7 @@ def add_run_flags(parser: argparse.ArgumentParser, names: Iterable[str], *,
                                   "help": (help or {}).get(name, knob.help)}
         if name in required:
             kwargs["required"] = True
-        if knob.normalise is parse_flag:
-            kwargs["action"] = argparse.BooleanOptionalAction
-            del kwargs["metavar"]
-        elif knob.choices is not None:
+        if knob.choices is not None:
             kwargs["choices"] = list(knob.choices())
         else:
             kwargs["type"] = _argument_type(knob.normalise)

@@ -148,7 +148,7 @@ class Session:
         flow_config = config if config is not None else self.flow_config
         selection = passes if passes is not None else self.passes
         if selection is None:
-            selection = default_pass_names(flow_config, run)
+            selection = default_pass_names(flow_config)
         pipeline = Pipeline(list(selection), cache=self.cache)
         result = pipeline.run(design.netlist, config=flow_config,
                               options=run, memory_map=design.memory_map,

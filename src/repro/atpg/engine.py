@@ -102,7 +102,6 @@ def run_detection_phases(netlist: Netlist, faults: List[Fault],
                          random_patterns: int = 256,
                          backtrack_limit: int = 200,
                          seed: int = 2013,
-                         static_prune: bool = True,
                          static_learning: bool = True,
                          atpg_backend: Optional[str] = None):
     """Phases 2-3 of the engine: random-pattern detection, then ATPG.
@@ -115,10 +114,10 @@ def run_detection_phases(netlist: Netlist, faults: List[Fault],
     run the tie fixpoint once and farm only these phases out to workers.
 
     At FULL effort the static-analysis layer (:mod:`repro.analysis`) joins
-    in: with ``static_prune`` the prover classifies faults UU *before* any
-    search; with ``static_learning`` the remaining searches consult the
-    learned implications and SCOAP guidance.  Both default on; turning both
-    off reproduces the plain search bit-for-bit (the oracle path).
+    in: its prover classifies faults UU *before* any search, and with
+    ``static_learning`` (the default) the remaining searches consult the
+    learned implications and SCOAP guidance; turning learning off
+    reproduces the plain search bit-for-bit (the oracle path).
 
     ``atpg_backend`` selects the portfolio strategy for the search phase
     (:mod:`repro.atpg.portfolio`; ``None`` is the classic ``podem``).
@@ -143,28 +142,29 @@ def run_detection_phases(netlist: Netlist, faults: List[Fault],
         phase_runtimes["random"] = time.perf_counter() - phase_start
 
     if effort is AtpgEffort.FULL and remaining:
-        static = None
-        if static_prune or static_learning:
-            from repro.analysis import get_static_analysis
+        from repro.analysis import get_static_analysis
 
-            phase_start = time.perf_counter()
-            static = get_static_analysis(netlist)
-            phase_runtimes["static_build"] = time.perf_counter() - phase_start
+        phase_start = time.perf_counter()
+        static = get_static_analysis(netlist)
+        phase_runtimes["static_build"] = time.perf_counter() - phase_start
 
-        if static is not None and static_prune:
-            phase_start = time.perf_counter()
-            unproven: List[Fault] = []
-            for fault in remaining:
-                proof = static.prove(fault)
-                if proof is None:
-                    unproven.append(fault)
-                    continue
-                classifications[fault] = FaultClass.UU
-                stats["static_proved"] = stats.get("static_proved", 0) + 1
-                key = f"static_proved_{proof.category}"
-                stats[key] = stats.get(key, 0) + 1
-            remaining = unproven
-            phase_runtimes["static_prune"] = time.perf_counter() - phase_start
+        # The prover settles faults PODEM can abort on at this backtrack
+        # limit (on tiny's memory-map netlist, 32 of the 62 faults it
+        # proves beyond tie analysis), so it runs before every search,
+        # with or without learning.
+        phase_start = time.perf_counter()
+        unproven: List[Fault] = []
+        for fault in remaining:
+            proof = static.prove(fault)
+            if proof is None:
+                unproven.append(fault)
+                continue
+            classifications[fault] = FaultClass.UU
+            stats["static_proved"] = stats.get("static_proved", 0) + 1
+            key = f"static_proved_{proof.category}"
+            stats[key] = stats.get(key, 0) + 1
+        remaining = unproven
+        phase_runtimes["static_prove"] = time.perf_counter() - phase_start
 
         phase_start = time.perf_counter()
         from repro.atpg.portfolio import resolve_atpg_backend
@@ -188,7 +188,7 @@ def run_detection_phases(netlist: Netlist, faults: List[Fault],
         stats["podem_calls"] = stats.get("podem_calls", 0) + len(remaining)
         stats["podem_backtracks"] = (stats.get("podem_backtracks", 0)
                                      + backtracks)
-        if static is not None and static_learning:
+        if static_learning:
             stats["learned_skips"] = (stats.get("learned_skips", 0)
                                       + run.learned_skips)
 
@@ -264,7 +264,6 @@ class StructuralUntestabilityEngine:
                  backtrack_limit: int = 200,
                  seed: int = 2013,
                  jobs: int = 1,
-                 static_prune: bool = True,
                  static_learning: bool = True,
                  atpg_backend: Optional[str] = None,
                  pool=None) -> None:
@@ -276,7 +275,6 @@ class StructuralUntestabilityEngine:
         self.backtrack_limit = backtrack_limit
         self.seed = seed
         self.jobs = resolve_jobs(1 if jobs is None else jobs, cap=False)
-        self.static_prune = static_prune
         self.static_learning = static_learning
         self.atpg_backend = atpg_backend
         self.pool = pool
@@ -293,7 +291,6 @@ class StructuralUntestabilityEngine:
                 self.netlist, fault_list, effort=self.effort,
                 jobs=self.jobs, random_patterns=self.random_patterns,
                 backtrack_limit=self.backtrack_limit, seed=self.seed,
-                static_prune=self.static_prune,
                 static_learning=self.static_learning,
                 atpg_backend=self.atpg_backend, pool=self.pool)
         report = UntestabilityReport(effort=self.effort)
@@ -311,7 +308,6 @@ class StructuralUntestabilityEngine:
             self.netlist, remaining, self.effort,
             random_patterns=self.random_patterns,
             backtrack_limit=self.backtrack_limit, seed=self.seed,
-            static_prune=self.static_prune,
             static_learning=self.static_learning,
             atpg_backend=self.atpg_backend)
         report.classifications.update(classifications)

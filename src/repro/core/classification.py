@@ -60,7 +60,6 @@ def build_fault_universe(original: Netlist,
                          functional_constraints: Optional[Dict[str, int]] = None,
                          online_untestable: Optional[Iterable[StuckAtFault]] = None,
                          effort: AtpgEffort = AtpgEffort.TIE,
-                         static_prune: bool = True,
                          static_learning: bool = True) -> FaultUniverse:
     """Compute the Fig. 1 categories for a netlist.
 
@@ -84,7 +83,6 @@ def build_fault_universe(original: Netlist,
     universe = FaultUniverse(all_faults=set(fault_list.faults()))
 
     engine = StructuralUntestabilityEngine(original, effort=effort,
-                                           static_prune=static_prune,
                                            static_learning=static_learning)
     baseline = engine.classify(fault_list.faults())
     universe.structurally_untestable = set(baseline.untestable)
@@ -94,7 +92,6 @@ def build_fault_universe(original: Netlist,
         for net, value in functional_constraints.items():
             constrained.net(net).tied = value
         func_engine = StructuralUntestabilityEngine(constrained, effort=effort,
-                                                    static_prune=static_prune,
                                                     static_learning=static_learning)
         func_report = func_engine.classify(fault_list.faults())
         universe.functionally_untestable = (

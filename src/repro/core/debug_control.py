@@ -54,14 +54,12 @@ def compute_baseline_untestable(netlist: Netlist,
                                 faults: Optional[Iterable[StuckAtFault]] = None,
                                 effort: AtpgEffort = AtpgEffort.TIE,
                                 jobs: int = 1,
-                                static_prune: bool = True,
                                 static_learning: bool = True,
                                 atpg_backend: Optional[str] = None
                                 ) -> Set[StuckAtFault]:
     """Faults untestable in the unmanipulated netlist (structural baseline)."""
     fault_universe = list(faults) if faults is not None else generate_fault_list(netlist).faults()
     engine = StructuralUntestabilityEngine(netlist, effort=effort, jobs=jobs,
-                                           static_prune=static_prune,
                                            static_learning=static_learning,
                                            atpg_backend=atpg_backend)
     report = engine.classify(fault_universe)
@@ -74,7 +72,6 @@ def identify_debug_control_untestable(netlist: Netlist,
                                       baseline_untestable: Optional[Set[StuckAtFault]] = None,
                                       effort: AtpgEffort = AtpgEffort.TIE,
                                       jobs: int = 1,
-                                      static_prune: bool = True,
                                       static_learning: bool = True,
                                       atpg_backend: Optional[str] = None
                                       ) -> DebugControlResult:
@@ -88,8 +85,7 @@ def identify_debug_control_untestable(netlist: Netlist,
     if baseline_untestable is None:
         baseline_untestable = compute_baseline_untestable(
             netlist, fault_universe, effort, jobs=jobs,
-            static_prune=static_prune, static_learning=static_learning,
-            atpg_backend=atpg_backend)
+            static_learning=static_learning, atpg_backend=atpg_backend)
 
     manipulated = netlist.clone(f"{netlist.name}_debug_tied")
     tied: Dict[str, int] = {}
@@ -100,7 +96,6 @@ def identify_debug_control_untestable(netlist: Netlist,
 
     engine = StructuralUntestabilityEngine(manipulated, effort=effort,
                                            jobs=jobs,
-                                           static_prune=static_prune,
                                            static_learning=static_learning,
                                            atpg_backend=atpg_backend)
     report = engine.classify(fault_universe)

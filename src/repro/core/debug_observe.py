@@ -50,7 +50,6 @@ def identify_debug_observe_untestable(netlist: Netlist,
                                       baseline_untestable: Optional[Set[StuckAtFault]] = None,
                                       effort: AtpgEffort = AtpgEffort.TIE,
                                       jobs: int = 1,
-                                      static_prune: bool = True,
                                       static_learning: bool = True,
                                       atpg_backend: Optional[str] = None
                                       ) -> DebugObserveResult:
@@ -64,8 +63,7 @@ def identify_debug_observe_untestable(netlist: Netlist,
         from repro.core.debug_control import compute_baseline_untestable
         baseline_untestable = compute_baseline_untestable(
             netlist, fault_universe, effort, jobs=jobs,
-            static_prune=static_prune, static_learning=static_learning,
-            atpg_backend=atpg_backend)
+            static_learning=static_learning, atpg_backend=atpg_backend)
 
     manipulated = netlist.clone(f"{netlist.name}_debug_floated")
     floated: List[str] = []
@@ -77,7 +75,6 @@ def identify_debug_observe_untestable(netlist: Netlist,
 
     engine = StructuralUntestabilityEngine(manipulated, effort=effort,
                                            jobs=jobs,
-                                           static_prune=static_prune,
                                            static_learning=static_learning,
                                            atpg_backend=atpg_backend)
     report = engine.classify(fault_universe)

@@ -64,7 +64,6 @@ def identify_memory_map_untestable(netlist: Netlist,
                                    tie_flop_outputs: bool = True,
                                    tie_flop_inputs: bool = True,
                                    jobs: int = 1,
-                                   static_prune: bool = True,
                                    static_learning: bool = True,
                                    atpg_backend: Optional[str] = None
                                    ) -> MemoryMapResult:
@@ -86,8 +85,7 @@ def identify_memory_map_untestable(netlist: Netlist,
         from repro.core.debug_control import compute_baseline_untestable
         baseline_untestable = compute_baseline_untestable(
             netlist, fault_universe, effort, jobs=jobs,
-            static_prune=static_prune, static_learning=static_learning,
-            atpg_backend=atpg_backend)
+            static_learning=static_learning, atpg_backend=atpg_backend)
 
     constants = constant_address_bits(memory_map)
     result = MemoryMapResult(constant_bits=dict(constants),
@@ -127,7 +125,6 @@ def identify_memory_map_untestable(netlist: Netlist,
 
     engine = StructuralUntestabilityEngine(manipulated, effort=effort,
                                            jobs=jobs,
-                                           static_prune=static_prune,
                                            static_learning=static_learning,
                                            atpg_backend=atpg_backend)
     report = engine.classify(fault_universe)

@@ -64,10 +64,6 @@ class OnlineUntestableReport:
     debug_observe_result: Optional[DebugObserveResult] = None
     memory_result: Optional[MemoryMapResult] = None
     runtimes: Dict[str, float] = field(default_factory=dict)
-    #: Proof-category -> count of faults the static analysis proved
-    #: untestable without a PODEM search (empty below FULL effort or with
-    #: ``static_prune`` off).
-    static_proof_counts: Dict[str, int] = field(default_factory=dict)
 
     @property
     def online_untestable(self) -> Set[Fault]:
@@ -134,7 +130,7 @@ class OnlineUntestableReport:
         in-memory conveniences and are *not* serialized; a report restored
         with :meth:`from_json` has them set to ``None``.
         """
-        payload: Dict[str, object] = {
+        return {
             "schema": 1,
             "netlist": self.netlist_name,
             "fault_model": self.fault_model,
@@ -151,13 +147,6 @@ class OnlineUntestableReport:
             "table": self.table_rows(),
             "runtimes": dict(self.runtimes),
         }
-        if self.static_proof_counts:
-            # Emitted only when the static prover ran: reports produced at
-            # tie/random effort keep their historical byte-exact JSON.
-            payload["static_proof_counts"] = {
-                k: self.static_proof_counts[k]
-                for k in sorted(self.static_proof_counts)}
-        return payload
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_json_dict(), indent=indent, sort_keys=False)
@@ -180,9 +169,6 @@ class OnlineUntestableReport:
             baseline_untestable=parse_faults(data.get("baseline_untestable", ())),
             runtimes={k: float(v)
                       for k, v in (data.get("runtimes") or {}).items()},
-            static_proof_counts={
-                k: int(v)
-                for k, v in (data.get("static_proof_counts") or {}).items()},
         )
         for entry in data.get("sources", ()):
             report.sources.append(SourceSummary(

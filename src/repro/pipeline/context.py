@@ -129,7 +129,6 @@ class PipelineContext:
         """The run knobs the classification engines take as keywords."""
         opts = self.options
         return {"effort": opts.effort, "jobs": opts.jobs,
-                "static_prune": opts.static_prune,
                 "static_learning": opts.static_learning,
                 "atpg_backend": opts.atpg_backend}
 
@@ -178,8 +177,10 @@ class PipelineContext:
                          f"tie_in={int(cfg.tie_flop_inputs)}"),
                 "memmap": f"memmap={memory_map_key(self.memory_map)}",
                 "faults": f"faults={fault_restriction_key(self.initial_faults)}",
-                "static": (f"static=prune{int(opts.static_prune)}:"
-                           f"learn{int(opts.static_learning)}"),
+                # "prune1" once named the (default-on) static pre-filter;
+                # it stays so that keys and stored artifacts keep their
+                # bytes.
+                "static": f"static=prune1:learn{int(opts.static_learning)}",
                 # ":engine" once named the default ATPG seed; it stays so
                 # that keys and stored artifacts keep their bytes.
                 "atpg": f"atpg={opts.atpg_backend or 'podem'}:engine",

@@ -24,9 +24,8 @@ attributes independently and the pipeline orders the attribution.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import Dict, Optional
 
-from repro.atpg.engine import AtpgEffort
 from repro.core.debug_control import (compute_baseline_untestable,
                                       identify_debug_control_untestable)
 from repro.core.debug_observe import identify_debug_observe_untestable
@@ -38,9 +37,6 @@ from repro.faults.faultlist import generate_fault_list
 from repro.pipeline.base import PassResult
 from repro.pipeline.context import PipelineContext
 from repro.pipeline.registry import analysis_pass
-
-if TYPE_CHECKING:  # pragma: no cover - repro.api imports this package
-    from repro.api.options import RunOptions
 
 #: Pass name -> key used in ``OnlineUntestableReport.runtimes`` (kept for
 #: backward compatibility with the legacy flow's phase names).
@@ -62,21 +58,10 @@ REPORT_DETAIL_FIELDS: Dict[str, str] = {
 }
 
 
-def default_pass_names(config: Optional[FlowConfig] = None,
-                       options: Optional["RunOptions"] = None) -> list:
-    """The paper's pass selection for a :class:`FlowConfig`'s switches.
-
-    The static-analysis pass joins at FULL effort with ``static_prune``
-    on (unset ``options`` fields take their defaults).
-    """
-    from repro.api.options import DEFAULT_RUN_OPTIONS
-
+def default_pass_names(config: Optional[FlowConfig] = None) -> list:
+    """The paper's pass selection for a :class:`FlowConfig`'s switches."""
     cfg = config or FlowConfig()
-    run = DEFAULT_RUN_OPTIONS.merged_with(options)
-    names = ["fault_list"]
-    if run.effort is AtpgEffort.FULL and run.static_prune:
-        names.append("static_analysis")
-    names.append("baseline")
+    names = ["fault_list", "baseline"]
     if cfg.run_scan:
         names.append("scan_analysis")
     if cfg.run_debug_control:
@@ -103,28 +88,6 @@ def fault_list_pass(ctx: PipelineContext) -> PassResult:
         "fault_universe": universe,
         "fault_set": set(universe),
     })
-
-
-@analysis_pass("static_analysis", requires=("fault_universe",),
-               provides=("static_analysis", "static_proofs"),
-               cache_facets=("model",), persist=False)
-def static_analysis_pass(ctx: PipelineContext) -> PassResult:
-    """Build the per-signature static handle and prove what it can.
-
-    The handle itself (SCOAP tables, learned implications, dominator
-    chains) is memoised on the compiled netlist, so this pass mainly
-    exists to surface the per-fault proof objects as a pipeline artifact
-    and count them into the report.  Its cache key carries only the
-    fault-model facet: the proofs read the netlist structure alone, never
-    the ATPG effort or the memory map.
-    """
-    from repro.analysis import get_static_analysis
-
-    static = get_static_analysis(ctx.netlist)
-    proofs = static.prove_all(ctx.fault_universe)
-    return PassResult(artifacts={"static_analysis": static,
-                                 "static_proofs": proofs},
-                      details=proofs)
 
 
 @analysis_pass("baseline", requires=("fault_universe",),

@@ -290,13 +290,6 @@ class Pipeline:
             if pass_name in result.results:
                 setattr(report, attr, result.results[pass_name].details)
 
-        static_proofs = ctx.get("static_proofs")
-        if static_proofs:
-            counts: Dict[str, int] = {}
-            for proof in static_proofs.values():
-                counts[proof.category] = counts.get(proof.category, 0) + 1
-            report.static_proof_counts = counts
-
         report.runtimes = {
             LEGACY_RUNTIME_KEYS.get(name, name): runtime
             for name, runtime in result.runtimes.items()
@@ -328,12 +321,10 @@ class PipelineBuilder:
         self._passes.extend(passes)
         return self
 
-    def with_default_passes(self,
-                            config: Optional[FlowConfig] = None,
-                            options: Optional["RunOptions"] = None,
+    def with_default_passes(self, config: Optional[FlowConfig] = None,
                             ) -> "PipelineBuilder":
         """The paper's §4 flow (honouring a FlowConfig's run_* switches)."""
-        self._passes.extend(default_pass_names(config, options))
+        self._passes.extend(default_pass_names(config))
         return self
 
     def cached(self, cache: Optional[ArtifactCache] = None) -> "PipelineBuilder":

@@ -298,7 +298,7 @@ class _DetectClassifyJob:
     """
 
     def __init__(self, netlist: Netlist, effort, random_patterns: int,
-                 backtrack_limit: int, seed: int, static_prune: bool = True,
+                 backtrack_limit: int, seed: int,
                  static_learning: bool = True,
                  atpg_backend: Optional[str] = None) -> None:
         self.netlist = netlist
@@ -306,7 +306,6 @@ class _DetectClassifyJob:
         self.random_patterns = random_patterns
         self.backtrack_limit = backtrack_limit
         self.seed = seed
-        self.static_prune = static_prune
         self.static_learning = static_learning
         self.atpg_backend = atpg_backend
 
@@ -319,7 +318,6 @@ class _DetectClassifyJob:
             self.netlist, list(chunk_faults), self.effort,
             random_patterns=self.random_patterns,
             backtrack_limit=self.backtrack_limit, seed=self.seed,
-            static_prune=self.static_prune,
             static_learning=self.static_learning,
             atpg_backend=self.atpg_backend)
 
@@ -437,7 +435,6 @@ def sharded_classify(netlist: Netlist, faults: Iterable[Fault], *,
                      random_patterns: int = 256,
                      backtrack_limit: int = 200,
                      seed: int = 2013,
-                     static_prune: bool = True,
                      static_learning: bool = True,
                      atpg_backend: Optional[str] = None,
                      pool=None):
@@ -486,11 +483,10 @@ def sharded_classify(netlist: Netlist, faults: Iterable[Fault], *,
 
     pool = _pool_for(pool, jobs)
     key = content_key("classify", netlist, effort.name, random_patterns,
-                      backtrack_limit, seed, static_prune, static_learning,
-                      atpg_backend)
+                      backtrack_limit, seed, static_learning, atpg_backend)
     pool.ensure_job(key, lambda: _DetectClassifyJob(
         netlist, effort, random_patterns, backtrack_limit, seed,
-        static_prune, static_learning, atpg_backend=atpg_backend))
+        static_learning, atpg_backend=atpg_backend))
     restarts_before = pool.stats["worker_restarts"]
 
     def fan_out(method: str, chunk_faults: List[Fault]) -> List[tuple]:

@@ -144,11 +144,11 @@ class TestEscalation:
         # A starvation-level budget leaves PODEM with an abort frontier.
         starved = StructuralUntestabilityEngine(
             netlist, effort=AtpgEffort.FULL, random_patterns=0,
-            backtrack_limit=1, static_prune=False, static_learning=False,
+            backtrack_limit=1, static_learning=False,
             atpg_backend="podem").classify(faults)
         escalated = StructuralUntestabilityEngine(
             netlist, effort=AtpgEffort.FULL, random_patterns=0,
-            backtrack_limit=1, static_prune=False, static_learning=False,
+            backtrack_limit=1, static_learning=False,
             atpg_backend="dalg").classify(faults)
         assert len(aborted(escalated)) < len(aborted(starved))
         # Escalation only ever *proves*: it may move AU faults into the
@@ -163,8 +163,8 @@ class TestEscalation:
         netlist = build_small_adder_circuit()
         faults = generate_fault_list(netlist).faults()
         kwargs = dict(effort=AtpgEffort.FULL, random_patterns=0,
-                      backtrack_limit=1, static_prune=False,
-                      static_learning=False, atpg_backend="dalg")
+                      backtrack_limit=1, static_learning=False,
+                      atpg_backend="dalg")
         serial = sharded_classify(netlist, faults, jobs=1, **kwargs)
         sharded = sharded_classify(netlist, faults, jobs=2,
                                    pool=get_pool(2, start_method), **kwargs)

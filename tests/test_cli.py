@@ -90,7 +90,8 @@ class TestSweepCommand:
         ("cpu.mult_width=abc", "axis 'cpu.mult_width' expects a value of "
                                "type int, got 'abc'"),
         ("cpu.mult_width=64", "bad value for axis 'cpu.mult_width'"),
-    ], ids=["unknown-field", "ill-typed", "invalid"])
+        ("static_prune=on,off", "unknown scenario axis 'static_prune'"),
+    ], ids=["unknown-field", "ill-typed", "invalid", "removed-knob"])
     def test_bad_cpu_axis_exits_2_naming_the_axis(self, capsys, axis,
                                                   message):
         assert main(["sweep", "--base", "tiny", "--axis", axis]) == 2

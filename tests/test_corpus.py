@@ -70,12 +70,18 @@ class TestLoading:
         with pytest.raises(CorpusError, match="unknown key") as exc:
             load_corpus(tmp_path)
         assert str(path) in str(exc.value)
-        write_spec(tmp_path, "typo", base="tiny", fault_model="transition",
-                   static_prune=False)
+        # A knob that no longer exists is an unknown key too, and the error
+        # lists the keys a spec may set.
+        path = write_spec(tmp_path, "typo", base="tiny", static_prune=False)
+        with pytest.raises(CorpusError, match="unknown key") as exc:
+            load_corpus(tmp_path)
+        assert str(path) in str(exc.value)
+        assert "expected some of: " in str(exc.value)
+        assert "static_learning" in str(exc.value)
+        write_spec(tmp_path, "typo", base="tiny", fault_model="transition")
         (entry,) = load_corpus(tmp_path)
         assert entry.fault_model == "transition"
         assert entry.effort == "tie"
-        assert entry.options.static_prune is False
 
 
 class TestRunAndDiff:

@@ -482,8 +482,12 @@ class TestFaultModelPlumbing:
         document = OnlineUntestableReport(
             netlist_name="n", total_faults=1).to_json_dict()
         document.pop("fault_model")
+        # FULL-effort payloads once also carried per-category static
+        # proof counts; the key is ignored on load.
+        document["static_proof_counts"] = {"unobservable": 3}
         restored = OnlineUntestableReport.from_json_dict(document)
         assert restored.fault_model == "stuck_at"
+        assert "static_proof_counts" not in restored.to_json_dict()
 
     def test_explicit_config_wins_over_session_default(self, tiny_soc):
         """A per-call RunOptions(fault_model="stuck_at") must not be

@@ -27,12 +27,11 @@ from repro.atpg.portfolio import ATPG_BACKENDS
 class TestNormalization:
     def test_fields_normalize_eagerly(self):
         options = RunOptions(effort="FULL", fault_model="transition",
-                             jobs="4", static_prune=1, static_learning=0,
+                             jobs="4", static_learning=0,
                              atpg_backend=ATPG_BACKENDS["dalg"])
         assert options.effort is AtpgEffort.FULL
         assert options.fault_model == "transition"
         assert options.jobs == 4
-        assert options.static_prune is True
         assert options.static_learning is False
         assert options.atpg_backend == "dalg"
         # jobs goes through the engines' own check, so a bad worker count
@@ -43,8 +42,8 @@ class TestNormalization:
 
     def test_unset_fields_stay_none(self):
         options = RunOptions()
-        for name in ("effort", "fault_model", "jobs", "static_prune",
-                     "static_learning", "store", "atpg_backend"):
+        for name in ("effort", "fault_model", "jobs", "static_learning",
+                     "store", "atpg_backend"):
             assert getattr(options, name) is None
 
     def test_unknown_effort_spells_accepted_values(self):
@@ -78,11 +77,11 @@ class TestNormalization:
 # --------------------------------------------------------------------- #
 class TestMerging:
     def test_other_set_fields_win(self):
-        base = RunOptions(effort="tie", jobs=2, static_prune=False)
+        base = RunOptions(effort="tie", jobs=2, static_learning=False)
         merged = base.merged_with(RunOptions(jobs=8, atpg_backend="dalg"))
         assert merged.effort is AtpgEffort.TIE
         assert merged.jobs == 8
-        assert merged.static_prune is False
+        assert merged.static_learning is False
         assert merged.atpg_backend == "dalg"
 
     def test_merge_with_none_is_identity(self):
@@ -127,13 +126,11 @@ class TestSessionSurface:
 #: Each subcommand's run flags, pinned literally: deriving the parsers from
 #: the RunOptions declarations must not add or drop a single flag.
 EXPECTED_RUN_FLAGS = {
-    "analyze": {"--effort", "--fault-model", "--jobs", "--static-prune",
-                "--store", "--atpg-backend"},
-    "sweep": {"--fault-model", "--jobs", "--static-prune", "--store",
-              "--atpg-backend"},
-    "corpus": {"--fault-model", "--jobs", "--static-prune", "--store",
-               "--atpg-backend"},
-    "submit": {"--effort", "--fault-model", "--static-prune"},
+    "analyze": {"--effort", "--fault-model", "--jobs", "--store",
+                "--atpg-backend"},
+    "sweep": {"--fault-model", "--jobs", "--store", "--atpg-backend"},
+    "corpus": {"--fault-model", "--jobs", "--store", "--atpg-backend"},
+    "submit": {"--effort", "--fault-model"},
 }
 
 #: One valid, non-default value per knob.
@@ -141,13 +138,12 @@ SAMPLE_VALUES = {
     "effort": "random",
     "fault_model": "transition",
     "jobs": 2,
-    "static_prune": False,
     "static_learning": False,
     "store": "artifact-store",
     "atpg_backend": "dalg",
 }
 
-GRID_AXES = {"effort", "fault_model", "static_prune", "atpg_backend"}
+GRID_AXES = {"effort", "fault_model", "atpg_backend"}
 
 
 def _subcommand_flags():
@@ -214,9 +210,9 @@ def test_config_key_is_pinned():
     assert key() == (
         "model=stuck_at;effort=TIE;tie_out=1;tie_in=1;" + memmap
         + ";static=prune1:learn1;atpg=podem:engine")
-    assert key(effort="full", static_prune=False) == (
+    assert key(effort="full", static_learning=False) == (
         "model=stuck_at;effort=FULL;tie_out=1;tie_in=1;" + memmap
-        + ";static=prune0:learn1;atpg=podem:engine")
+        + ";static=prune1:learn0;atpg=podem:engine")
     assert key(fault_model="transition", atpg_backend="dalg") == (
         "model=transition;effort=TIE;tie_out=1;tie_in=1;" + memmap
         + ";static=prune1:learn1;atpg=dalg:engine")

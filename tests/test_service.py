@@ -379,6 +379,8 @@ class TestSpecValidation:
          "unknown ATPG effort"),
         ("sweep", {"base": "tiny", "effort": "fulll"},
          "unknown ATPG effort"),
+        ("analyze", {"design": "tiny", "static_prune": False},
+         "unknown key(s) 'static_prune'; expected some of: "),
     ])
     def test_bad_spec_is_rejected_at_submit(self, kind, spec, detail):
         with ServiceHarness() as harness:

@@ -25,9 +25,11 @@ from hypothesis import strategies as st
 from repro.analysis import INF, get_static_analysis
 from repro.analysis.implications import learn_implications, literal
 from repro.analysis.scoap import compute_scoap
-from repro.atpg.engine import AtpgEffort, StructuralUntestabilityEngine
+from repro.atpg.engine import (AtpgEffort, StructuralUntestabilityEngine,
+                               run_detection_phases)
 from repro.atpg.implication import forward_implications
 from repro.atpg.podem import Podem, PodemStatus
+from repro.faults.categories import FaultClass
 from repro.faults.faultlist import generate_fault_list
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.cells import LOGIC_X, standard_library
@@ -276,9 +278,11 @@ class TestProofsAgreeWithPodem:
         netlist = request.getfixturevalue(circuit_fixture)
         static = get_static_analysis(netlist)
         faults = generate_fault_list(netlist, model=model).faults()
-        proofs = static.prove_all(faults)
         podem = Podem(netlist, backtrack_limit=GENEROUS_LIMIT)
-        for fault, proof in proofs.items():
+        for fault in faults:
+            proof = static.prove(fault)
+            if proof is None:
+                continue
             result = podem.generate(fault)
             assert result.status is PodemStatus.UNTESTABLE, (
                 f"static proof {proof.category!r} for {fault} "
@@ -294,9 +298,9 @@ class TestProofsAgreeWithPodem:
         netlist = tiny_soc.cpu
         static = get_static_analysis(netlist)
         faults = generate_fault_list(netlist, model=model).faults()
-        proofs = static.prove_all(faults)
-        assert proofs, "expected some statically provable faults"
-        proven = list(proofs.items())
+        proven = [(fault, proof) for fault in faults
+                  if (proof := static.prove(fault)) is not None]
+        assert proven, "expected some statically provable faults"
         sample = proven[::max(1, len(proven) // 8)][:8]
         podem = Podem(netlist, backtrack_limit=2_000)
         for fault, proof in sample:
@@ -307,20 +311,28 @@ class TestProofsAgreeWithPodem:
 
 
 # ------------------------------------------------------------------ #
-# pruning engine: verdict identity + bookkeeping
+# learning in the engine: verdict agreement + bookkeeping
 # ------------------------------------------------------------------ #
-class TestEnginePruning:
-    def test_full_effort_verdicts_identical_with_and_without(self,
-                                                             and_or_circuit):
+def _disagreements_outside_au(one, other):
+    """Faults whose verdicts differ although neither side aborted."""
+    return {fault for fault, cls in one.classifications.items()
+            if FaultClass.AU not in (cls, other.classifications[fault])
+            and cls is not other.classifications[fault]}
+
+
+class TestEngineLearning:
+    def test_full_effort_verdicts_agree_outside_au(self, and_or_circuit):
         faults = generate_fault_list(and_or_circuit).faults()
+        # No random phase: every fault the tie analysis leaves is searched.
         on = StructuralUntestabilityEngine(
-            and_or_circuit, effort=AtpgEffort.FULL).classify(faults)
-        off = StructuralUntestabilityEngine(
             and_or_circuit, effort=AtpgEffort.FULL,
-            static_prune=False, static_learning=False).classify(faults)
-        assert set(on.untestable) == set(off.untestable)
-        assert on.stats.get("podem_calls", 0) <= off.stats.get(
-            "podem_calls", 0)
+            random_patterns=0).classify(faults)
+        off = StructuralUntestabilityEngine(
+            and_or_circuit, effort=AtpgEffort.FULL, random_patterns=0,
+            static_learning=False).classify(faults)
+        assert on.classifications.keys() == off.classifications.keys()
+        assert not _disagreements_outside_au(on, off)
+        assert on.stats["podem_calls"] == off.stats["podem_calls"] > 0
 
     def test_stats_recorded(self, constant_dff_circuit):
         faults = generate_fault_list(constant_dff_circuit).faults()
@@ -328,11 +340,31 @@ class TestEnginePruning:
             constant_dff_circuit, effort=AtpgEffort.FULL).classify(faults)
         assert "podem_calls" in report.stats
         assert "static_build" in report.phase_runtimes
+        plain = StructuralUntestabilityEngine(
+            constant_dff_circuit, effort=AtpgEffort.FULL,
+            static_learning=False).classify(faults)
+        assert "learned_skips" not in plain.stats
 
-    def test_sharded_pruning_matches_serial(self, and_or_circuit):
+    def test_prover_settles_faults_before_any_search(self, adder_circuit):
+        faults = generate_fault_list(adder_circuit).faults()
+        tie_uu = StructuralUntestabilityEngine(adder_circuit).classify(
+            faults).untestable
+        assert tie_uu
+        for learning in (True, False):
+            classes, _, stats, _ = run_detection_phases(
+                adder_circuit, tie_uu, AtpgEffort.FULL, random_patterns=0,
+                static_learning=learning)
+            assert set(classes.values()) == {FaultClass.UU}
+            assert stats["static_proved"] == len(tie_uu)
+            assert stats["podem_calls"] == 0
+
+    def test_sharded_learning_matches_serial(self, and_or_circuit):
         faults = generate_fault_list(and_or_circuit).faults()
-        serial = StructuralUntestabilityEngine(
-            and_or_circuit, effort=AtpgEffort.FULL).classify(faults)
-        sharded = StructuralUntestabilityEngine(
-            and_or_circuit, effort=AtpgEffort.FULL, jobs=2).classify(faults)
-        assert set(serial.untestable) == set(sharded.untestable)
+        for learning in (True, False):
+            serial = StructuralUntestabilityEngine(
+                and_or_circuit, effort=AtpgEffort.FULL,
+                static_learning=learning).classify(faults)
+            sharded = StructuralUntestabilityEngine(
+                and_or_circuit, effort=AtpgEffort.FULL, jobs=2,
+                static_learning=learning).classify(faults)
+            assert serial.classifications == sharded.classifications
