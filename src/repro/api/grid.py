@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 
 from repro.api.options import RUN_AXES, RunOptions, normalise_knob
-from repro.soc.config import SoCConfig, expand_axes
+from repro.soc.config import CONFIG_AXES, SoCConfig, expand_axes
 
 
 def _run_label(value: object) -> str:
@@ -96,6 +96,11 @@ class ScenarioGrid:
             except ValueError as exc:
                 raise ValueError(
                     f"bad value for axis {name!r}: {exc}") from None
+        elif (name not in CONFIG_AXES and name != "config"
+              and not name.startswith("cpu.")):
+            raise ValueError(
+                f"unknown scenario axis {name!r}; expected "
+                f"{', '.join(RUN_AXES + CONFIG_AXES)} or cpu.<field>")
         else:
             # Validate config axes eagerly — a typo should fail at grid
             # construction, not halfway through a long sweep.

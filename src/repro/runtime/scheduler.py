@@ -28,7 +28,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from repro.faults.models import Fault
 from repro.netlist.compiled import CompiledNetlist, get_compiled
 from repro.netlist.module import Netlist
-from repro.simulation.fault_sim import resolve_site
+from repro.simulation.kernels import resolve_site
 
 #: A fault whose estimated per-fault cost is this many times the population
 #: mean is scheduled as its own singleton chunk, ahead of everything else.
@@ -38,7 +38,7 @@ MONSTER_RATIO = 8
 def cone_representative(compiled: CompiledNetlist, site: Tuple) -> int:
     """The stem net whose fanout cone a resolved fault site perturbs.
 
-    ``-1`` for inert/phantom sites (no cone at all).  Faults with the same
+    ``-1`` for inert sites (no cone at all).  Faults with the same
     representative share their simulation cone, which is why
     :func:`build_chunks` keeps them in one chunk.
     """

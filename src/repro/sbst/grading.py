@@ -54,16 +54,19 @@ class CoverageComparison:
 class FaultGrader:
     """Grades functional patterns against a core with mission-mode observability.
 
+    Grading runs the two-valued word engine
+    (:class:`~repro.simulation.parallel.ParallelPatternSimulator`).
     ``drop_detected`` (on by default) applies fault dropping across the
     pattern windows: once any window detects a fault, the fault leaves the
-    simulation for all subsequent windows — the same speed-up the serial
-    :class:`~repro.simulation.fault_sim.FaultSimulator` applies per pattern.
+    simulation for all subsequent windows.
 
     ``jobs`` > 1 (or an injected :class:`~repro.runtime.WorkerPool` as
-    ``pool``) switches :meth:`grade` to the pooled engine
-    (:mod:`repro.simulation.sharded`): the fault population is cut into
-    cone-affine chunks, each graded over every pattern window by one
-    worker task.  The detected-fault set is identical to the serial path.
+    ``pool``) runs :meth:`grade` on the pool
+    (:func:`~repro.simulation.sharded.sharded_mission_grade`): the fault
+    population is cut into cone-affine chunks, each graded over every
+    pattern window by one worker task through the same window loop
+    (:func:`~repro.simulation.parallel.detect_windows`) as the serial
+    path, so the detected-fault set is identical.
     """
 
     def __init__(self, netlist: Netlist, observe_state_inputs: bool = True,

@@ -1,12 +1,11 @@
-"""Logic simulation: combinational, sequential and stuck-at fault simulation."""
+"""Logic simulation: combinational, sequential and fault simulation."""
 
 from repro.simulation.simulator import CombinationalSimulator
 from repro.simulation.sequential import SequentialSimulator
 from repro.simulation.fault_sim import FaultSimulator, FaultSimResult
 from repro.simulation.kernels import kernel_info
 from repro.simulation.parallel import ParallelPatternSimulator
-from repro.simulation.sharded import (ShardedFaultSimulator,
-                                      sharded_classify, sharded_mission_grade)
+from repro.simulation.sharded import sharded_classify, sharded_mission_grade
 
 __all__ = [
     "CombinationalSimulator",
@@ -14,7 +13,6 @@ __all__ = [
     "FaultSimulator",
     "FaultSimResult",
     "ParallelPatternSimulator",
-    "ShardedFaultSimulator",
     "sharded_classify",
     "sharded_mission_grade",
     "kernel_info",

@@ -1,25 +1,92 @@
-"""The event-driven fault-detection walks behind every fault simulator.
+"""Fault-site decoding and the event-driven fault-detection walks.
 
 Fault detection over a pattern window simulates the good machine once
 (pattern-parallel Python big ints, one bit per pattern) and then walks each
 fault's fanout cone in topological order, evaluating an op only when one of
-its inputs differs from the good machine.  :func:`detect_mask_planes` is the
-three-valued (two-plane) walk, :func:`detects_words` the two-valued word
-walk with early exit on the first observed difference.
-:func:`kernel_info` names the kernel in stats and bench attribution.
+its inputs differs from the good machine.  :func:`detects_words` is the
+two-valued word walk every flow path grades with (the random-pattern phase,
+compaction and SBST grading, serial or pooled), with early exit on the
+first observed difference; :func:`detect_mask_planes` is the three-valued
+(two-plane) walk of the serial
+:class:`~repro.simulation.fault_sim.FaultSimulator`, the one engine that
+grades X-padded patterns.  Both walk a site decoded by
+:func:`resolve_site` and observe the nets flagged by
+:func:`observation_flags`.  :func:`kernel_info` names the kernel in stats
+and bench attribution.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.netlist.compiled import CompiledNetlist
+from repro.faults.models import Fault
+from repro.netlist.compiled import NO_NET, CompiledNetlist
 
 
 def kernel_info() -> Dict[str, str]:
     """Attribution record for stats/bench JSON."""
     return {"kernel": "int"}
+
+
+#: The resolved site of a fault that cannot perturb the time frame.
+_INERT = ("inert",)
+
+
+def resolve_site(compiled: CompiledNetlist, fault: Fault) -> Tuple:
+    """Classify a fault site against the compiled IR.
+
+    Returns ``("net", nid)`` for stem/port faults, ``("branch", op, pos)``
+    for combinational input-pin faults and ``("inert",)`` for sites that
+    cannot perturb the combinational time frame (a port fault on an
+    unknown net, an unconnected pin, a sequential input pin).  Every
+    engine and the chunk scheduler decode sites through this one function.
+    """
+    if fault.is_port_fault:
+        nid = compiled.id_of(fault.site)
+        return ("net", nid) if nid is not None else _INERT
+    kind, index, pos, is_input = compiled.pin_ref(fault.site)
+    table = ((compiled.op_fanin if is_input else compiled.op_fanout)
+             if kind == "op"
+             else (compiled.seq_fanin if is_input else compiled.seq_fanout))
+    nid = table[index][pos]
+    if nid == NO_NET:
+        return _INERT
+    if not is_input:
+        return ("net", nid)
+    if kind == "seq":
+        # A branch fault on a sequential input pin perturbs only what the
+        # flip-flop captures; the combinational time frame never changes.
+        return _INERT
+    return ("branch", index, pos)
+
+
+def excitation_net_id(compiled: CompiledNetlist, site: Tuple) -> int:
+    """The net whose good value excites a fault at a resolved site.
+
+    For stem/port sites this is the forced net itself; for branch sites it
+    is the net feeding the perturbed input pin (the value the pin sees in
+    the good machine).  ``-1`` for inert sites.  Two-pattern models
+    evaluate their initialization condition on this net.
+    """
+    if site[0] == "net":
+        return site[1]
+    if site[0] == "branch":
+        return compiled.op_fanin[site[1]][site[2]]
+    return -1
+
+
+def observation_flags(compiled: CompiledNetlist,
+                      names: Iterable[str]) -> bytearray:
+    """Per-net-ID flags of the observation points among ``names``; names
+    the compiled netlist does not know are skipped."""
+    flags = bytearray(compiled.n_nets)
+    net_id = compiled.net_id
+    for name in names:
+        nid = net_id.get(name)
+        if nid is not None:
+            flags[nid] = 1
+    return flags
 
 
 # --------------------------------------------------------------------- #

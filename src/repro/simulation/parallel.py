@@ -20,13 +20,16 @@ patterns (the ATPG/implication machinery handles the three-valued cases).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Hashable, Iterable, List, Mapping,
+                    Optional, Sequence, Set, Tuple)
 
 from repro.faults.models import Fault, InjectionSpec, resolve_injection
-from repro.netlist.compiled import NO_NET, CompiledNetlist
+from repro.netlist.compiled import CompiledNetlist
 from repro.netlist.module import Netlist
-from repro.simulation.kernels import detects_words
-from repro.simulation.simulator import CombinationalSimulator, observed_state_input_nets
+from repro.simulation.kernels import (detects_words, excitation_net_id,
+                                      observation_flags, resolve_site)
+from repro.simulation.simulator import (CombinationalSimulator,
+                                        observation_net_names)
 from repro.utils.bitvec import mask
 
 
@@ -44,7 +47,7 @@ def compute_good_words(compiled: CompiledNetlist,
                        n_patterns: int) -> Tuple[List[int], int]:
     """Good-machine word simulation: ``(values by net ID, window mask)``.
 
-    Shared by :class:`ParallelPatternSimulator` and the sharded grading
+    Shared by :class:`ParallelPatternSimulator` and the pooled grading
     workers (:mod:`repro.simulation.sharded`), so both seed and evaluate
     the fault-free machine identically.
     """
@@ -76,15 +79,13 @@ def pair_allowed_words(compiled: CompiledNetlist, site: Tuple,
                        prev: Optional[Tuple] = None) -> int:
     """Pattern-pair mask of a two-pattern fault over one word window.
 
-    The two-valued counterpart of
-    :func:`repro.simulation.fault_sim.pair_allowed_mask`: bit *i* allows
-    pattern *i* as the capture pattern when the good machine held the
-    spec's initialization value at the excitation net under pattern *i-1*.
-    ``prev`` is the previous window's ``(good words, width)`` so pairs
-    spanning a window boundary are honoured.
+    Bit *i* allows pattern *i* as the capture pattern when the good
+    machine held the spec's initialization value at the excitation net
+    under pattern *i-1*.  ``prev`` is the previous window's ``(good
+    words, width)`` so pairs spanning a window boundary are honoured.
+    The three-valued serial engine masks with the plane form,
+    :func:`repro.simulation.fault_sim.pair_allowed_mask`.
     """
-    from repro.simulation.fault_sim import excitation_net_id
-
     nid = excitation_net_id(compiled, site)
     if nid < 0:
         return 0
@@ -97,6 +98,47 @@ def pair_allowed_words(compiled: CompiledNetlist, site: Tuple,
         if prev_bit == spec.init_value:
             allowed |= 1
     return allowed
+
+
+#: One fault as the window loop sees it: ``(key, resolved site, spec)``.
+FaultEntry = Tuple[Hashable, Tuple, InjectionSpec]
+
+
+def detect_windows(compiled: CompiledNetlist, entries: Iterable[FaultEntry],
+                   windows: Iterable[Tuple[List[int], int, int]],
+                   obs_flags, drop_detected: bool = True) -> Set[Hashable]:
+    """The keys of the entries that some window detects.
+
+    ``windows`` yields ``(good words, window mask, width)`` for the
+    consecutive windows of one pattern stream, lazily: the loop stops
+    pulling windows once no fault is left.  Two-pattern faults pair
+    consecutive patterns across window boundaries, so the verdicts do not
+    depend on the chunking.  With ``drop_detected`` a detected fault is
+    not simulated in later windows.
+    """
+    program = word_program(compiled)
+    detected: Set[Hashable] = set()
+    remaining = list(entries)
+    prev: Optional[Tuple[List[int], int]] = None
+    for good, word_mask, width in windows:
+        if not remaining:
+            break
+        survivors = []
+        for entry in remaining:
+            key, site, spec = entry
+            allowed = None
+            if spec.frames > 1:
+                allowed = pair_allowed_words(compiled, site, spec, good,
+                                             word_mask, prev=prev)
+            if detects_words(compiled, program, site, spec.stuck_value,
+                             good, word_mask, obs_flags, allowed):
+                detected.add(key)
+                if drop_detected:
+                    continue
+            survivors.append(entry)
+        remaining = survivors
+        prev = (good, width)
+    return detected
 
 
 class ParallelPatternSimulator:
@@ -119,40 +161,17 @@ class ParallelPatternSimulator:
         self.exclude_output_ports = set(exclude_output_ports or ())
         self.state_input_roles = (tuple(state_input_roles)
                                   if state_input_roles is not None else None)
-        self._observation_nets = self._compute_observation_nets()
+        self._observation_nets = observation_net_names(
+            netlist, observe_state_inputs, self.state_input_roles,
+            self.exclude_output_ports)
         # Resolving the word program eagerly also validates that every
         # combinational cell has a word-level model.
         word_program(self.sim.compiled)
 
-    def _compute_observation_nets(self) -> Set[str]:
-        nets: Set[str] = set(self.netlist.observable_output_ports())
-        nets -= self.exclude_output_ports
-        if self.observe_state_inputs:
-            for inst in self.netlist.sequential_instances():
-                nets.update(observed_state_input_nets(inst, self.state_input_roles))
-        return nets
-
-    def _observation_ids(self, compiled: CompiledNetlist) -> List[int]:
-        net_id = compiled.net_id
-        return [net_id[name] for name in self._observation_nets
-                if name in net_id]
-
-    def _observation_flags(self, compiled: CompiledNetlist) -> bytearray:
-        flags = bytearray(compiled.n_nets)
-        for nid in self._observation_ids(compiled):
-            flags[nid] = 1
-        return flags
-
-    # ------------------------------------------------------------------ #
     @property
     def observation_nets(self) -> Set[str]:
         """The observation-point net names this simulator detects against."""
         return set(self._observation_nets)
-
-    def _good_words(self, compiled: CompiledNetlist,
-                    patterns: Mapping[str, int],
-                    n_patterns: int) -> Tuple[List[int], int]:
-        return compute_good_words(compiled, patterns, n_patterns)
 
     def good_simulation(self, patterns: Mapping[str, int],
                         n_patterns: int) -> Dict[str, int]:
@@ -163,34 +182,12 @@ class ParallelPatternSimulator:
         Returns a word per net.
         """
         compiled = self.sim._refresh()
-        values, _ = self._good_words(compiled, patterns, n_patterns)
+        values, _ = compute_good_words(compiled, patterns, n_patterns)
         return dict(zip(compiled.net_names, values))
-
-    # ------------------------------------------------------------------ #
-    def _resolve(self, compiled: CompiledNetlist,
-                 fault: Fault) -> Tuple:
-        if fault.is_port_fault:
-            nid = compiled.id_of(fault.site)
-            return ("net", nid) if nid is not None else ("inert",)
-        kind, index, pos, is_input = compiled.pin_ref(fault.site)
-        table = ((compiled.op_fanin if is_input else compiled.op_fanout)
-                 if kind == "op"
-                 else (compiled.seq_fanin if is_input else compiled.seq_fanout))
-        nid = table[index][pos]
-        if nid == NO_NET:
-            return ("inert",)
-        if not is_input:
-            return ("net", nid)
-        if kind == "seq":
-            # The perturbed value is only seen by the flip-flop capture; the
-            # combinational time frame is unchanged.
-            return ("inert",)
-        return ("branch", index, pos)
 
     def detected_faults(self, faults: Iterable[Fault],
                         patterns: Mapping[str, int],
-                        n_patterns: int,
-                        good: Optional[Dict[str, int]] = None) -> Set[Fault]:
+                        n_patterns: int) -> Set[Fault]:
         """Return the subset of ``faults`` detected by any of the patterns.
 
         The window is self-contained: two-pattern faults pair consecutive
@@ -198,34 +195,7 @@ class ParallelPatternSimulator:
         captures), which is the contract the random-pattern phase relies on
         — every burst is an independent launch-on-capture sequence.
         """
-        compiled = self.sim._refresh()
-        word_mask = mask(n_patterns)
-        if good is None:
-            good_words, _ = self._good_words(compiled, patterns, n_patterns)
-        else:
-            net_id = compiled.net_id
-            good_words = [0] * compiled.n_nets
-            for name, word in good.items():
-                nid = net_id.get(name)
-                if nid is not None:
-                    good_words[nid] = word
-        obs_flags = self._observation_flags(compiled)
-        program = word_program(compiled)
-
-        detected: Set[Fault] = set()
-        for fault in faults:
-            site = self._resolve(compiled, fault)
-            spec = resolve_injection(fault)
-            allowed = None
-            if spec.frames > 1:
-                allowed = pair_allowed_words(compiled, site, spec,
-                                             good_words, word_mask)
-                if not allowed:
-                    continue
-            if detects_words(compiled, program, site, spec.stuck_value,
-                             good_words, word_mask, obs_flags, allowed):
-                detected.add(fault)
-        return detected
+        return self._detect(faults, [(patterns, n_patterns)], True)
 
     def run_windows(self, faults: Iterable[Fault],
                     windows: Sequence[Tuple[Mapping[str, int], int]],
@@ -238,35 +208,20 @@ class ParallelPatternSimulator:
         last cycle of the previous window), so the verdicts are independent
         of the chunking.  ``drop_detected`` stops re-simulating a fault
         after the first detecting window.  Returns the detected set —
-        identical to the sharded mission-grading engine by construction.
+        identical to the pooled mission-grading engine by construction.
         """
+        return self._detect(faults, windows, drop_detected)
+
+    def _detect(self, faults: Iterable[Fault],
+                windows: Iterable[Tuple[Mapping[str, int], int]],
+                drop_detected: bool) -> Set[Fault]:
         compiled = self.sim._refresh()
-        obs_flags = self._observation_flags(compiled)
-        program = word_program(compiled)
-        remaining: List[Fault] = list(faults)
-        sites = {f: self._resolve(compiled, f) for f in remaining}
-        specs = {f: resolve_injection(f) for f in remaining}
-        detected: Set[Fault] = set()
-        prev: Optional[Tuple[List[int], int]] = None
-        for words, n_patterns in windows:
-            if not remaining:
-                break
-            good, word_mask = compute_good_words(compiled, words, n_patterns)
-            still: List[Fault] = []
-            for fault in remaining:
-                spec = specs[fault]
-                allowed = None
-                if spec.frames > 1:
-                    allowed = pair_allowed_words(compiled, sites[fault],
-                                                 spec, good, word_mask,
-                                                 prev=prev)
-                hit = detects_words(compiled, program, sites[fault],
-                                    spec.stuck_value, good, word_mask,
-                                    obs_flags, allowed)
-                if hit:
-                    detected.add(fault)
-                if not (hit and drop_detected):
-                    still.append(fault)
-            remaining = still
-            prev = (good, n_patterns)
-        return detected
+        good_windows = (compute_good_words(compiled, words, n_patterns)
+                        + (n_patterns,)
+                        for words, n_patterns in windows)
+        entries = [(fault, resolve_site(compiled, fault),
+                    resolve_injection(fault)) for fault in faults]
+        return detect_windows(
+            compiled, entries, good_windows,
+            observation_flags(compiled, self._observation_nets),
+            drop_detected)

@@ -1,10 +1,11 @@
 """Cone-aware parallel execution over the collapsed fault population.
 
-The paper's core loop — classify every stuck-at fault of an embedded core
-as on-line functionally untestable or not — is embarrassingly parallel over
-the fault list.  This module runs fault simulation, mission-mode fault
-grading and untestability classification on the warm worker pool of
-:mod:`repro.runtime`:
+The paper's core loop — classify every fault of an embedded core as
+on-line functionally untestable or not — and its SBST coverage-gain
+experiment are embarrassingly parallel over the fault list.  This module
+runs mission-mode fault grading (:func:`sharded_mission_grade`) and
+untestability classification (:func:`sharded_classify`) on the warm worker
+pool of :mod:`repro.runtime`:
 
 chunks
     The population is cut into small cone-affine chunks
@@ -13,10 +14,9 @@ chunks
     whatever is left.
 
 one task per chunk
-    A chunk is one pool task.  Simulation and grading tasks walk every
-    pattern window of their chunk in order and drop detected faults as
-    they go; dropping never needs to cross a chunk, because each fault
-    lives in exactly one.
+    A chunk is one pool task.  A grading task walks every pattern window
+    of its chunk in order and drops detected faults as it goes; dropping
+    never needs to cross a chunk, because each fault lives in exactly one.
 
 pools
     ``jobs > 1`` runs on the injected :class:`~repro.runtime.WorkerPool`,
@@ -25,13 +25,13 @@ pools
     (``REPRO_POOL_START_METHOD``), not a separate code path.
 
 detection
-    Workers run the same event-driven cone walks as the serial engines
-    (:mod:`repro.simulation.kernels`), so detection results — and the
-    recorded detecting patterns — stay **byte-identical** to the serial
-    :class:`~repro.simulation.fault_sim.FaultSimulator` and
-    :class:`~repro.sbst.grading.FaultGrader` paths whatever order workers
-    steal chunks in, which the golden scenario corpus enforces end-to-end
-    in CI.
+    Grading workers run the serial word engine's window loop
+    (:func:`repro.simulation.parallel.detect_windows`) and classification
+    workers the serial detection phases, so detected sets and verdicts
+    stay **byte-identical** to the serial paths whatever order workers
+    steal chunks in.  In CI the golden scenario corpus checks the
+    verdicts end to end, and the ``sbst-coverage`` job the date13
+    grading.
 """
 
 from __future__ import annotations
@@ -43,16 +43,10 @@ from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Set,
                     Tuple)
 
 from repro.faults.models import Fault, resolve_injection
-from repro.netlist.compiled import CompiledNetlist, get_compiled
+from repro.netlist.compiled import get_compiled
 from repro.netlist.module import Netlist
-from repro.simulation.fault_sim import (FaultSimResult, good_planes,
-                                        observation_net_names,
-                                        pair_allowed_mask, resolve_site)
-from repro.simulation.kernels import detect_mask_planes, detects_words
-from repro.simulation.parallel import (compute_good_words,
-                                       pair_allowed_words, word_program)
-from repro.simulation.simulator import plane_program
-from repro.utils.bitvec import mask as bitmask
+from repro.simulation.kernels import observation_flags, resolve_site
+from repro.simulation.parallel import compute_good_words, detect_windows
 
 _oversubscribe_warned = False
 
@@ -115,140 +109,55 @@ def _fan_out(pool, key: str, method: str, tasks: Sequence) -> List:
 # --------------------------------------------------------------------- #
 # worker-side jobs
 # --------------------------------------------------------------------- #
-class _ShardJob:
-    """Base class for worker-side job state.
+class _WordGradeJob:
+    """Pooled counterpart of ``FaultGrader.grade`` (two-valued words).
 
     A job carries everything a worker needs (netlist, the fault tuple,
-    patterns, observation config); tasks address faults by position.
-    Heavy derived state — the compiled IR, evaluator programs, resolved
-    fault sites, per-window good machines — is built by :meth:`prepare`
-    and **excluded from pickling**: workers rebuild it lazily on first
-    use.
+    observation nets, pattern windows); tasks address faults by position.
+    The compiled IR, observation flags, resolved fault entries and the
+    good words of each window are built on first use and **excluded from
+    pickling**: workers rebuild them lazily.
     """
 
-    _RUNTIME_ATTRS = ("_prepared", "_compiled", "_program", "_obs_flags",
-                      "_sites", "_specs", "_window_memo")
+    _RUNTIME_ATTRS = ("_compiled", "_obs_flags", "_entries", "_window_memo")
 
     def __init__(self, netlist: Netlist, faults: Tuple[Fault, ...],
-                 observation_nets: frozenset) -> None:
+                 observation_nets: frozenset,
+                 windows: Sequence[Tuple[Mapping[str, int], int]]) -> None:
         self.netlist = netlist
         self.faults = faults
         self.observation_nets = observation_nets
-        self._prepared = False
+        self.windows = list(windows)
+        self._compiled = None
 
     def __getstate__(self):
         state = self.__dict__.copy()
         for attr in self._RUNTIME_ATTRS:
             state.pop(attr, None)
-        state["_prepared"] = False
+        state["_compiled"] = None
         return state
 
     def prepare(self) -> None:
-        if self._prepared:
+        if self._compiled is not None:
             return
         compiled = get_compiled(self.netlist)
-        obs_flags = bytearray(compiled.n_nets)
-        net_id = compiled.net_id
-        for name in self.observation_nets:
-            nid = net_id.get(name)
-            if nid is not None:
-                obs_flags[nid] = 1
-        self._compiled = compiled
-        self._obs_flags = obs_flags
-        self._program = self._build_program(compiled)
-        self._sites = {fault: resolve_site(compiled, fault)
-                       for fault in self.faults}
-        self._specs = {fault: resolve_injection(fault)
-                       for fault in self.faults}
+        self._obs_flags = observation_flags(compiled, self.observation_nets)
+        self._entries = [(position, resolve_site(compiled, fault),
+                          resolve_injection(fault))
+                         for position, fault in enumerate(self.faults)]
         self._window_memo: Dict[int, tuple] = {}
-        self._prepared = True
+        self._compiled = compiled
 
-    def _build_program(self, compiled: CompiledNetlist):
-        raise NotImplementedError
-
-
-class _PlaneSimJob(_ShardJob):
-    """Pooled counterpart of ``FaultSimulator.run`` (three-valued planes)."""
-
-    def __init__(self, netlist: Netlist, faults, observation_nets,
-                 patterns: Sequence[Mapping[str, int]],
-                 word_size: int) -> None:
-        super().__init__(netlist, faults, observation_nets)
-        self.patterns = list(patterns)
-        self.word_size = word_size
-
-    def _build_program(self, compiled: CompiledNetlist):
-        program, _ = plane_program(compiled)
-        return program
-
-    def _window_planes(self, start: int):
-        memo = self._window_memo.get(start)
-        if memo is None:
-            window = self.patterns[start:start + self.word_size]
-            memo = good_planes(self._compiled, self._program, window)
-            self._window_memo[start] = memo
-        return memo
-
-    def run_chunk(self, task):
-        """task = (fault positions, drop) -> [(position, pattern index)].
-
-        Walks every pattern window in order.  With ``drop`` a fault leaves
-        the chunk at its first detecting pattern; without it the fault
-        keeps simulating and its *last* detecting pattern wins, like the
-        serial engine.
-        """
-        positions, drop = task
-        self.prepare()
-        faults, sites, specs = self.faults, self._sites, self._specs
-        found: Dict[int, int] = {}
-        remaining = list(positions)
-        prev_planes = None  # previous window's (g1, g0, width)
-        for start in range(0, len(self.patterns), self.word_size):
-            if not remaining:
-                break
-            g1, g0, frozen, mask = self._window_planes(start)
-            survivors = []
-            for position in remaining:
-                fault = faults[position]
-                spec = specs[fault]
-                det = detect_mask_planes(self._compiled, self._program,
-                                         sites[fault], spec.stuck_value, g1,
-                                         g0, frozen, mask, self._obs_flags)
-                if det and spec.frames > 1:
-                    det &= pair_allowed_mask(self._compiled, sites[fault],
-                                             spec, g1, g0, mask,
-                                             prev=prev_planes)
-                if not det:
-                    survivors.append(position)
-                elif drop:
-                    found[position] = start + (det & -det).bit_length() - 1
-                else:
-                    found[position] = start + det.bit_length() - 1
-                    survivors.append(position)
-            remaining = survivors
-            prev_planes = (g1, g0, self.word_size)
-        return list(found.items())
-
-
-class _WordGradeJob(_ShardJob):
-    """Pooled counterpart of ``FaultGrader.grade`` (two-valued words)."""
-
-    def __init__(self, netlist: Netlist, faults, observation_nets,
-                 windows: Sequence[Tuple[Mapping[str, int], int]]) -> None:
-        super().__init__(netlist, faults, observation_nets)
-        self.windows = list(windows)
-
-    def _build_program(self, compiled: CompiledNetlist):
-        return word_program(compiled)
-
-    def _window_words(self, window_index: int):
-        memo = self._window_memo.get(window_index)
-        if memo is None:
-            words, n_patterns = self.windows[window_index]
-            good, _ = compute_good_words(self._compiled, words, n_patterns)
-            memo = (good, bitmask(n_patterns))
-            self._window_memo[window_index] = memo
-        return memo
+    def _good_windows(self):
+        """``(good words, mask, width)`` per window, memoised: every chunk
+        of the job walks the same windows."""
+        for index, (words, n_patterns) in enumerate(self.windows):
+            memo = self._window_memo.get(index)
+            if memo is None:
+                memo = compute_good_words(self._compiled, words,
+                                          n_patterns) + (n_patterns,)
+                self._window_memo[index] = memo
+            yield memo
 
     def run_chunk(self, task):
         """task = (fault positions, drop) -> detected positions.
@@ -258,33 +167,10 @@ class _WordGradeJob(_ShardJob):
         """
         positions, drop = task
         self.prepare()
-        faults, sites, specs = self.faults, self._sites, self._specs
-        detected: Set[int] = set()
-        remaining = list(positions)
-        prev = None  # previous window's (good words, width)
-        for window_index in range(len(self.windows)):
-            if not remaining:
-                break
-            good, word_mask = self._window_words(window_index)
-            survivors = []
-            for position in remaining:
-                fault = faults[position]
-                spec = specs[fault]
-                allowed = None
-                if spec.frames > 1:
-                    allowed = pair_allowed_words(self._compiled,
-                                                 sites[fault], spec, good,
-                                                 word_mask, prev=prev)
-                if detects_words(self._compiled, self._program, sites[fault],
-                                 spec.stuck_value, good, word_mask,
-                                 self._obs_flags, allowed):
-                    detected.add(position)
-                    if drop:
-                        continue
-                survivors.append(position)
-            remaining = survivors
-            prev = (good, self.windows[window_index][1])
-        return sorted(detected)
+        entries = self._entries
+        return sorted(detect_windows(
+            self._compiled, [entries[position] for position in positions],
+            self._good_windows(), self._obs_flags, drop))
 
 
 class _DetectClassifyJob:
@@ -336,64 +222,6 @@ class _DetectClassifyJob:
 # --------------------------------------------------------------------- #
 # public engines
 # --------------------------------------------------------------------- #
-class ShardedFaultSimulator:
-    """Drop-in parallel counterpart of :class:`FaultSimulator.run`.
-
-    Runs one pool task per cone-affine fault chunk.  Results —
-    detected/undetected sets *and* the recorded detecting pattern
-    indices, under both fault-dropping modes — are byte-identical to the
-    serial compiled engine.
-    """
-
-    def __init__(self, netlist: Netlist, observe_state_inputs: bool = True,
-                 state_input_roles: Optional[Sequence[str]] = None,
-                 drop_detected: bool = True, word_size: int = 64, *,
-                 jobs: Optional[int] = None, pool=None) -> None:
-        self.netlist = netlist
-        self.observe_state_inputs = observe_state_inputs
-        self.state_input_roles = (tuple(state_input_roles)
-                                  if state_input_roles is not None else None)
-        self.drop_detected = drop_detected
-        self.word_size = word_size
-        self.jobs = resolve_jobs(jobs)
-        self.pool = pool
-
-    def run(self, faults: Iterable[Fault],
-            patterns: Sequence[Mapping[str, int]],
-            drop_detected: Optional[bool] = None) -> FaultSimResult:
-        from repro.runtime import build_chunks, content_key, default_chunk_size
-
-        drop = self.drop_detected if drop_detected is None else drop_detected
-        fault_tuple = tuple(faults)
-        observation_nets = frozenset(observation_net_names(
-            self.netlist, self.observe_state_inputs, self.state_input_roles))
-        result = FaultSimResult()
-        if not patterns:
-            result.undetected.update(fault_tuple)
-            return result
-        pool = _pool_for(self.pool, self.jobs)
-        chunks = build_chunks(
-            self.netlist, fault_tuple,
-            default_chunk_size(pool.workers, len(fault_tuple)))
-        key = content_key("planesim", self.netlist, self.word_size,
-                          tuple(sorted(observation_nets)), fault_tuple,
-                          list(patterns))
-        pool.ensure_job(key, lambda: _PlaneSimJob(
-            self.netlist, fault_tuple, observation_nets, patterns,
-            self.word_size))
-        for hits in _fan_out(pool, key, "run_chunk",
-                             [(positions, drop) for positions in chunks]):
-            for position, pattern_index in hits:
-                result.detecting_pattern[fault_tuple[position]] = \
-                    pattern_index
-        result.detected.update(result.detecting_pattern)
-        # Like the serial engine, a no-drop run never retires a fault, so
-        # its undetected set is the whole population.
-        result.undetected.update(fault for fault in fault_tuple
-                                 if not drop or fault not in result.detected)
-        return result
-
-
 def sharded_mission_grade(netlist: Netlist, faults: Iterable[Fault],
                           patterns, *,
                           observation_nets: Iterable[str],

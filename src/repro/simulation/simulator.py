@@ -22,7 +22,7 @@ simulators use the integer-plane internals directly.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import Collection, Dict, List, Mapping, Optional, Sequence, Set
 
 from repro.netlist.cells import (LOGIC_0, LOGIC_1, LOGIC_X, PLANE_ENCODING,
                                  encode)
@@ -238,3 +238,19 @@ def observed_state_input_nets(inst, roles=None):
     allowed.discard(None)
     return [pin.net.name for pin in inst.input_pins()
             if pin.net is not None and pin.port in allowed]
+
+
+def observation_net_names(netlist: Netlist, observe_state_inputs: bool = True,
+                          state_input_roles: Optional[Sequence[str]] = None,
+                          exclude_output_ports: Collection[str] = ()
+                          ) -> Set[str]:
+    """Observation-point net names: the observable output ports not in
+    ``exclude_output_ports``, plus (optionally) the observed
+    sequential-cell input nets -- a state input stays observed even when
+    its net also drives an excluded port."""
+    nets: Set[str] = set(netlist.observable_output_ports())
+    nets.difference_update(exclude_output_ports)
+    if observe_state_inputs:
+        for inst in netlist.sequential_instances():
+            nets.update(observed_state_input_nets(inst, state_input_roles))
+    return nets

@@ -96,6 +96,11 @@ class CpuConfig:
         return cls()
 
 
+#: The named axes :meth:`SoCConfig.with_axis` applies, besides
+#: ``cpu.<field>`` and ``config`` (an alias of ``size``).
+CONFIG_AXES = ("size", "scan", "debug", "memory_map", "insert_scan")
+
+
 @dataclass(frozen=True)
 class SoCConfig:
     """The CPU configuration plus the mission environment around it."""
@@ -228,8 +233,8 @@ class SoCConfig:
                 raise ValueError(
                     f"bad value for axis {axis!r}: {exc}") from None
         raise ValueError(
-            f"unknown scenario axis {axis!r}; expected size, scan, debug, "
-            f"memory_map, insert_scan or cpu.<field>")
+            f"unknown scenario axis {axis!r}; expected "
+            f"{', '.join(CONFIG_AXES)} or cpu.<field>")
 
 
 def axis_value_label(value: object) -> str:

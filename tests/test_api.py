@@ -143,6 +143,13 @@ class TestScenarioGrid:
             ScenarioGrid("tiny").axis("memory_map", ["default"])
         with pytest.raises(ValueError, match="no values"):
             ScenarioGrid("tiny").axis("debug", [])
+        # The error names every axis a grid takes, run axes included.
+        with pytest.raises(ValueError) as info:
+            ScenarioGrid("tiny").axis("static_prune", ["on", "off"])
+        assert str(info.value) == (
+            "unknown scenario axis 'static_prune'; expected effort, "
+            "fault_model, atpg_backend, size, scan, debug, memory_map, "
+            "insert_scan or cpu.<field>")
         with pytest.raises(ValueError, match="unknown ATPG effort"):
             ScenarioGrid("tiny").axis("effort", ["turbo"])
 

@@ -90,7 +90,10 @@ class TestSweepCommand:
         ("cpu.mult_width=abc", "axis 'cpu.mult_width' expects a value of "
                                "type int, got 'abc'"),
         ("cpu.mult_width=64", "bad value for axis 'cpu.mult_width'"),
-        ("static_prune=on,off", "unknown scenario axis 'static_prune'"),
+        ("static_prune=on,off", "unknown scenario axis 'static_prune'; "
+                                "expected effort, fault_model, atpg_backend, "
+                                "size, scan, debug, memory_map, insert_scan "
+                                "or cpu.<field>"),
     ], ids=["unknown-field", "ill-typed", "invalid", "removed-knob"])
     def test_bad_cpu_axis_exits_2_naming_the_axis(self, capsys, axis,
                                                   message):

@@ -3,8 +3,8 @@
 Covers the FaultModel registry and serialization grammars (with round-trip
 property coverage for every registered model), the model-specific collapse
 rules and their determinism, launch-on-capture transition detection in the
-serial/sharded/grading engines (byte-identity included), the two-time-frame
-PODEM search, and the fault_model plumbing through tie analysis, scan
+serial engine and the serial and pooled graders (identity included), the
+two-time-frame PODEM search, and the fault_model plumbing through tie analysis, scan
 analysis, Session sweeps, report serialization and the CLI.
 """
 
@@ -36,8 +36,9 @@ from repro.manipulation.tie import tie_port
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.cells import LOGIC_0, LOGIC_1
 from repro.runtime import get_pool
+from repro.sbst.grading import FaultGrader
+from repro.sbst.monitor import CapturedPatterns
 from repro.simulation.fault_sim import FaultSimulator
-from repro.simulation.sharded import ShardedFaultSimulator
 
 from tests.conftest import build_and_or_circuit
 
@@ -247,6 +248,16 @@ def _random_patterns(netlist, n, seed=11):
             for _ in range(n)]
 
 
+def _captured(patterns):
+    """The same cycles as a captured stream, for the graders."""
+    nets = list(patterns[0])
+    return CapturedPatterns(
+        controllable_nets=nets,
+        words={net: sum(1 << i for i, pattern in enumerate(patterns)
+                        if pattern[net]) for net in nets},
+        n_cycles=len(patterns))
+
+
 class TestTwoPatternDetection:
     def _buffer_chain(self):
         b = NetlistBuilder("chain")
@@ -290,30 +301,37 @@ class TestTwoPatternDetection:
                              ids=["serial", "process", "spawn"])
     @pytest.mark.parametrize("drop", [True, False])
     def test_sharded_transition_byte_identical(self, pool, drop):
-        """On one worker, on the default two-worker process pool (fork
-        where available) and on a spawn-started pool."""
+        """Pooled transition grading over 8-pattern windows, on one
+        worker, on the default two-worker process pool (fork where
+        available) and on a spawn-started pool, against the serial grader
+        and the three-valued serial engine."""
         jobs, start_method = pool
         netlist = build_and_or_circuit()
         faults = generate_fault_list(netlist, model="transition").faults()
         patterns = _random_patterns(netlist, 40, seed=5)
-        serial = FaultSimulator(netlist, word_size=8,
-                                drop_detected=drop).run(faults, patterns)
-        sharded = ShardedFaultSimulator(
+        reference = FaultSimulator(netlist, word_size=8).run(
+            faults, patterns).detected
+        serial = FaultGrader(netlist, word_size=8, drop_detected=drop).grade(
+            _captured(patterns), faults)
+        pooled = FaultGrader(
             netlist, word_size=8, drop_detected=drop, jobs=jobs,
-            pool=get_pool(jobs, start_method)).run(faults, patterns)
-        assert sharded.detected == serial.detected
-        assert sharded.undetected == serial.undetected
-        assert sharded.detecting_pattern == serial.detecting_pattern
+            pool=get_pool(jobs, start_method)).grade(_captured(patterns),
+                                                     faults)
+        assert pooled == serial == reference
+        assert reference
 
     def test_sharded_transition_identity_on_tiny_cpu(self, tiny_soc):
         faults = generate_fault_list(tiny_soc.cpu, model="transition").faults()
         sample = faults[:: max(1, len(faults) // 120)][:120]
-        patterns = _random_patterns(tiny_soc.cpu, 12, seed=2013)
-        serial = FaultSimulator(tiny_soc.cpu).run(sample, patterns)
-        sharded = ShardedFaultSimulator(tiny_soc.cpu, jobs=3).run(sample,
-                                                                  patterns)
-        assert sharded.detected == serial.detected
-        assert sharded.detecting_pattern == serial.detecting_pattern
+        captured = _captured(_random_patterns(tiny_soc.cpu, 12, seed=2013))
+        for drop in (True, False):
+            serial = FaultGrader(tiny_soc.cpu, word_size=8,
+                                 drop_detected=drop).grade(captured, sample)
+            pooled = FaultGrader(tiny_soc.cpu, word_size=8,
+                                 drop_detected=drop,
+                                 jobs=3).grade(captured, sample)
+            assert pooled == serial
+            assert serial
 
 
 class TestTransitionGrading:

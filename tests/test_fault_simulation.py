@@ -1,12 +1,16 @@
-"""Unit tests for serial and pattern-parallel stuck-at fault simulation."""
+"""Unit tests for serial and pattern-parallel fault simulation."""
+
+import random
 
 import pytest
 
 from repro.faults.fault import SA0, SA1, StuckAtFault
 from repro.faults.faultlist import generate_fault_list
 from repro.netlist.builder import NetlistBuilder
+from repro.netlist.cells import LOGIC_0, LOGIC_1
 from repro.simulation.fault_sim import FaultSimulator
 from repro.simulation.parallel import ParallelPatternSimulator
+from repro.simulation.simulator import CombinationalSimulator
 
 from tests.conftest import all_input_patterns, build_and_or_circuit
 
@@ -82,13 +86,13 @@ class TestParallelPatternSimulator:
         return words
 
     def test_good_simulation_matches_serial(self, and_or_circuit):
-        serial = FaultSimulator(and_or_circuit)
+        serial = CombinationalSimulator(and_or_circuit)
         parallel = ParallelPatternSimulator(and_or_circuit)
         patterns = list(all_input_patterns(["a", "b", "c"]))
         words = self._pack(patterns, ["a", "b", "c"])
         values = parallel.good_simulation(words, len(patterns))
         for index, pattern in enumerate(patterns):
-            reference = serial.good_values(pattern)
+            reference = serial.evaluate(pattern)
             for net in ("y", "z"):
                 assert ((values[net] >> index) & 1) == reference[net]
 
@@ -118,3 +122,30 @@ class TestParallelPatternSimulator:
         patterns = list(all_input_patterns(["a", "b", "c"]))
         words = self._pack(patterns, ["a", "b", "c"])
         assert parallel.detected_faults(faults, words, len(patterns)) == set()
+
+
+class TestEnginesAgreeOnTiny:
+    """The three-valued serial engine and the two-valued word engine decode
+    every fault site through one resolver, so on fully specified patterns
+    they detect the same faults: stem, branch, sequential-pin and port
+    faults, under both fault models."""
+
+    @pytest.mark.parametrize("model,expected", [("stuck_at", 619),
+                                                ("transition", 489)])
+    def test_detected_sets_match(self, tiny_soc, model, expected):
+        cpu = tiny_soc.cpu
+        serial = FaultSimulator(cpu)
+        controllable = [p for p in cpu.input_ports()
+                        if cpu.net(p).tied is None] + serial.sim.state_nets
+        rng = random.Random(2013)
+        patterns = [{net: (LOGIC_1 if rng.getrandbits(1) else LOGIC_0)
+                     for net in controllable} for _ in range(48)]
+        words = {net: sum(1 << i for i, pattern in enumerate(patterns)
+                          if pattern[net]) for net in controllable}
+        faults = generate_fault_list(cpu, model=model).faults()[::7]
+        assert any(fault.is_port_fault for fault in faults)
+        reference = serial.run(faults, patterns).detected
+        parallel = ParallelPatternSimulator(cpu).detected_faults(
+            faults, words, len(patterns))
+        assert parallel == reference
+        assert (len(faults), len(reference)) == (1023, expected)

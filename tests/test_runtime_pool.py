@@ -3,9 +3,8 @@
 Three contracts under test:
 
 * **Byte-identity under any steal order.**  The pooled engines must
-  reproduce the serial reference exactly — detected/undetected sets,
-  recorded detecting-pattern indices and classification dicts — no matter
-  which worker steals which chunk.  Hypothesis sweeps the deterministic
+  reproduce the serial reference exactly — graded detected sets and
+  classification dicts — no matter which worker steals which chunk.  Hypothesis sweeps the deterministic
   jitter seed (per-task delays that permute completion order) and the
   chunk granularity, across both fault models.
 * **Warm re-use.**  Installing job state twice under one content key must
@@ -30,15 +29,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.faults.faultlist import generate_fault_list
-from repro.netlist.cells import LOGIC_0, LOGIC_1
 from repro.netlist.compiled import get_compiled
 from repro.runtime import (DEFAULT_JOB_CACHE, MONSTER_RATIO,
                            PoolClosedError, WorkerPool, WorkerTaskError,
                            build_chunks, cone_representative, content_key,
                            default_chunk_size, get_pool, pool_stats,
                            shutdown_pools)
-from repro.simulation.fault_sim import FaultSimulator, resolve_site
-from repro.simulation.sharded import ShardedFaultSimulator, sharded_classify
+from repro.sbst import FaultGrader
+from repro.sbst.monitor import CapturedPatterns
+from repro.simulation.kernels import resolve_site
+from repro.simulation.sharded import sharded_classify
+from repro.simulation.simulator import CombinationalSimulator
 
 # These tests pin jobs=2 to exercise two genuine workers even on boxes
 # whose cpu_count would cap the request; the cap warning is expected.
@@ -62,15 +63,17 @@ def transition_faults(tiny_cpu):
 
 
 @pytest.fixture(scope="module")
-def tiny_patterns(tiny_cpu):
+def tiny_captured(tiny_cpu):
+    """70 random mission cycles over the controllable nets: two pattern
+    windows, so two-pattern faults also pair across a window boundary."""
     rng = random.Random(2013)
-    sim = FaultSimulator(tiny_cpu)
     controllable = [p for p in tiny_cpu.input_ports()
                     if tiny_cpu.net(p).tied is None]
-    controllable += sim.sim.state_nets
-    return [{net: (LOGIC_1 if rng.getrandbits(1) else LOGIC_0)
-             for net in controllable}
-            for _ in range(70)]
+    controllable += CombinationalSimulator(tiny_cpu).state_nets
+    return CapturedPatterns(
+        controllable_nets=controllable,
+        words={net: rng.getrandbits(70) for net in controllable},
+        n_cycles=70)
 
 
 # --------------------------------------------------------------------- #
@@ -168,22 +171,22 @@ class TestChunkScheduler:
 # --------------------------------------------------------------------- #
 class TestPoolLifecycle:
     def test_install_then_warm_hit(self, tiny_cpu, tiny_faults,
-                                   tiny_patterns):
+                                   tiny_captured):
         pool = WorkerPool(2)
         try:
-            sim = ShardedFaultSimulator(tiny_cpu, jobs=2, pool=pool)
+            grader = FaultGrader(tiny_cpu, jobs=2, pool=pool)
             sample = tiny_faults[::7][:40]
-            first = sim.run(sample, tiny_patterns)
+            first = grader.grade(tiny_captured, sample)
             installs = pool.stats["installs"]
             assert installs >= 2  # the netlist + the job
             assert pool.stats["install_hits"] == 0
-            second = sim.run(sample, tiny_patterns)
+            second = grader.grade(tiny_captured, sample)
             assert pool.stats["installs"] == installs  # nothing new
             assert pool.stats["install_hits"] == 1
             # The warm re-entry's setup is a cache hit: microseconds.
             assert pool.stats["last_setup_seconds"] < 0.05
-            assert second.detected == first.detected
-            assert second.detecting_pattern == first.detecting_pattern
+            assert second == first
+            assert first
         finally:
             pool.close()
 
@@ -238,12 +241,12 @@ class TestPoolLifecycle:
 
     def test_exception_inside_session_clears_run_state(self, tiny_cpu,
                                                        tiny_faults,
-                                                       tiny_patterns):
+                                                       tiny_captured):
         pool = WorkerPool(2)
         try:
-            sim = ShardedFaultSimulator(tiny_cpu, jobs=2, pool=pool)
+            grader = FaultGrader(tiny_cpu, jobs=2, pool=pool)
             sample = tiny_faults[::9][:30]
-            reference = FaultSimulator(tiny_cpu).run(sample, tiny_patterns)
+            reference = FaultGrader(tiny_cpu).grade(tiny_captured, sample)
             key = "probe:abort"
             pool.ensure_job(key, lambda: _EchoJob(tiny_cpu))
             with pytest.raises(RuntimeError, match="deliberate"):
@@ -251,9 +254,7 @@ class TestPoolLifecycle:
                     run.submit("run", (0, 1), tag=0)
                     raise RuntimeError("deliberate")
             # The aborted run must not leak tasks into the next one.
-            result = sim.run(sample, tiny_patterns)
-            assert result.detected == reference.detected
-            assert result.detecting_pattern == reference.detecting_pattern
+            assert grader.grade(tiny_captured, sample) == reference
         finally:
             pool.close()
 
@@ -385,11 +386,11 @@ class TestInterleavedRuns:
 # --------------------------------------------------------------------- #
 class TestOneTaskPerChunk:
     def test_grading_and_simulation_submit_one_task_per_chunk(
-            self, tiny_soc, tiny_cpu, tiny_faults, tiny_patterns):
+            self, tiny_soc, tiny_cpu, tiny_faults, tiny_captured):
         """Each chunk walks all of its pattern windows inside one task, so
-        a run costs exactly one pool round trip per chunk."""
-        from repro.sbst import (FaultGrader, ToggleMonitor,
-                                generate_sbst_suite)
+        a grading run costs exactly one pool round trip per chunk, with
+        fault dropping on (the SBST capture) or off (random cycles)."""
+        from repro.sbst import ToggleMonitor, generate_sbst_suite
 
         captured = ToggleMonitor(tiny_cpu).run_suite(
             generate_sbst_suite(tiny_soc.config.cpu))
@@ -402,8 +403,9 @@ class TestOneTaskPerChunk:
                                                            tiny_faults)
             assert pool.stats["tasks"] - before == n_chunks
             before = pool.stats["tasks"]
-            ShardedFaultSimulator(tiny_cpu, jobs=2, pool=pool).run(
-                tiny_faults, tiny_patterns)
+            FaultGrader(tiny_cpu, jobs=2, pool=pool,
+                        drop_detected=False).grade(tiny_captured,
+                                                   tiny_faults)
             assert pool.stats["tasks"] - before == n_chunks
 
 
@@ -416,21 +418,20 @@ def _chunk_size(chunk):
                       return_value=chunk)
 
 
-def _identity_case(netlist, faults, patterns, jitter_seed, chunk,
+def _identity_case(netlist, faults, captured, jitter_seed, chunk,
                    drop_detected=True):
-    serial = FaultSimulator(netlist).run(faults, patterns,
-                                         drop_detected=drop_detected)
+    serial = FaultGrader(netlist, drop_detected=drop_detected).grade(
+        captured, faults)
     pool = WorkerPool(2, jitter_seed=jitter_seed)
     try:
-        sharded = ShardedFaultSimulator(netlist, jobs=2, pool=pool,
-                                        drop_detected=drop_detected)
+        grader = FaultGrader(netlist, jobs=2, pool=pool,
+                             drop_detected=drop_detected)
         with _chunk_size(chunk):
-            pooled = sharded.run(faults, patterns)
+            pooled = grader.grade(captured, faults)
     finally:
         pool.close()
-    assert pooled.detected == serial.detected
-    assert pooled.undetected == serial.undetected
-    assert pooled.detecting_pattern == serial.detecting_pattern
+    assert serial and len(serial) < len(faults)
+    assert pooled == serial
 
 
 class TestStealOrderIdentity:
@@ -438,23 +439,23 @@ class TestStealOrderIdentity:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(jitter_seed=st.integers(min_value=0, max_value=2**31),
            chunk=st.integers(min_value=1, max_value=9))
-    def test_stuck_at_identity(self, tiny_cpu, tiny_faults, tiny_patterns,
+    def test_stuck_at_identity(self, tiny_cpu, tiny_faults, tiny_captured,
                                jitter_seed, chunk):
         sample = tiny_faults[::5][:60]
-        _identity_case(tiny_cpu, sample, tiny_patterns, jitter_seed, chunk)
+        _identity_case(tiny_cpu, sample, tiny_captured, jitter_seed, chunk)
 
     @settings(max_examples=4, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(jitter_seed=st.integers(min_value=0, max_value=2**31),
            chunk=st.integers(min_value=1, max_value=9))
     def test_transition_identity(self, tiny_cpu, transition_faults,
-                                 tiny_patterns, jitter_seed, chunk):
+                                 tiny_captured, jitter_seed, chunk):
         sample = transition_faults[::5][:60]
-        _identity_case(tiny_cpu, sample, tiny_patterns, jitter_seed, chunk)
+        _identity_case(tiny_cpu, sample, tiny_captured, jitter_seed, chunk)
 
-    def test_no_drop_identity(self, tiny_cpu, tiny_faults, tiny_patterns):
+    def test_no_drop_identity(self, tiny_cpu, tiny_faults, tiny_captured):
         sample = tiny_faults[::11][:40]
-        _identity_case(tiny_cpu, sample, tiny_patterns, jitter_seed=7,
+        _identity_case(tiny_cpu, sample, tiny_captured, jitter_seed=7,
                        chunk=3, drop_detected=False)
 
     def test_classify_identity_across_jitter(self, tiny_cpu, tiny_faults):
@@ -491,18 +492,16 @@ class TestStealOrderIdentity:
         assert report.stats["jobs_resolved"] == 2
 
     def test_spawn_start_method_identity(self, tiny_cpu, tiny_faults,
-                                         tiny_patterns):
+                                         tiny_captured):
         sample = tiny_faults[::7][:40]
-        serial = FaultSimulator(tiny_cpu).run(sample, tiny_patterns)
+        serial = FaultGrader(tiny_cpu).grade(tiny_captured, sample)
         pool = WorkerPool(2, start_method="spawn")
         try:
-            sharded = ShardedFaultSimulator(tiny_cpu, jobs=2, pool=pool)
-            pooled = sharded.run(sample, tiny_patterns)
+            pooled = FaultGrader(tiny_cpu, jobs=2, pool=pool).grade(
+                tiny_captured, sample)
         finally:
             pool.close()
-        assert pooled.detected == serial.detected
-        assert pooled.undetected == serial.undetected
-        assert pooled.detecting_pattern == serial.detecting_pattern
+        assert pooled == serial
 
 
 # --------------------------------------------------------------------- #
@@ -536,24 +535,22 @@ class TestWorkerDeath:
 
     def test_death_during_grading_keeps_identity(self, tiny_cpu,
                                                  tiny_faults,
-                                                 tiny_patterns):
+                                                 tiny_captured):
         sample = tiny_faults[::3]
-        serial = FaultSimulator(tiny_cpu).run(sample, tiny_patterns)
+        serial = FaultGrader(tiny_cpu).grade(tiny_captured, sample)
         pool = WorkerPool(2, start_method="fork", jitter_seed=3)
         try:
-            sharded = ShardedFaultSimulator(tiny_cpu, jobs=2, pool=pool)
+            grader = FaultGrader(tiny_cpu, jobs=2, pool=pool)
             # Prime the pool, then murder a worker between rounds: the
             # replacement must be re-provisioned from the payload cache.
             pids = pool.worker_pids()
             os.kill(pids[-1], signal.SIGKILL)
             time.sleep(0.05)
             with _chunk_size(2):
-                pooled = sharded.run(sample, tiny_patterns)
+                pooled = grader.grade(tiny_captured, sample)
         finally:
             pool.close()
-        assert pooled.detected == serial.detected
-        assert pooled.undetected == serial.undetected
-        assert pooled.detecting_pattern == serial.detecting_pattern
+        assert pooled == serial
         assert pool.stats["worker_restarts"] >= 1
 
 

@@ -2,9 +2,9 @@
 
 The contract under test is strict: on one worker or two, under both pool
 start methods and every fault-dropping mode, the pooled engines must
-reproduce the serial reference *exactly* — detected/undetected sets,
-recorded detecting patterns, classification dicts and graded coverage
-are compared for equality, not similarity.
+reproduce the serial reference *exactly* — graded detected sets,
+classification dicts and graded coverage are compared for equality, not
+similarity.
 """
 
 from __future__ import annotations
@@ -16,16 +16,16 @@ import pytest
 
 from repro.atpg.engine import StructuralUntestabilityEngine
 from repro.faults.faultlist import generate_fault_list
-from repro.netlist.cells import LOGIC_0, LOGIC_1
 from repro.netlist.compiled import get_compiled, netlist_signature
 from repro.runtime import (MONSTER_RATIO, build_chunks, cone_representative,
                            get_pool)
 from repro.sbst.grading import FaultGrader
-from repro.sbst.monitor import ToggleMonitor
+from repro.sbst.monitor import CapturedPatterns, ToggleMonitor, pattern_windows
 from repro.sbst.program_gen import generate_sbst_suite
-from repro.simulation.fault_sim import FaultSimulator, resolve_site
-from repro.simulation.sharded import (ShardedFaultSimulator, resolve_jobs,
-                                      sharded_classify)
+from repro.simulation.kernels import resolve_site
+from repro.simulation.sharded import (resolve_jobs, sharded_classify,
+                                      sharded_mission_grade)
+from repro.simulation.simulator import CombinationalSimulator
 
 #: The pools every identity test runs on, as (jobs, start method):
 #: one worker, the default process pool for two workers (fork where
@@ -50,16 +50,17 @@ def tiny_faults(tiny_cpu):
 
 
 @pytest.fixture(scope="module")
-def tiny_patterns(tiny_cpu):
-    """Deterministic random mission patterns over the controllable nets."""
+def tiny_captured_random(tiny_cpu):
+    """130 deterministic random mission cycles over the controllable nets
+    (three pattern windows)."""
     rng = random.Random(2013)
-    sim = FaultSimulator(tiny_cpu)
     controllable = [p for p in tiny_cpu.input_ports()
                     if tiny_cpu.net(p).tied is None]
-    controllable += sim.sim.state_nets
-    return [{net: (LOGIC_1 if rng.getrandbits(1) else LOGIC_0)
-             for net in controllable}
-            for _ in range(130)]
+    controllable += CombinationalSimulator(tiny_cpu).state_nets
+    return CapturedPatterns(
+        controllable_nets=controllable,
+        words={net: rng.getrandbits(130) for net in controllable},
+        n_cycles=130)
 
 
 # --------------------------------------------------------------------- #
@@ -85,8 +86,6 @@ class TestKnobs:
             FaultGrader(tiny_cpu, jobs=-3)
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             StructuralUntestabilityEngine(tiny_cpu, jobs=0)
-        with pytest.raises(ValueError, match="jobs must be >= 1"):
-            ShardedFaultSimulator(tiny_cpu, jobs=0)
 
     def test_resolve_jobs_warns_once_on_oversubscription(self):
         import os
@@ -142,22 +141,28 @@ class TestPartitioning:
 
 
 # --------------------------------------------------------------------- #
-# pooled fault simulation: byte-identical to the serial engine
+# pooled word fault simulation: identical to the serial window loop
 # --------------------------------------------------------------------- #
 class TestShardedFaultSimulator:
+    """``sharded_mission_grade`` on random multi-window cycles, with and
+    without fault dropping, against the serial ``run_windows``."""
+
     @pytest.mark.parametrize("drop", [True, False])
     @pytest.mark.parametrize("mode", POOLS)
-    def test_identical_to_serial(self, tiny_cpu, tiny_faults, tiny_patterns,
-                                 mode, drop):
+    def test_identical_to_serial(self, tiny_cpu, tiny_faults,
+                                 tiny_captured_random, mode, drop):
         sample = tiny_faults[::7]
-        reference = FaultSimulator(tiny_cpu).run(sample, tiny_patterns,
-                                                 drop_detected=drop)
+        grader = FaultGrader(tiny_cpu)
+        reference = grader.simulator.run_windows(
+            sample, pattern_windows(tiny_captured_random, 64),
+            drop_detected=drop)
         jobs, pool = _pool(mode)
-        sharded = ShardedFaultSimulator(tiny_cpu, jobs=jobs, pool=pool)
-        result = sharded.run(sample, tiny_patterns, drop_detected=drop)
-        assert result.detected == reference.detected
-        assert result.undetected == reference.undetected
-        assert result.detecting_pattern == reference.detecting_pattern
+        result = sharded_mission_grade(
+            tiny_cpu, sample, tiny_captured_random,
+            observation_nets=grader.simulator.observation_nets,
+            drop_detected=drop, jobs=jobs, pool=pool)
+        assert result == reference
+        assert reference and len(reference) < len(sample)
 
 
 # --------------------------------------------------------------------- #
@@ -238,20 +243,25 @@ class TestJobPickling:
     """The pool installs every job by pickle; a pickled-and-rebuilt job
     must compute identical verdicts."""
 
-    def test_plane_sim_job_round_trip(self, tiny_cpu, tiny_faults,
-                                      tiny_patterns):
-        from repro.simulation.fault_sim import observation_net_names
-        from repro.simulation.sharded import _PlaneSimJob
+    def test_word_grade_job_round_trip(self, tiny_cpu, tiny_faults,
+                                       tiny_captured_random):
+        from repro.simulation.sharded import _WordGradeJob
+        from repro.simulation.simulator import observation_net_names
 
         faults = tuple(tiny_faults[:300])
-        job = _PlaneSimJob(
+        job = _WordGradeJob(
             tiny_cpu, faults, frozenset(observation_net_names(tiny_cpu)),
-            tiny_patterns, 64)
+            pattern_windows(tiny_captured_random, 64))
         job.prepare()
         clone = pickle.loads(pickle.dumps(job))
+        assert clone._compiled is None  # runtime state stays behind
+        detected = 0
         for positions in build_chunks(tiny_cpu, faults, 100):
-            task = (positions, True)
-            assert clone.run_chunk(task) == job.run_chunk(task)
+            for drop in (True, False):
+                task = (positions, drop)
+                assert clone.run_chunk(task) == job.run_chunk(task)
+            detected += len(job.run_chunk((positions, True)))
+        assert detected
 
     def test_classify_job_round_trip(self, tiny_cpu, tiny_faults):
         from repro.simulation.sharded import _DetectClassifyJob
