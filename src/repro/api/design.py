@@ -11,7 +11,11 @@ results.
 
 Designs are cheap value-style handles: every ``with_*``/factory call
 returns a new object, and the wrapped netlist must not be mutated after
-the design is created (the signature is computed once and trusted).
+the design is created (the signature is computed once and trusted).  A
+:class:`repro.api.Session` hands out one shared design per preset name or
+:class:`~repro.soc.config.SoCConfig`, so a design's netlist is shared
+state: mutate ``design.netlist.clone()`` instead, as every manipulation
+pass already does.
 """
 
 from __future__ import annotations
@@ -92,10 +96,7 @@ class Design:
         if isinstance(target, cls):
             if memory_map is None:
                 return target
-            return cls(target.netlist, config=target.config,
-                       memory_map=memory_map,
-                       debug_interface=target.debug_interface,
-                       scan=target.scan, label=label or target.label)
+            return target._rewrap(memory_map, label or target.label)
         if isinstance(target, SoC):
             design = cls.from_soc(target, label=label)
             return design if memory_map is None else cls.coerce(
@@ -112,6 +113,19 @@ class Design:
         raise TypeError(
             "analysis target must be a Design, SoC, Netlist, SoCConfig or "
             f"preset name, got {type(target).__name__}")
+
+    def with_label(self, label: str) -> "Design":
+        """The same design (netlist, signature) under another label."""
+        design = self._rewrap(self._memory_map, label)
+        design._signature = self._signature
+        return design
+
+    def _rewrap(self, memory_map: Optional[MemoryMap],
+                label: str) -> "Design":
+        return Design(self._netlist, config=self._config,
+                      memory_map=memory_map,
+                      debug_interface=self._debug_interface,
+                      scan=self._scan, label=label)
 
     # ------------------------------------------------------------------ #
     # read-only views

@@ -5,6 +5,9 @@ A session owns what should outlive a single analysis:
 * an :class:`~repro.pipeline.ArtifactCache` (bounded, thread-safe) shared
   by every analysis and in-process sweep scenario the session runs, so
   scenario variants replay each other's effort-independent artifacts;
+* a small LRU of built designs, one shared :class:`~repro.api.Design` per
+  preset name or :class:`~repro.soc.config.SoCConfig` content, so repeat
+  analyses and in-process sweep scenarios never rebuild the SoC;
 * the default pass selection, flow switches (:class:`FlowConfig`) and run
   knobs (:class:`~repro.api.RunOptions`) applied when a call does not
   override them.
@@ -21,8 +24,10 @@ streams per-scenario results as they complete and aggregates them into a
 
 from __future__ import annotations
 
+import threading
 import time
 import uuid
+from collections import OrderedDict
 from contextlib import closing
 from dataclasses import replace as _replace
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
@@ -34,10 +39,16 @@ from repro.api.grid import Scenario, ScenarioGrid
 from repro.api.options import DEFAULT_RUN_OPTIONS, RunOptions
 from repro.api.sweep import SweepReport, SweepResult
 from repro.pipeline import (ArtifactCache, Pipeline, default_pass_names)
+from repro.pipeline.cache import memory_map_key
+from repro.soc.config import SoCConfig
 
 #: Default LRU bound of a session's artifact cache — large enough for every
 #: pass of a few hundred scenarios, small enough to bound long sweeps.
 DEFAULT_CACHE_ENTRIES = 512
+
+#: Built designs a session keeps (LRU): enough for the presets a service
+#: answers, few enough that a config sweep does not hold every netlist.
+DESIGN_MEMO_ENTRIES = 4
 
 
 class _SweepJob:
@@ -109,14 +120,47 @@ class Session:
                                        store=self.options.store)
         self.passes = list(passes) if passes is not None else None
         self.flow_config = flow_config
+        self._designs: "OrderedDict[tuple, Design]" = OrderedDict()
+        self._designs_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # single-design analysis
     # ------------------------------------------------------------------ #
     def design(self, target, *, memory_map=None,
                label: Optional[str] = None) -> Design:
-        """Coerce any accepted target spelling to a :class:`Design`."""
-        return Design.coerce(target, memory_map=memory_map, label=label)
+        """Coerce any accepted target spelling to a :class:`Design`.
+
+        A preset name or :class:`~repro.soc.config.SoCConfig` returns the
+        session's one shared design for that configuration, built on first
+        use and kept in a small LRU keyed by content (two equal configs
+        share it; another ``label`` is a relabelled view of the same
+        netlist).  Its netlist is therefore shared by every later call:
+        never mutate it — mutate ``netlist.clone()`` instead, as every
+        manipulation pass does.  An explicit ``Design``, ``SoC`` or
+        ``Netlist``, and any ``memory_map`` override, bypass the memo.
+        """
+        if isinstance(target, str) and memory_map is None:
+            target, label = SoCConfig.from_name(target), label or target
+        if not isinstance(target, SoCConfig) or memory_map is not None:
+            return Design.coerce(target, memory_map=memory_map, label=label)
+        # Content, not the config object: MemoryMap compares by identity.
+        key = (target.cpu, memory_map_key(target.memory_map),
+               target.insert_scan)
+        with self._designs_lock:
+            design = self._designs.get(key)
+            if design is not None:
+                self._designs.move_to_end(key)
+        if design is None:
+            # Built outside the lock: one slow build must not stall other
+            # configs; a racing duplicate build loses to the first stored.
+            built = Design.from_config(target, label=label)
+            with self._designs_lock:
+                design = self._designs.setdefault(key, built)
+                self._designs.move_to_end(key)
+                while len(self._designs) > DESIGN_MEMO_ENTRIES:
+                    self._designs.popitem(last=False)
+        wanted = label or design.name
+        return design if design.label == wanted else design.with_label(wanted)
 
     def analyze(self, target, *,
                 passes: Optional[Sequence] = None,
@@ -127,7 +171,9 @@ class Session:
                 ) -> OnlineUntestableReport:
         """Analyze one design, applying session defaults where not overridden.
 
-        ``target`` is anything :meth:`design` accepts.  ``options`` (a
+        ``target`` is anything :meth:`design` accepts; a preset name or
+        config analyzes the session's shared design, whose netlist must
+        never be mutated.  ``options`` (a
         :class:`RunOptions`) carries the per-call knobs; its set fields win
         over the session's.  ``config`` picks the paper's switches (default:
         the session's, else all on).  Results are memoised per pass in the
@@ -274,7 +320,7 @@ class Session:
                                  self.options).merged_with(
                                      options).effort.value)
         try:
-            design = scenario.build_design()
+            design = self.design(scenario.config, label=scenario.label)
             result.report = self.analyze(design, passes=passes,
                                          config=config, options=options)
             result.design_signature = design.signature

@@ -25,7 +25,9 @@ Caching
 
 * a per-object slot on the :class:`Netlist` itself, revalidated with a cheap
   fingerprint (mutation counter + tie table + unobservable ports), so the
-  common case — many engines over one unchanged netlist — is a dict-free hit;
+  common case — many engines over one unchanged netlist — is a dict-free hit
+  (:func:`netlist_signature` memoises its digest on the netlist the same
+  way);
 * a global, signature-keyed LRU so *structurally identical* netlists (e.g.
   the per-scenario rebuilds of a :class:`~repro.api.ScenarioGrid` sweep)
   share a single build.
@@ -49,13 +51,51 @@ from repro.netlist.traversal import topological_instances
 NO_NET = -1
 
 
+#: Attribute holding the memoised signature on Netlist instances.
+_SIGNATURE_SLOT = "_signature_memo"
+
+
+def _fingerprint(netlist: Netlist) -> Tuple:
+    """Cheap revalidation key for the per-object signature and compile slots.
+
+    The mutation counter covers structural edits made through the Netlist
+    API; ties and unobservable ports are mutated directly on the graph, so
+    they are fingerprinted by value.
+    """
+    ties = tuple(sorted(
+        (name, net.tied) for name, net in netlist.nets.items()
+        if net.tied is not None))
+    return (getattr(netlist, "_mutations", 0), ties,
+            frozenset(netlist.unobservable_ports))
+
+
 def netlist_signature(netlist: Netlist) -> str:
     """A stable digest of the netlist structure.
 
     Covers the name, ports, unobservable ports, every instance with its
     cell and pin connectivity, and every tied net — i.e. everything the
     analyses read.  Two structurally identical clones hash the same.
+
+    Memoised per netlist state: the digest is kept on the netlist object
+    and revalidated by the name plus the same cheap fingerprint the
+    compile cache trusts (mutation counter, ties, unobservable ports), so
+    a repeat call on an unchanged netlist costs one fingerprint.
     """
+    return _memoised_signature(netlist, _fingerprint(netlist))
+
+
+def _memoised_signature(netlist: Netlist, fingerprint: Tuple) -> str:
+    key = (netlist.name, fingerprint)
+    memo = getattr(netlist, _SIGNATURE_SLOT, None)
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    digest = _structural_digest(netlist)
+    setattr(netlist, _SIGNATURE_SLOT, (key, digest))
+    return digest
+
+
+def _structural_digest(netlist: Netlist) -> str:
+    """The uncached digest behind :func:`netlist_signature`."""
     hasher = hashlib.sha256()
 
     def feed(text: str) -> None:
@@ -410,20 +450,6 @@ _STATS = {"builds": 0, "object_hits": 0, "signature_hits": 0}
 _SLOT = "_compiled_cache"
 
 
-def _fingerprint(netlist: Netlist) -> Tuple:
-    """Cheap revalidation key for the per-object cache slot.
-
-    The mutation counter covers structural edits made through the Netlist
-    API; ties and unobservable ports are mutated directly on the graph, so
-    they are fingerprinted by value.
-    """
-    ties = tuple(sorted(
-        (name, net.tied) for name, net in netlist.nets.items()
-        if net.tied is not None))
-    return (getattr(netlist, "_mutations", 0), ties,
-            frozenset(netlist.unobservable_ports))
-
-
 def compile_netlist(netlist: Netlist) -> CompiledNetlist:
     """Unconditionally build a fresh :class:`CompiledNetlist` (no caching)."""
     return CompiledNetlist(netlist)
@@ -444,7 +470,7 @@ def get_compiled(netlist: Netlist) -> CompiledNetlist:
             _STATS["object_hits"] += 1
         return slot[1]
 
-    signature = netlist_signature(netlist)
+    signature = _memoised_signature(netlist, key)
     with _CACHE_LOCK:
         compiled = _SIG_CACHE.get(signature)
         if compiled is not None:

@@ -137,9 +137,10 @@ class Netlist:
         # the list of debug-related input ports or the scan chain order.
         self.annotations: Dict[str, object] = {}
         # Bumped on every structural mutation; the compiled-netlist cache
-        # (:mod:`repro.netlist.compiled`) uses it to revalidate cheaply.
-        # Tie values and unobservable ports are mutated directly on the
-        # graph, so the cache fingerprints those separately.
+        # and the signature memo (:mod:`repro.netlist.compiled`) use it to
+        # revalidate cheaply.  Tie values and unobservable ports are
+        # mutated directly on the graph, so both fingerprint those
+        # separately.
         self._mutations = 0
 
     # ------------------------------------------------------------------ #

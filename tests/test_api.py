@@ -5,12 +5,16 @@ from __future__ import annotations
 import json
 import os
 import signal
+import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import repro
+import repro.api.design
+import repro.api.session
 from repro.api import (Design, RunOptions, Scenario, ScenarioGrid, Session,
                        SweepReport)
 from repro.atpg.engine import AtpgEffort, resolve_effort
@@ -94,6 +98,147 @@ class TestDesign:
         assert design.label == "tiny"
         assert design.config is not None
         assert design.rebuild_spec == design.config
+
+
+@pytest.fixture()
+def builds(monkeypatch):
+    """Every ``build_soc`` call a :class:`Design` factory makes."""
+    calls = []
+    real = repro.api.design.build_soc
+
+    def counting(config):
+        calls.append(config)
+        return real(config)
+
+    monkeypatch.setattr(repro.api.design, "build_soc", counting)
+    return calls
+
+
+def timeless(document):
+    """A report document minus its wall-clock fields."""
+    if isinstance(document, dict):
+        return {key: timeless(value) for key, value in document.items()
+                if key not in ("runtimes", "runtime_seconds")}
+    if isinstance(document, list):
+        return [timeless(value) for value in document]
+    return document
+
+
+class TestDesignMemo:
+    def test_preset_twice_is_one_shared_design(self, builds):
+        session = Session()
+        first = session.design("tiny")
+        assert session.design("tiny") is first
+        assert first.label == "tiny"
+        assert len(builds) == 1
+
+    def test_equal_configs_share_by_content(self, builds):
+        # MemoryMap compares by identity, so the configs are unequal.
+        assert SoCConfig.date13() != SoCConfig.date13()
+        session = Session()
+        first = session.design(SoCConfig.date13())
+        assert session.design(SoCConfig.date13()) is first
+        assert len(builds) == 1
+
+    def test_other_label_is_a_view_of_the_same_netlist(self, builds):
+        session = Session()
+        first = session.design("tiny")
+        other = session.design(SoCConfig.tiny(), label="variant")
+        assert other.label == "variant"
+        assert other.netlist is first.netlist
+        assert other.signature == first.signature
+        assert len(builds) == 1
+
+    def test_explicit_targets_and_overrides_bypass_the_memo(self, builds,
+                                                            tiny_soc):
+        session = Session()
+        memoised = session.design("tiny")
+        assert len(builds) == 1
+        overridden = session.design("tiny", memory_map=tiny_variant_map())
+        assert len(builds) == 2
+        assert overridden.netlist is not memoised.netlist
+        assert session.design("tiny", memory_map=tiny_variant_map()
+                              ).netlist is not overridden.netlist
+        assert len(builds) == 3
+        design = Design.from_soc(tiny_soc)
+        assert session.design(design) is design
+        assert session.design(tiny_soc).netlist is tiny_soc.cpu
+        assert session.design(tiny_soc.cpu).netlist is tiny_soc.cpu
+        assert len(builds) == 3
+        assert session.design("tiny") is memoised
+
+    def test_sessions_never_share_a_design(self, builds):
+        one, two = Session().design("tiny"), Session().design("tiny")
+        assert one.netlist is not two.netlist
+        assert len(builds) == 2
+
+    def test_lru_evicts_past_its_bound(self, builds):
+        bound = repro.api.session.DESIGN_MEMO_ENTRIES
+
+        def config(k):
+            return SoCConfig(cpu=SoCConfig.tiny().cpu, memory_map=MemoryMap(
+                address_width=8, regions=[
+                    MemoryRegion("flash", 0, 16),
+                    MemoryRegion("sram", 128 + 16 * k, 16)]))
+
+        session = Session()
+        designs = [session.design(config(k)) for k in range(bound + 1)]
+        assert len(builds) == bound + 1
+        # The newest `bound` stay; the oldest was evicted and rebuilds.
+        assert session.design(config(bound)) is designs[bound]
+        assert session.design(config(1)) is designs[1]
+        assert len(builds) == bound + 1
+        assert session.design(config(0)) is not designs[0]
+        assert len(builds) == bound + 2
+
+    def test_threads_asking_for_one_config_share_it(self):
+        # More threads than cores and a short switch interval, so racing
+        # first builds happen; every thread must end on the one stored
+        # design and an equal report.
+        session = Session(options=RunOptions(effort="tie"))
+        results = [None] * 4
+        barrier = threading.Barrier(len(results))
+
+        def work(slot):
+            barrier.wait()
+            design = session.design(SoCConfig.tiny(), label="tiny")
+            results[slot] = (design, session.analyze(design))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(slot,))
+                       for slot in range(len(results))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        stored = session.design("tiny")
+        assert all(design is stored for design, _ in results)
+        documents = [timeless(report.to_json_dict()) for _, report in results]
+        assert all(document == documents[0] for document in documents)
+
+    def test_warm_repeat_analyze_builds_nothing(self, builds):
+        session = Session()
+        cold = session.analyze("tiny")
+        assert len(builds) == 1
+        warm = session.analyze("tiny")
+        assert len(builds) == 1
+        assert timeless(warm.to_json_dict()) == timeless(cold.to_json_dict())
+        assert warm.to_table() == cold.to_table()
+
+    def test_in_process_run_axis_sweep_builds_once(self, builds):
+        grid = (ScenarioGrid("tiny")
+                .axis("effort", ["tie", "random"])
+                .axis("fault_model", ["stuck_at", "transition"]))
+        sweep = Session().sweep(grid)
+        assert all(r.ok for r in sweep), [r.error for r in sweep]
+        assert len(sweep.results) == 4
+        assert len(builds) == 1
+        assert len({r.design_signature for r in sweep}) == 1
 
 
 # --------------------------------------------------------------------- #

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.manipulation import disconnect_output_port, tie_net, tie_port
+from repro.netlist.compiled import _structural_digest, netlist_signature
 from repro.netlist.module import INPUT, OUTPUT, Netlist, merge_netlists
 
 
@@ -137,3 +139,77 @@ class TestMerge:
         assert "u1.g1" in merged.instances
         assert "u0.n1" in merged.nets
         assert len(merged.instances) == 4
+
+
+class TestSignatureMemo:
+    """The memoised signature always equals a fresh digest of the netlist.
+
+    Each case warms the memo, mutates through one path, and compares the
+    memoised answer with an uncached digest of the mutated state.
+    """
+
+    @staticmethod
+    def check(netlist, mutate):
+        before = netlist_signature(netlist)
+        mutate(netlist)
+        after = netlist_signature(netlist)
+        assert after == _structural_digest(netlist)
+        assert after != before
+
+    def test_add_instance(self):
+        self.check(make_simple(), lambda n: n.add_instance(
+            "g3", "INV", {"A": "b", "Y": "n3"}))
+
+    def test_connect(self):
+        def mutate(netlist):
+            netlist.connect(netlist.instance("g2").pin("A"), "a")
+        self.check(make_simple(), mutate)
+
+    def test_disconnect(self):
+        self.check(make_simple(), lambda n: n.disconnect(
+            n.instance("g1").pin("B")))
+
+    def test_remove_instance(self):
+        self.check(make_simple(), lambda n: n.remove_instance("g2"))
+
+    def test_tie_net(self):
+        self.check(make_simple(), lambda n: tie_net(n, "n1", 1))
+
+    def test_tied_input_port(self):
+        self.check(make_simple(), lambda n: tie_port(n, "a", 0))
+
+    def test_disconnect_output_port(self):
+        def mutate(netlist):
+            disconnect_output_port(netlist, "y")
+            assert "y" in netlist.unobservable_ports
+        self.check(make_simple(), mutate)
+
+    def test_direct_tied_write_on_a_clone(self):
+        # As scan_analysis ties scan enables on its clone: no API call.
+        original = make_simple()
+        clone = original.clone("simple_se_tied")
+        netlist_signature(original)
+
+        def mutate(netlist):
+            netlist.net("b").tied = 1
+        self.check(clone, mutate)
+        assert netlist_signature(original) == _structural_digest(original)
+
+    def test_clone_with_a_new_name(self):
+        netlist = make_simple()
+        signature = netlist_signature(netlist)
+        renamed = netlist.clone("other")
+        assert netlist_signature(renamed) == _structural_digest(renamed)
+        assert netlist_signature(renamed) != signature
+
+    def test_rename_in_place(self):
+        self.check(make_simple(), lambda n: setattr(n, "name", "renamed"))
+
+    def test_structural_clone_hashes_the_same(self):
+        netlist = make_simple()
+        tie_net(netlist, "n1", 0)
+        disconnect_output_port(netlist, "y")
+        signature = netlist_signature(netlist)
+        clone = netlist.clone()
+        assert netlist_signature(clone) == signature
+        assert netlist_signature(netlist) == signature  # memo hit

@@ -346,7 +346,10 @@ class TestEndToEnd:
             outcome = client.result(job["id"])
             served = outcome["result"]["table"] + "\n"
             assert served == GOLDEN_TINY.read_text(encoding="utf-8")
-            # The analysis went through the session's durable store.
+            # The analysis went through the session's durable store.  The
+            # last publications may still sit in the write-behind lane, so
+            # land them before reading the counters.
+            harness.service.manager.session.cache.flush()
             stats = client.stats()
             assert stats["cache"]["store_writes"] >= 6
 
