@@ -475,7 +475,6 @@ def test_runtime_atpg_portfolio(runtime_soc):
     from repro.netlist.compiled import get_compiled
     from repro.runtime import cone_representative
     from repro.simulation.kernels import resolve_site
-    from repro.simulation.sharded import sharded_classify
 
     netlist = runtime_soc.cpu
     population = generate_fault_list(netlist).faults()
@@ -503,8 +502,8 @@ def test_runtime_atpg_portfolio(runtime_soc):
     serial_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    parallel_report = sharded_classify(
-        netlist, sample, jobs=4, atpg_backend="dalg", **kw)
+    parallel_report = StructuralUntestabilityEngine(
+        netlist, jobs=4, atpg_backend="dalg", **kw).classify(sample)
     parallel_seconds = time.perf_counter() - start
 
     # Soundness across the portfolio: verdicts may only differ where one

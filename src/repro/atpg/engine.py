@@ -15,6 +15,7 @@ in up to three phases, selected by :class:`AtpgEffort`:
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterable, List, Optional
@@ -109,9 +110,9 @@ def run_detection_phases(netlist: Netlist, faults: List[Fault],
     Operates on faults the tied-value analysis left unclassified.  Every
     verdict is per-fault (the random phase replays one seeded pattern
     burst, the ATPG backend searches per fault), so the result is
-    independent of how the fault list is batched — which is what lets the
-    sharded classifier (:func:`repro.simulation.sharded.sharded_classify`)
-    run the tie fixpoint once and farm only these phases out to workers.
+    independent of how the fault list is batched — which is what lets
+    :meth:`StructuralUntestabilityEngine.classify` run the tie fixpoint
+    once and farm only these phases out to pool workers.
 
     At FULL effort the static-analysis layer (:mod:`repro.analysis`) joins
     in: its prover classifies faults UU *before* any search, and with
@@ -128,7 +129,7 @@ def run_detection_phases(netlist: Netlist, faults: List[Fault],
     """
     classifications: Dict[Fault, FaultClass] = {}
     phase_runtimes: Dict[str, float] = {}
-    stats: Dict[str, int] = {}
+    stats: Dict[str, int] = Counter()
     patterns: List[tuple] = []
     remaining = list(faults)
 
@@ -136,8 +137,7 @@ def run_detection_phases(netlist: Netlist, faults: List[Fault],
         phase_start = time.perf_counter()
         detected = random_pattern_detection(
             netlist, remaining, n_patterns=random_patterns, seed=seed)
-        for fault in detected:
-            classifications[fault] = FaultClass.DT
+        classifications.update(dict.fromkeys(detected, FaultClass.DT))
         remaining = [f for f in remaining if f not in detected]
         phase_runtimes["random"] = time.perf_counter() - phase_start
 
@@ -160,9 +160,8 @@ def run_detection_phases(netlist: Netlist, faults: List[Fault],
                 unproven.append(fault)
                 continue
             classifications[fault] = FaultClass.UU
-            stats["static_proved"] = stats.get("static_proved", 0) + 1
-            key = f"static_proved_{proof.category}"
-            stats[key] = stats.get(key, 0) + 1
+            stats["static_proved"] += 1
+            stats[f"static_proved_{proof.category}"] += 1
         remaining = unproven
         phase_runtimes["static_prove"] = time.perf_counter() - phase_start
 
@@ -185,12 +184,10 @@ def run_detection_phases(netlist: Netlist, faults: List[Fault],
             else:
                 classifications[fault] = FaultClass.AU
         phase_runtimes["podem"] = time.perf_counter() - phase_start
-        stats["podem_calls"] = stats.get("podem_calls", 0) + len(remaining)
-        stats["podem_backtracks"] = (stats.get("podem_backtracks", 0)
-                                     + backtracks)
+        stats["podem_calls"] = len(remaining)
+        stats["podem_backtracks"] = backtracks
         if static_learning:
-            stats["learned_skips"] = (stats.get("learned_skips", 0)
-                                      + run.learned_skips)
+            stats["learned_skips"] = run.learned_skips
 
     return classifications, phase_runtimes, stats, patterns
 
@@ -202,33 +199,30 @@ def run_escalation_phase(netlist: Netlist, faults: List[Fault], *,
     """Re-attack aborted (AU) faults with the backend's escalation tier.
 
     A no-op for backends without one (``escalates`` false).  Like the
-    primary phases every verdict is per-fault, so the serial engine and the
-    sharded classifier — which runs this over the *merged* abort frontier
-    in a second fan-out round — produce identical improvements.
+    primary phases every verdict is per-fault, so running it over the
+    merged abort frontier inline or in a second fan-out round produces
+    identical improvements.
 
-    Returns ``(improvements, patterns, phase_runtimes, stats)`` where
-    ``improvements`` maps escalated faults to their new class (DT or UU)
-    and ``patterns`` carries the ``(fault, pattern, init_pattern)`` triples
-    of newly detected faults.
+    Returns ``(improvements, phase_runtimes, stats, patterns)`` — the
+    shape of :func:`run_detection_phases` — where ``improvements`` maps
+    escalated faults to their new class (DT or UU) and ``patterns`` carries
+    the ``(fault, pattern, init_pattern)`` triples of newly detected faults.
     """
+    from repro.analysis import get_static_analysis
     from repro.atpg.portfolio import resolve_atpg_backend
 
     improvements: Dict[Fault, FaultClass] = {}
     patterns: List[tuple] = []
     phase_runtimes: Dict[str, float] = {}
-    stats: Dict[str, int] = {}
+    stats: Dict[str, int] = Counter()
     backend = resolve_atpg_backend(atpg_backend)
     if not backend.escalates or not faults:
-        return improvements, patterns, phase_runtimes, stats
+        return improvements, phase_runtimes, stats, patterns
 
     phase_start = time.perf_counter()
-    static = None
-    if static_learning:
-        from repro.analysis import get_static_analysis
-
-        static = get_static_analysis(netlist)
-    run = backend.start(netlist, backtrack_limit=backtrack_limit,
-                        static=static)
+    run = backend.start(
+        netlist, backtrack_limit=backtrack_limit,
+        static=get_static_analysis(netlist) if static_learning else None)
     for fault in faults:
         result = run.escalate(fault)
         if result is None:
@@ -236,15 +230,50 @@ def run_escalation_phase(netlist: Netlist, faults: List[Fault], *,
         if result.status is PodemStatus.DETECTED:
             improvements[fault] = FaultClass.DT
             patterns.append((fault, result.pattern, result.init_pattern))
-            stats["escalation_detected"] = (
-                stats.get("escalation_detected", 0) + 1)
+            stats["escalation_detected"] += 1
         elif result.status is PodemStatus.UNTESTABLE:
             improvements[fault] = FaultClass.UU
-            stats["escalation_proved_uu"] = (
-                stats.get("escalation_proved_uu", 0) + 1)
+            stats["escalation_proved_uu"] += 1
     stats["escalated"] = len(faults)
     phase_runtimes["escalation"] = time.perf_counter() - phase_start
-    return improvements, patterns, phase_runtimes, stats
+    return improvements, phase_runtimes, stats, patterns
+
+
+@dataclass
+class DetectionPhases:
+    """The per-fault phases of one engine configuration.
+
+    Both rounds of :meth:`StructuralUntestabilityEngine.classify` call one
+    of its two methods on a fault chunk: inline as a single chunk, or as
+    the installed pool job, one cone-affine chunk per task.  It pickles
+    as plain settings (the pool ships its ``netlist`` separately), so one
+    installed job serves every fault subset of the same configuration.
+    """
+
+    netlist: Netlist
+    effort: AtpgEffort
+    random_patterns: int
+    backtrack_limit: int
+    seed: int
+    static_learning: bool
+    atpg_backend: Optional[str]
+
+    def run_faults(self, faults):
+        """Random patterns then ATPG -> :func:`run_detection_phases`."""
+        return run_detection_phases(
+            self.netlist, list(faults), self.effort,
+            random_patterns=self.random_patterns,
+            backtrack_limit=self.backtrack_limit, seed=self.seed,
+            static_learning=self.static_learning,
+            atpg_backend=self.atpg_backend)
+
+    def run_escalation(self, faults):
+        """Re-attack aborts -> :func:`run_escalation_phase`."""
+        return run_escalation_phase(
+            self.netlist, list(faults),
+            backtrack_limit=self.backtrack_limit,
+            static_learning=self.static_learning,
+            atpg_backend=self.atpg_backend)
 
 
 class StructuralUntestabilityEngine:
@@ -252,10 +281,9 @@ class StructuralUntestabilityEngine:
 
     ``jobs`` > 1 (or an injected :class:`~repro.runtime.WorkerPool` as
     ``pool``) runs the per-fault phases on the worker pool
-    (:func:`repro.simulation.sharded.sharded_classify`): each cone-affine
-    chunk runs the same phase stack and the merged report carries exactly
-    the serial classifications.  With the default ``jobs=1`` the engine
-    is the serial reference.
+    (:class:`repro.simulation.sharded.PooledPhases`), one cone-affine chunk
+    per task; the merged report carries exactly the serial
+    classifications.  With the default ``jobs=1`` they run inline.
     """
 
     def __init__(self, netlist: Netlist,
@@ -270,64 +298,69 @@ class StructuralUntestabilityEngine:
         from repro.simulation.sharded import resolve_jobs
 
         self.netlist = netlist
-        self.effort = effort
-        self.random_patterns = random_patterns
-        self.backtrack_limit = backtrack_limit
-        self.seed = seed
+        self.effort = resolve_effort(effort, AtpgEffort.TIE)
+        self.phases = DetectionPhases(
+            netlist, self.effort, random_patterns, backtrack_limit, seed,
+            static_learning, atpg_backend)
         self.jobs = resolve_jobs(1 if jobs is None else jobs, cap=False)
-        self.static_learning = static_learning
-        self.atpg_backend = atpg_backend
         self.pool = pool
         self.implication = ImplicationEngine(netlist)
 
     def classify(self, faults: Iterable[Fault]) -> UntestabilityReport:
         """Classify the given faults; unclassified faults are omitted from the
-        report at TIE effort and reported NC/AU/DT at higher efforts."""
-        fault_list = list(faults)
-        if (self.jobs > 1 or self.pool is not None) and len(fault_list) > 1:
-            from repro.simulation.sharded import sharded_classify
+        report at TIE effort and reported NC/AU/DT at higher efforts.
 
-            return sharded_classify(
-                self.netlist, fault_list, effort=self.effort,
-                jobs=self.jobs, random_patterns=self.random_patterns,
-                backtrack_limit=self.backtrack_limit, seed=self.seed,
-                static_learning=self.static_learning,
-                atpg_backend=self.atpg_backend, pool=self.pool)
+        The tied-value fixpoint runs once, here, so TIE effort never starts
+        a worker; the faults it leaves go through the per-fault phases,
+        inline or pooled.  Pooled per-phase runtimes are summed across
+        chunks (CPU seconds).  An escalating backend re-attacks the merged
+        abort frontier in a second round.
+        """
+        fault_list = list(faults)
         report = UntestabilityReport(effort=self.effort)
         start = time.perf_counter()
 
         # Phase 1: tied-value analysis.
         phase_start = time.perf_counter()
-        tie = TieAnalysis(self.netlist, self.implication)
-        tie_result = tie.run(fault_list)
+        tie_result = TieAnalysis(self.netlist, self.implication).run(fault_list)
         report.classifications.update(tie_result.classifications)
         report.phase_runtimes["tie"] = time.perf_counter() - phase_start
 
         remaining = [f for f in fault_list if f not in report.classifications]
-        classifications, phase_runtimes, stats, patterns = run_detection_phases(
-            self.netlist, remaining, self.effort,
-            random_patterns=self.random_patterns,
-            backtrack_limit=self.backtrack_limit, seed=self.seed,
-            static_learning=self.static_learning,
-            atpg_backend=self.atpg_backend)
-        report.classifications.update(classifications)
-        report.phase_runtimes.update(phase_runtimes)
-        report.stats.update(stats)
+        if self.effort is AtpgEffort.TIE or not remaining:
+            report.runtime_seconds = time.perf_counter() - start
+            return report
 
+        pooled = None
+        if (self.jobs > 1 or self.pool is not None) and len(fault_list) > 1:
+            from repro.simulation.sharded import PooledPhases
+
+            pooled = PooledPhases(self.phases, jobs=self.jobs, pool=self.pool)
+        run = self._run_inline if pooled is None else pooled.run
+        patterns: List[tuple] = []
+
+        def merge(outcomes) -> None:
+            for classifications, runtimes, stats, found in outcomes:
+                report.classifications.update(classifications)
+                patterns.extend(found)
+                for phase, seconds in runtimes.items():
+                    report.phase_runtimes[phase] = (
+                        report.phase_runtimes.get(phase, 0.0) + seconds)
+                for stat, count in stats.items():
+                    report.stats[stat] = report.stats.get(stat, 0) + count
+
+        merge(run("run_faults", remaining))
         if self.effort is AtpgEffort.FULL:
-            frontier = [f for f in remaining
-                        if report.classifications.get(f) is FaultClass.AU]
-            improvements, esc_patterns, esc_runtimes, esc_stats = \
-                run_escalation_phase(
-                    self.netlist, frontier,
-                    backtrack_limit=self.backtrack_limit,
-                    static_learning=self.static_learning,
-                    atpg_backend=self.atpg_backend)
-            report.classifications.update(improvements)
-            report.phase_runtimes.update(esc_runtimes)
-            for key, value in esc_stats.items():
-                report.stats[key] = report.stats.get(key, 0) + value
-            patterns = patterns + esc_patterns
+            from repro.atpg.portfolio import resolve_atpg_backend
+
+            # The merged abort frontier, in canonical fault order.
+            frontier: List[Fault] = []
+            if resolve_atpg_backend(self.phases.atpg_backend).escalates:
+                frontier = [f for f in remaining
+                            if report.classifications.get(f) is FaultClass.AU]
+            merge(run("run_escalation", frontier))
+        if pooled is not None:
+            report.stats.update(pooled.stats())
 
         if self.effort is AtpgEffort.FULL and patterns:
             from repro.atpg.portfolio import compact_patterns
@@ -342,6 +375,10 @@ class StructuralUntestabilityEngine:
 
         report.runtime_seconds = time.perf_counter() - start
         return report
+
+    def _run_inline(self, method: str, faults: List[Fault]) -> List[tuple]:
+        """One phase method over the whole list, as a single chunk."""
+        return [getattr(self.phases, method)(faults)]
 
     def classify_fault_list(self, fault_list: FaultList,
                             only_unclassified: bool = True) -> UntestabilityReport:

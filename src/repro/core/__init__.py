@@ -5,21 +5,23 @@ The flow mirrors §3 of the paper:
 1. :mod:`repro.core.scan_analysis` — prune the scan-chain faults found by
    tracing every chain (§3.1);
 2. :mod:`repro.core.debug_control` — tie the debug control inputs to their
-   mission constants and let the structural engine classify the faults that
-   become untestable (§3.2.1);
+   mission constants (§3.2.1);
 3. :mod:`repro.core.debug_observe` — float the debug-only observation buses
-   and collect the faults that lose their last observation point (§3.2.2);
+   (§3.2.2);
 4. :mod:`repro.core.memory_analysis` — freeze the address bits the mission
-   memory map can never toggle and collect the resulting untestable faults
-   (§3.3);
+   memory map can never toggle (§3.3);
 5. :mod:`repro.core.results` — the Table-I style report the pass
    pipeline (:mod:`repro.pipeline`) assembles from the above.
 
+Sources 2–4 each supply only a manipulation: the shared step
+:func:`repro.core.classification.classify_manipulated` clones the core,
+applies it, runs the structural engine and subtracts the baseline.
+
 Exports are resolved lazily (PEP 562): :mod:`repro.core.registry` is the
-dependency-free substrate every pluggable layer (fault models, store
-backends, ATPG backends) imports at definition time, so this
-package must be importable without dragging in the flow modules — which
-themselves import those layers.
+dependency-free substrate the pluggable layers (fault models, ATPG
+backends) import at definition time, so this package must be importable
+without dragging in the flow modules — which themselves import those
+layers.
 """
 
 import importlib
@@ -28,6 +30,8 @@ import importlib
 _EXPORTS = {
     "FaultUniverse": "repro.core.classification",
     "build_fault_universe": "repro.core.classification",
+    "ManipulationResult": "repro.core.classification",
+    "classify_manipulated": "repro.core.classification",
     "ScanAnalysisResult": "repro.core.scan_analysis",
     "identify_scan_untestable": "repro.core.scan_analysis",
     "DebugControlResult": "repro.core.debug_control",

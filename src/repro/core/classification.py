@@ -1,4 +1,12 @@
-"""Fault-universe categories and their containment relations (paper Fig. 1).
+"""The manipulate–classify–subtract step and the Fig. 1 fault categories.
+
+Every source of on-line untestability in §3 is found by one procedure:
+tie or float some signals on a copy of the core, run the structural
+untestability engine, and keep the faults it finds beyond the baseline of
+the unmanipulated core.  :func:`classify_manipulated` is that procedure;
+the analyses in :mod:`repro.core.debug_control`,
+:mod:`repro.core.debug_observe` and :mod:`repro.core.memory_analysis`
+supply only the manipulation and its :class:`ManipulationResult`.
 
 Figure 1 of the paper arranges the stuck-at fault universe of the on-line
 scenario into nested categories::
@@ -16,14 +24,80 @@ reported (the ``fig1`` benchmark regenerates the figure's data).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from dataclasses import dataclass, field, fields
+from typing import Callable, Dict, Iterable, Optional, Set
 
 from repro.atpg.engine import AtpgEffort, StructuralUntestabilityEngine
-from repro.faults.categories import FaultClass
 from repro.faults.fault import StuckAtFault
-from repro.faults.faultlist import FaultList, generate_fault_list
+from repro.faults.faultlist import generate_fault_list
 from repro.netlist.module import Netlist
+
+
+@dataclass
+class ManipulationResult:
+    """Outcome of one manipulate–classify–subtract run.
+
+    Subclasses add only the collections their manipulation records (tied
+    ports, floated ports, ...); :meth:`counts` reports each one's size.
+    """
+
+    untestable: Set[StuckAtFault] = field(default_factory=set)
+    baseline_untestable: Set[StuckAtFault] = field(default_factory=set)
+    engine_runtime_seconds: float = 0.0
+
+    @property
+    def newly_untestable(self) -> Set[StuckAtFault]:
+        return self.untestable - self.baseline_untestable
+
+    def counts(self) -> Dict[str, int]:
+        shared = {f.name for f in fields(ManipulationResult)}
+        counts = {f.name: len(getattr(self, f.name))
+                  for f in fields(self) if f.name not in shared}
+        counts.update(untestable=len(self.untestable),
+                      newly_untestable=len(self.newly_untestable))
+        return counts
+
+
+def compute_baseline_untestable(netlist: Netlist,
+                                faults: Optional[Iterable[StuckAtFault]] = None,
+                                effort: AtpgEffort = AtpgEffort.TIE,
+                                jobs: int = 1,
+                                static_learning: bool = True,
+                                atpg_backend: Optional[str] = None
+                                ) -> Set[StuckAtFault]:
+    """Faults untestable in the unmanipulated netlist (structural baseline)."""
+    fault_universe = list(faults) if faults is not None else generate_fault_list(netlist).faults()
+    engine = StructuralUntestabilityEngine(netlist, effort=effort, jobs=jobs,
+                                           static_learning=static_learning,
+                                           atpg_backend=atpg_backend)
+    return set(engine.classify(fault_universe).untestable)
+
+
+def classify_manipulated(netlist: Netlist,
+                         manipulate: Callable[[Netlist], bool],
+                         result: ManipulationResult,
+                         faults: Optional[Iterable[StuckAtFault]] = None,
+                         baseline_untestable: Optional[Set[StuckAtFault]] = None,
+                         *, suffix: str, **engine) -> ManipulationResult:
+    """Manipulate a clone of ``netlist``, classify it, fill ``result``.
+
+    ``manipulate`` ties or floats signals on the clone (named ``netlist.name
+    + suffix``) and records them on ``result``; returning ``False`` skips
+    the engine.  ``engine`` holds the engine's keywords.
+    """
+    fault_universe = list(faults) if faults is not None else generate_fault_list(netlist).faults()
+    if baseline_untestable is None:
+        baseline_untestable = compute_baseline_untestable(
+            netlist, fault_universe, **engine)
+    result.baseline_untestable = set(baseline_untestable)
+    manipulated = netlist.clone(f"{netlist.name}{suffix}")
+    if manipulate(manipulated) is False:
+        return result
+    report = StructuralUntestabilityEngine(manipulated, **engine).classify(
+        fault_universe)
+    result.untestable = set(report.untestable)
+    result.engine_runtime_seconds = report.runtime_seconds
+    return result
 
 
 @dataclass
@@ -82,23 +156,17 @@ def build_fault_universe(original: Netlist,
     fault_list = generate_fault_list(original)
     universe = FaultUniverse(all_faults=set(fault_list.faults()))
 
-    engine = StructuralUntestabilityEngine(original, effort=effort,
-                                           static_learning=static_learning)
-    baseline = engine.classify(fault_list.faults())
-    universe.structurally_untestable = set(baseline.untestable)
-
-    if functional_constraints:
-        constrained = original.clone(f"{original.name}_functional_view")
-        for net, value in functional_constraints.items():
+    def constrain(constrained: Netlist) -> bool:
+        for net, value in (functional_constraints or {}).items():
             constrained.net(net).tied = value
-        func_engine = StructuralUntestabilityEngine(constrained, effort=effort,
-                                                    static_learning=static_learning)
-        func_report = func_engine.classify(fault_list.faults())
-        universe.functionally_untestable = (
-            set(func_report.untestable) | universe.structurally_untestable
-        )
-    else:
-        universe.functionally_untestable = set(universe.structurally_untestable)
+        return bool(functional_constraints)
+
+    view = classify_manipulated(
+        original, constrain, ManipulationResult(), fault_list.faults(),
+        suffix="_functional_view", effort=effort,
+        static_learning=static_learning)
+    universe.structurally_untestable = view.baseline_untestable
+    universe.functionally_untestable = view.untestable | view.baseline_untestable
 
     online = set(online_untestable) if online_untestable is not None else set()
     universe.online_functionally_untestable = (

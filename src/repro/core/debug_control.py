@@ -10,6 +10,10 @@ Procedure (verbatim from the paper, mapped onto this library):
 3. remove the identified faults from the fault list  →  the caller prunes
    the returned set.
 
+Steps 2–3 and the clone are the shared manipulate–classify–subtract step,
+:func:`repro.core.classification.classify_manipulated`; this module
+supplies the ties.
+
 The faults already untestable in the unmanipulated core (the baseline) are
 subtracted so only the *newly* untestable population — the on-line
 functionally untestable faults caused by the mission-constant debug inputs —
@@ -21,49 +25,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Set
 
-from repro.atpg.engine import AtpgEffort, StructuralUntestabilityEngine
+from repro.atpg.engine import AtpgEffort
+from repro.core.classification import ManipulationResult, classify_manipulated
 from repro.debug.interface import DebugInterface, discover_debug_interface
 from repro.faults.fault import StuckAtFault
-from repro.faults.faultlist import generate_fault_list
 from repro.manipulation.tie import tie_port
 from repro.netlist.module import Netlist
 
 
 @dataclass
-class DebugControlResult:
+class DebugControlResult(ManipulationResult):
     """Outcome of the §3.2.1 analysis."""
 
     tied_ports: Dict[str, int] = field(default_factory=dict)
-    untestable: Set[StuckAtFault] = field(default_factory=set)
-    baseline_untestable: Set[StuckAtFault] = field(default_factory=set)
-    engine_runtime_seconds: float = 0.0
-
-    @property
-    def newly_untestable(self) -> Set[StuckAtFault]:
-        return self.untestable - self.baseline_untestable
-
-    def counts(self) -> Dict[str, int]:
-        return {
-            "tied_ports": len(self.tied_ports),
-            "untestable": len(self.untestable),
-            "newly_untestable": len(self.newly_untestable),
-        }
-
-
-def compute_baseline_untestable(netlist: Netlist,
-                                faults: Optional[Iterable[StuckAtFault]] = None,
-                                effort: AtpgEffort = AtpgEffort.TIE,
-                                jobs: int = 1,
-                                static_learning: bool = True,
-                                atpg_backend: Optional[str] = None
-                                ) -> Set[StuckAtFault]:
-    """Faults untestable in the unmanipulated netlist (structural baseline)."""
-    fault_universe = list(faults) if faults is not None else generate_fault_list(netlist).faults()
-    engine = StructuralUntestabilityEngine(netlist, effort=effort, jobs=jobs,
-                                           static_learning=static_learning,
-                                           atpg_backend=atpg_backend)
-    report = engine.classify(fault_universe)
-    return set(report.untestable)
 
 
 def identify_debug_control_untestable(netlist: Netlist,
@@ -80,29 +54,16 @@ def identify_debug_control_untestable(netlist: Netlist,
     interface = interface or discover_debug_interface(netlist)
     if interface is None or not interface.control_inputs:
         return DebugControlResult(baseline_untestable=set(baseline_untestable or ()))
+    result = DebugControlResult()
 
-    fault_universe = list(faults) if faults is not None else generate_fault_list(netlist).faults()
-    if baseline_untestable is None:
-        baseline_untestable = compute_baseline_untestable(
-            netlist, fault_universe, effort, jobs=jobs,
-            static_learning=static_learning, atpg_backend=atpg_backend)
+    def tie_controls(manipulated: Netlist) -> bool:
+        for port, value in interface.control_inputs.items():
+            if port in manipulated.ports:
+                tie_port(manipulated, port, value, reason="debug control (mission constant)")
+                result.tied_ports[port] = value
+        return True
 
-    manipulated = netlist.clone(f"{netlist.name}_debug_tied")
-    tied: Dict[str, int] = {}
-    for port, value in interface.control_inputs.items():
-        if port in manipulated.ports:
-            tie_port(manipulated, port, value, reason="debug control (mission constant)")
-            tied[port] = value
-
-    engine = StructuralUntestabilityEngine(manipulated, effort=effort,
-                                           jobs=jobs,
-                                           static_learning=static_learning,
-                                           atpg_backend=atpg_backend)
-    report = engine.classify(fault_universe)
-
-    return DebugControlResult(
-        tied_ports=tied,
-        untestable=set(report.untestable),
-        baseline_untestable=set(baseline_untestable),
-        engine_runtime_seconds=report.runtime_seconds,
-    )
+    return classify_manipulated(
+        netlist, tie_controls, result, faults, baseline_untestable,
+        suffix="_debug_tied", effort=effort, jobs=jobs,
+        static_learning=static_learning, atpg_backend=atpg_backend)

@@ -5,7 +5,7 @@ from repro.simulation.sequential import SequentialSimulator
 from repro.simulation.fault_sim import FaultSimulator, FaultSimResult
 from repro.simulation.kernels import kernel_info
 from repro.simulation.parallel import ParallelPatternSimulator
-from repro.simulation.sharded import sharded_classify, sharded_mission_grade
+from repro.simulation.sharded import sharded_mission_grade
 
 __all__ = [
     "CombinationalSimulator",
@@ -13,7 +13,6 @@ __all__ = [
     "FaultSimulator",
     "FaultSimResult",
     "ParallelPatternSimulator",
-    "sharded_classify",
     "sharded_mission_grade",
     "kernel_info",
 ]

@@ -3,9 +3,10 @@
 The paper's core loop — classify every fault of an embedded core as
 on-line functionally untestable or not — and its SBST coverage-gain
 experiment are embarrassingly parallel over the fault list.  This module
-runs mission-mode fault grading (:func:`sharded_mission_grade`) and
-untestability classification (:func:`sharded_classify`) on the warm worker
-pool of :mod:`repro.runtime`:
+runs mission-mode fault grading (:func:`sharded_mission_grade`) and the
+per-fault phases of untestability classification (:class:`PooledPhases`,
+driven by :meth:`repro.atpg.engine.StructuralUntestabilityEngine.classify`)
+on the warm worker pool of :mod:`repro.runtime`:
 
 chunks
     The population is cut into small cone-affine chunks
@@ -37,7 +38,6 @@ detection
 from __future__ import annotations
 
 import os
-import time
 import warnings
 from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Set,
                     Tuple)
@@ -173,52 +173,6 @@ class _WordGradeJob:
             self._good_windows(), self._obs_flags, drop))
 
 
-class _DetectClassifyJob:
-    """Pooled detection phases (random patterns + PODEM) of the engine.
-
-    The netlist-global tied-value fixpoint runs *once* in the driver;
-    workers only see the faults it left unclassified and run the strictly
-    per-fault detection phases on their chunk.  Fault chunks ride inside
-    each task, so one installed job (keyed by configuration only) serves
-    every fault subset of the same netlist — warm re-use across calls.
-    """
-
-    def __init__(self, netlist: Netlist, effort, random_patterns: int,
-                 backtrack_limit: int, seed: int,
-                 static_learning: bool = True,
-                 atpg_backend: Optional[str] = None) -> None:
-        self.netlist = netlist
-        self.effort = effort
-        self.random_patterns = random_patterns
-        self.backtrack_limit = backtrack_limit
-        self.seed = seed
-        self.static_learning = static_learning
-        self.atpg_backend = atpg_backend
-
-    def run_faults(self, chunk_faults):
-        """A fault tuple -> (classifications, phase runtimes, stats,
-        patterns)."""
-        from repro.atpg.engine import run_detection_phases
-
-        return run_detection_phases(
-            self.netlist, list(chunk_faults), self.effort,
-            random_patterns=self.random_patterns,
-            backtrack_limit=self.backtrack_limit, seed=self.seed,
-            static_learning=self.static_learning,
-            atpg_backend=self.atpg_backend)
-
-    def run_escalation(self, chunk_faults):
-        """One slice of the merged abort frontier -> (improvements,
-        patterns, phase runtimes, stats)."""
-        from repro.atpg.engine import run_escalation_phase
-
-        return run_escalation_phase(
-            self.netlist, list(chunk_faults),
-            backtrack_limit=self.backtrack_limit,
-            static_learning=self.static_learning,
-            atpg_backend=self.atpg_backend)
-
-
 # --------------------------------------------------------------------- #
 # public engines
 # --------------------------------------------------------------------- #
@@ -258,113 +212,41 @@ def sharded_mission_grade(netlist: Netlist, faults: Iterable[Fault],
     return detected
 
 
-def sharded_classify(netlist: Netlist, faults: Iterable[Fault], *,
-                     effort, jobs: Optional[int] = None,
-                     random_patterns: int = 256,
-                     backtrack_limit: int = 200,
-                     seed: int = 2013,
-                     static_learning: bool = True,
-                     atpg_backend: Optional[str] = None,
-                     pool=None):
-    """Classify a fault population across pool workers.
+class PooledPhases:
+    """Runs a :class:`~repro.atpg.engine.DetectionPhases` on the pool.
 
-    The netlist-global tied-value fixpoint runs exactly once, in the
-    calling process (parallelising it would repeat the global propagation
-    per chunk for no benefit — at TIE effort this function therefore costs
-    the same as the serial engine and starts no workers at all).  The
-    faults it leaves unclassified go through the per-fault detection
-    phases (seeded random patterns, the selected ATPG portfolio backend)
-    in cone-affine chunks on the pool.  Every verdict is batch-independent
-    and results merge in chunk order, so the report carries exactly the
-    serial engine's classifications.  ``runtime_seconds`` is wall clock;
-    per-phase runtimes are summed across chunks (CPU seconds).
-
-    For a backend with an escalation tier (``dalg``) the driver merges
-    the per-chunk aborts after the primary round, re-chunks the merged
-    abort frontier and fans it out over the same installed job — so a
-    fault aborted in one chunk is escalated exactly once, no matter how
-    the primary faults were sliced.
+    The phases object is the installed job, keyed by configuration only,
+    so it stays warm across fault subsets.  :meth:`run` fans
+    ``phases.<method>`` out over cone-affine chunks, results in chunk order.
     """
-    from repro.atpg.engine import (AtpgEffort, UntestabilityReport,
-                                   resolve_effort)
-    from repro.atpg.implication import ImplicationEngine
-    from repro.atpg.portfolio import compact_patterns, resolve_atpg_backend
-    from repro.atpg.tie_analysis import TieAnalysis
-    from repro.faults.categories import FaultClass
-    from repro.runtime import build_chunks, content_key, default_chunk_size
 
-    fault_list = list(faults)
-    effort = resolve_effort(effort)
+    def __init__(self, phases, *, jobs: Optional[int] = None,
+                 pool=None) -> None:
+        from repro.runtime import content_key
 
-    report = UntestabilityReport(effort=effort)
-    start = time.perf_counter()
-    phase_start = time.perf_counter()
-    tie_result = TieAnalysis(netlist, ImplicationEngine(netlist)).run(
-        fault_list)
-    report.classifications.update(tie_result.classifications)
-    report.phase_runtimes["tie"] = time.perf_counter() - phase_start
+        self.netlist = phases.netlist
+        self.pool = _pool_for(pool, jobs)
+        self.key = content_key(
+            "classify", phases.netlist, phases.effort.name,
+            phases.random_patterns, phases.backtrack_limit, phases.seed,
+            phases.static_learning, phases.atpg_backend)
+        self.pool.ensure_job(self.key, lambda: phases)
+        self._restarts = self.pool.stats["worker_restarts"]
 
-    remaining = [f for f in fault_list if f not in report.classifications]
-    if effort is AtpgEffort.TIE or not remaining:
-        report.runtime_seconds = time.perf_counter() - start
-        return report
+    def run(self, method: str, faults: List[Fault]) -> List[tuple]:
+        from repro.runtime import build_chunks, default_chunk_size
 
-    pool = _pool_for(pool, jobs)
-    key = content_key("classify", netlist, effort.name, random_patterns,
-                      backtrack_limit, seed, static_learning, atpg_backend)
-    pool.ensure_job(key, lambda: _DetectClassifyJob(
-        netlist, effort, random_patterns, backtrack_limit, seed,
-        static_learning, atpg_backend=atpg_backend))
-    restarts_before = pool.stats["worker_restarts"]
-
-    def fan_out(method: str, chunk_faults: List[Fault]) -> List[tuple]:
-        chunks = build_chunks(
-            netlist, chunk_faults,
-            default_chunk_size(pool.workers, len(chunk_faults)))
-        return _fan_out(pool, key, method,
-                        [tuple(chunk_faults[position]
-                               for position in positions)
+        if not faults:
+            return []
+        chunks = build_chunks(self.netlist, faults, default_chunk_size(
+            self.pool.workers, len(faults)))
+        return _fan_out(self.pool, self.key, method,
+                        [tuple(faults[position] for position in positions)
                          for positions in chunks])
 
-    def merge(runtimes: Dict[str, float], stats: Dict[str, int]) -> None:
-        for phase, seconds in runtimes.items():
-            report.phase_runtimes[phase] = (
-                report.phase_runtimes.get(phase, 0.0) + seconds)
-        for stat, count in stats.items():
-            report.stats[stat] = report.stats.get(stat, 0) + count
-
-    patterns: List[tuple] = []
-    for (classifications, phase_runtimes, stats,
-         chunk_patterns) in fan_out("run_faults", remaining):
-        report.classifications.update(classifications)
-        patterns.extend(chunk_patterns)
-        merge(phase_runtimes, stats)
-
-    # Escalation round: the merged abort frontier, in canonical fault
-    # order, re-fanned over the same warm job.
-    if (effort is AtpgEffort.FULL
-            and resolve_atpg_backend(atpg_backend).escalates):
-        frontier = [f for f in remaining
-                    if report.classifications.get(f) is FaultClass.AU]
-        if frontier:
-            for (improvements, esc_patterns, esc_runtimes,
-                 esc_stats) in fan_out("run_escalation", frontier):
-                report.classifications.update(improvements)
-                patterns.extend(esc_patterns)
-                merge(esc_runtimes, esc_stats)
-
-    restarts = pool.stats["worker_restarts"] - restarts_before
-    if restarts:
-        report.stats["worker_restarts"] = (
-            report.stats.get("worker_restarts", 0) + restarts)
-    report.stats["jobs_resolved"] = pool.workers
-    if effort is AtpgEffort.FULL and patterns:
-        phase_start = time.perf_counter()
-        order = {fault: i for i, fault in enumerate(remaining)}
-        patterns.sort(key=lambda entry: order[entry[0]])
-        report.patterns, report.compaction = compact_patterns(
-            netlist, patterns)
-        report.phase_runtimes["compaction"] = (time.perf_counter()
-                                               - phase_start)
-    report.runtime_seconds = time.perf_counter() - start
-    return report
+    def stats(self) -> Dict[str, int]:
+        """Worker restarts since install (when any) and the worker count."""
+        restarts = self.pool.stats["worker_restarts"] - self._restarts
+        stats = {"worker_restarts": restarts} if restarts else {}
+        stats["jobs_resolved"] = self.pool.workers
+        return stats

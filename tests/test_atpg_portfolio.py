@@ -26,7 +26,6 @@ from repro.faults.categories import FaultClass
 from repro.faults.faultlist import generate_fault_list
 from repro.simulation.parallel import ParallelPatternSimulator
 from repro.runtime import get_pool
-from repro.simulation.sharded import sharded_classify
 
 #: The four reference circuits the static-analysis layer is pinned on.
 REFERENCE_CIRCUITS = (
@@ -165,9 +164,10 @@ class TestEscalation:
         kwargs = dict(effort=AtpgEffort.FULL, random_patterns=0,
                       backtrack_limit=1, static_learning=False,
                       atpg_backend="dalg")
-        serial = sharded_classify(netlist, faults, jobs=1, **kwargs)
-        sharded = sharded_classify(netlist, faults, jobs=2,
-                                   pool=get_pool(2, start_method), **kwargs)
+        serial = StructuralUntestabilityEngine(
+            netlist, pool=get_pool(1, start_method), **kwargs).classify(faults)
+        sharded = StructuralUntestabilityEngine(
+            netlist, pool=get_pool(2, start_method), **kwargs).classify(faults)
         assert serial.stats["escalated"]  # the second round had work
         assert classify_essence(sharded) == classify_essence(serial)
         assert sharded.patterns == serial.patterns

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.debug_control import compute_baseline_untestable, identify_debug_control_untestable
+from repro.core.classification import compute_baseline_untestable
+from repro.core.debug_control import identify_debug_control_untestable
 from repro.core.debug_observe import identify_debug_observe_untestable
 from repro.core.memory_analysis import identify_memory_map_untestable
 from repro.core.scan_analysis import identify_scan_untestable, verify_scan_faults_with_engine

@@ -38,7 +38,6 @@ from repro.runtime import (DEFAULT_JOB_CACHE, MONSTER_RATIO,
 from repro.sbst import FaultGrader
 from repro.sbst.monitor import CapturedPatterns
 from repro.simulation.kernels import resolve_site
-from repro.simulation.sharded import sharded_classify
 from repro.simulation.simulator import CombinationalSimulator
 
 # These tests pin jobs=2 to exercise two genuine workers even on boxes
@@ -470,10 +469,9 @@ class TestStealOrderIdentity:
             pool = WorkerPool(2, jitter_seed=jitter_seed)
             try:
                 with _chunk_size(4):
-                    pooled = sharded_classify(tiny_cpu, sample,
-                                              effort=AtpgEffort.RANDOM,
-                                              jobs=2, pool=pool,
-                                              random_patterns=32)
+                    pooled = StructuralUntestabilityEngine(
+                        tiny_cpu, effort=AtpgEffort.RANDOM, jobs=2,
+                        pool=pool, random_patterns=32).classify(sample)
             finally:
                 pool.close()
             assert pooled.classifications == reference.classifications

@@ -23,8 +23,7 @@ from repro.sbst.grading import FaultGrader
 from repro.sbst.monitor import CapturedPatterns, ToggleMonitor, pattern_windows
 from repro.sbst.program_gen import generate_sbst_suite
 from repro.simulation.kernels import resolve_site
-from repro.simulation.sharded import (resolve_jobs, sharded_classify,
-                                      sharded_mission_grade)
+from repro.simulation.sharded import resolve_jobs, sharded_mission_grade
 from repro.simulation.simulator import CombinationalSimulator
 
 #: The pools every identity test runs on, as (jobs, start method):
@@ -173,8 +172,8 @@ class TestShardedClassify:
     def test_identical_classifications(self, tiny_cpu, tiny_faults, effort):
         reference = StructuralUntestabilityEngine(
             tiny_cpu, effort=effort).classify(tiny_faults)
-        sharded = sharded_classify(tiny_cpu, tiny_faults, effort=effort,
-                                   jobs=2)
+        sharded = StructuralUntestabilityEngine(
+            tiny_cpu, effort=effort, jobs=2).classify(tiny_faults)
         assert sharded.classifications == reference.classifications
         assert sharded.effort == reference.effort
 
@@ -264,10 +263,10 @@ class TestJobPickling:
         assert detected
 
     def test_classify_job_round_trip(self, tiny_cpu, tiny_faults):
-        from repro.simulation.sharded import _DetectClassifyJob
-        from repro.atpg.engine import AtpgEffort
+        from repro.atpg.engine import AtpgEffort, DetectionPhases
 
-        job = _DetectClassifyJob(tiny_cpu, AtpgEffort.RANDOM, 64, 200, 2013)
+        job = DetectionPhases(tiny_cpu, AtpgEffort.RANDOM, 64, 200, 2013,
+                              True, None)
         clone = pickle.loads(pickle.dumps(job))
         for chunk in (tuple(tiny_faults[:200]), tuple(tiny_faults[200:400])):
             ours = job.run_faults(chunk)
@@ -290,6 +289,6 @@ class TestShardedClassifySchedulesTieOnce:
         monkeypatch.setattr(WorkerPool, "_ensure_started", boom)
         reference = StructuralUntestabilityEngine(tiny_cpu).classify(
             tiny_faults)
-        report = sharded_classify(tiny_cpu, tiny_faults, effort="tie",
-                                  jobs=4)
+        report = StructuralUntestabilityEngine(
+            tiny_cpu, effort="tie", jobs=4).classify(tiny_faults)
         assert report.classifications == reference.classifications

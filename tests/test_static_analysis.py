@@ -368,3 +368,48 @@ class TestEngineLearning:
                 and_or_circuit, effort=AtpgEffort.FULL, jobs=2,
                 static_learning=learning).classify(faults)
             assert serial.classifications == sharded.classifications
+
+    def test_string_effort_runs_the_full_phases(self, tiny_soc):
+        faults = generate_fault_list(tiny_soc.cpu).faults()[::24][:300]
+        by_name = StructuralUntestabilityEngine(
+            tiny_soc.cpu, effort="full").classify(faults)
+        by_member = StructuralUntestabilityEngine(
+            tiny_soc.cpu, effort=AtpgEffort.FULL).classify(faults)
+        assert by_name.effort is AtpgEffort.FULL
+        assert by_name.classifications == by_member.classifications
+        assert by_name.stats["podem_calls"] == \
+            by_member.stats["podem_calls"] > 0
+        with pytest.raises(ValueError, match="unknown ATPG effort"):
+            StructuralUntestabilityEngine(tiny_soc.cpu, effort="bogus")
+
+
+class TestProverOnManipulatedNetlist:
+    def test_memory_map_faults_only_the_prover_proves(self, tiny_soc,
+                                                      monkeypatch):
+        """The prover settles 62 faults of tiny's memory-map netlist that
+        tie analysis leaves; without it PODEM aborts on 32 of them."""
+        from repro.core import memory_analysis
+        from repro.core.classification import classify_manipulated
+
+        manipulated = []
+
+        def keep_clone(netlist, manipulate, *args, **kwargs):
+            def apply(clone):
+                manipulated.append(clone)
+                return manipulate(clone)
+            return classify_manipulated(netlist, apply, *args, **kwargs)
+
+        monkeypatch.setattr(memory_analysis, "classify_manipulated",
+                            keep_clone)
+        faults = generate_fault_list(tiny_soc.cpu).faults()
+        memory_analysis.identify_memory_map_untestable(
+            tiny_soc.cpu, faults=faults, baseline_untestable=set())
+        (memmap,) = manipulated
+        tied = StructuralUntestabilityEngine(memmap).classify(faults)
+        static = get_static_analysis(memmap)
+        proved = [f for f in faults if f not in tied.classifications
+                  and static.prove(f) is not None]
+        assert len(proved) == 62
+        report = StructuralUntestabilityEngine(
+            memmap, effort=AtpgEffort.FULL).classify(proved)
+        assert report.counts() == {"UU": 62}
