@@ -16,8 +16,6 @@ cell, both by direct pruning (the scan analysis) and by the structural
 engine on the SE-tied circuit.
 """
 
-import pytest
-
 from repro.atpg.engine import StructuralUntestabilityEngine
 from repro.core.scan_analysis import identify_scan_untestable
 from repro.faults.fault import SA0, SA1, StuckAtFault

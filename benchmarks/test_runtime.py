@@ -25,6 +25,9 @@ same quantities for the pure-Python engine on the synthetic core:
 * the FULL-effort detection phases with the static layer's learning on
   and off (``static_learning``), with verdict agreement outside the abort
   boundary enforced.
+* the start of one PODEM search on tiny (``podem_search_start``): engine
+  construction plus one live-machine start, as a median with quartiles
+  over repeats, beside the one-off cost of the view it reuses.
 
 Parallel ``*_speedup`` summary fields are attributed with the machine's
 ``cpus`` and recorded only when ``os.cpu_count() >= jobs`` — a jobs=4
@@ -46,6 +49,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import statistics
 import time
 from pathlib import Path
 
@@ -543,3 +547,76 @@ def test_runtime_atpg_portfolio(runtime_soc):
         # Portfolio-PR acceptance pin: the dalg fan-out must at least
         # halve the serial reference wall clock when the cores exist.
         assert parallel_seconds < serial_seconds / 2.0
+
+
+def _median_with_spread(samples):
+    """``(median, q1, q3)`` of a list of timings."""
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return median, q1, q3
+
+
+def test_runtime_podem_search_start():
+    """The cost of starting one search, as every classification pays it.
+
+    One repeat builds a :class:`~repro.atpg.podem.Podem` engine on tiny
+    (with the static handle, as the FULL phase does) and starts one
+    :class:`~repro.atpg.podem.LiveMachine` for the next fault of a fixed
+    sample.  The engine reads the combinational view memoised for the
+    netlist state, and the machine starts from its settled fault-free
+    planes, so a repeat evaluates only the fault's cone.  For scale, the
+    stage also times building that view from scratch (implication engine
+    plus the fault-free sweep), which each engine construction and each
+    search start used to pay.  Medians with their quartiles are recorded
+    beside the core count.
+    """
+    from repro.analysis import get_static_analysis
+    from repro.atpg.implication import ImplicationEngine
+    from repro.atpg.podem import LiveMachine, Podem
+    from repro.atpg.view import CombinationalView
+    from repro.faults.models import resolve_injection
+    from repro.netlist.compiled import get_compiled
+    from repro.soc.config import SoCConfig
+    from repro.soc.soc_builder import build_soc
+
+    netlist = build_soc(SoCConfig.from_name("tiny")).cpu
+    faults = generate_fault_list(netlist).faults()
+    sample = faults[::max(1, len(faults) // 50)][:50]
+    static = get_static_analysis(netlist)
+    repeats = 200
+
+    starts = []
+    for index in range(repeats):
+        fault = sample[index % len(sample)]
+        begin = time.perf_counter()
+        podem = Podem(netlist, static=static)
+        stem, branch_op, branch_pos = podem.view.fault_refs(fault)
+        LiveMachine(podem, stem, branch_op, branch_pos,
+                    resolve_injection(fault).stuck_value)
+        starts.append(time.perf_counter() - begin)
+
+    builds = []
+    compiled = get_compiled(netlist)
+    for _ in range(15):
+        begin = time.perf_counter()
+        CombinationalView(compiled, ImplicationEngine(netlist))
+        builds.append(time.perf_counter() - begin)
+
+    start_median, start_q1, start_q3 = _median_with_spread(starts)
+    build_median, build_q1, build_q3 = _median_with_spread(builds)
+    print()
+    print(f"PODEM search start on tiny ({repeats} repeats over "
+          f"{len(sample)} faults): median {start_median * 1e3:.3f} ms "
+          f"(q1 {start_q1 * 1e3:.3f}, q3 {start_q3 * 1e3:.3f}); building "
+          f"the view from scratch: median {build_median * 1e3:.2f} ms")
+    _record("podem_search_start", start_median,
+            config="tiny", repeats=repeats, faults=len(sample),
+            q1_seconds=round(start_q1, 6), q3_seconds=round(start_q3, 6),
+            median_ms=round(start_median * 1e3, 4),
+            view_build_median_seconds=round(build_median, 6),
+            view_build_q1_seconds=round(build_q1, 6),
+            view_build_q3_seconds=round(build_q3, 6),
+            view_build_repeats=len(builds),
+            cpus=os.cpu_count() or 1)
+    # The point of the shared view: a search start costs a fraction of
+    # the per-netlist setup it no longer repeats.
+    assert start_median < build_median

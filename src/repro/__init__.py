@@ -76,10 +76,14 @@ __all__ = [
     "SweepResult",
     "SweepReport",
     "FlowConfig",
+    "OnlineUntestableReport",
     # pipeline layer
     "Pipeline",
+    "PipelineBuilder",
+    "PipelineResult",
     "AnalysisPass",
     "ArtifactCache",
+    "default_pass_names",
     # durable artifact store
     "ArtifactStore",
     "LocalDirStore",

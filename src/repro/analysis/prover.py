@@ -3,10 +3,11 @@
 :class:`StaticAnalysis` is the one handle the rest of the stack sees.  It is
 built once per compiled netlist (cached through the compiled netlist's
 extension slot, i.e. keyed on the netlist signature like ``get_compiled``)
-and mirrors PODEM's combinational view exactly — same frozen flip-flop
-outputs, same controllable points, same observation points — so that every
-:class:`StaticProof` it emits is a statement about the very search space
-PODEM would explore:
+and reads PODEM's own combinational view
+(:class:`~repro.atpg.view.CombinationalView`) — the same frozen flip-flop
+outputs, controllable points, observation points and constant fixpoint — so
+that every :class:`StaticProof` it emits is a statement about the very
+search space PODEM would explore:
 
 * ``unconnected`` / ``tied-excitation`` / ``constant-site`` — the site can
   never be excited (PODEM's own early-out conditions);
@@ -28,16 +29,17 @@ none of them relies on the heuristic CO numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.dominators import DominatorAnalysis
 from repro.analysis.implications import (ImplicationTable, learn_implications,
                                          necessary_assignments)
 from repro.analysis.scoap import INF, ScoapTables, compute_scoap
-from repro.atpg.implication import ImplicationEngine, forward_implications
+from repro.atpg.implication import forward_implications
+from repro.atpg.view import get_view
 from repro.faults.models import Fault, resolve_injection
 from repro.netlist.cells import LOGIC_0, LOGIC_1, LOGIC_X
-from repro.netlist.compiled import NO_NET, CompiledNetlist, get_compiled
+from repro.netlist.compiled import get_compiled
 from repro.netlist.module import Netlist
 from repro.simulation.simulator import scalar3_program
 
@@ -59,55 +61,19 @@ class StaticProof:
 class StaticAnalysis:
     """Netlist-wide static tables plus the per-fault prover."""
 
-    def __init__(self, netlist: Netlist,
-                 compiled: Optional[CompiledNetlist] = None) -> None:
+    def __init__(self, netlist: Netlist) -> None:
         self.netlist = netlist
-        self.compiled = compiled if compiled is not None \
-            else get_compiled(netlist)
-        compiled = self.compiled
-        names = compiled.net_names
-        tied = compiled.tied
-
-        # Mirror PODEM's combinational view (see repro.atpg.podem.Podem).
-        implication = ImplicationEngine(netlist)
-        self.fixed_ids: Dict[int, int] = {}
-        for fanout in compiled.seq_fanout:
-            for nid in fanout:
-                if nid < 0 or tied[nid] is not None:
-                    continue
-                constant = implication.constant_of(names[nid])
-                if constant is not None:
-                    self.fixed_ids[nid] = constant
-
-        self.controllable_ids: Set[int] = set()
-        for nid in compiled.input_port_ids:
-            if tied[nid] is None:
-                self.controllable_ids.add(nid)
-        for fanout in compiled.seq_fanout:
-            for nid in fanout:
-                if (nid >= 0 and tied[nid] is None
-                        and nid not in self.fixed_ids):
-                    self.controllable_ids.add(nid)
-
-        self.observation_ids: Set[int] = set(compiled.observable_output_ids)
-        for i, fanin in enumerate(compiled.seq_fanin):
-            inst = compiled.seq_instances[i]
-            for pos, nid in enumerate(fanin):
-                if nid < 0:
-                    continue
-                port = compiled.seq_cell[i].inputs[pos]
-                if implication.propagation_blocked(inst, port):
-                    continue
-                self.observation_ids.add(nid)
-
+        #: PODEM's own combinational view, shared with every search.
+        self.view = view = get_view(netlist)
+        self.compiled = compiled = view.compiled
         #: Three-valued constant fixpoint: the good machine under the empty
         #: assignment (tied nets, frozen state, and everything they imply).
-        self.base: Tuple[int, ...] = self._constant_fixpoint()
+        self.base: Tuple[int, ...] = view.base
 
         self.stats: Dict[str, int] = {}
         self.scoap: ScoapTables = compute_scoap(
-            compiled, self.base, self.controllable_ids, self.observation_ids)
-        self.dominators = DominatorAnalysis(compiled, self.observation_ids)
+            compiled, self.base, view.controllable_ids, view.observation_ids)
+        self.dominators = DominatorAnalysis(compiled, view.observation_ids)
         self.implications: ImplicationTable = learn_implications(
             compiled, self.base, stats=self.stats)
 
@@ -118,24 +84,6 @@ class StaticAnalysis:
     # ------------------------------------------------------------------ #
     # shared tables
     # ------------------------------------------------------------------ #
-    def _constant_fixpoint(self) -> Tuple[int, ...]:
-        compiled = self.compiled
-        values = [LOGIC_X] * compiled.n_nets
-        for nid, t in enumerate(compiled.tied):
-            if t is not None:
-                values[nid] = t
-        for nid, value in self.fixed_ids.items():
-            values[nid] = value
-        program = scalar3_program(compiled)
-        tied = compiled.tied
-        for op, fn in enumerate(program):
-            outs = fn(*(values[nid] if nid >= 0 else LOGIC_X
-                        for nid in compiled.op_fanin[op]))
-            for pos, nid in enumerate(compiled.op_fanout[op]):
-                if nid >= 0 and tied[nid] is None:
-                    values[nid] = outs[pos]
-        return tuple(values)
-
     def necessary(self, nid: int, value: int) -> Optional[Dict[int, int]]:
         """Necessary assignments of ``nid = value`` (memoised); ``None``
         proves the value is unreachable."""
@@ -165,32 +113,6 @@ class StaticAnalysis:
         return cached
 
     # ------------------------------------------------------------------ #
-    # fault-site resolution (mirrors Podem._fault_refs)
-    # ------------------------------------------------------------------ #
-    def _fault_refs(self, fault: Fault) -> Tuple[Optional[int], int, int]:
-        compiled = self.compiled
-        if fault.is_port_fault:
-            nid = compiled.id_of(fault.site)
-            return nid, -1, -1
-        kind, index, pos, is_input = compiled.pin_ref(fault.site)
-        nid = compiled.pin_net_id(kind, index, pos, is_input)
-        if nid == NO_NET:
-            return None, -1, -1
-        if not is_input:
-            return nid, -1, -1
-        if kind == "op":
-            return None, index, pos
-        return None, -1, -1
-
-    def _excitation_id(self, fault: Fault) -> Optional[int]:
-        compiled = self.compiled
-        if fault.is_port_fault:
-            return compiled.id_of(fault.site)
-        kind, index, pos, is_input = compiled.pin_ref(fault.site)
-        nid = compiled.pin_net_id(kind, index, pos, is_input)
-        return nid if nid != NO_NET else None
-
-    # ------------------------------------------------------------------ #
     # the prover
     # ------------------------------------------------------------------ #
     def prove(self, fault: Fault) -> Optional[StaticProof]:
@@ -200,7 +122,7 @@ class StaticAnalysis:
         deliberately incomplete.
         """
         spec = resolve_injection(fault)
-        excite = self._excitation_id(fault)
+        excite = self.view.excitation_id(fault)
         if excite is None:
             return StaticProof(fault, "unconnected")
         tied = self.compiled.tied[excite]
@@ -208,7 +130,7 @@ class StaticAnalysis:
         if spec.frames > 1:
             # Launch-on-capture: PODEM's early-out — a site held at a
             # mission constant never transitions.
-            if tied is not None or excite in self.fixed_ids:
+            if tied is not None or excite in self.view.fixed_ids:
                 return StaticProof(
                     fault, "constant-site",
                     self.compiled.net_names[excite])
@@ -228,7 +150,7 @@ class StaticAnalysis:
         """Prove the one-frame search against ``fault_value`` must exhaust."""
         compiled = self.compiled
         names = compiled.net_names
-        excite = self._excitation_id(fault)
+        excite = self.view.excitation_id(fault)
         assert excite is not None
         want = LOGIC_1 - fault_value
 
@@ -236,7 +158,7 @@ class StaticAnalysis:
             return StaticProof(fault, "uncontrollable-excitation",
                                f"{names[excite]}={want}")
 
-        stem, branch_op, branch_pos = self._fault_refs(fault)
+        stem, branch_op, branch_pos = self.view.fault_refs(fault)
         if stem is None and branch_op < 0:
             # Sequential-input pin fault: PODEM simulates it without
             # injection, so its verdict depends on search exhaustion alone —
@@ -325,9 +247,5 @@ def get_static_analysis(netlist: Netlist) -> StaticAnalysis:
     Stored as an extension of the compiled netlist, so it shares
     ``get_compiled``'s lifecycle: rebuilt only when the netlist's signature
     changes, shared by every engine in the process."""
-    compiled = get_compiled(netlist)
-
-    def build(c: CompiledNetlist) -> StaticAnalysis:
-        return StaticAnalysis(netlist, c)
-
-    return compiled.extension("static_analysis", build)
+    return get_compiled(netlist).extension(
+        "static_analysis", lambda c: StaticAnalysis(netlist))

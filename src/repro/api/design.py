@@ -24,8 +24,9 @@ import hashlib
 from typing import Optional
 
 from repro.memory.memory_map import MemoryMap
+from repro.netlist.compiled import netlist_signature
 from repro.netlist.module import Netlist
-from repro.pipeline.cache import memory_map_key, netlist_signature
+from repro.pipeline.cache import memory_map_key
 from repro.soc.config import SoCConfig
 from repro.soc.soc_builder import SoC, build_soc
 

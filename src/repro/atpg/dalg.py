@@ -67,7 +67,7 @@ class DAlg(Podem):
                  implication=None, static=None) -> None:
         super().__init__(netlist, backtrack_limit, implication, static)
         self._scalar_program = scalar3_program(self.compiled)
-        self._sorted_controllables = sorted(self._controllable_ids)
+        self._sorted_controllables = sorted(self.view.controllable_ids)
 
     # ------------------------------------------------------------------ #
     # fault cone (forced internal values constrain the good machine only;
@@ -114,7 +114,7 @@ class DAlg(Podem):
             if t is not None:
                 good[nid] = t
                 faulty[nid] = t
-        for nid, value in self._fixed_ids.items():
+        for nid, value in self.view.fixed_ids.items():
             good[nid] = value
             faulty[nid] = value
         for nid, value in forced.items():
@@ -165,7 +165,7 @@ class DAlg(Podem):
         return good, faulty, j_frontier
 
     def _detected(self, good: List[int], faulty: List[int]) -> bool:
-        for nid in self._observation_ids:
+        for nid in self.view.observation_ids:
             g, f = good[nid], faulty[nid]
             if g != LOGIC_X and f != LOGIC_X and g != f:
                 return True
@@ -293,7 +293,7 @@ class DAlg(Podem):
     # ------------------------------------------------------------------ #
     def _generate_single(self, fault: Fault, fault_value: int) -> PodemResult:
         compiled = self.compiled
-        excite = self._fault_excitation_id(fault)
+        excite = self.view.excitation_id(fault)
         if excite is None:
             return PodemResult(PodemStatus.UNTESTABLE, fault)
         tied = compiled.tied[excite]
@@ -303,13 +303,13 @@ class DAlg(Podem):
             if self.static.necessary(excite, LOGIC_1 - fault_value) is None:
                 return PodemResult(PodemStatus.UNTESTABLE, fault)
 
-        stem, branch_op, branch_pos = self._fault_refs(fault)
+        stem, branch_op, branch_pos = self.view.fault_refs(fault)
         cone = self._fault_cone(stem, branch_op)
         names = compiled.net_names
 
         forced: Dict[int, int] = {}
         if tied is None:
-            fixed = self._fixed_ids.get(excite)
+            fixed = self.view.fixed_ids.get(excite)
             if fixed is not None:
                 if fixed == fault_value:
                     return PodemResult(PodemStatus.UNTESTABLE, fault)
@@ -331,7 +331,7 @@ class DAlg(Podem):
                 if detected and not j_frontier:
                     pattern_ids = {nid: value
                                    for nid, value in forced.items()
-                                   if nid in self._controllable_ids}
+                                   if nid in self.view.controllable_ids}
                     replay = LiveMachine(self, stem, branch_op, branch_pos,
                                          fault_value, pattern_ids.items())
                     if replay.detected():

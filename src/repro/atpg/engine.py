@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterable, List, Optional
 
-from repro.atpg.implication import ImplicationEngine
 from repro.atpg.podem import PodemStatus
 from repro.atpg.random_patterns import random_pattern_detection
 from repro.atpg.tie_analysis import TieAnalysis
@@ -304,7 +303,6 @@ class StructuralUntestabilityEngine:
             static_learning, atpg_backend)
         self.jobs = resolve_jobs(1 if jobs is None else jobs, cap=False)
         self.pool = pool
-        self.implication = ImplicationEngine(netlist)
 
     def classify(self, faults: Iterable[Fault]) -> UntestabilityReport:
         """Classify the given faults; unclassified faults are omitted from the
@@ -322,7 +320,7 @@ class StructuralUntestabilityEngine:
 
         # Phase 1: tied-value analysis.
         phase_start = time.perf_counter()
-        tie_result = TieAnalysis(self.netlist, self.implication).run(fault_list)
+        tie_result = TieAnalysis(self.netlist).run(fault_list)
         report.classifications.update(tie_result.classifications)
         report.phase_runtimes["tie"] = time.perf_counter() - phase_start
 

@@ -13,7 +13,9 @@ The propagation itself runs through the compiled-IR
 :class:`~repro.simulation.simulator.CombinationalSimulator`, so repeated
 constructions here (one per manipulation scenario) all share the netlist's
 cached :class:`~repro.netlist.compiled.CompiledNetlist` and its levelized
-evaluation program.
+evaluation program.  :func:`get_implication` goes one step further for the
+default engine: it is built once per netlist state and shared by the tie
+analysis, PODEM's view and the static prover.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import (Dict, List, Mapping, MutableMapping, Optional, Sequence,
                     Set)
 
 from repro.netlist.cells import LOGIC_0, LOGIC_1, LOGIC_X
-from repro.netlist.compiled import CompiledNetlist
+from repro.netlist.compiled import CompiledNetlist, get_compiled
 from repro.netlist.module import Netlist
 from repro.simulation.simulator import CombinationalSimulator, scalar3_program
 
@@ -286,3 +288,15 @@ class ImplicationEngine:
         # XOR/XNOR, BUF, INV, adders: a definite change on one input always
         # changes (or may change) the output — never blocked by constants.
         return False
+
+
+def get_implication(netlist: Netlist) -> ImplicationEngine:
+    """The default :class:`ImplicationEngine` of a netlist's current state.
+
+    Memoised per compiled netlist, like :func:`get_compiled` itself: a tie
+    or structural edit gets a new engine, structurally identical clones
+    share one.  An engine with ``extra_constants`` or
+    ``through_sequential=False`` is built directly and never shared.
+    """
+    return get_compiled(netlist).extension(
+        "implication", lambda c: ImplicationEngine(netlist))

@@ -5,18 +5,20 @@ executed over the compiled integer-ID IR (:mod:`repro.netlist.compiled`).
 Each search keeps one :class:`LiveMachine`: the good and faulty machines as
 two dual-rail plane arrays indexed by net ID (bit 0 good, bit 1 faulty),
 so one call of an op's generated plane function evaluates both.  The
-machine is swept once when the search starts; after that every decision,
-flip on backtrack and pop only pushes an event, and only the loads of nets
-whose value changed are re-evaluated, in topological order — selective
-trace (Ulrich 1969), the event-driven implication of FAN (Fujiwara and
-Shimono 1983).  The D-frontier is derived from a live set of D nets, and
+fault-free machine is swept once per netlist state, into the shared
+:class:`~repro.atpg.view.CombinationalView`; a search starts from a copy of
+it with the fault injected as an event, and every decision, flip on
+backtrack and pop only pushes an event too, so only the loads of nets whose
+value changed are re-evaluated, in topological order — selective trace
+(Ulrich 1969), the event-driven implication of FAN (Fujiwara and Shimono
+1983).  The D-frontier is derived from a live set of D nets, and
 the backtrace / X-path machinery walks the precomputed ID-indexed
-connectivity tables instead of the object graph.
+connectivity tables instead of the object graph.  The view defines:
 
 * controllable points — primary-input nets and sequential-cell output nets
-  that are not tied by circuit manipulation;
+  that circuit manipulation neither tied nor froze;
 * observation points — observable output ports plus sequential-cell input
-  nets.
+  nets whose capture path the constants do not block.
 
 Single-pattern faults run the classic one-frame search.  Two-pattern
 launch-on-capture faults (transition-delay) run a two-time-frame unrolled
@@ -40,13 +42,14 @@ from enum import Enum
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.atpg.view import CombinationalView, get_view
 from repro.faults.models import Fault, InjectionSpec, resolve_injection
 
 if TYPE_CHECKING:
     from repro.analysis.prover import StaticAnalysis
     from repro.atpg.implication import ImplicationEngine
 from repro.netlist.cells import LOGIC_0, LOGIC_1, LOGIC_X
-from repro.netlist.compiled import NO_NET, get_compiled
+from repro.netlist.compiled import get_compiled
 from repro.netlist.module import Netlist
 from repro.simulation.simulator import plane_program
 
@@ -90,14 +93,19 @@ class LiveMachine:
 
     Two plane arrays indexed by net ID hold both machines: bit 0 is the
     good machine, bit 1 the faulty one, so each op is one call of its
-    generated plane function at mask ``0b11``.  Construction runs one full
-    levelized sweep; after that :meth:`assign` changes a source (the value
-    of a controllable point, or back to X) and :meth:`settle` re-evaluates
-    only the loads of nets whose value changed, in op-index (topological)
-    order.  Every net value is a pure function of the sources — ties, fixed
-    state, assignments and the injected fault — so a settled machine equals
-    a full sweep under the same sources and backtracking needs no undo
-    trail.
+    generated plane function at mask ``0b11``.  :meth:`assign` changes a
+    source (the value of a controllable point, or back to X) and
+    :meth:`settle` re-evaluates only the loads of nets whose value changed,
+    in op-index (topological) order.  Every net value is a pure function of
+    the sources — ties, fixed state, assignments and the injected fault —
+    so a settled machine equals a full sweep under the same sources and
+    backtracking needs no undo trail.
+
+    The same property lets construction skip the sweep: it copies the
+    fault-free machine the view settled once per netlist state
+    (:class:`~repro.atpg.view.CombinationalView`), injects the fault and
+    the initial ``assignments`` as events and settles, so only their
+    fanout is evaluated.
 
     The fault is injected as the search defines it: a stem fault forces
     bit 1 of its net (a tied net included), a branch fault replaces the
@@ -123,29 +131,25 @@ class LiveMachine:
         #: Controllable net -> assigned value, in decision order.
         self.assignments: Dict[int, int] = {}
 
-        n = compiled.n_nets
-        self.p1 = [0] * n
-        self.p0 = [0] * n
-        for nid, t in enumerate(compiled.tied):
-            if t is not None:
-                self.p1[nid], self.p0[nid] = _BOTH[t]
-        for nid, value in podem._fixed_ids.items():
-            self.p1[nid], self.p0[nid] = _BOTH[value]
-        for nid, value in assignments:
-            self.assignments[nid] = value
-            self.p1[nid], self.p0[nid] = _BOTH[value]
+        # Start from the view's settled fault-free machine and inject the
+        # fault and the initial assignments as events, so the first settle
+        # evaluates only their fanout.
+        view = podem.view
+        self.p1 = list(view.p1)
+        self.p0 = list(view.p0)
+        self.good = list(view.base)
+        self.faulty = list(view.base)
+        self.d_nets: Set[int] = set()
+        self._heap: List[int] = []
+        self._queued = bytearray(compiled.n_ops)
         if stem is not None:
-            self.p1[stem] = (self.p1[stem] & 1) | self._f1
-            self.p0[stem] = (self.p0[stem] & 1) | self._f0
-        codes = [a | (b << 2) for a, b in zip(self.p1, self.p0)]
-        self.good = [_GOOD[code] for code in codes]
-        self.faulty = [_FAULTY[code] for code in codes]
-        self.d_nets: Set[int] = {nid for nid, code in enumerate(codes)
-                                 if _IS_D[code]}
-
-        # The initial sweep: every op queued, settled in index order.
-        self._heap = list(range(compiled.n_ops))
-        self._queued = bytearray(b"\x01") * compiled.n_ops
+            self._set(stem, (self.p1[stem] & 1) | self._f1,
+                      (self.p0[stem] & 1) | self._f0)
+        if branch_op >= 0:
+            self._queued[branch_op] = 1
+            self._heap.append(branch_op)
+        for nid, value in assignments:
+            self.assign(nid, value)
         self.settle()
 
     def _set(self, nid: int, p1: int, p0: int) -> None:
@@ -219,7 +223,7 @@ class LiveMachine:
 
     def detected(self) -> bool:
         """Does a fault effect reach an observation point?"""
-        return not self.d_nets.isdisjoint(self.podem._observation_ids)
+        return not self.d_nets.isdisjoint(self.podem.view.observation_ids)
 
     def d_frontier(self) -> List[int]:
         """Ops with a fault effect on an input and an output still X in
@@ -261,18 +265,22 @@ class Podem:
     as constants rather than controllable points, and flip-flop inputs whose
     capture path is blocked by such constants are not observation points.
     This keeps PODEM's verdicts consistent with the tied-value analysis the
-    identification flow is built on.
+    identification flow is built on.  The view
+    (:class:`~repro.atpg.view.CombinationalView`) is built once per netlist
+    state and shared by every engine over it.
     """
 
     def __init__(self, netlist: Netlist, backtrack_limit: int = 200,
                  implication: Optional["ImplicationEngine"] = None,
                  static: Optional["StaticAnalysis"] = None) -> None:
-        from repro.atpg.implication import ImplicationEngine
-
         self.netlist = netlist
         self.backtrack_limit = backtrack_limit
         self.compiled = get_compiled(netlist)
-        self.implication = implication or ImplicationEngine(netlist)
+        #: The combinational view searched: the netlist state's shared one,
+        #: or an unshared one over a caller's own ``implication`` engine.
+        self.view = (get_view(netlist) if implication is None
+                     else CombinationalView(self.compiled, implication))
+        self.implication = self.view.implication
         #: Optional static-analysis handle (repro.analysis): when present,
         #: the learned-implication closure vetoes provably futile decision
         #: branches and SCOAP controllability guides the backtrace.  ``None``
@@ -282,93 +290,10 @@ class Podem:
         #: them futile (they would otherwise have cost backtracks).
         self.learned_skips = 0
 
-        compiled = self.compiled
-        names = compiled.net_names
-        tied = compiled.tied
-
-        # Flip-flop output nets frozen to a mission constant.
-        self.fixed_state: Dict[str, int] = {}
-        self._fixed_ids: Dict[int, int] = {}
-        for fanout in compiled.seq_fanout:
-            for nid in fanout:
-                if nid < 0 or tied[nid] is not None:
-                    continue
-                constant = self.implication.constant_of(names[nid])
-                if constant is not None:
-                    self.fixed_state[names[nid]] = constant
-                    self._fixed_ids[nid] = constant
-
-        self.controllable: Set[str] = set()
-        self._controllable_ids: Set[int] = set()
-        for nid in compiled.input_port_ids:
-            if tied[nid] is None:
-                self._controllable_ids.add(nid)
-        for fanout in compiled.seq_fanout:
-            for nid in fanout:
-                if (nid >= 0 and tied[nid] is None
-                        and nid not in self._fixed_ids):
-                    self._controllable_ids.add(nid)
-        self.controllable = {names[nid] for nid in self._controllable_ids}
-
-        self._observation_ids: Set[int] = set(compiled.observable_output_ids)
-        for i, fanin in enumerate(compiled.seq_fanin):
-            inst = compiled.seq_instances[i]
-            for pos, nid in enumerate(fanin):
-                if nid < 0:
-                    continue
-                port = compiled.seq_cell[i].inputs[pos]
-                if self.implication.propagation_blocked(inst, port):
-                    continue
-                self._observation_ids.add(nid)
-        self.observation: Set[str] = {names[nid] for nid in self._observation_ids}
-
-        # State-output net -> driving sequential instance index (used by the
-        # two-time-frame launch justification).
-        self._state_driver: Dict[int, int] = {}
-        for i, fanout in enumerate(compiled.seq_fanout):
-            for nid in fanout:
-                if nid >= 0:
-                    self._state_driver[nid] = i
-
     @property
     def order(self) -> list:
         """Topological order of the combinational instances (shared list)."""
         return self.compiled.instances
-
-    # ------------------------------------------------------------------ #
-    # fault-site resolution
-    # ------------------------------------------------------------------ #
-    def _fault_refs(self, fault: Fault) -> Tuple[Optional[int], int, int]:
-        """Resolve ``(stem net id, branch op, branch pin pos)`` for a fault.
-
-        A *stem* fault (module port or instance output pin) forces the whole
-        net in the faulty machine; a *branch* fault perturbs one input pin
-        of a combinational op.  Either field may be absent.
-        """
-        compiled = self.compiled
-        if fault.is_port_fault:
-            nid = compiled.id_of(fault.site)
-            return nid, -1, -1
-        kind, index, pos, is_input = compiled.pin_ref(fault.site)
-        nid = compiled.pin_net_id(kind, index, pos, is_input)
-        if nid == NO_NET:
-            return None, -1, -1
-        if not is_input:
-            return nid, -1, -1
-        if kind == "op":
-            return None, index, pos
-        # Branch fault on a sequential input pin: the net itself is not
-        # perturbed within the combinational time frame.
-        return None, -1, -1
-
-    def _fault_excitation_id(self, fault: Fault) -> Optional[int]:
-        """Net whose good value must be the opposite of the stuck value."""
-        compiled = self.compiled
-        if fault.is_port_fault:
-            return compiled.id_of(fault.site)
-        kind, index, pos, is_input = compiled.pin_ref(fault.site)
-        nid = compiled.pin_net_id(kind, index, pos, is_input)
-        return nid if nid != NO_NET else None
 
     # ------------------------------------------------------------------ #
     # PODEM machinery
@@ -380,6 +305,7 @@ class Podem:
         if not frontier:
             return False
         compiled = self.compiled
+        observation_ids = self.view.observation_ids
         work: List[int] = []
         seen: Set[int] = set()
         for op in frontier:
@@ -393,7 +319,7 @@ class Podem:
             definite = g != LOGIC_X and f != LOGIC_X
             if definite and g == f:
                 continue
-            if nid in self._observation_ids:
+            if nid in observation_ids:
                 return True
             work.extend(compiled.net_succ[nid])
         return False
@@ -423,11 +349,12 @@ class Podem:
                    good: List[int]) -> Optional[Tuple[int, int]]:
         """Walk backwards from an objective to an unassigned controllable net."""
         compiled = self.compiled
+        controllable_ids = self.view.controllable_ids
         current = nid
         current_value = value
         limit = compiled.n_nets + compiled.n_ops + len(compiled.seq_instances) + 1
         for _ in range(limit):
-            if current in self._controllable_ids:
+            if current in controllable_ids:
                 # Assignable as long as the good machine has not fixed it yet
                 # (the faulty component may already be pinned at a fault site).
                 if good[current] == LOGIC_X:
@@ -474,7 +401,7 @@ class Podem:
     def _generate_single(self, fault: Fault, fault_value: int) -> PodemResult:
         """The classic one-frame search against a stuck value."""
         compiled = self.compiled
-        excite = self._fault_excitation_id(fault)
+        excite = self.view.excitation_id(fault)
         if excite is None:
             # A fault on an unconnected pin can never be excited or observed.
             return PodemResult(PodemStatus.UNTESTABLE, fault)
@@ -482,7 +409,7 @@ class Podem:
         if tied is not None and tied == fault_value:
             return PodemResult(PodemStatus.UNTESTABLE, fault)
 
-        stem, branch_op, branch_pos = self._fault_refs(fault)
+        stem, branch_op, branch_pos = self.view.fault_refs(fault)
         names = compiled.net_names
 
         # Static learning: the values every detecting pattern must justify.
@@ -587,10 +514,11 @@ class Podem:
         (AU) rather than declared redundant.
         """
         compiled = self.compiled
-        excite = self._fault_excitation_id(fault)
+        excite = self.view.excitation_id(fault)
         if excite is None:
             return PodemResult(PodemStatus.UNTESTABLE, fault)
-        if compiled.tied[excite] is not None or excite in self._fixed_ids:
+        if (compiled.tied[excite] is not None
+                or excite in self.view.fixed_ids):
             # The site is held at a mission constant: it never transitions,
             # so neither polarity can ever be launched.
             return PodemResult(PodemStatus.UNTESTABLE, fault)
@@ -629,7 +557,7 @@ class Podem:
             nid = compiled.id_of(name)
             if nid is None:
                 continue
-            seq_index = self._state_driver.get(nid)
+            seq_index = self.view.state_driver.get(nid)
             if seq_index is not None:
                 constraints[seq_index] = value
         return constraints

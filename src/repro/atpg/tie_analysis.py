@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.atpg.implication import ImplicationEngine
+from repro.atpg.implication import ImplicationEngine, get_implication
 from repro.faults.categories import FaultClass
 from repro.faults.models import Fault, model_of
 from repro.netlist.cells import LOGIC_X
@@ -65,7 +65,7 @@ class TieAnalysis:
     def __init__(self, netlist: Netlist,
                  engine: Optional[ImplicationEngine] = None) -> None:
         self.netlist = netlist
-        self.engine = engine or ImplicationEngine(netlist)
+        self.engine = engine or get_implication(netlist)
         self.compiled = get_compiled(netlist)
         n = self.compiled.n_nets
         self._observe_cache: List[Optional[bool]] = [None] * n

@@ -30,8 +30,9 @@ Custom passes register through the :func:`analysis_pass` decorator — see
 ``examples/custom_pass.py``.
 """
 
+from repro.netlist.compiled import netlist_signature
 from repro.pipeline.base import AnalysisPass, FunctionPass, PassResult
-from repro.pipeline.cache import ArtifactCache, netlist_signature
+from repro.pipeline.cache import ArtifactCache
 from repro.pipeline.context import (CONFIG_FACETS, MissingArtifactError,
                                     PipelineContext, SEED_ARTIFACTS)
 from repro.pipeline.pipeline import (DependencyCycleError, PassEvent, Pipeline,

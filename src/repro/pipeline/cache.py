@@ -26,11 +26,6 @@ import threading
 from collections import OrderedDict
 from typing import Any, Dict, Iterable, Optional, Tuple
 
-# The structural digest lives with the compiled-netlist IR (which keys its
-# own cache on it); re-exported here because this module is its historical
-# home and everything cache-related imports it from here.
-from repro.netlist.compiled import netlist_signature  # noqa: F401
-
 CacheKey = Tuple[str, str, str]  # (netlist signature, config key, pass name)
 
 

@@ -20,10 +20,10 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Union
 from repro.core.results import FlowConfig
 from repro.faults.models import Fault
 from repro.memory.memory_map import MemoryMap
+from repro.netlist.compiled import netlist_signature
 from repro.netlist.module import Netlist
 from repro.pipeline.cache import (ArtifactCache, CacheKey,
-                                  fault_restriction_key, memory_map_key,
-                                  netlist_signature)
+                                  fault_restriction_key, memory_map_key)
 
 if TYPE_CHECKING:  # pragma: no cover - repro.api imports this package
     from repro.api.options import RunOptions

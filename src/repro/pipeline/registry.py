@@ -20,7 +20,7 @@ A registered pass can then be selected by name when building a
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.pipeline.base import AnalysisPass, FunctionPass, PassResult
 

@@ -11,11 +11,11 @@ and without OLFU pruning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Set, Union
+from dataclasses import dataclass
+from typing import Iterable, Optional, Set, Union
 
 from repro.faults.models import Fault, FaultModel, resolve_fault_model
-from repro.faults.faultlist import FaultList, generate_fault_list
+from repro.faults.faultlist import generate_fault_list
 from repro.netlist.module import Netlist
 from repro.sbst.monitor import CapturedPatterns, pattern_windows
 from repro.simulation.parallel import ParallelPatternSimulator

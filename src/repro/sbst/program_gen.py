@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-from repro.isa.opcodes import Opcode
 from repro.sbst.assembler import assemble
 from repro.soc.config import CpuConfig
 from repro.utils.bitvec import mask

@@ -16,9 +16,9 @@ on-line functionally untestable faults.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
-from repro.netlist.module import Instance, Netlist, Net, Pin
+from repro.netlist.module import Netlist, Net, Pin
 
 
 @dataclass

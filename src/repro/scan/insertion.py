@@ -12,7 +12,7 @@ present in generated designs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.netlist.module import INPUT, Netlist
 

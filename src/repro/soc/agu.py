@@ -12,7 +12,7 @@ the memory-map analysis can tie the frozen bits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.netlist.builder import NetlistBuilder
 from repro.soc.generators import incrementer, mux2_word, register_word, ripple_adder

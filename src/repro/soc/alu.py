@@ -9,7 +9,7 @@ flag used by the branch logic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.netlist.builder import NetlistBuilder
 from repro.soc.generators import (

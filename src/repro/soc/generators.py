@@ -7,7 +7,7 @@ composed by the CPU/SoC builders into one flat netlist.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.netlist.builder import NetlistBuilder
 

@@ -10,7 +10,7 @@ prunes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.netlist.builder import NetlistBuilder
 from repro.soc.generators import binary_decoder, mux_tree_word, register_word

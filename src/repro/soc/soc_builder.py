@@ -7,7 +7,7 @@ the mission memory map and the debug-interface specification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.debug.interface import DebugInterface, discover_debug_interface

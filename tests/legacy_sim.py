@@ -250,7 +250,7 @@ def podem_full_evaluation(podem, assignments: Mapping[int, int],
         if t is not None:
             good[nid] = t
             faulty[nid] = t
-    for nid, value in podem._fixed_ids.items():
+    for nid, value in podem.view.fixed_ids.items():
         good[nid] = value
         faulty[nid] = value
     for nid, value in assignments.items():
@@ -289,7 +289,7 @@ def _fault_effect(g: int, f: int) -> bool:
 def podem_detected_scan(podem, good: List[int], faulty: List[int]) -> bool:
     """Does any observation point carry a fault effect?"""
     return any(_fault_effect(good[nid], faulty[nid])
-               for nid in podem._observation_ids)
+               for nid in podem.view.observation_ids)
 
 
 def podem_d_frontier_scan(podem, good: List[int], faulty: List[int],

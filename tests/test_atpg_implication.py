@@ -1,12 +1,8 @@
 """Unit tests for constant propagation and the implication engine."""
 
-import pytest
-
 from repro.atpg.implication import ImplicationEngine, implied_constants
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.cells import LOGIC_0, LOGIC_1
-
-from tests.conftest import build_and_or_circuit
 
 
 class TestImpliedConstants:

@@ -1,7 +1,5 @@
 """Unit tests for the PODEM test generator."""
 
-import pytest
-
 from repro.atpg.podem import Podem, PodemStatus
 from repro.faults.fault import SA0, SA1, StuckAtFault
 from repro.faults.faultlist import generate_fault_list
@@ -9,7 +7,7 @@ from repro.netlist.builder import NetlistBuilder
 from repro.netlist.cells import LOGIC_1
 from repro.simulation.fault_sim import FaultSimulator
 
-from tests.conftest import all_input_patterns, build_and_or_circuit
+from tests.conftest import all_input_patterns
 
 
 def redundant_circuit():

@@ -5,16 +5,12 @@ motivate the method: the mux-scan cell (Fig. 2), the debug flip-flop
 (Fig. 4) and the constant-value DFF (Fig. 5/6).
 """
 
-import pytest
-
 from repro.atpg.engine import AtpgEffort, StructuralUntestabilityEngine
 from repro.atpg.tie_analysis import TieAnalysis
 from repro.faults.categories import FaultClass
 from repro.faults.fault import SA0, SA1, StuckAtFault
 from repro.faults.faultlist import generate_fault_list
 from repro.netlist.cells import LOGIC_0, LOGIC_1
-
-from tests.conftest import build_and_or_circuit
 
 
 class TestTieAnalysisBasics:

@@ -8,7 +8,7 @@ import repro
 from repro.manipulation.tie import tie_net
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.cells import LOGIC_0, LOGIC_1, LOGIC_X
-from repro.netlist.compiled import (NO_NET, compile_netlist, compile_stats,
+from repro.netlist.compiled import (compile_netlist, compile_stats,
                                     get_compiled, reset_compile_stats)
 from repro.netlist.traversal import topological_instances
 from repro.simulation.simulator import CombinationalSimulator

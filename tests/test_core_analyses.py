@@ -12,7 +12,6 @@ from repro.faults.fault import SA0, SA1, StuckAtFault
 from repro.faults.faultlist import generate_fault_list
 from repro.memory.memory_map import MemoryMap, MemoryRegion
 from repro.netlist.builder import NetlistBuilder
-from repro.scan.insertion import insert_scan
 
 
 class TestScanAnalysis:

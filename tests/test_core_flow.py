@@ -1,14 +1,11 @@
 """Tests for the end-to-end identification flow, the Fig. 1 classification and
 the Table-I style reporting."""
 
-import pytest
-
-from repro.atpg.engine import AtpgEffort
 from repro.core.classification import build_fault_universe
 from repro.api import Session
 from repro.core.results import FlowConfig
 from repro.core.report import render_source_details, render_summary_table
-from repro.faults.categories import FaultClass, OnlineUntestableSource
+from repro.faults.categories import OnlineUntestableSource
 from repro.faults.faultlist import generate_fault_list
 
 

@@ -12,7 +12,7 @@ from repro.simulation.fault_sim import FaultSimulator
 from repro.simulation.parallel import ParallelPatternSimulator
 from repro.simulation.simulator import CombinationalSimulator
 
-from tests.conftest import all_input_patterns, build_and_or_circuit
+from tests.conftest import all_input_patterns
 
 
 class TestSerialFaultSimulator:

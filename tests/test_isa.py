@@ -1,11 +1,8 @@
 """Unit tests for the shared ISA definition (opcodes, encoding, control table)."""
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.isa.opcodes import (
-    ALU_ADD,
-    ALU_PASS_B,
     ALU_SUB,
     CONTROL_SIGNAL_NAMES,
     ControlSignals,

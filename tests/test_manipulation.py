@@ -6,8 +6,6 @@ from repro.manipulation.disconnect import disconnect_output_port
 from repro.manipulation.tie import TieRecord, tie_net, tie_port, tied_nets
 from repro.netlist.cells import LOGIC_0, LOGIC_1
 
-from tests.conftest import build_and_or_circuit
-
 
 class TestTie:
     def test_tie_net_sets_value_and_records(self, and_or_circuit):

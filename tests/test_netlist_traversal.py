@@ -3,7 +3,7 @@
 import pytest
 
 from repro.netlist.builder import NetlistBuilder
-from repro.netlist.module import INPUT, OUTPUT, Netlist
+from repro.netlist.module import INPUT, Netlist
 from repro.netlist.traversal import (
     CombinationalLoopError,
     topological_instances,

@@ -2,7 +2,8 @@
 
 :class:`~repro.atpg.podem.LiveMachine` keeps the good and faulty machines
 of a search live and re-evaluates only the fanout of what changed.  Here
-every settle of every machine — the initial sweep of a search, and the
+every settle of every machine — the start of a search (the view's settled
+fault-free machine plus the fault and any initial assignments), and the
 state after each decision and each backtrack — is compared with the
 original full-sweep machine kept in :mod:`tests.legacy_sim`: both value
 arrays, the plane lanes behind them, the live D set, the detection test
@@ -15,13 +16,16 @@ import contextlib
 import json
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis import get_static_analysis
 from repro.atpg.dalg import DAlg
-from repro.atpg.podem import LiveMachine, Podem
+from repro.atpg.podem import LiveMachine, Podem, PodemStatus
 from repro.faults.faultlist import generate_fault_list
-from repro.netlist.cells import LOGIC_X, PLANE_ENCODING
+from repro.faults.models import resolve_injection
+from repro.netlist.builder import NetlistBuilder
+from repro.netlist.cells import LOGIC_0, LOGIC_X, PLANE_ENCODING
 
 from tests.legacy_sim import (podem_d_frontier_scan, podem_detected_scan,
                               podem_full_evaluation)
@@ -109,3 +113,73 @@ def test_live_machine_matches_full_evaluation_on_random_netlists(
             for fault in faults:
                 engine.generate(fault)
     assert checks["n"] > 0
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(random_circuits(max_gates=8), st.sampled_from([None, 0, 1]),
+       st.integers(min_value=0, max_value=N_INPUTS - 1))
+def test_machine_started_with_assignments_matches_full_evaluation(
+        netlist, tie_value, tied_input):
+    """A machine starts from the view's settled fault-free planes and takes
+    its initial assignments as events.  Replay every detected transition
+    fault's launch cube on a fault-free machine (the launch frame) and its
+    capture cube on a machine with the fault injected."""
+    if tie_value is not None:
+        netlist.net(f"i{tied_input}").tied = tie_value
+    podem = Podem(netlist, backtrack_limit=64)
+    compiled = podem.compiled
+    replayed = 0
+    with checked_machines() as checks:
+        for fault in generate_fault_list(netlist, model="transition").faults():
+            result = podem.generate(fault)
+            if result.status is not PodemStatus.DETECTED:
+                continue
+            launch = [(compiled.id_of(name), value)
+                      for name, value in result.init_pattern.items()]
+            capture = [(compiled.id_of(name), value)
+                       for name, value in result.pattern.items()]
+            LiveMachine(podem, None, -1, -1, LOGIC_0, launch)
+            stem, branch_op, branch_pos = podem.view.fault_refs(fault)
+            spec = resolve_injection(fault)
+            machine = LiveMachine(podem, stem, branch_op, branch_pos,
+                                  spec.stuck_value, capture)
+            assert machine.detected()
+            assert machine.assignments == dict(capture)
+            replayed += 1
+    assert checks["n"] >= 2 * replayed
+
+
+def _tied_side_input_circuit(tie_value: int):
+    """One gate per family with its side input ``s`` tied, so both
+    polarities of its free pin are branch faults next to a constant."""
+    b = NetlistBuilder(f"tied_side_{tie_value}")
+    a = b.add_input("a")
+    c = b.add_input("c")
+    s = b.add_input("s")
+    for cell in ("AND2", "OR2", "NAND2", "XOR2"):
+        out = b.gate(cell, a, s, name=f"g_{cell.lower()}")
+        b.gate("AND2", out, c, output=b.add_output(f"y_{cell.lower()}"),
+               name=f"obs_{cell.lower()}")
+    b.gate("MUX2", a, c, s, output=b.add_output("y_mux"), name="g_mux")
+    netlist = b.build()
+    netlist.net("s").tied = tie_value
+    return netlist
+
+
+@pytest.mark.parametrize("tie_value", [0, 1])
+def test_branch_fault_beside_a_tied_side_input(tie_value):
+    netlist = _tied_side_input_circuit(tie_value)
+    podem = Podem(netlist)
+    # Input-pin faults of the gates reading ``s``: all branch faults.
+    tied_sides = [f for f in generate_fault_list(netlist).faults()
+                  if f.site.startswith("g_") and not f.site.endswith("/Y")]
+    assert tied_sides
+    with checked_machines() as checks:
+        for fault in tied_sides:
+            assert podem.view.fault_refs(fault)[1] >= 0
+            stem, branch_op, branch_pos = podem.view.fault_refs(fault)
+            LiveMachine(podem, stem, branch_op, branch_pos,
+                        resolve_injection(fault).stuck_value)
+            podem.generate(fault)
+    assert checks["n"] > len(tied_sides)

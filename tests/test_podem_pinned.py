@@ -109,7 +109,7 @@ def _select(netlists: Dict[str, Netlist]) -> List[dict]:
     tied_ids = []
     tied_sites = set()
     for index, fault in enumerate(_universe(tied_netlist, "stuck_at")):
-        stem, _, _ = probe._fault_refs(fault)
+        stem, _, _ = probe.view.fault_refs(fault)
         if stem is None:
             continue
         tie = probe.compiled.tied[stem]
@@ -198,7 +198,7 @@ def test_pinned_sample_covers_the_injection_cases(pinned, netlists):
     records = pinned["records"]
     assert any(r["section"] == "tied" and r["model"] == "stuck_at"
                for r in records)
-    assert any(probe._fault_refs(universe[r["index"]])[1] >= 0
+    assert any(probe.view.fault_refs(universe[r["index"]])[1] >= 0
                for r in records if r["section"] == "stuck_at")
     statuses = {r["status"] for r in records}
     assert statuses == {"detected", "untestable", "aborted"}

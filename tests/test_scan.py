@@ -1,7 +1,5 @@
 """Unit tests for scan insertion and scan-chain tracing."""
 
-import pytest
-
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.validate import check_netlist
 from repro.scan.chain_tracer import ScanChainTracer, trace_scan_chains

@@ -7,7 +7,7 @@ from repro.netlist.cells import LOGIC_0, LOGIC_1, LOGIC_X
 from repro.simulation.sequential import SequentialSimulator
 from repro.simulation.simulator import CombinationalSimulator
 
-from tests.conftest import all_input_patterns, build_and_or_circuit, build_small_adder_circuit
+from tests.conftest import all_input_patterns, build_small_adder_circuit
 
 
 class TestCombinationalSimulator:

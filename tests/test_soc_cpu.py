@@ -1,10 +1,7 @@
 """Tests for the CPU sub-blocks, the core generator and the SoC builder."""
 
-import itertools
-
 import pytest
 
-from repro.debug.interface import discover_debug_interface
 from repro.isa.opcodes import Opcode, control_signals_for, encode_instruction
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.validate import check_netlist
@@ -18,7 +15,7 @@ from repro.soc.debug_logic import DEBUG_CONTROL_PORTS
 from repro.soc.decoder import build_decoder
 from repro.soc.regfile import build_register_file
 from repro.soc.soc_builder import build_soc
-from repro.utils.bitvec import bit, mask
+from repro.utils.bitvec import bit
 
 
 def _drive(width, name, value):

@@ -11,7 +11,6 @@ import random
 import pytest
 
 from repro.netlist.builder import NetlistBuilder
-from repro.netlist.validate import check_netlist
 from repro.simulation.simulator import CombinationalSimulator
 from repro.soc.generators import (
     array_multiplier,
@@ -28,7 +27,6 @@ from repro.soc.generators import (
     synthesize_function,
     zero_detector,
 )
-from repro.utils.bitvec import mask
 
 
 def _drive(width, name, value):
