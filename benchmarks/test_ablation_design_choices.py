@@ -1,4 +1,5 @@
-"""Ablation ``design_choices`` — the knobs called out in DESIGN.md.
+"""Ablation ``design_choices`` — the modelling choices the flow's counts
+rest on, each switched and checked against the expected effect.
 
 * fault collapsing on/off: the on-line untestable *fraction* is essentially
   unchanged whether it is counted on the collapsed or uncollapsed universe;

@@ -1,8 +1,9 @@
 """Ablation ``scaling`` — sensitivity of the on-line untestable fraction.
 
-Not part of the paper's evaluation, but called out in DESIGN.md: how does the
-on-line functionally untestable fraction react to (a) the size of the core
-and (b) the size of the mapped memory?  The expectation is that the scan
+Not part of the paper's evaluation, but a check that the synthetic cores
+behave like the paper's: how does the on-line functionally untestable
+fraction react to (a) the size of the core and (b) the size of the mapped
+memory?  The expectation is that the scan
 fraction tracks the sequential-cell share of the design, while the memory-map
 fraction shrinks as more of the address space becomes legal.
 """

@@ -47,9 +47,11 @@ def test_coverage_gain_from_pruning(tiny_soc, tiny_report, benchmark):
 def test_pruned_faults_mostly_undetected(tiny_soc, tiny_report):
     """Consistency: the coverage gain comes (almost entirely) from shrinking
     the denominator, not from removing detected faults.  The grading model is
-    a single-time-frame approximation that observes flip-flop inputs, so a
-    small leakage is tolerated (see DESIGN.md); the bulk of the pruned
-    population must be undetected by the mission patterns."""
+    a single-time-frame approximation that observes flip-flop inputs in
+    place of multi-cycle propagation to memory, so it may count an effect
+    the mission never stores, and a small leakage is tolerated (README,
+    "SBST fault grading"; ROADMAP item 3 measures it); the bulk of the
+    pruned population must be undetected by the mission patterns."""
     programs = generate_sbst_suite(tiny_soc.config.cpu)
     patterns = ToggleMonitor(tiny_soc.cpu).run_suite(programs)
     grader = FaultGrader(tiny_soc.cpu)

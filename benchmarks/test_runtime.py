@@ -28,6 +28,9 @@ same quantities for the pure-Python engine on the synthetic core:
 * the start of one PODEM search on tiny (``podem_search_start``): engine
   construction plus one live-machine start, as a median with quartiles
   over repeats, beside the one-off cost of the view it reuses.
+* the serial word kernel on one full-population SBST grade
+  (``word_grade_kernel``), as a median with quartiles over repeats,
+  beside the number of distinct injections it simulates.
 
 Parallel ``*_speedup`` summary fields are attributed with the machine's
 ``cpus`` and recorded only when ``os.cpu_count() >= jobs`` — a jobs=4
@@ -620,3 +623,51 @@ def test_runtime_podem_search_start():
     # The point of the shared view: a search start costs a fraction of
     # the per-netlist setup it no longer repeats.
     assert start_median < build_median
+
+
+def test_runtime_word_grade_kernel(runtime_soc):
+    """The serial word kernel on one full-population grade.
+
+    Grades every stuck-at fault against the seed-2013 SBST capture with
+    the serial :class:`~repro.sbst.grading.FaultGrader` (one
+    ``detect_windows`` call), repeated, and records the median with its
+    quartiles and the core count, beside the number of distinct faulty
+    machines the kernel simulates for the population.
+    """
+    from repro.faults.models import resolve_injection
+    from repro.netlist.compiled import get_compiled
+    from repro.simulation.kernels import observation_flags, resolve_site
+    from repro.simulation.parallel import injection_groups
+
+    netlist = runtime_soc.cpu
+    patterns = ToggleMonitor(netlist).run_suite(
+        generate_sbst_suite(runtime_soc.config.cpu, seed=2013))
+    faults = generate_fault_list(netlist).faults()
+    grader = FaultGrader(netlist)
+    repeats = 5
+
+    samples = []
+    detected = None
+    for _ in range(repeats):
+        begin = time.perf_counter()
+        graded = grader.grade(patterns, faults)
+        samples.append(time.perf_counter() - begin)
+        assert detected is None or graded == detected
+        detected = graded
+
+    compiled = get_compiled(netlist)
+    groups = injection_groups(
+        compiled, [(fault, resolve_site(compiled, fault),
+                    resolve_injection(fault)) for fault in faults],
+        observation_flags(compiled, grader.simulator.observation_nets))
+    median, q1, q3 = _median_with_spread(samples)
+    print()
+    print(f"Serial word-kernel grade of {len(faults):,} faults x "
+          f"{len(patterns)} patterns ({len(groups):,} distinct injections): "
+          f"median {median:.3f} s (q1 {q1:.3f}, q3 {q3:.3f})")
+    _record("word_grade_kernel", median,
+            repeats=repeats, q1_seconds=round(q1, 4),
+            q3_seconds=round(q3, 4), cpus=os.cpu_count() or 1,
+            faults=len(faults), patterns=len(patterns),
+            distinct_injections=len(groups), detected=len(detected))
+    assert detected and len(groups) < len(faults)

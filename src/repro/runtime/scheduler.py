@@ -28,7 +28,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from repro.faults.models import Fault
 from repro.netlist.compiled import CompiledNetlist, get_compiled
 from repro.netlist.module import Netlist
-from repro.simulation.kernels import resolve_site
+from repro.simulation.kernels import resolve_site, sole_load_branch
 
 #: A fault whose estimated per-fault cost is this many times the population
 #: mean is scheduled as its own singleton chunk, ahead of everything else.
@@ -40,8 +40,12 @@ def cone_representative(compiled: CompiledNetlist, site: Tuple) -> int:
 
     ``-1`` for inert sites (no cone at all).  Faults with the same
     representative share their simulation cone, which is why
-    :func:`build_chunks` keeps them in one chunk.
+    :func:`build_chunks` keeps them in one chunk.  A stem whose only load
+    is one gate pin takes that branch's representative, so the word
+    kernel finds the two equivalent injections in one chunk.
     """
+    if site[0] == "net":
+        site = sole_load_branch(compiled, site[1]) or site
     if site[0] == "net":
         return site[1]
     if site[0] == "branch":

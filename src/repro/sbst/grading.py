@@ -78,8 +78,10 @@ class FaultGrader:
         # captured into the architectural state (a captured error eventually
         # propagates to memory over the following cycles of the self-test
         # program, so observing the flip-flop inputs approximates multi-cycle
-        # propagation — see DESIGN.md).  The debug-only observation buses are
-        # explicitly excluded: in the field no debugger reads them.
+        # propagation, a single-time-frame approximation that may count an
+        # effect the mission never stores; README, "SBST fault grading").
+        # The debug-only observation buses are explicitly excluded: in the
+        # field no debugger reads them.
         self.netlist = netlist
         self.word_size = word_size
         self.drop_detected = drop_detected

@@ -3,13 +3,21 @@
 Fault detection over a pattern window simulates the good machine once
 (pattern-parallel Python big ints, one bit per pattern) and then walks each
 fault's fanout cone in topological order, evaluating an op only when one of
-its inputs differs from the good machine.  :func:`detects_words` is the
-two-valued word walk every flow path grades with (the random-pattern phase,
-compaction and SBST grading, serial or pooled), with early exit on the
-first observed difference; :func:`detect_mask_planes` is the three-valued
-(two-plane) walk of the serial
-:class:`~repro.simulation.fault_sim.FaultSimulator`, the one engine that
-grades X-padded patterns.  Both walk a site decoded by
+its inputs differs from the good machine.
+
+:func:`detects_words` is the two-valued word walk every flow path grades
+with (the random-pattern phase, compaction and SBST grading, serial or
+pooled, all through :func:`repro.simulation.parallel.detect_windows`).  It
+works in place: faulty values are written into the window's value list
+and restored from the good words afterwards, and it returns on the first
+observed difference.  Its per-op call records, live outputs and
+deduplicated net loads are built once per compiled netlist
+(:func:`word_tables`); :func:`injection_site` folds a single-load stem
+onto its branch so equivalent injections walk one site.
+
+:func:`detect_mask_planes` is the three-valued (two-plane) walk of the
+serial :class:`~repro.simulation.fault_sim.FaultSimulator`, the one engine
+that grades X-padded patterns.  Both walk a site decoded by
 :func:`resolve_site` and observe the nets flagged by
 :func:`observation_flags`.  :func:`kernel_info` names the kernel in stats
 and bench attribution.
@@ -17,8 +25,8 @@ and bench attribution.
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from heapq import heappop, heappush
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.faults.models import Fault
 from repro.netlist.compiled import NO_NET, CompiledNetlist
@@ -127,16 +135,16 @@ def detect_mask_planes(compiled: CompiledNetlist, program, site: Tuple,
         for op, _pos in net_load_ops[forced]:
             if op not in scheduled:
                 scheduled.add(op)
-                heapq.heappush(heap, op)
+                heappush(heap, op)
     elif site[0] == "branch":
         branch_op, branch_pos = site[1], site[2]
         scheduled.add(branch_op)
-        heapq.heappush(heap, branch_op)
+        heappush(heap, branch_op)
     else:
         return 0
 
     while heap:
-        op = heapq.heappop(heap)
+        op = heappop(heap)
         args = []
         for pos, nid in enumerate(op_fanin[op]):
             if nid < 0:
@@ -170,79 +178,144 @@ def detect_mask_planes(compiled: CompiledNetlist, program, site: Tuple,
             for lop, _pos in net_load_ops[nid]:
                 if lop not in scheduled:
                     scheduled.add(lop)
-                    heapq.heappush(heap, lop)
+                    heappush(heap, lop)
     return det & mask
 
 
-def detects_words(compiled: CompiledNetlist, program, site: Tuple,
-                  fault_value: int, good: List[int], word_mask: int,
-                  obs_flags, allowed: Optional[int] = None) -> bool:
-    """Two-valued (word) detection of one fault over a pattern window.
+# --------------------------------------------------------------------- #
+# the in-place two-valued word walk
+# --------------------------------------------------------------------- #
+def _caller(arity: int) -> Callable:
+    """``call(fn, v, m, fanin)``: the word form ``fn`` over the values in
+    ``v`` of the ``arity`` nets in ``fanin``, without building an argument
+    list."""
+    names = [f"a{i}" for i in range(arity)]
+    unpack = f"    {', '.join(names)}, = fanin\n" if names else ""
+    values = "".join(f", v[{a}]" for a in names)
+    scope: Dict[str, Callable] = {}
+    exec(f"def call(fn, v, m, fanin):\n{unpack}"
+         f"    return fn(m{values})\n", scope)
+    return scope["call"]
 
-    Same event-driven walk as :func:`detect_mask_planes`, with one extra
-    liberty the boolean contract allows: return as soon as an observation
-    point differs under an *allowed* pattern (the verdict cannot change
-    once such a difference is observed).  ``allowed`` is the pattern-pair
-    mask of two-pattern models; ``None`` allows the whole window.
+
+class WordTables:
+    """Per-compiled-netlist tables of the word walk (read-only, shared).
+
+    ``ops[op]`` is ``(caller, word fn, fanin, live outputs)``, the live
+    outputs being the ``(position, net ID)`` pairs of the connected,
+    untied outputs; ``loads[nid]`` the net's load ops, deduplicated, in
+    ascending (topological) order; ``sole_load[nid]`` the branch site
+    ``("branch", op, pos)`` of a net whose only load is one combinational
+    input pin, else ``None``.
     """
-    if allowed is None:
-        allowed = word_mask
-    elif not allowed:
-        return False
-    fault_word = word_mask if fault_value else 0
-    forced = -1
-    branch_op = -1
-    branch_pos = -1
-    overlay: Dict[int, int] = {}
-    heap: List[int] = []
-    scheduled: Set[int] = set()
-    net_load_ops = compiled.net_load_ops
-    tied = compiled.tied
-    op_fanin = compiled.op_fanin
-    op_fanout = compiled.op_fanout
 
-    if site[0] == "net":
+    __slots__ = ("ops", "loads", "sole_load")
+
+    def __init__(self, compiled: CompiledNetlist) -> None:
+        tied = compiled.tied
+        callers: Dict[int, Callable] = {}
+        ops = []
+        for cell, fanin, fanout in zip(compiled.op_cell, compiled.op_fanin,
+                                       compiled.op_fanout):
+            call = callers.get(len(fanin))
+            if call is None:
+                call = callers[len(fanin)] = _caller(len(fanin))
+            live = tuple((pos, nid) for pos, nid in enumerate(fanout)
+                         if nid != NO_NET and tied[nid] is None)
+            ops.append((call, cell.word, fanin, live))
+        self.ops = ops
+        self.loads = [tuple(sorted({op for op, _pos in loads}))
+                      for loads in compiled.net_load_ops]
+        self.sole_load = [sole_load_branch(compiled, nid)
+                          for nid in range(compiled.n_nets)]
+
+
+def sole_load_branch(compiled: CompiledNetlist, nid: int) -> Optional[Tuple]:
+    """``("branch", op, pos)`` when the net's only load is one
+    combinational input pin (no other pin, no flip-flop), else ``None``:
+    a stem fault on such a net perturbs exactly that branch's cone."""
+    loads = compiled.net_load_ops[nid]
+    if len(loads) == 1 and not compiled.net_load_seqs[nid]:
+        return ("branch",) + loads[0]
+    return None
+
+
+def word_tables(compiled: CompiledNetlist) -> WordTables:
+    """The word walk's tables, built once per compiled netlist."""
+    return compiled.extension("word_tables", WordTables)
+
+
+def injection_site(tables: WordTables, site: Tuple, obs_flags) -> Tuple:
+    """The site a fault is simulated at: a stem fault on an unobserved net
+    whose only load is one combinational pin makes the same faulty machine
+    as the branch fault on that pin, so both walk the branch site."""
+    if site[0] == "net" and not obs_flags[site[1]]:
+        branch = tables.sole_load[site[1]]
+        if branch is not None:
+            return branch
+    return site
+
+
+def detects_words(tables: WordTables, site: Tuple, fault_word: int,
+                  v: List[int], good: List[int], word_mask: int, obs_flags,
+                  allowed: int, queued: bytearray) -> bool:
+    """Two-valued (word) detection of one injection over a pattern window.
+
+    ``v`` is the window's good words plus one spare 0 slot that
+    unconnected pins (``NO_NET``) read; the walk writes faulty values into
+    it and restores them from ``good`` before returning.  Ops are
+    evaluated in topological (index) order, starting from the site, and
+    only when one of their inputs differs from the good machine.  The walk
+    returns as soon as an observation point differs under an ``allowed``
+    pattern: the verdict cannot change once such a difference is seen.
+    ``queued`` is the caller's all-zero per-op flag array, left all zero.
+    """
+    ops = tables.ops
+    loads = tables.loads
+    heap: List[int] = []
+    written: List[int] = []
+    if site[0] == "branch":
+        _call, fn, fanin, live = ops[site[1]]
+        if good[fanin[site[2]]] == fault_word:
+            return False
+        args = [v[nid] for nid in fanin]
+        args[site[2]] = fault_word
+        out = fn(word_mask, *args)
+    else:
         forced = site[1]
         if good[forced] == fault_word:
             return False
-        overlay[forced] = fault_word
         if obs_flags[forced] and (good[forced] ^ fault_word) & allowed:
             return True
-        for op, _pos in net_load_ops[forced]:
-            if op not in scheduled:
-                scheduled.add(op)
-                heapq.heappush(heap, op)
-    elif site[0] == "branch":
-        branch_op, branch_pos = site[1], site[2]
-        scheduled.add(branch_op)
-        heapq.heappush(heap, branch_op)
-    else:
-        return False
-
-    while heap:
-        op = heapq.heappop(heap)
-        args = []
-        for pos, nid in enumerate(op_fanin[op]):
-            if nid < 0:
-                args.append(0)
-                continue
-            if op == branch_op and pos == branch_pos:
-                args.append(fault_word)
-                continue
-            value = overlay.get(nid)
-            args.append(good[nid] if value is None else value)
-        out = program[op](word_mask, *args)
-        for pos, nid in enumerate(op_fanout[op]):
-            if nid < 0 or tied[nid] is not None or nid == forced:
-                continue
-            value = out[pos] & word_mask
+        v[forced] = fault_word
+        written.append(forced)
+        heap.extend(loads[forced])  # ascending, so already a heap
+        for op in heap:
+            queued[op] = 1
+        live = ()
+    while True:
+        for pos, nid in live:
+            value = out[pos]
             if value == good[nid]:
                 continue
-            overlay[nid] = value
+            v[nid] = value
+            written.append(nid)
             if obs_flags[nid] and (value ^ good[nid]) & allowed:
+                for net in written:
+                    v[net] = good[net]
+                for op in heap:
+                    queued[op] = 0
                 return True
-            for lop, _pos in net_load_ops[nid]:
-                if lop not in scheduled:
-                    scheduled.add(lop)
-                    heapq.heappush(heap, lop)
+            for op in loads[nid]:
+                if not queued[op]:
+                    queued[op] = 1
+                    heappush(heap, op)
+        if not heap:
+            break
+        op = heappop(heap)
+        queued[op] = 0
+        call, fn, fanin, live = ops[op]
+        out = call(fn, v, word_mask, fanin)
+    for net in written:
+        v[net] = good[net]
     return False

@@ -11,8 +11,10 @@ The simulator runs on the compiled netlist IR: net words live in a flat list
 indexed by net ID, gates are evaluated through each cell's word form —
 generated from its declaration (:attr:`repro.netlist.cells.Cell.word`) and
 resolved to a per-op array once per *compiled netlist* (not per simulator
-construction) — and each faulty machine only re-evaluates the precomputed
-fanout cone of its fault site.
+construction) — and each faulty machine only re-evaluates the gates of
+its fault site's cone whose inputs changed.  :func:`detect_windows`, the
+window loop of every word-level grade, simulates each distinct injection
+once (:func:`injection_groups`) on one in-place value list per window.
 
 X values are not representable here; callers must supply fully-specified
 patterns (the ATPG/implication machinery handles the three-valued cases).
@@ -27,7 +29,8 @@ from repro.faults.models import Fault, InjectionSpec, resolve_injection
 from repro.netlist.compiled import CompiledNetlist
 from repro.netlist.module import Netlist
 from repro.simulation.kernels import (detects_words, excitation_net_id,
-                                      observation_flags, resolve_site)
+                                      injection_site, observation_flags,
+                                      resolve_site, word_tables)
 from repro.simulation.simulator import (CombinationalSimulator,
                                         observation_net_names)
 from repro.utils.bitvec import mask
@@ -104,6 +107,28 @@ def pair_allowed_words(compiled: CompiledNetlist, site: Tuple,
 FaultEntry = Tuple[Hashable, Tuple, InjectionSpec]
 
 
+def injection_groups(compiled: CompiledNetlist, entries: Iterable[FaultEntry],
+                     obs_flags) -> Dict[Tuple, List[Hashable]]:
+    """The keys of ``entries`` by distinct injection ``(site, spec)``.
+
+    Inert entries are left out (nothing can detect them), and a stem site
+    that makes the same faulty machine as a branch site is replaced by it
+    (:func:`~repro.simulation.kernels.injection_site`), so each group is
+    one faulty machine under ``obs_flags``.
+    """
+    tables = word_tables(compiled)
+    groups: Dict[Tuple, List[Hashable]] = {}
+    for key, site, spec in entries:
+        if site[0] != "inert":
+            group = (injection_site(tables, site, obs_flags), spec)
+            keys = groups.get(group)
+            if keys is None:
+                groups[group] = [key]
+            else:
+                keys.append(key)
+    return groups
+
+
 def detect_windows(compiled: CompiledNetlist, entries: Iterable[FaultEntry],
                    windows: Iterable[Tuple[List[int], int, int]],
                    obs_flags, drop_detected: bool = True) -> Set[Hashable]:
@@ -115,27 +140,37 @@ def detect_windows(compiled: CompiledNetlist, entries: Iterable[FaultEntry],
     consecutive patterns across window boundaries, so the verdicts do not
     depend on the chunking.  With ``drop_detected`` a detected fault is
     not simulated in later windows.
+
+    Each distinct injection (:func:`injection_groups`) is simulated once,
+    and a detected group detects every key in it.  A window's walks share
+    one value list, its good words plus the 0 slot ``NO_NET`` reads,
+    which each walk restores; the list and the per-op queue flags belong
+    to this call, so threads may share the compiled netlist.
     """
-    program = word_program(compiled)
+    tables = word_tables(compiled)
     detected: Set[Hashable] = set()
-    remaining = list(entries)
+    remaining = list(injection_groups(compiled, entries, obs_flags).items())
+    queued = bytearray(compiled.n_ops)
     prev: Optional[Tuple[List[int], int]] = None
     for good, word_mask, width in windows:
         if not remaining:
             break
+        v = good + [0]
         survivors = []
-        for entry in remaining:
-            key, site, spec = entry
-            allowed = None
+        for group in remaining:
+            (site, spec), keys = group
             if spec.frames > 1:
                 allowed = pair_allowed_words(compiled, site, spec, good,
                                              word_mask, prev=prev)
-            if detects_words(compiled, program, site, spec.stuck_value,
-                             good, word_mask, obs_flags, allowed):
-                detected.add(key)
+            else:
+                allowed = word_mask
+            if allowed and detects_words(
+                    tables, site, word_mask if spec.stuck_value else 0, v,
+                    good, word_mask, obs_flags, allowed, queued):
+                detected.update(keys)
                 if drop_detected:
                     continue
-            survivors.append(entry)
+            survivors.append(group)
         remaining = survivors
         prev = (good, width)
     return detected

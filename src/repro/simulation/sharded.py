@@ -12,7 +12,8 @@ chunks
     The population is cut into small cone-affine chunks
     (:func:`repro.runtime.build_chunks`): faults sharing a fanout cone stay
     together, monster cones go first as singletons, and idle workers steal
-    whatever is left.
+    whatever is left.  A grade keeps its chunk plan and job key on the
+    compiled netlist, so a repeat grade of equal inputs rebuilds neither.
 
 one task per chunk
     A chunk is one pool task.  A grading task walks every pattern window
@@ -38,6 +39,7 @@ detection
 from __future__ import annotations
 
 import os
+import threading
 import warnings
 from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Set,
                     Tuple)
@@ -176,6 +178,53 @@ class _WordGradeJob:
 # --------------------------------------------------------------------- #
 # public engines
 # --------------------------------------------------------------------- #
+#: Grading plans (chunks and job key) kept per compiled netlist.
+GRADE_PLAN_ENTRIES = 4
+
+
+class _GradePlans:
+    """The latest ``(input, (chunks, job key))`` pairs of one compiled
+    netlist, most recently used last (:func:`_grade_plan`)."""
+
+    def __init__(self, _compiled=None) -> None:
+        self.lock = threading.Lock()
+        self.entries: List[Tuple[tuple, Tuple[list, str]]] = []
+
+
+def _grade_plan(netlist: Netlist, faults: Tuple[Fault, ...],
+                observation_nets: frozenset,
+                windows: List[Tuple[Mapping[str, int], int]],
+                chunk_size: int) -> Tuple[list, str]:
+    """The chunk plan and pool job key of one grading input, memoised.
+
+    Building the chunks and pickling the faults and windows into the job
+    key cost far more than a lookup, and a repeat grade (the same faults,
+    re-captured patterns) would pay both again.  A stored plan is reused
+    only for an equal input: the fault tuple, the chunk size, the
+    observation nets and every window's ``(width, (net, word) pairs)``
+    are compared for equality, which the fault tuple passes element by
+    element on identity when the caller grades the same fault objects.
+    """
+    from repro.runtime import build_chunks, content_key
+
+    memo = get_compiled(netlist).extension("grade_plans", _GradePlans)
+    key = (faults, chunk_size, observation_nets,
+           tuple((width, tuple(words.items())) for words, width in windows))
+    with memo.lock:
+        for index, (stored, plan) in enumerate(memo.entries):
+            if stored == key:
+                memo.entries.append(memo.entries.pop(index))
+                return plan
+    plan = (build_chunks(netlist, faults, chunk_size),
+            content_key("wordgrade", netlist,
+                        tuple(sorted(observation_nets)), faults,
+                        list(windows)))
+    with memo.lock:
+        memo.entries.append((key, plan))
+        del memo.entries[:-GRADE_PLAN_ENTRIES]
+    return plan
+
+
 def sharded_mission_grade(netlist: Netlist, faults: Iterable[Fault],
                           patterns, *,
                           observation_nets: Iterable[str],
@@ -188,9 +237,10 @@ def sharded_mission_grade(netlist: Netlist, faults: Iterable[Fault],
     ``patterns`` is a :class:`~repro.sbst.monitor.CapturedPatterns`;
     ``observation_nets`` is the exact observation-point set of the serial
     grader, so verdicts are identical by construction.  Returns the
-    detected-fault set.
+    detected-fault set.  A repeat grade of equal inputs reuses the chunk
+    plan and job key (:func:`_grade_plan`), and so finds its job installed.
     """
-    from repro.runtime import build_chunks, content_key, default_chunk_size
+    from repro.runtime import default_chunk_size
     from repro.sbst.monitor import pattern_windows
 
     fault_tuple = tuple(faults)
@@ -199,10 +249,9 @@ def sharded_mission_grade(netlist: Netlist, faults: Iterable[Fault],
         return set()
     observation_nets = frozenset(observation_nets)
     pool = _pool_for(pool, jobs)
-    chunks = build_chunks(netlist, fault_tuple,
-                          default_chunk_size(pool.workers, len(fault_tuple)))
-    key = content_key("wordgrade", netlist, tuple(sorted(observation_nets)),
-                      fault_tuple, list(windows))
+    chunks, key = _grade_plan(
+        netlist, fault_tuple, observation_nets, windows,
+        default_chunk_size(pool.workers, len(fault_tuple)))
     pool.ensure_job(key, lambda: _WordGradeJob(
         netlist, fault_tuple, observation_nets, windows))
     detected: Set[Fault] = set()

@@ -18,6 +18,12 @@ per cycle: the oracle the event-driven
 :class:`~repro.simulation.sequential.SequentialSimulator` and the packed
 capture of :class:`~repro.sbst.monitor.ToggleMonitor` are checked against.
 
+:func:`legacy_detects_words` and :func:`legacy_detect_windows` are the
+original word-level fault walk (an overlay dict over the good words, one
+walk per fault entry) and its window loop: the oracle the grouped,
+in-place :func:`~repro.simulation.parallel.detect_windows` is checked
+against.
+
 :func:`podem_full_evaluation` and its scans are PODEM's original machine:
 both five-valued machines rebuilt by one levelized pass of the cells'
 scalar forms, the oracle the event-driven
@@ -31,6 +37,7 @@ production code uses the compiled-IR
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.faults.fault import StuckAtFault
@@ -38,6 +45,7 @@ from repro.netlist.cells import (LOGIC_0, LOGIC_1, LOGIC_X, PLANE_ENCODING,
                                  encode)
 from repro.netlist.module import Netlist, Pin
 from repro.netlist.traversal import topological_instances
+from repro.simulation.parallel import pair_allowed_words, word_program
 from repro.simulation.simulator import (CombinationalSimulator, plane_program,
                                         run_plane_ops)
 
@@ -486,3 +494,109 @@ class LegacyToggleMonitor:
                         words[net] |= 1 << index
             windows.append((words, len(window)))
         return windows
+
+
+# --------------------------------------------------------------------- #
+# the original word-level fault walk and its window loop
+# --------------------------------------------------------------------- #
+def legacy_detects_words(compiled, program, site: Tuple, fault_value: int,
+                         good: List[int], word_mask: int, obs_flags,
+                         allowed: Optional[int] = None) -> bool:
+    """The original two-valued word walk of one fault over a window.
+
+    Faulty values live in an overlay dict over ``good``; ops are scheduled
+    through a set and evaluated with a fresh argument list.  It returns
+    as soon as an observation point differs under an *allowed* pattern
+    (``None`` allows the whole window).
+    """
+    if allowed is None:
+        allowed = word_mask
+    elif not allowed:
+        return False
+    fault_word = word_mask if fault_value else 0
+    forced = -1
+    branch_op = -1
+    branch_pos = -1
+    overlay: Dict[int, int] = {}
+    heap: List[int] = []
+    scheduled: Set[int] = set()
+    net_load_ops = compiled.net_load_ops
+    tied = compiled.tied
+    op_fanin = compiled.op_fanin
+    op_fanout = compiled.op_fanout
+
+    if site[0] == "net":
+        forced = site[1]
+        if good[forced] == fault_word:
+            return False
+        overlay[forced] = fault_word
+        if obs_flags[forced] and (good[forced] ^ fault_word) & allowed:
+            return True
+        for op, _pos in net_load_ops[forced]:
+            if op not in scheduled:
+                scheduled.add(op)
+                heappush(heap, op)
+    elif site[0] == "branch":
+        branch_op, branch_pos = site[1], site[2]
+        scheduled.add(branch_op)
+        heappush(heap, branch_op)
+    else:
+        return False
+
+    while heap:
+        op = heappop(heap)
+        args = []
+        for pos, nid in enumerate(op_fanin[op]):
+            if nid < 0:
+                args.append(0)
+                continue
+            if op == branch_op and pos == branch_pos:
+                args.append(fault_word)
+                continue
+            value = overlay.get(nid)
+            args.append(good[nid] if value is None else value)
+        out = program[op](word_mask, *args)
+        for pos, nid in enumerate(op_fanout[op]):
+            if nid < 0 or tied[nid] is not None or nid == forced:
+                continue
+            value = out[pos] & word_mask
+            if value == good[nid]:
+                continue
+            overlay[nid] = value
+            if obs_flags[nid] and (value ^ good[nid]) & allowed:
+                return True
+            for lop, _pos in net_load_ops[nid]:
+                if lop not in scheduled:
+                    scheduled.add(lop)
+                    heappush(heap, lop)
+    return False
+
+
+def legacy_detect_windows(compiled, entries, windows, obs_flags,
+                          drop_detected: bool = True) -> Set:
+    """The original window loop: every entry walked on its own, inert and
+    equivalent ones included, through :func:`legacy_detects_words`."""
+    program = word_program(compiled)
+    detected: Set = set()
+    remaining = list(entries)
+    prev = None
+    for good, word_mask, width in windows:
+        if not remaining:
+            break
+        survivors = []
+        for entry in remaining:
+            key, site, spec = entry
+            allowed = None
+            if spec.frames > 1:
+                allowed = pair_allowed_words(compiled, site, spec, good,
+                                             word_mask, prev=prev)
+            if legacy_detects_words(compiled, program, site,
+                                    spec.stuck_value, good, word_mask,
+                                    obs_flags, allowed):
+                detected.add(key)
+                if drop_detected:
+                    continue
+            survivors.append(entry)
+        remaining = survivors
+        prev = (good, width)
+    return detected

@@ -215,6 +215,65 @@ class TestShardedFaultGrading:
                 sharded.detected_after_pruning)
 
 
+class TestGradePlanMemo:
+    """A repeat grade of equal inputs reuses its chunk plan and job key."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        import repro.runtime
+
+        calls = {"build_chunks": 0, "content_key": 0}
+        for name in calls:
+            original = getattr(repro.runtime, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(repro.runtime, name, counting)
+        return calls
+
+    @staticmethod
+    def _copy(captured, flip=None):
+        words = dict(captured.words)
+        if flip is not None:
+            words[flip] ^= 1
+        return CapturedPatterns(list(captured.controllable_nets), words,
+                                captured.n_cycles)
+
+    def test_equal_inputs_rebuild_nothing(self, tiny_cpu, tiny_faults,
+                                          tiny_captured_random, counted):
+        pool = get_pool(1)
+        faults = tiny_faults[3::11]
+        grader = FaultGrader(tiny_cpu, pool=pool)
+        first = grader.grade(tiny_captured_random, faults)
+        assert counted == {"build_chunks": 1, "content_key": 1}
+        hits = pool.stats["install_hits"]
+        # Equal content in new objects: no chunking, no pickled job key,
+        # and the installed job is found warm.
+        again = grader.grade(self._copy(tiny_captured_random), list(faults))
+        assert counted == {"build_chunks": 1, "content_key": 1}
+        assert pool.stats["install_hits"] == hits + 1
+        assert again == first == FaultGrader(tiny_cpu).grade(
+            tiny_captured_random, faults)
+
+    def test_other_faults_or_patterns_get_a_fresh_job(
+            self, tiny_cpu, tiny_faults, tiny_captured_random, counted):
+        pool = get_pool(1)
+        faults = tiny_faults[5::13]
+        grader = FaultGrader(tiny_cpu, pool=pool)
+        grader.grade(tiny_captured_random, faults)
+        installs = pool.stats["installs"]
+        flipped = self._copy(tiny_captured_random,
+                             flip=tiny_captured_random.controllable_nets[0])
+        for patterns, subset in ((tiny_captured_random, faults[1:]),
+                                 (flipped, faults)):
+            graded = grader.grade(patterns, subset)
+            assert graded == FaultGrader(tiny_cpu).grade(patterns, subset)
+        assert counted == {"build_chunks": 3, "content_key": 3}
+        assert pool.stats["installs"] == installs + 2
+
+
 # --------------------------------------------------------------------- #
 # the pickle path spawn-started pool workers depend on
 # --------------------------------------------------------------------- #
