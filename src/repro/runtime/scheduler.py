@@ -40,12 +40,8 @@ def cone_representative(compiled: CompiledNetlist, site: Tuple) -> int:
 
     ``-1`` for inert sites (no cone at all).  Faults with the same
     representative share their simulation cone, which is why
-    :func:`build_chunks` keeps them in one chunk.  A stem whose only load
-    is one gate pin takes that branch's representative, so the word
-    kernel finds the two equivalent injections in one chunk.
+    :func:`build_chunks` keeps them in one chunk.
     """
-    if site[0] == "net":
-        site = sole_load_branch(compiled, site[1]) or site
     if site[0] == "net":
         return site[1]
     if site[0] == "branch":
@@ -68,14 +64,17 @@ def default_chunk_size(workers: int, n_items: int) -> int:
 
 def build_chunks(netlist: Netlist, faults: Iterable[Fault],
                  chunk_size: int,
-                 compiled: Optional[CompiledNetlist] = None
-                 ) -> List[Tuple[int, ...]]:
+                 compiled: Optional[CompiledNetlist] = None,
+                 fold_stems: bool = False) -> List[Tuple[int, ...]]:
     """Cut ``faults`` into cone-affine chunks in steal-dispatch order.
 
     Returns position tuples into the input order; the list order *is* the
     dispatch order (monster singletons first, then packed chunks by
     descending estimated cost).  Every position appears in exactly one
-    chunk.
+    chunk.  Word-level grading passes ``fold_stems``: a stem whose only
+    load is one gate pin is then chunked with that branch, because the
+    word kernel simulates the two faults as one injection
+    (:func:`repro.simulation.kernels.injection_site`).
     """
     fault_list = list(faults)
     if not fault_list:
@@ -88,7 +87,10 @@ def build_chunks(netlist: Netlist, faults: Iterable[Fault],
     groups: dict = {}
     per_fault_cost: dict = {}
     for position, fault in enumerate(fault_list):
-        rep = cone_representative(compiled, resolve_site(compiled, fault))
+        site = resolve_site(compiled, fault)
+        if fold_stems and site[0] == "net":
+            site = sole_load_branch(compiled, site[1]) or site
+        rep = cone_representative(compiled, site)
         groups.setdefault(rep, []).append(position)
         if rep not in per_fault_cost:
             per_fault_cost[rep] = sizes[rep] + 1 if rep >= 0 else 1

@@ -204,12 +204,12 @@ class WordTables:
     ``ops[op]`` is ``(caller, word fn, fanin, live outputs)``, the live
     outputs being the ``(position, net ID)`` pairs of the connected,
     untied outputs; ``loads[nid]`` the net's load ops, deduplicated, in
-    ascending (topological) order; ``sole_load[nid]`` the branch site
-    ``("branch", op, pos)`` of a net whose only load is one combinational
-    input pin, else ``None``.
+    ascending (topological) order.  The good-machine simulation
+    (:func:`repro.simulation.parallel.compute_good_words`) evaluates
+    through the same ``ops``.
     """
 
-    __slots__ = ("ops", "loads", "sole_load")
+    __slots__ = ("ops", "loads")
 
     def __init__(self, compiled: CompiledNetlist) -> None:
         tied = compiled.tied
@@ -226,8 +226,6 @@ class WordTables:
         self.ops = ops
         self.loads = [tuple(sorted({op for op, _pos in loads}))
                       for loads in compiled.net_load_ops]
-        self.sole_load = [sole_load_branch(compiled, nid)
-                          for nid in range(compiled.n_nets)]
 
 
 def sole_load_branch(compiled: CompiledNetlist, nid: int) -> Optional[Tuple]:
@@ -245,14 +243,13 @@ def word_tables(compiled: CompiledNetlist) -> WordTables:
     return compiled.extension("word_tables", WordTables)
 
 
-def injection_site(tables: WordTables, site: Tuple, obs_flags) -> Tuple:
+def injection_site(compiled: CompiledNetlist, site: Tuple,
+                   obs_flags) -> Tuple:
     """The site a fault is simulated at: a stem fault on an unobserved net
     whose only load is one combinational pin makes the same faulty machine
     as the branch fault on that pin, so both walk the branch site."""
     if site[0] == "net" and not obs_flags[site[1]]:
-        branch = tables.sole_load[site[1]]
-        if branch is not None:
-            return branch
+        return sole_load_branch(compiled, site[1]) or site
     return site
 
 
@@ -261,7 +258,7 @@ def detects_words(tables: WordTables, site: Tuple, fault_word: int,
                   allowed: int, queued: bytearray) -> bool:
     """Two-valued (word) detection of one injection over a pattern window.
 
-    ``v`` is the window's good words plus one spare 0 slot that
+    ``v`` is a copy of the window's good words, whose trailing 0 slot
     unconnected pins (``NO_NET``) read; the walk writes faulty values into
     it and restores them from ``good`` before returning.  Ops are
     evaluated in topological (index) order, starting from the site, and

@@ -14,7 +14,8 @@ resolved to a per-op array once per *compiled netlist* (not per simulator
 construction) — and each faulty machine only re-evaluates the gates of
 its fault site's cone whose inputs changed.  :func:`detect_windows`, the
 window loop of every word-level grade, simulates each distinct injection
-once (:func:`injection_groups`) on one in-place value list per window.
+once (:func:`injection_groups`) on one in-place value list per window, and
+the good machine is evaluated through the same per-op tables.
 
 X values are not representable here; callers must supply fully-specified
 patterns (the ATPG/implication machinery handles the three-valued cases).
@@ -22,7 +23,7 @@ patterns (the ATPG/implication machinery handles the three-valued cases).
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, Hashable, Iterable, List, Mapping,
+from typing import (Dict, Hashable, Iterable, List, Mapping,
                     Optional, Sequence, Set, Tuple)
 
 from repro.faults.models import Fault, InjectionSpec, resolve_injection
@@ -36,29 +37,24 @@ from repro.simulation.simulator import (CombinationalSimulator,
 from repro.utils.bitvec import mask
 
 
-def _build_word_program(compiled: CompiledNetlist) -> List[Callable]:
-    """Resolve the per-op word functions for a compiled netlist (memoised)."""
-    return [cell.word for cell in compiled.op_cell]
-
-
-def word_program(compiled: CompiledNetlist) -> List[Callable]:
-    return compiled.extension("word_program", _build_word_program)
-
-
 def compute_good_words(compiled: CompiledNetlist,
                        patterns: Mapping[str, int],
                        n_patterns: int) -> Tuple[List[int], int]:
     """Good-machine word simulation: ``(values by net ID, window mask)``.
 
-    Shared by :class:`ParallelPatternSimulator` and the pooled grading
-    workers (:mod:`repro.simulation.sharded`), so both seed and evaluate
-    the fault-free machine identically.
+    The value list carries one trailing 0 slot after the last net, which
+    unconnected pins (``NO_NET``) read, so the fault walk
+    (:func:`~repro.simulation.kernels.detects_words`) can work on a plain
+    copy of it.  Ops are evaluated through the walk's own tables
+    (:func:`~repro.simulation.kernels.word_tables`).  Shared by
+    :class:`ParallelPatternSimulator`, the random-pattern phase and the
+    pooled grading workers (:mod:`repro.simulation.sharded`), so all of
+    them seed and evaluate the fault-free machine identically.
     """
     word_mask = mask(n_patterns)
-    program = word_program(compiled)
     tied = compiled.tied
     net_id = compiled.net_id
-    values = [0] * compiled.n_nets
+    values = [0] * (compiled.n_nets + 1)
     for nid, t in enumerate(tied):
         if t is not None:
             values[nid] = word_mask if t else 0
@@ -66,13 +62,10 @@ def compute_good_words(compiled: CompiledNetlist,
         nid = net_id.get(name)
         if nid is not None and tied[nid] is None:
             values[nid] = word & word_mask
-    op_fanout = compiled.op_fanout
-    for i, fanin in enumerate(compiled.op_fanin):
-        args = [values[nid] if nid >= 0 else 0 for nid in fanin]
-        out = program[i](word_mask, *args)
-        for pos, nid in enumerate(op_fanout[i]):
-            if nid >= 0 and tied[nid] is None:
-                values[nid] = out[pos]
+    for call, fn, fanin, live in word_tables(compiled).ops:
+        out = call(fn, values, word_mask, fanin)
+        for pos, nid in live:
+            values[nid] = out[pos]
     return values, word_mask
 
 
@@ -116,11 +109,10 @@ def injection_groups(compiled: CompiledNetlist, entries: Iterable[FaultEntry],
     (:func:`~repro.simulation.kernels.injection_site`), so each group is
     one faulty machine under ``obs_flags``.
     """
-    tables = word_tables(compiled)
     groups: Dict[Tuple, List[Hashable]] = {}
     for key, site, spec in entries:
         if site[0] != "inert":
-            group = (injection_site(tables, site, obs_flags), spec)
+            group = (injection_site(compiled, site, obs_flags), spec)
             keys = groups.get(group)
             if keys is None:
                 groups[group] = [key]
@@ -134,8 +126,10 @@ def detect_windows(compiled: CompiledNetlist, entries: Iterable[FaultEntry],
                    obs_flags, drop_detected: bool = True) -> Set[Hashable]:
     """The keys of the entries that some window detects.
 
-    ``windows`` yields ``(good words, window mask, width)`` for the
-    consecutive windows of one pattern stream, lazily: the loop stops
+    ``windows`` yields ``(good words, window mask, width)``, the good
+    words as :func:`compute_good_words` returns them (with the trailing 0
+    slot), for the consecutive windows of one pattern stream, lazily: the
+    loop stops
     pulling windows once no fault is left.  Two-pattern faults pair
     consecutive patterns across window boundaries, so the verdicts do not
     depend on the chunking.  With ``drop_detected`` a detected fault is
@@ -143,8 +137,8 @@ def detect_windows(compiled: CompiledNetlist, entries: Iterable[FaultEntry],
 
     Each distinct injection (:func:`injection_groups`) is simulated once,
     and a detected group detects every key in it.  A window's walks share
-    one value list, its good words plus the 0 slot ``NO_NET`` reads,
-    which each walk restores; the list and the per-op queue flags belong
+    one value list, a copy of its good words, which each walk restores;
+    the list and the per-op queue flags belong
     to this call, so threads may share the compiled netlist.
     """
     tables = word_tables(compiled)
@@ -155,7 +149,7 @@ def detect_windows(compiled: CompiledNetlist, entries: Iterable[FaultEntry],
     for good, word_mask, width in windows:
         if not remaining:
             break
-        v = good + [0]
+        v = good[:]
         survivors = []
         for group in remaining:
             (site, spec), keys = group
@@ -199,9 +193,6 @@ class ParallelPatternSimulator:
         self._observation_nets = observation_net_names(
             netlist, observe_state_inputs, self.state_input_roles,
             self.exclude_output_ports)
-        # Resolving the word program eagerly also validates that every
-        # combinational cell has a word-level model.
-        word_program(self.sim.compiled)
 
     @property
     def observation_nets(self) -> Set[str]:

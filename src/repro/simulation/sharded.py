@@ -12,8 +12,9 @@ chunks
     The population is cut into small cone-affine chunks
     (:func:`repro.runtime.build_chunks`): faults sharing a fanout cone stay
     together, monster cones go first as singletons, and idle workers steal
-    whatever is left.  A grade keeps its chunk plan and job key on the
-    compiled netlist, so a repeat grade of equal inputs rebuilds neither.
+    whatever is left.  A grade keeps the last input's chunk plan and job
+    key on the compiled netlist, so a repeat grade of an equal input
+    rebuilds neither.
 
 one task per chunk
     A chunk is one pool task.  A grading task walks every pattern window
@@ -39,7 +40,6 @@ detection
 from __future__ import annotations
 
 import os
-import threading
 import warnings
 from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Set,
                     Tuple)
@@ -178,17 +178,16 @@ class _WordGradeJob:
 # --------------------------------------------------------------------- #
 # public engines
 # --------------------------------------------------------------------- #
-#: Grading plans (chunks and job key) kept per compiled netlist.
-GRADE_PLAN_ENTRIES = 4
+class _GradePlan:
+    """The last grading input of one compiled netlist and its plan, held
+    as one ``(input, (chunks, job key))`` tuple in ``entry`` that
+    :func:`_grade_plan` replaces whole, so a reader sees either the old
+    pair or the new one."""
 
-
-class _GradePlans:
-    """The latest ``(input, (chunks, job key))`` pairs of one compiled
-    netlist, most recently used last (:func:`_grade_plan`)."""
+    __slots__ = ("entry",)
 
     def __init__(self, _compiled=None) -> None:
-        self.lock = threading.Lock()
-        self.entries: List[Tuple[tuple, Tuple[list, str]]] = []
+        self.entry: Optional[Tuple[tuple, Tuple[list, str]]] = None
 
 
 def _grade_plan(netlist: Netlist, faults: Tuple[Fault, ...],
@@ -198,30 +197,27 @@ def _grade_plan(netlist: Netlist, faults: Tuple[Fault, ...],
     """The chunk plan and pool job key of one grading input, memoised.
 
     Building the chunks and pickling the faults and windows into the job
-    key cost far more than a lookup, and a repeat grade (the same faults,
-    re-captured patterns) would pay both again.  A stored plan is reused
-    only for an equal input: the fault tuple, the chunk size, the
-    observation nets and every window's ``(width, (net, word) pairs)``
-    are compared for equality, which the fault tuple passes element by
-    element on identity when the caller grades the same fault objects.
+    key cost far more than a lookup, and only a repeat grade of an equal
+    input (the same faults, re-captured patterns) can reuse them, so one
+    slot holds the last input's plan.  It is reused only for an equal
+    input: the fault tuple, the chunk size, the observation nets and
+    every window's ``(width, (net, word) pairs)`` are compared for
+    equality, which the fault tuple passes element by element on
+    identity when the caller grades the same fault objects.
     """
     from repro.runtime import build_chunks, content_key
 
-    memo = get_compiled(netlist).extension("grade_plans", _GradePlans)
+    memo = get_compiled(netlist).extension("grade_plan", _GradePlan)
     key = (faults, chunk_size, observation_nets,
            tuple((width, tuple(words.items())) for words, width in windows))
-    with memo.lock:
-        for index, (stored, plan) in enumerate(memo.entries):
-            if stored == key:
-                memo.entries.append(memo.entries.pop(index))
-                return plan
-    plan = (build_chunks(netlist, faults, chunk_size),
+    entry = memo.entry
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    plan = (build_chunks(netlist, faults, chunk_size, fold_stems=True),
             content_key("wordgrade", netlist,
                         tuple(sorted(observation_nets)), faults,
                         list(windows)))
-    with memo.lock:
-        memo.entries.append((key, plan))
-        del memo.entries[:-GRADE_PLAN_ENTRIES]
+    memo.entry = (key, plan)
     return plan
 
 

@@ -45,7 +45,7 @@ from repro.netlist.cells import (LOGIC_0, LOGIC_1, LOGIC_X, PLANE_ENCODING,
                                  encode)
 from repro.netlist.module import Netlist, Pin
 from repro.netlist.traversal import topological_instances
-from repro.simulation.parallel import pair_allowed_words, word_program
+from repro.simulation.parallel import pair_allowed_words
 from repro.simulation.simulator import (CombinationalSimulator, plane_program,
                                         run_plane_ops)
 
@@ -576,7 +576,7 @@ def legacy_detect_windows(compiled, entries, windows, obs_flags,
                           drop_detected: bool = True) -> Set:
     """The original window loop: every entry walked on its own, inert and
     equivalent ones included, through :func:`legacy_detects_words`."""
-    program = word_program(compiled)
+    program = [cell.word for cell in compiled.op_cell]
     detected: Set = set()
     remaining = list(entries)
     prev = None

@@ -26,11 +26,13 @@ from repro.netlist.builder import NetlistBuilder
 from repro.netlist.cells import LOGIC_0, LOGIC_1
 from repro.netlist.compiled import get_compiled
 from repro.netlist.module import Netlist
-from repro.runtime import cone_representative
+from repro.runtime import (build_chunks, cone_representative,
+                           default_chunk_size)
 from repro.sbst import FaultGrader, ToggleMonitor, generate_sbst_suite
 from repro.simulation.kernels import injection_site, resolve_site, word_tables
 from repro.simulation.parallel import (ParallelPatternSimulator,
-                                       compute_good_words, detect_windows)
+                                       compute_good_words, detect_windows,
+                                       injection_groups)
 from repro.simulation.simulator import CombinationalSimulator
 
 from tests.legacy_sim import legacy_detect_windows
@@ -144,22 +146,47 @@ class TestInjectionSite:
     def test_single_load_stem_becomes_its_branch(self):
         netlist, s, d, f = _two_load_circuit()
         compiled = get_compiled(netlist)
-        tables = word_tables(compiled)
         quiet = bytearray(compiled.n_nets)
         stem = ("net", compiled.net_id[s])
         op, pos = compiled.net_load_ops[compiled.net_id[s]][0]
-        assert injection_site(tables, stem, quiet) == ("branch", op, pos)
-        # The chunk scheduler keeps the two equivalent faults together.
-        assert (cone_representative(compiled, stem)
-                == cone_representative(compiled, ("branch", op, pos)))
+        assert injection_site(compiled, stem, quiet) == ("branch", op, pos)
         # Observed, loaded on two pins, or loaded by a flip-flop: the stem
         # makes its own faulty machine.
         observed = bytearray(quiet)
         observed[compiled.net_id[s]] = 1
-        assert injection_site(tables, stem, observed) == stem
+        assert injection_site(compiled, stem, observed) == stem
         for net in (d, f):
             site = ("net", compiled.net_id[net])
-            assert injection_site(tables, site, quiet) == site
+            assert injection_site(compiled, site, quiet) == site
+
+    def test_only_grading_chunks_fold_stems(self, tiny_soc):
+        """A word grade chunks a folded stem with its branch, so its
+        chunks walk fewer injections; the cone representative, which
+        ATPG chunking and the benchmark sample read, keeps the stem."""
+        netlist = tiny_soc.cpu
+        compiled = get_compiled(netlist)
+        faults = generate_fault_list(netlist).faults()
+        obs = bytearray(compiled.n_nets)
+        entries = [(index, resolve_site(compiled, fault),
+                    resolve_injection(fault))
+                   for index, fault in enumerate(faults)]
+        stems = [site for _key, site, _spec in entries
+                 if injection_site(compiled, site, obs) != site]
+        assert stems
+        assert all(cone_representative(compiled, site) == site[1]
+                   for site in stems)
+
+        def walks(chunks) -> int:
+            return sum(len(injection_groups(
+                compiled, [entries[p] for p in chunk], obs))
+                for chunk in chunks)
+
+        size = default_chunk_size(2, len(faults))
+        folded = build_chunks(netlist, faults, size, fold_stems=True)
+        plain = build_chunks(netlist, faults, size)
+        assert sorted(p for chunk in folded for p in chunk) == list(
+            range(len(faults)))
+        assert walks(folded) < walks(plain)
 
     def test_load_ops_are_deduplicated(self):
         netlist, _s, d, _f = _two_load_circuit()
