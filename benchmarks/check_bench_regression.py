@@ -77,14 +77,11 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
         if base_entry is None:
-            # A stage newer than the committed baseline capture: nothing to
-            # compare against yet.  Skip (a later intentional baseline
-            # refresh will pick it up) rather than failing every PR that
-            # adds a benchmark stage.
-            print(f"{name:<24} {'-':>10} "
-                  f"{float(cur_entry['seconds']):>9.3f}s"
-                  f" {'-':>6}   skipped (not in baseline)")
-            continue
+            # A watched stage the baseline lacks would pass unchecked:
+            # record it in the baseline first.
+            print(f"error: stage {name!r} missing from {args.baseline}",
+                  file=sys.stderr)
+            return 2
         base_seconds = float(base_entry["seconds"])
         cur_seconds = float(cur_entry["seconds"])
         # Sub-millisecond baselines are pure noise; clamp the denominator.

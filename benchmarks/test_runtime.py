@@ -567,13 +567,13 @@ def test_runtime_podem_search_start():
     sample.  The engine reads the combinational view memoised for the
     netlist state, and the machine starts from its settled fault-free
     planes, so a repeat evaluates only the fault's cone.  For scale, the
-    stage also times building that view from scratch (implication engine
-    plus the fault-free sweep), which each engine construction and each
-    search start used to pay.  Medians with their quartiles are recorded
-    beside the core count.
+    stage also times building that view from scratch (the constant
+    fixpoint through the flip-flops, the observation points and the
+    fault-free sweep), which each engine construction and each search
+    start used to pay.  Medians with their quartiles are recorded beside
+    the core count.
     """
     from repro.analysis import get_static_analysis
-    from repro.atpg.implication import ImplicationEngine
     from repro.atpg.podem import LiveMachine, Podem
     from repro.atpg.view import CombinationalView
     from repro.faults.models import resolve_injection
@@ -601,7 +601,7 @@ def test_runtime_podem_search_start():
     compiled = get_compiled(netlist)
     for _ in range(15):
         begin = time.perf_counter()
-        CombinationalView(compiled, ImplicationEngine(netlist))
+        CombinationalView(compiled)
         builds.append(time.perf_counter() - begin)
 
     start_median, start_q1, start_q3 = _median_with_spread(starts)

@@ -1,12 +1,12 @@
 """Static implication learning (Schulz-style) over the compiled IR.
 
 Direct implications — "net ``n`` at value ``v`` forces net ``m`` to ``w``" —
-fall out of forward three-valued propagation
-(:func:`repro.atpg.implication.forward_implications`): seed ``n = v`` on top
-of the constant fixpoint and harvest every net that becomes definite.  Such
-a forced value holds in *every* complete assignment of the controllable
-points where ``n = v`` (the propagation used only ``n`` and values that hold
-unconditionally).  The learning pass stores the **contrapositives**:
+fall out of forward three-valued propagation (:func:`forward_implications`):
+seed ``n = v`` on top of the constant fixpoint and harvest every net that
+becomes definite.  Such a forced value holds in *every* complete assignment
+of the controllable points where ``n = v`` (the propagation used only ``n``
+and values that hold unconditionally).  The learning pass stores the
+**contrapositives**:
 ``m != w  =>  n != v`` — the indirect implications a forward propagation
 from ``m`` alone would never discover, which is exactly the global knowledge
 Schulz's SOCRATES learning adds to a structural ATPG.
@@ -20,12 +20,76 @@ memory.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Dict, List, Mapping, MutableMapping, Optional, Sequence,
+                    Set, Tuple)
 
-from repro.atpg.implication import forward_implications
 from repro.netlist.cells import LOGIC_0, LOGIC_1, LOGIC_X
 from repro.netlist.compiled import CompiledNetlist
+from repro.simulation.simulator import scalar3_program
+
+
+def forward_implications(compiled: CompiledNetlist,
+                         seeds: Mapping[int, int],
+                         base: Sequence[int],
+                         stats: Optional[MutableMapping[str, int]] = None
+                         ) -> Dict[int, int]:
+    """Event-driven forward propagation of ``seeds`` over a ``base`` valuation.
+
+    ``base`` is a full per-net-ID valuation (typically the three-valued
+    constant fixpoint of the netlist); ``seeds`` overrides individual nets.
+    The returned dict holds every net whose value differs from ``base`` (plus
+    the seeds themselves) after propagating through the combinational ops.
+
+    The worklist is a min-heap of dirty op indices with a membership set for
+    dedupe, processed in ascending topological order.  Because every fanin of
+    an op is driven by a lower-indexed op, each op is evaluated at most once
+    per call; and an op whose re-evaluation reproduces the value a net
+    already holds does not re-enqueue that net's loads — the (net, value)
+    dedupe that keeps repeated learning passes linear.  ``stats`` (if given)
+    accumulates the number of op evaluations under ``"op_evals"``.
+    """
+    program = scalar3_program(compiled)
+    op_fanin = compiled.op_fanin
+    op_fanout = compiled.op_fanout
+    net_load_ops = compiled.net_load_ops
+    tied = compiled.tied
+
+    values: Dict[int, int] = {}
+    heap: List[int] = []
+    pending: Set[int] = set()
+
+    def schedule_loads(nid: int) -> None:
+        for op, _pos in net_load_ops[nid]:
+            if op not in pending:
+                pending.add(op)
+                heapq.heappush(heap, op)
+
+    for nid, value in seeds.items():
+        values[nid] = value
+        if value != base[nid]:
+            schedule_loads(nid)
+
+    evals = 0
+    while heap:
+        op = heapq.heappop(heap)
+        pending.discard(op)
+        evals += 1
+        ins = tuple(values.get(n, base[n]) if n >= 0 else LOGIC_X
+                    for n in op_fanin[op])
+        outs = program[op](*ins)
+        for out_net, value in zip(op_fanout[op], outs):
+            if out_net < 0 or tied[out_net] is not None:
+                continue
+            if value == values.get(out_net, base[out_net]):
+                continue
+            values[out_net] = value
+            schedule_loads(out_net)
+
+    if stats is not None:
+        stats["op_evals"] = stats.get("op_evals", 0) + evals
+    return values
 
 
 def literal(nid: int, value: int) -> int:
@@ -63,7 +127,7 @@ def learn_implications(compiled: CompiledNetlist,
     For each probe ``n = v`` the forced values ``m = w`` yield contrapositive
     edges ``lit(m, 1-w) -> (n, 1-v)``.  Probing every net once per polarity
     keeps the pass linear in total cone size thanks to the worklist dedupe
-    in :func:`~repro.atpg.implication.forward_implications`.
+    in :func:`forward_implications`.
     """
     raw: Dict[int, List[Tuple[int, int]]] = {}
     net_load_ops = compiled.net_load_ops

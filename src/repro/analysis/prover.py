@@ -32,10 +32,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.dominators import DominatorAnalysis
-from repro.analysis.implications import (ImplicationTable, learn_implications,
+from repro.analysis.implications import (ImplicationTable,
+                                         forward_implications,
+                                         learn_implications,
                                          necessary_assignments)
 from repro.analysis.scoap import INF, ScoapTables, compute_scoap
-from repro.atpg.implication import forward_implications
 from repro.atpg.view import get_view
 from repro.faults.models import Fault, resolve_injection
 from repro.netlist.cells import LOGIC_0, LOGIC_1, LOGIC_X

@@ -8,11 +8,6 @@ abandoned classes.  The on-line untestability identification in
 calls this engine, exactly as the paper does with TetraMax.
 """
 
-from repro.atpg.implication import (
-    ImplicationEngine,
-    implied_constants,
-    sequential_implied_constants,
-)
 from repro.atpg.podem import Podem, PodemResult, PodemStatus
 from repro.atpg.dalg import DAlg
 from repro.atpg.tie_analysis import TieAnalysis, TieAnalysisResult
@@ -29,9 +24,6 @@ from repro.atpg.portfolio import (
 )
 
 __all__ = [
-    "ImplicationEngine",
-    "implied_constants",
-    "sequential_implied_constants",
     "Podem",
     "PodemResult",
     "PodemStatus",

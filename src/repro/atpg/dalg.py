@@ -64,8 +64,8 @@ class DAlg(Podem):
     """
 
     def __init__(self, netlist: Netlist, backtrack_limit: int = 200,
-                 implication=None, static=None) -> None:
-        super().__init__(netlist, backtrack_limit, implication, static)
+                 static=None) -> None:
+        super().__init__(netlist, backtrack_limit, static)
         self._scalar_program = scalar3_program(self.compiled)
         self._sorted_controllables = sorted(self.view.controllable_ids)
 

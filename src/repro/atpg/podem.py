@@ -42,12 +42,11 @@ from enum import Enum
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.atpg.view import CombinationalView, get_view
+from repro.atpg.view import get_view
 from repro.faults.models import Fault, InjectionSpec, resolve_injection
 
 if TYPE_CHECKING:
     from repro.analysis.prover import StaticAnalysis
-    from repro.atpg.implication import ImplicationEngine
 from repro.netlist.cells import LOGIC_0, LOGIC_1, LOGIC_X
 from repro.netlist.compiled import get_compiled
 from repro.netlist.module import Netlist
@@ -260,8 +259,8 @@ class Podem:
     """Single-fault PODEM ATPG on the combinational view of a netlist.
 
     The view is constant-aware: flip-flop outputs frozen by the circuit
-    manipulation (directly tied, or held by a tied reset/enable — see
-    :func:`repro.atpg.implication.sequential_implied_constants`) are treated
+    manipulation (directly tied, or held by a tied reset/enable — the
+    view's constant fixpoint runs through the flip-flops) are treated
     as constants rather than controllable points, and flip-flop inputs whose
     capture path is blocked by such constants are not observation points.
     This keeps PODEM's verdicts consistent with the tied-value analysis the
@@ -271,16 +270,12 @@ class Podem:
     """
 
     def __init__(self, netlist: Netlist, backtrack_limit: int = 200,
-                 implication: Optional["ImplicationEngine"] = None,
                  static: Optional["StaticAnalysis"] = None) -> None:
         self.netlist = netlist
         self.backtrack_limit = backtrack_limit
         self.compiled = get_compiled(netlist)
-        #: The combinational view searched: the netlist state's shared one,
-        #: or an unshared one over a caller's own ``implication`` engine.
-        self.view = (get_view(netlist) if implication is None
-                     else CombinationalView(self.compiled, implication))
-        self.implication = self.view.implication
+        #: The combinational view searched: the netlist state's shared one.
+        self.view = get_view(netlist)
         #: Optional static-analysis handle (repro.analysis): when present,
         #: the learned-implication closure vetoes provably futile decision
         #: branches and SCOAP controllability guides the backtrace.  ``None``

@@ -23,8 +23,10 @@ the manipulated circuit.  It is deliberately not complete — faults requiring
 a full redundancy proof are left to PODEM (see
 :class:`repro.atpg.engine.StructuralUntestabilityEngine`).
 
-All graph walks (observability search, structural reachability, fault-origin
-fanout cones) run over the ID-indexed connectivity tables of the shared
+The constants and the blocking rule come from the netlist state's shared
+:class:`~repro.atpg.view.CombinationalView`.  All graph walks (observability
+search, structural reachability, fault-origin fanout cones) run over the
+ID-indexed connectivity tables of its
 :class:`~repro.netlist.compiled.CompiledNetlist`, with per-net results
 memoised in dense arrays.
 """
@@ -34,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.atpg.implication import ImplicationEngine, get_implication
+from repro.atpg.view import get_view
 from repro.faults.categories import FaultClass
 from repro.faults.models import Fault, model_of
 from repro.netlist.cells import LOGIC_X
@@ -62,10 +64,9 @@ class TieAnalysisResult:
 class TieAnalysis:
     """Classifies faults made untestable by tied nets and floating outputs."""
 
-    def __init__(self, netlist: Netlist,
-                 engine: Optional[ImplicationEngine] = None) -> None:
+    def __init__(self, netlist: Netlist) -> None:
         self.netlist = netlist
-        self.engine = engine or get_implication(netlist)
+        self.view = get_view(netlist)
         self.compiled = get_compiled(netlist)
         n = self.compiled.n_nets
         self._observe_cache: List[Optional[bool]] = [None] * n
@@ -90,26 +91,24 @@ class TieAnalysis:
         return result
 
     def _search_observation(self, nid: int,
-                            untrusted: Optional[Set[str]],
+                            untrusted: Optional[Set[int]],
                             visited: Optional[Set[int]]) -> bool:
         """One step of the observability traversal, in two trust modes.
 
         ``untrusted=None`` is the normal, globally-cached mode (recursion
         goes through :meth:`_net_observable`).  With an ``untrusted`` cone
-        (net *names*, for the implication engine) the traversal refuses to
-        let the cone's implied constants block propagation and tracks
-        termination with the caller's ``visited`` ID set instead of the
-        global cache (the answer then depends on the fault origin, so it
-        must not be memoised per net).
+        of net IDs the traversal refuses to let the cone's implied
+        constants block propagation and tracks termination with the
+        caller's ``visited`` ID set instead of the global cache (the answer
+        then depends on the fault origin, so it must not be memoised per
+        net).
         """
         compiled = self.compiled
         if compiled.is_observable_output[nid]:
             return True
-        engine = self.engine
+        blocked = self.view.blocked
         for op, pos in compiled.net_load_ops[nid]:
-            inst = compiled.instances[op]
-            port = compiled.op_cell[op].inputs[pos]
-            if engine.propagation_blocked(inst, port, untrusted_nets=untrusted):
+            if blocked("op", op, pos, untrusted):
                 continue
             for out in compiled.op_fanout[op]:
                 if out < 0:
@@ -122,10 +121,7 @@ class TieAnalysis:
                     if self._search_observation(out, untrusted, visited):
                         return True
         for sq, pos in compiled.net_load_seqs[nid]:
-            inst = compiled.seq_instances[sq]
-            port = compiled.seq_cell[sq].inputs[pos]
-            if not engine.propagation_blocked(inst, port,
-                                              untrusted_nets=untrusted):
+            if not blocked("seq", sq, pos, untrusted):
                 return True
         return False
 
@@ -147,14 +143,12 @@ class TieAnalysis:
         cone_ids: Set[int] = set()
         for origin in origins:
             cone_ids |= compiled.fanout_nets(origin)
-        names = compiled.net_names
-        cone_names = {names[nid] for nid in cone_ids}
         visited: Set[int] = set()
         result = False
         for origin in origins:
             if origin not in visited:
                 visited.add(origin)
-                if self._search_observation(origin, untrusted=cone_names,
+                if self._search_observation(origin, untrusted=cone_ids,
                                             visited=visited):
                     result = True
                     break
@@ -197,7 +191,7 @@ class TieAnalysis:
             nid = compiled.id_of(fault.site)
             if nid is None:
                 return FaultClass.UO
-            constant = self.engine.constant_of(fault.site)
+            constant = self.view.constant(nid)
             if constant is not None and model_of(fault).excitation_blocked(
                     fault, constant):
                 return FaultClass.UT
@@ -212,7 +206,7 @@ class TieAnalysis:
         if nid == NO_NET:
             return FaultClass.UO
 
-        constant = self.engine.constant_of(compiled.net_names[nid])
+        constant = self.view.constant(nid)
         if constant is not None and model_of(fault).excitation_blocked(
                 fault, constant):
             return FaultClass.UT
@@ -222,17 +216,11 @@ class TieAnalysis:
 
         # Branch fault on an instance input: the effect must first pass
         # through this instance, then reach an observation point.
-        if kind == "seq":
-            inst = compiled.seq_instances[index]
-            port = compiled.seq_cell[index].inputs[pos]
-            if self.engine.propagation_blocked(inst, port):
-                return FaultClass.UB
-            return self._sequential_branch_class(index, port, fault)
-
-        inst = compiled.instances[index]
-        port = compiled.op_cell[index].inputs[pos]
-        if self.engine.propagation_blocked(inst, port):
+        if self.view.blocked(kind, index, pos):
             return FaultClass.UB
+        if kind == "seq":
+            return self._sequential_branch_class(index, pos, fault)
+
         out_ids = tuple(out for out in compiled.op_fanout[index] if out >= 0)
         if any(self._net_observable(out) for out in out_ids):
             return None
@@ -242,7 +230,7 @@ class TieAnalysis:
             return None  # only blocked by constants the fault itself upsets
         return FaultClass.UB
 
-    def _sequential_branch_class(self, seq_index: int, port: str,
+    def _sequential_branch_class(self, seq_index: int, pos: int,
                                  fault: Fault) -> Optional[FaultClass]:
         """Classification of a fault on a flip-flop input pin.
 
@@ -255,34 +243,26 @@ class TieAnalysis:
         """
         compiled = self.compiled
         cell = compiled.seq_cell[seq_index]
-        names = compiled.net_names
+        base = self.view.base
         q_constants = []
         for out in compiled.seq_fanout[seq_index]:
             if out < 0:
                 continue
-            constant = self.engine.constant_of(names[out])
+            constant = self.view.constant(out)
             if constant is None:
                 return None  # the state still moves: the fault is capturable
             q_constants.append(constant)
         if not q_constants:
             return FaultClass.UO
 
-        if port == cell.role_pin("clock"):
+        if cell.inputs[pos] == cell.role_pin("clock"):
             # A stuck clock stops the register from updating: it keeps holding
             # its mission constant, so the fault can never be observed.
             return FaultClass.UB
 
-        pin_values = {}
-        for in_pos, in_nid in enumerate(compiled.seq_fanin[seq_index]):
-            in_port = cell.inputs[in_pos]
-            if in_port == port:
-                pin_values[in_port] = fault.value
-            elif in_nid >= 0:
-                value = self.engine.constant_of(names[in_nid])
-                pin_values[in_port] = value if value is not None else LOGIC_X
-            else:
-                pin_values[in_port] = LOGIC_X
-        faulty_next = cell.evaluate(pin_values).get("__next__", LOGIC_X)
+        faulty_next = cell.scalar(*(
+            fault.value if in_pos == pos else (base[nid] if nid >= 0 else LOGIC_X)
+            for in_pos, nid in enumerate(compiled.seq_fanin[seq_index])))[0]
         if faulty_next != LOGIC_X and faulty_next == q_constants[0]:
             # Even with the fault present the register keeps its mission
             # constant, so the fault can never produce a visible effect.

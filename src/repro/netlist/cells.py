@@ -21,8 +21,8 @@ generated, once per process, on first use:
 
 :meth:`Cell.evaluate` (and the simulators' ``scalar3_program``) is the
 width-1 plane form behind the :data:`PLANE_ENCODING` bridge, and the
-gate-family facts PODEM, the implication engine and fault collapsing rely
-on (:attr:`Cell.control`) are derived from it as well.
+gate-family facts PODEM and fault collapsing rely on
+(:attr:`Cell.control`) are derived from it as well.
 
 Adding a cell is one declaration below; the exhaustive form test in
 ``tests/test_netlist_cells.py`` picks it up and asks for its two-valued
@@ -317,8 +317,8 @@ class Cell:
         A combinational single-output cell with at least two inputs has
         controlling value ``c`` when each input at ``c``, with the rest X,
         gives the same definite output ``y``; its inversion is ``y != c``.
-        A single-input cell gets ``(None, inversion)``.  PODEM's backtrace,
-        the implication engine and stuck-at collapsing read these facts.
+        A single-input cell gets ``(None, inversion)``.  PODEM's backtrace
+        and stuck-at collapsing read these facts.
         """
         n = len(self.inputs)
         if self.sequential or len(self.outputs) != 1 or n == 0:

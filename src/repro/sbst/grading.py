@@ -55,10 +55,10 @@ class FaultGrader:
     """Grades functional patterns against a core with mission-mode observability.
 
     Grading runs the two-valued word engine
-    (:class:`~repro.simulation.parallel.ParallelPatternSimulator`).
-    ``drop_detected`` (on by default) applies fault dropping across the
-    pattern windows: once any window detects a fault, the fault leaves the
-    simulation for all subsequent windows.
+    (:class:`~repro.simulation.parallel.ParallelPatternSimulator`) with
+    fault dropping across the pattern windows: once any window detects a
+    fault, the fault leaves the simulation for all subsequent windows.
+    Dropping changes only the cost, never the detected set.
 
     ``jobs`` > 1 (or an injected :class:`~repro.runtime.WorkerPool` as
     ``pool``) runs :meth:`grade` on the pool
@@ -70,8 +70,7 @@ class FaultGrader:
     """
 
     def __init__(self, netlist: Netlist, observe_state_inputs: bool = True,
-                 word_size: int = 64, drop_detected: bool = True,
-                 jobs: int = 1,
+                 word_size: int = 64, jobs: int = 1,
                  fault_model: "Union[str, FaultModel, None]" = None,
                  pool=None) -> None:
         # Mission-mode observation: the system-bus outputs plus the values
@@ -84,7 +83,6 @@ class FaultGrader:
         # field no debugger reads them.
         self.netlist = netlist
         self.word_size = word_size
-        self.drop_detected = drop_detected
         self.jobs = resolve_jobs(1 if jobs is None else jobs, cap=False)
         self.pool = pool
         #: Model used to enumerate the default fault universe when a grade
@@ -122,11 +120,9 @@ class FaultGrader:
             return sharded_mission_grade(
                 self.netlist, fault_universe, patterns,
                 observation_nets=self.simulator.observation_nets,
-                word_size=self.word_size, drop_detected=self.drop_detected,
-                jobs=self.jobs, pool=self.pool)
+                word_size=self.word_size, jobs=self.jobs, pool=self.pool)
         windows = pattern_windows(patterns, self.word_size)
-        return self.simulator.run_windows(fault_universe, windows,
-                                          drop_detected=self.drop_detected)
+        return self.simulator.run_windows(fault_universe, windows)
 
     # ------------------------------------------------------------------ #
     def compare_with_pruning(self, patterns: CapturedPatterns,

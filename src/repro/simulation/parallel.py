@@ -123,7 +123,7 @@ def injection_groups(compiled: CompiledNetlist, entries: Iterable[FaultEntry],
 
 def detect_windows(compiled: CompiledNetlist, entries: Iterable[FaultEntry],
                    windows: Iterable[Tuple[List[int], int, int]],
-                   obs_flags, drop_detected: bool = True) -> Set[Hashable]:
+                   obs_flags) -> Set[Hashable]:
     """The keys of the entries that some window detects.
 
     ``windows`` yields ``(good words, window mask, width)``, the good
@@ -132,8 +132,9 @@ def detect_windows(compiled: CompiledNetlist, entries: Iterable[FaultEntry],
     loop stops
     pulling windows once no fault is left.  Two-pattern faults pair
     consecutive patterns across window boundaries, so the verdicts do not
-    depend on the chunking.  With ``drop_detected`` a detected fault is
-    not simulated in later windows.
+    depend on the chunking.  A detected fault is not simulated in later
+    windows: the result is the union of every window's detections, so
+    walking it again would change only the cost.
 
     Each distinct injection (:func:`injection_groups`) is simulated once,
     and a detected group detects every key in it.  A window's walks share
@@ -162,9 +163,8 @@ def detect_windows(compiled: CompiledNetlist, entries: Iterable[FaultEntry],
                     tables, site, word_mask if spec.stuck_value else 0, v,
                     good, word_mask, obs_flags, allowed, queued):
                 detected.update(keys)
-                if drop_detected:
-                    continue
-            survivors.append(group)
+            else:
+                survivors.append(group)
         remaining = survivors
         prev = (good, width)
     return detected
@@ -221,26 +221,26 @@ class ParallelPatternSimulator:
         captures), which is the contract the random-pattern phase relies on
         — every burst is an independent launch-on-capture sequence.
         """
-        return self._detect(faults, [(patterns, n_patterns)], True)
+        return self._detect(faults, [(patterns, n_patterns)])
 
     def run_windows(self, faults: Iterable[Fault],
-                    windows: Sequence[Tuple[Mapping[str, int], int]],
-                    drop_detected: bool = True) -> Set[Fault]:
+                    windows: Sequence[Tuple[Mapping[str, int], int]]
+                    ) -> Set[Fault]:
         """Windowed detection over one *continuous* pattern stream.
 
         ``windows`` chunks a single cycle sequence into ``(word dict,
         n_patterns)`` windows; unlike :meth:`detected_faults`, two-pattern
         faults pair across window boundaries (the launch pattern may be the
         last cycle of the previous window), so the verdicts are independent
-        of the chunking.  ``drop_detected`` stops re-simulating a fault
-        after the first detecting window.  Returns the detected set —
+        of the chunking.  A fault leaves the simulation after its first
+        detecting window.  Returns the detected set —
         identical to the pooled mission-grading engine by construction.
         """
-        return self._detect(faults, windows, drop_detected)
+        return self._detect(faults, windows)
 
     def _detect(self, faults: Iterable[Fault],
-                windows: Iterable[Tuple[Mapping[str, int], int]],
-                drop_detected: bool) -> Set[Fault]:
+                windows: Iterable[Tuple[Mapping[str, int], int]]
+                ) -> Set[Fault]:
         compiled = self.sim._refresh()
         good_windows = (compute_good_words(compiled, words, n_patterns)
                         + (n_patterns,)
@@ -249,5 +249,4 @@ class ParallelPatternSimulator:
                     resolve_injection(fault)) for fault in faults]
         return detect_windows(
             compiled, entries, good_windows,
-            observation_flags(compiled, self._observation_nets),
-            drop_detected)
+            observation_flags(compiled, self._observation_nets))

@@ -161,18 +161,17 @@ class _WordGradeJob:
                 self._window_memo[index] = memo
             yield memo
 
-    def run_chunk(self, task):
-        """task = (fault positions, drop) -> detected positions.
+    def run_chunk(self, positions):
+        """Fault positions -> detected positions.
 
-        Walks every pattern window in order; with ``drop`` a detected
-        fault leaves the chunk for all later windows.
+        Walks every pattern window in order; a detected fault leaves the
+        chunk for all later windows.
         """
-        positions, drop = task
         self.prepare()
         entries = self._entries
         return sorted(detect_windows(
             self._compiled, [entries[position] for position in positions],
-            self._good_windows(), self._obs_flags, drop))
+            self._good_windows(), self._obs_flags))
 
 
 # --------------------------------------------------------------------- #
@@ -205,7 +204,7 @@ def _grade_plan(netlist: Netlist, faults: Tuple[Fault, ...],
     equality, which the fault tuple passes element by element on
     identity when the caller grades the same fault objects.
     """
-    from repro.runtime import build_chunks, content_key
+    from repro.runtime import content_key
 
     memo = get_compiled(netlist).extension("grade_plan", _GradePlan)
     key = (faults, chunk_size, observation_nets,
@@ -213,7 +212,7 @@ def _grade_plan(netlist: Netlist, faults: Tuple[Fault, ...],
     entry = memo.entry
     if entry is not None and entry[0] == key:
         return entry[1]
-    plan = (build_chunks(netlist, faults, chunk_size, fold_stems=True),
+    plan = (grading_chunks(netlist, faults, chunk_size),
             content_key("wordgrade", netlist,
                         tuple(sorted(observation_nets)), faults,
                         list(windows)))
@@ -221,11 +220,28 @@ def _grade_plan(netlist: Netlist, faults: Tuple[Fault, ...],
     return plan
 
 
+def grading_chunks(netlist: Netlist, faults: Sequence[Fault],
+                   chunk_size: int) -> List[Tuple[int, ...]]:
+    """Cone-affine chunks (stems folded) of the positions of every fault
+    whose site is not inert.
+
+    The word kernel never detects an inert site, so a chunk of them would
+    cost a pool round trip that simulates nothing.
+    """
+    from repro.runtime import build_chunks
+
+    compiled = get_compiled(netlist)
+    live = [position for position, fault in enumerate(faults)
+            if resolve_site(compiled, fault)[0] != "inert"]
+    return [tuple(live[index] for index in chunk)
+            for chunk in build_chunks(netlist, [faults[p] for p in live],
+                                      chunk_size, compiled, fold_stems=True)]
+
+
 def sharded_mission_grade(netlist: Netlist, faults: Iterable[Fault],
                           patterns, *,
                           observation_nets: Iterable[str],
                           word_size: int = 64,
-                          drop_detected: bool = True,
                           jobs: Optional[int] = None,
                           pool=None) -> Set[Fault]:
     """Pooled counterpart of :meth:`repro.sbst.grading.FaultGrader.grade`.
@@ -251,8 +267,7 @@ def sharded_mission_grade(netlist: Netlist, faults: Iterable[Fault],
     pool.ensure_job(key, lambda: _WordGradeJob(
         netlist, fault_tuple, observation_nets, windows))
     detected: Set[Fault] = set()
-    for hits in _fan_out(pool, key, "run_chunk",
-                         [(positions, drop_detected) for positions in chunks]):
+    for hits in _fan_out(pool, key, "run_chunk", chunks):
         detected.update(fault_tuple[position] for position in hits)
     return detected
 

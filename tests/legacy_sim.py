@@ -24,6 +24,10 @@ walk per fault entry) and its window loop: the oracle the grouped,
 in-place :func:`~repro.simulation.parallel.detect_windows` is checked
 against.
 
+:func:`legacy_mission_constants` is the original name-keyed constant
+fixpoint through the flip-flops, the oracle the net-ID fixpoint of
+:class:`~repro.atpg.view.CombinationalView` is checked against.
+
 :func:`podem_full_evaluation` and its scans are PODEM's original machine:
 both five-valued machines rebuilt by one levelized pass of the cells'
 scalar forms, the oracle the event-driven
@@ -127,6 +131,22 @@ class LegacyCombinationalSimulator:
                     else:
                         nxt[pin.net.name] = new_value
         return nxt
+
+
+def legacy_mission_constants(netlist: Netlist) -> Dict[str, int]:
+    """Evaluate with every free source X, hold each untied flip-flop output
+    whose next state is definite, repeat until no output is added; return
+    the definite nets of the last evaluation."""
+    sim = LegacyCombinationalSimulator(netlist)
+    state: Dict[str, int] = {}
+    while True:
+        values = sim.evaluate({}, overrides=state)
+        held = {net: value for net, value in sim.next_state(values).items()
+                if value != LOGIC_X and netlist.net(net).tied is None}
+        if held.items() <= state.items():
+            return {net: value for net, value in values.items()
+                    if value != LOGIC_X}
+        state.update(held)
 
 
 class LegacyFaultSimulator:

@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.atpg.engine import AtpgEffort, StructuralUntestabilityEngine
-from repro.atpg.implication import ImplicationEngine
 from repro.atpg.podem import Podem, PodemStatus
 from repro.atpg.tie_analysis import TieAnalysis
 from repro.core.results import FlowConfig, OnlineUntestableReport
@@ -304,17 +303,19 @@ class TestTwoPatternDetection:
         """Pooled transition grading over 8-pattern windows, on one
         worker, on the default two-worker process pool (fork where
         available) and on a spawn-started pool, against the serial grader
-        and the three-valued serial engine."""
+        and the three-valued serial engine with and without its fault
+        dropping."""
         jobs, start_method = pool
         netlist = build_and_or_circuit()
         faults = generate_fault_list(netlist, model="transition").faults()
         patterns = _random_patterns(netlist, 40, seed=5)
-        reference = FaultSimulator(netlist, word_size=8).run(
+        reference = FaultSimulator(netlist, word_size=8,
+                                   drop_detected=drop).run(
             faults, patterns).detected
-        serial = FaultGrader(netlist, word_size=8, drop_detected=drop).grade(
+        serial = FaultGrader(netlist, word_size=8).grade(
             _captured(patterns), faults)
         pooled = FaultGrader(
-            netlist, word_size=8, drop_detected=drop, jobs=jobs,
+            netlist, word_size=8, jobs=jobs,
             pool=get_pool(jobs, start_method)).grade(_captured(patterns),
                                                      faults)
         assert pooled == serial == reference
@@ -324,14 +325,11 @@ class TestTwoPatternDetection:
         faults = generate_fault_list(tiny_soc.cpu, model="transition").faults()
         sample = faults[:: max(1, len(faults) // 120)][:120]
         captured = _captured(_random_patterns(tiny_soc.cpu, 12, seed=2013))
-        for drop in (True, False):
-            serial = FaultGrader(tiny_soc.cpu, word_size=8,
-                                 drop_detected=drop).grade(captured, sample)
-            pooled = FaultGrader(tiny_soc.cpu, word_size=8,
-                                 drop_detected=drop,
-                                 jobs=3).grade(captured, sample)
-            assert pooled == serial
-            assert serial
+        serial = FaultGrader(tiny_soc.cpu, word_size=8).grade(captured, sample)
+        pooled = FaultGrader(tiny_soc.cpu, word_size=8,
+                             jobs=3).grade(captured, sample)
+        assert pooled == serial
+        assert serial
 
 
 class TestTransitionGrading:
@@ -439,7 +437,7 @@ class TestModelAwareTieAnalysis:
     def test_any_constant_blocks_both_transitions(self):
         netlist = build_and_or_circuit()
         tie_port(netlist, "c", 0)
-        tie = TieAnalysis(netlist, ImplicationEngine(netlist))
+        tie = TieAnalysis(netlist)
         for polarity in (SLOW_TO_RISE, SLOW_TO_FALL):
             assert tie.classify_fault(
                 TransitionFault("c", polarity)) is FaultClass.UT

@@ -145,7 +145,8 @@ class TestCellForms:
 
 
 #: The gate-family facts PODEM, the D-algorithm, the portfolio, the
-#: implication engine and stuck-at collapsing once hard-coded per family.
+#: tied-value blocking rule and stuck-at collapsing once hard-coded per
+#: family.
 FAMILY_FACTS = {
     "AND": (LOGIC_0, False),
     "NAND": (LOGIC_0, True),

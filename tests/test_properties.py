@@ -19,7 +19,7 @@ from repro.atpg.tie_analysis import TieAnalysis
 from repro.faults.collapse import equivalence_classes
 from repro.faults.faultlist import generate_fault_list
 from repro.netlist.builder import NetlistBuilder
-from repro.netlist.cells import LOGIC_0, LOGIC_1
+from repro.netlist.cells import LOGIC_0, LOGIC_1, standard_library
 from repro.netlist.module import Netlist
 from repro.netlist.verilog import parse_verilog, write_verilog
 from repro.simulation.fault_sim import FaultSimulator
@@ -28,8 +28,10 @@ from repro.simulation.simulator import CombinationalSimulator
 
 from tests.conftest import all_input_patterns
 
-_GATE_CHOICES = ["AND2", "OR2", "NAND2", "NOR2", "XOR2", "XNOR2", "INV", "BUF",
-                 "MUX2", "AO21", "OAI21"]
+#: Every combinational single-output cell of the standard library.
+_GATE_CHOICES = [cell.name for cell in standard_library()
+                 if not cell.sequential and len(cell.outputs) == 1
+                 and cell.inputs]
 
 N_INPUTS = 4
 

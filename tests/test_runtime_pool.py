@@ -38,6 +38,7 @@ from repro.runtime import (DEFAULT_JOB_CACHE, MONSTER_RATIO,
 from repro.sbst import FaultGrader
 from repro.sbst.monitor import CapturedPatterns
 from repro.simulation.kernels import resolve_site
+from repro.simulation.sharded import grading_chunks
 from repro.simulation.simulator import CombinationalSimulator
 
 # These tests pin jobs=2 to exercise two genuine workers even on boxes
@@ -387,14 +388,14 @@ class TestOneTaskPerChunk:
     def test_grading_and_simulation_submit_one_task_per_chunk(
             self, tiny_soc, tiny_cpu, tiny_faults, tiny_captured):
         """Each chunk walks all of its pattern windows inside one task, so
-        a grading run costs exactly one pool round trip per chunk, with
-        fault dropping on (the SBST capture) or off (random cycles)."""
+        a grading run costs exactly one pool round trip per chunk, on the
+        SBST capture and on random cycles."""
         from repro.sbst import ToggleMonitor, generate_sbst_suite
 
         captured = ToggleMonitor(tiny_cpu).run_suite(
             generate_sbst_suite(tiny_soc.config.cpu))
         with WorkerPool(2) as pool:
-            n_chunks = len(build_chunks(
+            n_chunks = len(grading_chunks(
                 tiny_cpu, tiny_faults,
                 default_chunk_size(pool.workers, len(tiny_faults))))
             before = pool.stats["tasks"]
@@ -402,9 +403,8 @@ class TestOneTaskPerChunk:
                                                            tiny_faults)
             assert pool.stats["tasks"] - before == n_chunks
             before = pool.stats["tasks"]
-            FaultGrader(tiny_cpu, jobs=2, pool=pool,
-                        drop_detected=False).grade(tiny_captured,
-                                                   tiny_faults)
+            FaultGrader(tiny_cpu, jobs=2, pool=pool).grade(tiny_captured,
+                                                           tiny_faults)
             assert pool.stats["tasks"] - before == n_chunks
 
 
@@ -417,14 +417,11 @@ def _chunk_size(chunk):
                       return_value=chunk)
 
 
-def _identity_case(netlist, faults, captured, jitter_seed, chunk,
-                   drop_detected=True):
-    serial = FaultGrader(netlist, drop_detected=drop_detected).grade(
-        captured, faults)
+def _identity_case(netlist, faults, captured, jitter_seed, chunk):
+    serial = FaultGrader(netlist).grade(captured, faults)
     pool = WorkerPool(2, jitter_seed=jitter_seed)
     try:
-        grader = FaultGrader(netlist, jobs=2, pool=pool,
-                             drop_detected=drop_detected)
+        grader = FaultGrader(netlist, jobs=2, pool=pool)
         with _chunk_size(chunk):
             pooled = grader.grade(captured, faults)
     finally:
@@ -451,11 +448,6 @@ class TestStealOrderIdentity:
                                  tiny_captured, jitter_seed, chunk):
         sample = transition_faults[::5][:60]
         _identity_case(tiny_cpu, sample, tiny_captured, jitter_seed, chunk)
-
-    def test_no_drop_identity(self, tiny_cpu, tiny_faults, tiny_captured):
-        sample = tiny_faults[::11][:40]
-        _identity_case(tiny_cpu, sample, tiny_captured, jitter_seed=7,
-                       chunk=3, drop_detected=False)
 
     def test_classify_identity_across_jitter(self, tiny_cpu, tiny_faults):
         from repro.atpg.engine import (AtpgEffort,

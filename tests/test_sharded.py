@@ -22,9 +22,14 @@ from repro.runtime import (MONSTER_RATIO, build_chunks, cone_representative,
 from repro.sbst.grading import FaultGrader
 from repro.sbst.monitor import CapturedPatterns, ToggleMonitor, pattern_windows
 from repro.sbst.program_gen import generate_sbst_suite
-from repro.simulation.kernels import resolve_site
-from repro.simulation.sharded import resolve_jobs, sharded_mission_grade
+from repro.faults.models import resolve_injection
+from repro.simulation.kernels import observation_flags, resolve_site
+from repro.simulation.parallel import compute_good_words
+from repro.simulation.sharded import (grading_chunks, resolve_jobs,
+                                      sharded_mission_grade)
 from repro.simulation.simulator import CombinationalSimulator
+
+from tests.legacy_sim import legacy_detect_windows
 
 #: The pools every identity test runs on, as (jobs, start method):
 #: one worker, the default process pool for two workers (fork where
@@ -142,26 +147,63 @@ class TestPartitioning:
 # --------------------------------------------------------------------- #
 # pooled word fault simulation: identical to the serial window loop
 # --------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def original_walks(tiny_cpu, tiny_faults, tiny_captured_random):
+    """The original per-fault window walk of ``tests.legacy_sim`` over the
+    graded sample, with and without fault dropping."""
+    compiled = get_compiled(tiny_cpu)
+    windows = [compute_good_words(compiled, words, width) + (width,)
+               for words, width in pattern_windows(tiny_captured_random, 64)]
+    entries = [(fault, resolve_site(compiled, fault), resolve_injection(fault))
+               for fault in tiny_faults[::7]]
+    obs = observation_flags(compiled,
+                            FaultGrader(tiny_cpu).simulator.observation_nets)
+    return {drop: legacy_detect_windows(compiled, entries, windows, obs, drop)
+            for drop in (True, False)}
+
+
 class TestShardedFaultSimulator:
-    """``sharded_mission_grade`` on random multi-window cycles, with and
-    without fault dropping, against the serial ``run_windows``."""
+    """``sharded_mission_grade`` on random multi-window cycles against the
+    serial ``run_windows``, and both against the original walk with and
+    without fault dropping: dropping changes only the cost."""
 
     @pytest.mark.parametrize("drop", [True, False])
     @pytest.mark.parametrize("mode", POOLS)
     def test_identical_to_serial(self, tiny_cpu, tiny_faults,
-                                 tiny_captured_random, mode, drop):
+                                 tiny_captured_random, original_walks,
+                                 mode, drop):
         sample = tiny_faults[::7]
         grader = FaultGrader(tiny_cpu)
         reference = grader.simulator.run_windows(
-            sample, pattern_windows(tiny_captured_random, 64),
-            drop_detected=drop)
+            sample, pattern_windows(tiny_captured_random, 64))
         jobs, pool = _pool(mode)
         result = sharded_mission_grade(
             tiny_cpu, sample, tiny_captured_random,
             observation_nets=grader.simulator.observation_nets,
-            drop_detected=drop, jobs=jobs, pool=pool)
-        assert result == reference
+            jobs=jobs, pool=pool)
+        assert result == reference == original_walks[drop]
         assert reference and len(reference) < len(sample)
+
+    def test_grading_chunks_leave_out_inert_sites(self, tiny_cpu, tiny_faults,
+                                                  tiny_captured_random):
+        """Every fault whose site resolves as inert stays out of the
+        grading plan, every other fault is in exactly one chunk, and the
+        pooled detected set is still the serial one."""
+        compiled = get_compiled(tiny_cpu)
+        inert = {position for position, fault in enumerate(tiny_faults)
+                 if resolve_site(compiled, fault)[0] == "inert"}
+        assert inert
+        planned = [position
+                   for chunk in grading_chunks(tiny_cpu, tiny_faults, 16)
+                   for position in chunk]
+        assert sorted(planned) == sorted(
+            set(range(len(tiny_faults))) - inert)
+        serial = FaultGrader(tiny_cpu).grade(tiny_captured_random,
+                                             tiny_faults)
+        jobs, pool = _pool("process")
+        pooled = FaultGrader(tiny_cpu, jobs=jobs, pool=pool).grade(
+            tiny_captured_random, tiny_faults)
+        assert pooled == serial and serial
 
 
 # --------------------------------------------------------------------- #
@@ -315,10 +357,9 @@ class TestJobPickling:
         assert clone._compiled is None  # runtime state stays behind
         detected = 0
         for positions in build_chunks(tiny_cpu, faults, 100):
-            for drop in (True, False):
-                task = (positions, drop)
-                assert clone.run_chunk(task) == job.run_chunk(task)
-            detected += len(job.run_chunk((positions, True)))
+            hits = job.run_chunk(positions)
+            assert clone.run_chunk(positions) == hits
+            detected += len(hits)
         assert detected
 
     def test_classify_job_round_trip(self, tiny_cpu, tiny_faults):

@@ -1,24 +1,21 @@
 """The per-netlist-state memos behind PODEM and the random phase.
 
-PODEM's combinational view (:func:`repro.atpg.view.get_view`), the default
-implication engine (:func:`repro.atpg.implication.get_implication`) and the
-random phase's good-machine bursts live on the compiled netlist, so they
-must follow the netlist's state: a tie made after a classification gets new
-ones, structurally identical clones share one, and a caller's own engine
-never touches the shared view.
+PODEM's combinational view (:func:`repro.atpg.view.get_view`), which owns
+the mission constants, and the random phase's good-machine bursts live on
+the compiled netlist, so they must follow the netlist's state: a tie made
+after a classification gets new ones, and structurally identical clones
+share one.
 """
 
 from __future__ import annotations
 
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis import get_static_analysis
 from repro.atpg.engine import AtpgEffort, StructuralUntestabilityEngine
-from repro.atpg.implication import ImplicationEngine, get_implication
 from repro.atpg.podem import Podem
 from repro.atpg.random_patterns import random_pattern_detection
 from repro.atpg.view import get_view
@@ -90,25 +87,7 @@ def test_structural_clones_share_one_view():
     clone = netlist.clone()
     assert clone is not netlist
     assert get_view(clone) is get_view(netlist)
-    assert get_implication(clone) is get_implication(netlist)
-    assert get_view(netlist).implication is get_implication(netlist)
     assert get_static_analysis(clone).view is get_view(netlist)
-
-
-def test_custom_implication_neither_reads_nor_fills_the_view():
-    netlist = _circuit()
-    engine = ImplicationEngine(netlist, extra_constants={"rst_n": 0})
-    with mock.patch("repro.atpg.podem.get_view",
-                    side_effect=AssertionError("shared view read")):
-        podem = Podem(netlist, implication=engine)
-    assert podem.implication is engine
-    # The extra constant freezes the flop in this view only.
-    q = netlist.instances["u_ff"].pins["Q"].net.name
-    assert podem.view.fixed_state == {q: 0}
-    shared = get_view(netlist)
-    assert shared is not podem.view
-    assert shared.implication is not engine
-    assert not shared.fixed_ids
 
 
 @settings(max_examples=30, deadline=None,

@@ -23,11 +23,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import INF, get_static_analysis
-from repro.analysis.implications import learn_implications, literal
+from repro.analysis.implications import (forward_implications,
+                                         learn_implications, literal)
 from repro.analysis.scoap import compute_scoap
 from repro.atpg.engine import (AtpgEffort, StructuralUntestabilityEngine,
                                run_detection_phases)
-from repro.atpg.implication import forward_implications
 from repro.atpg.podem import Podem, PodemStatus
 from repro.faults.categories import FaultClass
 from repro.faults.faultlist import generate_fault_list

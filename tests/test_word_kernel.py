@@ -122,8 +122,7 @@ def test_detect_windows_matches_the_original_walk(netlist, model, word_size,
     entries = [(fault, resolve_site(compiled, fault), resolve_injection(fault))
                for fault in faults]
     expected = legacy_detect_windows(compiled, entries, windows, obs, drop)
-    assert detect_windows(compiled, entries, iter(windows), obs,
-                          drop) == expected
+    assert detect_windows(compiled, entries, iter(windows), obs) == expected
 
 
 def _two_load_circuit():
