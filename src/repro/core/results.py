@@ -7,9 +7,10 @@ rendering, fault-list pruning, the benchmarks) consumes it.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.debug_control import DebugControlResult
 from repro.core.debug_observe import DebugObserveResult
@@ -19,6 +20,28 @@ from repro.faults.categories import (FaultClass, OnlineUntestableSource,
                                      source_label)
 from repro.faults.models import DEFAULT_FAULT_MODEL, Fault, parse_fault
 from repro.faults.faultlist import FaultList
+
+#: Distinct fault sets whose sorted text :func:`sorted_fault_text` keeps.
+#: A report holds up to nine sets (the baseline and each of four sources'
+#: identified and attributed sets), so this covers at least seven reports
+#: of distinct content, and more when reports share sets.
+TEXT_MEMO_ENTRIES = 64
+
+
+@functools.lru_cache(maxsize=TEXT_MEMO_ENTRIES)
+def sorted_fault_text(faults: FrozenSet[Fault]) -> Tuple[str, ...]:
+    """The ``str()`` of every fault in ``faults``, sorted.
+
+    Keyed by content, so equal sets from different reports (every warm
+    request rebuilds its report) share one tuple of strings.  Fault
+    equality includes the fault class, so a stuck-at and a transition
+    set never share an entry.
+    """
+    return tuple(sorted(map(str, faults)))
+
+
+def _fault_text(faults: Set[Fault]) -> List[str]:
+    return list(sorted_fault_text(frozenset(faults)))
 
 
 @dataclass
@@ -87,6 +110,9 @@ class OnlineUntestableReport:
 
     def table_rows(self) -> List[Dict[str, object]]:
         """Rows in the layout of the paper's Table I."""
+        return self._table_rows(self.total_online_untestable)
+
+    def _table_rows(self, total: int) -> List[Dict[str, object]]:
         rows: List[Dict[str, object]] = [{
             "source": "Original",
             "count": len(self.baseline_untestable),
@@ -103,7 +129,6 @@ class OnlineUntestableReport:
                      "percent": self.percentage(debug_ctrl + debug_obs)})
         rows.append({"source": "Memory", "count": memory,
                      "percent": self.percentage(memory)})
-        total = self.total_online_untestable
         rows.append({"source": "TOTAL", "count": total,
                      "percent": self.percentage(total)})
         return rows
@@ -125,26 +150,31 @@ class OnlineUntestableReport:
         """The JSON-serializable core of the report.
 
         Covers everything Table I and the sweep aggregation need — fault
-        populations as ``"site s-a-V"`` strings, per-source sets, runtimes.
-        The per-analysis detail objects (``scan_result`` & friends) are
-        in-memory conveniences and are *not* serialized; a report restored
-        with :meth:`from_json` has them set to ``None``.
+        populations as sorted ``"site s-a-V"`` strings, per-source sets,
+        runtimes.  Each population's sorted text comes from
+        :func:`sorted_fault_text`, a content-keyed memo bounded at
+        :data:`TEXT_MEMO_ENTRIES` sets, so a rebuilt report with the same
+        sets neither re-stringifies nor re-sorts them; every call still
+        returns fresh lists that the caller may mutate.  The per-analysis
+        detail objects (``scan_result`` & friends) are in-memory
+        conveniences and are *not* serialized; a report restored with
+        :meth:`from_json` has them set to ``None``.
         """
+        total = self.total_online_untestable
         return {
             "schema": 1,
             "netlist": self.netlist_name,
             "fault_model": self.fault_model,
             "total_faults": self.total_faults,
-            "total_online_untestable": self.total_online_untestable,
-            "baseline_untestable": sorted(str(f)
-                                          for f in self.baseline_untestable),
+            "total_online_untestable": total,
+            "baseline_untestable": _fault_text(self.baseline_untestable),
             "sources": [{
                 "source": source_label(summary.source),
-                "identified": sorted(str(f) for f in summary.identified),
-                "attributed": sorted(str(f) for f in summary.attributed),
+                "identified": _fault_text(summary.identified),
+                "attributed": _fault_text(summary.attributed),
                 "runtime_seconds": summary.runtime_seconds,
             } for summary in self.sources],
-            "table": self.table_rows(),
+            "table": self._table_rows(total),
             "runtimes": dict(self.runtimes),
         }
 

@@ -124,25 +124,29 @@ class TestCompileCache:
         assert "u_extra" in recompiled.op_of_instance
 
     def test_session_sweep_compiles_once_per_signature(self):
-        """An effort-only sweep rebuilds the SoC per scenario, but all
-        scenario netlists share one signature — and one compile."""
+        """The scenarios of an effort-only sweep share the session's one
+        design, so a second scenario compiles nothing: on a cleared cache
+        a two-scenario sweep builds exactly as many netlists as a
+        one-scenario sweep."""
+        def sweep(session, efforts):
+            grid = repro.ScenarioGrid("tiny").axis("effort", efforts)
+            report = session.sweep(grid)
+            assert len(report.results) == len(efforts)
+            assert all(result.ok for result in report.results)
+
+        reset_compile_stats(clear_cache=True)
+        sweep(repro.Session(), ["tie"])
+        one_scenario = compile_stats()["builds"]
         reset_compile_stats(clear_cache=True)
         session = repro.Session()
-        grid = repro.ScenarioGrid("tiny").axis("effort", ["tie", "tie"])
-        report = session.sweep(grid)
-        assert len(report.results) == 2
-        assert all(result.ok for result in report.results)
-        stats = compile_stats()
-        # One build for the shared base netlist; the flow's manipulated
-        # clones (debug-tied, observe-floated, ...) have their own
-        # signatures, each also compiled exactly once thanks to the
-        # signature cache + the artifact cache replaying sibling passes.
-        assert stats["builds"] <= 5
-        assert stats["signature_hits"] + stats["object_hits"] >= 1
+        sweep(session, ["tie", "tie"])
+        # One build for the base netlist; the flow's manipulated clones
+        # (debug-tied, observe-floated, ...) have their own signatures.
+        assert 1 <= one_scenario <= 5
+        assert compile_stats()["builds"] == one_scenario
         # Re-sweeping must not compile anything new.
-        before = compile_stats()["builds"]
-        session.sweep(grid)
-        assert compile_stats()["builds"] == before
+        sweep(session, ["tie", "tie"])
+        assert compile_stats()["builds"] == one_scenario
 
 
 class TestCompiledSemantics:
