@@ -48,13 +48,13 @@ def main() -> None:
           f"stuck-at faults ({fraction:.1%}) can never be detected by an "
           f"on-line functional test and should be pruned from the fault list.")
 
-    # The session memoises every pass result under the design's content
+    # The session memoises every step result under the design's content
     # signature: analyzing the same design again replays from cache.
     session.analyze(design)
     print()
     print(f"session cache after a repeat analysis: {session.cache_stats}")
     print("(see examples/scenario_sweep.py for batch sweeps over SoC "
-          "variants, and examples/custom_pass.py for authoring passes)")
+          "variants)")
 
 
 if __name__ == "__main__":

@@ -5,9 +5,10 @@ The package is organised as a set of substrates (netlist, simulation, faults,
 ATPG, scan, debug, memory, manipulation, soc, sbst) plus the paper's primary
 contribution — identification of on-line functionally untestable (OLFU)
 stuck-at faults via circuit manipulation followed by
-structural-untestability analysis — implemented as composable analysis
-passes in :mod:`repro.pipeline` and orchestrated through the
-:class:`Session`/:class:`Design` API in :mod:`repro.api`.
+structural-untestability analysis — implemented as the six fixed steps of
+the §4 flow in :mod:`repro.pipeline` (fault list, baseline, then the scan,
+debug control, debug observe and memory-map sources in paper order) and
+driven through the :class:`Session`/:class:`Design` API in :mod:`repro.api`.
 
 Quickstart::
 
@@ -33,8 +34,8 @@ Every run knob (ATPG effort, fault model, worker count, static learning,
 durable store, ATPG backend) is a field of one frozen
 :class:`repro.api.RunOptions` bundle — the worker count ``jobs`` is the
 only concurrency knob — and :class:`FlowConfig` keeps only the paper's
-switches (which untestability sources run, the Fig. 6 tie-flop
-ablation)::
+switches (which untestability sources run — the only way to select
+them — and the Fig. 6 tie-flop ablation)::
 
     from repro.api import RunOptions
 
@@ -48,9 +49,7 @@ serves the same sessions as a long-lived asyncio job service
 
 The same flows run from the command line (``python -m repro analyze small``,
 ``python -m repro sweep --base tiny --axis effort=tie,random``,
-``python -m repro report sweep.json``).  Custom analyses plug in through
-the :func:`repro.pipeline.analysis_pass` decorator (see
-``examples/custom_pass.py``).
+``python -m repro report sweep.json``).
 """
 
 from repro._version import __version__
@@ -61,9 +60,7 @@ from repro.core.results import FlowConfig, OnlineUntestableReport
 from repro.faults.models import (FaultModel, StuckAtFault, TransitionFault,
                                  fault_model_names, register_fault_model,
                                  resolve_fault_model)
-from repro.pipeline import (AnalysisPass, ArtifactCache, Pipeline,
-                            PipelineBuilder, PipelineResult, analysis_pass,
-                            default_pass_names)
+from repro.pipeline import ArtifactCache
 from repro.store import ArtifactStore, LocalDirStore, resolve_store
 
 __all__ = [
@@ -77,13 +74,8 @@ __all__ = [
     "SweepReport",
     "FlowConfig",
     "OnlineUntestableReport",
-    # pipeline layer
-    "Pipeline",
-    "PipelineBuilder",
-    "PipelineResult",
-    "AnalysisPass",
+    # step-result cache
     "ArtifactCache",
-    "default_pass_names",
     # durable artifact store
     "ArtifactStore",
     "LocalDirStore",

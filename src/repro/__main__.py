@@ -3,8 +3,8 @@
 The subcommands mirror the Session/Design API:
 
 ``analyze``
-    Build one named SoC configuration, run the analysis-pass pipeline and
-    print the Table-I style summary (or JSON)::
+    Build one named SoC configuration, run the six-step §4 flow and print
+    the Table-I style summary (or JSON)::
 
         python -m repro analyze small
         python -m repro analyze tiny --passes scan_analysis,memory_analysis --json
@@ -76,9 +76,10 @@ from repro.api.corpus import (DEFAULT_CORPUS_DIR, CorpusError, diff_text,
                               run_corpus)
 from repro.api.sweep import SweepReport
 from repro.core.report import render_source_details
+from repro.core.results import FlowConfig
 from repro.faults.categories import source_label
 from repro.faults.models import fault_model_names
-from repro.pipeline import DEFAULT_REGISTRY
+from repro.pipeline import STEPS
 from repro.simulation.kernels import kernel_info
 from repro.soc.config import SoCConfig
 
@@ -92,6 +93,11 @@ RUN_FLAGS = tuple(name for name, knob in knobs().items() if knob.flag)
 SWEEP_RUN_FLAGS = tuple(name for name in RUN_FLAGS if name != "effort")
 #: The per-call run flags the service client forwards in a job spec.
 SUBMIT_RUN_FLAGS = ("effort", "fault_model")
+#: ``--passes`` of ``analyze`` and ``sweep``: a spelling of the FlowConfig
+#: source switches.
+PASSES_HELP = ("comma-separated flow steps to run (default: all six): "
+               + ", ".join(step.name for step in STEPS)
+               + "; fault_list and baseline always run")
 
 
 
@@ -124,18 +130,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="named SoC configuration to build (default: small)")
     analyze.add_argument(
         "--passes", default=None, metavar="NAME[,NAME...]",
-        help=("comma-separated analysis passes to run (dependencies are "
-              "resolved automatically); default: the full paper flow. "
-              "Use --list-passes to see what is registered"))
+        help=PASSES_HELP)
     analyze.add_argument(
         "--json", action="store_true",
         help="emit a JSON document instead of the rendered table")
     analyze.add_argument(
         "--details", action="store_true",
         help="also print the per-source breakdown with example faults")
-    analyze.add_argument(
-        "--list-passes", action="store_true",
-        help="list the registered analysis passes and exit")
     add_run_flags(analyze, RUN_FLAGS)
 
     sweep = sub.add_parser(
@@ -151,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
               "(repeatable, one flag per axis name; cartesian product)"))
     sweep.add_argument(
         "--passes", default=None, metavar="NAME[,NAME...]",
-        help="analysis passes to run per scenario (default: full flow)")
+        help=PASSES_HELP)
     sweep.add_argument(
         "--json", action="store_true",
         help="emit the aggregated sweep report as JSON on stdout")
@@ -307,20 +308,25 @@ def _build_parser() -> argparse.ArgumentParser:
 # --------------------------------------------------------------------- #
 # analyze
 # --------------------------------------------------------------------- #
-def _list_passes() -> int:
-    for pass_ in DEFAULT_REGISTRY.passes():
-        source = source_label(pass_.source) if pass_.source is not None else "-"
-        requires = ", ".join(pass_.requires) or "-"
-        provides = ", ".join(pass_.provides) or "-"
-        print(f"{pass_.name:<16} source={source:<14} "
-              f"requires=[{requires}] provides=[{provides}]")
-    return 0
+def _flow_config(spec: Optional[str]) -> Optional[FlowConfig]:
+    """The :class:`FlowConfig` a ``--passes`` list selects (None = all).
 
-
-def _split_passes(spec: Optional[str]) -> Optional[List[str]]:
+    Source step names set their ``run_*`` switch; the foundation steps are
+    accepted and always run.  Raises ValueError on an empty list or an
+    unknown name.
+    """
     if spec is None:
         return None
-    return [name.strip() for name in spec.split(",") if name.strip()]
+    names = [name.strip() for name in spec.split(",") if name.strip()]
+    if not names:
+        raise ValueError("--passes given but no pass names supplied")
+    known = [step.name for step in STEPS]
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise ValueError(f"unknown analysis pass(es) {', '.join(unknown)}; "
+                         f"valid passes: {', '.join(known)}")
+    return FlowConfig(**{step.switch: step.name in names
+                         for step in STEPS if step.switch is not None})
 
 
 def _report_as_json(report, config_name: str, elapsed: float) -> str:
@@ -348,22 +354,15 @@ def _report_as_json(report, config_name: str, elapsed: float) -> str:
 
 
 def _cmd_analyze(args) -> int:
-    if args.list_passes:
-        return _list_passes()
-
-    passes = _split_passes(args.passes)
-    if args.passes and not passes:
-        print("error: --passes given but no pass names supplied",
-              file=sys.stderr)
+    try:
+        flow_config = _flow_config(args.passes)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
     started = time.perf_counter()
     session = Session(options=RunOptions.from_namespace(args))
-    try:
-        report = session.analyze(args.config, passes=passes)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
+    report = session.analyze(args.config, config=flow_config)
     session.cache.flush()
     elapsed = time.perf_counter() - started
 
@@ -423,12 +422,12 @@ def _build_grid(args) -> ScenarioGrid:
 def _cmd_sweep(args) -> int:
     try:
         grid = _build_grid(args)
+        flow_config = _flow_config(args.passes)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     session = Session(options=RunOptions.from_namespace(args))
-    passes = _split_passes(args.passes)
 
     if not args.quiet:
         print(f"sweeping {len(grid)} scenarios of '{args.base}' ...",
@@ -443,7 +442,7 @@ def _cmd_sweep(args) -> int:
             print(f"  [{len(done)}/{len(grid)}] {result.label}: {status} "
                   f"({result.elapsed_seconds:.2f}s)", file=sys.stderr)
 
-    report = session.sweep(grid, passes=passes, on_result=progress)
+    report = session.sweep(grid, config=flow_config, on_result=progress)
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -17,9 +17,9 @@ The pieces compose:
 
 * :class:`Design` — immutable target handle with a stable content
   signature (netlist structure + memory map);
-* :class:`Session` — owns the artifact cache, pass-selection defaults
-  and the session's :class:`RunOptions`; ``analyze`` / ``sweep`` /
-  ``iter_sweep``;
+* :class:`Session` — owns the artifact cache, the default
+  :class:`FlowConfig` switches and the session's :class:`RunOptions`;
+  ``analyze`` / ``sweep`` / ``iter_sweep``;
 * :class:`RunOptions` — every run knob, declared once (the CLI flags,
   grid run axes and corpus/service spec keys derive from it); ``jobs`` is
   the one concurrency knob: above 1 an analysis shards its fault

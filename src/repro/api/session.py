@@ -8,9 +8,9 @@ A session owns what should outlive a single analysis:
 * a small LRU of built designs, one shared :class:`~repro.api.Design` per
   preset name or :class:`~repro.soc.config.SoCConfig` content, so repeat
   analyses and in-process sweep scenarios never rebuild the SoC;
-* the default pass selection, flow switches (:class:`FlowConfig`) and run
-  knobs (:class:`~repro.api.RunOptions`) applied when a call does not
-  override them.
+* the default flow switches (:class:`FlowConfig`, which also selects the
+  sources) and run knobs (:class:`~repro.api.RunOptions`) applied when a
+  call does not override them.
 
 ``jobs`` is the one concurrency knob.  Above 1, ``Session.analyze`` runs
 the fault population on the warm :class:`~repro.runtime.WorkerPool`, and
@@ -31,19 +31,19 @@ from collections import OrderedDict
 from contextlib import closing
 from dataclasses import replace as _replace
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple, Union)
+                    Sequence, Union)
 
 from repro.core.results import FlowConfig, OnlineUntestableReport
 from repro.api.design import Design
 from repro.api.grid import Scenario, ScenarioGrid
 from repro.api.options import DEFAULT_RUN_OPTIONS, RunOptions
 from repro.api.sweep import SweepReport, SweepResult
-from repro.pipeline import (ArtifactCache, Pipeline, default_pass_names)
+from repro.pipeline import ArtifactCache, run_flow
 from repro.pipeline.cache import memory_map_key
 from repro.soc.config import SoCConfig
 
 #: Default LRU bound of a session's artifact cache — large enough for every
-#: pass of a few hundred scenarios, small enough to bound long sweeps.
+#: step of a few hundred scenarios, small enough to bound long sweeps.
 DEFAULT_CACHE_ENTRIES = 512
 
 #: Built designs a session keeps (LRU): enough for the presets a service
@@ -62,10 +62,8 @@ class _SweepJob:
     share the parent's in-memory LRU, but they share the on-disk store.
     """
 
-    def __init__(self, passes: Optional[Tuple[str, ...]],
-                 flow_config: Optional[FlowConfig],
+    def __init__(self, flow_config: Optional[FlowConfig],
                  options: RunOptions) -> None:
-        self.passes = passes
         self.flow_config = flow_config
         #: Session and call options merged, ``jobs`` unset, the store
         #: reduced to its location (:meth:`RunOptions.with_store_spec`).
@@ -84,7 +82,7 @@ class _SweepJob:
                 store=self.options.store))
         try:
             return self._session._run_scenario(
-                scenario, self.passes, self.flow_config,
+                scenario, self.flow_config,
                 _replace(self.options, store=None)).to_json_dict()
         finally:
             # Durable before the result leaves the worker: whoever reads
@@ -93,13 +91,12 @@ class _SweepJob:
 
 
 class Session:
-    """Reusable analysis context: cache + pass defaults + run options."""
+    """Reusable analysis context: cache + flow switches + run options."""
 
     def __init__(self, *,
                  cache: Optional[ArtifactCache] = None,
                  cache_entries: Optional[int] = DEFAULT_CACHE_ENTRIES,
                  options: Optional[RunOptions] = None,
-                 passes: Optional[Sequence] = None,
                  flow_config: Optional[FlowConfig] = None) -> None:
         #: The session-default run knobs; per-call options win over them.
         self.options = options if options is not None else RunOptions()
@@ -114,11 +111,10 @@ class Session:
         else:
             #: ``store`` makes the cache durable: a path (or
             #: "backend:location" spec, or ArtifactStore instance) under
-            #: which pass results persist across processes and machines —
+            #: which step results persist across processes and machines —
             #: see :mod:`repro.store`.
             self.cache = ArtifactCache(max_entries=cache_entries,
                                        store=self.options.store)
-        self.passes = list(passes) if passes is not None else None
         self.flow_config = flow_config
         self._designs: "OrderedDict[tuple, Design]" = OrderedDict()
         self._designs_lock = threading.Lock()
@@ -163,7 +159,6 @@ class Session:
         return design if design.label == wanted else design.with_label(wanted)
 
     def analyze(self, target, *,
-                passes: Optional[Sequence] = None,
                 config: Optional[FlowConfig] = None,
                 memory_map=None,
                 faults: Optional[Iterable] = None,
@@ -176,9 +171,9 @@ class Session:
         never be mutated.  ``options`` (a
         :class:`RunOptions`) carries the per-call knobs; its set fields win
         over the session's.  ``config`` picks the paper's switches (default:
-        the session's, else all on).  Results are memoised per pass in the
+        the session's, else all on).  Results are memoised per step in the
         session cache, so re-analyzing the same design (or a structural
-        clone, or a variant that only changes facets a pass does not read)
+        clone, or a variant that only changes facets a step does not read)
         replays instead of recomputing.  ``jobs`` > 1 runs the fault
         population on the warm worker pool (identical results, see
         :mod:`repro.simulation.sharded`).
@@ -189,23 +184,15 @@ class Session:
                 "Session(options=RunOptions(store=...)) instead of "
                 "passing it per analyze() call")
         design = self.design(target, memory_map=memory_map)
-        run = DEFAULT_RUN_OPTIONS.merged_with(self.options).merged_with(
-            options)
         flow_config = config if config is not None else self.flow_config
-        selection = passes if passes is not None else self.passes
-        if selection is None:
-            selection = default_pass_names(flow_config)
-        pipeline = Pipeline(list(selection), cache=self.cache)
-        result = pipeline.run(design.netlist, config=flow_config,
-                              options=run, memory_map=design.memory_map,
-                              faults=faults)
-        return result.report
+        return run_flow(design.netlist, self.cache, config=flow_config,
+                        options=self.options.merged_with(options),
+                        memory_map=design.memory_map, faults=faults)
 
     # ------------------------------------------------------------------ #
     # sweeps
     # ------------------------------------------------------------------ #
     def iter_sweep(self, grid: Union[ScenarioGrid, Sequence[Scenario]], *,
-                   passes: Optional[Sequence] = None,
                    options: Optional[RunOptions] = None,
                    config: Optional[FlowConfig] = None
                    ) -> Iterator[SweepResult]:
@@ -214,10 +201,9 @@ class Session:
         ``options`` applies to every scenario; each scenario's own run-axis
         values win over it.  With ``jobs`` > 1 (the session's or the
         call's) and at least as many scenarios as the pool has workers,
-        each scenario is one task on the warm worker pool — pass
-        selections must then be registered pass *names*, and restored
-        reports carry no detail objects — and results arrive in completion
-        order; otherwise scenarios run in-process in grid order, each
+        each scenario is one task on the warm worker pool — restored
+        reports then carry no detail objects — and results arrive in
+        completion order; otherwise scenarios run in-process in grid order, each
         analysis sharding its faults over the pool as ``analyze`` does.
         Each :class:`~repro.api.SweepResult` carries its scenario index, so
         callers needing grid order can sort afterwards (``sweep`` does).  A
@@ -231,10 +217,10 @@ class Session:
         pool = self.worker_pool(options)
         if pool is None or len(scenarios) < pool.workers:
             for scenario in scenarios:
-                yield self._run_scenario(scenario, passes, config, options)
+                yield self._run_scenario(scenario, config, options)
             return
 
-        job = self._sweep_job(passes, config, options)
+        job = self._sweep_job(config, options)
         key = pool.ensure_job(f"sweep:{uuid.uuid4().hex}", lambda: job)
         try:
             with pool.session(key) as run:
@@ -248,7 +234,6 @@ class Session:
             pool.forget(key)
 
     def sweep(self, grid: Union[ScenarioGrid, Sequence[Scenario]], *,
-              passes: Optional[Sequence] = None,
               options: Optional[RunOptions] = None,
               config: Optional[FlowConfig] = None,
               on_result: Optional[Callable[[SweepResult], None]] = None
@@ -263,7 +248,7 @@ class Session:
         before = self.cache.stats
         started = time.perf_counter()
         results = []
-        with closing(self.iter_sweep(grid, passes=passes, options=options,
+        with closing(self.iter_sweep(grid, options=options,
                                      config=config)) as stream:
             for result in stream:
                 results.append(result)
@@ -310,7 +295,6 @@ class Session:
                 for i, s in enumerate(scenarios)]
 
     def _run_scenario(self, scenario: Scenario,
-                      passes: Optional[Sequence],
                       config: Optional[FlowConfig],
                       options: RunOptions) -> SweepResult:
         started = time.perf_counter()
@@ -321,31 +305,19 @@ class Session:
                                      options).effort.value)
         try:
             design = self.design(scenario.config, label=scenario.label)
-            result.report = self.analyze(design, passes=passes,
-                                         config=config, options=options)
+            result.report = self.analyze(design, config=config,
+                                         options=options)
             result.design_signature = design.signature
         except Exception as exc:  # noqa: BLE001 - the scenario's error
             result.error = f"{type(exc).__name__}: {exc}"
         result.elapsed_seconds = time.perf_counter() - started
         return result
 
-    def _sweep_job(self, passes: Optional[Sequence],
-                   config: Optional[FlowConfig],
+    def _sweep_job(self, config: Optional[FlowConfig],
                    options: RunOptions) -> _SweepJob:
-        selection = passes if passes is not None else self.passes
-        names = None
-        if selection is not None:
-            names = tuple(p for p in selection if isinstance(p, str))
-            if len(names) != len(selection):
-                raise ValueError(
-                    "a jobs > 1 sweep runs its scenarios in pool workers, "
-                    "which select passes by registered *name*; got pass "
-                    "objects — register them and select by name, or sweep "
-                    "with jobs=1")
         merged = _replace(self.options.merged_with(options), jobs=None,
                           store=self.cache.store).with_store_spec()
-        return _SweepJob(names,
-                         config if config is not None else self.flow_config,
+        return _SweepJob(config if config is not None else self.flow_config,
                          merged)
 
     # ------------------------------------------------------------------ #

@@ -10,8 +10,9 @@ The flow mirrors §3 of the paper:
    (§3.2.2);
 4. :mod:`repro.core.memory_analysis` — freeze the address bits the mission
    memory map can never toggle (§3.3);
-5. :mod:`repro.core.results` — the Table-I style report the pass
-   pipeline (:mod:`repro.pipeline`) assembles from the above.
+5. :mod:`repro.core.results` — the Table-I style report the fixed
+   six-step flow (:func:`repro.pipeline.run_flow`) assembles from the
+   above.
 
 Sources 2–4 each supply only a manipulation: the shared step
 :func:`repro.core.classification.classify_manipulated` clones the core,

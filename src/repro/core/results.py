@@ -1,8 +1,9 @@
 """Result objects of the on-line untestable identification flow.
 
-The pass pipeline (:mod:`repro.pipeline`) assembles an
+The six-step flow (:func:`repro.pipeline.run_flow`) assembles an
 :class:`OnlineUntestableReport`; everything downstream (Table-I
-rendering, fault-list pruning, the benchmarks) consumes it.
+rendering, fault-list pruning, the benchmarks) consumes it.  Its sources
+are always the paper's four (:class:`OnlineUntestableSource`).
 """
 
 from __future__ import annotations
@@ -46,9 +47,10 @@ def _fault_text(faults: Set[Fault]) -> List[str]:
 
 @dataclass
 class FlowConfig:
-    """The paper's switches: which untestability sources run (§3) and the
-    Fig. 6 tie-flop ablation.  Every runtime knob (effort, fault model,
-    workers, store, ...) is a :class:`repro.api.RunOptions` field."""
+    """The paper's switches: which untestability sources run (§3) — the
+    only way to select them — and the Fig. 6 tie-flop ablation.  Every
+    runtime knob (effort, fault model, workers, store, ...) is a
+    :class:`repro.api.RunOptions` field."""
 
     run_scan: bool = True
     run_debug_control: bool = True
@@ -186,11 +188,13 @@ class OnlineUntestableReport:
         def parse_faults(items) -> Set[Fault]:
             return {parse_fault(text) for text in items}
 
-        def parse_source(value: str):
+        def parse_source(value: str) -> OnlineUntestableSource:
             try:
                 return OnlineUntestableSource(value)
             except ValueError:
-                return value  # custom pass source — kept as its raw label
+                raise ValueError(
+                    f"unknown untestability source {value!r} in report "
+                    "document") from None
 
         report = cls(
             netlist_name=data["netlist"],

@@ -89,6 +89,6 @@ PAPER_SOURCE_ORDER = (
 )
 
 
-def source_label(source: object) -> str:
-    """Human-readable label for a source (enum member or custom string)."""
-    return getattr(source, "value", None) or str(source)
+def source_label(source: OnlineUntestableSource) -> str:
+    """The serialized label of a source (its enum value)."""
+    return source.value

@@ -1,20 +1,19 @@
-"""Per-pass result caching keyed on netlist signature + run configuration.
+"""Per-step result caching keyed on netlist signature + run configuration.
 
 Serving many scenario variants of the same core means the expensive
 artifacts (fault universe, baseline ATPG classification, per-source
 analyses) are recomputed over and over.  :class:`ArtifactCache` memoises
-each pass's :class:`~repro.pipeline.base.PassResult` under a key derived
-from
+each flow step's :class:`~repro.pipeline.base.PassResult` under a key
+derived from
 
 * a structural signature of the target netlist (ports, instances,
   connectivity, tied nets — anything circuit manipulation can change),
-* the run configuration that influences the analyses (ATPG effort, the
+* the run configuration that influences the step (ATPG effort, the
   Fig. 6 tie knobs, a restricted fault universe), and
-* the pass name.
+* the step name.
 
-A pipeline constructed with a cache can therefore re-run on the same core
-— or on a clone with the same structure — and replay every pass result
-without touching the ATPG engine.
+A flow run on the same core — or on a clone with the same structure —
+therefore replays every step result without touching the ATPG engine.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import threading
 from collections import OrderedDict
 from typing import Any, Dict, Iterable, Optional, Tuple
 
-CacheKey = Tuple[str, str, str]  # (netlist signature, config key, pass name)
+CacheKey = Tuple[str, str, str]  # (netlist signature, config key, step name)
 
 
 def memory_map_key(memory_map) -> str:
@@ -99,9 +98,9 @@ class _StoreWriter:
 
 
 class ArtifactCache:
-    """Thread-safe LRU pass-result cache with hit/miss accounting.
+    """Thread-safe LRU step-result cache with hit/miss accounting.
 
-    One cache may be shared by many pipeline runs — a
+    One cache may be shared by many flow runs — a
     :class:`repro.api.Session` hands the same instance to every analysis
     and every in-process sweep scenario, so a variant replays artifacts a
     sibling scenario computed moments earlier, and the analysis service
@@ -110,7 +109,7 @@ class ArtifactCache:
     bounded: when ``max_entries`` is set, the least-recently-used entry is
     evicted on insert, so long sweeps cannot grow memory without bound.
 
-    Because each pipeline run executes every pass at most once (and only
+    Because each flow run executes every step at most once (and only
     publishes after running), any *hit* observed while sweeping distinct
     scenarios is by construction a replay of an artifact some earlier
     scenario produced — :meth:`repro.api.Session.sweep` snapshots
@@ -156,14 +155,13 @@ class ArtifactCache:
                 return value
         return None
 
-    def get_or_compute(self, key: CacheKey, factory,
-                       persist: bool = True) -> Tuple[Any, bool]:
+    def get_or_compute(self, key: CacheKey, factory) -> Tuple[Any, bool]:
         """Return ``(value, was_hit)``, computing and storing on a miss.
 
         Concurrent callers of the same key are *single-flighted*: one
         computes, the rest block and then replay the stored value (counted
         as hits).  That keeps two service jobs on one session from
-        duplicating an expensive pass when they reach it simultaneously on
+        duplicating an expensive step when they reach it simultaneously on
         the same netlist.  If the computing caller fails, one waiter takes
         over; the failure propagates to the caller that raised it.
 
@@ -173,8 +171,6 @@ class ArtifactCache:
         as a hit), and otherwise computes and hands the value to the
         write-behind lane — the lock is released only once the artifact is
         durable, so concurrent processes compute each key exactly once.
-        ``persist=False`` keeps a value out of the durable tier entirely
-        (process-local handles that cannot or should not be serialized).
         """
         while True:
             with self._lock:
@@ -189,7 +185,7 @@ class ArtifactCache:
                     break
             waiter.wait()
         try:
-            if self.store is None or not persist:
+            if self.store is None:
                 value, hit = factory(), False
             else:
                 value, hit = self._compute_through_store(key, factory)

@@ -45,7 +45,7 @@ class TestSessionDefaults:
     def test_defaults(self):
         session = Session()
         assert session.cache.max_entries is not None  # bounded by default
-        assert session.passes is None
+        assert session.flow_config is None
         assert session.options == RunOptions()
 
     def test_no_second_concurrency_knob(self):
@@ -373,12 +373,14 @@ class TestSweep:
         assert seen == {s.label for s in grid}
 
     def test_sweep_reports_errors_without_aborting(self):
-        grid = ScenarioGrid("tiny")
-        sweep = Session().sweep(grid, passes=["no_such_pass"])
-        assert len(sweep.results) == 1
+        scenarios = [Scenario(label="bad", config="no_such_config"),
+                     Scenario(label="good", config=SoCConfig.tiny())]
+        sweep = Session().sweep(scenarios)
+        assert len(sweep.results) == 2
         assert not sweep.results[0].ok
-        assert "no_such_pass" in sweep.results[0].error
-        assert sweep.failed and not sweep.succeeded
+        assert "no_such_config" in sweep.results[0].error
+        assert sweep.results[1].ok
+        assert sweep.failed and sweep.succeeded
 
     def test_sweep_accepts_scenario_sequence(self):
         scenarios = [Scenario(label="a", config=SoCConfig.tiny()),
@@ -464,12 +466,12 @@ class TestProcessSweep:
         assert all(result.elapsed_seconds > 0 for result in process)
 
     def test_process_sweep_carries_session_sharding_defaults(self):
-        """Session-level defaults — run options, flow switches, pass
-        selection — must survive the process boundary (they ship in the
-        installed sweep job) and leave results identical."""
+        """Session-level defaults — run options and the flow switches that
+        select the sources — must survive the process boundary (they ship
+        in the installed sweep job) and leave results identical."""
         grid = ScenarioGrid("tiny").axis("debug", [True, False])
-        defaults = dict(flow_config=FlowConfig(run_memory_map=False),
-                        passes=["scan_analysis", "debug_control"])
+        defaults = dict(flow_config=FlowConfig(run_debug_observe=False,
+                                               run_memory_map=False))
         reference = Session(options=RunOptions(fault_model="transition"),
                             **defaults).sweep(grid)
         sharded = Session(options=RunOptions(jobs=2,
@@ -482,14 +484,6 @@ class TestProcessSweep:
         assert [report_essence(r.report) for r in sharded] == \
             [report_essence(r.report) for r in reference]
         assert comparison(sharded) == comparison(reference)
-
-    def test_pass_objects_need_names_on_the_pool(self):
-        from repro.pipeline import DEFAULT_REGISTRY
-
-        grid = ScenarioGrid("tiny").axis("debug", [True, False])
-        with pytest.raises(ValueError, match="by registered \\*name\\*"):
-            Session(options=POOLED).sweep(
-                grid, passes=[DEFAULT_REGISTRY.get("scan_analysis")])
 
 
 @pytest.fixture(scope="class")
@@ -640,21 +634,27 @@ def test_schema_1_document_with_executor_still_loads():
 
 
 class TestPerCallJobsPrecedence:
-    def test_call_jobs_overrides_session_and_config(self):
-        from repro.pipeline import FunctionPass, PassResult
+    def test_call_jobs_overrides_session_and_config(self, monkeypatch):
+        from repro.pipeline import flow
         from tests.conftest import build_and_or_circuit
 
         seen = []
 
-        def probe(ctx):
-            seen.append(ctx.options.jobs)
-            return PassResult()
+        def baseline_spy(netlist, faults, **engine):
+            seen.append(engine["jobs"])
+            return set()
 
-        probe_pass = FunctionPass(probe, name="jobs_probe", cacheable=False)
+        monkeypatch.setattr(flow, "compute_baseline_untestable",
+                            baseline_spy)
         netlist = build_and_or_circuit()
+        # Only the foundation steps run, so nothing starts a worker pool.
+        foundations = FlowConfig(run_scan=False, run_debug_control=False,
+                                 run_debug_observe=False,
+                                 run_memory_map=False)
 
         def jobs_of(session, options=None):
-            session.analyze(netlist, passes=[probe_pass], options=options)
+            session.cache.clear()  # the baseline key is blind to jobs
+            session.analyze(netlist, config=foundations, options=options)
             return seen[-1]
 
         session = Session(options=RunOptions(jobs=4))

@@ -26,13 +26,21 @@ class TestAnalyzeCommand:
         assert [row["source"] for row in document["table"]] == [
             "Original", "Scan", "Debug", "Memory", "TOTAL"]
 
-    def test_list_passes(self, capsys):
-        code, out = run(capsys, "analyze", "--list-passes")
-        assert code == 0
-        assert "scan_analysis" in out
-
     def test_unknown_pass_is_reported(self, capsys):
         assert main(["analyze", "tiny", "--passes", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert "nope" in err and "scan_analysis" in err
+
+    def test_passes_select_sources_and_keep_the_baseline(self, capsys):
+        # --passes spells the FlowConfig switches: the foundation steps
+        # always run, so Original and Scan keep the full flow's counts.
+        code, out = run(capsys, "analyze", "tiny", "--effort", "tie",
+                        "--passes", "scan_analysis", "--json")
+        assert code == 0
+        counts = {row["source"]: row["count"]
+                  for row in json.loads(out)["table"]}
+        assert counts == {"Original": 341, "Scan": 665, "Debug": 0,
+                          "Memory": 0, "TOTAL": 665}
 
 
 class TestBackendsCommand:

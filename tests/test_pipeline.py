@@ -1,130 +1,62 @@
-"""Tests for the composable analysis-pass pipeline (repro.pipeline).
+"""Tests for the six-step §4 flow (repro.pipeline).
 
-Covers the registry (registration, lookup, duplicates), dependency
-resolution (transitive providers, missing providers, cycle detection),
-pass skipping, caching, and fault-for-fault equivalence of the pipeline
-with the one-shot ``Session.analyze`` report.
+Covers the step table, source selection through FlowConfig, skipping the
+memory step, caching, the pinned cache keys every stored entry is filed
+under, and fault-for-fault equivalence of the flow with the one-shot
+``Session.analyze`` report.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 import repro
-from repro.api import Session
-from repro.core.results import FlowConfig
-from repro.faults.categories import OnlineUntestableSource
-from repro.pipeline import (AnalysisPass, ArtifactCache, DependencyCycleError,
-                            FunctionPass, PassRegistrationError, PassRegistry,
-                            PassResult, Pipeline, PipelineError,
-                            analysis_pass, default_pass_names,
-                            netlist_signature)
+from repro.api import RunOptions, Session
+from repro.core.results import FlowConfig, OnlineUntestableReport
+from repro.faults.categories import PAPER_SOURCE_ORDER, OnlineUntestableSource
+from repro.pipeline import (CONFIG_FACETS, STEPS, ArtifactCache,
+                            netlist_signature, run_flow, step_keys)
 
-
-def make_pass(name, requires=(), provides=(), source=None, fn=None, when=None):
-    return FunctionPass(fn or (lambda ctx: PassResult(
-        artifacts={key: name for key in provides})),
-        name=name, source=source, requires=requires, provides=provides,
-        when=when)
+RUNTIME_KEYS = ["fault_list", "baseline", "scan", "debug_control",
+                "debug_observe", "memory_map"]
 
 
 # --------------------------------------------------------------------- #
-# registry
+# the step table
 # --------------------------------------------------------------------- #
-class TestRegistry:
-    def test_register_and_lookup(self):
-        registry = PassRegistry()
-        pass_ = make_pass("p1", provides=("a",))
-        registry.register(pass_)
-        assert registry.get("p1") is pass_
-        assert "p1" in registry
-        assert registry.names() == ["p1"]
+class TestSteps:
+    def test_six_steps_in_paper_order(self):
+        assert [step.name for step in STEPS] == [
+            "fault_list", "baseline", "scan_analysis", "debug_control",
+            "debug_observe", "memory_analysis"]
+        assert [step.runtime_key for step in STEPS] == RUNTIME_KEYS
+        assert tuple(step.source for step in STEPS[2:]) == PAPER_SOURCE_ORDER
+        flow_fields = {f.name for f in dataclasses.fields(FlowConfig)}
+        report_fields = {f.name for f in dataclasses.fields(
+            OnlineUntestableReport)}
+        for step in STEPS:
+            # Facets are listed in key order; foundations have no switch.
+            assert step.facets == tuple(f for f in CONFIG_FACETS
+                                        if f in step.facets)
+            assert (step.switch is None) == (step.source is None)
+            if step.source is not None:
+                assert step.switch in flow_fields
+                assert step.detail_field in report_fields
 
-    def test_duplicate_name_rejected(self):
-        registry = PassRegistry()
-        registry.register(make_pass("p1"))
-        with pytest.raises(PassRegistrationError):
-            registry.register(make_pass("p1"))
-
-    def test_unknown_name_lists_known_passes(self):
-        registry = PassRegistry()
-        registry.register(make_pass("known"))
-        with pytest.raises(KeyError, match="known"):
-            registry.get("unknown")
-
-    def test_decorator_registers_function_pass(self):
-        registry = PassRegistry()
-
-        @analysis_pass("deco", provides=("x",), registry=registry)
-        def deco(ctx):
-            return PassResult(artifacts={"x": 42})
-
-        assert isinstance(deco, FunctionPass)
-        assert isinstance(deco, AnalysisPass)  # protocol check
-        assert registry.get("deco") is deco
-
-    def test_provider_lookup(self):
-        registry = PassRegistry()
-        pass_ = make_pass("p1", provides=("a", "b"))
-        registry.register(pass_)
-        assert registry.provider_of("b") is pass_
-        assert registry.provider_of("zzz") is None
-
-    def test_builtin_passes_registered(self):
-        for name in ("fault_list", "baseline", "scan_analysis",
-                     "debug_control", "debug_observe", "memory_analysis"):
-            from repro.pipeline import DEFAULT_REGISTRY
-            assert name in DEFAULT_REGISTRY
-
-
-# --------------------------------------------------------------------- #
-# dependency resolution
-# --------------------------------------------------------------------- #
-class TestResolution:
-    def test_topological_order(self):
-        registry = PassRegistry()
-        registry.register(make_pass("c", requires=("b_out",), provides=("c_out",)))
-        registry.register(make_pass("a", provides=("a_out",)))
-        registry.register(make_pass("b", requires=("a_out",), provides=("b_out",)))
-        pipeline = Pipeline(["c", "a", "b"], registry=registry)
-        order = pipeline.pass_names
-        assert order.index("a") < order.index("b") < order.index("c")
-
-    def test_transitive_providers_pulled_in(self):
-        """Selecting only the leaf pass pulls in its whole provider chain."""
-        registry = PassRegistry()
-        registry.register(make_pass("a", provides=("a_out",)))
-        registry.register(make_pass("b", requires=("a_out",), provides=("b_out",)))
-        registry.register(make_pass("c", requires=("b_out",), provides=("c_out",)))
-        pipeline = Pipeline(["c"], registry=registry)
-        assert pipeline.pass_names == ["a", "b", "c"]
-
-    def test_missing_provider_is_an_error(self):
-        registry = PassRegistry()
-        registry.register(make_pass("lonely", requires=("nothing_makes_this",)))
-        with pytest.raises(PipelineError, match="nothing_makes_this"):
-            Pipeline(["lonely"], registry=registry)
-
-    def test_cycle_detection(self):
-        registry = PassRegistry()
-        registry.register(make_pass("x", requires=("y_out",), provides=("x_out",)))
-        registry.register(make_pass("y", requires=("x_out",), provides=("y_out",)))
-        with pytest.raises(DependencyCycleError, match="x.*y|y.*x"):
-            Pipeline(["x", "y"], registry=registry)
-
-    def test_duplicate_artifact_provider_is_an_error(self):
-        registry = PassRegistry()
-        registry.register(make_pass("p1", provides=("dup",)))
-        registry.register(make_pass("p2", provides=("dup",)))
-        with pytest.raises(PipelineError, match="dup"):
-            Pipeline(["p1", "p2"], registry=registry)
-
-    def test_default_pass_names_honour_flow_config(self):
-        config = FlowConfig(run_scan=False, run_memory_map=False)
-        names = default_pass_names(config)
-        assert "scan_analysis" not in names
-        assert "memory_analysis" not in names
-        assert "debug_control" in names and "baseline" in names
+    def test_flow_config_selects_the_sources(self, tiny_soc):
+        session = Session()
+        full = session.analyze(tiny_soc)
+        report = session.analyze(
+            tiny_soc, config=FlowConfig(run_scan=False, run_memory_map=False))
+        assert list(report.runtimes) == [
+            "fault_list", "baseline", "debug_control", "debug_observe"]
+        assert [s.source for s in report.sources] == [
+            OnlineUntestableSource.DEBUG_CONTROL,
+            OnlineUntestableSource.DEBUG_OBSERVE]
+        assert report.scan_result is None and report.memory_result is None
+        assert report.baseline_untestable == full.baseline_untestable
 
 
 # --------------------------------------------------------------------- #
@@ -134,47 +66,20 @@ class TestExecution:
     def test_memory_pass_skipped_without_memory_map(self, tiny_soc):
         clone = tiny_soc.cpu.clone("no_memmap")
         clone.annotations.pop("memory_map", None)
-        pipeline = Pipeline(["fault_list", "baseline", "memory_analysis"])
-        result = pipeline.run(clone)
-        assert "memory_analysis" in result.skipped
-        assert result.report.memory_result is None
+        report = Session().analyze(clone)
+        assert report.memory_result is None
+        assert "memory_map" not in report.runtimes
         assert OnlineUntestableSource.MEMORY_MAP not in {
-            s.source for s in result.report.sources}
+            s.source for s in report.sources}
+        assert report.scan_result is not None
 
-    def test_dependents_of_skipped_pass_are_skipped(self):
-        registry = PassRegistry()
-        registry.register(make_pass("gate", provides=("gate_out",),
-                                    when=lambda ctx: False))
-        registry.register(make_pass("child", requires=("gate_out",),
-                                    provides=("child_out",)))
-        pipeline = Pipeline(["gate", "child"], registry=registry)
-
-        from repro.netlist.builder import NetlistBuilder
-        b = NetlistBuilder("trivial")
-        b.buf(b.add_input("a"), output=b.add_output("y"))
-        result = pipeline.run(b.build())
-        assert "gate" in result.skipped
-        assert "child" in result.skipped
-
-    def test_pass_must_provide_declared_artifacts(self):
-        registry = PassRegistry()
-        registry.register(FunctionPass(
-            lambda ctx: PassResult(),  # provides nothing
-            name="liar", provides=("promised",)))
-        pipeline = Pipeline(["liar"], registry=registry)
-        from repro.netlist.builder import NetlistBuilder
-        b = NetlistBuilder("trivial")
-        b.buf(b.add_input("a"), output=b.add_output("y"))
-        with pytest.raises(PipelineError, match="promised"):
-            pipeline.run(b.build())
-
-    def test_events_and_runtimes_recorded(self, tiny_soc):
-        result = Pipeline().run(tiny_soc)
-        completed = {e.pass_name for e in result.events
-                     if e.status == "completed"}
-        assert completed == set(result.order)
-        assert set(result.runtimes) == completed
-        assert all(runtime >= 0 for runtime in result.runtimes.values())
+    def test_runtimes_recorded(self, tiny_soc):
+        report = Session().analyze(tiny_soc)
+        assert list(report.runtimes) == RUNTIME_KEYS
+        assert all(runtime >= 0 for runtime in report.runtimes.values())
+        for summary in report.sources:
+            assert summary.runtime_seconds == report.runtimes[
+                summary.source.value]
 
 
 # --------------------------------------------------------------------- #
@@ -183,15 +88,14 @@ class TestExecution:
 class TestCaching:
     def test_second_run_replays_from_cache(self, tiny_soc):
         cache = ArtifactCache()
-        pipeline = Pipeline(cache=cache)
-        first = pipeline.run(tiny_soc)
-        second = pipeline.run(tiny_soc)
-        assert not first.cached
-        assert set(second.cached) == set(second.order)
-        assert (second.report.online_untestable
-                == first.report.online_untestable)
-        assert [s.count for s in second.report.sources] == [
-            s.count for s in first.report.sources]
+        first = run_flow(tiny_soc.cpu, cache, memory_map=tiny_soc.memory_map)
+        assert cache.stats["hits"] == 0 and cache.stats["misses"] == 6
+        second = run_flow(tiny_soc.cpu, cache,
+                          memory_map=tiny_soc.memory_map)
+        assert cache.stats["hits"] == 6 and cache.stats["misses"] == 6
+        assert second.online_untestable == first.online_untestable
+        assert [s.count for s in second.sources] == [
+            s.count for s in first.sources]
 
     def test_structural_clone_hits_the_cache(self, tiny_soc):
         assert (netlist_signature(tiny_soc.cpu)
@@ -205,12 +109,50 @@ class TestCaching:
 
 
 # --------------------------------------------------------------------- #
+# the store contract: every stored entry is filed under these bytes
+# --------------------------------------------------------------------- #
+TINY_SIGNATURE = (
+    "fb30cd25a4d6282c07671f3ff82ad0bab491301944be9ea2b280218957733ad3")
+TINY_MEMMAP = "memmap=w8[flash:0:32;sram:128:16]"
+
+
+def _pinned_keys(model: str, effort: str):
+    engine = (f"model={model};effort={effort};faults=;"
+              "static=prune1:learn1;atpg=podem:engine")
+    return {
+        "fault_list": f"model={model};faults=",
+        "baseline": engine,
+        "scan_analysis": f"model={model}",
+        "debug_control": engine,
+        "debug_observe": engine,
+        "memory_analysis": (f"model={model};effort={effort};"
+                            f"tie_out=1;tie_in=1;{TINY_MEMMAP};faults=;"
+                            "static=prune1:learn1;atpg=podem:engine"),
+    }
+
+
+class TestStoreContract:
+    @pytest.mark.parametrize("options, model, effort", [
+        (RunOptions(), "stuck_at", "TIE"),
+        (RunOptions(fault_model="transition"), "transition", "TIE"),
+        (RunOptions(effort="full"), "stuck_at", "FULL"),
+    ], ids=["default", "transition", "full"])
+    def test_step_keys_are_pinned(self, options, model, effort):
+        design = Session().design("tiny")
+        keys = step_keys(design.netlist, memory_map=design.memory_map,
+                         options=options)
+        assert keys == {name: (TINY_SIGNATURE, config_key, name)
+                        for name, config_key
+                        in _pinned_keys(model, effort).items()}
+
+
+# --------------------------------------------------------------------- #
 # equivalence of the entry points with the one-shot reference analysis
 # --------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def small_legacy_report(small_soc):
     """The reference report of the one-shot flow: a fresh session's serial
-    analysis of the paper's default passes."""
+    analysis of the paper's default steps."""
     return Session().analyze(small_soc)
 
 
@@ -236,26 +178,27 @@ def _assert_reports_equivalent(report, legacy):
 class TestLegacyEquivalence:
     def test_serial_pipeline_matches_legacy(self, small_soc,
                                             small_legacy_report):
-        result = Pipeline().run(small_soc)
-        _assert_reports_equivalent(result.report, small_legacy_report)
+        report = run_flow(small_soc.cpu, ArtifactCache(),
+                          memory_map=small_soc.memory_map)
+        _assert_reports_equivalent(report, small_legacy_report)
 
     def test_analyze_entry_point_matches_legacy(self, small_soc,
                                                 small_legacy_report):
         report = Session().analyze(small_soc)
         _assert_reports_equivalent(report, small_legacy_report)
 
-    def test_passes_run_serially_with_no_scheduler_knob(self):
-        # Parallelism lives below the passes (RunOptions.jobs); the
-        # pipeline has no thread scheduler to configure.
+    def test_passes_run_serially_with_no_scheduler_knob(self, tiny_soc):
+        # Parallelism lives below the steps (RunOptions.jobs); the flow
+        # has no thread scheduler to configure.
         for knob in ("parallel", "max_workers"):
             with pytest.raises(TypeError):
-                Pipeline(**{knob: 2})
-        assert not hasattr(Pipeline.builder(), "parallel")
+                run_flow(tiny_soc.cpu, ArtifactCache(), **{knob: 2})
 
     def test_public_api_exports(self):
         assert set(repro.__all__) >= {
-            "Session", "RunOptions", "Pipeline", "AnalysisPass",
-            "FlowConfig"}
-        assert not {"analyze", "OnlineUntestableFlow"} & set(repro.__all__)
+            "Session", "RunOptions", "ArtifactCache", "FlowConfig"}
+        assert not {"analyze", "OnlineUntestableFlow", "Pipeline",
+                    "PipelineBuilder", "PipelineResult", "AnalysisPass",
+                    "default_pass_names"} & set(repro.__all__)
         for name in repro.__all__:
             assert getattr(repro, name, None) is not None

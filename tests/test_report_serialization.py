@@ -12,8 +12,7 @@ from repro.core.results import (TEXT_MEMO_ENTRIES, OnlineUntestableReport,
 from repro.faults.categories import OnlineUntestableSource, source_label
 from repro.faults.fault import StuckAtFault
 from repro.faults.models import TransitionFault
-from repro.pipeline import DEFAULT_REGISTRY
-from repro.pipeline.context import CONFIG_FACETS, PipelineContext
+from repro.pipeline import step_keys
 
 
 @pytest.fixture(scope="module")
@@ -49,20 +48,20 @@ class TestReportRoundTrip:
                    for text in document["baseline_untestable"][:5])
         assert document["table"] == tiny_report.table_rows()
 
-    def test_custom_source_labels_survive(self):
+    def test_unknown_source_label_is_rejected(self):
         report = OnlineUntestableReport(netlist_name="n", total_faults=4)
         report.sources.append(SourceSummary(
             source=OnlineUntestableSource.SCAN,
             identified={StuckAtFault("a/B", 0)},
             attributed={StuckAtFault("a/B", 0)}))
-        report.sources.append(SourceSummary(
-            source="reset_tree",  # a custom pass source, not an enum member
-            identified={StuckAtFault("rst", 1)},
-            attributed={StuckAtFault("rst", 1)}))
-        restored = OnlineUntestableReport.from_json(report.to_json())
+        document = report.to_json_dict()
+        restored = OnlineUntestableReport.from_json_dict(document)
         assert restored.sources[0].source is OnlineUntestableSource.SCAN
-        assert restored.sources[1].source == "reset_tree"
         assert restored.online_untestable == report.online_untestable
+
+        document["sources"][0]["source"] = "reset_tree"
+        with pytest.raises(ValueError, match="'reset_tree'"):
+            OnlineUntestableReport.from_json_dict(document)
 
 
 def sorted_per_call_json(report: OnlineUntestableReport) -> str:
@@ -165,28 +164,11 @@ class TestFaultTextMemo:
 
 class TestFacetKeys:
     def test_effort_blind_passes_share_keys_across_efforts(self, tiny_soc):
-        from repro.api import RunOptions
-
-        tie = PipelineContext(tiny_soc.cpu,
-                              options=RunOptions(effort="tie"),
-                              memory_map=tiny_soc.memory_map)
-        full = PipelineContext(tiny_soc.cpu,
-                               options=RunOptions(effort="full"),
+        tie, full = (step_keys(tiny_soc.cpu, options=RunOptions(effort=e),
                                memory_map=tiny_soc.memory_map)
-        scan = DEFAULT_REGISTRY.get("scan_analysis")
-        fault_list = DEFAULT_REGISTRY.get("fault_list")
-        baseline = DEFAULT_REGISTRY.get("baseline")
+                     for e in ("tie", "full"))
 
-        # Effort-blind passes replay across efforts; baseline must not.
-        assert tie.cache_key(scan) == full.cache_key(scan)
-        assert tie.cache_key(fault_list) == full.cache_key(fault_list)
-        assert tie.cache_key(baseline) != full.cache_key(baseline)
-
-        # Plain-name keys keep the always-safe full configuration key.
-        assert tie.cache_key("anything")[1] == tie.config_key
-
-    def test_unknown_facet_is_rejected(self, tiny_soc):
-        ctx = PipelineContext(tiny_soc.cpu)
-        with pytest.raises(ValueError, match="unknown cache facet"):
-            ctx.config_key_for(("voltage",))
-        assert ctx.config_key_for(CONFIG_FACETS) == ctx.config_key
+        # Effort-blind steps replay across efforts; baseline must not.
+        assert tie["scan_analysis"] == full["scan_analysis"]
+        assert tie["fault_list"] == full["fault_list"]
+        assert tie["baseline"] != full["baseline"]

@@ -198,13 +198,14 @@ def test_config_key_is_pinned():
     FlowConfig-carried knobs built them, so existing on-disk stores stay
     warm."""
     from repro.api import Session
-    from repro.pipeline.context import PipelineContext
+    from repro.pipeline import step_keys
 
     design = Session().design("tiny")
 
     def key(**knobs):
-        return PipelineContext(design.netlist, memory_map=design.memory_map,
-                               options=RunOptions(**knobs)).config_key
+        # The memory step keys on every configuration facet.
+        return step_keys(design.netlist, memory_map=design.memory_map,
+                         options=RunOptions(**knobs))["memory_analysis"][1]
 
     memmap = "memmap=w8[flash:0:32;sram:128:16];faults="
     assert key() == (

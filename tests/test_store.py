@@ -215,17 +215,6 @@ class TestTieredCache:
         assert cold.stats["entries"] == 1
         assert cold.stats["store_hits"] == 1
 
-    def test_persist_false_never_touches_the_store(self, tmp_path):
-        store_dir = str(tmp_path / "store")
-        cache = ArtifactCache(store=store_dir)
-        value, hit = cache.get_or_compute(key(), lambda: "local-only",
-                                          persist=False)
-        assert (value, hit) == ("local-only", False)
-        cache.flush()
-        assert len(cache.store) == 0
-        # In-memory tier still serves it.
-        assert cache.get_or_compute(key(), lambda: "x")[0] == "local-only"
-
     def test_factory_failure_releases_the_store_lock(self, tmp_path):
         cache = ArtifactCache(store=str(tmp_path / "store"))
         with pytest.raises(RuntimeError):
