@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Drive the ATPG portfolio: pluggable backends and RunOptions.
+"""Drive the ATPG portfolio: its two backends and RunOptions.
 
 The classification engines generate tests through a portfolio of
 backends (:mod:`repro.atpg.portfolio`): the classic ``podem`` reference
@@ -37,7 +37,7 @@ from repro.soc.soc_builder import build_soc
 
 
 def main() -> None:
-    print("registered ATPG backends:")
+    print("ATPG backends:")
     for name in atpg_backend_names():
         backend = ATPG_BACKENDS[name]
         tier = " (escalates aborts)" if backend.escalates else ""

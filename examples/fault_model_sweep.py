@@ -2,7 +2,7 @@
 """Sweep the fault model against the core size: stuck-at vs transition-delay.
 
 The paper's methodology is defined over fault *classes*, and the package's
-fault model is a first-class, pluggable axis (:mod:`repro.faults.models`):
+fault model is a first-class axis (:mod:`repro.faults.models`):
 ``stuck_at`` is the classic single stuck-at universe Table I is built on,
 ``transition`` the launch-on-capture transition-delay model (slow-to-rise /
 slow-to-fall, two-pattern detection).  This example expands the cartesian

@@ -30,8 +30,8 @@ pool when ``RunOptions.jobs`` is above 1::
     print(sweep.to_table())                  # per-scenario Table I + deltas
     open("sweep.json", "w").write(sweep.to_json())
 
-Every run knob (ATPG effort, fault model, worker count, static learning,
-durable store, ATPG backend) is a field of one frozen
+Every run knob (ATPG effort, fault model, worker count, durable store,
+ATPG backend) is a field of one frozen
 :class:`repro.api.RunOptions` bundle — the worker count ``jobs`` is the
 only concurrency knob — and :class:`FlowConfig` keeps only the paper's
 switches (which untestability sources run — the only way to select
@@ -58,8 +58,7 @@ from repro.api import (Design, RunOptions, Scenario, ScenarioGrid, Session,
 from repro.atpg.engine import AtpgEffort, resolve_effort
 from repro.core.results import FlowConfig, OnlineUntestableReport
 from repro.faults.models import (FaultModel, StuckAtFault, TransitionFault,
-                                 fault_model_names, register_fault_model,
-                                 resolve_fault_model)
+                                 fault_model_names, resolve_fault_model)
 from repro.pipeline import ArtifactCache
 from repro.store import ArtifactStore, LocalDirStore, resolve_store
 
@@ -87,7 +86,6 @@ __all__ = [
     "StuckAtFault",
     "TransitionFault",
     "fault_model_names",
-    "register_fault_model",
     "resolve_fault_model",
     "__version__",
 ]

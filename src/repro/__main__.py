@@ -78,7 +78,6 @@ from repro.api.sweep import SweepReport
 from repro.core.report import render_source_details
 from repro.core.results import FlowConfig
 from repro.faults.categories import source_label
-from repro.faults.models import fault_model_names
 from repro.pipeline import STEPS
 from repro.simulation.kernels import kernel_info
 from repro.soc.config import SoCConfig
@@ -86,10 +85,10 @@ from repro.soc.config import SoCConfig
 #: Default TCP port of the analysis service (``repro serve``).
 DEFAULT_SERVICE_PORT = 7321
 
-#: The run knobs with a CLI flag; ``sweep`` and ``corpus`` take every one
+#: Every run knob is a CLI flag; ``sweep`` and ``corpus`` take every one
 #: but the effort, which a sweep sets as a scenario axis and a corpus entry
 #: in its spec.
-RUN_FLAGS = tuple(name for name, knob in knobs().items() if knob.flag)
+RUN_FLAGS = tuple(knobs())
 SWEEP_RUN_FLAGS = tuple(name for name in RUN_FLAGS if name != "effort")
 #: The per-call run flags the service client forwards in a job spec.
 SUBMIT_RUN_FLAGS = ("effort", "fault_model")
@@ -211,10 +210,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     backends = sub.add_parser(
         "backends",
-        help="list every registered backend: fault models and ATPG backends")
+        help="list the fault models and ATPG backends")
     backends.add_argument(
         "--json", action="store_true",
-        help="emit the registry listing as JSON")
+        help="emit the listing as JSON")
 
     report = sub.add_parser(
         "report", help="re-render a persisted sweep report")
@@ -779,27 +778,26 @@ def _cmd_cache(args) -> int:
 
 
 # --------------------------------------------------------------------- #
-# backends: one listing of every registry
+# backends: one listing of the fault-model and ATPG-backend tables
 # --------------------------------------------------------------------- #
 def _cmd_backends(args) -> int:
     from repro.atpg.portfolio import ATPG_BACKENDS
-    from repro.faults.models import resolve_fault_model
+    from repro.faults.models import FAULT_MODELS
 
-    registries = {
-        "fault_models": [
-            {"name": name, "note": resolve_fault_model(name).label}
-            for name in fault_model_names()],
+    tables = {
+        "fault_models": [{"name": name, "note": model.label}
+                         for name, model in FAULT_MODELS.items()],
         "atpg_backends": [
             {"name": name, "note": ATPG_BACKENDS[name].description}
-            for name in sorted(ATPG_BACKENDS.names())],
+            for name in sorted(ATPG_BACKENDS)],
     }
 
     if args.json:
-        print(json.dumps(registries, indent=2))
+        print(json.dumps(tables, indent=2))
         return 0
     titles = {"fault_models": f"fault models ({flag_of('fault_model')})",
               "atpg_backends": f"ATPG backends ({flag_of('atpg_backend')})"}
-    for key, entries in registries.items():
+    for key, entries in tables.items():
         print(f"{titles[key]}:")
         for entry in entries:
             print(f"  {entry['name']:<16} {entry['note']}")

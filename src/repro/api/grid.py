@@ -55,11 +55,6 @@ class Scenario:
     options: RunOptions = field(default_factory=RunOptions)
     index: int = 0
 
-    def build_design(self):
-        from repro.api.design import Design
-
-        return Design.from_config(self.config, label=self.label)
-
 
 class ScenarioGrid:
     """Cartesian product of scenario axes over a base configuration."""

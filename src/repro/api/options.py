@@ -28,22 +28,6 @@ from typing import (Any, Callable, Dict, Iterable, Mapping, Optional,
 from repro.atpg.engine import AtpgEffort, resolve_effort
 
 
-def parse_flag(value: object) -> bool:
-    """Coerce a boolean knob value, accepting the CLI spellings.
-
-    ``bool("off")`` is ``True``, so strings are resolved the way the CLI
-    resolves them and anything unrecognised is rejected.
-    """
-    if isinstance(value, (bool, int)):
-        return bool(value)
-    lowered = str(value).strip().lower()
-    if lowered in ("true", "on", "yes", "1"):
-        return True
-    if lowered in ("false", "off", "no", "0"):
-        return False
-    raise ValueError(f"bad boolean value {value!r}; expected on/off")
-
-
 def _fault_model(value: object) -> str:
     from repro.faults.models import resolve_fault_model
     return resolve_fault_model(value).name  # type: ignore[arg-type]
@@ -75,8 +59,6 @@ class Knob:
 
     normalise: Callable[[Any], Any]
     help: str
-    #: Exposed as ``--<name>`` on the CLI subcommands that select it.
-    flag: bool = True
     #: A run-level :class:`~repro.api.ScenarioGrid` axis.
     axis: bool = False
     #: Settable per call and in corpus/service specs (``False``: a
@@ -114,9 +96,6 @@ class RunOptions:
                "scenario per worker task (identical results; default: "
                "serial)",
         metavar="N")
-    static_learning: Optional[bool] = _knob(
-        parse_flag, "let PODEM consult learned implications and SCOAP "
-                    "guidance (FULL effort only; default: on)", flag=False)
     store: Any = _knob(
         lambda value: value,
         "durable artifact store directory; pass results persist there "
@@ -171,8 +150,7 @@ def knobs() -> Dict[str, Knob]:
 #: The defaults every layer falls back to.  ``store`` and
 #: ``atpg_backend`` stay unset: no store, the ``podem`` backend.
 DEFAULT_RUN_OPTIONS = RunOptions(effort=AtpgEffort.TIE,
-                                 fault_model="stuck_at", jobs=1,
-                                 static_learning=True)
+                                 fault_model="stuck_at", jobs=1)
 
 #: The knobs a :class:`~repro.api.ScenarioGrid` expands at run level.
 RUN_AXES: Tuple[str, ...] = tuple(
@@ -226,8 +204,6 @@ def add_run_flags(parser: argparse.ArgumentParser, names: Iterable[str], *,
     declared = knobs()
     for name in names:
         knob = declared[name]
-        if not knob.flag:
-            raise ValueError(f"run knob {name!r} has no CLI flag")
         kwargs: Dict[str, Any] = {"dest": name, "metavar": knob.metavar,
                                   "help": (help or {}).get(name, knob.help)}
         if name in required:

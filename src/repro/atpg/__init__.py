@@ -15,11 +15,9 @@ from repro.atpg.random_patterns import random_pattern_detection
 from repro.atpg.engine import AtpgEffort, StructuralUntestabilityEngine, UntestabilityReport
 from repro.atpg.portfolio import (
     ATPG_BACKENDS,
-    AtpgBackend,
     DEFAULT_ATPG_BACKEND,
     atpg_backend_names,
     compact_patterns,
-    register_atpg_backend,
     resolve_atpg_backend,
 )
 
@@ -35,10 +33,8 @@ __all__ = [
     "StructuralUntestabilityEngine",
     "UntestabilityReport",
     "ATPG_BACKENDS",
-    "AtpgBackend",
     "DEFAULT_ATPG_BACKEND",
     "atpg_backend_names",
     "compact_patterns",
-    "register_atpg_backend",
     "resolve_atpg_backend",
 ]

@@ -25,7 +25,6 @@ from repro.atpg.random_patterns import random_pattern_detection
 from repro.atpg.tie_analysis import TieAnalysis
 from repro.faults.categories import FaultClass
 from repro.faults.models import Fault
-from repro.faults.faultlist import FaultList
 from repro.netlist.module import Netlist
 
 
@@ -283,6 +282,9 @@ class StructuralUntestabilityEngine:
     (:class:`repro.simulation.sharded.PooledPhases`), one cone-affine chunk
     per task; the merged report carries exactly the serial
     classifications.  With the default ``jobs=1`` they run inline.
+    ``static_learning=False`` is the plain-search oracle that tests and
+    the ``static_learning`` bench stage compare learning against; the
+    flow always learns.
     """
 
     def __init__(self, netlist: Netlist,
@@ -377,13 +379,3 @@ class StructuralUntestabilityEngine:
     def _run_inline(self, method: str, faults: List[Fault]) -> List[tuple]:
         """One phase method over the whole list, as a single chunk."""
         return [getattr(self.phases, method)(faults)]
-
-    def classify_fault_list(self, fault_list: FaultList,
-                            only_unclassified: bool = True) -> UntestabilityReport:
-        """Classify a :class:`FaultList` in place and return the report."""
-        faults = (fault_list.unclassified() if only_unclassified
-                  else fault_list.faults())
-        report = self.classify(faults)
-        for fault, cls in report.classifications.items():
-            fault_list.classify(fault, cls)
-        return report

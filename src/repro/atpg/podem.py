@@ -1,4 +1,4 @@
-"""PODEM test generation / redundancy proof for any registered fault model.
+"""PODEM test generation / redundancy proof for either fault model.
 
 The generator works on the combinational (full-DFT) view of a netlist,
 executed over the compiled integer-ID IR (:mod:`repro.netlist.compiled`).
@@ -387,7 +387,7 @@ class Podem:
     # public API
     # ------------------------------------------------------------------ #
     def generate(self, fault: Fault) -> PodemResult:
-        """Attempt to generate a test for ``fault`` (any registered model)."""
+        """Attempt to generate a test for ``fault`` (either fault model)."""
         spec = resolve_injection(fault)
         if spec.frames > 1:
             return self._generate_two_frame(fault, spec)

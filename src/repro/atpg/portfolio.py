@@ -1,27 +1,21 @@
-"""The ATPG portfolio: pluggable test-generation backends + compaction.
+"""The ATPG portfolio: two test-generation backends + compaction.
 
 Easy faults want the cheap classic PODEM search; aborted faults want a
 complete (if slower) second tier that can turn AU into a real verdict.
-This module packages those strategies behind one seam:
+:data:`ATPG_BACKENDS` is the fixed name -> backend table of the two
+strategies.  A backend's ``start(netlist, ...)`` returns a per-run
+generator with ``generate(fault)`` (primary search) and
+``escalate(fault)`` (second tier for aborted faults, or ``None``):
 
-:class:`AtpgBackend`
-    The protocol a strategy implements: ``start(netlist, ...)`` returns a
-    per-run generator with ``generate(fault)`` (primary search) and
-    ``escalate(fault)`` (optional second tier for aborted faults).
+``podem``
+    the classic engine (:class:`~repro.atpg.podem.Podem`), unchanged:
+    the serial reference the other backend is checked against.
+``dalg``
+    PODEM primary plus a :class:`~repro.atpg.dalg.DAlg` escalation tier
+    that re-attacks aborted faults with the five-valued D-algorithm,
+    turning AU into proven UU (or DT) where possible.
 
-:data:`ATPG_BACKENDS`
-    The process-global :class:`~repro.core.registry.Registry` holding the
-    built-in backends —
-
-    ``podem``
-        the classic engine (:class:`~repro.atpg.podem.Podem`), unchanged:
-        the serial reference the other backend is checked against.
-    ``dalg``
-        PODEM primary plus a :class:`~repro.atpg.dalg.DAlg` escalation
-        tier that re-attacks aborted faults with the five-valued
-        D-algorithm, turning AU into proven UU (or DT) where possible.
-
-Every backend is *per-fault deterministic*: the verdict for a fault
+Both backends are *per-fault deterministic*: the verdict for a fault
 depends only on (netlist, fault), never on batch order — the
 invariant that keeps serial and pooled classification byte-identical.
 
@@ -35,12 +29,11 @@ the classification report.
 
 from __future__ import annotations
 
-from typing import (Any, Dict, Iterable, List, Optional, Protocol, Sequence,
-                    Set, Tuple, runtime_checkable)
+from typing import (Any, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.atpg.dalg import DAlg
 from repro.atpg.podem import Podem, PodemResult, PodemStatus
-from repro.core.registry import Registry
 from repro.faults.models import Fault
 from repro.netlist.module import Netlist
 from repro.simulation.parallel import ParallelPatternSimulator
@@ -54,80 +47,41 @@ DEFAULT_ATPG_BACKEND = "podem"
 _ESCALATION_BUDGET_FACTOR = 4
 
 
-class AtpgRun(Protocol):
-    """A backend instance bound to one netlist (one classification run)."""
-
-    def generate(self, fault: Fault) -> PodemResult:
-        """Primary search for one fault."""
-        ...
-
-    def escalate(self, fault: Fault) -> Optional[PodemResult]:
-        """Second-tier re-attack of an aborted fault; ``None`` means the
-        escalation could not improve on the primary verdict."""
-        ...
-
-    @property
-    def learned_skips(self) -> int:
-        """Decision branches skipped via learned implications so far."""
-        ...
-
-
-@runtime_checkable
-class AtpgBackend(Protocol):
-    """Structural protocol every portfolio backend satisfies."""
-
-    #: Registry name (``repro analyze --atpg-backend <name>``).
-    name: str
-    #: One-line description for ``repro backends``.
-    description: str
-    #: Whether :meth:`AtpgRun.escalate` can improve aborted faults — when
-    #: true the classifier runs a second pass over the merged abort
-    #: frontier.
-    escalates: bool
-
-    def start(self, netlist: Netlist, *, backtrack_limit: int = 200,
-              static=None, seed: Optional[int] = None) -> AtpgRun:
-        """Bind the backend to a netlist for one classification run.
-
-        ``seed`` is accepted for callers that still pass one; no built-in
-        backend draws random numbers, so it is ignored."""
-        ...
-
-
 # --------------------------------------------------------------------- #
-# per-run generator wrappers
+# per-run generators
 # --------------------------------------------------------------------- #
-class _GeneratorRun:
-    """AtpgRun over a single generator with no escalation tier."""
-
-    def __init__(self, generator: Podem) -> None:
-        self.generator = generator
-
-    def generate(self, fault: Fault) -> PodemResult:
-        return self.generator.generate(fault)
-
-    def escalate(self, fault: Fault) -> Optional[PodemResult]:
-        return None
-
-    @property
-    def learned_skips(self) -> int:
-        return self.generator.learned_skips
-
-
-class _DalgRun:
-    """PODEM primary with a lazily-built D-algorithm escalation tier."""
+class _PodemRun:
+    """One classification run: PODEM search, no escalation tier."""
 
     def __init__(self, netlist: Netlist, backtrack_limit: int,
                  static) -> None:
         self.generator = Podem(netlist, backtrack_limit=backtrack_limit,
                                static=static)
+
+    def generate(self, fault: Fault) -> PodemResult:
+        return self.generator.generate(fault)
+
+    def escalate(self, fault: Fault) -> Optional[PodemResult]:
+        """Second-tier re-attack of an aborted fault; ``None`` means the
+        escalation could not improve on the primary verdict."""
+        return None
+
+    @property
+    def learned_skips(self) -> int:
+        """Decision branches skipped via learned implications so far."""
+        return self.generator.learned_skips
+
+
+class _DalgRun(_PodemRun):
+    """PODEM primary with a lazily-built D-algorithm escalation tier."""
+
+    def __init__(self, netlist: Netlist, backtrack_limit: int,
+                 static) -> None:
+        super().__init__(netlist, backtrack_limit, static)
         self._netlist = netlist
         self._limit = backtrack_limit
         self._static = static
         self._dalg: Optional[DAlg] = None
-
-    def generate(self, fault: Fault) -> PodemResult:
-        return self.generator.generate(fault)
 
     def escalate(self, fault: Fault) -> Optional[PodemResult]:
         if self._dalg is None:
@@ -140,10 +94,6 @@ class _DalgRun:
             return None
         return result
 
-    @property
-    def learned_skips(self) -> int:
-        return self.generator.learned_skips
-
 
 # --------------------------------------------------------------------- #
 # the backends
@@ -151,17 +101,24 @@ class _DalgRun:
 class PodemBackend:
     """The classic engine, unchanged — the serial reference."""
 
+    #: Table key (``repro analyze --atpg-backend <name>``).
     name = "podem"
+    #: One-line description for ``repro backends``.
     description = "classic PODEM search (the reference engine)"
+    #: Whether ``escalate`` can improve aborted faults — when true the
+    #: classifier runs a second pass over the merged abort frontier.
     escalates = False
 
     def start(self, netlist: Netlist, *, backtrack_limit: int = 200,
-              static=None, seed: Optional[int] = None) -> AtpgRun:
-        return _GeneratorRun(Podem(netlist, backtrack_limit=backtrack_limit,
-                                   static=static))
+              static=None, seed: Optional[int] = None) -> _PodemRun:
+        """Bind the backend to a netlist for one classification run.
+
+        ``seed`` is accepted for callers that still pass one; neither
+        backend draws random numbers, so it is ignored."""
+        return _PodemRun(netlist, backtrack_limit, static)
 
 
-class DalgBackend:
+class DalgBackend(PodemBackend):
     """PODEM primary + five-valued D-algorithm escalation of aborts."""
 
     name = "dalg"
@@ -171,39 +128,32 @@ class DalgBackend:
     escalates = True
 
     def start(self, netlist: Netlist, *, backtrack_limit: int = 200,
-              static=None, seed: Optional[int] = None) -> AtpgRun:
+              static=None, seed: Optional[int] = None) -> _DalgRun:
         return _DalgRun(netlist, backtrack_limit, static)
 
 
-#: Backend name -> backend instance.
-ATPG_BACKENDS: Registry = Registry("ATPG backend")
-
-
-def register_atpg_backend(backend: AtpgBackend) -> AtpgBackend:
-    """Register a portfolio backend under its ``name``."""
-    return ATPG_BACKENDS.register(backend.name, backend)
-
-
-register_atpg_backend(PodemBackend())
-register_atpg_backend(DalgBackend())
+#: Backend name -> backend, in listing order.
+ATPG_BACKENDS: Dict[str, PodemBackend] = {
+    backend.name: backend for backend in (PodemBackend(), DalgBackend())}
 
 
 def atpg_backend_names() -> Tuple[str, ...]:
-    """Registered backend names, in registration order."""
-    return ATPG_BACKENDS.names()
+    """The backend names, listing order."""
+    return tuple(ATPG_BACKENDS)
 
 
-def resolve_atpg_backend(spec: Optional[object]) -> AtpgBackend:
-    """Coerce a backend spec (name, backend instance or None) to a backend.
+def resolve_atpg_backend(name: Optional[str]) -> PodemBackend:
+    """The backend named ``name`` (``None``: the default ``podem``).
 
-    ``None`` resolves to the default (``podem``); unknown names raise a
-    :class:`ValueError` spelling the registered backends.
+    Unknown names raise a :class:`ValueError` spelling the backends.
     """
-    if spec is None:
-        return ATPG_BACKENDS[DEFAULT_ATPG_BACKEND]
-    if isinstance(spec, AtpgBackend) and not isinstance(spec, str):
-        return spec
-    return ATPG_BACKENDS.resolve(str(spec))
+    name = DEFAULT_ATPG_BACKEND if name is None else str(name)
+    try:
+        return ATPG_BACKENDS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown ATPG backend {name!r}; expected one of: "
+            f"{', '.join(ATPG_BACKENDS)}") from None
 
 
 # --------------------------------------------------------------------- #
@@ -354,13 +304,10 @@ def compact_patterns(netlist: Netlist,
 
 __all__ = [
     "ATPG_BACKENDS",
-    "AtpgBackend",
-    "AtpgRun",
     "DEFAULT_ATPG_BACKEND",
     "DalgBackend",
     "PodemBackend",
     "atpg_backend_names",
     "compact_patterns",
-    "register_atpg_backend",
     "resolve_atpg_backend",
 ]

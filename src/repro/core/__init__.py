@@ -17,51 +17,39 @@ The flow mirrors §3 of the paper:
 Sources 2–4 each supply only a manipulation: the shared step
 :func:`repro.core.classification.classify_manipulated` clones the core,
 applies it, runs the structural engine and subtracts the baseline.
-
-Exports are resolved lazily (PEP 562): :mod:`repro.core.registry` is the
-dependency-free substrate the pluggable layers (fault models, ATPG
-backends) import at definition time, so this package must be importable
-without dragging in the flow modules — which themselves import those
-layers.
 """
 
-import importlib
+from repro.core.classification import (FaultUniverse, ManipulationResult,
+                                       build_fault_universe,
+                                       classify_manipulated)
+from repro.core.debug_control import (DebugControlResult,
+                                      identify_debug_control_untestable)
+from repro.core.debug_observe import (DebugObserveResult,
+                                      identify_debug_observe_untestable)
+from repro.core.memory_analysis import (MemoryMapResult,
+                                        identify_memory_map_untestable)
+from repro.core.report import render_source_details, render_summary_table
+from repro.core.results import (FlowConfig, OnlineUntestableReport,
+                                SourceSummary)
+from repro.core.scan_analysis import (ScanAnalysisResult,
+                                      identify_scan_untestable)
 
-#: Public name -> defining module, imported on first attribute access.
-_EXPORTS = {
-    "FaultUniverse": "repro.core.classification",
-    "build_fault_universe": "repro.core.classification",
-    "ManipulationResult": "repro.core.classification",
-    "classify_manipulated": "repro.core.classification",
-    "ScanAnalysisResult": "repro.core.scan_analysis",
-    "identify_scan_untestable": "repro.core.scan_analysis",
-    "DebugControlResult": "repro.core.debug_control",
-    "identify_debug_control_untestable": "repro.core.debug_control",
-    "DebugObserveResult": "repro.core.debug_observe",
-    "identify_debug_observe_untestable": "repro.core.debug_observe",
-    "MemoryMapResult": "repro.core.memory_analysis",
-    "identify_memory_map_untestable": "repro.core.memory_analysis",
-    "FlowConfig": "repro.core.results",
-    "OnlineUntestableReport": "repro.core.results",
-    "SourceSummary": "repro.core.results",
-    "render_summary_table": "repro.core.report",
-    "render_source_details": "repro.core.report",
-    "Registry": "repro.core.registry",
-}
-
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name):
-    try:
-        module_name = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}") from None
-    value = getattr(importlib.import_module(module_name), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))
+__all__ = [
+    "DebugControlResult",
+    "DebugObserveResult",
+    "FaultUniverse",
+    "FlowConfig",
+    "ManipulationResult",
+    "MemoryMapResult",
+    "OnlineUntestableReport",
+    "ScanAnalysisResult",
+    "SourceSummary",
+    "build_fault_universe",
+    "classify_manipulated",
+    "identify_debug_control_untestable",
+    "identify_debug_observe_untestable",
+    "identify_memory_map_untestable",
+    "identify_scan_untestable",
+    "render_source_details",
+    "render_summary_table",
+]

@@ -62,13 +62,11 @@ def compute_baseline_untestable(netlist: Netlist,
                                 faults: Optional[Iterable[StuckAtFault]] = None,
                                 effort: AtpgEffort = AtpgEffort.TIE,
                                 jobs: int = 1,
-                                static_learning: bool = True,
                                 atpg_backend: Optional[str] = None
                                 ) -> Set[StuckAtFault]:
     """Faults untestable in the unmanipulated netlist (structural baseline)."""
     fault_universe = list(faults) if faults is not None else generate_fault_list(netlist).faults()
     engine = StructuralUntestabilityEngine(netlist, effort=effort, jobs=jobs,
-                                           static_learning=static_learning,
                                            atpg_backend=atpg_backend)
     return set(engine.classify(fault_universe).untestable)
 
@@ -133,8 +131,7 @@ class FaultUniverse:
 def build_fault_universe(original: Netlist,
                          functional_constraints: Optional[Dict[str, int]] = None,
                          online_untestable: Optional[Iterable[StuckAtFault]] = None,
-                         effort: AtpgEffort = AtpgEffort.TIE,
-                         static_learning: bool = True) -> FaultUniverse:
+                         effort: AtpgEffort = AtpgEffort.TIE) -> FaultUniverse:
     """Compute the Fig. 1 categories for a netlist.
 
     Parameters
@@ -163,8 +160,7 @@ def build_fault_universe(original: Netlist,
 
     view = classify_manipulated(
         original, constrain, ManipulationResult(), fault_list.faults(),
-        suffix="_functional_view", effort=effort,
-        static_learning=static_learning)
+        suffix="_functional_view", effort=effort)
     universe.structurally_untestable = view.baseline_untestable
     universe.functionally_untestable = view.untestable | view.baseline_untestable
 

@@ -46,7 +46,6 @@ def identify_debug_control_untestable(netlist: Netlist,
                                       baseline_untestable: Optional[Set[StuckAtFault]] = None,
                                       effort: AtpgEffort = AtpgEffort.TIE,
                                       jobs: int = 1,
-                                      static_learning: bool = True,
                                       atpg_backend: Optional[str] = None
                                       ) -> DebugControlResult:
     """Identify the on-line untestable faults caused by mission-constant
@@ -66,4 +65,4 @@ def identify_debug_control_untestable(netlist: Netlist,
     return classify_manipulated(
         netlist, tie_controls, result, faults, baseline_untestable,
         suffix="_debug_tied", effort=effort, jobs=jobs,
-        static_learning=static_learning, atpg_backend=atpg_backend)
+        atpg_backend=atpg_backend)

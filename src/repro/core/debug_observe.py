@@ -40,7 +40,6 @@ def identify_debug_observe_untestable(netlist: Netlist,
                                       baseline_untestable: Optional[Set[StuckAtFault]] = None,
                                       effort: AtpgEffort = AtpgEffort.TIE,
                                       jobs: int = 1,
-                                      static_learning: bool = True,
                                       atpg_backend: Optional[str] = None
                                       ) -> DebugObserveResult:
     """Identify the on-line untestable faults caused by floating debug outputs."""
@@ -60,4 +59,4 @@ def identify_debug_observe_untestable(netlist: Netlist,
     return classify_manipulated(
         netlist, float_outputs, result, faults, baseline_untestable,
         suffix="_debug_floated", effort=effort, jobs=jobs,
-        static_learning=static_learning, atpg_backend=atpg_backend)
+        atpg_backend=atpg_backend)

@@ -48,7 +48,6 @@ def identify_memory_map_untestable(netlist: Netlist,
                                    tie_flop_outputs: bool = True,
                                    tie_flop_inputs: bool = True,
                                    jobs: int = 1,
-                                   static_learning: bool = True,
                                    atpg_backend: Optional[str] = None
                                    ) -> MemoryMapResult:
     """Identify on-line untestable faults caused by frozen address bits.
@@ -99,4 +98,4 @@ def identify_memory_map_untestable(netlist: Netlist,
     return classify_manipulated(
         netlist, freeze_address_bits, result, faults, baseline_untestable,
         suffix="_memmap_tied", effort=effort, jobs=jobs,
-        static_learning=static_learning, atpg_backend=atpg_backend)
+        atpg_backend=atpg_backend)

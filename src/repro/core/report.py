@@ -13,14 +13,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 
 def _model_label(report: "OnlineUntestableReport") -> str:
     """Human wording of the report's fault model ("stuck-at", ...); an
-    unregistered model name is shown verbatim rather than failing the
-    render."""
-    from repro.faults.models import get_fault_model
+    unknown model name is shown verbatim rather than failing the render."""
+    from repro.faults.models import FAULT_MODELS
 
-    try:
-        return get_fault_model(report.fault_model).label
-    except ValueError:
-        return report.fault_model
+    model = FAULT_MODELS.get(report.fault_model)
+    return model.label if model is not None else report.fault_model
 
 
 def render_summary_table(report: "OnlineUntestableReport") -> str:

@@ -2,7 +2,7 @@
 
 The six-step flow (:func:`repro.pipeline.run_flow`) assembles an
 :class:`OnlineUntestableReport`; everything downstream (Table-I
-rendering, fault-list pruning, the benchmarks) consumes it.  Its sources
+rendering, SBST coverage after pruning, the benchmarks) consumes it.  Its sources
 are always the paper's four (:class:`OnlineUntestableSource`).
 """
 
@@ -17,10 +17,8 @@ from repro.core.debug_control import DebugControlResult
 from repro.core.debug_observe import DebugObserveResult
 from repro.core.memory_analysis import MemoryMapResult
 from repro.core.scan_analysis import ScanAnalysisResult
-from repro.faults.categories import (FaultClass, OnlineUntestableSource,
-                                     source_label)
+from repro.faults.categories import OnlineUntestableSource, source_label
 from repro.faults.models import DEFAULT_FAULT_MODEL, Fault, parse_fault
-from repro.faults.faultlist import FaultList
 
 #: Distinct fault sets whose sorted text :func:`sorted_fault_text` keeps.
 #: A report holds up to nine sets (the baseline and each of four sources'
@@ -80,7 +78,7 @@ class OnlineUntestableReport:
 
     netlist_name: str
     total_faults: int
-    #: Registry name of the fault model the universe was enumerated under.
+    #: Name of the fault model the universe was enumerated under.
     fault_model: str = DEFAULT_FAULT_MODEL
     baseline_untestable: Set[Fault] = field(default_factory=set)
     sources: List[SourceSummary] = field(default_factory=list)
@@ -138,12 +136,6 @@ class OnlineUntestableReport:
     def to_table(self) -> str:
         from repro.core.report import render_summary_table
         return render_summary_table(self)
-
-    def apply_to_fault_list(self, fault_list: FaultList) -> FaultList:
-        """Mark the identified faults in a fault list and return the pruned list."""
-        for summary in self.sources:
-            fault_list.classify_many(summary.attributed, FaultClass.UT, summary.source)
-        return fault_list.prune(self.online_untestable)
 
     # ------------------------------------------------------------------ #
     # serialization — the persistable core of the report

@@ -13,11 +13,10 @@ from repro.faults.models import (
     StuckAtModel,
     TransitionDelayModel,
     TransitionFault,
+    FAULT_MODELS,
     fault_model_names,
-    get_fault_model,
     model_of,
     parse_fault,
-    register_fault_model,
     resolve_fault_model,
     resolve_injection,
 )
@@ -42,9 +41,8 @@ __all__ = [
     "STUCK_AT",
     "TRANSITION",
     "DEFAULT_FAULT_MODEL",
-    "register_fault_model",
+    "FAULT_MODELS",
     "fault_model_names",
-    "get_fault_model",
     "resolve_fault_model",
     "model_of",
     "resolve_injection",

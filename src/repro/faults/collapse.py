@@ -86,11 +86,4 @@ def collapse_fault_list(netlist: Netlist, fault_list: FaultList,
                         model: Optional[FaultModel] = None) -> FaultList:
     """Return a collapsed fault list containing one representative per class."""
     classes = equivalence_classes(netlist, fault_list.faults(), model=model)
-    collapsed = FaultList(netlist_name=fault_list.netlist_name)
-    for representative in classes:
-        collapsed.add(representative, fault_list.get_class(representative))
-        source = fault_list.get_source(representative)
-        if source is not None:
-            collapsed.classify(representative,
-                               fault_list.get_class(representative), source)
-    return collapsed
+    return FaultList(classes, netlist_name=fault_list.netlist_name)

@@ -1,24 +1,19 @@
-"""Fault-list container: generation, classification bookkeeping, pruning.
+"""Fault-list generation: the ordered, de-duplicated fault universe.
 
-A :class:`FaultList` is the central object the identification flow operates
-on.  It tracks, per fault, an ATPG-style :class:`~repro.faults.categories.FaultClass`
-and (when applicable) the on-line untestability source that caused the fault
-to be pruned, so the Table-I style report can be produced directly from it.
-
-The container is model-agnostic: it holds whatever fault objects the
-selected :class:`~repro.faults.models.FaultModel` enumerates (stuck-at by
-default), and serialization round-trips through the model-dispatching
-parser, so persisted lists of any model restore losslessly.
+:func:`generate_fault_list` enumerates a netlist's pin-fault universe
+under the selected :class:`~repro.faults.models.FaultModel` (stuck-at by
+default) into a :class:`FaultList`.  The list holds faults only:
+verdicts live in the engine's
+:class:`~repro.atpg.engine.UntestabilityReport` and the flow's
+:class:`~repro.core.results.OnlineUntestableReport`, and a fault's text
+round-trips through :func:`~repro.faults.models.parse_fault`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Union
+from typing import Iterable, Iterator, List, Union
 
-from repro.faults.categories import FaultClass, OnlineUntestableSource
-from repro.faults.models import (Fault, FaultModel, parse_fault,
-                                 resolve_fault_model)
+from repro.faults.models import Fault, FaultModel, resolve_fault_model
 from repro.netlist.module import Netlist
 
 
@@ -42,19 +37,13 @@ def generate_fault_list(netlist: Netlist,
 
 
 class FaultList:
-    """An ordered collection of faults (any model) with classification state."""
+    """An ordered collection of distinct faults (either model)."""
 
     def __init__(self, faults: Iterable[Fault] = (),
                  netlist_name: str = "") -> None:
         self.netlist_name = netlist_name
-        self._faults: Dict[Fault, FaultClass] = {}
-        self._sources: Dict[Fault, OnlineUntestableSource] = {}
-        for f in faults:
-            self._faults.setdefault(f, FaultClass.NC)
+        self._faults = dict.fromkeys(faults)
 
-    # ------------------------------------------------------------------ #
-    # container protocol
-    # ------------------------------------------------------------------ #
     def __len__(self) -> int:
         return len(self._faults)
 
@@ -64,168 +53,8 @@ class FaultList:
     def __contains__(self, fault: Fault) -> bool:
         return fault in self._faults
 
-    def add(self, fault: Fault,
-            fault_class: FaultClass = FaultClass.NC) -> None:
-        self._faults.setdefault(fault, fault_class)
-
     def faults(self) -> List[Fault]:
         return list(self._faults)
 
-    # ------------------------------------------------------------------ #
-    # classification
-    # ------------------------------------------------------------------ #
-    def classify(self, fault: Fault, fault_class: FaultClass,
-                 source: Optional[OnlineUntestableSource] = None) -> None:
-        if fault not in self._faults:
-            raise KeyError(f"fault {fault} not in fault list")
-        self._faults[fault] = fault_class
-        if source is not None:
-            self._sources[fault] = source
-
-    def classify_many(self, faults: Iterable[Fault],
-                      fault_class: FaultClass,
-                      source: Optional[OnlineUntestableSource] = None) -> int:
-        """Classify every listed fault that is present; returns how many were."""
-        count = 0
-        for fault in faults:
-            if fault in self._faults:
-                self.classify(fault, fault_class, source)
-                count += 1
-        return count
-
-    def get_class(self, fault: Fault) -> FaultClass:
-        return self._faults[fault]
-
-    def get_source(self, fault: Fault) -> Optional[OnlineUntestableSource]:
-        return self._sources.get(fault)
-
-    def with_class(self, *classes: FaultClass) -> List[Fault]:
-        wanted = set(classes)
-        return [f for f, c in self._faults.items() if c in wanted]
-
-    def with_source(self, *sources: OnlineUntestableSource) -> List[Fault]:
-        wanted = set(sources)
-        return [f for f in self._faults if self._sources.get(f) in wanted]
-
-    def unclassified(self) -> List[Fault]:
-        return self.with_class(FaultClass.NC)
-
-    def untestable(self) -> List[Fault]:
-        return [f for f, c in self._faults.items() if c.is_untestable]
-
-    def detected(self) -> List[Fault]:
-        return [f for f, c in self._faults.items() if c.is_detected]
-
-    # ------------------------------------------------------------------ #
-    # pruning and set operations
-    # ------------------------------------------------------------------ #
-    def prune(self, faults: Iterable[Fault]) -> "FaultList":
-        """Return a new fault list with the given faults removed."""
-        drop = set(faults)
-        remaining = FaultList(netlist_name=self.netlist_name)
-        for fault, cls in self._faults.items():
-            if fault in drop:
-                continue
-            remaining._faults[fault] = cls
-            if fault in self._sources:
-                remaining._sources[fault] = self._sources[fault]
-        return remaining
-
-    def restrict_to_sites(self, predicate: Callable[[str], bool]) -> "FaultList":
-        """Return the sub-list whose sites satisfy ``predicate``."""
-        subset = FaultList(netlist_name=self.netlist_name)
-        for fault, cls in self._faults.items():
-            if predicate(fault.site):
-                subset._faults[fault] = cls
-                if fault in self._sources:
-                    subset._sources[fault] = self._sources[fault]
-        return subset
-
-    def difference(self, other: "FaultList") -> List[Fault]:
-        """Faults present here but not in ``other`` (order preserved)."""
-        return [f for f in self._faults if f not in other]
-
-    # ------------------------------------------------------------------ #
-    # statistics and reporting
-    # ------------------------------------------------------------------ #
-    def class_counts(self) -> Counter:
-        return Counter(self._faults.values())
-
-    def source_counts(self) -> Counter:
-        return Counter(self._sources.values())
-
-    def coverage(self, exclude_untestable: bool = True) -> float:
-        """Stuck-at fault coverage: detected / (total - untestable).
-
-        With ``exclude_untestable`` the denominator excludes every fault
-        proven untestable — the "testable fault coverage" figure the paper
-        argues is the right metric once on-line untestable faults are pruned.
-        """
-        total = len(self._faults)
-        detected = sum(1 for c in self._faults.values() if c.is_detected)
-        if exclude_untestable:
-            total -= sum(1 for c in self._faults.values() if c.is_untestable)
-        if total <= 0:
-            return 0.0
-        return detected / total
-
-    def group_by_prefix(self, depth: int = 1) -> Dict[str, int]:
-        """Fault counts grouped by hierarchical instance-name prefix."""
-        groups: Counter = Counter()
-        for fault in self._faults:
-            inst = fault.instance_name or "<ports>"
-            prefix = ".".join(inst.split(".")[:depth])
-            groups[prefix] += 1
-        return dict(groups)
-
-    # ------------------------------------------------------------------ #
-    # serialisation
-    # ------------------------------------------------------------------ #
-    def to_lines(self) -> List[str]:
-        """Serialise in a simple text format (one fault per line)."""
-        lines = []
-        for fault, cls in self._faults.items():
-            source = self._sources.get(fault)
-            tail = f" {source.value}" if source is not None else ""
-            lines.append(f"{cls.value} {fault}{tail}")
-        return lines
-
-    @classmethod
-    def from_lines(cls, lines: Iterable[str],
-                   netlist_name: str = "") -> "FaultList":
-        result = cls(netlist_name=netlist_name)
-        for line in lines:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(" ", 1)
-            fault_class = FaultClass(parts[0])
-            rest = parts[1]
-            source = None
-            for candidate in OnlineUntestableSource:
-                if rest.endswith(" " + candidate.value):
-                    source = candidate
-                    rest = rest[: -len(candidate.value) - 1]
-                    break
-            fault = parse_fault(rest.strip())
-            result._faults[fault] = fault_class
-            if source is not None:
-                result._sources[fault] = source
-        return result
-
-    def summary(self) -> Dict[str, int]:
-        counts = self.class_counts()
-        return {
-            "total": len(self._faults),
-            "detected": sum(counts.get(c, 0) for c in (FaultClass.DT, FaultClass.PT)),
-            "untestable": sum(counts.get(c, 0) for c in
-                              (FaultClass.UU, FaultClass.UT, FaultClass.UB, FaultClass.UO)),
-            "abandoned": counts.get(FaultClass.AU, 0),
-            "not_detected": counts.get(FaultClass.ND, 0),
-            "unclassified": counts.get(FaultClass.NC, 0),
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        s = self.summary()
-        return (f"FaultList({self.netlist_name}, total={s['total']}, "
-                f"untestable={s['untestable']}, detected={s['detected']})")
+        return f"FaultList({self.netlist_name}, total={len(self)})"

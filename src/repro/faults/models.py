@@ -1,4 +1,4 @@
-"""Pluggable fault models: site enumeration, injection, detection, collapse.
+"""The two fault models: site enumeration, injection, detection, collapse.
 
 The paper's methodology is defined over fault *classes*, not over stuck-at
 faults specifically — the identification flow, the simulators and the ATPG
@@ -17,13 +17,13 @@ engine only need a handful of per-model answers:
 refactored single stuck-at default and :data:`TRANSITION` adds
 launch-on-capture transition-delay faults (slow-to-rise / slow-to-fall).
 The execution layer (:mod:`repro.simulation`), PODEM, the tie analysis and
-the collapse rules all dispatch through the model, so adding a fault model
-never touches the kernels.
+the collapse rules all dispatch through the model, so the kernels never
+name a model.
 
-Every model registers itself in a process-global registry; configuration
-surfaces (the ``fault_model`` knob of :class:`repro.api.RunOptions` and
-the CLI flag, grid axis and spec key derived from it) name models by
-their registry key.
+:data:`FAULT_MODELS` is the fixed name -> model table of the two;
+configuration surfaces (the ``fault_model`` knob of
+:class:`repro.api.RunOptions` and the CLI flag, grid axis and spec key
+derived from it) name models by their key there.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.core.registry import Registry
 from repro.faults.fault import (SA0, SA1, StuckAtFault, site_instance_name,
                                 site_is_port, site_pin_name)
 from repro.netlist.module import Netlist
@@ -95,7 +94,7 @@ class TransitionFault:
         return cls(site=site, polarity=tail)
 
 
-#: Any fault object a registered model owns.
+#: Any fault object of either model.
 Fault = Union[StuckAtFault, TransitionFault]
 
 
@@ -119,7 +118,7 @@ class InjectionSpec:
 class FaultModel:
     """One fault model: enumeration, algebra, semantics, serialization."""
 
-    #: Registry key (``"stuck_at"``, ``"transition"``, ...).
+    #: Table key (``"stuck_at"`` or ``"transition"``).
     name: str = ""
     #: Human wording used by the Table-I title ("stuck-at faults").
     label: str = ""
@@ -175,9 +174,6 @@ class FaultModel:
 
     def parse(self, text: str) -> Fault:
         raise NotImplementedError
-
-    def owns(self, fault: object) -> bool:
-        return isinstance(fault, self.fault_type)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"<FaultModel {self.name}>"
@@ -310,69 +306,55 @@ class TransitionDelayModel(FaultModel):
 
 
 # --------------------------------------------------------------------- #
-# registry
+# the two built-in models
 # --------------------------------------------------------------------- #
-_MODELS: Registry = Registry("fault model")
-#: Fast dispatch table for :func:`model_of` (fault type -> owning model).
-_MODELS_BY_TYPE: Dict[type, FaultModel] = {}
+STUCK_AT = StuckAtModel()
+TRANSITION = TransitionDelayModel()
 
+#: Model name -> model, in listing order.
+FAULT_MODELS: Dict[str, FaultModel] = {STUCK_AT.name: STUCK_AT,
+                                       TRANSITION.name: TRANSITION}
+#: Fault type -> owning model, the :func:`model_of` dispatch table.
+_MODELS_BY_TYPE: Dict[type, FaultModel] = {
+    model.fault_type: model for model in FAULT_MODELS.values()}
 
-def register_fault_model(model: FaultModel) -> FaultModel:
-    """Register a model under its :attr:`~FaultModel.name`; returns it."""
-    if not model.name:
-        raise ValueError("fault model must define a non-empty name")
-    _MODELS.register(model.name, model)
-    if isinstance(model.fault_type, type) and model.fault_type is not object:
-        _MODELS_BY_TYPE[model.fault_type] = model
-    return model
-
-
-STUCK_AT = register_fault_model(StuckAtModel())
-TRANSITION = register_fault_model(TransitionDelayModel())
-
-#: Registry key of the default model (the paper's universe).
+#: Name of the default model (the paper's universe).
 DEFAULT_FAULT_MODEL = STUCK_AT.name
 
 
 def fault_model_names() -> Tuple[str, ...]:
-    """Registered model names, registration order."""
-    return _MODELS.names()
+    """The model names, listing order."""
+    return tuple(FAULT_MODELS)
 
 
-def get_fault_model(name: str) -> FaultModel:
-    return _MODELS.resolve(name)
-
-
-def resolve_fault_model(spec: Union[str, FaultModel, None],
-                        default: Optional[FaultModel] = None) -> FaultModel:
-    """Coerce a model spec (instance, registry name or None) to a model.
+def resolve_fault_model(spec: Union[str, FaultModel, None]) -> FaultModel:
+    """Coerce a model spec (instance, name or None) to a model.
 
     The single parser behind the ``fault_model`` knob of
     :class:`repro.api.RunOptions` (and so every surface derived from it)
-    and the fault-list builders.  ``None``
-    resolves to ``default`` (or the stuck-at model).
+    and the fault-list builders.  ``None`` resolves to the stuck-at model;
+    an unknown name raises a :class:`ValueError` listing the model names.
     """
     if spec is None:
-        return default if default is not None else STUCK_AT
+        return STUCK_AT
     if isinstance(spec, FaultModel):
         return spec
-    return get_fault_model(str(spec).strip().lower())
+    name = str(spec).strip().lower()
+    try:
+        return FAULT_MODELS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown fault model {name!r}; expected one of: "
+            f"{', '.join(FAULT_MODELS)}") from None
 
 
 def model_of(fault: object) -> FaultModel:
-    """The registered model owning a fault object (dispatch on type).
-
-    An exact-type table serves the hot per-fault loops (tie analysis, the
-    simulation kernels) in O(1); subclasses fall back to an ``owns`` scan.
-    """
-    model = _MODELS_BY_TYPE.get(type(fault))
-    if model is not None:
-        return model
-    for model in _MODELS.values():
-        if model.owns(fault):
-            return model
-    raise TypeError(
-        f"no registered fault model owns {type(fault).__name__} objects")
+    """The model owning a fault object, by its exact type."""
+    try:
+        return _MODELS_BY_TYPE[type(fault)]
+    except KeyError:
+        raise TypeError(
+            f"no fault model owns {type(fault).__name__} objects") from None
 
 
 def resolve_injection(fault: Fault) -> InjectionSpec:
@@ -381,17 +363,17 @@ def resolve_injection(fault: Fault) -> InjectionSpec:
 
 
 def parse_fault(text: str) -> Fault:
-    """Parse a serialized fault of *any* registered model.
+    """Parse a serialized fault of either model.
 
-    Models are tried in registration order; the combined error lists every
+    The models are tried in listing order; the combined error lists every
     grammar so a typo in a persisted fault list is actionable.
     """
     errors: List[str] = []
-    for model in _MODELS.values():
+    for model in FAULT_MODELS.values():
         try:
             return model.parse(text)
         except ValueError as exc:
             errors.append(str(exc))
     raise ValueError(
-        f"cannot parse fault from {text!r} under any registered model "
-        f"({', '.join(_MODELS)}):\n  - " + "\n  - ".join(errors))
+        f"cannot parse fault from {text!r} under any fault model "
+        f"({', '.join(FAULT_MODELS)}):\n  - " + "\n  - ".join(errors))

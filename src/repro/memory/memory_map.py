@@ -9,7 +9,7 @@ cause of the §3.3 on-line functionally untestable faults.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, Iterator, List
 
 
 @dataclass(frozen=True)
@@ -82,9 +82,6 @@ class MemoryMap:
 
     def mapped_bytes(self) -> int:
         return sum(region.size for region in self.regions)
-
-    def address_ranges(self) -> List[Tuple[int, int]]:
-        return [(r.base, r.end) for r in self.regions]
 
     def __str__(self) -> str:
         lines = [f"MemoryMap ({self.address_width}-bit address bus)"]

@@ -103,9 +103,6 @@ class NetlistBuilder:
     def or_(self, *nets: str, output: Optional[str] = None) -> str:
         return self._tree("OR", nets, output)
 
-    def nand(self, a: str, b: str, output: Optional[str] = None) -> str:
-        return self.gate("NAND2", a, b, output=output)
-
     def nor(self, a: str, b: str, output: Optional[str] = None) -> str:
         return self.gate("NOR2", a, b, output=output)
 

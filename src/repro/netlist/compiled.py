@@ -147,8 +147,7 @@ class CompiledNetlist:
         "net_driver_op", "net_driver_seq", "net_load_ops", "net_load_seqs",
         "net_succ",
         # lazy memos
-        "_lock", "_fanout_ops_memo", "_branch_cone_memo",
-        "_fanout_nets_memo", "_extensions",
+        "_lock", "_fanout_ops_memo", "_fanout_nets_memo", "_extensions",
     )
 
     def __init__(self, netlist: Netlist) -> None:
@@ -269,7 +268,6 @@ class CompiledNetlist:
         # programs, which live in extension slots too).
         self._lock = threading.RLock()
         self._fanout_ops_memo: Dict[int, Tuple[int, ...]] = {}
-        self._branch_cone_memo: Dict[int, Tuple[int, ...]] = {}
         self._fanout_nets_memo: Dict[int, frozenset] = {}
         self._extensions: Dict[str, object] = {}
 
@@ -341,22 +339,6 @@ class CompiledNetlist:
         cone = tuple(sorted(seen_ops))
         with self._lock:
             memo[nid] = cone
-        return cone
-
-    def branch_cone(self, op: int) -> Tuple[int, ...]:
-        """Cone for a fault on an input pin of op: the op itself plus the
-        transitive fanout of its output nets, topologically ordered."""
-        memo = self._branch_cone_memo
-        cached = memo.get(op)
-        if cached is not None:
-            return cached
-        ops = {op}
-        for out in self.op_fanout[op]:
-            if out >= 0:
-                ops.update(self.fanout_ops(out))
-        cone = tuple(sorted(ops))
-        with self._lock:
-            memo[op] = cone
         return cone
 
     def fanout_nets(self, nid: int) -> frozenset:

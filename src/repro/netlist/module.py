@@ -20,7 +20,7 @@ paper's methodology is defined in terms of them:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.netlist.cells import Cell, Library, standard_library
 
@@ -242,10 +242,6 @@ class Netlist:
 
     def combinational_instances(self) -> List[Instance]:
         return [i for i in self.instances.values() if not i.is_sequential]
-
-    def all_pins(self) -> Iterator[Pin]:
-        for inst in self.instances.values():
-            yield from inst.pins.values()
 
     def instance(self, name: str) -> Instance:
         try:

@@ -141,20 +141,6 @@ class ArtifactCache:
         self.misses = 0
         self.evictions = 0
 
-    def get(self, key: CacheKey) -> Optional[Any]:
-        with self._lock:
-            if key in self._entries:
-                self.hits += 1
-                self._entries.move_to_end(key)
-                return self._entries[key]
-            self.misses += 1
-        if self.store is not None:
-            value = self.store.get(key)
-            if value is not None:
-                self.put(key, value)
-                return value
-        return None
-
     def get_or_compute(self, key: CacheKey, factory) -> Tuple[Any, bool]:
         """Return ``(value, was_hit)``, computing and storing on a miss.
 

@@ -78,7 +78,6 @@ class _Run:
         self.model = resolve_fault_model(options.fault_model)
         #: The run knobs the classification engines take as keywords.
         self.engine = {"effort": options.effort, "jobs": options.jobs,
-                       "static_learning": options.static_learning,
                        "atpg_backend": options.atpg_backend}
         self.artifacts: Dict[str, Any] = {}
 
@@ -198,9 +197,10 @@ def step_keys(netlist: Netlist, *,
                  f"tie_in={int(cfg.tie_flop_inputs)}"),
         "memmap": f"memmap={memory_map_key(memory_map)}",
         "faults": f"faults={fault_restriction_key(faults)}",
-        # "prune1" once named the (default-on) static pre-filter; it stays
-        # so that keys and stored artifacts keep their bytes.
-        "static": f"static=prune1:learn{int(opts.static_learning)}",
+        # "prune1" and "learn1" once named the static pre-filter and
+        # learning switches, both always on now; they stay so that keys
+        # and stored artifacts keep their bytes.
+        "static": "static=prune1:learn1",
         # ":engine" once named the default ATPG seed; it stays so that keys
         # and stored artifacts keep their bytes.
         "atpg": f"atpg={opts.atpg_backend or 'podem'}:engine",

@@ -11,7 +11,7 @@ sequential-cell data input when ``observe_state_inputs`` is set) differs
 between the good machine and the faulty machine with a definite (non-X)
 value on both sides.
 
-The engine is model-generic: every fault resolves — through its registered
+The engine is model-generic: every fault resolves — through its owning
 :class:`~repro.faults.models.FaultModel` — to an injection+detection spec
 (:class:`~repro.faults.models.InjectionSpec`), never to hardcoded stuck-at
 values.  Single-pattern models (stuck-at) force the spec's value at the

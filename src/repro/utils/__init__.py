@@ -1,4 +1,4 @@
-"""Small shared utilities: bit-vector helpers, table rendering, timers."""
+"""Small shared utilities: bit-vector helpers and table rendering."""
 
 from repro.utils.bitvec import (
     bit,
@@ -7,7 +7,6 @@ from repro.utils.bitvec import (
     mask,
 )
 from repro.utils.tables import Table
-from repro.utils.timing import Stopwatch
 
 __all__ = [
     "bit",
@@ -15,5 +14,4 @@ __all__ = [
     "count_ones",
     "mask",
     "Table",
-    "Stopwatch",
 ]

@@ -13,6 +13,10 @@ def key(n: int):
     return (f"sig{n}", "cfg", "pass")
 
 
+def must_hit():
+    raise AssertionError("expected a cache hit")
+
+
 class TestLruBound:
     def test_unbounded_by_default(self):
         cache = ArtifactCache()
@@ -24,13 +28,14 @@ class TestLruBound:
         cache = ArtifactCache(max_entries=2)
         cache.put(key(1), "a")
         cache.put(key(2), "b")
-        assert cache.get(key(1)) == "a"   # refreshes key 1's recency
+        # A hit refreshes key 1's recency.
+        assert cache.get_or_compute(key(1), must_hit) == ("a", True)
         cache.put(key(3), "c")            # evicts key 2, not key 1
-        assert cache.get(key(2)) is None
-        assert cache.get(key(1)) == "a"
-        assert cache.get(key(3)) == "c"
+        assert cache.get_or_compute(key(1), must_hit) == ("a", True)
+        assert cache.get_or_compute(key(3), must_hit) == ("c", True)
         assert len(cache) == 2
         assert cache.stats["evictions"] == 1
+        assert cache.get_or_compute(key(2), lambda: "b2") == ("b2", False)
 
     def test_overwrite_does_not_evict(self):
         cache = ArtifactCache(max_entries=2)
@@ -38,14 +43,16 @@ class TestLruBound:
         cache.put(key(2), "b")
         cache.put(key(1), "a2")
         assert len(cache) == 2
-        assert cache.get(key(1)) == "a2"
+        assert cache.get_or_compute(key(1), must_hit) == ("a2", True)
         assert cache.stats["evictions"] == 0
 
     def test_clear_resets_accounting(self):
         cache = ArtifactCache(max_entries=1)
         cache.put(key(1), "a")
-        cache.get(key(1))
-        cache.get(key(2))
+        cache.get_or_compute(key(1), must_hit)
+        cache.get_or_compute(key(2), lambda: "b")   # a miss that evicts
+        assert cache.stats == {"entries": 1, "hits": 1, "misses": 1,
+                               "evictions": 1}
         cache.clear()
         assert len(cache) == 0
         assert cache.stats == {"entries": 0, "hits": 0, "misses": 0,
@@ -61,7 +68,7 @@ class TestThreadSafety:
             try:
                 for n in range(200):
                     cache.put(key((seed * 7 + n) % 64), n)
-                    cache.get(key(n % 64))
+                    cache.get_or_compute(key(n % 64), lambda: n)
             except BaseException as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 

@@ -66,10 +66,6 @@ class TestRegistry:
         for name in atpg_backend_names():
             assert name in message
 
-    def test_resolve_instance_passthrough(self):
-        backend = ATPG_BACKENDS["dalg"]
-        assert resolve_atpg_backend(backend) is backend
-
     def test_backends_describe_themselves(self):
         for name in atpg_backend_names():
             backend = ATPG_BACKENDS[name]

@@ -174,13 +174,6 @@ class TestEngine:
             and_or_circuit, effort=AtpgEffort.FULL).classify(faults)
         assert set(tie_report.untestable) <= set(full_report.untestable)
 
-    def test_classify_fault_list_updates_in_place(self, and_or_circuit):
-        and_or_circuit.net("c").tied = LOGIC_1
-        fault_list = generate_fault_list(and_or_circuit)
-        engine = StructuralUntestabilityEngine(and_or_circuit)
-        engine.classify_fault_list(fault_list)
-        assert fault_list.untestable()
-
     def test_runtime_and_phase_bookkeeping(self, and_or_circuit):
         engine = StructuralUntestabilityEngine(and_or_circuit, effort=AtpgEffort.FULL,
                                                random_patterns=0)

@@ -70,13 +70,6 @@ class TestFlowOnTinyCore:
                       "debug_observe", "memory_map"):
             assert phase in tiny_flow_report.runtimes
 
-    def test_apply_to_fault_list(self, tiny_soc, tiny_flow_report):
-        fault_list = generate_fault_list(tiny_soc.cpu)
-        pruned = tiny_flow_report.apply_to_fault_list(fault_list)
-        assert len(pruned) == len(fault_list) - tiny_flow_report.total_online_untestable
-        classified = fault_list.with_source(OnlineUntestableSource.SCAN)
-        assert len(classified) == tiny_flow_report.source_count(OnlineUntestableSource.SCAN)
-
     def test_flow_is_deterministic(self, tiny_soc, tiny_flow_report):
         second = Session().analyze(tiny_soc)
         assert second.online_untestable == tiny_flow_report.online_untestable

@@ -77,7 +77,7 @@ class TestLoading:
             load_corpus(tmp_path)
         assert str(path) in str(exc.value)
         assert "expected some of: " in str(exc.value)
-        assert "static_learning" in str(exc.value)
+        assert "atpg_backend" in str(exc.value)
         write_spec(tmp_path, "typo", base="tiny", fault_model="transition")
         (entry,) = load_corpus(tmp_path)
         assert entry.fault_model == "transition"

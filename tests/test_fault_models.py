@@ -25,10 +25,10 @@ from repro.core.scan_analysis import identify_scan_untestable
 from repro.faults.categories import FaultClass
 from repro.faults.collapse import collapse_fault_list, equivalence_classes
 from repro.faults.fault import SA0, SA1, StuckAtFault
-from repro.faults.faultlist import FaultList, generate_fault_list
-from repro.faults.models import (SLOW_TO_FALL, SLOW_TO_RISE, STUCK_AT,
-                                 TRANSITION, InjectionSpec, TransitionFault,
-                                 fault_model_names, get_fault_model, model_of,
+from repro.faults.faultlist import generate_fault_list
+from repro.faults.models import (FAULT_MODELS, SLOW_TO_FALL, SLOW_TO_RISE,
+                                 STUCK_AT, TRANSITION, InjectionSpec,
+                                 TransitionFault, fault_model_names, model_of,
                                  parse_fault, resolve_fault_model,
                                  resolve_injection)
 from repro.manipulation.tie import tie_port
@@ -55,8 +55,8 @@ _SITES = st.one_of(
 class TestModelRegistry:
     def test_registered_models(self):
         assert fault_model_names() == ("stuck_at", "transition")
-        assert get_fault_model("stuck_at") is STUCK_AT
-        assert get_fault_model("transition") is TRANSITION
+        assert FAULT_MODELS == {"stuck_at": STUCK_AT,
+                                "transition": TRANSITION}
 
     def test_resolve_spellings(self):
         assert resolve_fault_model(None) is STUCK_AT
@@ -72,6 +72,13 @@ class TestModelRegistry:
         assert model_of(TransitionFault("u1/A", SLOW_TO_RISE)) is TRANSITION
         with pytest.raises(TypeError):
             model_of("u1/A s-a-0")
+
+        class Derived(StuckAtFault):
+            pass
+
+        # Dispatch is on the exact type: a subclass has no model.
+        with pytest.raises(TypeError):
+            model_of(Derived("u1/A", SA0))
 
     def test_injection_specs(self):
         assert resolve_injection(StuckAtFault("p", SA1)) == InjectionSpec(
@@ -158,14 +165,12 @@ class TestEnumeration:
         assert all(isinstance(f, TransitionFault) for f in transition)
         assert ({f.site for f in transition} == {f.site for f in stuck})
 
-    def test_fault_list_round_trips_transition_classifications(self):
+    def test_fault_list_round_trips_transition_faults(self):
         netlist = build_and_or_circuit()
-        faults = generate_fault_list(netlist, model=TRANSITION)
-        target = faults.faults()[0]
-        faults.classify(target, FaultClass.UT)
-        restored = FaultList.from_lines(faults.to_lines())
-        assert restored.get_class(target) is FaultClass.UT
-        assert isinstance(restored.faults()[0], TransitionFault)
+        faults = generate_fault_list(netlist, model=TRANSITION).faults()
+        restored = [parse_fault(str(fault)) for fault in faults]
+        assert restored == faults
+        assert all(isinstance(f, TransitionFault) for f in restored)
 
 
 class TestModelCollapse:
@@ -219,7 +224,7 @@ class TestModelCollapse:
             "netlist = build_and_or_circuit()\n"
             f"faults = generate_fault_list(netlist, model={model!r})\n"
             "collapsed = collapse_fault_list(netlist, faults)\n"
-            "print('\\n'.join(collapsed.to_lines()))\n"
+            "print('\\n'.join(map(str, collapsed)))\n"
         )
         outputs = []
         for seed in ("0", "424242"):

@@ -6,6 +6,7 @@ from repro.faults.categories import FaultClass, OnlineUntestableSource
 from repro.faults.collapse import collapse_fault_list, equivalence_classes
 from repro.faults.fault import SA0, SA1, StuckAtFault, fault_site_net, fault_site_pin
 from repro.faults.faultlist import FaultList, generate_fault_list
+from repro.faults.models import parse_fault
 
 from tests.conftest import build_and_or_circuit
 
@@ -73,66 +74,22 @@ class TestFaultListOperations:
     def _fault_list(self):
         return generate_fault_list(build_and_or_circuit())
 
-    def test_classification_and_queries(self):
-        faults = self._fault_list()
-        target = StuckAtFault("and2_0/A", SA0)
-        faults.classify(target, FaultClass.UT, OnlineUntestableSource.SCAN)
-        assert faults.get_class(target) is FaultClass.UT
-        assert faults.get_source(target) is OnlineUntestableSource.SCAN
-        assert target in faults.untestable()
-        assert target in faults.with_class(FaultClass.UT)
-        assert target in faults.with_source(OnlineUntestableSource.SCAN)
+    def test_deduplicates_in_first_seen_order(self):
+        first, second = StuckAtFault("b/A", SA1), StuckAtFault("a/A", SA0)
+        faults = FaultList([first, second, first], netlist_name="m")
+        assert faults.faults() == [first, second]
+        assert list(faults) == [first, second]
+        assert len(faults) == 2
+        assert faults.netlist_name == "m"
 
-    def test_classify_unknown_fault_raises(self):
+    def test_membership(self):
         faults = self._fault_list()
-        with pytest.raises(KeyError):
-            faults.classify(StuckAtFault("nope/Z", SA0), FaultClass.DT)
-
-    def test_classify_many_counts_only_present(self):
-        faults = self._fault_list()
-        present = StuckAtFault("and2_0/A", SA0)
-        absent = StuckAtFault("nope/Z", SA0)
-        assert faults.classify_many([present, absent], FaultClass.DT) == 1
-
-    def test_prune_returns_new_list(self):
-        faults = self._fault_list()
-        target = StuckAtFault("and2_0/A", SA0)
-        pruned = faults.prune([target])
-        assert len(pruned) == len(faults) - 1
-        assert target in faults and target not in pruned
-
-    def test_coverage_excludes_untestable(self):
-        faults = self._fault_list()
-        all_faults = faults.faults()
-        faults.classify(all_faults[0], FaultClass.DT)
-        faults.classify(all_faults[1], FaultClass.UT)
-        assert faults.coverage(exclude_untestable=False) == pytest.approx(1 / 26)
-        assert faults.coverage(exclude_untestable=True) == pytest.approx(1 / 25)
-
-    def test_restrict_to_sites(self):
-        faults = self._fault_list()
-        subset = faults.restrict_to_sites(lambda s: s.startswith("and2_0"))
-        assert len(subset) == 6
-        assert all(f.site.startswith("and2_0") for f in subset)
-
-    def test_group_by_prefix(self):
-        faults = self._fault_list()
-        groups = faults.group_by_prefix()
-        assert groups["<ports>"] == 10
+        assert StuckAtFault("and2_0/A", SA0) in faults
+        assert StuckAtFault("nope/Z", SA0) not in faults
 
     def test_serialisation_roundtrip(self):
-        faults = self._fault_list()
-        target = StuckAtFault("and2_0/A", SA0)
-        faults.classify(target, FaultClass.UT, OnlineUntestableSource.MEMORY_MAP)
-        restored = FaultList.from_lines(faults.to_lines())
-        assert len(restored) == len(faults)
-        assert restored.get_class(target) is FaultClass.UT
-        assert restored.get_source(target) is OnlineUntestableSource.MEMORY_MAP
-
-    def test_summary_keys(self):
-        summary = self._fault_list().summary()
-        assert summary["total"] == 26
-        assert summary["unclassified"] == 26
+        faults = self._fault_list().faults()
+        assert [parse_fault(str(fault)) for fault in faults] == faults
 
 
 class TestFaultClasses:
@@ -197,11 +154,11 @@ class TestCollapsing:
         ratio = len(collapsed) / len(faults)
         assert 0.3 < ratio < 0.9
 
-    def test_collapse_preserves_classification_of_representatives(self):
+    def test_collapse_keeps_one_representative_per_class(self):
         netlist = build_and_or_circuit()
         faults = generate_fault_list(netlist)
-        for fault in faults.faults()[:4]:
-            faults.classify(fault, FaultClass.DT)
         collapsed = collapse_fault_list(netlist, faults)
-        for fault in collapsed.faults():
-            assert collapsed.get_class(fault) == faults.get_class(fault)
+        assert collapsed.netlist_name == faults.netlist_name
+        classes = equivalence_classes(netlist, faults.faults())
+        assert collapsed.faults() == list(classes)
+        assert all(rep in faults for rep in collapsed)

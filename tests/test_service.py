@@ -399,17 +399,13 @@ class TestSpecValidation:
             job = client.submit("analyze", {"anything": "goes"})
             assert client.wait(job["id"], timeout=10)["state"] == "done"
 
-    def test_static_learning_is_honoured(self, tmp_path):
-        from repro.store import resolve_store
-
-        store = tmp_path / "store"
-        with ServiceHarness(store=str(store)) as harness:
-            client = harness.client(timeout=120.0)
-            job = client.submit("analyze", {"design": "tiny",
-                                            "static_learning": False})
-            assert client.wait(job["id"], timeout=120)["state"] == "done"
-        assert harness.join()
-        config_keys = {entry.key[1]
-                       for entry in resolve_store(str(store)).entries()}
-        assert any("learn0" in key for key in config_keys)
-        assert not any("learn1" in key for key in config_keys)
+    def test_static_learning_is_an_unknown_key(self):
+        """FULL effort always learns, so the old switch is a typo now."""
+        with ServiceHarness() as harness:
+            with pytest.raises(ServiceError) as excinfo:
+                harness.client().submit("analyze", {"design": "tiny",
+                                                    "static_learning": False})
+            assert excinfo.value.code == protocol.ERR_BAD_REQUEST
+            assert ("unknown key(s) 'static_learning'; expected some of: "
+                    in str(excinfo.value))
+            assert harness.client().jobs() == []

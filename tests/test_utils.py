@@ -1,6 +1,4 @@
-"""Unit tests for repro.utils (bit vectors, tables, timing)."""
-
-import time
+"""Unit tests for repro.utils (bit vectors, tables)."""
 
 import pytest
 
@@ -12,7 +10,6 @@ from repro.utils.bitvec import (
     sign_extend,
 )
 from repro.utils.tables import Table
-from repro.utils.timing import Stopwatch
 
 
 class TestBitvec:
@@ -77,30 +74,3 @@ class TestTable:
         table = Table(["x"])
         table.add_row([1])
         assert str(table) == table.render()
-
-
-class TestStopwatch:
-    def test_accumulates_named_laps(self):
-        watch = Stopwatch()
-        watch.start("a")
-        time.sleep(0.01)
-        elapsed = watch.stop()
-        assert elapsed > 0
-        assert watch.elapsed("a") >= elapsed * 0.99
-        assert watch.elapsed("missing") == 0.0
-
-    def test_start_stops_previous_phase(self):
-        watch = Stopwatch()
-        watch.start("a")
-        watch.start("b")
-        watch.stop()
-        assert "a" in watch.laps and "b" in watch.laps
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop()
-
-    def test_context_manager_records_total(self):
-        with Stopwatch() as watch:
-            time.sleep(0.001)
-        assert watch.total() > 0
