@@ -68,7 +68,7 @@ from repro.sbst.grading import FaultGrader
 from repro.sbst.monitor import ToggleMonitor
 from repro.sbst.program_gen import generate_sbst_suite
 from repro.simulation.fault_sim import FaultSimulator
-from tests.legacy_sim import LegacyFaultSimulator
+from tests.legacy_sim import LegacyCombinationalSimulator, LegacyFaultSimulator
 
 _GOLDEN_TABLE1 = Path(__file__).with_name("golden_table1_date13.txt")
 
@@ -183,7 +183,7 @@ def test_runtime_fault_sim_compiled_vs_legacy(runtime_soc):
     controllable = [p for p in manipulated.input_ports()
                     if manipulated.net(p).tied is None]
     sim = FaultSimulator(manipulated)
-    controllable += sim.sim.state_nets
+    controllable += LegacyCombinationalSimulator(manipulated).state_nets
     patterns = [
         {net: (LOGIC_1 if rng.getrandbits(1) else LOGIC_0)
          for net in controllable}
@@ -229,7 +229,7 @@ def test_runtime_transition_fault_sim(runtime_soc):
     controllable = [p for p in manipulated.input_ports()
                     if manipulated.net(p).tied is None]
     sim = FaultSimulator(manipulated)
-    controllable += sim.sim.state_nets
+    controllable += LegacyCombinationalSimulator(manipulated).state_nets
     patterns = [
         {net: (LOGIC_1 if rng.getrandbits(1) else LOGIC_0)
          for net in controllable}

@@ -29,7 +29,7 @@ from typing import Callable, Dict, Iterable, Optional, Set
 
 from repro.atpg.engine import AtpgEffort, StructuralUntestabilityEngine
 from repro.faults.fault import StuckAtFault
-from repro.faults.faultlist import generate_fault_list
+from repro.faults.faultlist import generate_fault_list, resolve_faults
 from repro.netlist.module import Netlist
 
 
@@ -65,7 +65,7 @@ def compute_baseline_untestable(netlist: Netlist,
                                 atpg_backend: Optional[str] = None
                                 ) -> Set[StuckAtFault]:
     """Faults untestable in the unmanipulated netlist (structural baseline)."""
-    fault_universe = list(faults) if faults is not None else generate_fault_list(netlist).faults()
+    fault_universe = resolve_faults(netlist, faults)
     engine = StructuralUntestabilityEngine(netlist, effort=effort, jobs=jobs,
                                            atpg_backend=atpg_backend)
     return set(engine.classify(fault_universe).untestable)
@@ -83,7 +83,7 @@ def classify_manipulated(netlist: Netlist,
     + suffix``) and records them on ``result``; returning ``False`` skips
     the engine.  ``engine`` holds the engine's keywords.
     """
-    fault_universe = list(faults) if faults is not None else generate_fault_list(netlist).faults()
+    fault_universe = resolve_faults(netlist, faults)
     if baseline_untestable is None:
         baseline_untestable = compute_baseline_untestable(
             netlist, fault_universe, **engine)

@@ -7,11 +7,13 @@ verdicts live in the engine's
 :class:`~repro.atpg.engine.UntestabilityReport` and the flow's
 :class:`~repro.core.results.OnlineUntestableReport`, and a fault's text
 round-trips through :func:`~repro.faults.models.parse_fault`.
+:func:`resolve_faults` is the one owner of the "no faults given means the
+whole universe" default.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Union
+from typing import Iterable, Iterator, List, Optional, Union
 
 from repro.faults.models import Fault, FaultModel, resolve_fault_model
 from repro.netlist.module import Netlist
@@ -34,6 +36,15 @@ def generate_fault_list(netlist: Netlist,
     faults = resolved.generate(netlist, include_ports=include_ports,
                                include_unconnected=include_unconnected)
     return FaultList(faults, netlist_name=netlist.name)
+
+
+def resolve_faults(netlist: Netlist, faults: Optional[Iterable[Fault]] = None,
+                   model: Union[str, FaultModel, None] = None) -> List[Fault]:
+    """``faults`` as a list, or, when it is None, the netlist's whole fault
+    universe under ``model``: the default every analysis and grader uses."""
+    if faults is not None:
+        return list(faults)
+    return generate_fault_list(netlist, model=model).faults()
 
 
 class FaultList:

@@ -19,7 +19,7 @@ generated, once per process, on first use:
 * the two-valued **word** form ``m, a, b, ... -> (y, ...)``, each output
   masked by ``m``.
 
-:meth:`Cell.evaluate` (and the simulators' ``scalar3_program``) is the
+:attr:`Cell.scalar` (and the simulators' ``scalar3_program``) is the
 width-1 plane form behind the :data:`PLANE_ENCODING` bridge, and the
 gate-family facts PODEM and fault collapsing rely on
 (:attr:`Cell.control`) are derived from it as well.
@@ -39,7 +39,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 # Three-valued logic encoding.  Chosen as small ints so hot simulation loops
 # can use them directly as list indices.
@@ -48,16 +48,17 @@ LOGIC_1 = 1
 LOGIC_X = 2
 
 #: The width-1 plane encoding of a logic value: value -> (p1, p0).  The
-#: single source of truth shared by every scalar bridge (cell evaluation,
-#: PODEM's five-valued machine, the simulators' dict-keyed front ends).
+#: single source of truth shared by every scalar bridge (:attr:`Cell.scalar`,
+#: PODEM's five-valued machine, the sequential simulator's name-keyed edge).
 PLANE_ENCODING = {LOGIC_0: (0, 1), LOGIC_1: (1, 0), LOGIC_X: (0, 0)}
 
 
 def encode(value: int, kind: str, site: str, owner: str) -> Tuple[int, int]:
     """The width-1 plane pair of ``value``; anything but 0/1/X raises.
 
-    ``kind``/``site``/``owner`` name where the value was applied (``"pin",
-    "A", "INV"`` or ``"net", "a", <netlist>``) for the error message.
+    ``kind``/``site``/``owner`` name where the value was applied (``"net",
+    "a", <netlist>`` or ``"mission input", "rst_n", <netlist>``) for the
+    error message.
     """
     try:
         return PLANE_ENCODING[value]
@@ -331,18 +332,6 @@ class Cell:
             if len(ys) == 1 and LOGIC_X not in ys:
                 return (c, ys.pop() != c)
         return None
-
-    def evaluate(self, inputs: Mapping[str, int]) -> Dict[str, int]:
-        """Evaluate the cell over three-valued inputs (width-1 plane form).
-
-        Combinational cells answer per output pin; sequential cells answer
-        their next state under ``"__next__"``.
-        """
-        values = [inputs[pin] for pin in self.inputs]
-        for pin, value in zip(self.inputs, values):
-            encode(value, "pin", pin, self.name)
-        names = ("__next__",) if self.sequential else self.outputs
-        return dict(zip(names, self.scalar(*values)))
 
     def __reduce__(self):
         # Cells cache their generated functions, which cannot be pickled.

@@ -20,7 +20,7 @@ paper's methodology is defined in terms of them:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.netlist.cells import Cell, Library, standard_library
 
@@ -342,27 +342,3 @@ def _rebuild_netlist(state: Dict[str, object]) -> "Netlist":
     netlist.unobservable_ports = set(state["unobservable_ports"])
     netlist.annotations = dict(state["annotations"])
     return netlist
-
-
-def merge_netlists(name: str, parts: Iterable[Tuple[str, Netlist]],
-                   library: Optional[Library] = None) -> Netlist:
-    """Flatten several sub-netlists into one, prefixing names with the part label.
-
-    The SoC builder composes the CPU, debug unit and glue logic with this
-    helper.  Ports of the parts become internal nets unless re-exported by
-    the caller.
-    """
-    merged = Netlist(name, library)
-    for prefix, part in parts:
-        for net_name in part.nets:
-            merged.get_or_create_net(f"{prefix}.{net_name}")
-        for inst in part.instances.values():
-            connections = {
-                port: f"{prefix}.{pin.net.name}"
-                for port, pin in inst.pins.items()
-                if pin.net is not None
-            }
-            merged.add_instance(f"{prefix}.{inst.name}", inst.cell.name, connections)
-        for net_name, net in part.nets.items():
-            merged.nets[f"{prefix}.{net_name}"].tied = net.tied
-    return merged

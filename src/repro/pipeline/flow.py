@@ -44,7 +44,7 @@ from repro.core.results import (FlowConfig, OnlineUntestableReport,
 from repro.core.scan_analysis import identify_scan_untestable
 from repro.faults.categories import (PAPER_SOURCE_ORDER,
                                      OnlineUntestableSource)
-from repro.faults.faultlist import generate_fault_list
+from repro.faults.faultlist import resolve_faults
 from repro.faults.models import Fault, resolve_fault_model
 from repro.memory.memory_map import MemoryMap
 from repro.netlist.compiled import netlist_signature
@@ -83,9 +83,7 @@ class _Run:
 
 
 def _fault_list(run: _Run) -> PassResult:
-    universe = (list(run.faults) if run.faults is not None
-                else generate_fault_list(run.netlist,
-                                         model=run.model).faults())
+    universe = resolve_faults(run.netlist, run.faults, run.model)
     return PassResult(artifacts={"fault_universe": universe,
                                  "fault_set": set(universe)})
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Set, Union
 
 from repro.faults.models import Fault, FaultModel, resolve_fault_model
-from repro.faults.faultlist import generate_fault_list
+from repro.faults.faultlist import resolve_faults
 from repro.netlist.module import Netlist
 from repro.sbst.monitor import CapturedPatterns, pattern_windows
 from repro.simulation.parallel import ParallelPatternSimulator
@@ -113,9 +113,7 @@ class FaultGrader:
         as consecutive launch-on-capture pairs (across window boundaries
         too), so the verdicts are independent of ``word_size``.
         """
-        fault_universe = (list(faults) if faults is not None
-                          else generate_fault_list(
-                              self.netlist, model=self.fault_model).faults())
+        fault_universe = resolve_faults(self.netlist, faults, self.fault_model)
         if self.jobs > 1 or self.pool is not None:
             return sharded_mission_grade(
                 self.netlist, fault_universe, patterns,
@@ -130,9 +128,7 @@ class FaultGrader:
                              faults: Optional[Iterable[Fault]] = None
                              ) -> CoverageComparison:
         """Coverage with the full fault list vs. the OLFU-pruned fault list."""
-        fault_universe = (list(faults) if faults is not None
-                          else generate_fault_list(
-                              self.netlist, model=self.fault_model).faults())
+        fault_universe = resolve_faults(self.netlist, faults, self.fault_model)
         detected = self.grade(patterns, fault_universe)
         pruned_set = set(online_untestable) & set(fault_universe)
         detected_after = detected - pruned_set

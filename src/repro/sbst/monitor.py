@@ -81,7 +81,7 @@ class _PortTables:
         self.compiled = compiled
         #: Controllable nets, deduplicated, in first-occurrence order.
         self.controllable = (monitor.netlist.input_ports()
-                             + monitor.sim.sim.state_nets)
+                             + [names[nid] for nid in compiled.state_net_ids])
         order = list(dict.fromkeys(self.controllable))
         position = {net: pos for pos, net in enumerate(order)}
         self.order = order

@@ -1,6 +1,12 @@
-"""Logic simulation: combinational, sequential and fault simulation."""
+"""Logic simulation: sequential capture and fault simulation.
 
-from repro.simulation.simulator import CombinationalSimulator
+Two engines carry the flow: the two-valued word kernel
+(:class:`ParallelPatternSimulator`, pooled by
+:func:`sharded_mission_grade`) grades faults, and the event-driven
+:class:`SequentialSimulator` captures SBST patterns.  The three-valued
+:class:`FaultSimulator` is the X-capable reference.
+"""
+
 from repro.simulation.sequential import SequentialSimulator
 from repro.simulation.fault_sim import FaultSimulator, FaultSimResult
 from repro.simulation.kernels import kernel_info
@@ -8,7 +14,6 @@ from repro.simulation.parallel import ParallelPatternSimulator
 from repro.simulation.sharded import sharded_mission_grade
 
 __all__ = [
-    "CombinationalSimulator",
     "SequentialSimulator",
     "FaultSimulator",
     "FaultSimResult",

@@ -44,12 +44,11 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.faults.models import Fault, InjectionSpec, resolve_injection
 from repro.netlist.cells import LOGIC_0, LOGIC_1
-from repro.netlist.compiled import CompiledNetlist
+from repro.netlist.compiled import CompiledNetlist, get_compiled
 from repro.netlist.module import Netlist
 from repro.simulation.kernels import (detect_mask_planes, excitation_net_id,
                                       observation_flags, resolve_site)
-from repro.simulation.simulator import (CombinationalSimulator,
-                                        observation_net_names,
+from repro.simulation.simulator import (observation_net_names,
                                         plane_program, run_plane_ops)
 
 
@@ -144,7 +143,6 @@ class FaultSimulator:
                  drop_detected: bool = True,
                  word_size: int = 64) -> None:
         self.netlist = netlist
-        self.sim = CombinationalSimulator(netlist)
         self.observe_state_inputs = observe_state_inputs
         self.state_input_roles = (tuple(state_input_roles)
                                   if state_input_roles is not None else None)
@@ -161,7 +159,7 @@ class FaultSimulator:
         pattern (the preceding one); a lone pattern never detects a
         two-pattern fault, so without it the answer is always False.
         """
-        compiled = self.sim._refresh()
+        compiled = get_compiled(self.netlist)
         program, _ = plane_program(compiled)
         g1, g0, frozen, mask = good_planes(compiled, program, [pattern])
         spec = resolve_injection(fault)
@@ -190,7 +188,7 @@ class FaultSimulator:
         window boundaries too).
         """
         drop = self.drop_detected if drop_detected is None else drop_detected
-        compiled = self.sim._refresh()
+        compiled = get_compiled(self.netlist)
         program, _ = plane_program(compiled)
         obs_flags = observation_flags(compiled, self._observation_nets)
 

@@ -27,13 +27,12 @@ from typing import (Dict, Hashable, Iterable, List, Mapping,
                     Optional, Sequence, Set, Tuple)
 
 from repro.faults.models import Fault, InjectionSpec, resolve_injection
-from repro.netlist.compiled import CompiledNetlist
+from repro.netlist.compiled import CompiledNetlist, get_compiled
 from repro.netlist.module import Netlist
 from repro.simulation.kernels import (detects_words, excitation_net_id,
                                       injection_site, observation_flags,
                                       resolve_site, word_tables)
-from repro.simulation.simulator import (CombinationalSimulator,
-                                        observation_net_names)
+from repro.simulation.simulator import observation_net_names
 from repro.utils.bitvec import mask
 
 
@@ -185,7 +184,6 @@ class ParallelPatternSimulator:
                  exclude_output_ports: Optional[Set[str]] = None,
                  state_input_roles: Optional[Sequence[str]] = None) -> None:
         self.netlist = netlist
-        self.sim = CombinationalSimulator(netlist)
         self.observe_state_inputs = observe_state_inputs
         self.exclude_output_ports = set(exclude_output_ports or ())
         self.state_input_roles = (tuple(state_input_roles)
@@ -198,18 +196,6 @@ class ParallelPatternSimulator:
     def observation_nets(self) -> Set[str]:
         """The observation-point net names this simulator detects against."""
         return set(self._observation_nets)
-
-    def good_simulation(self, patterns: Mapping[str, int],
-                        n_patterns: int) -> Dict[str, int]:
-        """Simulate ``n_patterns`` patterns at once.
-
-        ``patterns`` maps controllable net names (primary inputs and
-        flip-flop outputs) to bit-vector words; missing nets default to 0.
-        Returns a word per net.
-        """
-        compiled = self.sim._refresh()
-        values, _ = compute_good_words(compiled, patterns, n_patterns)
-        return dict(zip(compiled.net_names, values))
 
     def detected_faults(self, faults: Iterable[Fault],
                         patterns: Mapping[str, int],
@@ -241,7 +227,7 @@ class ParallelPatternSimulator:
     def _detect(self, faults: Iterable[Fault],
                 windows: Iterable[Tuple[Mapping[str, int], int]]
                 ) -> Set[Fault]:
-        compiled = self.sim._refresh()
+        compiled = get_compiled(self.netlist)
         good_windows = (compute_good_words(compiled, words, n_patterns)
                         + (n_patterns,)
                         for words, n_patterns in windows)

@@ -32,9 +32,9 @@ from heapq import heappop, heappush
 from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.netlist.cells import LOGIC_0, LOGIC_1, LOGIC_X, PLANE_ENCODING, encode
-from repro.netlist.compiled import CompiledNetlist
+from repro.netlist.compiled import CompiledNetlist, get_compiled
 from repro.netlist.module import Netlist
-from repro.simulation.simulator import CombinationalSimulator, plane_program
+from repro.simulation.simulator import plane_program
 
 #: Width-1 plane pair per logic value (the library's shared encoding).
 _ENCODE = PLANE_ENCODING
@@ -99,15 +99,13 @@ class SequentialSimulator:
 
     def __init__(self, netlist: Netlist, x_init: bool = False) -> None:
         self.netlist = netlist
-        self.sim = CombinationalSimulator(netlist)
         self.cycle = 0
-        self.trace: List[Dict[str, int]] = []
-        self.record_trace = False
+        compiled = get_compiled(netlist)
         # One slot past the last net: the X that unconnected pins read.
-        n = self.sim.compiled.n_nets + 1
+        n = compiled.n_nets + 1
         self.p1: List[int] = [0] * n
         self.p0: List[int] = [0] * n
-        self._bind(self.sim.compiled)
+        self._bind(compiled)
         self._init_state(x_init)
 
     def _bind(self, compiled: CompiledNetlist) -> None:
@@ -137,7 +135,7 @@ class SequentialSimulator:
     def refresh(self) -> CompiledNetlist:
         """Revalidate the compiled IR; on a rebuild re-key the stored state
         and the live net values by name (new nets start X, new state 0)."""
-        compiled = self.sim._refresh()
+        compiled = get_compiled(self.netlist)
         if compiled is not self._compiled:
             old_names = self._compiled.net_names
             by_name = {old_names[nid]: bits
@@ -173,7 +171,6 @@ class SequentialSimulator:
         self.refresh()
         self._init_state(x_init)
         self.cycle = 0
-        self.trace.clear()
 
     def peek(self, net_name: str) -> int:
         """Current stored value of a state net (flip-flop output)."""
@@ -309,16 +306,15 @@ class SequentialSimulator:
                                      names[nid], self.netlist.name)
         self.advance(planes)
         p1, p0 = self.p1, self.p0
-        values = {name: _decode(p1[nid], p0[nid])
-                  for nid, name in enumerate(names)}
-        if self.record_trace:
-            self.trace.append(dict(values))
-        return values
+        return {name: _decode(p1[nid], p0[nid])
+                for nid, name in enumerate(names)}
 
     def run(self, input_sequence: List[Mapping[str, int]]) -> List[Dict[str, int]]:
-        """Apply a sequence of input vectors, one per cycle; returns output maps."""
+        """Apply a sequence of input vectors, one per cycle; returns each
+        cycle's output-port values."""
+        ports = self.netlist.output_ports()
         outputs = []
         for vector in input_sequence:
             values = self.step(vector)
-            outputs.append(self.sim.output_values(values, observable_only=False))
+            outputs.append({port: values[port] for port in ports})
         return outputs

@@ -13,20 +13,18 @@ width-1 case.
 The per-cell plane functions are generated from each cell's declaration
 (:attr:`repro.netlist.cells.Cell.plane`); the per-op program for a netlist
 is resolved once per *compiled netlist* (not per simulator) through
-:meth:`CompiledNetlist.extension`.
-
-:class:`CombinationalSimulator` keeps its historical API — dict-in /
-dict-out, ``order`` and ``state_nets`` attributes — while the fault
-simulators use the integer-plane internals directly.
+:meth:`CompiledNetlist.extension`.  The three-valued fault simulator
+(:class:`~repro.simulation.fault_sim.FaultSimulator`) and the mission
+constant fixpoint (:class:`~repro.atpg.view.CombinationalView`) run
+:func:`run_plane_ops` on net-ID arrays; the sequential simulator evaluates
+the same plane forms event by event.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Dict, List, Mapping, Optional, Sequence, Set
+from typing import Collection, List, Optional, Sequence, Set
 
-from repro.netlist.cells import (LOGIC_0, LOGIC_1, LOGIC_X, PLANE_ENCODING,
-                                 encode)
-from repro.netlist.compiled import CompiledNetlist, get_compiled
+from repro.netlist.compiled import CompiledNetlist
 from repro.netlist.module import Netlist
 
 
@@ -74,146 +72,6 @@ def scalar3_program(compiled: CompiledNetlist):
     """
     return compiled.extension(
         "scalar3_program", lambda c: [cell.scalar for cell in c.op_cell])
-
-
-class CombinationalSimulator:
-    """Evaluates the combinational network of a netlist.
-
-    The compiled form is fetched once at construction and revalidated on
-    each :meth:`evaluate` call (a cheap fingerprint check), so repeated
-    evaluations reuse one shared :class:`CompiledNetlist` — as do every
-    other simulator and ATPG engine targeting the same netlist.
-    """
-
-    def __init__(self, netlist: Netlist) -> None:
-        self.netlist = netlist
-        self._compiled = get_compiled(netlist)
-
-    def _refresh(self) -> CompiledNetlist:
-        compiled = get_compiled(self.netlist)
-        self._compiled = compiled
-        return compiled
-
-    @property
-    def compiled(self) -> CompiledNetlist:
-        return self._compiled
-
-    @property
-    def order(self) -> list:
-        """Topological order of the combinational instances (shared list —
-        treat as read-only)."""
-        return self._compiled.instances
-
-    @property
-    def state_nets(self) -> list:
-        """Net names driven by sequential cells (the pseudo-primary inputs)."""
-        names = self._compiled.net_names
-        return [names[nid] for nid in self._compiled.state_net_ids]
-
-    # ------------------------------------------------------------------ #
-    def evaluate(self, inputs: Mapping[str, int],
-                 state: Optional[Mapping[str, int]] = None,
-                 overrides: Optional[Mapping[str, int]] = None) -> Dict[str, int]:
-        """Compute all net values.
-
-        Parameters
-        ----------
-        inputs:
-            Values for primary-input nets (missing inputs default to X).
-        state:
-            Values for sequential-cell output nets (missing default to X).
-        overrides:
-            Net values forced regardless of their driver — used for fault
-            injection and for what-if analyses.  Overrides take precedence
-            over ties.
-        """
-        compiled = self._refresh()
-        n = compiled.n_nets
-        net_id = compiled.net_id
-        p1 = [0] * n
-        p0 = [0] * n
-        frozen = bytearray(n)
-        tied = compiled.tied
-
-        for nid in range(n):
-            t = tied[nid]
-            if t is not None:
-                if t:
-                    p1[nid] = 1
-                else:
-                    p0[nid] = 1
-                frozen[nid] = 1
-
-        where = self.netlist.name
-        for nid in compiled.input_port_ids:
-            if tied[nid] is None:
-                name = compiled.net_names[nid]
-                p1[nid], p0[nid] = encode(inputs.get(name, LOGIC_X),
-                                          "net", name, where)
-
-        if state:
-            for name, value in state.items():
-                nid = net_id.get(name)
-                if nid is not None and tied[nid] is None:
-                    p1[nid], p0[nid] = encode(value, "net", name, where)
-
-        extra: Dict[str, int] = {}
-        if overrides:
-            for name, value in overrides.items():
-                bits = encode(value, "net", name, where)
-                nid = net_id.get(name)
-                if nid is None:
-                    extra[name] = value
-                    continue
-                p1[nid], p0[nid] = bits
-                frozen[nid] = 1
-
-        program, _ = plane_program(compiled)
-        run_plane_ops(compiled, program, p1, p0, 1, frozen)
-
-        values = {
-            name: (LOGIC_1 if p1[nid] else (LOGIC_0 if p0[nid] else LOGIC_X))
-            for nid, name in enumerate(compiled.net_names)
-        }
-        if extra:
-            values.update(extra)
-        return values
-
-    def output_values(self, values: Mapping[str, int],
-                      observable_only: bool = True) -> Dict[str, int]:
-        """Extract the module output-port values from a full value map."""
-        ports = (self.netlist.observable_output_ports() if observable_only
-                 else self.netlist.output_ports())
-        return {p: values[p] for p in ports}
-
-    def next_state(self, values: Mapping[str, int]) -> Dict[str, int]:
-        """Compute the next value of every sequential cell's output net.
-
-        The keys of the returned dict are the *output net names* of the
-        sequential instances, so the result can be fed back as ``state`` in
-        the next :meth:`evaluate` call.
-        """
-        compiled = self._refresh()
-        _, seq_program = plane_program(compiled)
-        names = compiled.net_names
-        tied = compiled.tied
-        decode = PLANE_ENCODING
-        nxt: Dict[str, int] = {}
-        for i, fn in enumerate(seq_program):
-            flat = []
-            for nid in compiled.seq_fanin[i]:
-                d = decode[values[names[nid]] if nid >= 0 else LOGIC_X]
-                flat.append(d[0])
-                flat.append(d[1])
-            out = fn(1, *flat)
-            new_value = (LOGIC_1 if out[0] else (LOGIC_0 if out[1] else LOGIC_X))
-            for nid in compiled.seq_fanout[i]:
-                if nid >= 0:
-                    if tied[nid] is not None:
-                        nxt[names[nid]] = tied[nid]
-                    else:
-                        nxt[names[nid]] = new_value
-        return nxt
 
 
 #: Sequential input-pin roles through which a fault effect is captured into

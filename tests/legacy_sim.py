@@ -3,8 +3,11 @@
 These are the original, straightforward implementations of the three-valued
 combinational simulator and the serial fault simulator: they traverse the
 :class:`~repro.netlist.module.Netlist` object graph through string-keyed
-dicts and evaluate cells via their ``eval_fn``.  They are kept as the
-*reference semantics* for the compiled execution layer:
+dicts and evaluate each cell through its width-1 form
+(:attr:`~repro.netlist.cells.Cell.scalar`, the form every engine is
+generated from).  They are kept as the *reference semantics* for the
+compiled execution layer, and as the name-keyed simulator that circuit
+checks (generators, builders, Verilog and clone round trips) drive:
 
 * the property tests cross-check the compiled engines against them on random
   circuits;
@@ -33,10 +36,10 @@ both five-valued machines rebuilt by one levelized pass of the cells'
 scalar forms, the oracle the event-driven
 :class:`~repro.atpg.podem.LiveMachine` is checked against.
 
-They live with the tests as an independent oracle, not in the package;
-production code uses the compiled-IR
-:class:`~repro.simulation.simulator.CombinationalSimulator` and
-:class:`~repro.simulation.fault_sim.FaultSimulator`.
+They live with the tests as an independent oracle, not in the package,
+whose engines run on the compiled IR
+(:func:`~repro.simulation.simulator.run_plane_ops`, the word kernel, the
+event-driven sequential simulator and PODEM's live machine).
 """
 
 from __future__ import annotations
@@ -46,12 +49,21 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.faults.fault import StuckAtFault
 from repro.netlist.cells import (LOGIC_0, LOGIC_1, LOGIC_X, PLANE_ENCODING,
-                                 encode)
+                                 Cell, encode)
+from repro.netlist.compiled import get_compiled
 from repro.netlist.module import Netlist, Pin
 from repro.netlist.traversal import topological_instances
+from repro.simulation.fault_sim import good_planes
 from repro.simulation.parallel import pair_allowed_words
-from repro.simulation.simulator import (CombinationalSimulator, plane_program,
-                                        run_plane_ops)
+from repro.simulation.simulator import plane_program, run_plane_ops
+
+
+def _cell_values(cell: Cell, pin_values: Mapping[str, int]) -> Dict[str, int]:
+    """The cell's value per output pin (its next state under
+    ``"__next__"``) for the given input-pin values."""
+    names = ("__next__",) if cell.sequential else cell.outputs
+    return dict(zip(names,
+                    cell.scalar(*[pin_values[pin] for pin in cell.inputs])))
 
 
 class LegacyCombinationalSimulator:
@@ -101,7 +113,7 @@ class LegacyCombinationalSimulator:
                 pin_values[pin.port] = (
                     values[pin.net.name] if pin.net is not None else LOGIC_X
                 )
-            outputs = inst.cell.evaluate(pin_values)
+            outputs = _cell_values(inst.cell, pin_values)
             for pin in inst.output_pins():
                 if pin.net is None:
                     continue
@@ -122,7 +134,7 @@ class LegacyCombinationalSimulator:
                 pin_values[pin.port] = (
                     values[pin.net.name] if pin.net is not None else LOGIC_X
                 )
-            result = inst.cell.evaluate(pin_values)
+            result = _cell_values(inst.cell, pin_values)
             new_value = result.get("__next__", LOGIC_X)
             for pin in inst.output_pins():
                 if pin.net is not None:
@@ -131,6 +143,20 @@ class LegacyCombinationalSimulator:
                     else:
                         nxt[pin.net.name] = new_value
         return nxt
+
+
+def compiled_sweep(netlist: Netlist,
+                   window: Sequence[Mapping[str, int]]) -> List[Dict[str, int]]:
+    """The compiled three-valued sweep over a window of patterns (the
+    :func:`~repro.simulation.fault_sim.good_planes` good machine, one bit
+    per pattern), decoded into one name-keyed value map per pattern: the
+    form :meth:`LegacyCombinationalSimulator.evaluate` answers in, with each
+    pattern applied as both inputs and state."""
+    compiled = get_compiled(netlist)
+    g1, g0, _, _ = good_planes(compiled, plane_program(compiled)[0], window)
+    return [{name: _decode((g1[nid] >> bit) & 1, (g0[nid] >> bit) & 1)
+             for nid, name in enumerate(compiled.net_names)}
+            for bit in range(len(window))]
 
 
 def legacy_mission_constants(netlist: Netlist) -> Dict[str, int]:
@@ -210,7 +236,7 @@ class LegacyFaultSimulator:
                 pin_values[pin.port] = value
             if not changed_input:
                 continue
-            outputs = inst.cell.evaluate(pin_values)
+            outputs = _cell_values(inst.cell, pin_values)
             for out_pin in inst.output_pins():
                 if out_pin.net is None:
                     continue
@@ -355,8 +381,7 @@ class LegacySequentialSimulator:
 
     def __init__(self, netlist: Netlist, x_init: bool = False) -> None:
         self.netlist = netlist
-        self.sim = CombinationalSimulator(netlist)
-        self._compiled = self.sim.compiled
+        self._compiled = get_compiled(netlist)
         self._state: Dict[int, Tuple[int, int]] = {}
         self._init_state(x_init)
         self.cycle = 0
@@ -366,7 +391,7 @@ class LegacySequentialSimulator:
         self._state = {nid: initial for nid in self._compiled.state_net_ids}
 
     def _refresh(self):
-        compiled = self.sim._refresh()
+        compiled = get_compiled(self.netlist)
         if compiled is not self._compiled:
             old_names = self._compiled.net_names
             by_name = {old_names[nid]: bits
@@ -480,8 +505,9 @@ class LegacyToggleMonitor:
                     cycles_per_instruction: int = 1,
                     mem_rdata_stream: Optional[Sequence[int]] = None) -> None:
         if not self.controllable_nets:
-            self.controllable_nets = (self.netlist.input_ports()
-                                      + self.sim.sim.state_nets)
+            self.controllable_nets = (
+                self.netlist.input_ports()
+                + LegacyCombinationalSimulator(self.netlist).state_nets)
         for index, word in enumerate(words):
             mem_rdata = (mem_rdata_stream[index % len(mem_rdata_stream)]
                          if mem_rdata_stream

@@ -11,7 +11,7 @@ from repro.netlist.cells import LOGIC_0, LOGIC_1, LOGIC_X
 from repro.netlist.compiled import (compile_netlist, compile_stats,
                                     get_compiled, reset_compile_stats)
 from repro.netlist.traversal import topological_instances
-from repro.simulation.simulator import CombinationalSimulator
+from repro.simulation.sequential import SequentialSimulator
 
 
 @pytest.fixture
@@ -104,14 +104,14 @@ class TestCompileCache:
 
     def test_mutation_invalidates(self, small_circuit):
         reset_compile_stats(clear_cache=True)
-        sim = CombinationalSimulator(small_circuit)
+        sim = SequentialSimulator(small_circuit)
         pattern = {"a": LOGIC_1, "b": LOGIC_1, "c": LOGIC_0}
-        assert sim.evaluate(pattern)["y"] == LOGIC_1
+        assert sim.step(pattern)["y"] == LOGIC_1
         # Tie the OR output: the same simulator must honour the new constant
         # (ties are applied directly on the graph by the manipulation step).
         tied_net = small_circuit.instance("u_or").pin("Y").net.name
         tie_net(small_circuit, tied_net, LOGIC_0)
-        assert sim.evaluate(pattern)["y"] == LOGIC_0
+        assert sim.step(pattern)["y"] == LOGIC_0
         assert compile_stats()["builds"] == 2
 
     def test_structural_edit_invalidates(self, small_circuit):
@@ -151,31 +151,23 @@ class TestCompileCache:
 
 class TestCompiledSemantics:
     def test_evaluate_matches_legacy_reference(self, small_circuit):
-        from tests.legacy_sim import LegacyCombinationalSimulator
+        """The compiled plane sweep, all 27 three-valued patterns in one
+        window, against the object-graph walk."""
+        from tests.legacy_sim import (LegacyCombinationalSimulator,
+                                      compiled_sweep)
 
-        sim = CombinationalSimulator(small_circuit)
         legacy = LegacyCombinationalSimulator(small_circuit)
-        for a in (LOGIC_0, LOGIC_1, LOGIC_X):
-            for b in (LOGIC_0, LOGIC_1, LOGIC_X):
-                for c in (LOGIC_0, LOGIC_1, LOGIC_X):
-                    pattern = {"a": a, "b": b, "c": c}
-                    assert sim.evaluate(pattern) == legacy.evaluate(pattern)
-
-    def test_overrides_and_unknown_keys(self, small_circuit):
-        sim = CombinationalSimulator(small_circuit)
-        values = sim.evaluate({"a": LOGIC_1, "b": LOGIC_1},
-                              overrides={"n0": LOGIC_0, "phantom": LOGIC_1})
-        # The overridden AND output stays forced and propagates.
-        and_out = small_circuit.instance("u_and").pin("Y").net.name
-        forced = sim.evaluate({"a": LOGIC_1, "b": LOGIC_1},
-                              overrides={and_out: LOGIC_0, "ghost": LOGIC_1})
-        assert forced[and_out] == LOGIC_0
-        assert forced["ghost"] == LOGIC_1  # unknown override keys round-trip
-        assert values["phantom"] == LOGIC_1
+        window = [{"a": a, "b": b, "c": c}
+                  for a in (LOGIC_0, LOGIC_1, LOGIC_X)
+                  for b in (LOGIC_0, LOGIC_1, LOGIC_X)
+                  for c in (LOGIC_0, LOGIC_1, LOGIC_X)]
+        assert compiled_sweep(small_circuit, window) == [
+            legacy.evaluate(pattern) for pattern in window]
 
     def test_state_nets_match_sequential_outputs(self, small_circuit):
-        sim = CombinationalSimulator(small_circuit)
+        compiled = get_compiled(small_circuit)
         expected = [pin.net.name
                     for inst in small_circuit.sequential_instances()
                     for pin in inst.output_pins() if pin.net is not None]
-        assert sim.state_nets == expected
+        assert [compiled.net_names[nid]
+                for nid in compiled.state_net_ids] == expected

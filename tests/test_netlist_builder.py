@@ -4,9 +4,9 @@ import pytest
 
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.validate import check_netlist
-from repro.simulation.simulator import CombinationalSimulator
 
 from tests.conftest import all_input_patterns
+from tests.legacy_sim import LegacyCombinationalSimulator
 
 
 class TestPortsAndNets:
@@ -55,7 +55,7 @@ class TestGateHelpers:
         b.and_(*inputs, output=y)
         netlist = b.build()
         assert not check_netlist(netlist)
-        sim = CombinationalSimulator(netlist)
+        sim = LegacyCombinationalSimulator(netlist)
         for pattern in all_input_patterns(inputs[:5]):
             full = {n: 1 for n in inputs}
             full.update(pattern)
@@ -67,7 +67,7 @@ class TestGateHelpers:
         a = b.add_input("a")
         y = b.add_output("y")
         b.or_(a, output=y)
-        sim = CombinationalSimulator(b.build())
+        sim = LegacyCombinationalSimulator(b.build())
         assert sim.evaluate({"a": 1})["y"] == 1
         assert sim.evaluate({"a": 0})["y"] == 0
 
@@ -82,7 +82,7 @@ class TestGateHelpers:
         d1 = b.add_input("d1")
         y = b.add_output("y")
         b.mux(s, d0, d1, output=y)
-        sim = CombinationalSimulator(b.build())
+        sim = LegacyCombinationalSimulator(b.build())
         assert sim.evaluate({"s": 0, "d0": 1, "d1": 0})["y"] == 1
         assert sim.evaluate({"s": 1, "d0": 1, "d1": 0})["y"] == 0
 
@@ -92,7 +92,7 @@ class TestGateHelpers:
         y1 = b.add_output("y1")
         b.tie0(output=y0)
         b.tie1(output=y1)
-        sim = CombinationalSimulator(b.build())
+        sim = LegacyCombinationalSimulator(b.build())
         values = sim.evaluate({})
         assert values["y0"] == 0 and values["y1"] == 1
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +13,7 @@ from repro.netlist.cells import (
     LOGIC_1,
     LOGIC_X,
     PLANE_ENCODING,
+    encode,
     standard_library,
 )
 from repro.netlist.compiled import get_compiled
@@ -19,6 +21,12 @@ from repro.simulation.simulator import scalar3_program
 
 LOGIC = (LOGIC_0, LOGIC_1, LOGIC_X)
 CELL_NAMES = standard_library().cell_names()
+
+
+def scalar(cell, **pins):
+    """``cell.scalar`` with the input values given by pin name."""
+    return cell.scalar(*[pins[pin] for pin in cell.inputs])
+
 
 #: Two-valued reference of every standard cell, written independently of
 #: the declarations: input values in pin order -> one value per output
@@ -104,7 +112,6 @@ class TestCellForms:
         cell = standard_library().get(name)
         table = oracle(cell)
         n_in, n_out = len(cell.inputs), len(cell.outputs)
-        names = ("__next__",) if cell.sequential else cell.outputs
         scalar = None
         if not cell.sequential:
             scalar = scalar3_program(one_of_each)[
@@ -113,8 +120,7 @@ class TestCellForms:
             out = cell.plane(1, *planes(combo))
             assert tuple(decode(out[2 * j], out[2 * j + 1])
                          for j in range(n_out)) == want, (name, combo)
-            got = cell.evaluate(dict(zip(cell.inputs, combo)))
-            assert tuple(got[port] for port in names) == want, (name, combo)
+            assert cell.scalar(*combo) == want, (name, combo)
             if scalar is not None:
                 assert scalar(*combo) == want, (name, combo)
             if LOGIC_X not in combo:
@@ -204,9 +210,12 @@ class TestLibrary:
         assert dbg.role_pin("debug_in") == "DI"
         assert dbg.role_pin("debug_enable") == "DE"
 
-    def test_invalid_logic_value_rejected(self, library):
-        with pytest.raises(ValueError):
-            library.get("INV").evaluate({"A": 7})
+    def test_invalid_logic_value_rejected(self):
+        assert encode(LOGIC_X, "net", "a", "top") == PLANE_ENCODING[LOGIC_X]
+        for value in (7, "1", None, []):
+            message = f"invalid logic value {value!r} on net 'a' of top"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                encode(value, "net", "a", "top")
 
 
 class TestCombinationalTruth:
@@ -225,77 +234,75 @@ class TestCombinationalTruth:
         cell = library.get(f"{family}{arity}")
         reference = self.REFERENCE[family]
         for values in itertools.product((0, 1), repeat=arity):
-            inputs = dict(zip(cell.inputs, values))
-            assert cell.evaluate(inputs)["Y"] == reference(values)
+            assert cell.scalar(*values) == (reference(values),)
 
     def test_xor_xnor(self, library):
         for a, b in itertools.product((0, 1), repeat=2):
-            assert library.get("XOR2").evaluate({"A": a, "B": b})["Y"] == (a ^ b)
-            assert library.get("XNOR2").evaluate({"A": a, "B": b})["Y"] == (1 - (a ^ b))
+            assert scalar(library.get("XOR2"), A=a, B=b) == (a ^ b,)
+            assert scalar(library.get("XNOR2"), A=a, B=b) == (1 - (a ^ b),)
 
     def test_mux2(self, library):
         for d0, d1, s in itertools.product((0, 1), repeat=3):
             expected = d1 if s else d0
-            assert library.get("MUX2").evaluate(
-                {"D0": d0, "D1": d1, "S": s})["Y"] == expected
+            assert scalar(library.get("MUX2"), D0=d0, D1=d1, S=s) == (expected,)
 
     def test_full_adder(self, library):
+        assert library.get("FA").outputs == ("S", "CO")
         for a, b, ci in itertools.product((0, 1), repeat=3):
-            out = library.get("FA").evaluate({"A": a, "B": b, "CI": ci})
-            assert out["S"] == (a + b + ci) % 2
-            assert out["CO"] == (a + b + ci) // 2
+            assert scalar(library.get("FA"), A=a, B=b, CI=ci) == (
+                (a + b + ci) % 2, (a + b + ci) // 2)
 
     def test_half_adder(self, library):
+        assert library.get("HA").outputs == ("S", "CO")
         for a, b in itertools.product((0, 1), repeat=2):
-            out = library.get("HA").evaluate({"A": a, "B": b})
-            assert out["S"] == (a + b) % 2
-            assert out["CO"] == (a + b) // 2
+            assert scalar(library.get("HA"), A=a, B=b) == (
+                (a + b) % 2, (a + b) // 2)
 
     def test_aoi_oai(self, library):
         for a, b, c in itertools.product((0, 1), repeat=3):
-            assert library.get("AO21").evaluate({"A": a, "B": b, "C": c})["Y"] == ((a & b) | c)
-            assert library.get("AOI21").evaluate({"A": a, "B": b, "C": c})["Y"] == 1 - ((a & b) | c)
-            assert library.get("OA21").evaluate({"A": a, "B": b, "C": c})["Y"] == ((a | b) & c)
-            assert library.get("OAI21").evaluate({"A": a, "B": b, "C": c})["Y"] == 1 - ((a | b) & c)
+            assert scalar(library.get("AO21"), A=a, B=b, C=c) == ((a & b) | c,)
+            assert scalar(library.get("AOI21"), A=a, B=b, C=c) == (1 - ((a & b) | c),)
+            assert scalar(library.get("OA21"), A=a, B=b, C=c) == ((a | b) & c,)
+            assert scalar(library.get("OAI21"), A=a, B=b, C=c) == (1 - ((a | b) & c),)
 
     def test_tie_cells(self, library):
-        assert library.get("TIE0").evaluate({})["Y"] == LOGIC_0
-        assert library.get("TIE1").evaluate({})["Y"] == LOGIC_1
+        assert library.get("TIE0").scalar() == (LOGIC_0,)
+        assert library.get("TIE1").scalar() == (LOGIC_1,)
 
 
 class TestSequentialCells:
+    """A sequential cell's scalar form answers its next state."""
+
     def test_dff_captures_d(self, library):
         cell = library.get("DFF")
-        assert cell.evaluate({"D": 1, "CK": 0})["__next__"] == 1
-        assert cell.evaluate({"D": 0, "CK": 1})["__next__"] == 0
+        assert scalar(cell, D=1, CK=0) == (1,)
+        assert scalar(cell, D=0, CK=1) == (0,)
 
     def test_dffr_reset_dominates(self, library):
         cell = library.get("DFFR")
-        assert cell.evaluate({"D": 1, "CK": 0, "RN": 0})["__next__"] == 0
-        assert cell.evaluate({"D": 1, "CK": 0, "RN": 1})["__next__"] == 1
-        assert cell.evaluate({"D": 1, "CK": 0, "RN": LOGIC_X})["__next__"] == LOGIC_X
+        assert scalar(cell, D=1, CK=0, RN=0) == (0,)
+        assert scalar(cell, D=1, CK=0, RN=1) == (1,)
+        assert scalar(cell, D=1, CK=0, RN=LOGIC_X) == (LOGIC_X,)
 
     def test_sdff_scan_mux(self, library):
         cell = library.get("SDFF")
         # SE=0 -> functional input, SE=1 -> serial input (paper Fig. 2).
-        assert cell.evaluate({"D": 1, "SI": 0, "SE": 0, "CK": 0})["__next__"] == 1
-        assert cell.evaluate({"D": 1, "SI": 0, "SE": 1, "CK": 0})["__next__"] == 0
+        assert scalar(cell, D=1, SI=0, SE=0, CK=0) == (1,)
+        assert scalar(cell, D=1, SI=0, SE=1, CK=0) == (0,)
 
     def test_sdffr_reset_dominates_scan(self, library):
         cell = library.get("SDFFR")
-        assert cell.evaluate(
-            {"D": 1, "SI": 1, "SE": 1, "CK": 0, "RN": 0})["__next__"] == 0
+        assert scalar(cell, D=1, SI=1, SE=1, CK=0, RN=0) == (0,)
 
     def test_dbgff_debug_mux(self, library):
         cell = library.get("DBGFF")
         # DE=0 -> mission data, DE=1 -> debugger-forced value (paper Fig. 4).
-        assert cell.evaluate({"D": 0, "DI": 1, "DE": 0, "CK": 0})["__next__"] == 0
-        assert cell.evaluate({"D": 0, "DI": 1, "DE": 1, "CK": 0})["__next__"] == 1
+        assert scalar(cell, D=0, DI=1, DE=0, CK=0) == (0,)
+        assert scalar(cell, D=0, DI=1, DE=1, CK=0) == (1,)
 
     @given(st.sampled_from(LOGIC), st.sampled_from(LOGIC), st.sampled_from(LOGIC))
     def test_sdff_equals_mux_then_dff(self, library, d, si, se):
         """SDFF next-state must equal MUX2(D, SI, SE) feeding a DFF."""
-        mux_out = library.get("MUX2").evaluate({"D0": d, "D1": si, "S": se})["Y"]
-        sdff_next = library.get("SDFF").evaluate(
-            {"D": d, "SI": si, "SE": se, "CK": 0})["__next__"]
+        mux_out = scalar(library.get("MUX2"), D0=d, D1=si, S=se)
+        sdff_next = scalar(library.get("SDFF"), D=d, SI=si, SE=se, CK=0)
         assert sdff_next == mux_out

@@ -4,7 +4,7 @@ import pytest
 
 from repro.manipulation import disconnect_output_port, tie_net, tie_port
 from repro.netlist.compiled import _structural_digest, netlist_signature
-from repro.netlist.module import INPUT, OUTPUT, Netlist, merge_netlists
+from repro.netlist.module import INPUT, OUTPUT, Netlist
 
 
 def make_simple():
@@ -130,15 +130,6 @@ class TestClone:
         clone.remove_instance("g2")
         assert netlist.net("n1").tied is None
         assert "g2" in netlist.instances
-
-
-class TestMerge:
-    def test_merge_prefixes_names(self):
-        merged = merge_netlists("top", [("u0", make_simple()), ("u1", make_simple())])
-        assert "u0.g1" in merged.instances
-        assert "u1.g1" in merged.instances
-        assert "u0.n1" in merged.nets
-        assert len(merged.instances) == 4
 
 
 class TestSignatureMemo:

@@ -4,9 +4,9 @@ import pytest
 
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.verilog import VerilogParseError, parse_verilog, write_verilog
-from repro.simulation.simulator import CombinationalSimulator
 
 from tests.conftest import all_input_patterns, build_and_or_circuit
+from tests.legacy_sim import LegacyCombinationalSimulator
 
 
 SAMPLE = """
@@ -127,8 +127,8 @@ class TestWriterRoundTrip:
     def test_round_trip_preserves_behaviour(self):
         original = build_and_or_circuit()
         parsed = parse_verilog(write_verilog(original))
-        sim_a = CombinationalSimulator(original)
-        sim_b = CombinationalSimulator(parsed)
+        sim_a = LegacyCombinationalSimulator(original)
+        sim_b = LegacyCombinationalSimulator(parsed)
         for pattern in all_input_patterns(["a", "b", "c"]):
             va = sim_a.evaluate(pattern)
             vb = sim_b.evaluate(pattern)

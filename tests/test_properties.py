@@ -19,14 +19,16 @@ from repro.atpg.tie_analysis import TieAnalysis
 from repro.faults.collapse import equivalence_classes
 from repro.faults.faultlist import generate_fault_list
 from repro.netlist.builder import NetlistBuilder
-from repro.netlist.cells import LOGIC_0, LOGIC_1, standard_library
+from repro.netlist.cells import LOGIC_0, LOGIC_1, LOGIC_X, standard_library
+from repro.netlist.compiled import get_compiled
 from repro.netlist.module import Netlist
 from repro.netlist.verilog import parse_verilog, write_verilog
 from repro.simulation.fault_sim import FaultSimulator
-from repro.simulation.parallel import ParallelPatternSimulator
-from repro.simulation.simulator import CombinationalSimulator
+from repro.simulation.parallel import (ParallelPatternSimulator,
+                                       compute_good_words)
 
 from tests.conftest import all_input_patterns
+from tests.legacy_sim import LegacyCombinationalSimulator, compiled_sweep
 
 #: Every combinational single-output cell of the standard library.
 _GATE_CHOICES = [cell.name for cell in standard_library()
@@ -73,8 +75,8 @@ def _pack_patterns(patterns):
 @given(random_circuits())
 def test_verilog_round_trip_preserves_behaviour(netlist):
     parsed = parse_verilog(write_verilog(netlist))
-    sim_a = CombinationalSimulator(netlist)
-    sim_b = CombinationalSimulator(parsed)
+    sim_a = LegacyCombinationalSimulator(netlist)
+    sim_b = LegacyCombinationalSimulator(parsed)
     outputs = netlist.output_ports()
     for pattern in all_input_patterns(_input_names()):
         va = sim_a.evaluate(pattern)
@@ -164,39 +166,41 @@ def test_collapse_classes_share_detection_sets(netlist):
           suppress_health_check=[HealthCheck.too_slow])
 @given(random_circuits())
 def test_bit_parallel_matches_three_valued_on_specified_patterns(netlist):
-    """On fully-specified patterns the two-valued bit-parallel simulation
-    must agree with the three-valued CombinationalSimulator on every net."""
+    """On fully-specified patterns the two-valued word simulation of the
+    good machine must agree with the three-valued oracle on every net."""
     patterns = list(all_input_patterns(_input_names()))
-    words = ParallelPatternSimulator(netlist).good_simulation(
-        _pack_patterns(patterns), len(patterns))
-    sim = CombinationalSimulator(netlist)
+    compiled = get_compiled(netlist)
+    words, _ = compute_good_words(compiled, _pack_patterns(patterns),
+                                  len(patterns))
+    oracle = LegacyCombinationalSimulator(netlist)
     for index, pattern in enumerate(patterns):
-        values = sim.evaluate(pattern, state=pattern)
+        values = oracle.evaluate(pattern, state=pattern)
         for net, value in values.items():
             assert value in (LOGIC_0, LOGIC_1), net  # fully specified
-            assert (words[net] >> index) & 1 == value, (net, index)
+            word = words[compiled.net_id[net]]
+            assert (word >> index) & 1 == value, (net, index)
 
 
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(random_circuits())
-def test_compiled_simulator_matches_legacy_including_x(netlist):
-    """The compiled two-bit-plane evaluator must agree with the legacy
-    object-graph simulator on every net, X inputs included."""
-    from tests.legacy_sim import LegacyCombinationalSimulator
-
-    compiled_sim = CombinationalSimulator(netlist)
-    legacy_sim = LegacyCombinationalSimulator(netlist)
-    names = _input_names()
-    # Definite corners plus patterns with X on a rotating subset of inputs.
-    patterns = list(all_input_patterns(names))
-    for start in range(len(names)):
-        pattern = {name: 2 if (k + start) % 2 else (k % 2)
-                   for k, name in enumerate(names)}
-        patterns.append(pattern)
-    patterns.append({name: 2 for name in names})
-    for pattern in patterns:
-        assert compiled_sim.evaluate(pattern) == legacy_sim.evaluate(pattern)
+@given(random_circuits(), st.data())
+def test_compiled_simulator_matches_legacy_including_x(netlist, data):
+    """The compiled two-bit-plane sweep (the good machine of the
+    three-valued fault simulator) must agree with the legacy object-graph
+    simulator on every net of every pattern of a window, with X inputs and
+    with ties on driven nets, which the sweep must leave frozen."""
+    driven = sorted(pin.net.name for inst in netlist.instances.values()
+                    for pin in inst.output_pins() if pin.net is not None)
+    for net in data.draw(st.lists(st.sampled_from(driven), max_size=3,
+                                  unique=True), label="tied nets"):
+        netlist.net(net).tied = data.draw(st.sampled_from((LOGIC_0, LOGIC_1)))
+    logic = st.sampled_from((LOGIC_0, LOGIC_1, LOGIC_X))
+    window = data.draw(st.lists(
+        st.fixed_dictionaries({name: logic for name in _input_names()}),
+        min_size=1, max_size=64), label="window")
+    legacy = LegacyCombinationalSimulator(netlist)
+    assert compiled_sweep(netlist, window) == [
+        legacy.evaluate(pattern) for pattern in window]
 
 
 @settings(max_examples=40, deadline=None,
@@ -233,8 +237,8 @@ def test_clone_preserves_behaviour_and_fault_universe(netlist):
     assert clone.stats() == netlist.stats()
     assert (set(generate_fault_list(clone).faults())
             == set(generate_fault_list(netlist).faults()))
-    sim_a = CombinationalSimulator(netlist)
-    sim_b = CombinationalSimulator(clone)
+    sim_a = LegacyCombinationalSimulator(netlist)
+    sim_b = LegacyCombinationalSimulator(clone)
     for pattern in itertools.islice(all_input_patterns(_input_names()), 8):
         va = sim_a.evaluate(pattern)
         vb = sim_b.evaluate(pattern)

@@ -39,7 +39,8 @@ from repro.sbst import FaultGrader
 from repro.sbst.monitor import CapturedPatterns
 from repro.simulation.kernels import resolve_site
 from repro.simulation.sharded import grading_chunks
-from repro.simulation.simulator import CombinationalSimulator
+
+from tests.legacy_sim import LegacyCombinationalSimulator
 
 # These tests pin jobs=2 to exercise two genuine workers even on boxes
 # whose cpu_count would cap the request; the cap warning is expected.
@@ -69,7 +70,7 @@ def tiny_captured(tiny_cpu):
     rng = random.Random(2013)
     controllable = [p for p in tiny_cpu.input_ports()
                     if tiny_cpu.net(p).tied is None]
-    controllable += CombinationalSimulator(tiny_cpu).state_nets
+    controllable += LegacyCombinationalSimulator(tiny_cpu).state_nets
     return CapturedPatterns(
         controllable_nets=controllable,
         words={net: rng.getrandbits(70) for net in controllable},

@@ -69,12 +69,10 @@ class TestScanInsertion:
         stimulus = [{f"d[{i}]": (cycle >> i) & 1 for i in range(4)}
                     for cycle in range(8)]
         for vector in stimulus:
-            ref_out = ref_sim.sim.output_values(ref_sim.step(vector),
-                                                observable_only=False)
+            [ref_out] = ref_sim.run([vector])
             scanned_vector = dict(vector)
             scanned_vector.update({"scan_enable": 0, "scan_in0": 0})
-            scan_out = scan_sim.sim.output_values(scan_sim.step(scanned_vector),
-                                                  observable_only=False)
+            [scan_out] = scan_sim.run([scanned_vector])
             for port, value in ref_out.items():
                 assert scan_out[port] == value
 

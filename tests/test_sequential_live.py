@@ -426,14 +426,19 @@ def test_monitor_counts_from_its_own_second_cycle():
 
 
 def test_step_keeps_its_contract_without_a_monitor():
-    """``step`` returns every net by name and records the trace."""
-    sim = SequentialSimulator(_fixed_netlist())
-    sim.record_trace = True
+    """``step`` returns every net by name, and ``run`` the output ports of
+    the same cycles."""
+    netlist = _fixed_netlist()
+    sim = SequentialSimulator(netlist)
+    twin = SequentialSimulator(netlist)
     values = sim.step(SEQUENCE[0])
     assert set(values) == set(sim.compiled.net_names)
-    assert sim.trace == [values]
-    assert sim.run(SEQUENCE[1:3]) == [
-        {"out": v["out"]} for v in sim.trace[1:]]
+    assert twin.step(SEQUENCE[0]) == values
+    stepped = [twin.step(vector) for vector in SEQUENCE[1:3]]
+    ports = netlist.output_ports()
+    assert ports
+    assert sim.run(SEQUENCE[1:3]) == [{port: v[port] for port in ports}
+                                      for v in stepped]
 
 
 def test_capture_without_recording_keeps_the_nets():

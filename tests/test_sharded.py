@@ -27,9 +27,9 @@ from repro.simulation.kernels import observation_flags, resolve_site
 from repro.simulation.parallel import compute_good_words
 from repro.simulation.sharded import (grading_chunks, resolve_jobs,
                                       sharded_mission_grade)
-from repro.simulation.simulator import CombinationalSimulator
 
-from tests.legacy_sim import legacy_detect_windows
+from tests.legacy_sim import (LegacyCombinationalSimulator,
+                              legacy_detect_windows)
 
 #: The pools every identity test runs on, as (jobs, start method):
 #: one worker, the default process pool for two workers (fork where
@@ -60,7 +60,7 @@ def tiny_captured_random(tiny_cpu):
     rng = random.Random(2013)
     controllable = [p for p in tiny_cpu.input_ports()
                     if tiny_cpu.net(p).tied is None]
-    controllable += CombinationalSimulator(tiny_cpu).state_nets
+    controllable += LegacyCombinationalSimulator(tiny_cpu).state_nets
     return CapturedPatterns(
         controllable_nets=controllable,
         words={net: rng.getrandbits(130) for net in controllable},

@@ -5,78 +5,63 @@ import pytest
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.cells import LOGIC_0, LOGIC_1, LOGIC_X
 from repro.simulation.sequential import SequentialSimulator
-from repro.simulation.simulator import CombinationalSimulator
 
 from tests.conftest import all_input_patterns, build_small_adder_circuit
 
 
 class TestCombinationalSimulator:
+    """The combinational half of a clock cycle: the net values one
+    :meth:`SequentialSimulator.step` returns."""
+
     def test_and_or_truth_table(self, and_or_circuit):
-        sim = CombinationalSimulator(and_or_circuit)
+        sim = SequentialSimulator(and_or_circuit)
         for pattern in all_input_patterns(["a", "b", "c"]):
-            values = sim.evaluate(pattern)
+            values = sim.step(pattern)
             assert values["y"] == ((pattern["a"] & pattern["b"]) | pattern["c"])
             assert values["z"] == 1 - pattern["c"]
 
     def test_missing_inputs_default_to_x(self, and_or_circuit):
-        sim = CombinationalSimulator(and_or_circuit)
-        values = sim.evaluate({"a": 0, "b": 1})
+        sim = SequentialSimulator(and_or_circuit)
+        values = sim.step({"a": 0, "b": 1})
         assert values["y"] == LOGIC_X  # AND=0, c unknown -> OR output unknown
         assert values["z"] == LOGIC_X
-        values = sim.evaluate({"c": 1})
+        values = sim.step({"c": 1})
         assert values["y"] == LOGIC_1  # controlling value resolves the OR
 
     def test_tied_net_overrides_driver(self, and_or_circuit):
         and_or_circuit.net("y").tied = LOGIC_0
-        sim = CombinationalSimulator(and_or_circuit)
-        values = sim.evaluate({"a": 1, "b": 1, "c": 1})
+        sim = SequentialSimulator(and_or_circuit)
+        values = sim.step({"a": 1, "b": 1, "c": 1})
         assert values["y"] == LOGIC_0
 
     def test_tied_input_port_ignores_supplied_value(self, and_or_circuit):
         and_or_circuit.net("c").tied = LOGIC_0
-        sim = CombinationalSimulator(and_or_circuit)
-        values = sim.evaluate({"a": 1, "b": 1, "c": 1})
+        sim = SequentialSimulator(and_or_circuit)
+        values = sim.step({"a": 1, "b": 1, "c": 1})
         assert values["y"] == 1  # c forced to 0, a&b=1
-
-    def test_overrides_take_precedence(self, and_or_circuit):
-        sim = CombinationalSimulator(and_or_circuit)
-        # Force the AND output to 0 regardless of its inputs: y = c = 0.
-        and_net = and_or_circuit.instance("and2_0").pin("Y").net.name
-        values = sim.evaluate({"a": 1, "b": 1, "c": 0}, overrides={and_net: 0})
-        assert values["y"] == 0
 
     def test_adder_matches_integer_addition(self):
         netlist = build_small_adder_circuit(4)
-        sim = CombinationalSimulator(netlist)
+        sim = SequentialSimulator(netlist)
         for x in range(16):
             for y in range(16):
                 inputs = {f"a[{i}]": (x >> i) & 1 for i in range(4)}
                 inputs.update({f"b[{i}]": (y >> i) & 1 for i in range(4)})
-                values = sim.evaluate(inputs)
+                values = sim.step(inputs)
                 total = sum(values[f"s[{i}]"] << i for i in range(4))
                 total += values["co"] << 4
                 assert total == x + y
-
-    def test_output_values_helper(self, and_or_circuit):
-        sim = CombinationalSimulator(and_or_circuit)
-        values = sim.evaluate({"a": 0, "b": 0, "c": 1})
-        outputs = sim.output_values(values)
-        assert outputs == {"y": 1, "z": 0}
-        and_or_circuit.unobservable_ports.add("z")
-        assert sim.output_values(values, observable_only=True) == {"y": 1}
 
     def test_next_state_computation(self):
         b = NetlistBuilder("ff")
         clk = b.add_input("clk")
         d = b.add_input("d")
         q = b.dff(d, clk, name="ff0")
-        netlist = b.build()
-        sim = CombinationalSimulator(netlist)
-        values = sim.evaluate({"d": 1})
-        nxt = sim.next_state(values)
-        assert nxt[q] == 1
-        values = sim.evaluate({"d": 0})
-        assert sim.next_state(values)[q] == 0
+        sim = SequentialSimulator(b.build())
+        sim.step({"d": 1})
+        assert sim.peek(q) == 1
+        sim.step({"d": 0})
+        assert sim.peek(q) == 0
 
 
 class TestSequentialSimulator:
@@ -151,15 +136,6 @@ class TestInvalidLogicValues:
     """A value outside 0/1/X raises the library's one ValueError wherever it
     is applied, instead of being simulated as X (or a bare KeyError)."""
 
-    def test_combinational_inputs_state_and_overrides(self, and_or_circuit):
-        sim = CombinationalSimulator(and_or_circuit)
-        for kwargs in ({"inputs": {"a": 7}},
-                       {"inputs": {}, "state": {"a": 7}},
-                       {"inputs": {}, "overrides": {"a": 7}}):
-            with pytest.raises(ValueError,
-                               match="invalid logic value 7 on net 'a' of and_or"):
-                sim.evaluate(**kwargs)
-
     def test_sequential_step_and_poke(self):
         b = NetlistBuilder("sr")
         clk = b.add_input("clk")
@@ -170,7 +146,3 @@ class TestInvalidLogicValues:
             sim.step({"d": 7})
         with pytest.raises(ValueError, match=f"invalid logic value 7 on net '{q}' of sr"):
             sim.poke(q, 7)
-
-    def test_cell_evaluate(self, library):
-        with pytest.raises(ValueError, match="invalid logic value 7 on pin 'A' of INV"):
-            library.get("INV").evaluate({"A": 7})

@@ -6,7 +6,6 @@ from repro.isa.opcodes import Opcode, control_signals_for, encode_instruction
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.validate import check_netlist
 from repro.simulation.sequential import SequentialSimulator
-from repro.simulation.simulator import CombinationalSimulator
 from repro.soc.alu import build_alu
 from repro.soc.btb import build_btb
 from repro.soc.config import CpuConfig, SoCConfig
@@ -16,6 +15,8 @@ from repro.soc.decoder import build_decoder
 from repro.soc.regfile import build_register_file
 from repro.soc.soc_builder import build_soc
 from repro.utils.bitvec import bit
+
+from tests.legacy_sim import LegacyCombinationalSimulator
 
 
 def _drive(width, name, value):
@@ -31,7 +32,7 @@ class TestDecoder:
         b = NetlistBuilder("dec")
         opcode = b.add_input_bus("op", 5)
         controls = build_decoder(b, opcode)
-        sim = CombinationalSimulator(b.build())
+        sim = LegacyCombinationalSimulator(b.build())
         for code in range(32):
             values = sim.evaluate(_drive(5, "op", code))
             expected = control_signals_for(code).as_dict()
@@ -52,7 +53,7 @@ class TestAlu:
         c = b.add_input_bus("b", 8)
         op = b.add_input_bus("op", 3)
         alu = build_alu(b, a, c, op, mult_width=4, has_barrel_shifter=True)
-        return CombinationalSimulator(b.build()), alu
+        return LegacyCombinationalSimulator(b.build()), alu
 
     REFERENCE = {
         0: lambda x, y: (x + y) & 0xFF,

@@ -1,8 +1,8 @@
 """Functional correctness tests for the parametric datapath generators.
 
 Each generator is checked against its integer/boolean reference over either
-an exhaustive or a pseudo-random operand set, simulated with the levelised
-combinational simulator.
+an exhaustive or a pseudo-random operand set, simulated with the object-graph
+reference simulator of ``tests/legacy_sim.py``.
 """
 
 import itertools
@@ -11,7 +11,6 @@ import random
 import pytest
 
 from repro.netlist.builder import NetlistBuilder
-from repro.simulation.simulator import CombinationalSimulator
 from repro.soc.generators import (
     array_multiplier,
     barrel_shifter,
@@ -27,6 +26,8 @@ from repro.soc.generators import (
     synthesize_function,
     zero_detector,
 )
+
+from tests.legacy_sim import LegacyCombinationalSimulator
 
 
 def _drive(width, name, value):
@@ -44,7 +45,7 @@ class TestArithmetic:
         c = b.add_input_bus("b", width)
         outputs = generator(b, a, c)
         netlist = b.build()
-        return netlist, CombinationalSimulator(netlist), outputs
+        return netlist, LegacyCombinationalSimulator(netlist), outputs
 
     def test_ripple_adder_exhaustive(self):
         netlist, sim, (total, carry) = self._build_binary(
@@ -64,7 +65,7 @@ class TestArithmetic:
         b = NetlistBuilder("m")
         a = b.add_input_bus("a", 4)
         total, carry = incrementer(b, a)
-        sim = CombinationalSimulator(b.build())
+        sim = LegacyCombinationalSimulator(b.build())
         for x in range(16):
             values = sim.evaluate(_drive(4, "a", x))
             assert _read(values, total) + (values[carry] << 4) == x + 1
@@ -75,7 +76,7 @@ class TestArithmetic:
         a = b.add_input_bus("a", 6)
         c = b.add_input_bus("b", 6)
         product = array_multiplier(b, a, c)
-        sim = CombinationalSimulator(b.build())
+        sim = LegacyCombinationalSimulator(b.build())
         for _ in range(60):
             x, y = rng.randrange(64), rng.randrange(64)
             values = sim.evaluate({**_drive(6, "a", x), **_drive(6, "b", y)})
@@ -86,7 +87,7 @@ class TestArithmetic:
         a = b.add_input_bus("a", 4)
         c = b.add_input_bus("b", 4)
         product = array_multiplier(b, a, c, result_width=4)
-        sim = CombinationalSimulator(b.build())
+        sim = LegacyCombinationalSimulator(b.build())
         for x, y in itertools.product(range(16), repeat=2):
             values = sim.evaluate({**_drive(4, "a", x), **_drive(4, "b", y)})
             assert _read(values, product) == (x * y) & 0xF
@@ -102,7 +103,7 @@ class TestArithmetic:
         b = NetlistBuilder("m")
         a = b.add_input_bus("a", 5)
         z = zero_detector(b, a)
-        sim = CombinationalSimulator(b.build())
+        sim = LegacyCombinationalSimulator(b.build())
         for x in range(32):
             assert sim.evaluate(_drive(5, "a", x))[z] == int(x == 0)
 
@@ -120,7 +121,7 @@ class TestSteering:
         words = [b.add_input_bus(f"w{k}", 2) for k in range(3)]
         select = b.add_input_bus("s", 2)
         out = mux_tree_word(b, select, words)
-        sim = CombinationalSimulator(b.build())
+        sim = LegacyCombinationalSimulator(b.build())
         data = {f"w{k}[{i}]": (k >> i) & 1 for k in range(3) for i in range(2)}
         for sel in range(3):
             values = sim.evaluate({**data, **_drive(2, "s", sel)})
@@ -135,7 +136,7 @@ class TestSteering:
         select = b.add_input_bus("s", 3)
         enable = b.add_input("en")
         outputs = binary_decoder(b, select, enable=enable)
-        sim = CombinationalSimulator(b.build())
+        sim = LegacyCombinationalSimulator(b.build())
         for sel in range(8):
             values = sim.evaluate({**_drive(3, "s", sel), "en": 1})
             assert [values[o] for o in outputs] == [int(i == sel) for i in range(8)]
@@ -147,7 +148,7 @@ class TestSteering:
         data = b.add_input_bus("d", 8)
         amount = b.add_input_bus("amt", 3)
         out = barrel_shifter(b, data, amount, left=True)
-        sim = CombinationalSimulator(b.build())
+        sim = LegacyCombinationalSimulator(b.build())
         for value, shift in itertools.product((0xA5, 0x3C, 0x01), range(8)):
             values = sim.evaluate({**_drive(8, "d", value), **_drive(3, "amt", shift)})
             assert _read(values, out) == (value << shift) & 0xFF
@@ -157,7 +158,7 @@ class TestSteering:
         data = b.add_input_bus("d", 8)
         amount = b.add_input_bus("amt", 3)
         out = barrel_shifter(b, data, amount, left=False)
-        sim = CombinationalSimulator(b.build())
+        sim = LegacyCombinationalSimulator(b.build())
         for value, shift in itertools.product((0xA5, 0x81), range(8)):
             values = sim.evaluate({**_drive(8, "d", value), **_drive(3, "amt", shift)})
             assert _read(values, out) == (value >> shift) & 0xFF
@@ -169,7 +170,7 @@ class TestSteering:
         b = NetlistBuilder("m")
         inputs = b.add_input_bus("x", 4)
         out = synthesize_function(b, inputs, truth)
-        sim = CombinationalSimulator(b.build())
+        sim = LegacyCombinationalSimulator(b.build())
         for code in range(16):
             values = sim.evaluate(_drive(4, "x", code))
             assert values[out] == truth(code)

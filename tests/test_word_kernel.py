@@ -33,9 +33,9 @@ from repro.simulation.kernels import injection_site, resolve_site, word_tables
 from repro.simulation.parallel import (ParallelPatternSimulator,
                                        compute_good_words, detect_windows,
                                        injection_groups)
-from repro.simulation.simulator import CombinationalSimulator
 
-from tests.legacy_sim import legacy_detect_windows
+from tests.legacy_sim import (LegacyCombinationalSimulator,
+                              legacy_detect_windows)
 
 _SINGLE_OUTPUT = ["AND2", "OR2", "NAND2", "NOR2", "XOR2", "XNOR2", "INV",
                   "BUF", "MUX2", "AO21", "OAI21", "AND3"]
@@ -93,7 +93,7 @@ def _windows(compiled, netlist, n_cycles, word_size, rng):
     """Good words of a random cycle stream over the controllable nets,
     cut into consecutive windows of ``word_size`` patterns."""
     controllable = (netlist.input_ports()
-                    + CombinationalSimulator(netlist).state_nets)
+                    + LegacyCombinationalSimulator(netlist).state_nets)
     windows = []
     for start in range(0, n_cycles, word_size):
         width = min(word_size, n_cycles - start)
@@ -233,7 +233,7 @@ def test_sequential_input_pin_faults_are_never_detected(tiny_soc):
     simulator = ParallelPatternSimulator(netlist)
     rng = random.Random(7)
     controllable = (netlist.input_ports()
-                    + CombinationalSimulator(netlist).state_nets)
+                    + LegacyCombinationalSimulator(netlist).state_nets)
     windows = [({net: rng.getrandbits(64) for net in controllable}, 64)
                for _ in range(4)]
     for model in ("stuck_at", "transition"):
